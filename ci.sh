@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate plus the runtime-crate lint wall and the runtime benchmark
-# artifact. Run from the repo root; fails fast on the first broken step.
+# Tier-1 gate plus the format/structure/lint wall, the benchmark-package
+# smoke, and the bench artifacts with their regression gate. Run from the repo root; fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,8 +16,32 @@ cargo fmt --check \
   -p sp-exec -p sp-trace -p sp-kernels -p sp-baselines -p sp-machine \
   -p sp-bench -p sp-cli -p sp-serve -p sp-net
 
+echo "==> structure: no deprecated shims, one hash, one PRNG, one JSON reader"
+# Cheap greps over first-party code. Each of these helpers once existed
+# two or three times; a second definition is a regression, not a lint.
+if grep -rn --include='*.rs' '#\[deprecated' crates/; then
+  echo "FAIL: #[deprecated] item under crates/ (delete the shim instead)"
+  exit 1
+fi
+for def in 'fn fnv1a64' 'fn splitmix64' 'fn string(&mut self)'; do
+  n="$(grep -rn --include='*.rs' -F "$def" crates/ src/ tests/ examples/ | wc -l)"
+  if [ "$n" -gt 1 ]; then
+    echo "FAIL: $n definitions of \`$def\` (expected at most one):"
+    grep -rn --include='*.rs' -F "$def" crates/ src/ tests/ examples/
+    exit 1
+  fi
+done
+
 echo "==> lint wall: runtime + observability + serving crates must be clippy-clean"
 cargo clippy -p sp-exec -p sp-trace -p sp-cli -p sp-serve -p sp-net -- -D warnings
+
+echo "==> benchmark package: builds and smoke-tests against the library API, unedited"
+# benchmark/ is its own workspace (own Cargo.lock and target dir) and
+# compiles against Executor, PooledExecutor, ScopedExecutor, RunConfig,
+# Schedule, RunReport and validate_chrome_trace; nothing else here
+# builds it, so an API break would otherwise surface only in the
+# benchmark driver.
+cargo test --release --manifest-path benchmark/Cargo.toml
 
 echo "==> differential fuzzing: backends (interp/compiled/simd) x schedules x runtimes"
 # The vendored proptest derives its seed from the test name, so this

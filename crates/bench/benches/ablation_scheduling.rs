@@ -1,5 +1,8 @@
-//! Ablation: static blocked vs dynamic self-scheduled execution of the
-//! unfused program on real threads.
+//! Ablation: static blocked vs self-scheduled execution of the unfused
+//! program on real threads — the same executor core under two claim
+//! policies (`Schedule::Static` vs `Schedule::Stealing` over small
+//! chunks; the unfused program's singleton groups have `Nt = 0`, so any
+//! chunk size is legal).
 //!
 //! The paper restricts shift-and-peel to static blocked scheduling
 //! (Section 3.2) and argues this "is not a serious limitation, as it is
@@ -10,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_cache::LayoutStrategy;
-use sp_exec::{DynamicExecutor, Executor, Memory, Program, RunConfig, ScopedExecutor};
+use sp_exec::{Executor, Memory, Program, RunConfig, Schedule, ScopedExecutor};
 use sp_kernels::ll18;
 
 fn bench_scheduling(c: &mut Criterion) {
@@ -36,9 +39,10 @@ fn bench_scheduling(c: &mut Criterion) {
                 |b, &t| {
                     let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
                     mem.init_deterministic(&seq, 1);
-                    let cfg = RunConfig::blocked([t]);
-                    let mut ex = DynamicExecutor::new(chunk);
-                    b.iter(|| ex.run(&prog, &mut mem, &cfg).unwrap());
+                    let cfg = RunConfig::blocked([t])
+                        .schedule(Schedule::Stealing)
+                        .chunk(chunk);
+                    b.iter(|| ScopedExecutor.run(&prog, &mut mem, &cfg).unwrap());
                 },
             );
         }

@@ -1,15 +1,18 @@
 //! Runtime comparison on real host threads: spawn-per-timestep
 //! ([`ScopedExecutor`]) versus the persistent worker pool
 //! ([`PooledExecutor`]) versus self-scheduling of the unfused program
-//! ([`DynamicExecutor`]), across timestep counts — plus the backend
+//! (the pool under `Schedule::Stealing` over four-iteration chunks),
+//! across timestep counts — plus the backend
 //! ablation: the pooled run repeated with loop bodies lowered to
 //! compiled micro-op tapes instead of the tree-walking interpreter.
 //!
 //! The scoped runtime pays thread creation and barrier construction on
 //! *every* timestep; the pool pays it once per process, so its advantage
-//! grows with the number of timesteps. The dynamic runtime runs the
-//! unfused plan (dynamic scheduling of fused plans is illegal — paper
-//! Section 3.2) and shows what the static-scheduling restriction costs.
+//! grows with the number of timesteps. The `dynamic` column runs the
+//! unfused plan, whose singleton groups put no floor under the chunk
+//! size (a fused plan's chunks must respect the Theorem-1 `Nt` floor —
+//! paper Section 3.2), and shows what fine-grained self-scheduling
+//! costs against static blocks.
 //! The compiled backend must beat the interpreter on throughput while
 //! producing identical results and identical per-processor cache miss
 //! counts (verified here; the run panics on divergence). The `simd`

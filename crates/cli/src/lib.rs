@@ -22,8 +22,8 @@ use shift_peel_core::{CodegenMethod, Planner};
 use sp_cache::LayoutStrategy;
 use sp_dep::{analyze_sequence, describe_deps};
 use sp_exec::{
-    register_pass_metrics, Backend, DynamicExecutor, ExecPlan, Executor, Memory, PooledExecutor,
-    Program, RunConfig, Schedule, ScopedExecutor, SimExecutor,
+    register_pass_metrics, Backend, ExecPlan, Executor, Memory, PooledExecutor, Program, RunConfig,
+    Schedule, ScopedExecutor, SimExecutor,
 };
 use sp_ir::{display::render_sequence, parse_sequence, LoopSequence};
 use sp_machine::{simulate, SimPlan, CONVEX_SPP1000, KSR2};
@@ -76,7 +76,7 @@ pub struct Options {
     pub strip: i64,
     /// `--machine ksr2|convex` (default convex).
     pub machine: String,
-    /// `--executor scoped|pooled|dynamic|sim` (default scoped).
+    /// `--executor scoped|pooled|sim` (default scoped).
     pub executor: String,
     /// `--steps N` timesteps (default 1).
     pub steps: usize,
@@ -334,7 +334,7 @@ impl Options {
 pub const USAGE: &str = "usage: spfc \
 <analyze|derive|fuse|distribute|explain|run|simulate|trace-check> <prog.loop|kernel|trace.json> \
 [--procs N] [--strip N] [--steps N] [--machine ksr2|convex] \
-[--executor scoped|pooled|dynamic|sim] [--backend interp|compiled|simd] \
+[--executor scoped|pooled|sim] [--backend interp|compiled|simd] \
 [--schedule static|guided|stealing] [--chunk N] \
 [--trace-out FILE] [--metrics-out FILE]\n\
        spfc list\n\
@@ -1068,12 +1068,7 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             // Plan once through the pass pipeline: the executor gets the
             // plan prederived and the per-pass timings land in the
             // exported metrics.
-            let planner = if opts.executor == "dynamic" {
-                Planner::unfused(1)
-            } else {
-                Planner::fused(1)
-            };
-            let planned = planner.plan(&seq).map_err(|e| CliError {
+            let planned = Planner::fused(1).plan(&seq).map_err(|e| CliError {
                 message: e.to_string(),
                 code: 1,
             })?;
@@ -1082,21 +1077,14 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
                     message: e.to_string(),
                     code: 1,
                 })?;
-            // The dynamic runtime cannot legally execute fused plans
-            // (peeling assumes static block boundaries), so it runs the
-            // unfused blocked plan — the scheduling ablation.
             let backend = parse_backend(&opts.backend)?;
             let schedule = parse_schedule(&opts.schedule)?;
-            let mut cfg = if opts.executor == "dynamic" {
-                RunConfig::blocked([opts.procs]).steps(opts.steps)
-            } else {
-                RunConfig::fused([opts.procs])
-                    .strip(opts.strip)
-                    .steps(opts.steps)
-            }
-            .prederived(planned.plan.clone())
-            .backend(backend)
-            .schedule(schedule);
+            let mut cfg = RunConfig::fused([opts.procs])
+                .strip(opts.strip)
+                .steps(opts.steps)
+                .prederived(planned.plan.clone())
+                .backend(backend)
+                .schedule(schedule);
             if let Some(c) = opts.chunk {
                 cfg = cfg.chunk(c);
             }
@@ -1106,13 +1094,14 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             let mut executor: Box<dyn Executor> = match opts.executor.as_str() {
                 "scoped" => Box::new(ScopedExecutor),
                 "pooled" => Box::new(PooledExecutor::new(opts.procs)),
-                "dynamic" => Box::new(DynamicExecutor::default()),
                 "sim" => Box::new(SimExecutor),
-                other => {
-                    return usage(format!(
-                        "unknown executor {other} (scoped|pooled|dynamic|sim)"
-                    ))
+                "dynamic" => {
+                    return usage(
+                        "the dynamic executor is gone: self-scheduling is a schedule, \
+                         use --schedule stealing (with --chunk N) on scoped or pooled",
+                    )
                 }
+                other => return usage(format!("unknown executor {other} (scoped|pooled|sim)")),
             };
             let mut ref_mem = Memory::new(&seq, LayoutStrategy::Contiguous);
             ref_mem.init_deterministic(&seq, 42);

@@ -25,8 +25,11 @@ L3:
 ";
 
 fn with_program(f: impl FnOnce(&str)) {
+    // Tests run on parallel threads of one process: one file per call.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir();
-    let path = dir.join(format!("spfc-test-{}.loop", std::process::id()));
+    let path = dir.join(format!("spfc-test-{}-{call}.loop", std::process::id()));
     let mut file = std::fs::File::create(&path).expect("create temp program");
     file.write_all(PROGRAM.as_bytes()).expect("write");
     drop(file);
@@ -102,6 +105,10 @@ fn run_supports_the_adaptive_schedules() {
         assert!(e.message.contains("unknown schedule"), "{}", e.message);
         let e = run(&["run", path, "--schedule", "guided", "--chunk", "0"]).unwrap_err();
         assert!(e.message.contains("chunk"), "{}", e.message);
+        // Self-scheduling is a schedule now, not an executor.
+        let e = run(&["run", path, "--executor", "dynamic"]).unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("--schedule stealing"), "{}", e.message);
     });
 }
 

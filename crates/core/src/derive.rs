@@ -16,7 +16,7 @@
 //!   from block starts so that statically-blocked parallel execution of
 //!   the fused loop needs no cross-processor synchronization.
 
-use crate::explain::{DerivePass, ExplainEvent, ExplainTrace};
+use crate::explain::{DerivePass, ExplainEvent};
 use crate::pipeline::PlanObserver;
 use sp_dep::{DepEdge, DepMultigraph, SequenceDeps};
 use sp_ir::LoopSequence;
@@ -266,19 +266,6 @@ pub fn derive_dim_observed(
         nt: dim.nt(),
     });
     Ok(dim)
-}
-
-/// [`derive_dim_observed`] with an [`ExplainTrace`] as the observer.
-#[deprecated(
-    note = "use `derive_dim_observed` (or plan through `pipeline::Planner`); \
-            the traced/untraced function pair is collapsed into one observer path"
-)]
-pub fn derive_dim_traced(
-    g: &DepMultigraph,
-    offset: usize,
-    trace: &mut ExplainTrace,
-) -> Result<DimDerivation, DeriveError> {
-    derive_dim_observed(g, offset, trace)
 }
 
 /// Derives shift-and-peel amounts for the first `levels` dimensions of a

@@ -442,7 +442,8 @@ mod tests {
         let seq = fig9();
         let deps = sp_dep::analyze_sequence(&seq).unwrap();
         let untraced =
-            crate::plan::fusion_plan(&seq, &deps, 1, CodegenMethod::StripMined, None).unwrap();
+            crate::plan::fusion_plan(&seq, &deps, 1, crate::CodegenMethod::StripMined, None)
+                .unwrap();
         let (traced, _) = explain_sequence(&seq, 1).unwrap();
         assert_eq!(untraced, traced);
     }

@@ -49,8 +49,6 @@ pub mod analysis {
         bytes_per_outer_iter, estimate_block_cost, suggest_strip, GroupCost, StripSpec,
     };
     pub use crate::contract::{find_contractable, ContractionCandidate};
-    #[allow(deprecated)]
-    pub use crate::derive::derive_dim_traced;
     pub use crate::derive::{
         derive_dim, derive_dim_observed, derive_levels, derive_shift_peel, Derivation, DeriveError,
         DimDerivation,

@@ -13,14 +13,13 @@
 //! changes the plan key but leaves the dependence key — and therefore
 //! the cached dependence artifact — intact.
 //!
-//! The public entry point is [`Planner`], a builder that replaces the
-//! paired free functions (`fusion_plan`/`fusion_plan_traced`): one path
-//! serves traced and untraced planning alike through a [`PlanObserver`].
-//! The untraced default ([`NullObserver`]) reports that it wants no
-//! events, so the planning passes skip event construction entirely and
-//! allocate nothing extra — exactly the old untraced path — while an
-//! [`ExplainTrace`] observer receives the identical event stream the old
-//! `*_traced` functions produced.
+//! The public entry point is [`Planner`], a builder over one planning
+//! path that serves traced and untraced planning alike through a
+//! [`PlanObserver`]. The untraced default ([`NullObserver`]) reports
+//! that it wants no events, so the planning passes skip event
+//! construction entirely and allocate nothing extra, while an
+//! [`ExplainTrace`] observer receives the full event stream (pinned by
+//! the `spfc explain` golden).
 
 use crate::codegen::{estimate_block_cost, GroupCost, StripSpec};
 use crate::explain::{ExplainEvent, ExplainTrace};
@@ -54,9 +53,11 @@ pub mod pass {
     pub const COST: &str = "cost";
 }
 
-/// 64-bit FNV-1a (same parameters as `sp-serve`'s content hashing;
-/// duplicated here because the dependency points the other way).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a, the one content hash of the workspace (artifact keys
+/// here, cache keys and digests in `sp-serve`). Small, dependency-free,
+/// and stable across platforms — collision resistance only has to beat
+/// accidental aliasing among a handful of programs, not an adversary.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -131,8 +132,7 @@ pub struct PassRequest<'a> {
 ///
 /// [`PlanObserver::wants_events`] gates event delivery so the untraced
 /// path ([`NullObserver`]) constructs no events at all; an
-/// [`ExplainTrace`] observer receives the byte-identical stream the old
-/// `fusion_plan_traced` produced.
+/// [`ExplainTrace`] observer receives every event.
 pub trait PlanObserver {
     /// Whether [`PlanObserver::event`] calls should be made. Passes skip
     /// event construction entirely when this is `false` (the default).

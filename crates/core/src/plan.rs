@@ -8,7 +8,7 @@
 //! a profitability model (Section 6) vetoes further fusion.
 
 use crate::derive::{derive_dim, derive_dim_observed, Derivation};
-use crate::explain::{ExplainEvent, ExplainTrace, JoinBlocker};
+use crate::explain::{ExplainEvent, JoinBlocker};
 use crate::legality::LegalityError;
 use crate::pipeline::{NullObserver, PlanObserver};
 use crate::profit::ProfitabilityModel;
@@ -325,22 +325,6 @@ pub fn fusion_plan_observed(
         groups,
         method,
     })
-}
-
-/// [`fusion_plan_observed`] with an [`ExplainTrace`] as the observer.
-#[deprecated(
-    note = "plan through `pipeline::Planner::explain` (or `fusion_plan_observed`); \
-            the traced/untraced function pair is collapsed into one observer path"
-)]
-pub fn fusion_plan_traced(
-    seq: &LoopSequence,
-    deps: &SequenceDeps,
-    levels: usize,
-    method: CodegenMethod,
-    profit: Option<&ProfitabilityModel>,
-    trace: &mut ExplainTrace,
-) -> Result<FusionPlan, LegalityError> {
-    fusion_plan_observed(seq, deps, levels, method, profit, trace)
 }
 
 /// Everything that determines *which* [`FusionPlan`] a sequence gets —

@@ -1,5 +1,5 @@
-//! Schedule drivers: executing fusion plans serially, as a deterministic
-//! simulation of `P` processors, or on real threads.
+//! The one executor core: phase bodies, the phase list, and the two
+//! functions every runtime is built from.
 //!
 //! Execution follows the structure of Figure 12/16 of the paper. For each
 //! fused group, every processor runs its **fused phase** (strip-mined or
@@ -7,17 +7,22 @@
 //! (singleton) groups degenerate to plain blocked execution with a
 //! barrier — exactly the original program's synchronization structure.
 //!
-//! The *simulated* driver runs processors one after another (fused phases
-//! of all processors, then peeled phases of all processors). Because the
-//! transformation removes every cross-processor dependence within a
+//! A plan is flattened once per run into a [`PhaseList`]; [`run_phase`]
+//! runs one worker's share of one phase and [`drive_worker`] walks a
+//! threaded worker through the list with a barrier after every phase.
+//! The runtimes differ only in who calls them: the pool (one dispatch,
+//! workers loop `steps x phases`), freshly spawned threads (the same
+//! loop over one step), or the simulator, which calls [`run_phase`] for
+//! processors `0..P` one after another on the caller's thread. Because
+//! the transformation removes every cross-processor dependence within a
 //! phase, any serialization of a phase is equivalent to its parallel
 //! execution — this is what makes deterministic trace-driven cache
 //! simulation per processor possible.
 
-use crate::exec::ExecError;
 use crate::interp::ExecCounters;
-use crate::memory::{MemView, Memory};
+use crate::memory::MemView;
 use crate::pool::SenseBarrier;
+use crate::schedule::{GroupChunks, Schedule, VictimSelector};
 use crate::sink::{AccessSink, NullSink};
 use crate::tape::Engine;
 use shift_peel_core::analysis::{
@@ -28,7 +33,7 @@ use sp_dep::SequenceDeps;
 use sp_ir::{IterSpace, LoopSequence};
 use sp_trace::tracer::NO_INDEX;
 use sp_trace::{SpanKind, TraceConfig, WorkerTrace, WorkerTracer};
-use std::sync::Barrier;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Iterates the tiles of `block` over the first `fused_levels` dimensions
@@ -175,393 +180,310 @@ pub unsafe fn run_peeled_phase<S: AccessSink>(
     }
 }
 
-/// Per-group precomputed work description.
-pub(crate) enum GroupWork {
-    /// A nest that must run serially (on processor 0).
-    Serial { nest: usize },
-    /// A (possibly singleton) parallel group with its blocks; processors
-    /// beyond `blocks.len()` idle through the phase.
-    Parallel {
-        blocks: Vec<ProcBlock>,
-        has_peel: bool,
-    },
+/// What one barrier-delimited phase executes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PhaseKind {
+    /// A nest that must run serially: processor 0 executes it whole
+    /// while everyone else waits at the barrier.
+    Serial,
+    /// The fused phase of a (possibly singleton) parallel group.
+    Fused,
+    /// The peeled phase of a group whose derivation peels.
+    Peeled,
 }
 
-/// Builds the work list for a plan on a processor grid, performing all
-/// legality checks (Theorem 1 block sizes).
-pub(crate) fn build_work(
-    seq: &LoopSequence,
-    deps: &SequenceDeps,
-    plan: &FusionPlan,
-    grid: &[usize],
-) -> Result<Vec<GroupWork>, LegalityError> {
-    let mut work = Vec::with_capacity(plan.groups.len());
-    for group in &plan.groups {
-        let members: Vec<usize> = group.members().collect();
-        let parallel = members
-            .iter()
-            .all(|&k| deps.nests[k].parallel.iter().take(plan.levels).all(|&p| p));
-        if !parallel {
-            debug_assert_eq!(group.len(), 1, "planner must not fuse serial nests");
-            work.push(GroupWork::Serial { nest: group.start });
-            continue;
+/// One entry of the phase list: what runs, for which plan group.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Phase {
+    pub kind: PhaseKind,
+    pub group: usize,
+}
+
+/// A plan flattened into the order every processor executes it in —
+/// per group a serial nest, or a fused phase and (if any nest peels) a
+/// peeled phase, a barrier after each — together with every parallel
+/// group's chunk decomposition and claim state. Built once per run and
+/// shared by all workers and timesteps.
+pub(crate) struct PhaseList {
+    pub phases: Vec<Phase>,
+    /// Indexed by plan group; `None` for serial nests.
+    pub groups: Vec<Option<GroupChunks>>,
+}
+
+impl PhaseList {
+    /// Flattens `plan` on a processor grid, performing all legality
+    /// checks (Theorem 1 block sizes, on the static blocks and again on
+    /// the chunks `schedule` carves out of them).
+    pub(crate) fn build(
+        seq: &LoopSequence,
+        deps: &SequenceDeps,
+        plan: &FusionPlan,
+        grid: &[usize],
+        schedule: Schedule,
+        chunk: Option<i64>,
+    ) -> Result<PhaseList, LegalityError> {
+        let nprocs: usize = grid.iter().product();
+        let mut phases = Vec::with_capacity(2 * plan.groups.len());
+        let mut groups = Vec::with_capacity(plan.groups.len());
+        for (gi, group) in plan.groups.iter().enumerate() {
+            let members: Vec<usize> = group.members().collect();
+            let parallel = members
+                .iter()
+                .all(|&k| deps.nests[k].parallel.iter().take(plan.levels).all(|&p| p));
+            if !parallel {
+                debug_assert_eq!(group.len(), 1, "planner must not fuse serial nests");
+                phases.push(Phase {
+                    kind: PhaseKind::Serial,
+                    group: gi,
+                });
+                groups.push(None);
+                continue;
+            }
+            let global = global_fused_range(seq, &members, plan.levels)?;
+            // Clamp the grid so no level has more blocks than iterations, and
+            // so every block satisfies the Nt threshold.
+            let mut eff: Vec<usize> = Vec::with_capacity(grid.len());
+            for (l, &g) in grid.iter().enumerate() {
+                let trip = global[l].1 - global[l].0 + 1;
+                let nt = group.derivation.dims[l].nt().max(1);
+                eff.push((g as i64).min(trip / nt).max(1) as usize);
+            }
+            let blocks = decompose(&global, &eff)?;
+            check_blocks(&group.derivation, &blocks)?;
+            groups.push(Some(GroupChunks::build(
+                group, &blocks, schedule, chunk, nprocs,
+            )?));
+            phases.push(Phase {
+                kind: PhaseKind::Fused,
+                group: gi,
+            });
+            if group.derivation.dims.iter().any(|d| d.nt() > 0) {
+                phases.push(Phase {
+                    kind: PhaseKind::Peeled,
+                    group: gi,
+                });
+            }
         }
-        let global = global_fused_range(seq, &members, plan.levels)?;
-        // Clamp the grid so no level has more blocks than iterations, and
-        // so every block satisfies the Nt threshold.
-        let mut eff: Vec<usize> = Vec::with_capacity(grid.len());
-        for (l, &g) in grid.iter().enumerate() {
-            let trip = global[l].1 - global[l].0 + 1;
-            let nt = group.derivation.dims[l].nt().max(1);
-            eff.push((g as i64).min(trip / nt).max(1) as usize);
+        Ok(PhaseList { phases, groups })
+    }
+
+    /// Merges every chunk's accumulated work counters into its owner's
+    /// total. Call once, after all workers finished.
+    pub(crate) fn merge_into(&self, totals: &mut [ExecCounters]) {
+        for g in self.groups.iter().flatten() {
+            g.merge_into(totals);
         }
-        let blocks = decompose(&global, &eff)?;
-        check_blocks(&group.derivation, &blocks)?;
-        let has_peel = group.derivation.dims.iter().any(|d| d.nt() > 0);
-        work.push(GroupWork::Parallel { blocks, has_peel });
-    }
-    Ok(work)
-}
-
-/// Phase-boundary synchronization used by [`worker_pass`]: either a
-/// `std::sync::Barrier` (scoped runtime) or a [`SenseBarrier`] (pooled
-/// runtime). `wait` returns the nanoseconds spent waiting;
-/// `wait_outcome` additionally reports whether the wait parked on a
-/// condvar after exhausting a spin budget (always `false` for barriers
-/// that cannot tell).
-pub(crate) trait PhaseSync: Sync {
-    fn wait(&self, sense: &mut bool) -> u64;
-
-    fn wait_outcome(&self, sense: &mut bool) -> (u64, bool) {
-        (self.wait(sense), false)
     }
 }
 
-impl PhaseSync for Barrier {
-    fn wait(&self, _sense: &mut bool) -> u64 {
-        let t0 = Instant::now();
-        Barrier::wait(self);
-        t0.elapsed().as_nanos() as u64
-    }
+/// Everything the workers of one run share.
+pub(crate) struct RunCtx<'a> {
+    pub seq: &'a LoopSequence,
+    pub plan: &'a FusionPlan,
+    pub list: &'a PhaseList,
+    pub strip: i64,
+    pub engine: Engine<'a>,
+    pub view: MemView<'a>,
+    pub nprocs: usize,
+    pub schedule: Schedule,
+    pub steal_seed: u64,
+    /// Ring config and shared epoch of a traced run.
+    pub trace: Option<(TraceConfig, Instant)>,
 }
 
-impl PhaseSync for SenseBarrier {
-    fn wait(&self, sense: &mut bool) -> u64 {
-        SenseBarrier::wait(self, sense)
-    }
+/// What a worker hands back: its counters and, when traced, its lane.
+pub(crate) type WorkerOut = (ExecCounters, Option<WorkerTrace>);
 
-    fn wait_outcome(&self, sense: &mut bool) -> (u64, bool) {
-        SenseBarrier::wait_outcome(self, sense)
-    }
-}
-
-/// One processor's traversal of a full work list: for each group, fused
-/// phase, barrier, then (if any nest peels) peeled phase and a second
-/// barrier. Serial groups run on processor 0 with everyone else waiting.
-/// Phase wall times and barrier-wait times accumulate into `counters`;
-/// when the run is traced, every phase and barrier wait is also recorded
-/// as a span in this worker's private `tracer` (a `None` tracer costs one
-/// branch per phase, not per iteration).
+/// One (real or simulated) processor's private state across a run.
 ///
-/// This is the *shared* per-worker schedule of the scoped and pooled
-/// runtimes; only the barrier implementation differs.
+/// `counters` holds the worker's dispatch accounting — barriers, waits,
+/// parks, steals, phase wall time — plus the work of serial nests; the
+/// work counters of every chunk go to the chunk's shared slot and are
+/// merged per *owner* after the run, so they do not depend on who
+/// executed the chunk.
+pub(crate) struct Worker<'s, S: AccessSink> {
+    p: usize,
+    sink: &'s mut S,
+    pub counters: ExecCounters,
+    tracer: Option<WorkerTracer>,
+    /// `None` never steals: the static schedule and the simulator.
+    selector: Option<VictimSelector>,
+}
+
+impl<'s, S: AccessSink> Worker<'s, S> {
+    pub(crate) fn new(
+        ctx: &RunCtx<'_>,
+        p: usize,
+        sink: &'s mut S,
+        selector: Option<VictimSelector>,
+    ) -> Self {
+        Worker {
+            p,
+            sink,
+            counters: ExecCounters::default(),
+            tracer: ctx.trace.map(|(cfg, epoch)| WorkerTracer::new(cfg, epoch)),
+            selector,
+        }
+    }
+
+    pub(crate) fn finish(self) -> WorkerOut {
+        (self.counters, self.tracer.map(|t| t.finish(self.p)))
+    }
+
+    fn cross(&mut self, barrier: &SenseBarrier, sense: &mut bool, step: u32, g: u32) {
+        let bt0 = Instant::now();
+        let (waited, parked) = barrier.wait_outcome(sense);
+        self.counters.barrier_wait_nanos += waited;
+        self.counters.barriers += 1;
+        self.counters.parks += u64::from(parked);
+        if let Some(t) = &mut self.tracer {
+            t.record(SpanKind::BarrierWait, bt0, waited, step, g);
+            if parked {
+                t.record(SpanKind::Park, bt0, waited, step, g);
+            }
+        }
+    }
+}
+
+/// Runs worker `w`'s share of phase `idx` of timestep `step`.
+///
+/// A serial phase runs its nest on processor 0. A fused or peeled phase
+/// walks the worker's own chunk list front to back (sequential ranges
+/// stay cache-friendly), claiming each chunk for this phase's epoch;
+/// a worker with a victim selector then steals from the back of other
+/// owners' lists until the phase is drained. Under the static schedule
+/// every owner has one chunk — its block — and nobody holds a selector,
+/// so the claim is uncontended and the steal loop is never entered.
+///
+/// The epoch is a pure function of `(step, idx)`, so every worker
+/// numbers phases identically and claims from earlier phases stay stale.
 ///
 /// # Safety
-/// As [`run_fused_phase`]/[`run_peeled_phase`]: all participants must
-/// execute the same work list in lockstep through the same barrier.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn worker_pass<B: PhaseSync, S: AccessSink>(
-    seq: &LoopSequence,
-    plan: &FusionPlan,
-    work: &[GroupWork],
-    strip: i64,
-    p: usize,
-    engine: Engine<'_>,
-    view: &MemView<'_>,
-    barrier: &B,
-    sense: &mut bool,
-    sink: &mut S,
-    counters: &mut ExecCounters,
-    step: u32,
-    tracer: &mut Option<WorkerTracer>,
+/// As [`run_fused_phase`]/[`run_peeled_phase`]: callers must separate
+/// consecutive phases by a barrier (or run them on one thread). Distinct
+/// chunks never conflict within a phase (Theorem 1, checked by
+/// [`PhaseList::build`]), and the claim protocol hands each chunk to
+/// exactly one worker per phase.
+pub(crate) unsafe fn run_phase<S: AccessSink>(
+    ctx: &RunCtx<'_>,
+    w: &mut Worker<'_, S>,
+    step: usize,
+    idx: usize,
 ) {
-    for (gi, w) in work.iter().enumerate() {
-        let g = gi as u32;
-        match w {
-            GroupWork::Serial { nest } => {
-                if p == 0 {
-                    let t0 = Instant::now();
-                    let space = seq.nests[*nest].space();
-                    // SAFETY: all other threads are parked at the barrier
-                    // below; no concurrent access.
-                    unsafe { engine.exec_region(seq, view, *nest, &space, sink, counters) };
-                    let dur = t0.elapsed().as_nanos() as u64;
-                    counters.fused_nanos += dur;
-                    if let Some(t) = tracer {
-                        t.record(SpanKind::Serial, t0, dur, step, g);
-                    }
-                }
-                let bt0 = Instant::now();
-                let waited = barrier.wait(sense);
-                counters.barrier_wait_nanos += waited;
-                counters.barriers += 1;
-                if let Some(t) = tracer {
-                    t.record(SpanKind::BarrierWait, bt0, waited, step, g);
-                }
-            }
-            GroupWork::Parallel { blocks, has_peel } => {
-                let group = &plan.groups[gi];
-                if let Some(block) = blocks.get(p) {
-                    let t0 = Instant::now();
-                    // SAFETY: fused phases of distinct blocks never
-                    // conflict (Theorem 1; checked by `build_work`).
-                    unsafe {
-                        run_fused_phase(
-                            seq,
-                            group,
-                            block,
-                            strip,
-                            plan.method,
-                            engine,
-                            view,
-                            sink,
-                            counters,
-                        )
-                    };
-                    let dur = t0.elapsed().as_nanos() as u64;
-                    counters.fused_nanos += dur;
-                    if let Some(t) = tracer {
-                        t.record(SpanKind::Fused, t0, dur, step, g);
-                    }
-                }
-                let bt0 = Instant::now();
-                let waited = barrier.wait(sense);
-                counters.barrier_wait_nanos += waited;
-                counters.barriers += 1;
-                if let Some(t) = tracer {
-                    t.record(SpanKind::BarrierWait, bt0, waited, step, g);
-                }
-                if *has_peel {
-                    if let Some(block) = blocks.get(p) {
-                        let t0 = Instant::now();
-                        // SAFETY: peeled sets of distinct blocks never
-                        // conflict.
-                        unsafe {
-                            run_peeled_phase(seq, group, block, engine, view, sink, counters)
-                        };
-                        let dur = t0.elapsed().as_nanos() as u64;
-                        counters.peeled_nanos += dur;
-                        if let Some(t) = tracer {
-                            t.record(SpanKind::Peeled, t0, dur, step, g);
-                        }
-                    }
-                    let bt0 = Instant::now();
-                    let waited = barrier.wait(sense);
-                    counters.barrier_wait_nanos += waited;
-                    counters.barriers += 1;
-                    if let Some(t) = tracer {
-                        t.record(SpanKind::BarrierWait, bt0, waited, step, g);
-                    }
-                }
+    let Phase { kind, group: gi } = ctx.list.phases[idx];
+    let (step32, g) = (step as u32, gi as u32);
+    let group = &ctx.plan.groups[gi];
+    let Some(chunks) = &ctx.list.groups[gi] else {
+        if w.p == 0 {
+            let t0 = Instant::now();
+            let space = ctx.seq.nests[group.start].space();
+            // SAFETY: every other processor is at the barrier that
+            // follows this phase; no concurrent access.
+            unsafe {
+                ctx.engine.exec_region(
+                    ctx.seq,
+                    &ctx.view,
+                    group.start,
+                    &space,
+                    w.sink,
+                    &mut w.counters,
+                )
+            };
+            let dur = t0.elapsed().as_nanos() as u64;
+            w.counters.fused_nanos += dur;
+            if let Some(t) = &mut w.tracer {
+                t.record(SpanKind::Serial, t0, dur, step32, g);
             }
         }
-    }
-}
-
-/// Per-pass tracing context handed down by the executors: the ring
-/// config, the run's shared epoch, and the timestep the pass executes.
-pub(crate) type PassTrace = Option<(TraceConfig, Instant, u32)>;
-
-/// One spawn-per-run pass over the work list: `nprocs` scoped threads,
-/// a fresh `std::sync::Barrier`, one [`worker_pass`] each. When traced,
-/// each thread records into a private ring returned alongside its
-/// counters (the executor merges the per-step lanes).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scoped_pass(
-    seq: &LoopSequence,
-    plan: &FusionPlan,
-    work: &[GroupWork],
-    nprocs: usize,
-    strip: i64,
-    engine: Engine<'_>,
-    view: &MemView<'_>,
-    trace: PassTrace,
-) -> Result<Vec<(ExecCounters, Option<WorkerTrace>)>, ExecError> {
-    let barrier = Barrier::new(nprocs);
-    let mut results = Vec::with_capacity(nprocs);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nprocs);
-        for p in 0..nprocs {
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                let mut sink = NullSink;
-                let mut counters = ExecCounters::default();
-                let mut sense = false;
-                let mut tracer = trace.map(|(cfg, epoch, _)| WorkerTracer::new(cfg, epoch));
-                let step = trace.map_or(0, |(_, _, s)| s);
-                let job_t0 = Instant::now();
-                // SAFETY: every thread runs the same work list through
-                // the same barrier; phases never conflict (Theorem 1).
-                unsafe {
-                    worker_pass(
-                        seq,
-                        plan,
-                        work,
-                        strip,
-                        p,
-                        engine,
-                        view,
-                        barrier,
-                        &mut sense,
-                        &mut sink,
-                        &mut counters,
-                        step,
-                        &mut tracer,
-                    )
-                };
-                if let Some(t) = &mut tracer {
-                    t.record_until_now(SpanKind::Dispatch, job_t0, step, NO_INDEX);
-                }
-                (counters, tracer.map(|t| t.finish(p)))
-            }));
-        }
-        for (p, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(c) => results.push(c),
-                Err(_) => return Err(ExecError::WorkerPanic { proc: p }),
-            }
-        }
-        Ok(())
-    })?;
-    Ok(results)
-}
-
-/// Deterministic simulation of parallel execution: processors of each
-/// phase run one after another, each reporting into its own sink.
-///
-/// Returns per-processor counters. `sinks.len()` must equal the grid's
-/// product. When `tracers` is populated (one per simulated processor),
-/// phase spans are recorded per processor; barrier waits are not, since
-/// nothing waits in a serialized simulation.
-///
-/// Under an adaptive `schedule`, each parallel group's blocks are
-/// subdivided into the same chunk decomposition the threaded runtimes
-/// use ([`crate::schedule::build_chunks`]) and every chunk's work is
-/// attributed to its *owner* — the per-processor counters and access
-/// streams this produces are the reference the threaded adaptive
-/// schedules must reproduce exactly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sim_pass<S: AccessSink>(
-    seq: &LoopSequence,
-    deps: &SequenceDeps,
-    plan: &FusionPlan,
-    grid: &[usize],
-    strip: i64,
-    schedule: crate::schedule::Schedule,
-    chunk: Option<i64>,
-    engine: Engine<'_>,
-    mem: &mut Memory,
-    sinks: &mut [S],
-    step: u32,
-    tracers: &mut Option<Vec<WorkerTracer>>,
-) -> Result<Vec<ExecCounters>, ExecError> {
-    let nprocs: usize = grid.iter().product();
-    if sinks.len() != nprocs {
-        return Err(ExecError::SinkCount {
-            expected: nprocs,
-            got: sinks.len(),
-        });
-    }
-    let work = build_work(seq, deps, plan, grid)?;
-    let chunked = match schedule {
-        crate::schedule::Schedule::Static => None,
-        _ => Some(crate::schedule::build_chunks(
-            plan, &work, schedule, chunk, nprocs,
-        )?),
+        return;
     };
-    let mut counters = vec![ExecCounters::default(); nprocs];
-    let view = MemView::new(mem);
-    let record =
-        |tracers: &mut Option<Vec<WorkerTracer>>, p: usize, kind: SpanKind, t0: Instant, g: u32| {
-            if let Some(ts) = tracers {
-                ts[p].record_until_now(kind, t0, step, g);
-            }
-        };
-    for (gi, w) in work.iter().enumerate() {
-        let g = gi as u32;
-        match w {
-            GroupWork::Serial { nest } => {
-                let t0 = Instant::now();
-                let space = seq.nests[*nest].space();
-                // SAFETY: simulated execution is single-threaded.
-                unsafe {
-                    engine.exec_region(seq, &view, *nest, &space, &mut sinks[0], &mut counters[0])
-                };
-                record(tracers, 0, SpanKind::Serial, t0, g);
-                for c in &mut counters {
-                    c.barriers += 1;
-                }
-            }
-            GroupWork::Parallel { blocks, has_peel } => {
-                let group = &plan.groups[gi];
-                // Under an adaptive schedule, iterate the group's chunks
-                // (owner-major, front to back) attributing each chunk to
-                // its owner; statically, one block per processor.
-                let assignments: Vec<(usize, &ProcBlock)> = match &chunked {
-                    Some(chunks) => {
-                        let gc = chunks[gi].as_ref().expect("parallel group chunked");
-                        gc.owner
-                            .iter()
-                            .zip(gc.chunks.iter())
-                            .map(|(&o, c)| (o, c))
-                            .collect()
-                    }
-                    None => blocks.iter().enumerate().collect(),
-                };
-                for &(p, block) in &assignments {
-                    let t0 = Instant::now();
-                    // SAFETY: simulated execution is single-threaded.
-                    unsafe {
-                        run_fused_phase(
-                            seq,
-                            group,
-                            block,
-                            strip,
-                            plan.method,
-                            engine,
-                            &view,
-                            &mut sinks[p],
-                            &mut counters[p],
-                        )
-                    };
-                    record(tracers, p, SpanKind::Fused, t0, g);
-                }
-                for c in &mut counters {
-                    c.barriers += 1;
-                }
-                if *has_peel {
-                    for &(p, block) in &assignments {
-                        let t0 = Instant::now();
-                        // SAFETY: simulated execution is single-threaded.
-                        unsafe {
-                            run_peeled_phase(
-                                seq,
-                                group,
-                                block,
-                                engine,
-                                &view,
-                                &mut sinks[p],
-                                &mut counters[p],
-                            )
-                        };
-                        record(tracers, p, SpanKind::Peeled, t0, g);
-                    }
-                    for c in &mut counters {
-                        c.barriers += 1;
-                    }
-                }
+    let epoch = (step * ctx.list.phases.len() + idx) as u64 + 1;
+    let peeled = kind == PhaseKind::Peeled;
+    let run_chunk = |c: usize, w: &mut Worker<'_, S>| {
+        let block = &chunks.chunks[c];
+        let mut work = ExecCounters::default();
+        let t0 = Instant::now();
+        // SAFETY: forwarded from caller; the claim made this worker the
+        // chunk's only executor this phase.
+        unsafe {
+            if peeled {
+                run_peeled_phase(
+                    ctx.seq, group, block, ctx.engine, &ctx.view, w.sink, &mut work,
+                );
+            } else {
+                run_fused_phase(
+                    ctx.seq,
+                    group,
+                    block,
+                    ctx.strip,
+                    ctx.plan.method,
+                    ctx.engine,
+                    &ctx.view,
+                    w.sink,
+                    &mut work,
+                );
             }
         }
+        let dur = t0.elapsed().as_nanos() as u64;
+        let (span, nanos) = if peeled {
+            (SpanKind::Peeled, &mut w.counters.peeled_nanos)
+        } else {
+            (SpanKind::Fused, &mut w.counters.fused_nanos)
+        };
+        *nanos += dur;
+        if let Some(t) = &mut w.tracer {
+            t.record(span, t0, dur, step32, g);
+        }
+        chunks.credit(c, &work);
+    };
+    for &c in &chunks.by_owner[w.p] {
+        if chunks.try_claim(c as usize, epoch) {
+            run_chunk(c as usize, w);
+        }
     }
-    Ok(counters)
+    while let Some(selector) = &mut w.selector {
+        let st0 = Instant::now();
+        let Some(c) = chunks.steal(w.p, epoch, selector) else {
+            break;
+        };
+        w.counters.steals += 1;
+        if let Some(t) = &mut w.tracer {
+            t.record_until_now(SpanKind::Steal, st0, step32, c as u32);
+        }
+        run_chunk(c, w);
+    }
+}
+
+/// Walks threaded worker `p` through the phase list for the timesteps
+/// in `steps`, meeting the other workers at `barrier` after every phase,
+/// and closes its lane with a `Dispatch` span tagged `dispatch_step`.
+///
+/// # Safety
+/// All `ctx.nprocs` participants must call this with the same `ctx`,
+/// `barrier` and `steps`, each on its own thread with a distinct `p`.
+pub(crate) unsafe fn drive_worker(
+    ctx: &RunCtx<'_>,
+    p: usize,
+    barrier: &SenseBarrier,
+    steps: Range<usize>,
+    dispatch_step: u32,
+) -> WorkerOut {
+    let mut sink = NullSink;
+    let selector = (ctx.schedule != Schedule::Static)
+        .then(|| VictimSelector::new(ctx.steal_seed, p, ctx.nprocs));
+    let mut w = Worker::new(ctx, p, &mut sink, selector);
+    let mut sense = false;
+    let job_t0 = Instant::now();
+    for step in steps {
+        for (idx, phase) in ctx.list.phases.iter().enumerate() {
+            // SAFETY: every participant runs the same phase list in
+            // lockstep through the barrier below.
+            unsafe { run_phase(ctx, &mut w, step, idx) };
+            w.cross(barrier, &mut sense, step as u32, phase.group as u32);
+        }
+    }
+    if let Some(t) = &mut w.tracer {
+        t.record_until_now(SpanKind::Dispatch, job_t0, dispatch_step, NO_INDEX);
+    }
+    w.finish()
 }

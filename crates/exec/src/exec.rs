@@ -4,19 +4,18 @@
 //! [`ExecPlan`] names *what* to execute (the original serial program, the
 //! original blocked-parallel program, or the shift-and-peel fused
 //! program). *How* it executes — spawned threads, the persistent worker
-//! pool, self-scheduling, or deterministic simulation — is chosen by an
+//! pool, or deterministic simulation — is chosen by an
 //! [`Executor`](crate::executor::Executor) implementation driven by a
 //! [`RunConfig`](crate::executor::RunConfig).
 
-use crate::driver::sim_pass;
-use crate::interp::{run_original, ExecCounters};
+use crate::executor::{simulate, RunConfig};
+use crate::interp::ExecCounters;
 use crate::memory::Memory;
 use crate::sink::{AccessSink, NullSink};
-use crate::tape::Engine;
 use shift_peel_core::pipeline::pass;
 use shift_peel_core::{
-    dependence_key, singleton_plan, AnalysisArtifacts, CodegenMethod, FusionPlan, LegalityError,
-    NullObserver, Planner,
+    dependence_key, AnalysisArtifacts, CodegenMethod, FusionPlan, LegalityError, NullObserver,
+    Planner,
 };
 use sp_dep::{analyze_sequence, AnalysisError, SequenceDeps};
 use sp_ir::LoopSequence;
@@ -86,11 +85,6 @@ pub enum ExecError {
         /// Why the combination is rejected.
         reason: String,
     },
-    /// The dynamic (self-scheduled) executor was asked to run a fused
-    /// plan. Shift-and-peel requires *static blocked* scheduling: the
-    /// transformation places peeled iterations at statically known block
-    /// boundaries (paper Section 3.2), which self-scheduling destroys.
-    DynamicFusedPlan,
     /// The plan needs more processors than the pool has workers.
     PoolTooSmall {
         /// Workers in the pool.
@@ -120,12 +114,6 @@ impl std::fmt::Display for ExecError {
             ExecError::Unsupported { executor, reason } => {
                 write!(f, "executor `{executor}` cannot run this plan: {reason}")
             }
-            ExecError::DynamicFusedPlan => write!(
-                f,
-                "dynamic self-scheduling cannot run a fused plan: shift-and-peel \
-                 places peeled iterations at statically known block boundaries, so \
-                 fused execution requires static blocked scheduling (paper Section 3.2)"
-            ),
             ExecError::PoolTooSmall { pool, required } => {
                 write!(f, "pool has {pool} workers but the plan needs {required}")
             }
@@ -252,55 +240,8 @@ impl<'a> Program<'a> {
         plan: &ExecPlan,
         sinks: &mut [S],
     ) -> Result<Vec<ExecCounters>, ExecError> {
-        match plan {
-            ExecPlan::Serial => {
-                if sinks.len() != 1 {
-                    return Err(ExecError::SinkCount {
-                        expected: 1,
-                        got: sinks.len(),
-                    });
-                }
-                Ok(vec![run_original(self.seq, mem, &mut sinks[0])])
-            }
-            ExecPlan::Blocked { grid } => {
-                let fp = singleton_plan(self.seq, &self.deps, self.levels)?;
-                sim_pass(
-                    self.seq,
-                    &self.deps,
-                    &fp,
-                    grid,
-                    i64::MAX,
-                    crate::schedule::Schedule::Static,
-                    None,
-                    Engine::Interp,
-                    mem,
-                    sinks,
-                    0,
-                    &mut None,
-                )
-            }
-            ExecPlan::Fused {
-                grid,
-                method: _,
-                strip,
-            } => {
-                let fp = self.fusion_plan_for(plan)?;
-                sim_pass(
-                    self.seq,
-                    &self.deps,
-                    &fp,
-                    grid,
-                    *strip,
-                    crate::schedule::Schedule::Static,
-                    None,
-                    Engine::Interp,
-                    mem,
-                    sinks,
-                    0,
-                    &mut None,
-                )
-            }
-        }
+        let report = simulate("sim", self, mem, &RunConfig::from_plan(plan.clone()), sinks)?;
+        Ok(report.workers.into_iter().map(|w| w.counters).collect())
     }
 }
 

@@ -1,40 +1,37 @@
 //! The unified executor API.
 //!
-//! One trait, [`Executor`], four runtimes:
+//! One trait, [`Executor`], three runtimes over one core
+//! ([`crate::driver`]): every run is prepared the same way (validate,
+//! start tracing, lower, plan, flatten the plan into a phase list with
+//! its chunk decomposition) and reported the same way; the runtimes
+//! differ only in who calls the per-worker phase function and when.
 //!
 //! * [`ScopedExecutor`] — spawns a fresh set of OS threads for **every
-//!   timestep** (`std::thread::scope` + `std::sync::Barrier`). This is
-//!   the seed runtime's behavior, kept as the baseline the pool is
-//!   measured against.
+//!   timestep** (`std::thread::scope`). This is the seed runtime's
+//!   behavior, kept as the baseline the pool is measured against.
 //! * [`PooledExecutor`] — a persistent [`WorkerPool`]: workers are
 //!   created once, park between runs, and a whole multi-timestep run is
-//!   a single dispatch with [`SenseBarrier`](crate::pool::SenseBarrier)
-//!   phase synchronization.
-//! * [`DynamicExecutor`] — self-scheduled execution of the *unfused*
-//!   blocked program (the scheduling ablation; Section 3.2 of the paper
-//!   forbids dynamic scheduling for shift-and-peel plans).
+//!   a single dispatch with [`SenseBarrier`] phase synchronization.
 //! * [`SimExecutor`] — the deterministic single-threaded simulation of
 //!   `P` processors, optionally with per-processor cache simulation.
 //!
-//! All are driven by a [`RunConfig`] — plan, timestep count, and sink
-//! choice — and produce a [`RunReport`] with per-worker counters, phase
-//! wall times, barrier-wait times, and block-imbalance statistics.
+//! All are driven by a [`RunConfig`] — plan, timestep count, schedule,
+//! and sink choice — and produce a [`RunReport`] with per-worker
+//! counters, phase wall times, barrier-wait times, and block-imbalance
+//! statistics.
 
-use crate::driver::{build_work, scoped_pass, sim_pass, worker_pass};
-use crate::dynamic::dynamic_pass;
+use crate::driver::{drive_worker, run_phase, PhaseList, RunCtx, Worker, WorkerOut};
 use crate::exec::{ExecError, ExecPlan, Program};
 use crate::interp::ExecCounters;
 use crate::memory::{MemView, Memory};
-use crate::pool::{SenseBarrier, WorkerPool};
+use crate::pool::{SenseBarrier, WorkerPool, MIN_SPIN};
 use crate::report::{RunReport, WorkerReport};
-use crate::schedule::{
-    adaptive_worker_pass, build_chunks, claimable_phases, scoped_adaptive_pass, Schedule,
-    SharedChunks, VictimSelector, DEFAULT_STEAL_SEED,
-};
-use crate::sink::{CacheSink, NullSink};
+use crate::schedule::{Schedule, DEFAULT_STEAL_SEED};
+use crate::sink::{AccessSink, CacheSink, NullSink};
 use crate::tape::{Engine, ProgramTape};
 use shift_peel_core::{CodegenMethod, FusionPlan};
 use sp_cache::{Cache, CacheConfig};
+use sp_ir::LoopSequence;
 use sp_trace::tracer::NO_INDEX;
 use sp_trace::{RunTrace, SpanKind, TraceConfig, WorkerTrace, WorkerTracer, CONTROLLER_LANE};
 use std::sync::{Arc, Mutex};
@@ -354,16 +351,6 @@ impl RunConfig {
         }
         Ok(())
     }
-
-    fn reject_cache_sink(&self, executor: &'static str) -> Result<(), ExecError> {
-        match self.sink {
-            SinkChoice::Null => Ok(()),
-            SinkChoice::Cache(_) => Err(ExecError::Unsupported {
-                executor,
-                reason: "cache simulation needs the deterministic `SimExecutor`".into(),
-            }),
-        }
-    }
 }
 
 /// A runtime that can execute a [`Program`] under a [`RunConfig`].
@@ -372,7 +359,7 @@ impl RunConfig {
 /// (the pool); implementations must leave `mem` holding the result of
 /// the full `steps`-long run and report per-worker counters faithfully.
 pub trait Executor {
-    /// Short stable name (`scoped`, `pooled`, `dynamic`, `sim`) used in
+    /// Short stable name (`scoped`, `pooled`, `sim`) used in
     /// reports and artifacts.
     fn name(&self) -> &'static str;
 
@@ -420,40 +407,6 @@ impl RunTracing {
         lanes.push(self.controller.finish(CONTROLLER_LANE));
         RunTrace::assemble(lanes)
     }
-}
-
-/// The per-pass trace context for timestep `step`, or `None` untraced.
-fn pass_trace(tracing: &Option<RunTracing>, step: u32) -> crate::driver::PassTrace {
-    tracing.as_ref().map(|t| (t.cfg, t.epoch, step))
-}
-
-fn serial_steps(
-    prog: &Program<'_>,
-    mem: &mut Memory,
-    steps: usize,
-    engine: Engine<'_>,
-    tracing: &Option<RunTracing>,
-) -> (Vec<WorkerReport>, Vec<WorkerTrace>) {
-    let mut counters = ExecCounters::default();
-    let mut tracer = tracing.as_ref().map(|t| WorkerTracer::new(t.cfg, t.epoch));
-    for step in 0..steps {
-        let t0 = Instant::now();
-        let c = engine.run_original(prog.seq(), mem, &mut NullSink);
-        counters.merge(&c);
-        let dur = t0.elapsed().as_nanos() as u64;
-        counters.fused_nanos += dur;
-        if let Some(t) = &mut tracer {
-            t.record(SpanKind::Serial, t0, dur, step as u32, NO_INDEX);
-        }
-    }
-    (
-        vec![WorkerReport {
-            proc: 0,
-            counters,
-            cache: None,
-        }],
-        tracer.map(|t| t.finish(0)).into_iter().collect(),
-    )
 }
 
 /// The fusion plan for this run: the injected prederived plan when one
@@ -512,45 +465,293 @@ fn lower_tape(
     }
 }
 
-fn engine_of<'t>(backend: Backend, tape: &'t Option<Arc<ProgramTape>>) -> Engine<'t> {
-    match (backend, tape) {
-        (Backend::Simd, Some(t)) => Engine::Simd(t),
-        (_, Some(t)) => Engine::Compiled(t),
-        (_, None) => Engine::Interp,
+/// Everything a run needs before its first phase, built once per run
+/// by every runtime: the tracing state, the lowered tape, and — for
+/// parallel plans — the fusion plan flattened into a [`PhaseList`].
+struct Prepared<'c> {
+    cfg: &'c RunConfig,
+    tracing: Option<RunTracing>,
+    tape: Option<Arc<ProgramTape>>,
+    /// `None` for `ExecPlan::Serial`, which has no phases to list.
+    parallel: Option<(Arc<FusionPlan>, PhaseList)>,
+    started: Instant,
+}
+
+impl<'c> Prepared<'c> {
+    /// Validate, start tracing, lower, plan, flatten. `capacity` is the
+    /// most processors the runtime can provide; a larger grid fails
+    /// before any of the work is done.
+    fn new(
+        prog: &Program<'_>,
+        mem: &Memory,
+        cfg: &'c RunConfig,
+        capacity: usize,
+    ) -> Result<Self, ExecError> {
+        cfg.validate()?;
+        if cfg.plan().procs() > capacity {
+            return Err(ExecError::PoolTooSmall {
+                pool: capacity,
+                required: cfg.plan().procs(),
+            });
+        }
+        let mut tracing = RunTracing::start(cfg);
+        let tape = lower_tape(prog, mem, cfg, &mut tracing)?;
+        // Wall time excludes lowering (reported separately) and nothing
+        // else: planning and flattening are part of the run.
+        let started = Instant::now();
+        let parallel = match cfg.plan() {
+            ExecPlan::Serial => None,
+            plan => {
+                let fp = plan_of(prog, cfg)?;
+                let list = PhaseList::build(
+                    prog.seq(),
+                    prog.deps(),
+                    &fp,
+                    plan.grid(),
+                    cfg.schedule_choice(),
+                    cfg.chunk_size(),
+                )?;
+                Some((fp, list))
+            }
+        };
+        Ok(Prepared {
+            cfg,
+            tracing,
+            tape,
+            parallel,
+            started,
+        })
+    }
+
+    fn engine(&self) -> Engine<'_> {
+        match (self.cfg.backend_choice(), &self.tape) {
+            (Backend::Simd, Some(t)) => Engine::Simd(t),
+            (_, Some(t)) => Engine::Compiled(t),
+            (_, None) => Engine::Interp,
+        }
+    }
+
+    /// What the workers of a parallel run share.
+    fn ctx<'a>(&'a self, seq: &'a LoopSequence, mem: &'a mut Memory) -> RunCtx<'a> {
+        let (fp, list) = self
+            .parallel
+            .as_ref()
+            .expect("only parallel plans have workers");
+        RunCtx {
+            seq,
+            plan: fp,
+            list,
+            strip: match self.cfg.plan() {
+                ExecPlan::Fused { strip, .. } => *strip,
+                _ => i64::MAX,
+            },
+            engine: self.engine(),
+            view: MemView::new(mem),
+            nprocs: self.cfg.plan().procs(),
+            schedule: self.cfg.schedule_choice(),
+            steal_seed: self.cfg.victim_seed(),
+            trace: self.tracing.as_ref().map(|t| (t.cfg, t.epoch)),
+        }
+    }
+
+    /// The one report step: folds the per-worker outputs (several per
+    /// worker when threads were spawned per step) and the chunks'
+    /// owner-attributed work into per-processor totals.
+    fn report(self, name: &str, outs: impl IntoIterator<Item = (usize, WorkerOut)>) -> RunReport {
+        let cfg = self.cfg;
+        let mut totals = vec![ExecCounters::default(); cfg.plan().procs()];
+        let mut lanes = Vec::new();
+        for (p, (counters, lane)) in outs {
+            totals[p].merge(&counters);
+            lanes.extend(lane);
+        }
+        if let Some((_, list)) = &self.parallel {
+            list.merge_into(&mut totals);
+        }
+        RunReport {
+            executor: name.into(),
+            backend: cfg.backend_choice().name().into(),
+            schedule: cfg.schedule_choice().name().into(),
+            procs: cfg.plan().procs(),
+            steps: cfg.step_count(),
+            wall_nanos: self.started.elapsed().as_nanos() as u64,
+            // A cache-served tape was not lowered for this run; a fresh tape
+            // (injected or not) reports the lowering time it recorded.
+            lower_nanos: if cfg.tape_cached() {
+                0
+            } else {
+                self.tape.as_ref().map_or(0, |t| t.lower_nanos())
+            },
+            tape_ops: self.tape.as_ref().map_or(0, |t| t.total_ops()),
+            cached: cfg.tape_cached(),
+            // The queue-wait/execute split belongs to the serve tier; a
+            // direct executor run has no queue to wait in.
+            queue_wait_nanos: 0,
+            exec_nanos: 0,
+            workers: totals
+                .into_iter()
+                .enumerate()
+                .map(|(proc, counters)| WorkerReport {
+                    proc,
+                    counters,
+                    cache: None,
+                })
+                .collect(),
+            trace: self.tracing.map(|tr| tr.finish(lanes)),
+        }
     }
 }
 
-fn finish_report(
-    name: &str,
+/// Who provides the threads of a parallel run.
+enum Threads<'p> {
+    /// Fresh scoped threads for every timestep.
+    PerStep,
+    /// The persistent pool: one dispatch covers every timestep.
+    Pool(&'p mut WorkerPool),
+}
+
+/// The threaded runtimes: every worker runs [`drive_worker`] on its own
+/// thread, on whichever threads `threads` provides.
+fn run_threaded(
+    name: &'static str,
+    threads: Threads<'_>,
+    prog: &Program<'_>,
+    mem: &mut Memory,
     cfg: &RunConfig,
-    wall_nanos: u64,
-    tape: &Option<Arc<ProgramTape>>,
-    workers: Vec<WorkerReport>,
-    trace: Option<RunTrace>,
-) -> RunReport {
-    RunReport {
-        executor: name.into(),
-        backend: cfg.backend_choice().name().into(),
-        schedule: cfg.schedule_choice().name().into(),
-        procs: cfg.plan().procs(),
-        steps: cfg.step_count(),
-        wall_nanos,
-        // A cache-served tape was not lowered for this run; a fresh tape
-        // (injected or not) reports the lowering time it recorded.
-        lower_nanos: if cfg.tape_cached() {
-            0
-        } else {
-            tape.as_ref().map_or(0, |t| t.lower_nanos())
-        },
-        tape_ops: tape.as_ref().map_or(0, |t| t.total_ops()),
-        cached: cfg.tape_cached(),
-        // The queue-wait/execute split belongs to the serve tier; a
-        // direct executor run has no queue to wait in.
-        queue_wait_nanos: 0,
-        exec_nanos: 0,
-        workers,
-        trace,
+) -> Result<RunReport, ExecError> {
+    if let SinkChoice::Cache(_) = cfg.sink_choice() {
+        return Err(ExecError::Unsupported {
+            executor: name,
+            reason: "cache simulation needs the deterministic `SimExecutor`".into(),
+        });
     }
+    if matches!(cfg.plan(), ExecPlan::Serial) {
+        // A serial plan has no parallel phases; run it inline rather
+        // than spawning or waking threads for nothing.
+        return simulate(name, prog, mem, cfg, &mut [NullSink]);
+    }
+    let capacity = match &threads {
+        Threads::PerStep => usize::MAX,
+        Threads::Pool(pool) => pool.size(),
+    };
+    let run = Prepared::new(prog, mem, cfg, capacity)?;
+    let ctx = run.ctx(prog.seq(), mem);
+    let (nprocs, steps) = (ctx.nprocs, cfg.step_count());
+    let mut outs: Vec<(usize, WorkerOut)> = Vec::new();
+    match threads {
+        Threads::Pool(pool) => {
+            // Adaptive schedules use the contention-aware barrier
+            // (imbalanced phases are the whole point).
+            let barrier = match cfg.schedule_choice() {
+                Schedule::Static => SenseBarrier::new(nprocs),
+                _ => SenseBarrier::adaptive(nprocs),
+            };
+            let slots: Vec<Mutex<WorkerOut>> = (0..nprocs).map(|_| Mutex::default()).collect();
+            pool.run(&|p: usize| {
+                if p >= nprocs {
+                    return; // surplus workers idle through this run
+                }
+                // SAFETY: the `nprocs` participating workers share one
+                // context and barrier and cover the same steps.
+                let out = unsafe { drive_worker(&ctx, p, &barrier, 0..steps, NO_INDEX) };
+                // One write at job end keeps the hot path lock-free.
+                *slots[p].lock().expect("slot written once per worker") = out;
+            })?;
+            outs.extend(slots.into_iter().enumerate().map(|(p, s)| {
+                let out = s.into_inner().expect("slot written once per worker");
+                (p, out)
+            }));
+        }
+        Threads::PerStep => {
+            for step in 0..steps {
+                // Freshly spawned threads arrive staggered by spawn
+                // latency, so spinning for them only burns a core the
+                // late starter may need: park almost at once.
+                let barrier = SenseBarrier::with_spin(nprocs, MIN_SPIN);
+                std::thread::scope(|scope| {
+                    let (ctx, barrier) = (&ctx, &barrier);
+                    let handles: Vec<_> = (0..nprocs)
+                        .map(|p| {
+                            // SAFETY: as above, one step at a time; the
+                            // scope's join orders each step before the
+                            // next.
+                            scope.spawn(move || unsafe {
+                                drive_worker(ctx, p, barrier, step..step + 1, step as u32)
+                            })
+                        })
+                        .collect();
+                    for (p, h) in handles.into_iter().enumerate() {
+                        let out = h.join().map_err(|_| ExecError::WorkerPanic { proc: p })?;
+                        outs.push((p, out));
+                    }
+                    Ok::<(), ExecError>(())
+                })?;
+            }
+        }
+    }
+    Ok(run.report(name, outs))
+}
+
+/// The deterministic runtime: processors of each phase run one after
+/// another on the caller's thread, each reporting into its own sink —
+/// `for phase { for p in 0..P { run_phase(p) } }`, never stealing. Under
+/// an adaptive schedule the phase list holds the same chunk
+/// decomposition the threaded runtimes use and every chunk's work is
+/// attributed to its *owner*, so the per-processor counters and access
+/// streams produced here are the reference the threaded runtimes must
+/// reproduce exactly. Barrier waits are not recorded: nothing waits in
+/// a serialized simulation.
+pub(crate) fn simulate<S: AccessSink>(
+    name: &str,
+    prog: &Program<'_>,
+    mem: &mut Memory,
+    cfg: &RunConfig,
+    sinks: &mut [S],
+) -> Result<RunReport, ExecError> {
+    let run = Prepared::new(prog, mem, cfg, usize::MAX)?;
+    if sinks.len() != cfg.plan().procs() {
+        return Err(ExecError::SinkCount {
+            expected: cfg.plan().procs(),
+            got: sinks.len(),
+        });
+    }
+    let steps = cfg.step_count();
+    let outs: Vec<WorkerOut> = if run.parallel.is_none() {
+        // The original program on one processor: no phases, no barriers.
+        let mut counters = ExecCounters::default();
+        let mut tracer = run
+            .tracing
+            .as_ref()
+            .map(|t| WorkerTracer::new(t.cfg, t.epoch));
+        for step in 0..steps {
+            let t0 = Instant::now();
+            counters.merge(&run.engine().run_original(prog.seq(), mem, &mut sinks[0]));
+            let dur = t0.elapsed().as_nanos() as u64;
+            counters.fused_nanos += dur;
+            if let Some(t) = &mut tracer {
+                t.record(SpanKind::Serial, t0, dur, step as u32, NO_INDEX);
+            }
+        }
+        vec![(counters, tracer.map(|t| t.finish(0)))]
+    } else {
+        let ctx = run.ctx(prog.seq(), mem);
+        let mut workers: Vec<_> = sinks
+            .iter_mut()
+            .enumerate()
+            .map(|(p, sink)| Worker::new(&ctx, p, sink, None))
+            .collect();
+        for step in 0..steps {
+            for idx in 0..ctx.list.phases.len() {
+                for w in &mut workers {
+                    // SAFETY: simulated execution is single-threaded.
+                    unsafe { run_phase(&ctx, w, step, idx) };
+                    w.counters.barriers += 1;
+                }
+            }
+        }
+        workers.into_iter().map(Worker::finish).collect()
+    };
+    Ok(run.report(name, outs.into_iter().enumerate()))
 }
 
 /// Spawn-per-timestep runtime: every timestep creates `P` scoped threads
@@ -570,90 +771,7 @@ impl Executor for ScopedExecutor {
         mem: &mut Memory,
         cfg: &RunConfig,
     ) -> Result<RunReport, ExecError> {
-        cfg.validate()?;
-        cfg.reject_cache_sink(self.name())?;
-        let mut tracing = RunTracing::start(cfg);
-        let tape = lower_tape(prog, mem, cfg, &mut tracing)?;
-        let engine = engine_of(cfg.backend_choice(), &tape);
-        let t0 = Instant::now();
-        let mut lanes: Vec<WorkerTrace> = Vec::new();
-        let workers = match cfg.plan() {
-            ExecPlan::Serial => {
-                let (workers, serial_lanes) =
-                    serial_steps(prog, mem, cfg.step_count(), engine, &tracing);
-                lanes = serial_lanes;
-                workers
-            }
-            plan => {
-                let fp = plan_of(prog, cfg)?;
-                let grid = plan.grid();
-                let strip = match plan {
-                    ExecPlan::Fused { strip, .. } => *strip,
-                    _ => i64::MAX,
-                };
-                let work = build_work(prog.seq(), prog.deps(), &fp, grid)?;
-                let nprocs = plan.procs();
-                let view = MemView::new(mem);
-                let chunked = match cfg.schedule_choice() {
-                    Schedule::Static => None,
-                    s => Some(SharedChunks::new(build_chunks(
-                        &fp,
-                        &work,
-                        s,
-                        cfg.chunk_size(),
-                        nprocs,
-                    )?)),
-                };
-                let phases = claimable_phases(&work);
-                let mut totals = vec![ExecCounters::default(); nprocs];
-                for step in 0..cfg.step_count() {
-                    let results = match &chunked {
-                        None => scoped_pass(
-                            prog.seq(),
-                            &fp,
-                            &work,
-                            nprocs,
-                            strip,
-                            engine,
-                            &view,
-                            pass_trace(&tracing, step as u32),
-                        )?,
-                        Some(shared) => scoped_adaptive_pass(
-                            prog.seq(),
-                            &fp,
-                            &work,
-                            shared,
-                            nprocs,
-                            strip,
-                            engine,
-                            &view,
-                            cfg.victim_seed(),
-                            step as u64 * phases,
-                            pass_trace(&tracing, step as u32),
-                        )?,
-                    };
-                    for (t, (c, lane)) in totals.iter_mut().zip(results) {
-                        t.merge(&c);
-                        lanes.extend(lane);
-                    }
-                }
-                if let Some(shared) = &chunked {
-                    shared.merge_into(&mut totals);
-                }
-                totals
-                    .into_iter()
-                    .enumerate()
-                    .map(|(p, counters)| WorkerReport {
-                        proc: p,
-                        counters,
-                        cache: None,
-                    })
-                    .collect()
-            }
-        };
-        let wall = t0.elapsed().as_nanos() as u64;
-        let trace = tracing.map(|tr| tr.finish(lanes));
-        Ok(finish_report(self.name(), cfg, wall, &tape, workers, trace))
+        run_threaded(self.name(), Threads::PerStep, prog, mem, cfg)
     }
 }
 
@@ -691,258 +809,7 @@ impl Executor for PooledExecutor {
         mem: &mut Memory,
         cfg: &RunConfig,
     ) -> Result<RunReport, ExecError> {
-        cfg.validate()?;
-        cfg.reject_cache_sink(self.name())?;
-        let mut tracing = RunTracing::start(cfg);
-        let tape = lower_tape(prog, mem, cfg, &mut tracing)?;
-        let engine = engine_of(cfg.backend_choice(), &tape);
-        let t0 = Instant::now();
-        let mut lanes: Vec<WorkerTrace> = Vec::new();
-        let workers = match cfg.plan() {
-            // A serial plan has no parallel phases; run it inline rather
-            // than waking the pool for nothing.
-            ExecPlan::Serial => {
-                let (workers, serial_lanes) =
-                    serial_steps(prog, mem, cfg.step_count(), engine, &tracing);
-                lanes = serial_lanes;
-                workers
-            }
-            plan => {
-                let nprocs = plan.procs();
-                if nprocs > self.pool.size() {
-                    return Err(ExecError::PoolTooSmall {
-                        pool: self.pool.size(),
-                        required: nprocs,
-                    });
-                }
-                let fp = plan_of(prog, cfg)?;
-                let strip = match plan {
-                    ExecPlan::Fused { strip, .. } => *strip,
-                    _ => i64::MAX,
-                };
-                let work = build_work(prog.seq(), prog.deps(), &fp, plan.grid())?;
-                let view = MemView::new(mem);
-                // Adaptive schedules share one chunk/claim state across
-                // all steps of the dispatch and use the contention-aware
-                // barrier (imbalanced phases are the whole point).
-                let chunked = match cfg.schedule_choice() {
-                    Schedule::Static => None,
-                    s => Some(SharedChunks::new(build_chunks(
-                        &fp,
-                        &work,
-                        s,
-                        cfg.chunk_size(),
-                        nprocs,
-                    )?)),
-                };
-                let barrier = match cfg.schedule_choice() {
-                    Schedule::Static => SenseBarrier::new(nprocs),
-                    _ => SenseBarrier::adaptive(nprocs),
-                };
-                type Slot = (ExecCounters, Option<WorkerTrace>);
-                let slots: Vec<Mutex<Slot>> =
-                    (0..nprocs).map(|_| Mutex::new(Slot::default())).collect();
-                let seq = prog.seq();
-                let steps = cfg.step_count();
-                let seed = cfg.victim_seed();
-                let worker_trace = tracing.as_ref().map(|tr| (tr.cfg, tr.epoch));
-                let fp = &fp;
-                let work = &work;
-                let barrier = &barrier;
-                let slots_ref = &slots;
-                let view_ref = &view;
-                let chunked_ref = chunked.as_ref();
-                self.pool.run(&move |p: usize| {
-                    if p >= nprocs {
-                        return; // surplus workers idle through this run
-                    }
-                    let mut sink = NullSink;
-                    let mut counters = ExecCounters::default();
-                    let mut sense = false;
-                    let mut tracer = worker_trace.map(|(tc, epoch)| WorkerTracer::new(tc, epoch));
-                    let job_t0 = Instant::now();
-                    match chunked_ref {
-                        None => {
-                            for step in 0..steps {
-                                // SAFETY: the `nprocs` participating
-                                // workers run the same work list in
-                                // lockstep through the sense barrier;
-                                // phases never conflict (Theorem 1,
-                                // checked by `build_work`). Each timestep
-                                // ends with a barrier, ordering it before
-                                // the next.
-                                unsafe {
-                                    worker_pass(
-                                        seq,
-                                        fp,
-                                        work,
-                                        strip,
-                                        p,
-                                        engine,
-                                        view_ref,
-                                        barrier,
-                                        &mut sense,
-                                        &mut sink,
-                                        &mut counters,
-                                        step as u32,
-                                        &mut tracer,
-                                    )
-                                };
-                            }
-                        }
-                        Some(shared) => {
-                            let mut selector = VictimSelector::new(seed, p, nprocs);
-                            let mut epoch = 0u64;
-                            for step in 0..steps {
-                                // SAFETY: as above; additionally the claim
-                                // protocol hands each chunk to exactly one
-                                // worker per phase, and distinct chunks
-                                // never conflict (checked by
-                                // `build_chunks`).
-                                unsafe {
-                                    adaptive_worker_pass(
-                                        seq,
-                                        fp,
-                                        work,
-                                        shared,
-                                        strip,
-                                        p,
-                                        engine,
-                                        view_ref,
-                                        barrier,
-                                        &mut sense,
-                                        &mut sink,
-                                        &mut counters,
-                                        &mut selector,
-                                        &mut epoch,
-                                        step as u32,
-                                        &mut tracer,
-                                    )
-                                };
-                            }
-                        }
-                    }
-                    if let Some(t) = &mut tracer {
-                        t.record_until_now(SpanKind::Dispatch, job_t0, NO_INDEX, NO_INDEX);
-                    }
-                    // One write at job end keeps the hot path lock-free.
-                    *slots_ref[p].lock().unwrap() = (counters, tracer.map(|t| t.finish(p)));
-                })?;
-                let mut totals = Vec::with_capacity(nprocs);
-                for s in slots {
-                    let (counters, lane) = s.into_inner().unwrap();
-                    lanes.extend(lane);
-                    totals.push(counters);
-                }
-                if let Some(shared) = &chunked {
-                    shared.merge_into(&mut totals);
-                }
-                totals
-                    .into_iter()
-                    .enumerate()
-                    .map(|(p, counters)| WorkerReport {
-                        proc: p,
-                        counters,
-                        cache: None,
-                    })
-                    .collect()
-            }
-        };
-        let wall = t0.elapsed().as_nanos() as u64;
-        let trace = tracing.map(|tr| tr.finish(lanes));
-        Ok(finish_report(self.name(), cfg, wall, &tape, workers, trace))
-    }
-}
-
-/// Self-scheduled runtime for the *unfused* blocked program: threads
-/// claim chunks of outer iterations from a shared cursor, barrier after
-/// every nest. Rejects fused plans — shift-and-peel's legality argument
-/// requires static blocked scheduling (Section 3.2).
-#[derive(Clone, Copy, Debug)]
-pub struct DynamicExecutor {
-    chunk: i64,
-}
-
-impl DynamicExecutor {
-    /// Self-scheduling with `chunk` outer iterations claimed at a time.
-    pub fn new(chunk: i64) -> Self {
-        DynamicExecutor { chunk }
-    }
-}
-
-impl Default for DynamicExecutor {
-    fn default() -> Self {
-        DynamicExecutor::new(4)
-    }
-}
-
-impl Executor for DynamicExecutor {
-    fn name(&self) -> &'static str {
-        "dynamic"
-    }
-
-    fn run(
-        &mut self,
-        prog: &Program<'_>,
-        mem: &mut Memory,
-        cfg: &RunConfig,
-    ) -> Result<RunReport, ExecError> {
-        cfg.validate()?;
-        cfg.reject_cache_sink(self.name())?;
-        if cfg.schedule_choice() != Schedule::Static {
-            return Err(ExecError::Unsupported {
-                executor: self.name(),
-                reason: "the self-scheduled ablation has its own chunking; \
-                         `schedule` selects among the block-legal runtimes"
-                    .into(),
-            });
-        }
-        if self.chunk < 1 {
-            return Err(ExecError::Config(format!(
-                "chunk must be >= 1, got {}",
-                self.chunk
-            )));
-        }
-        let nthreads = match cfg.plan() {
-            ExecPlan::Blocked { .. } => cfg.plan().procs(),
-            ExecPlan::Serial => {
-                return Err(ExecError::Unsupported {
-                    executor: self.name(),
-                    reason: "serial plans have nothing to self-schedule".into(),
-                })
-            }
-            ExecPlan::Fused { .. } => return Err(ExecError::DynamicFusedPlan),
-        };
-        let mut tracing = RunTracing::start(cfg);
-        let tape = lower_tape(prog, mem, cfg, &mut tracing)?;
-        let engine = engine_of(cfg.backend_choice(), &tape);
-        let t0 = Instant::now();
-        let results = dynamic_pass(
-            prog.seq(),
-            prog.deps(),
-            nthreads,
-            self.chunk,
-            cfg.step_count(),
-            engine,
-            mem,
-            pass_trace(&tracing, 0),
-        )?;
-        let mut lanes: Vec<WorkerTrace> = Vec::new();
-        let workers = results
-            .into_iter()
-            .enumerate()
-            .map(|(p, (counters, lane))| {
-                lanes.extend(lane);
-                WorkerReport {
-                    proc: p,
-                    counters,
-                    cache: None,
-                }
-            })
-            .collect();
-        let wall = t0.elapsed().as_nanos() as u64;
-        let trace = tracing.map(|tr| tr.finish(lanes));
-        Ok(finish_report(self.name(), cfg, wall, &tape, workers, trace))
+        run_threaded(self.name(), Threads::Pool(&mut self.pool), prog, mem, cfg)
     }
 }
 
@@ -964,117 +831,23 @@ impl Executor for SimExecutor {
         mem: &mut Memory,
         cfg: &RunConfig,
     ) -> Result<RunReport, ExecError> {
-        cfg.validate()?;
         let nprocs = cfg.plan().procs();
-        let mut tracing = RunTracing::start(cfg);
-        let tape = lower_tape(prog, mem, cfg, &mut tracing)?;
-        let engine = engine_of(cfg.backend_choice(), &tape);
-        let t0 = Instant::now();
-        let ((totals, lanes), caches) = match cfg.sink_choice() {
-            SinkChoice::Null => {
-                let mut sinks = vec![NullSink; nprocs];
-                (
-                    run_sim_steps(prog, mem, cfg, engine, &mut sinks, &tracing)?,
-                    None,
-                )
-            }
+        match cfg.sink_choice() {
+            SinkChoice::Null => simulate(self.name(), prog, mem, cfg, &mut vec![NullSink; nprocs]),
             SinkChoice::Cache(cache_cfg) => {
                 // Cache state persists across timesteps, as it would on
                 // hardware.
                 let mut sinks: Vec<CacheSink> = (0..nprocs)
                     .map(|_| CacheSink::new(Cache::new(cache_cfg)))
                     .collect();
-                let totals = run_sim_steps(prog, mem, cfg, engine, &mut sinks, &tracing)?;
-                let stats = sinks.iter().map(|s| s.stats()).collect::<Vec<_>>();
-                (totals, Some(stats))
-            }
-        };
-        let workers = totals
-            .into_iter()
-            .enumerate()
-            .map(|(p, counters)| WorkerReport {
-                proc: p,
-                counters,
-                cache: caches.as_ref().map(|c| c[p]),
-            })
-            .collect();
-        let wall = t0.elapsed().as_nanos() as u64;
-        let trace = tracing.map(|tr| tr.finish(lanes));
-        Ok(finish_report(self.name(), cfg, wall, &tape, workers, trace))
-    }
-}
-
-fn run_sim_steps<S: crate::sink::AccessSink>(
-    prog: &Program<'_>,
-    mem: &mut Memory,
-    cfg: &RunConfig,
-    engine: Engine<'_>,
-    sinks: &mut [S],
-    tracing: &Option<RunTracing>,
-) -> Result<(Vec<ExecCounters>, Vec<WorkerTrace>), ExecError> {
-    let nprocs = cfg.plan().procs();
-    let mut totals = vec![ExecCounters::default(); nprocs];
-    let mut tracers: Option<Vec<WorkerTracer>> = tracing.as_ref().map(|t| {
-        (0..nprocs)
-            .map(|_| WorkerTracer::new(t.cfg, t.epoch))
-            .collect()
-    });
-    // One plan serves every timestep: derive (or accept the injected
-    // prederived plan) once, outside the loop.
-    let fp = match cfg.plan() {
-        ExecPlan::Serial => None,
-        _ => Some(plan_of(prog, cfg)?),
-    };
-    for step in 0..cfg.step_count() {
-        let counters = match cfg.plan() {
-            ExecPlan::Serial => {
-                if sinks.len() != 1 {
-                    return Err(ExecError::SinkCount {
-                        expected: 1,
-                        got: sinks.len(),
-                    });
+                let mut report = simulate(self.name(), prog, mem, cfg, &mut sinks)?;
+                for (w, sink) in report.workers.iter_mut().zip(&sinks) {
+                    w.cache = Some(sink.stats());
                 }
-                let t0 = Instant::now();
-                let c = engine.run_original(prog.seq(), mem, &mut sinks[0]);
-                if let Some(ts) = &mut tracers {
-                    ts[0].record_until_now(SpanKind::Serial, t0, step as u32, NO_INDEX);
-                }
-                vec![c]
+                Ok(report)
             }
-            plan => {
-                let strip = match plan {
-                    ExecPlan::Fused { strip, .. } => *strip,
-                    _ => i64::MAX,
-                };
-                sim_pass(
-                    prog.seq(),
-                    prog.deps(),
-                    fp.as_ref().expect("non-serial plan derived above"),
-                    plan.grid(),
-                    strip,
-                    cfg.schedule_choice(),
-                    cfg.chunk_size(),
-                    engine,
-                    mem,
-                    sinks,
-                    step as u32,
-                    &mut tracers,
-                )?
-            }
-        };
-        for (t, c) in totals.iter_mut().zip(&counters) {
-            t.merge(c);
         }
     }
-    let lanes = tracers
-        .map(|ts| {
-            ts.into_iter()
-                .enumerate()
-                .map(|(p, t)| t.finish(p))
-                .collect()
-        })
-        .unwrap_or_default();
-    Ok((totals, lanes))
 }
 
 #[cfg(test)]
@@ -1115,10 +888,6 @@ mod tests {
         assert_eq!(snapshot_after(&mut ScopedExecutor, &cfg, &seq), want);
         assert_eq!(
             snapshot_after(&mut PooledExecutor::new(4), &cfg, &seq),
-            want
-        );
-        assert_eq!(
-            snapshot_after(&mut DynamicExecutor::new(2), &cfg, &seq),
             want
         );
     }
@@ -1210,28 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_rejects_adaptive_schedules() {
-        let seq = jacobi(24);
-        let prog = Program::new(&seq, 2).unwrap();
-        let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
-        mem.init_deterministic(&seq, 7);
-        let cfg = RunConfig::blocked([2]).schedule(Schedule::Stealing);
-        let err = DynamicExecutor::default()
-            .run(&prog, &mut mem, &cfg)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ExecError::Unsupported {
-                    executor: "dynamic",
-                    ..
-                }
-            ),
-            "{err:?}"
-        );
-    }
-
-    #[test]
     fn zero_chunk_is_a_config_error() {
         let seq = jacobi(24);
         let prog = Program::new(&seq, 2).unwrap();
@@ -1240,30 +987,6 @@ mod tests {
         let cfg = RunConfig::fused([4]).schedule(Schedule::Guided).chunk(0);
         let err = SimExecutor.run(&prog, &mut mem, &cfg).unwrap_err();
         assert!(matches!(err, ExecError::Config(_)), "{err:?}");
-    }
-
-    #[test]
-    fn dynamic_rejects_fused_plans() {
-        let seq = jacobi(24);
-        let prog = Program::new(&seq, 2).unwrap();
-        let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
-        mem.init_deterministic(&seq, 7);
-        let err = DynamicExecutor::default()
-            .run(&prog, &mut mem, &RunConfig::fused([4]))
-            .unwrap_err();
-        assert_eq!(err, ExecError::DynamicFusedPlan);
-        // The message must explain the *why*: peeled iterations live at
-        // statically known block boundaries (paper Section 3.2).
-        let msg = err.to_string();
-        assert!(
-            msg.contains("peeled iterations"),
-            "message names peeling: {msg}"
-        );
-        assert!(
-            msg.contains("statically known block boundaries"),
-            "names boundaries: {msg}"
-        );
-        assert!(msg.contains("Section 3.2"), "cites the paper: {msg}");
     }
 
     #[test]
@@ -1282,12 +1005,6 @@ mod tests {
                 if !matches!(cfg.plan(), ExecPlan::Serial) {
                     assert_eq!(
                         snapshot_after(&mut PooledExecutor::new(4), &cfg, &seq),
-                        want
-                    );
-                }
-                if matches!(cfg.plan(), ExecPlan::Blocked { .. }) {
-                    assert_eq!(
-                        snapshot_after(&mut DynamicExecutor::new(2), &cfg, &seq),
                         want
                     );
                 }
@@ -1453,16 +1170,25 @@ mod tests {
         let prog = Program::new(&seq, 2).unwrap();
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         mem.init_deterministic(&seq, 7);
+        let too_small = ExecError::PoolTooSmall {
+            pool: 2,
+            required: 4,
+        };
+        let cfg = RunConfig::blocked([2, 2]);
         let err = PooledExecutor::new(2)
-            .run(&prog, &mut mem, &RunConfig::blocked([2, 2]))
+            .run(&prog, &mut mem, &cfg)
             .unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::PoolTooSmall {
-                pool: 2,
-                required: 4
-            }
-        );
+        assert_eq!(err, too_small);
+        // The grid is checked before any lowering or planning: a tape
+        // backend whose (mismatched) prederived plan would fail lowering
+        // still reports the pool, not the plan.
+        let prog1 = Program::new(&seq, 1).unwrap();
+        let wrong_levels = prog1.fusion_plan_for(cfg.plan()).unwrap();
+        let cfg = cfg.backend(Backend::Compiled).prederived(wrong_levels);
+        let err = PooledExecutor::new(2)
+            .run(&prog, &mut mem, &cfg)
+            .unwrap_err();
+        assert_eq!(err, too_small);
     }
 
     #[test]

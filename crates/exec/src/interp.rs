@@ -13,8 +13,9 @@ use sp_ir::{Expr, IterSpace, LoopSequence, Statement};
 /// Work counters accumulated during execution, consumed by the machine
 /// cost model.
 ///
-/// The `*_nanos` fields hold wall-clock phase timings gathered by the
-/// parallel runtimes (zero under the deterministic simulators). They are
+/// The `*_nanos` fields hold wall-clock phase timings (under the
+/// deterministic simulator, of its serialized phases; it never waits at
+/// a barrier). They are
 /// **excluded from equality**: two runs performing identical work compare
 /// equal even though their timings differ. `vec_iters`, `steals`, and
 /// `parks` are likewise excluded — they record *how* work was dispatched

@@ -15,8 +15,9 @@
 //!   strides, fused multiply-add shapes) that a tight non-recursive loop
 //!   executes bit-for-bit identically to the interpreter, selectable per
 //!   run via [`RunConfig::backend`];
-//! * [`driver`] — fused (strip-mined or direct) and peeled phase drivers
-//!   and the per-worker phase schedule shared by all parallel runtimes;
+//! * [`driver`] — the one executor core: fused (strip-mined or direct)
+//!   and peeled phase bodies, the per-run phase list, and the single
+//!   per-worker phase function every runtime calls;
 //! * [`pool`] — the persistent [`WorkerPool`] and its reusable
 //!   [`SenseBarrier`];
 //! * [`exec`] — [`Program`] (a sequence bound to its analysis) and
@@ -24,9 +25,10 @@
 //! * [`pass`] — sp-exec's contributions to the core pass pipeline:
 //!   [`LaneSafetyPass`] and the per-pass timing export
 //!   ([`register_pass_metrics`]);
-//! * [`executor`] — the [`Executor`] trait with its four runtimes
-//!   ([`ScopedExecutor`], [`PooledExecutor`], [`DynamicExecutor`],
-//!   [`SimExecutor`]), driven by a [`RunConfig`];
+//! * [`executor`] — the [`Executor`] trait with its three runtimes
+//!   ([`ScopedExecutor`], [`PooledExecutor`], [`SimExecutor`]) — thin
+//!   entry points that differ only in who provides the threads —
+//!   driven by a [`RunConfig`];
 //! * [`report`] — per-run [`RunReport`] instrumentation (phase wall
 //!   times, barrier waits, imbalance), JSON-serializable, aggregating
 //!   into an `sp-trace` metrics registry via [`RunReport::metrics`];
@@ -38,17 +40,17 @@
 //!
 //! *Static blocked* scheduling remains the legality unit: the
 //! shift-and-peel transformation's legality argument (paper Section 3.2)
-//! places peeled iterations at known block boundaries, so the classic
-//! dynamic (self-scheduled) runtime is restricted to the unfused program
-//! and exists as the scheduling ablation. The adaptive schedules in
-//! [`schedule`] ([`Schedule::Guided`] and [`Schedule::Stealing`],
-//! selectable via [`RunConfig::schedule`]) stay inside that argument by
-//! only re-assigning *whole legal blocks*: each static block is pre-split
-//! into chunks that respect the Theorem-1 `Nt` lower bound, and workers
-//! claim or steal chunks without ever changing what any chunk computes.
+//! places peeled iterations at known block boundaries, so claiming
+//! iterations below the Theorem-1 `Nt` floor would be illegal for a
+//! fused plan. Every schedule in [`schedule`] therefore only assigns
+//! *whole legal blocks*: each static block is pre-split into chunks that
+//! respect `Nt`, and workers claim or steal chunks without ever changing
+//! what any chunk computes. [`Schedule::Static`] is the degenerate case —
+//! one chunk per block, and nobody steals; self-scheduling the *unfused*
+//! program (whose singleton groups have `Nt = 0`, so any chunk size is
+//! legal) is `RunConfig::blocked(grid).schedule(Schedule::Stealing)`.
 
 pub mod driver;
-pub mod dynamic;
 pub mod exec;
 pub mod executor;
 pub mod interp;
@@ -64,8 +66,7 @@ pub mod tape;
 pub use driver::{run_fused_phase, run_peeled_phase};
 pub use exec::{ExecError, ExecPlan, Program};
 pub use executor::{
-    Backend, DynamicExecutor, Executor, PooledExecutor, RunConfig, ScopedExecutor, SimExecutor,
-    SinkChoice,
+    Backend, Executor, PooledExecutor, RunConfig, ScopedExecutor, SimExecutor, SinkChoice,
 };
 pub use interp::{exec_region, exec_statement, run_original, ExecCounters};
 pub use lower::analyze_lane_safety;
@@ -74,8 +75,8 @@ pub use pass::{register_pass_metrics, LaneSafetyPass, LANE_SAFETY_PASS};
 pub use pool::{SenseBarrier, WorkerPool};
 pub use report::{RunReport, WorkerReport};
 pub use schedule::{
-    simulate_stealing, static_busy, Schedule, SimClock, StealEvent, StealSimReport, StealSimSpec,
-    VictimSelector, DEFAULT_STEAL_SEED,
+    simulate_stealing, splitmix64, static_busy, Schedule, SimClock, StealEvent, StealSimReport,
+    StealSimSpec, VictimSelector, DEFAULT_STEAL_SEED,
 };
 // Tracing types callers need to configure a traced run and consume its
 // result, re-exported so `sp-exec` users don't name `sp-trace` directly.

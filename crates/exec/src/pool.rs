@@ -20,7 +20,7 @@
 use crate::exec::ExecError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
 
@@ -57,7 +57,7 @@ pub struct SenseBarrier {
 
 /// Floor of the adaptive spin budget: never stop spinning entirely, the
 /// first few iterations catch near-simultaneous arrivals for free.
-const MIN_SPIN: u32 = 64;
+pub(crate) const MIN_SPIN: u32 = 64;
 /// Ceiling of the adaptive spin budget.
 const MAX_SPIN: u32 = 1 << 16;
 
@@ -80,9 +80,14 @@ impl SenseBarrier {
     }
 
     fn default_spin(n: usize) -> u32 {
-        let cores = thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
+        // Asked once per process: the query reads cgroup files, and the
+        // scoped runtime builds a barrier every timestep.
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES.get_or_init(|| {
+            thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+        });
         if n <= cores {
             1 << 14
         } else {

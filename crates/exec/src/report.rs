@@ -10,6 +10,7 @@
 
 use crate::interp::ExecCounters;
 use sp_cache::CacheStats;
+use sp_trace::json::{escape as json_escape, Json};
 use sp_trace::{MetricsRegistry, RunTrace, SpanKind};
 
 /// One worker's contribution to a run.
@@ -27,7 +28,7 @@ pub struct WorkerReport {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunReport {
     /// Name of the executor that produced the run (`scoped`, `pooled`,
-    /// `dynamic`, `sim`).
+    /// `sim`).
     pub executor: String,
     /// Execution backend (`interp` or `compiled`).
     pub backend: String,
@@ -128,7 +129,7 @@ impl RunReport {
     /// *owners* and therefore hold constant across schedules), this
     /// measures where time was actually spent — the quantity work
     /// stealing drives toward 1.0 on skewed loads. Zero when no timing
-    /// was gathered (deterministic simulators).
+    /// was gathered (a report parsed from JSON without it).
     ///
     /// [`imbalance`]: RunReport::imbalance
     pub fn time_imbalance(&self) -> f64 {
@@ -403,290 +404,107 @@ impl RunReport {
     /// skipped on input; unknown keys are skipped too, which keeps old
     /// artifacts readable as fields are added.
     pub fn from_json(json: &str) -> Result<RunReport, String> {
-        let mut p = Parser {
-            bytes: json.as_bytes(),
-            pos: 0,
-        };
-        let report = p.parse_report()?;
-        p.ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(report)
-    }
-}
-
-/// A minimal recursive-descent JSON reader for the report schema (the
-/// workspace builds offline with no serde). It understands exactly the
-/// value shapes `to_json` produces: objects, arrays, strings with the
-/// escapes `json_escape` emits, and plain numbers.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let esc = self.bytes.get(self.pos + 1);
-                    out.push(match esc {
-                        Some(b'"') => '"',
-                        Some(b'\\') => '\\',
-                        Some(b'n') => '\n',
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    });
-                    self.pos += 2;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    /// Reads a counter value, rejecting anything a `u64` counter cannot
-    /// faithfully hold: negatives, non-finite values (`1e999` parses to
-    /// infinity), and fractions. A bare `as u64` cast would silently
-    /// saturate or truncate these.
-    fn u64_field(&mut self) -> Result<u64, String> {
-        let at = self.pos;
-        let v = self.number()?;
-        if !v.is_finite() {
-            return Err(format!("non-finite counter value at byte {at}"));
-        }
-        if v < 0.0 {
-            return Err(format!("negative counter value {v} at byte {at}"));
-        }
-        if v.fract() != 0.0 {
-            return Err(format!("non-integer counter value {v} at byte {at}"));
-        }
-        if v > u64::MAX as f64 {
-            return Err(format!("counter value {v} out of u64 range at byte {at}"));
-        }
-        Ok(v as u64)
-    }
-
-    /// Consumes the exact ASCII literal `lit` (`true`/`false`/`null`).
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        self.ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected `{lit}` at byte {}", self.pos))
-        }
-    }
-
-    /// Reads a `true`/`false` literal.
-    fn bool_field(&mut self) -> Result<bool, String> {
-        match self.peek() {
-            Some(b't') => self.literal("true").map(|()| true),
-            Some(b'f') => self.literal("false").map(|()| false),
-            _ => Err(format!("expected boolean at byte {}", self.pos)),
-        }
-    }
-
-    /// Skips any value (used for derived and unknown fields).
-    fn skip_value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b'{') => {
-                self.eat(b'{')?;
-                if self.peek() == Some(b'}') {
-                    return self.eat(b'}');
-                }
-                loop {
-                    self.string()?;
-                    self.eat(b':')?;
-                    self.skip_value()?;
-                    if self.peek() == Some(b',') {
-                        self.eat(b',')?;
-                    } else {
-                        return self.eat(b'}');
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.eat(b'[')?;
-                if self.peek() == Some(b']') {
-                    return self.eat(b']');
-                }
-                loop {
-                    self.skip_value()?;
-                    if self.peek() == Some(b',') {
-                        self.eat(b',')?;
-                    } else {
-                        return self.eat(b']');
-                    }
-                }
-            }
-            _ => self.number().map(|_| ()),
-        }
-    }
-
-    fn parse_report(&mut self) -> Result<RunReport, String> {
+        let doc = Json::parse(json).ok_or("not a well-formed JSON document")?;
         let mut r = RunReport::default();
-        self.eat(b'{')?;
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
+        for (key, v) in object(&doc, "report")? {
             match key.as_str() {
-                "executor" => r.executor = self.string()?,
-                "backend" => r.backend = self.string()?,
-                "schedule" => r.schedule = self.string()?,
-                "procs" => r.procs = self.u64_field()? as usize,
-                "steps" => r.steps = self.u64_field()? as usize,
-                "wall_nanos" => r.wall_nanos = self.u64_field()?,
-                "lower_nanos" => r.lower_nanos = self.u64_field()?,
-                "tape_ops" => r.tape_ops = self.u64_field()?,
-                "cached" => r.cached = self.bool_field()?,
-                "queue_wait_nanos" => r.queue_wait_nanos = self.u64_field()?,
-                "exec_nanos" => r.exec_nanos = self.u64_field()?,
+                "executor" => r.executor = string(v, key)?,
+                "backend" => r.backend = string(v, key)?,
+                "schedule" => r.schedule = string(v, key)?,
+                "procs" => r.procs = counter(v, key)? as usize,
+                "steps" => r.steps = counter(v, key)? as usize,
+                "wall_nanos" => r.wall_nanos = counter(v, key)?,
+                "lower_nanos" => r.lower_nanos = counter(v, key)?,
+                "tape_ops" => r.tape_ops = counter(v, key)?,
+                "cached" => match v {
+                    Json::Bool(b) => r.cached = *b,
+                    _ => return Err("`cached` is not a boolean".into()),
+                },
+                "queue_wait_nanos" => r.queue_wait_nanos = counter(v, key)?,
+                "exec_nanos" => r.exec_nanos = counter(v, key)?,
                 "workers" => {
-                    self.eat(b'[')?;
-                    if self.peek() == Some(b']') {
-                        self.eat(b']')?;
-                    } else {
-                        loop {
-                            r.workers.push(self.parse_worker()?);
-                            if self.peek() == Some(b',') {
-                                self.eat(b',')?;
-                            } else {
-                                self.eat(b']')?;
-                                break;
-                            }
-                        }
+                    for w in v.as_arr().ok_or("`workers` is not an array")? {
+                        r.workers.push(worker_from_json(w)?);
                     }
                 }
-                _ => self.skip_value()?,
-            }
-            if self.peek() == Some(b',') {
-                self.eat(b',')?;
-            } else {
-                self.eat(b'}')?;
-                return Ok(r);
+                _ => {} // derived or unknown
             }
         }
-    }
-
-    fn parse_worker(&mut self) -> Result<WorkerReport, String> {
-        let mut w = WorkerReport::default();
-        self.eat(b'{')?;
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let c = &mut w.counters;
-            match key.as_str() {
-                "proc" => w.proc = self.u64_field()? as usize,
-                "iters" => c.iters = self.u64_field()?,
-                "vec_iters" => c.vec_iters = self.u64_field()?,
-                "peeled_iters" => c.peeled_iters = self.u64_field()?,
-                "flops" => c.flops = self.u64_field()?,
-                "loads" => c.loads = self.u64_field()?,
-                "stores" => c.stores = self.u64_field()?,
-                "strips" => c.strips = self.u64_field()?,
-                "guards" => c.guards = self.u64_field()?,
-                "barriers" => c.barriers = self.u64_field()?,
-                "steals" => c.steals = self.u64_field()?,
-                "parks" => c.parks = self.u64_field()?,
-                "fused_nanos" => c.fused_nanos = self.u64_field()?,
-                "peeled_nanos" => c.peeled_nanos = self.u64_field()?,
-                "barrier_wait_nanos" => c.barrier_wait_nanos = self.u64_field()?,
-                "cache" => {
-                    let mut stats = CacheStats::default();
-                    self.eat(b'{')?;
-                    loop {
-                        let k = self.string()?;
-                        self.eat(b':')?;
-                        match k.as_str() {
-                            "accesses" => stats.accesses = self.u64_field()?,
-                            "misses" => stats.misses = self.u64_field()?,
-                            _ => self.skip_value()?,
-                        }
-                        if self.peek() == Some(b',') {
-                            self.eat(b',')?;
-                        } else {
-                            self.eat(b'}')?;
-                            break;
-                        }
-                    }
-                    w.cache = Some(stats);
-                }
-                _ => self.skip_value()?,
-            }
-            if self.peek() == Some(b',') {
-                self.eat(b',')?;
-            } else {
-                self.eat(b'}')?;
-                return Ok(w);
-            }
-        }
+        Ok(r)
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+fn object<'j>(v: &'j Json, what: &str) -> Result<&'j [(String, Json)], String> {
+    match v {
+        Json::Obj(fields) => Ok(fields),
+        _ => Err(format!("{what} is not a JSON object")),
+    }
+}
+
+fn string(v: &Json, key: &str) -> Result<String, String> {
+    v.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("`{key}` is not a string"))
+}
+
+/// Reads a counter value, rejecting anything a `u64` counter cannot
+/// faithfully hold: negatives, non-finite values (`1e999` parses to
+/// infinity), and fractions. A bare `as u64` cast would silently
+/// saturate or truncate these.
+fn counter(v: &Json, key: &str) -> Result<u64, String> {
+    let Json::Num(n) = *v else {
+        return Err(format!("`{key}` is not a number"));
+    };
+    if !n.is_finite() {
+        return Err(format!("non-finite counter value for `{key}`"));
+    }
+    if n < 0.0 {
+        return Err(format!("negative counter value {n} for `{key}`"));
+    }
+    if n.fract() != 0.0 {
+        return Err(format!("non-integer counter value {n} for `{key}`"));
+    }
+    if n > u64::MAX as f64 {
+        return Err(format!("counter value {n} for `{key}` out of u64 range"));
+    }
+    Ok(n as u64)
+}
+
+fn worker_from_json(v: &Json) -> Result<WorkerReport, String> {
+    let mut w = WorkerReport::default();
+    for (key, v) in object(v, "worker")? {
+        let c = &mut w.counters;
+        match key.as_str() {
+            "proc" => w.proc = counter(v, key)? as usize,
+            "iters" => c.iters = counter(v, key)?,
+            "vec_iters" => c.vec_iters = counter(v, key)?,
+            "peeled_iters" => c.peeled_iters = counter(v, key)?,
+            "flops" => c.flops = counter(v, key)?,
+            "loads" => c.loads = counter(v, key)?,
+            "stores" => c.stores = counter(v, key)?,
+            "strips" => c.strips = counter(v, key)?,
+            "guards" => c.guards = counter(v, key)?,
+            "barriers" => c.barriers = counter(v, key)?,
+            "steals" => c.steals = counter(v, key)?,
+            "parks" => c.parks = counter(v, key)?,
+            "fused_nanos" => c.fused_nanos = counter(v, key)?,
+            "peeled_nanos" => c.peeled_nanos = counter(v, key)?,
+            "barrier_wait_nanos" => c.barrier_wait_nanos = counter(v, key)?,
+            "cache" => {
+                let mut stats = CacheStats::default();
+                for (key, v) in object(v, "cache")? {
+                    match key.as_str() {
+                        "accesses" => stats.accesses = counter(v, key)?,
+                        "misses" => stats.misses = counter(v, key)?,
+                        _ => {}
+                    }
+                }
+                w.cache = Some(stats);
+            }
+            _ => {}
+        }
+    }
+    Ok(w)
 }
 
 #[cfg(test)]
@@ -879,13 +697,26 @@ mod tests {
 
     #[test]
     fn json_round_trips_escaped_strings_and_empty_workers() {
-        let r = RunReport {
-            executor: "we\"ird\\x\n".into(),
-            ..Default::default()
-        };
-        let parsed = RunReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(parsed.executor, "we\"ird\\x\n");
-        assert!(parsed.workers.is_empty());
+        // Quotes, backslashes, newlines, a tab, a raw control character,
+        // and non-ASCII text all survive `to_json -> from_json`.
+        for name in [
+            "we\"ird\\x\n",
+            "tab\there\u{1}",
+            "caf\u{e9}-\u{4e16}\u{754c}",
+        ] {
+            let r = RunReport {
+                executor: name.into(),
+                ..Default::default()
+            };
+            let json = r.to_json();
+            assert!(!json.chars().any(|c| c.is_control()), "{json:?}");
+            let parsed = RunReport::from_json(&json).unwrap();
+            assert_eq!(parsed.executor, name);
+            assert!(parsed.workers.is_empty());
+        }
+        // Escapes this writer never emits are still read.
+        let parsed = RunReport::from_json("{\"executor\":\"a\\/b\\u00e9\"}").unwrap();
+        assert_eq!(parsed.executor, "a/b\u{e9}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Adaptive scheduling of legal blocks: guided self-scheduling and
-//! work stealing over block-granular chunks of the fused iteration
-//! space.
+//! Scheduling of legal blocks: the chunk decomposition and claim policy
+//! behind the static, guided self-scheduling and work-stealing
+//! schedules.
 //!
 //! Static blocked scheduling (the paper's Section 3.2 model) remains the
 //! legality unit: a chunk is a [`ProcBlock`] whose width satisfies the
@@ -10,7 +10,8 @@
 //! all chunks is exactly the static schedule on a finer processor grid —
 //! so *any* assignment of chunks to workers produces bit-for-bit
 //! identical memory results, and re-assigning whole chunks is the only
-//! freedom the adaptive schedules exercise.
+//! freedom the adaptive schedules exercise. [`Schedule::Static`] is the
+//! degenerate decomposition: one chunk per block, which nobody steals.
 //!
 //! Determinism is split in two:
 //!
@@ -32,20 +33,11 @@
 //! uses, with scripted per-chunk durations — a fixed seed reproduces an
 //! identical steal log in `cargo test`.
 
-use crate::driver::{run_fused_phase, run_peeled_phase, GroupWork, PassTrace, PhaseSync};
-use crate::exec::ExecError;
 use crate::interp::ExecCounters;
-use crate::memory::MemView;
-use crate::sink::{AccessSink, NullSink};
-use crate::tape::Engine;
 use shift_peel_core::analysis::{check_blocks, ProcBlock};
-use shift_peel_core::{FusionPlan, LegalityError};
-use sp_ir::LoopSequence;
-use sp_trace::tracer::NO_INDEX;
-use sp_trace::{SpanKind, WorkerTrace, WorkerTracer};
+use shift_peel_core::LegalityError;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// How parallel phases are assigned to workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -102,7 +94,10 @@ pub const DEFAULT_STEAL_SEED: u64 = 0x005E_EDBA_5E0F_CAFE;
 /// model).
 const DEFAULT_CHUNKS_PER_OWNER: i64 = 4;
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64: advances `state` and returns the next well-mixed value of
+/// the stream (the one generator behind victim selection and `sp-net`'s
+/// request-id seeding).
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -203,14 +198,30 @@ fn split_block(block: &ProcBlock, sizes: &[i64], first_chunk_id: usize) -> Vec<P
     chunks
 }
 
-/// One parallel group's chunk decomposition: the chunks (each a legal
-/// block), each chunk's owner (the static block it was carved from),
-/// and per owner the ids of its chunks in iteration order.
-#[derive(Clone, Debug)]
+/// One chunk's mutable state: the phase epoch it was last claimed in and
+/// an accumulator for its owner-attributed work counters. On a cache
+/// line of its own, so an owner working through its chunks shares no
+/// line with its neighbours — under the static schedule the claim and
+/// the accumulator never leave the owner's cache.
+#[repr(align(64))]
+#[derive(Default)]
+struct ChunkState {
+    claim: AtomicU64,
+    work: Mutex<ExecCounters>,
+}
+
+/// One parallel group's chunk decomposition and claim state: the chunks
+/// (each a legal block), each chunk's owner (the static block it was
+/// carved from), per owner the ids of its chunks in iteration order,
+/// and per chunk its [`ChunkState`]. Phases are numbered identically by
+/// every worker, so a claim word below the current epoch means
+/// unclaimed; claims are `fetch_max` races — the winner executes the
+/// chunk exactly once per phase.
 pub(crate) struct GroupChunks {
     pub chunks: Vec<ProcBlock>,
     pub owner: Vec<usize>,
     pub by_owner: Vec<Vec<u32>>,
+    state: Vec<ChunkState>,
 }
 
 impl GroupChunks {
@@ -232,6 +243,8 @@ impl GroupChunks {
         for (p, block) in blocks.iter().enumerate() {
             let trip = block.range[0].1 - block.range[0].0 + 1;
             let sizes = match schedule {
+                // Static blocking is the chunk list nobody steals from:
+                // one chunk per owner, the block itself.
                 Schedule::Static => vec![trip],
                 // A configured floor larger than this block's trip
                 // degrades to one whole-block chunk (still Nt-legal:
@@ -252,438 +265,65 @@ impl GroupChunks {
         // above the Nt floor, but the legality check stays authoritative.
         check_blocks(&group.derivation, &chunks)?;
         Ok(GroupChunks {
+            state: chunks.iter().map(|_| ChunkState::default()).collect(),
             chunks,
             owner,
             by_owner,
         })
     }
 
-    /// Number of chunks.
-    pub(crate) fn len(&self) -> usize {
-        self.chunks.len()
+    /// Claims chunk `c` for phase `epoch`; true for exactly one caller
+    /// per phase.
+    pub(crate) fn try_claim(&self, c: usize, epoch: u64) -> bool {
+        self.state[c].claim.fetch_max(epoch, Ordering::AcqRel) < epoch
     }
-}
 
-/// Chunk decompositions for a whole work list (`None` for serial
-/// groups), shared by every worker of a run.
-pub(crate) fn build_chunks(
-    plan: &FusionPlan,
-    work: &[GroupWork],
-    schedule: Schedule,
-    chunk: Option<i64>,
-    nworkers: usize,
-) -> Result<Vec<Option<GroupChunks>>, ExecError> {
-    work.iter()
-        .enumerate()
-        .map(|(gi, w)| match w {
-            GroupWork::Serial { .. } => Ok(None),
-            GroupWork::Parallel { blocks, .. } => Ok(Some(GroupChunks::build(
-                &plan.groups[gi],
-                blocks,
-                schedule,
-                chunk,
-                nworkers,
-            )?)),
-        })
-        .collect()
-}
+    fn try_steal(&self, c: usize, epoch: u64) -> bool {
+        self.state[c].claim.load(Ordering::Acquire) < epoch && self.try_claim(c, epoch)
+    }
 
-/// The shared claim state of one adaptive run: per chunk, the phase
-/// epoch it was last claimed in (phases are numbered identically by
-/// every worker, so a claim word below the current epoch means
-/// unclaimed) and a per-chunk accumulator for owner-attributed work
-/// counters. Claims are `fetch_max` races — the winner executes the
-/// chunk exactly once per phase.
-pub(crate) struct SharedChunks {
-    pub groups: Vec<Option<GroupChunks>>,
-    claims: Vec<Vec<AtomicU64>>,
-    slots: Vec<Vec<Mutex<ExecCounters>>>,
-}
-
-impl SharedChunks {
-    pub(crate) fn new(groups: Vec<Option<GroupChunks>>) -> SharedChunks {
-        let claims = groups
-            .iter()
-            .map(|g| {
-                let n = g.as_ref().map_or(0, |g| g.len());
-                (0..n).map(|_| AtomicU64::new(0)).collect()
-            })
-            .collect();
-        let slots = groups
-            .iter()
-            .map(|g| {
-                let n = g.as_ref().map_or(0, |g| g.len());
-                (0..n)
-                    .map(|_| Mutex::new(ExecCounters::default()))
-                    .collect()
-            })
-            .collect();
-        SharedChunks {
-            groups,
-            claims,
-            slots,
+    /// One steal by worker `p` in phase `epoch`: seeded victim order,
+    /// taking from the back of the victim's list (the chunks its owner
+    /// reaches last), with a deterministic low-to-high sweep as the
+    /// livelock-free fallback. `None` proves the phase drained: every
+    /// chunk of the group carries `epoch`.
+    pub(crate) fn steal(
+        &self,
+        p: usize,
+        epoch: u64,
+        selector: &mut VictimSelector,
+    ) -> Option<usize> {
+        for _ in 0..self.by_owner.len() {
+            let v = selector.next_victim();
+            if v == p {
+                continue;
+            }
+            let mut back = self.by_owner[v].iter().rev().map(|&c| c as usize);
+            if let Some(c) = back.find(|&c| self.try_steal(c, epoch)) {
+                return Some(c);
+            }
         }
+        (0..self.chunks.len()).find(|&c| self.try_steal(c, epoch))
+    }
+
+    /// Adds the work one execution of chunk `c` performed to the chunk's
+    /// accumulator.
+    pub(crate) fn credit(&self, c: usize, work: &ExecCounters) {
+        self.state[c]
+            .work
+            .lock()
+            .expect("chunk slot poisoned by a panicking worker")
+            .merge(work);
     }
 
     /// Merges every chunk's accumulated work counters into its owner's
     /// total. Call once, after all workers finished.
     pub(crate) fn merge_into(&self, totals: &mut [ExecCounters]) {
-        for (gi, g) in self.groups.iter().enumerate() {
-            let Some(g) = g else { continue };
-            for (c, &o) in g.owner.iter().enumerate() {
-                totals[o].merge(&self.slots[gi][c].lock().unwrap());
-            }
+        for (state, &o) in self.state.iter().zip(&self.owner) {
+            let work = state.work.lock();
+            totals[o].merge(&work.expect("chunk slot poisoned by a panicking worker"));
         }
     }
-
-    fn try_claim(&self, gi: usize, c: usize, epoch: u64) -> bool {
-        self.claims[gi][c].fetch_max(epoch, Ordering::AcqRel) < epoch
-    }
-
-    fn unclaimed(&self, gi: usize, c: usize, epoch: u64) -> bool {
-        self.claims[gi][c].load(Ordering::Acquire) < epoch
-    }
-}
-
-/// What one worker does with a claimed chunk (fused or peeled phase of
-/// the current group).
-enum Phase {
-    Fused,
-    Peeled,
-}
-
-/// One worker's traversal of a work list under an adaptive schedule:
-/// for each parallel group, the worker claims chunks — its own list
-/// front to back, then steals from the back of victims' lists — runs
-/// the fused phase of every chunk it wins, meets the others at the
-/// barrier, and (when the group peels) repeats the claim loop for the
-/// peeled phase.
-///
-/// Work counters of each chunk accumulate into the chunk's shared slot
-/// (merged per owner after the run); `counters` receives only this
-/// worker's dispatch accounting — barriers, waits, parks, steals, and
-/// phase wall time.
-///
-/// # Safety
-/// As [`crate::driver::worker_pass`]: all participants must execute the
-/// same work list in lockstep through the same barrier. Distinct chunks
-/// never conflict within a phase (Theorem 1, checked by
-/// [`GroupChunks::build`]), and the claim protocol hands each chunk to
-/// exactly one worker per phase.
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn adaptive_worker_pass<B: PhaseSync, S: AccessSink>(
-    seq: &LoopSequence,
-    plan: &FusionPlan,
-    work: &[GroupWork],
-    shared: &SharedChunks,
-    strip: i64,
-    p: usize,
-    engine: Engine<'_>,
-    view: &MemView<'_>,
-    barrier: &B,
-    sense: &mut bool,
-    sink: &mut S,
-    counters: &mut ExecCounters,
-    selector: &mut VictimSelector,
-    epoch: &mut u64,
-    step: u32,
-    tracer: &mut Option<WorkerTracer>,
-) {
-    let wait_at_barrier = |barrier: &B,
-                           sense: &mut bool,
-                           counters: &mut ExecCounters,
-                           tracer: &mut Option<WorkerTracer>,
-                           g: u32| {
-        let bt0 = Instant::now();
-        let (waited, parked) = barrier.wait_outcome(sense);
-        counters.barrier_wait_nanos += waited;
-        counters.barriers += 1;
-        if parked {
-            counters.parks += 1;
-        }
-        if let Some(t) = tracer {
-            t.record(SpanKind::BarrierWait, bt0, waited, step, g);
-            if parked {
-                t.record(SpanKind::Park, bt0, waited, step, g);
-            }
-        }
-    };
-    for (gi, w) in work.iter().enumerate() {
-        let g = gi as u32;
-        match w {
-            GroupWork::Serial { nest } => {
-                if p == 0 {
-                    let t0 = Instant::now();
-                    let space = seq.nests[*nest].space();
-                    // SAFETY: all other workers are parked at the barrier
-                    // below; no concurrent access.
-                    unsafe { engine.exec_region(seq, view, *nest, &space, sink, counters) };
-                    let dur = t0.elapsed().as_nanos() as u64;
-                    counters.fused_nanos += dur;
-                    if let Some(t) = tracer {
-                        t.record(SpanKind::Serial, t0, dur, step, g);
-                    }
-                }
-                wait_at_barrier(barrier, sense, counters, tracer, g);
-            }
-            GroupWork::Parallel { has_peel, .. } => {
-                let group = &plan.groups[gi];
-                let chunks = shared.groups[gi].as_ref().expect("parallel group chunked");
-                *epoch += 1;
-                // SAFETY: forwarded from caller (see function contract).
-                unsafe {
-                    claim_and_run_phase(
-                        seq,
-                        group,
-                        chunks,
-                        shared,
-                        gi,
-                        strip,
-                        plan.method,
-                        Phase::Fused,
-                        p,
-                        engine,
-                        view,
-                        sink,
-                        counters,
-                        selector,
-                        *epoch,
-                        step,
-                        g,
-                        tracer,
-                    )
-                };
-                wait_at_barrier(barrier, sense, counters, tracer, g);
-                if *has_peel {
-                    *epoch += 1;
-                    // SAFETY: forwarded from caller.
-                    unsafe {
-                        claim_and_run_phase(
-                            seq,
-                            group,
-                            chunks,
-                            shared,
-                            gi,
-                            strip,
-                            plan.method,
-                            Phase::Peeled,
-                            p,
-                            engine,
-                            view,
-                            sink,
-                            counters,
-                            selector,
-                            *epoch,
-                            step,
-                            g,
-                            tracer,
-                        )
-                    };
-                    wait_at_barrier(barrier, sense, counters, tracer, g);
-                }
-            }
-        }
-    }
-}
-
-/// The claim loop of one phase: own chunks front to back, then steal
-/// from victims' backs, with a deterministic low-to-high sweep as the
-/// livelock-free fallback; exits when every chunk of the group carries
-/// the current epoch.
-#[allow(clippy::too_many_arguments)]
-unsafe fn claim_and_run_phase<S: AccessSink>(
-    seq: &LoopSequence,
-    group: &shift_peel_core::FusedGroup,
-    chunks: &GroupChunks,
-    shared: &SharedChunks,
-    gi: usize,
-    strip: i64,
-    method: shift_peel_core::CodegenMethod,
-    phase: Phase,
-    p: usize,
-    engine: Engine<'_>,
-    view: &MemView<'_>,
-    sink: &mut S,
-    counters: &mut ExecCounters,
-    selector: &mut VictimSelector,
-    epoch: u64,
-    step: u32,
-    g: u32,
-    tracer: &mut Option<WorkerTracer>,
-) {
-    let nworkers = chunks.by_owner.len();
-    let mut run_chunk =
-        |c: usize, counters: &mut ExecCounters, tracer: &mut Option<WorkerTracer>| {
-            let block = &chunks.chunks[c];
-            let mut work = ExecCounters::default();
-            let t0 = Instant::now();
-            match phase {
-                Phase::Fused => {
-                    // SAFETY: forwarded from caller; the claim made this
-                    // worker the chunk's only executor this phase.
-                    unsafe {
-                        run_fused_phase(
-                            seq, group, block, strip, method, engine, view, sink, &mut work,
-                        )
-                    };
-                }
-                Phase::Peeled => {
-                    // SAFETY: as above.
-                    unsafe { run_peeled_phase(seq, group, block, engine, view, sink, &mut work) };
-                }
-            }
-            let dur = t0.elapsed().as_nanos() as u64;
-            match phase {
-                Phase::Fused => counters.fused_nanos += dur,
-                Phase::Peeled => counters.peeled_nanos += dur,
-            }
-            if let Some(t) = tracer {
-                let kind = match phase {
-                    Phase::Fused => SpanKind::Fused,
-                    Phase::Peeled => SpanKind::Peeled,
-                };
-                t.record(kind, t0, dur, step, g);
-            }
-            shared.slots[gi][c].lock().unwrap().merge(&work);
-        };
-    // Own chunks, front to back (sequential ranges stay cache-friendly).
-    if let Some(own) = chunks.by_owner.get(p) {
-        for &c in own {
-            let c = c as usize;
-            if shared.try_claim(gi, c, epoch) {
-                run_chunk(c, counters, tracer);
-            }
-        }
-    }
-    // Steal until the group's phase is drained.
-    loop {
-        let st0 = Instant::now();
-        let mut claimed = None;
-        for _ in 0..nworkers {
-            let v = selector.next_victim();
-            if v == p {
-                continue;
-            }
-            // Steal from the back: the chunks the owner reaches last.
-            for &c in chunks.by_owner[v].iter().rev() {
-                let c = c as usize;
-                if shared.unclaimed(gi, c, epoch) && shared.try_claim(gi, c, epoch) {
-                    claimed = Some(c);
-                    break;
-                }
-            }
-            if claimed.is_some() {
-                break;
-            }
-        }
-        if claimed.is_none() {
-            // Deterministic sweep: either find leftover work or prove
-            // the phase is drained.
-            for c in 0..chunks.len() {
-                if shared.unclaimed(gi, c, epoch) && shared.try_claim(gi, c, epoch) {
-                    claimed = Some(c);
-                    break;
-                }
-            }
-        }
-        match claimed {
-            Some(c) => {
-                counters.steals += 1;
-                if let Some(t) = tracer {
-                    t.record_until_now(SpanKind::Steal, st0, step, c as u32);
-                }
-                run_chunk(c, counters, tracer);
-            }
-            None => break,
-        }
-    }
-}
-
-/// Number of claimable phases one timestep of `work` contributes to the
-/// epoch sequence (fused + optional peeled phase per parallel group;
-/// serial groups claim nothing).
-pub(crate) fn claimable_phases(work: &[GroupWork]) -> u64 {
-    work.iter()
-        .map(|w| match w {
-            GroupWork::Serial { .. } => 0,
-            GroupWork::Parallel { has_peel, .. } => 1 + u64::from(*has_peel),
-        })
-        .sum()
-}
-
-/// The scoped (spawn-per-timestep) variant of the adaptive runtime: one
-/// pass over the work list with `nprocs` scoped threads claiming chunks
-/// from `shared`. `epoch_base` must advance by [`claimable_phases`] per
-/// timestep so claims from earlier passes stay stale.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scoped_adaptive_pass(
-    seq: &LoopSequence,
-    plan: &FusionPlan,
-    work: &[GroupWork],
-    shared: &SharedChunks,
-    nprocs: usize,
-    strip: i64,
-    engine: Engine<'_>,
-    view: &MemView<'_>,
-    steal_seed: u64,
-    epoch_base: u64,
-    trace: PassTrace,
-) -> Result<Vec<(ExecCounters, Option<WorkerTrace>)>, ExecError> {
-    let barrier = Barrier::new(nprocs);
-    let mut results = Vec::with_capacity(nprocs);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nprocs);
-        for p in 0..nprocs {
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                let mut sink = NullSink;
-                let mut counters = ExecCounters::default();
-                let mut sense = false;
-                let mut selector = VictimSelector::new(steal_seed, p, nprocs);
-                let mut epoch = epoch_base;
-                let mut tracer = trace.map(|(cfg, epoch, _)| WorkerTracer::new(cfg, epoch));
-                let step = trace.map_or(0, |(_, _, s)| s);
-                let job_t0 = Instant::now();
-                // SAFETY: every thread runs the same work list through
-                // the same barrier; distinct chunks never conflict
-                // (Theorem 1, checked by `build_chunks`) and the claim
-                // protocol hands each chunk to exactly one thread per
-                // phase.
-                unsafe {
-                    adaptive_worker_pass(
-                        seq,
-                        plan,
-                        work,
-                        shared,
-                        strip,
-                        p,
-                        engine,
-                        view,
-                        barrier,
-                        &mut sense,
-                        &mut sink,
-                        &mut counters,
-                        &mut selector,
-                        &mut epoch,
-                        step,
-                        &mut tracer,
-                    )
-                };
-                if let Some(t) = &mut tracer {
-                    t.record_until_now(SpanKind::Dispatch, job_t0, step, NO_INDEX);
-                }
-                (counters, tracer.map(|t| t.finish(p)))
-            }));
-        }
-        for (p, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(c) => results.push(c),
-                Err(_) => return Err(ExecError::WorkerPanic { proc: p }),
-            }
-        }
-        Ok(())
-    })?;
-    Ok(results)
 }
 
 // ---------------------------------------------------------------------

@@ -11,8 +11,8 @@ use shift_peel_core::analysis::{bytes_per_outer_iter, derive_levels, suggest_str
 use shift_peel_core::{CodegenMethod, ProfitabilityModel};
 use sp_cache::LayoutStrategy;
 use sp_exec::{
-    Backend, DynamicExecutor, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program,
-    RunConfig, RunReport, Schedule, ScopedExecutor, SimExecutor, SinkChoice,
+    Backend, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program, RunConfig, RunReport,
+    Schedule, ScopedExecutor, SimExecutor, SinkChoice,
 };
 use sp_ir::LoopSequence;
 
@@ -287,9 +287,10 @@ pub fn padding_sweep(
 
 /// One row of a real-thread runtime sweep: the same fused program run
 /// for `steps` timesteps under the spawn-per-step and persistent-pool
-/// runtimes (verified bit-for-bit identical), plus the self-scheduled
-/// runtime on the *unfused* blocked plan (dynamic scheduling of fused
-/// plans is illegal — paper Section 3.2).
+/// runtimes (verified bit-for-bit identical), plus a self-scheduled run
+/// of the *unfused* blocked plan (its singleton groups have `Nt = 0`, so
+/// workers may claim chunks of any size; a fused plan's chunks must
+/// respect the Theorem-1 floor — paper Section 3.2).
 #[derive(Clone, Debug)]
 pub struct RuntimeRow {
     /// Timesteps in this row's runs.
@@ -316,16 +317,17 @@ pub struct RuntimeRow {
     /// the static runs; on these uniform kernels its cost over `pooled`
     /// is the price of claim traffic.
     pub stealing: RunReport,
-    /// Self-scheduled run of the unfused program ([`DynamicExecutor`]).
+    /// Self-scheduled pool run of the unfused blocked program:
+    /// [`Schedule::Stealing`] over chunks of four outer iterations.
     pub dynamic: RunReport,
 }
 
 /// Compares the threaded runtimes on real host threads: for each entry
 /// of `step_counts`, runs the fused plan under [`ScopedExecutor`] and
 /// [`PooledExecutor`] (one pool persists across the whole sweep — the
-/// effect being measured) and the unfused blocked plan under
-/// [`DynamicExecutor`], returning their [`RunReport`]s. Errors if the
-/// pooled result diverges from the scoped result.
+/// effect being measured) and the unfused blocked plan self-scheduled on
+/// the same pool, returning their [`RunReport`]s. Errors if the pooled
+/// result diverges from the scoped result.
 pub fn runtime_sweep(
     seq: &LoopSequence,
     grid: &[usize],
@@ -380,7 +382,7 @@ pub fn runtime_sweep(
                 "stealing schedule diverged from static at {steps} steps"
             )));
         }
-        let (dynamic, _) = run(&mut DynamicExecutor::default(), &blocked)?;
+        let (dynamic, _) = run(&mut pool, &blocked.schedule(Schedule::Stealing).chunk(4))?;
         rows.push(RuntimeRow {
             steps,
             scoped,

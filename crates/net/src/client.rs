@@ -200,14 +200,6 @@ struct Conn {
     r: std::io::BufReader<TcpStream>,
 }
 
-/// SplitMix64: a cheap, well-mixed permutation for seeding request ids.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A per-client randomized request-id base, so two clients sharing a
 /// tenant land in disjoint id ranges with overwhelming probability
 /// (the server's dedupe ledger keys on `(tenant, request_id)`).
@@ -217,7 +209,7 @@ fn seed_request_id() -> u64 {
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0x5EED);
     let stack_entropy = &nanos as *const u64 as u64;
-    splitmix64(nanos ^ stack_entropy.rotate_left(32))
+    sp_exec::splitmix64(&mut (nanos ^ stack_entropy.rotate_left(32)))
 }
 
 impl Client {

@@ -24,17 +24,7 @@ use std::fmt;
 /// miss (or fail the disk-format check) instead of serving stale plans.
 pub const CACHE_FORMAT_VERSION: &str = "spfc-cache-v1";
 
-/// 64-bit FNV-1a. Small, dependency-free, and stable across platforms —
-/// collision resistance here only has to beat accidental aliasing among
-/// a handful of benchmark programs, not an adversary.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use shift_peel_core::pipeline::fnv1a64;
 
 /// Content address of one compilation artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

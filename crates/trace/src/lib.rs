@@ -14,6 +14,9 @@
 //!   JSON exporter (loadable in `chrome://tracing` and Perfetto), a
 //!   compact text timeline, and [`validate_chrome_trace`], the schema
 //!   check CI runs against emitted traces.
+//! * [`json`] — the workspace's one JSON reader ([`json::Json`]) and
+//!   string escaper, shared by the trace validator, `RunReport`, and
+//!   the bench-regression gate.
 //! * [`metrics`] — a small registry of named counters and log2-bucket
 //!   histograms with a Prometheus text exporter.
 //! * [`session`] — serve-tier session traces: per-job lifecycle stage
@@ -25,6 +28,7 @@
 //! dependencies: the default (untraced) execution path constructs
 //! nothing from this crate beyond an `Option::None`.
 
+pub mod json;
 pub mod metrics;
 pub mod ring;
 pub mod session;

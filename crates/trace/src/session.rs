@@ -16,6 +16,7 @@
 //! `chrome://tracing` renders the whole session as two processes
 //! ("jobs" above, "workers" below) connected job by job.
 
+use crate::json::escape;
 use crate::tracer::{RunTrace, CONTROLLER_LANE};
 
 /// A serve-tier job's lifecycle stage, in pipeline order.
@@ -280,7 +281,7 @@ impl SessionTrace {
                      \"tid\":{},\"args\":{{\"name\":\"job {} {}\"}}}}",
                     job.job_id,
                     job.job_id,
-                    esc(&job.name)
+                    escape(&job.name)
                 ),
             );
         }
@@ -298,7 +299,7 @@ impl SessionTrace {
                         micros(sp.dur_nanos),
                         job.job_id,
                         job.job_id,
-                        esc(&job.client)
+                        escape(&job.client)
                     ),
                 );
             }
@@ -372,18 +373,6 @@ impl SessionTrace {
 /// Microseconds with nanosecond precision, as Chrome's `ts`/`dur` want.
 fn micros(nanos: u64) -> String {
     format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
-}
-
-/// Escapes a name for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! [`validate_chrome_trace`] is the checked-in schema check CI runs
 //! against emitted JSON.
 
+use crate::json::Json;
 use crate::ring::EventRing;
 use std::time::Instant;
 
@@ -474,65 +475,47 @@ impl TraceSummary {
 /// it deliberately re-parses the JSON from scratch instead of trusting
 /// the producer.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
-    let mut p = MiniJson {
-        bytes: json.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    let Json::Object(top) = v else {
+    let top = Json::parse(json).ok_or("not a well-formed JSON document")?;
+    if !matches!(top, Json::Obj(_)) {
         return Err("top level is not an object".into());
-    };
-    let Some(Json::Array(events)) = top.iter().find(|(k, _)| k == "traceEvents").map(|(_, v)| v)
-    else {
+    }
+    let Some(Json::Arr(events)) = top.get("traceEvents") else {
         return Err("missing traceEvents array".into());
     };
     let mut summary = TraceSummary::default();
-    if let Some(Json::Object(other)) = top.iter().find(|(k, _)| k == "otherData").map(|(_, v)| v) {
-        if let Some((_, Json::Number(n))) = other.iter().find(|(k, _)| k == "droppedEvents") {
-            if !n.is_finite() || *n < 0.0 {
-                return Err(format!("otherData.droppedEvents is not a counter: {n}"));
-            }
-            summary.dropped_events = *n as u64;
+    if let Some(Json::Num(n)) = top.get("otherData").and_then(|o| o.get("droppedEvents")) {
+        if !n.is_finite() || *n < 0.0 {
+            return Err(format!("otherData.droppedEvents is not a counter: {n}"));
         }
+        summary.dropped_events = *n as u64;
     }
     let mut names = std::collections::BTreeSet::new();
     let mut lanes = std::collections::BTreeSet::new();
     let mut steps = std::collections::BTreeSet::new();
     for (i, ev) in events.iter().enumerate() {
-        let Json::Object(fields) = ev else {
+        if !matches!(ev, Json::Obj(_)) {
             return Err(format!("traceEvents[{i}] is not an object"));
-        };
-        let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let Some(Json::String(name)) = get("name") else {
+        }
+        let Some(Json::Str(name)) = ev.get("name") else {
             return Err(format!("traceEvents[{i}] has no string name"));
         };
-        let Some(Json::String(ph)) = get("ph") else {
+        let Some(Json::Str(ph)) = ev.get("ph") else {
             return Err(format!("traceEvents[{i}] has no string ph"));
         };
-        for key in ["pid", "tid"] {
-            match get(key) {
-                Some(Json::Number(_)) => {}
-                _ => return Err(format!("traceEvents[{i}] has no numeric {key}")),
-            }
-        }
+        let (Some(Json::Num(pid)), Some(Json::Num(tid))) = (ev.get("pid"), ev.get("tid")) else {
+            return Err(format!("traceEvents[{i}] has no numeric pid and tid"));
+        };
+        let timestamp = |key: &str| match ev.get(key) {
+            Some(Json::Num(n)) if n.is_finite() && *n >= 0.0 => Ok(()),
+            _ => Err(format!("traceEvents[{i}] ({name}) has no valid {key}")),
+        };
         if ph == "s" || ph == "f" {
             // Flow events must carry a numeric id (it is what pairs a
             // start with its finishes) and a timestamp to anchor to.
-            let Some(Json::Number(id)) = get("id") else {
+            let Some(Json::Num(id)) = ev.get("id") else {
                 return Err(format!("traceEvents[{i}] ({name}) flow has no numeric id"));
             };
-            match get("ts") {
-                Some(Json::Number(n)) if n.is_finite() && *n >= 0.0 => {}
-                _ => return Err(format!("traceEvents[{i}] ({name}) flow has no valid ts")),
-            }
-            let (Some(Json::Number(pid)), Some(Json::Number(tid))) = (get("pid"), get("tid"))
-            else {
-                unreachable!("pid/tid checked numeric above");
-            };
+            timestamp("ts")?;
             let entry = (*id as u64, *pid as u64, *tid as u64);
             if ph == "s" {
                 summary.flow_starts.push(entry);
@@ -541,21 +524,13 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
             }
         }
         if ph == "X" {
-            for key in ["ts", "dur"] {
-                match get(key) {
-                    Some(Json::Number(n)) if n.is_finite() && *n >= 0.0 => {}
-                    _ => return Err(format!("traceEvents[{i}] ({name}) has no valid {key}")),
-                }
-            }
+            timestamp("ts")?;
+            timestamp("dur")?;
             summary.span_count += 1;
             names.insert(name.clone());
-            if let Some(Json::Number(tid)) = get("tid") {
-                lanes.insert(*tid as u64);
-            }
-            if let Some(Json::Object(args)) = get("args") {
-                if let Some((_, Json::Number(s))) = args.iter().find(|(k, _)| k == "step") {
-                    steps.insert(*s as u64);
-                }
+            lanes.insert(*tid as u64);
+            if let Some(Json::Num(s)) = ev.get("args").and_then(|a| a.get("step")) {
+                steps.insert(*s as u64);
             }
         }
     }
@@ -563,150 +538,6 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceSummary, String> {
     summary.lanes = lanes.into_iter().collect();
     summary.steps = steps.into_iter().collect();
     Ok(summary)
-}
-
-/// A tiny recursive-descent JSON reader (the workspace builds offline
-/// with no serde). Objects keep insertion order as key/value pairs.
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    String(String),
-    Number(f64),
-    Bool(#[allow(dead_code)] bool),
-    Null,
-}
-
-struct MiniJson<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl MiniJson<'_> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    match self.bytes.get(self.pos + 1) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'u') => {
-                            // Skip \uXXXX escapes; names we validate are ASCII.
-                            self.pos += 4;
-                            out.push('?');
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 2;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.eat(b'{')?;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.eat(b'}')?;
-                    return Ok(Json::Object(fields));
-                }
-                loop {
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    fields.push((key, self.value()?));
-                    if self.peek() == Some(b',') {
-                        self.eat(b',')?;
-                    } else {
-                        self.eat(b'}')?;
-                        return Ok(Json::Object(fields));
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.eat(b'[')?;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.eat(b']')?;
-                    return Ok(Json::Array(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    if self.peek() == Some(b',') {
-                        self.eat(b',')?;
-                    } else {
-                        self.eat(b']')?;
-                        return Ok(Json::Array(items));
-                    }
-                }
-            }
-            Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
-            Some(b'n') if self.literal("null") => Ok(Json::Null),
-            _ => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .map(Json::Number)
-                    .ok_or_else(|| format!("bad value at byte {start}"))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -834,6 +665,18 @@ mod tests {
         let trace = sample_trace();
         let json = trace.chrome_json();
         assert!(validate_chrome_trace(&json[..json.len() - 1]).is_err());
+        assert!(validate_chrome_trace(&format!("{json}x")).is_err());
+    }
+
+    #[test]
+    fn validator_keeps_non_ascii_span_names_intact() {
+        let json = "{\"traceEvents\":[{\"name\":\"fus\u{e9}e \u{4e16}\\u754c\",\"ph\":\"X\",\
+                    \"pid\":0,\"tid\":0,\"ts\":1.5,\"dur\":2}]}";
+        let summary = validate_chrome_trace(json).expect("valid trace");
+        assert_eq!(
+            summary.names,
+            vec!["fus\u{e9}e \u{4e16}\u{754c}".to_string()]
+        );
     }
 
     #[test]

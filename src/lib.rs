@@ -69,8 +69,8 @@ pub mod prelude {
     pub use sp_cache::{Cache, CacheConfig, LayoutStrategy, MemoryLayout};
     pub use sp_dep::{analyze_sequence, DepKind, SequenceDeps};
     pub use sp_exec::{
-        simulate_stealing, static_busy, Backend, DynamicExecutor, ExecError, ExecPlan, Executor,
-        Memory, MetricsRegistry, PooledExecutor, Program, RunConfig, RunReport, RunTrace, Schedule,
+        simulate_stealing, static_busy, Backend, ExecError, ExecPlan, Executor, Memory,
+        MetricsRegistry, PooledExecutor, Program, RunConfig, RunReport, RunTrace, Schedule,
         ScopedExecutor, SimExecutor, SinkChoice, SpanKind, StealEvent, StealSimReport,
         StealSimSpec, TraceConfig, WorkerReport, DEFAULT_STEAL_SEED,
     };

@@ -163,3 +163,58 @@ fn overhead_counters_match_method() {
     assert!(d.iter().map(|c| c.guards).sum::<u64>() > 0);
     assert_eq!(d.iter().map(|c| c.strips).sum::<u64>(), 0);
 }
+
+/// Self-scheduling the *unfused* program is a claim policy, not a
+/// runtime: singleton groups have `Nt = 0`, so the adaptive schedules
+/// may carve blocks into chunks of any size — down to single outer
+/// iterations, up to "one chunk per block" — and every worker count,
+/// schedule, and chunk size must reproduce serial execution bit for
+/// bit on both threaded runtimes. The third nest is a serial
+/// recurrence, exercising the processor-0 phase between claimed ones.
+#[test]
+fn self_scheduled_unfused_program_matches_serial() {
+    let n = 48usize;
+    let mut b = SeqBuilder::new("dyn");
+    let a = b.array("a", [n, n]);
+    let c = b.array("c", [n, n]);
+    let d = b.array("d", [n, n]);
+    let (lo, hi) = (1, n as i64 - 2);
+    b.nest("L1", [(lo, hi), (lo, hi)], |x| {
+        let r = x.ld(a, [0, 1]) + x.ld(a, [0, -1]);
+        x.assign(c, [0, 0], r);
+    });
+    b.nest("L2", [(lo, hi), (lo, hi)], |x| {
+        let r = x.ld(c, [1, 0]) + x.ld(c, [-1, 0]);
+        x.assign(d, [0, 0], r);
+    });
+    b.nest("L3", [(lo, hi), (lo, hi)], |x| {
+        let r = x.ld(d, [0, 0]) + x.ld(a, [-1, 0]);
+        x.assign(a, [0, 0], r);
+    });
+    let seq = b.finish();
+    let mut want = Memory::new(&seq, LayoutStrategy::Contiguous);
+    want.init_deterministic(&seq, 4);
+    shift_peel::exec::run_original(&seq, &mut want, &mut shift_peel::exec::NullSink);
+    let want = want.snapshot_all(&seq);
+
+    let prog = Program::new(&seq, 1).unwrap();
+    let mut pooled = PooledExecutor::new(6);
+    for threads in [1usize, 3, 6] {
+        for schedule in [Schedule::Guided, Schedule::Stealing] {
+            for chunk in [1i64, 5, 100] {
+                let cfg = RunConfig::blocked([threads])
+                    .schedule(schedule)
+                    .chunk(chunk);
+                let executors: [&mut dyn Executor; 2] = [&mut pooled, &mut ScopedExecutor];
+                for ex in executors {
+                    let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+                    mem.init_deterministic(&seq, 4);
+                    let report = ex.run(&prog, &mut mem, &cfg).unwrap();
+                    let what = format!("{} t={threads} {schedule:?} chunk={chunk}", ex.name());
+                    assert_eq!(mem.snapshot_all(&seq), want, "{what}");
+                    assert_eq!(report.total_iters(), 3 * 46 * 46, "{what}");
+                }
+            }
+        }
+    }
+}

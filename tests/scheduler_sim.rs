@@ -153,3 +153,46 @@ fn threaded_stealing_completes_all_chunks_under_skew() {
         );
     }
 }
+
+/// The degenerate case of the one executor core: under the static
+/// schedule every block is a chunk list of one that nobody steals from.
+/// On the skewed kernel the low blocks take about twice as long, so a
+/// thief would have every opportunity — yet a fast worker must never
+/// take a slow worker's block. That is what keeps the paper's static
+/// model, per-processor miss parity, and the static-vs-stealing
+/// imbalance comparison meaningful. Asserted on counters and spans
+/// only, never on wall-clock, so a loaded host cannot flake it.
+#[test]
+fn static_schedule_never_steals_on_a_skewed_load() {
+    let seq = shift_peel::kernels::skewed::sequence(48);
+    let prog = Program::new(&seq, 1).unwrap();
+    let cfg = RunConfig::fused([4]).strip(4).steps(5).traced();
+    assert_eq!(cfg.schedule_choice(), Schedule::Static);
+    let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+    mem.init_deterministic(&seq, 11);
+    let sim = SimExecutor.run(&prog, &mut mem, &cfg).unwrap();
+    let executors: [&mut dyn Executor; 2] = [&mut PooledExecutor::new(4), &mut ScopedExecutor];
+    for ex in executors {
+        let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+        mem.init_deterministic(&seq, 11);
+        let report = ex.run(&prog, &mut mem, &cfg).unwrap();
+        assert_eq!(report.total_steals(), 0, "{}", ex.name());
+        let trace = report.trace.as_ref().expect("traced run");
+        assert_eq!(trace.dropped(), 0, "ring overflow would hide steals");
+        assert_eq!(
+            trace.events_of(SpanKind::Steal).count(),
+            0,
+            "{}: static runs record no steal spans",
+            ex.name()
+        );
+        // Every worker executed exactly its own block, every step.
+        for (w, s) in report.workers.iter().zip(&sim.workers) {
+            assert_eq!(w.counters, s.counters, "{} proc {}", ex.name(), w.proc);
+        }
+        // One fused span per worker per step: nobody ran a second block.
+        for w in trace.workers.iter().filter(|w| w.proc < 4) {
+            let fused = w.events.iter().filter(|e| e.kind == SpanKind::Fused);
+            assert_eq!(fused.count(), 5, "{} proc {}", ex.name(), w.proc);
+        }
+    }
+}

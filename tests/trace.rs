@@ -157,15 +157,20 @@ fn traced_scoped_dynamic_and_sim_runs_record_spans() {
         }
     }
 
-    // Dynamic: blocked plan only; events use nest indices as groups.
-    let cfg = RunConfig::blocked([4]).steps(2).traced();
-    let (_, report) = run_with(&mut DynamicExecutor::new(2), &seq, 2, &cfg);
+    // Self-scheduled: the unfused blocked plan under the stealing
+    // schedule over two-iteration chunks (what the dynamic executor was).
+    let cfg = RunConfig::blocked([4])
+        .schedule(Schedule::Stealing)
+        .chunk(2)
+        .steps(2)
+        .traced();
+    let (_, report) = run_with(&mut PooledExecutor::new(4), &seq, 1, &cfg);
     let trace = report.trace.as_ref().unwrap();
     let fused = trace.events_of(SpanKind::Fused).count();
     let waits = trace.events_of(SpanKind::BarrierWait).count();
     assert!(
         fused > 0 && waits > 0,
-        "dynamic run records spans ({fused} fused, {waits} waits)"
+        "self-scheduled run records spans ({fused} fused, {waits} waits)"
     );
     assert_eq!(trace.events_of(SpanKind::Dispatch).count(), 4);
 
