@@ -23,6 +23,13 @@ if grep -rn --include='*.rs' '#\[deprecated' crates/; then
   echo "FAIL: #[deprecated] item under crates/ (delete the shim instead)"
   exit 1
 fi
+# The simd backend is one row runner. The lane-blocked pair it replaced
+# (an 8-wide block and a scalar head/tail beside it) and the detour of
+# peel regions through the interpreter must not grow back.
+if grep -rnE --include='*.rs' 'vector_block|scalar_span|fn boundary' crates/exec/src/; then
+  echo "FAIL: a second simd inner loop or a peel detour is back in sp-exec"
+  exit 1
+fi
 for def in 'fn fnv1a64' 'fn splitmix64' 'fn string(&mut self)'; do
   n="$(grep -rn --include='*.rs' -F "$def" crates/ src/ tests/ examples/ | wc -l)"
   if [ "$n" -gt 1 ]; then
@@ -46,8 +53,8 @@ cargo test --release --manifest-path benchmark/Cargo.toml
 echo "==> differential fuzzing: backends (interp/compiled/simd) x schedules x runtimes"
 # The vendored proptest derives its seed from the test name, so this
 # sweep is deterministic run to run — a fixed-seed regression gate. The
-# suite includes the simd parity gate: lane-blocked execution must match
-# the interpreter bit for bit, including ragged trips and peel widths.
+# suite includes the simd parity gate: the row runner must match the
+# interpreter bit for bit, including ragged trips and peel widths.
 cargo test --release -q --test differential
 
 echo "==> backend smoke: compiled, interp, and simd on jacobi"
@@ -99,13 +106,16 @@ mkdir -p results
 runtime_out="$(mktemp /tmp/spfc-runtime-out.XXXXXX)"
 cargo run --release -p sp-bench --bin runtime -- --quick | tee "$runtime_out"
 # The simd column must be present in the artifact and non-regressing:
-# lane-blocked interiors at >= 2x interpreter throughput on every
-# kernel's acceptance line (the binary itself asserts miss parity).
+# the row runner at >= 6x interpreter throughput on every kernel's
+# acceptance line (the binary itself asserts miss parity). Each column
+# is the best of three runs, and the floor is half of what this host
+# reads (13x jacobi, 17x tomcatv): a single sample swings severalfold
+# with whether the pool's barriers spin or park.
 grep -q '"simd"' results/BENCH_runtime.json
 awk '/simd\/interp throughput/ {
   n += 1
   for (i = 1; i < NF; i++) if ($i == "=") { ratio = $(i + 1); sub(/x$/, "", ratio) }
-  if (ratio + 0 < 2.0) { print "FAIL: simd below 2x interp: " $0; bad = 1 }
+  if (ratio + 0 < 6.0) { print "FAIL: simd below 6x interp: " $0; bad = 1 }
 }
 END { if (n == 0) { print "FAIL: no simd/interp acceptance lines"; exit 1 } exit bad }' "$runtime_out"
 # Adaptive scheduling gate: the skewed-load sweep (same seed, all three

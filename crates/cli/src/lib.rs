@@ -1158,7 +1158,7 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             if backend == Backend::Simd {
                 let _ = writeln!(
                     out,
-                    "vectorized {} of {} fused iterations (lane width {})",
+                    "vectorized {} of {} fused iterations (row width {})",
                     c.vec_iters,
                     c.iters,
                     backend.lane_width()

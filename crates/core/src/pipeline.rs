@@ -58,12 +58,41 @@ pub mod pass {
 /// and stable across platforms — collision resistance only has to beat
 /// accidental aliasing among a handful of programs, not an adversary.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] fed piece by piece: the digest of the concatenation of
+/// everything written, without the concatenation ever existing.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The hash of the empty string.
+    pub fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Appends `bytes` to the hashed string.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Content address of one analysis artifact: a hash over the pipeline

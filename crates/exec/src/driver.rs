@@ -24,7 +24,7 @@ use crate::memory::MemView;
 use crate::pool::SenseBarrier;
 use crate::schedule::{GroupChunks, Schedule, VictimSelector};
 use crate::sink::{AccessSink, NullSink};
-use crate::tape::Engine;
+use crate::tape::{Engine, RowScratch};
 use shift_peel_core::analysis::{
     check_blocks, decompose, global_fused_range, nest_regions, ProcBlock,
 };
@@ -78,6 +78,7 @@ pub unsafe fn run_fused_phase<S: AccessSink>(
     engine: Engine<'_>,
     view: &MemView<'_>,
     sink: &mut S,
+    scratch: &mut RowScratch,
     counters: &mut ExecCounters,
 ) {
     let deriv = &group.derivation;
@@ -113,7 +114,9 @@ pub unsafe fn run_fused_phase<S: AccessSink>(
                     if !empty {
                         let region = IterSpace::new(bounds);
                         // SAFETY: forwarded from caller.
-                        unsafe { engine.exec_region(seq, view, nid, &region, sink, counters) };
+                        unsafe {
+                            engine.exec_region(seq, view, nid, &region, sink, scratch, counters)
+                        };
                     }
                 }
             });
@@ -140,7 +143,9 @@ pub unsafe fn run_fused_phase<S: AccessSink>(
                         bounds.extend_from_slice(&f.bounds[fused_levels..]);
                         let region = IterSpace::new(bounds);
                         // SAFETY: forwarded from caller.
-                        unsafe { engine.exec_region(seq, view, nid, &region, sink, counters) };
+                        unsafe {
+                            engine.exec_region(seq, view, nid, &region, sink, scratch, counters)
+                        };
                     }
                 }
             });
@@ -153,6 +158,7 @@ pub unsafe fn run_fused_phase<S: AccessSink>(
 /// # Safety
 /// As [`run_fused_phase`]; peeled sets of distinct processors never
 /// conflict.
+#[allow(clippy::too_many_arguments)]
 pub unsafe fn run_peeled_phase<S: AccessSink>(
     seq: &LoopSequence,
     group: &FusedGroup,
@@ -160,22 +166,21 @@ pub unsafe fn run_peeled_phase<S: AccessSink>(
     engine: Engine<'_>,
     view: &MemView<'_>,
     sink: &mut S,
+    scratch: &mut RowScratch,
     counters: &mut ExecCounters,
 ) {
     let deriv = &group.derivation;
-    // Peel regions are narrow boundary strips; the SIMD engine hands
-    // them to the interpreter (`Engine::boundary`) — lane-blocking has
-    // nothing to win there, and every backend is observationally
-    // identical, so the swap cannot change results or access streams.
-    let engine = engine.boundary();
     for (k, nid) in group.members().enumerate() {
         let regions = nest_regions(&seq.nests[nid], deriv, k, block);
         for r in &regions.peeled {
-            let before = counters.iters;
+            // Peeled iterations are accounted apart from `iters`, and
+            // `vec_iters` counts a subset of `iters`.
+            let (iters, vec_iters) = (counters.iters, counters.vec_iters);
             // SAFETY: forwarded from caller.
-            unsafe { engine.exec_region(seq, view, nid, r, sink, counters) };
-            counters.peeled_iters += counters.iters - before;
-            counters.iters = before;
+            unsafe { engine.exec_region(seq, view, nid, r, sink, scratch, counters) };
+            counters.peeled_iters += counters.iters - iters;
+            counters.iters = iters;
+            counters.vec_iters = vec_iters;
         }
     }
 }
@@ -308,6 +313,7 @@ pub(crate) struct Worker<'s, S: AccessSink> {
     tracer: Option<WorkerTracer>,
     /// `None` never steals: the static schedule and the simulator.
     selector: Option<VictimSelector>,
+    scratch: RowScratch,
 }
 
 impl<'s, S: AccessSink> Worker<'s, S> {
@@ -323,6 +329,7 @@ impl<'s, S: AccessSink> Worker<'s, S> {
             counters: ExecCounters::default(),
             tracer: ctx.trace.map(|(cfg, epoch)| WorkerTracer::new(cfg, epoch)),
             selector,
+            scratch: RowScratch::default(),
         }
     }
 
@@ -386,6 +393,7 @@ pub(crate) unsafe fn run_phase<S: AccessSink>(
                     group.start,
                     &space,
                     w.sink,
+                    &mut w.scratch,
                     &mut w.counters,
                 )
             };
@@ -408,7 +416,14 @@ pub(crate) unsafe fn run_phase<S: AccessSink>(
         unsafe {
             if peeled {
                 run_peeled_phase(
-                    ctx.seq, group, block, ctx.engine, &ctx.view, w.sink, &mut work,
+                    ctx.seq,
+                    group,
+                    block,
+                    ctx.engine,
+                    &ctx.view,
+                    w.sink,
+                    &mut w.scratch,
+                    &mut work,
                 );
             } else {
                 run_fused_phase(
@@ -420,6 +435,7 @@ pub(crate) unsafe fn run_phase<S: AccessSink>(
                     ctx.engine,
                     &ctx.view,
                     w.sink,
+                    &mut w.scratch,
                     &mut work,
                 );
             }

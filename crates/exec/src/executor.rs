@@ -48,13 +48,12 @@ pub enum Backend {
     /// run them with tight non-recursive loops. Bit-for-bit identical
     /// results and access streams to [`Backend::Interp`].
     Compiled,
-    /// Run the micro-op tapes with the unit-stride interior lane-blocked
-    /// [`LANES`](crate::tape::LANES) iterations at a time (portable
-    /// `[f64; LANES]` arrays the compiler autovectorizes); scalar
-    /// head/tail iterations and peel regions reuse the scalar paths.
-    /// Bit-for-bit identical results and access streams to
-    /// [`Backend::Interp`] — per-lane ops round exactly like their
-    /// scalar counterparts.
+    /// Run unit-stride nests — fused interior and peel regions alike —
+    /// as row programs: each arithmetic op is one slice loop over up to
+    /// [`ROW`](crate::tape::ROW) consecutive inner iterations (plain
+    /// loops the compiler autovectorizes). Bit-for-bit identical results
+    /// and access streams to [`Backend::Interp`] — per-column ops round
+    /// exactly like their scalar counterparts.
     Simd,
 }
 
@@ -69,12 +68,12 @@ impl Backend {
         }
     }
 
-    /// Vector lane width this backend dispatches interior iterations
-    /// with (1 for the scalar backends).
+    /// Most consecutive inner iterations this backend dispatches at
+    /// once: the row width for `Simd`, 1 for the scalar backends.
     pub fn lane_width(&self) -> u32 {
         match self {
             Backend::Interp | Backend::Compiled => 1,
-            Backend::Simd => crate::tape::LANES as u32,
+            Backend::Simd => crate::tape::ROW as u32,
         }
     }
 }
@@ -436,11 +435,11 @@ fn plan_of(prog: &Program<'_>, cfg: &RunConfig) -> Result<Arc<FusionPlan>, ExecE
 
 /// Lowers the program to a micro-op tape when the config asks for a
 /// tape backend (`None` means interpret). Both tape backends share one
-/// lowering — the SIMD decision lives in the per-nest `lane_safe`
-/// analysis the lowering pass already ran. An injected tape is used
-/// as-is — its lowering happened elsewhere, so no `Lower` span is
-/// recorded here; fresh lowering is timed into the controller lane,
-/// tagged with the backend's lane width.
+/// lowering — it builds the row programs beside the postfix tapes and
+/// decides per nest (`lane_safe`) which of them `Simd` runs. An
+/// injected tape is used as-is — its lowering happened elsewhere, so no
+/// `Lower` span is recorded here; fresh lowering is timed into the
+/// controller lane, tagged with the backend's row width.
 fn lower_tape(
     prog: &Program<'_>,
     mem: &Memory,
@@ -1014,10 +1013,6 @@ mod tests {
 
     #[test]
     fn simd_backend_reports_vectorized_iterations() {
-        // Wide enough that each processor's interior spans at least one
-        // aligned LANES-wide block even after the scalar head (strip 16
-        // beats LANES = 8; a strip narrower than LANES legally
-        // vectorizes nothing).
         let seq = jacobi(40);
         let prog = Program::new(&seq, 2).unwrap();
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
@@ -1030,14 +1025,10 @@ mod tests {
         assert_eq!(report.backend, "simd");
         assert!(report.tape_ops > 0, "simd runs lower a tape");
         let merged = report.merged_counters();
-        assert!(merged.vec_iters > 0, "interior iterations vectorized");
-        assert!(
-            merged.vec_iters <= merged.iters,
-            "vec_iters {} is a subset of iters {}",
-            merged.vec_iters,
-            merged.iters
-        );
-        assert_eq!(merged.vec_iters % crate::tape::LANES as u64, 0);
+        // Both jacobi nests are lane-safe, so every fused iteration runs
+        // in a row; the peeled ones do too, but are counted apart.
+        assert!(merged.peeled_iters > 0, "the fused plan peels");
+        assert_eq!(merged.vec_iters, merged.iters);
         // Scalar backends never vectorize.
         let mut mem2 = Memory::new(&seq, LayoutStrategy::Contiguous);
         mem2.init_deterministic(&seq, 7);
@@ -1052,6 +1043,62 @@ mod tests {
         // Work counters still compare equal across backends (vec_iters
         // is dispatch accounting, excluded from equality).
         assert_eq!(report.merged_counters(), r2.merged_counters());
+    }
+
+    /// What an observing sink is told does not depend on the backend:
+    /// the row runner replays each chunk in scalar order. One nest with
+    /// both multiply-add shapes, a unary op and a constant on either
+    /// side of an operator, feeding a stencil that makes the fused plan
+    /// shift and peel; serially, and fused over two processors.
+    #[test]
+    fn simd_access_stream_equals_interp_including_peels() {
+        use crate::sink::RecordingSink;
+        use sp_ir::Expr;
+        let n = 20usize;
+        let mut b = SeqBuilder::new("stream");
+        let [a, c, d, e] = ["a", "c", "d", "e"].map(|name| b.array(name, [n, n]));
+        let (lo, hi) = (1, n as i64 - 2);
+        b.nest("L1", [(lo, hi), (lo, hi)], |x| {
+            let r = x.ld(a, [0, -1]) * x.ld(a, [0, 1]) + x.ld(c, [0, 0]);
+            x.assign(d, [0, 0], r);
+            let r = x.ld(c, [0, 0]) + x.ld(a, [-1, 0]) * x.ld(a, [1, 0]);
+            x.assign(e, [0, 0], -r);
+            let r = Expr::Const(2.0) * x.ld(d, [0, 0]) - x.ld(e, [0, 0]) * 0.5;
+            x.assign(c, [0, 0], r);
+        });
+        b.nest("L2", [(lo, hi), (lo, hi)], |x| {
+            let r = x.ld(c, [-1, 0]) + x.ld(c, [1, 0]);
+            x.assign(a, [0, 0], r);
+        });
+        let seq = b.finish();
+        let prog = Program::new(&seq, 1).unwrap();
+        for cfg in [
+            RunConfig::serial().steps(2),
+            RunConfig::fused([2]).strip(4).steps(2),
+        ] {
+            let run = |backend: Backend| {
+                let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+                mem.init_deterministic(&seq, 7);
+                let mut sinks = vec![RecordingSink::default(); cfg.plan().procs()];
+                let cfg = cfg.clone().backend(backend);
+                let report = simulate("sim", &prog, &mut mem, &cfg, &mut sinks).unwrap();
+                let traces: Vec<_> = sinks.into_iter().map(|s| s.trace).collect();
+                (report, traces, mem.snapshot_all(&seq))
+            };
+            let (ri, ti, mi) = run(Backend::Interp);
+            let (rv, tv, mv) = run(Backend::Simd);
+            assert!(ti.iter().all(|t| !t.is_empty()));
+            assert_eq!(ti, tv, "{:?}", cfg.plan());
+            assert_eq!(mi, mv, "{:?}", cfg.plan());
+            for (wi, wv) in ri.workers.iter().zip(&rv.workers) {
+                assert_eq!(wi.counters, wv.counters, "{:?}", cfg.plan());
+            }
+            let merged = rv.merged_counters();
+            assert_eq!(merged.vec_iters, merged.iters);
+            if cfg.plan().procs() > 1 {
+                assert!(merged.peeled_iters > 0, "the fused plan peels");
+            }
+        }
     }
 
     #[test]

@@ -19,14 +19,14 @@ use sp_ir::{Expr, IterSpace, LoopSequence, Statement};
 /// **excluded from equality**: two runs performing identical work compare
 /// equal even though their timings differ. `vec_iters`, `steals`, and
 /// `parks` are likewise excluded — they record *how* work was dispatched
-/// (lane-blocked vs scalar, stolen vs owned, parked vs spun), which is
+/// (in rows vs one at a time, stolen vs owned, parked vs spun), which is
 /// backend- and schedule-dependent, while the work fields are not.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecCounters {
     /// Loop-body iterations executed in fused/original phases.
     pub iters: u64,
-    /// Iterations dispatched through lane-blocked (SIMD) vector blocks;
-    /// a subset of `iters`, zero under the scalar backends.
+    /// Iterations the SIMD backend's row runner executed; a subset of
+    /// `iters`, zero under the scalar backends.
     pub vec_iters: u64,
     /// Iterations executed in peeled phases.
     pub peeled_iters: u64,

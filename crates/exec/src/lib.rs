@@ -85,4 +85,6 @@ pub use sink::{
     RecordingSink,
 };
 pub use sp_trace::{MetricsRegistry, RunTrace, SpanKind, TraceConfig, WorkerTrace};
-pub use tape::{exec_region_tape, AccessPat, Engine, MicroOp, NestTape, ProgramTape, StmtTape};
+pub use tape::{
+    exec_region_tape, AccessPat, Engine, MicroOp, NestTape, ProgramTape, RowScratch, StmtTape, ROW,
+};

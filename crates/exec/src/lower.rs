@@ -16,11 +16,17 @@
 //!   `Add(c, Mul(a, b))` become single three-operand micro-ops
 //!   ([`MicroOp::MulAdd`]/[`MicroOp::AddMul`]); see the rounding and
 //!   ordering invariants documented in [`crate::tape`].
+//! * **Row programs** — each statement's postfix tape is also turned
+//!   into the three-address [`RowStmt`] the row runner executes, and
+//!   each nest gets its lane-safety verdict and row width.
 //!
 //! Work counters stay interpreter-exact because each statement carries
 //! bulk `flops`/`loads` charges taken from the *original* tree.
 
-use crate::tape::{AccessPat, MicroOp, NestTape, ProgramTape, StmtTape, WrapPat};
+use crate::tape::{
+    AccessPat, MicroOp, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat, MIN_ROW,
+    ROW,
+};
 use shift_peel_core::LoweringFootprint;
 use sp_cache::MemoryLayout;
 use sp_ir::{ArrayRef, BinOp, Expr, LoopSequence, UnaryOp};
@@ -40,6 +46,7 @@ impl ProgramTape {
         footprint: &LoweringFootprint,
     ) -> ProgramTape {
         let t0 = Instant::now();
+        let mut rows = RowBuilder::default();
         let mut nests = Vec::with_capacity(footprint.nests);
         for nest in &seq.nests {
             let depth = nest.depth();
@@ -62,6 +69,7 @@ impl ProgramTape {
                 debug_assert_eq!(e.sp, 1, "RHS tape must leave exactly one value");
                 max_stack = max_stack.max(e.max_sp);
                 stmts.push(StmtTape {
+                    row: rows.build(&e.ops),
                     ops: e.ops,
                     store: pats.intern(&stmt.lhs),
                     // Charged from the original tree so counters match
@@ -71,14 +79,15 @@ impl ProgramTape {
                 });
             }
             let stores: Vec<u32> = stmts.iter().map(|st| st.store).collect();
-            let lane_safe = lane_safety(&pats.pats, &stores, depth);
+            let width = row_width(&pats.pats, &stores, depth);
             nests.push(NestTape {
                 depth,
                 elem_bytes: layout.elem_bytes as i64,
                 pats: pats.pats,
                 stmts,
                 max_stack,
-                lane_safe,
+                lane_safe: width.is_some(),
+                row_width: width.unwrap_or(0),
             });
         }
         ProgramTape {
@@ -88,39 +97,148 @@ impl ProgramTape {
     }
 }
 
-/// Decides [`NestTape::lane_safe`] for one lowered nest: whether the
-/// lane-blocked runner may execute the interior [`LANES`](crate::tape::LANES)
-/// iterations at a time and still reproduce the scalar backends bit for
-/// bit. The conditions (each documented on [`NestTape`]):
+/// Decides [`NestTape::lane_safe`] and [`NestTape::row_width`] for one
+/// lowered nest: `Some(width)` when the row runner may execute it in
+/// chunks of `width` consecutive inner iterations and still reproduce
+/// the scalar backends bit for bit. The conditions (each documented on
+/// [`NestTape`]):
 ///
 /// 1. no contracted-array (`wrap`) references;
 /// 2. every pattern's innermost coefficient is exactly 1 (unit stride);
 /// 3. all patterns share one coefficient vector, making every
 ///    pattern-to-pattern slot distance a compile-time constant;
 /// 4. for every store pattern `s` and every pattern `p`, the distance
-///    `Δ = s.slot_base - p.slot_base` is `0` or `|Δ| >= LANES`, so no
-///    dependence at distance `1..LANES` can land inside a vector block.
-fn lane_safety(pats: &[AccessPat], stores: &[u32], depth: usize) -> bool {
-    let Some(first) = pats.first() else {
-        return false;
-    };
+///    `Δ = s.slot_base - p.slot_base` is `0` or `|Δ| >= MIN_ROW`.
+///
+/// The width is the smallest such non-zero `|Δ|`, capped at [`ROW`]: no
+/// dependence at a distance shorter than a chunk can land inside one.
+fn row_width(pats: &[AccessPat], stores: &[u32], depth: usize) -> Option<usize> {
+    let first = pats.first()?;
     if pats.iter().any(|p| p.wrap.is_some()) {
-        return false;
+        return None;
     }
     if pats.iter().any(|p| p.coeffs[depth - 1] != 1) {
-        return false;
+        return None;
     }
     if pats.iter().any(|p| p.coeffs != first.coeffs) {
-        return false;
+        return None;
     }
-    let lanes = crate::tape::LANES as i64;
-    stores.iter().all(|&idx| {
+    let mut width = ROW as u64;
+    for &idx in stores {
         let store = &pats[idx as usize];
-        pats.iter().all(|p| {
-            let delta = store.slot_base - p.slot_base;
-            delta == 0 || delta.abs() >= lanes
-        })
-    })
+        for p in pats {
+            match (store.slot_base - p.slot_base).unsigned_abs() {
+                0 => {}
+                d if d < MIN_ROW as u64 => return None,
+                d => width = width.min(d),
+            }
+        }
+    }
+    Some(width as usize)
+}
+
+/// Builds statements' row programs from their postfix tapes (see
+/// [`RowStmt`]); one builder serves a whole lowering so its working
+/// vectors are allocated once. A temporary is free again once the op
+/// consuming it has been emitted, and a destination is picked before its
+/// operands are freed, so no op writes a row it reads.
+#[derive(Default)]
+struct RowBuilder {
+    stack: Vec<Operand>,
+    out: Vec<RowOp>,
+    /// `live[i]`: temporary `i` holds a value still on the stack.
+    live: Vec<bool>,
+}
+
+impl RowBuilder {
+    fn build(&mut self, ops: &[MicroOp]) -> RowStmt {
+        self.live.clear();
+        // The program is kept as long as the tape: size it exactly.
+        self.out.reserve_exact(
+            ops.iter()
+                .map(|op| match op {
+                    MicroOp::Const(_) | MicroOp::Load(_) => 0,
+                    MicroOp::MulAdd | MicroOp::AddMul => 2,
+                    _ => 1,
+                })
+                .sum(),
+        );
+        for op in ops {
+            match *op {
+                MicroOp::Const(c) => self.stack.push(Operand::Const(c)),
+                MicroOp::Load(j) => self.stack.push(Operand::Row(j)),
+                MicroOp::Add => self.binary_top(BinOp::Add),
+                MicroOp::Sub => self.binary_top(BinOp::Sub),
+                MicroOp::Mul => self.binary_top(BinOp::Mul),
+                MicroOp::Div => self.binary_top(BinOp::Div),
+                MicroOp::Min => self.binary_top(BinOp::Min),
+                MicroOp::Max => self.binary_top(BinOp::Max),
+                MicroOp::Neg => self.unary(UnaryOp::Neg),
+                MicroOp::Abs => self.unary(UnaryOp::Abs),
+                MicroOp::Sqrt => self.unary(UnaryOp::Sqrt),
+                MicroOp::MulAdd => {
+                    let (z, y, x) = (self.pop(), self.pop(), self.pop());
+                    let t = self.binary(BinOp::Mul, x, y);
+                    let r = self.binary(BinOp::Add, t, z);
+                    self.stack.push(r);
+                }
+                MicroOp::AddMul => {
+                    let (z, y, x) = (self.pop(), self.pop(), self.pop());
+                    let t = self.binary(BinOp::Mul, y, z);
+                    let r = self.binary(BinOp::Add, x, t);
+                    self.stack.push(r);
+                }
+            }
+        }
+        let result = self.pop();
+        debug_assert!(
+            self.stack.is_empty(),
+            "RHS tape must leave exactly one value"
+        );
+        RowStmt::new(std::mem::take(&mut self.out), result)
+    }
+
+    fn pop(&mut self) -> Operand {
+        self.stack.pop().expect("postfix tape underflow")
+    }
+
+    fn dst(&mut self) -> u32 {
+        let i = self.live.iter().position(|l| !l).unwrap_or_else(|| {
+            self.live.push(false);
+            self.live.len() - 1
+        });
+        self.live[i] = true;
+        i as u32
+    }
+
+    fn free(&mut self, o: Operand) {
+        if let Operand::Temp(i) = o {
+            self.live[i as usize] = false;
+        }
+    }
+
+    fn unary(&mut self, op: UnaryOp) {
+        let a = self.pop();
+        let dst = self.dst();
+        self.out.push(RowOp::Unary { op, a, dst });
+        self.free(a);
+        self.stack.push(Operand::Temp(dst));
+    }
+
+    fn binary(&mut self, op: BinOp, a: Operand, b: Operand) -> Operand {
+        let dst = self.dst();
+        self.out.push(RowOp::Binary { op, a, b, dst });
+        self.free(a);
+        self.free(b);
+        Operand::Temp(dst)
+    }
+
+    fn binary_top(&mut self, op: BinOp) {
+        let b = self.pop();
+        let a = self.pop();
+        let r = self.binary(op, a, b);
+        self.stack.push(r);
+    }
 }
 
 /// Per-nest lane safety without lowering statement bodies: the decision
@@ -148,7 +266,7 @@ pub fn analyze_lane_safety(seq: &LoopSequence, layout: &MemoryLayout) -> Vec<boo
                 }
                 stores.push(pats.intern(&stmt.lhs));
             }
-            lane_safety(&pats.pats, &stores, depth)
+            row_width(&pats.pats, &stores, depth).is_some()
         })
         .collect()
 }
@@ -300,7 +418,7 @@ mod tests {
     use super::*;
     use crate::interp::run_original;
     use crate::memory::Memory;
-    use crate::sink::RecordingSink;
+    use crate::sink::{NullSink, RecordingSink};
     use crate::tape::Engine;
     use sp_cache::LayoutStrategy;
     use sp_ir::SeqBuilder;
@@ -386,8 +504,8 @@ mod tests {
     }
 
     /// The lane-safety classifier: stencils over distinct arrays and
-    /// outer-carried recurrences vectorize; inner serial recurrences and
-    /// contracted arrays fall back to the scalar runner.
+    /// outer-carried recurrences run in rows; inner serial recurrences
+    /// and contracted arrays fall back to the scalar runner.
     #[test]
     fn lane_safety_classifies_nests() {
         let n = 16usize;
@@ -396,19 +514,19 @@ mod tests {
         let c = b.array("c", [n, n]);
         let v = b.array("v", [n]);
         // Distinct source/destination arrays: slot distance is the whole
-        // inter-array gap (>= LANES), safe.
+        // inter-array gap (>= MIN_ROW), safe.
         b.nest("stencil", [(1, 14), (1, 14)], |x| {
             let r = x.ld(a, [0, -1]) + x.ld(a, [0, 1]);
             x.assign(c, [0, 0], r);
         });
         // Outer-carried recurrence: store a[i][j], load a[i-1][j] — the
-        // slot distance is one row (n >= LANES), safe.
+        // slot distance is one row (n >= MIN_ROW), safe.
         b.nest("outer", [(1, 14), (1, 14)], |x| {
             let r = x.ld(a, [-1, 0]) + x.ld(c, [0, 0]);
             x.assign(a, [0, 0], r);
         });
         // Inner serial recurrence: store v[i], load v[i-1] — distance 1
-        // lands inside a vector block, unsafe.
+        // is below MIN_ROW, unsafe.
         b.nest("serial", [(1, 14)], |x| {
             let r = x.ld(v, [-1]) + Expr::Const(1.0);
             x.assign(v, [0], r);
@@ -426,6 +544,103 @@ mod tests {
         wrapped.layout.contract(sp_ir::ArrayId(0), 3);
         let tape = ProgramTape::lower(&seq, &wrapped.layout);
         assert!(!tape.nests[0].lane_safe, "wrap pattern disqualifies");
+    }
+
+    /// The three-address form of the two multiply-add shapes and of a
+    /// pure copy: `Mul` then `Add` with the product as the operand the
+    /// source had it as, rows read in place, and no instruction at all
+    /// for a copy.
+    #[test]
+    fn row_programs_are_three_address_and_read_rows_in_place() {
+        let mut b = SeqBuilder::new("rows");
+        let [a, c, d, e] = ["a", "c", "d", "e"].map(|name| b.array(name, [8usize, 8]));
+        b.nest("L1", [(1, 6), (1, 6)], |x| {
+            // Patterns intern in evaluation order: a[0,0]=0, a[0,1]=1,
+            // c[0,0]=2, then the store d[0,0]=3.
+            let r = x.ld(a, [0, 0]) * x.ld(a, [0, 1]) + x.ld(c, [0, 0]);
+            x.assign(d, [0, 0], r);
+            let r = x.ld(c, [0, 0]) + x.ld(a, [0, 0]) * x.ld(a, [0, 1]);
+            x.assign(d, [0, 0], r);
+            let r = x.ld(a, [0, 0]);
+            x.assign(e, [0, 0], r);
+        });
+        let seq = b.finish();
+        let mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+        let tape = ProgramTape::lower(&seq, &mem.layout);
+        let stmts = &tape.nests[0].stmts;
+        let mul = RowOp::Binary {
+            op: BinOp::Mul,
+            a: Operand::Row(0),
+            b: Operand::Row(1),
+            dst: 0,
+        };
+        assert_eq!(stmts[0].ops.last(), Some(&MicroOp::MulAdd));
+        assert_eq!(
+            stmts[0].row.ops(),
+            [
+                mul,
+                RowOp::Binary {
+                    op: BinOp::Add,
+                    a: Operand::Temp(0),
+                    b: Operand::Row(2),
+                    dst: 1,
+                },
+            ]
+        );
+        assert_eq!(stmts[0].row.result(), Operand::Temp(1));
+        assert_eq!(stmts[1].ops.last(), Some(&MicroOp::AddMul));
+        assert_eq!(
+            stmts[1].row.ops(),
+            [
+                mul,
+                RowOp::Binary {
+                    op: BinOp::Add,
+                    a: Operand::Row(2),
+                    b: Operand::Temp(0),
+                    dst: 1,
+                },
+            ]
+        );
+        assert_eq!(stmts[1].row.result(), Operand::Temp(1));
+        assert_eq!(stmts[2].row.ops(), []);
+        assert_eq!(stmts[2].row.result(), Operand::Row(0));
+    }
+
+    /// A dependence at distance `MIN_ROW <= Δ < ROW` narrows the chunk to
+    /// `Δ`: carried by the outer loop over rows of 12 and of 40 (one
+    /// chunk per row, so `Δ` is also the widest chunk ever asked for),
+    /// and carried by the inner loop itself at the same distances, where
+    /// a trip of many `Δ`s would go wrong with any wider chunk.
+    #[test]
+    fn row_width_is_bounded_by_the_dependence_distance() {
+        for delta in [12usize, 40] {
+            let mut b = SeqBuilder::new("delta");
+            let a = b.array("a", [6, delta]);
+            let c = b.array("c", [6, delta]);
+            let v = b.array("v", [10 * delta + 5]);
+            b.nest("outer", [(1, 5), (0, delta as i64 - 1)], |x| {
+                let r = x.ld(a, [-1, 0]) * 0.5 + x.ld(c, [0, 0]);
+                x.assign(a, [0, 0], r);
+            });
+            b.nest("inner", [(delta as i64, 10 * delta as i64 + 4)], |x| {
+                let r = x.ld(v, [-(delta as i64)]) * 0.5 + 1.0;
+                x.assign(v, [0], r);
+            });
+            let seq = b.finish();
+            let mut m1 = Memory::new(&seq, LayoutStrategy::Contiguous);
+            m1.init_deterministic(&seq, 3);
+            let mut m2 = m1.clone();
+            let tape = ProgramTape::lower(&seq, &m2.layout);
+            for nest in &tape.nests {
+                assert!(nest.lane_safe, "Δ = {delta} >= MIN_ROW");
+                assert_eq!(nest.row_width, delta);
+            }
+            let c1 = run_original(&seq, &mut m1, &mut NullSink);
+            let c2 = Engine::Simd(&tape).run_original(&seq, &mut m2, &mut NullSink);
+            assert_eq!(m1.snapshot_all(&seq), m2.snapshot_all(&seq), "Δ = {delta}");
+            assert_eq!(c1, c2);
+            assert_eq!(c2.vec_iters, c2.iters);
+        }
     }
 
     /// Contracted (wrapped) arrays take the modulo slow path and must

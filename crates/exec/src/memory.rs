@@ -189,6 +189,18 @@ impl<'a> MemView<'a> {
         debug_assert!(slot < self.len);
         unsafe { *self.base.add(slot) = v }
     }
+
+    /// Pointer to the row of `n` consecutive slots starting at `slot`
+    /// (the row runner reads and writes whole rows in place through it).
+    ///
+    /// # Safety
+    /// `slot + n` must be in bounds for the backing store; every access
+    /// through the pointer falls under the type-level contract.
+    #[inline]
+    pub unsafe fn row_ptr(&self, slot: usize, n: usize) -> *mut f64 {
+        debug_assert!(slot + n <= self.len);
+        unsafe { self.base.add(slot) }
+    }
 }
 
 #[cfg(test)]

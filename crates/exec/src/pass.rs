@@ -14,8 +14,8 @@ use std::sync::Arc;
 /// The name the lane-safety artifact is stored under.
 pub const LANE_SAFETY_PASS: &str = "lane-safety";
 
-/// Decides, per nest, whether the lane-blocked SIMD tape runner may
-/// execute interior iterations `LANES` at a time (see
+/// Decides, per nest, whether the SIMD backend's row runner may
+/// execute inner iterations a chunk at a time (see
 /// [`analyze_lane_safety`]). The artifact is a `Vec<bool>` indexed by
 /// nest. Layout-bound: the fingerprint covers the full
 /// [`MemoryLayout`], so a padding or placement change invalidates the

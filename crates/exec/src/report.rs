@@ -187,7 +187,7 @@ impl RunReport {
         );
         reg.counter(
             "spfc_vec_iters_total",
-            "Iterations dispatched through lane-blocked vector blocks",
+            "Iterations executed by the row runner",
             m.vec_iters,
         );
         reg.counter(

@@ -2,13 +2,22 @@
 //!
 //! The interpreter is generic over an [`AccessSink`]; plugging in a cache
 //! simulator turns an execution into a trace-driven miss measurement,
-//! while [`NullSink`] compiles the reporting away entirely for plain
-//! correctness runs and wall-clock benchmarks.
+//! while [`NullSink`] declares at compile time ([`AccessSink::OBSERVES`])
+//! that nobody is listening, so plain correctness runs and wall-clock
+//! benchmarks skip the reporting entirely.
 
 use sp_cache::{Cache, CacheHierarchy, CacheStats, ClassifyingCache, InfiniteCache};
 
 /// Consumer of the interpreter's memory-access stream.
 pub trait AccessSink {
+    /// Whether this sink looks at what it is told. A backend that
+    /// reports accesses in a loop of their own (the row runner's
+    /// scalar-order replay, see [`crate::tape`]) skips that loop when
+    /// this is `false`. The optimizer cannot be trusted to: the replay
+    /// walks data-dependent tapes, and a loop with an empty body is
+    /// still a loop.
+    const OBSERVES: bool = true;
+
     /// Called once per scalar access with its byte address.
     fn access(&mut self, addr: u64, is_write: bool);
 }
@@ -18,6 +27,8 @@ pub trait AccessSink {
 pub struct NullSink;
 
 impl AccessSink for NullSink {
+    const OBSERVES: bool = false;
+
     #[inline(always)]
     fn access(&mut self, _addr: u64, _is_write: bool) {}
 }

@@ -303,9 +303,9 @@ pub struct RuntimeRow {
     /// same plan and pool as `pooled`, lowered bodies instead of the
     /// interpreter.
     pub compiled: RunReport,
-    /// Pool run with the lane-blocked SIMD backend ([`Backend::Simd`]);
-    /// same plan, pool, and tape as `compiled`, interiors executed
-    /// `LANES` iterations at a time.
+    /// Pool run with the row-runner backend ([`Backend::Simd`]); same
+    /// plan, pool, and tape as `compiled`, each op executed over a row
+    /// of inner iterations at a time.
     pub simd: RunReport,
     /// The `compiled` run repeated with per-worker event tracing
     /// enabled: its throughput against `compiled`'s measures the cost of
@@ -404,7 +404,7 @@ pub struct MissParity {
     pub interp: Vec<u64>,
     /// Per-processor misses under the compiled tape backend.
     pub compiled: Vec<u64>,
-    /// Per-processor misses under the lane-blocked SIMD backend.
+    /// Per-processor misses under the row-runner (SIMD) backend.
     pub simd: Vec<u64>,
 }
 
@@ -621,8 +621,6 @@ mod tests {
     #[test]
     fn runtime_sweep_includes_verified_compiled_run() {
         let seq = seq3(64);
-        // Strip 16: wide enough that each strip still holds an aligned
-        // LANES-wide interior after its scalar head.
         let rows = runtime_sweep(&seq, &[2], 16, &[1, 3]).unwrap();
         assert_eq!(rows.len(), 2);
         for row in &rows {
@@ -634,7 +632,7 @@ mod tests {
             assert_eq!(row.simd.total_iters(), row.pooled.total_iters());
             assert!(
                 row.simd.merged_counters().vec_iters > 0,
-                "simd run vectorized some interior iterations"
+                "simd run executed its iterations in rows"
             );
         }
     }

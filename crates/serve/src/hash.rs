@@ -24,7 +24,7 @@ use std::fmt;
 /// miss (or fail the disk-format check) instead of serving stale plans.
 pub const CACHE_FORMAT_VERSION: &str = "spfc-cache-v1";
 
-pub use shift_peel_core::pipeline::fnv1a64;
+pub use shift_peel_core::pipeline::{fnv1a64, Fnv1a64};
 
 /// Content address of one compilation artifact.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -126,5 +126,11 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Fed in pieces, the same string hashes the same.
+        let mut h = Fnv1a64::new();
+        h.write(b"foo");
+        h.write(b"");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
     }
 }

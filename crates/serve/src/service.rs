@@ -16,7 +16,7 @@
 //! a clean state for the next job.
 
 use crate::cache::{Artifact, ArtifactCache, ArtifactCacheConfig, CacheCounters, Tier};
-use crate::hash::{fnv1a64, CacheKey};
+use crate::hash::{CacheKey, Fnv1a64};
 use crate::obs::{flush_stage_stats, ServeObs, StageStats};
 use shift_peel_core::pipeline::pass;
 use shift_peel_core::{
@@ -1105,14 +1105,16 @@ fn run_job_stages(
 }
 
 /// FNV digest over array lengths and the exact bit patterns of every
-/// element — equal digests mean bit-for-bit equal outputs.
+/// element — equal digests mean bit-for-bit equal outputs. Streamed, so
+/// the respond stage holds no third copy of a job's output beside its
+/// memory and its snapshot: that stage sets the service's peak heap.
 pub fn snapshot_digest(arrays: &[Vec<f64>]) -> u64 {
-    let mut bytes = Vec::with_capacity(arrays.iter().map(|a| 8 * a.len() + 8).sum());
+    let mut h = Fnv1a64::new();
     for a in arrays {
-        bytes.extend_from_slice(&(a.len() as u64).to_le_bytes());
+        h.write(&(a.len() as u64).to_le_bytes());
         for v in a {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            h.write(&v.to_bits().to_le_bytes());
         }
     }
-    fnv1a64(&bytes)
+    h.finish()
 }

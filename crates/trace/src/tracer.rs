@@ -112,9 +112,10 @@ pub struct TraceEvent {
     /// Plan group index (or nest index for dynamic runs), or
     /// [`NO_INDEX`].
     pub group: u32,
-    /// Vector lane width of the work this span covered (`lower` spans
-    /// record the backend's lane width: 1 for scalar tapes, the SIMD
-    /// backend's `LANES` otherwise), or [`NO_INDEX`].
+    /// Most consecutive iterations the work this span covered
+    /// dispatches at once (`lower` spans record the backend's: 1 for
+    /// scalar tapes, the row width for the SIMD backend), or
+    /// [`NO_INDEX`].
     pub lanes: u32,
 }
 

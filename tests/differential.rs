@@ -4,13 +4,14 @@
 //! references (1-4 nests, 1-3 dimensions, occasional serial recurrences),
 //! and every program is run as original / blocked / shift-and-peel fused
 //! (strip-mined and direct), under the interpreter, the compiled tape
-//! backend, and the lane-blocked SIMD backend, on the deterministic
+//! backend, and the row-runner SIMD backend, on the deterministic
 //! simulator and the pooled threaded runtime. All of it must agree
 //! **bit for bit** with the serial interpreted reference — f64 results,
 //! work counters, and (for the simulator) per-processor cache miss
 //! counts. A deterministic sweep additionally pins the SIMD backend at
-//! every peel width 0..=3 against trip counts that are not multiples of
-//! the lane width, so scalar heads and tails are always exercised.
+//! every peel width 0..=3 against inner trips on either side of the
+//! row runner's chunk width, so short, exact and ragged chunks are
+//! always exercised.
 
 use proptest::prelude::*;
 use shift_peel::core::CodegenMethod;
@@ -298,47 +299,63 @@ proptest! {
     }
 }
 
-/// Deterministic pin of the SIMD backend's scalar head / tail / peel
-/// machinery: every peel width 0..=3 crossed with trip counts around the
-/// lane width (7, 8, 9) and a non-multiple past two lanes (19). The lane
-/// width is 8, so these cover "no full lane", "exactly one lane",
-/// "lane + scalar tail", and "misaligned head + lanes + tail".
+/// Deterministic pin of the row runner's chunking and peel handling:
+/// every peel width 0..=3 crossed with inner trips around the old lane
+/// width (7, 8, 9, 19) and around the chunk boundary (`ROW - 1`, `ROW`,
+/// `ROW + 1`, `2 * ROW + 3`: "one short chunk", "exactly one", "one and
+/// a column", "two and a tail"), as a 1-D nest (the chunked loop is the
+/// fused, blocked one) and a 2-D nest (chunks along rows, blocks and
+/// peels across them), under all three schedules.
 #[test]
 fn simd_peel_widths_and_ragged_trips_match_interp() {
-    for w in 0..=3i64 {
-        for trip in [7usize, 8, 9, 19] {
-            let n = trip + 8; // bounds (4, n - 5) give exactly `trip` iterations
-            let mut b = SeqBuilder::new("peelsweep");
-            let a = b.array("a", [n]);
-            let c = b.array("c", [n]);
-            let bounds = [(4i64, n as i64 - 5)];
-            b.nest("L1", bounds, |x| {
-                let r = x.ld(a, [0]) * 0.5;
-                x.assign(a, [0], r);
-            });
-            // Reads at +/- w force a shift of w and peel of w when fused.
-            b.nest("L2", bounds, |x| {
-                let r = x.ld(a, [w]) + x.ld(a, [-w]);
-                x.assign(c, [0], r);
-            });
-            let seq = b.finish();
-            let prog = Program::new(&seq, 1).expect("analysis");
-            let (_, want) = run_config(&seq, &prog, &RunConfig::serial().steps(3), None);
-            for procs in [1usize, 2] {
-                let cfg = RunConfig::fused([procs]).steps(3);
+    use shift_peel::exec::ROW;
+    for (w, trip, depth) in (0..=3i64)
+        .flat_map(|w| [7, 8, 9, 19, ROW - 1, ROW, ROW + 1, 2 * ROW + 3].map(|t| (w, t)))
+        .flat_map(|(w, t)| [1usize, 2].map(|d| (w, t, d)))
+    {
+        let n = trip + 8; // bounds (4, n - 5) give exactly `trip` iterations
+        let mut b = SeqBuilder::new("peelsweep");
+        // The last dimension has the trip under test; a 2-D nest puts
+        // 8 rows of it under a fused outer loop.
+        let inner = (4, n as i64 - 5);
+        let (dims, bounds) = match depth {
+            1 => (vec![n], vec![inner]),
+            _ => (vec![16, n], vec![(4, 11), inner]),
+        };
+        let at = |o: i64| match depth {
+            1 => vec![o],
+            _ => vec![o, 0],
+        };
+        let a = b.array("a", dims.clone());
+        let c = b.array("c", dims);
+        b.nest("L1", bounds.clone(), |x| {
+            let r = x.ld(a, at(0)) * 0.5;
+            x.assign(a, at(0), r);
+        });
+        // Reads at +/- w force a shift of w and peel of w when fused.
+        b.nest("L2", bounds, |x| {
+            let r = x.ld(a, at(w)) + x.ld(a, at(-w));
+            x.assign(c, at(0), r);
+        });
+        let seq = b.finish();
+        let prog = Program::new(&seq, 1).expect("analysis");
+        let (_, want) = run_config(&seq, &prog, &RunConfig::serial().steps(3), None);
+        for procs in [1usize, 2] {
+            let mut pooled = PooledExecutor::new(procs);
+            for schedule in [Schedule::Static, Schedule::Guided, Schedule::Stealing] {
+                let at = format!(
+                    "w={w} trip={trip} depth={depth} P={procs} {}",
+                    schedule.name()
+                );
+                let cfg = RunConfig::fused([procs]).steps(3).schedule(schedule);
                 let (ri, si) = run_config(&seq, &prog, &cfg, None);
                 let vcfg = cfg.clone().backend(Backend::Simd);
                 let (rv, sv) = run_config(&seq, &prog, &vcfg, None);
-                assert_eq!(si, want, "interp w={w} trip={trip} P={procs}");
-                assert_eq!(sv, want, "simd w={w} trip={trip} P={procs}");
-                assert_eq!(
-                    ri.merged_counters(),
-                    rv.merged_counters(),
-                    "counters w={w} trip={trip} P={procs}"
-                );
-                let mut pooled = PooledExecutor::new(procs);
+                assert_eq!(si, want, "interp {at}");
+                assert_eq!(sv, want, "simd {at}");
+                assert_eq!(ri.merged_counters(), rv.merged_counters(), "counters {at}");
                 let (_, sp) = run_config(&seq, &prog, &vcfg, Some(&mut pooled));
-                assert_eq!(sp, want, "pooled simd w={w} trip={trip} P={procs}");
+                assert_eq!(sp, want, "pooled simd {at}");
             }
         }
     }
