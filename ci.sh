@@ -30,6 +30,13 @@ if grep -rnE --include='*.rs' 'vector_block|scalar_span|fn boundary' crates/exec
   echo "FAIL: a second simd inner loop or a peel detour is back in sp-exec"
   exit 1
 fi
+# A statement has one lowered form, the row program. The postfix stack
+# machine it was once built from, and the lane-safety pass that re-derived
+# a verdict lowering already holds, must not grow back.
+if grep -rnE 'MicroOp|max_stack|analyze_lane_safety|LaneSafetyPass' crates/ src/ tests/ examples/; then
+  echo "FAIL: a second lowered form or a second row-width verdict is back"
+  exit 1
+fi
 for def in 'fn fnv1a64' 'fn splitmix64' 'fn string(&mut self)'; do
   n="$(grep -rn --include='*.rs' -F "$def" crates/ src/ tests/ examples/ | wc -l)"
   if [ "$n" -gt 1 ]; then

@@ -4,7 +4,7 @@
 //! (the pool under `Schedule::Stealing` over four-iteration chunks),
 //! across timestep counts — plus the backend
 //! ablation: the pooled run repeated with loop bodies lowered to
-//! compiled micro-op tapes instead of the tree-walking interpreter.
+//! row programs instead of walked as trees by the interpreter.
 //!
 //! The scoped runtime pays thread creation and barrier construction on
 //! *every* timestep; the pool pays it once per process, so its advantage

@@ -1151,7 +1151,7 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             if backend != Backend::Interp {
                 let _ = writeln!(
                     out,
-                    "lowered {} micro-ops in {} ns",
+                    "lowered {} row ops in {} ns",
                     report.tape_ops, report.lower_nanos
                 );
             }

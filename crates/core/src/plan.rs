@@ -115,9 +115,9 @@ impl FusionPlan {
     }
 }
 
-/// Allocation-sizing metadata for lowering a sequence to compiled tapes
-/// (see `sp-exec`'s `lower` module): how many nest/statement tapes to
-/// reserve and how deep the per-statement value stack can get.
+/// Allocation-sizing metadata for lowering a sequence to a tape (see
+/// `sp-exec`'s `lower` module): how many nest/statement tapes to reserve
+/// and how long a statement's row program can get.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoweringFootprint {
     /// Loop nests (one tape each).
@@ -127,7 +127,7 @@ pub struct LoweringFootprint {
     /// Deepest loop nest.
     pub max_depth: usize,
     /// Largest RHS expression-node count; an upper bound on both a
-    /// statement's micro-op count and its value-stack depth.
+    /// statement's row-op count and its load count.
     pub max_rhs_nodes: usize,
 }
 

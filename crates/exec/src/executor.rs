@@ -44,16 +44,18 @@ pub enum Backend {
     /// semantics).
     #[default]
     Interp,
-    /// Lower bodies once into flat micro-op tapes ([`crate::lower`]) and
-    /// run them with tight non-recursive loops. Bit-for-bit identical
-    /// results and access streams to [`Backend::Interp`].
+    /// Lower each statement once into a row program ([`crate::lower`])
+    /// and run it a column at a time with a tight non-recursive loop.
+    /// Bit-for-bit identical results and access streams to
+    /// [`Backend::Interp`].
     Compiled,
-    /// Run unit-stride nests — fused interior and peel regions alike —
-    /// as row programs: each arithmetic op is one slice loop over up to
-    /// [`ROW`](crate::tape::ROW) consecutive inner iterations (plain
-    /// loops the compiler autovectorizes). Bit-for-bit identical results
-    /// and access streams to [`Backend::Interp`] — per-column ops round
-    /// exactly like their scalar counterparts.
+    /// The same row programs, a row at a time wherever a nest allows it
+    /// — fused interior and peel regions alike: each arithmetic op is
+    /// one slice loop over up to [`ROW`](crate::tape::ROW) consecutive
+    /// inner iterations (plain loops the compiler autovectorizes).
+    /// Bit-for-bit identical results and access streams to
+    /// [`Backend::Interp`] — per-column ops round exactly like their
+    /// scalar counterparts.
     Simd,
 }
 
@@ -250,7 +252,9 @@ impl RunConfig {
     /// (compiled unless [`Backend::Simd`] was already chosen — both run
     /// the same tapes). The report charges the tape's own lowering time
     /// to `lower_nanos` (the work happened, just outside the run) and
-    /// leaves `cached` false.
+    /// leaves `cached` false. The tape must come from this program under
+    /// the run's memory layout; executors reject one whose nest shapes or
+    /// layout differ with [`ExecError::Config`].
     pub fn with_tape(mut self, tape: Arc<ProgramTape>) -> Self {
         if self.backend == Backend::Interp {
             self.backend = Backend::Compiled;
@@ -433,13 +437,14 @@ fn plan_of(prog: &Program<'_>, cfg: &RunConfig) -> Result<Arc<FusionPlan>, ExecE
     prog.fusion_plan_for(cfg.plan())
 }
 
-/// Lowers the program to a micro-op tape when the config asks for a
-/// tape backend (`None` means interpret). Both tape backends share one
-/// lowering — it builds the row programs beside the postfix tapes and
-/// decides per nest (`lane_safe`) which of them `Simd` runs. An
-/// injected tape is used as-is — its lowering happened elsewhere, so no
-/// `Lower` span is recorded here; fresh lowering is timed into the
-/// controller lane, tagged with the backend's row width.
+/// Lowers the program to a tape when the config asks for a tape backend
+/// (`None` means interpret). Both tape backends share one lowering — one
+/// row program per statement and a row width per nest, which says where
+/// `Simd` runs rows. An injected tape is checked against the program and
+/// the layout (a cache can never make an executor run a tape lowered for
+/// something else) and then used as it is — its lowering happened
+/// elsewhere, so no `Lower` span is recorded here; fresh lowering is
+/// timed into the controller lane, tagged with the backend's row width.
 fn lower_tape(
     prog: &Program<'_>,
     mem: &Memory,
@@ -450,6 +455,7 @@ fn lower_tape(
         Backend::Interp => Ok(None),
         backend @ (Backend::Compiled | Backend::Simd) => {
             if let Some(t) = cfg.injected_tape() {
+                t.check_lowered_for(prog.seq(), &mem.layout)?;
                 return Ok(Some(Arc::clone(t)));
             }
             let t0 = Instant::now();
@@ -523,10 +529,12 @@ impl<'c> Prepared<'c> {
     }
 
     fn engine(&self) -> Engine<'_> {
-        match (self.cfg.backend_choice(), &self.tape) {
-            (Backend::Simd, Some(t)) => Engine::Simd(t),
-            (_, Some(t)) => Engine::Compiled(t),
-            (_, None) => Engine::Interp,
+        match &self.tape {
+            Some(tape) => Engine::Tape {
+                tape,
+                rows: self.cfg.backend_choice() == Backend::Simd,
+            },
+            None => Engine::Interp,
         }
     }
 
@@ -871,6 +879,19 @@ mod tests {
         b.finish()
     }
 
+    /// A different program over the same two arrays: one copying nest.
+    fn copy(n: usize) -> LoopSequence {
+        let mut b = SeqBuilder::new("copy");
+        let a = b.array("a", [n, n]);
+        let c = b.array("c", [n, n]);
+        let (lo, hi) = (1, n as i64 - 2);
+        b.nest("L1", [(lo, hi), (lo, hi)], |x| {
+            let r = x.ld(a, [0, 0]);
+            x.assign(c, [0, 0], r);
+        });
+        b.finish()
+    }
+
     fn snapshot_after(ex: &mut dyn Executor, cfg: &RunConfig, seq: &LoopSequence) -> Vec<Vec<f64>> {
         let prog = Program::new(seq, 2).unwrap();
         let mut mem = Memory::new(seq, LayoutStrategy::Contiguous);
@@ -1025,7 +1046,7 @@ mod tests {
         assert_eq!(report.backend, "simd");
         assert!(report.tape_ops > 0, "simd runs lower a tape");
         let merged = report.merged_counters();
-        // Both jacobi nests are lane-safe, so every fused iteration runs
+        // Both jacobi nests have a row width, so every fused iteration runs
         // in a row; the peeled ones do too, but are counted apart.
         assert!(merged.peeled_iters > 0, "the fused plan peels");
         assert_eq!(merged.vec_iters, merged.iters);
@@ -1110,7 +1131,7 @@ mod tests {
         let cfg = RunConfig::fused([2, 2]).strip(4).backend(Backend::Compiled);
         let report = SimExecutor.run(&prog, &mut mem, &cfg).unwrap();
         assert_eq!(report.backend, "compiled");
-        assert!(report.tape_ops > 0, "tape has micro-ops");
+        assert!(report.tape_ops > 0, "tape has row ops");
         // Interp runs report no tape at all.
         let mut mem2 = Memory::new(&seq, LayoutStrategy::Contiguous);
         mem2.init_deterministic(&seq, 7);
@@ -1185,16 +1206,7 @@ mod tests {
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         mem.init_deterministic(&seq, 7);
         // A plan for a *different* program: wrong nest coverage.
-        let other = {
-            let mut b = SeqBuilder::new("other");
-            let a = b.array("a", [32, 32]);
-            let c = b.array("c", [32, 32]);
-            b.nest("L1", [(1, 30), (1, 30)], |x| {
-                let r = x.ld(a, [0, 0]);
-                x.assign(c, [0, 0], r);
-            });
-            b.finish()
-        };
+        let other = copy(32);
         let other_prog = Program::new(&other, 2).unwrap();
         let cfg = RunConfig::fused([2, 2]).strip(4);
         let wrong = other_prog.fusion_plan_for(cfg.plan()).unwrap();
@@ -1209,6 +1221,46 @@ mod tests {
             .run(&prog, &mut mem, &cfg.prederived(wrong_levels))
             .unwrap_err();
         assert!(matches!(err, ExecError::Config(_)), "{err:?}");
+    }
+
+    /// An injected tape indexes `nests` by nest and trusts its baked-in
+    /// slots; one lowered for another sequence, or for this sequence
+    /// under another layout, must be refused before anything runs.
+    #[test]
+    fn mismatched_injected_tape_is_rejected() {
+        let seq = jacobi(24);
+        let prog = Program::new(&seq, 2).unwrap();
+        let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+        mem.init_deterministic(&seq, 7);
+        let before = mem.snapshot_all(&seq);
+        let tape_for = |seq: &LoopSequence, layout: LayoutStrategy| {
+            Arc::new(ProgramTape::lower(seq, &Memory::new(seq, layout).layout))
+        };
+        let wrong = [
+            (
+                "fewer nests",
+                tape_for(&copy(24), LayoutStrategy::Contiguous),
+            ),
+            ("padded rows", tape_for(&seq, LayoutStrategy::InnerPad(3))),
+            (
+                "larger arrays",
+                tape_for(&jacobi(32), LayoutStrategy::Contiguous),
+            ),
+        ];
+        for (what, tape) in wrong {
+            for cfg in [RunConfig::serial(), RunConfig::fused([2, 2]).strip(4)] {
+                for cfg in [
+                    cfg.clone().with_tape(Arc::clone(&tape)),
+                    cfg.precompiled(Arc::clone(&tape)),
+                ] {
+                    let err = SimExecutor.run(&prog, &mut mem, &cfg).unwrap_err();
+                    assert!(matches!(err, ExecError::Config(_)), "{what}: {err:?}");
+                    let err = ScopedExecutor.run(&prog, &mut mem, &cfg.backend(Backend::Simd));
+                    assert!(matches!(err, Err(ExecError::Config(_))), "{what}: {err:?}");
+                }
+            }
+        }
+        assert_eq!(mem.snapshot_all(&seq), before, "nothing ran");
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   cache simulators, trace recording);
 //! * [`interp`] — the statement/region interpreter and the serial
 //!   reference executor;
-//! * [`tape`] / [`lower`] — the compiled backend: a lowering pass turns
-//!   loop bodies into flat micro-op tapes (folded constants, precomputed
-//!   strides, fused multiply-add shapes) that a tight non-recursive loop
-//!   executes bit-for-bit identically to the interpreter, selectable per
-//!   run via [`RunConfig::backend`];
+//! * [`tape`] / [`lower`] — the lowered backends: a lowering pass turns
+//!   each statement into one three-address row program (folded
+//!   constants, precomputed strides) that one non-recursive runner
+//!   executes a column or a row at a time, bit-for-bit identically to
+//!   the interpreter, selectable per run via [`RunConfig::backend`];
 //! * [`driver`] — the one executor core: fused (strip-mined or direct)
 //!   and peeled phase bodies, the per-run phase list, and the single
 //!   per-worker phase function every runtime calls;
@@ -22,8 +22,7 @@
 //!   [`SenseBarrier`];
 //! * [`exec`] — [`Program`] (a sequence bound to its analysis) and
 //!   [`ExecPlan`] (what to execute);
-//! * [`pass`] — sp-exec's contributions to the core pass pipeline:
-//!   [`LaneSafetyPass`] and the per-pass timing export
+//! * [`pass`] — the per-pass timing export of the core pass pipeline
 //!   ([`register_pass_metrics`]);
 //! * [`executor`] — the [`Executor`] trait with its three runtimes
 //!   ([`ScopedExecutor`], [`PooledExecutor`], [`SimExecutor`]) — thin
@@ -69,9 +68,8 @@ pub use executor::{
     Backend, Executor, PooledExecutor, RunConfig, ScopedExecutor, SimExecutor, SinkChoice,
 };
 pub use interp::{exec_region, exec_statement, run_original, ExecCounters};
-pub use lower::analyze_lane_safety;
 pub use memory::{MemView, Memory};
-pub use pass::{register_pass_metrics, LaneSafetyPass, LANE_SAFETY_PASS};
+pub use pass::register_pass_metrics;
 pub use pool::{SenseBarrier, WorkerPool};
 pub use report::{RunReport, WorkerReport};
 pub use schedule::{
@@ -86,5 +84,5 @@ pub use sink::{
 };
 pub use sp_trace::{MetricsRegistry, RunTrace, SpanKind, TraceConfig, WorkerTrace};
 pub use tape::{
-    exec_region_tape, AccessPat, Engine, MicroOp, NestTape, ProgramTape, RowScratch, StmtTape, ROW,
+    exec_region_tape, AccessPat, Engine, NestTape, ProgramTape, RowScratch, StmtTape, ROW,
 };

@@ -1,7 +1,8 @@
 //! The lowering pass: `Expr` trees + a memory layout → [`ProgramTape`].
 //!
 //! Lowering runs once per executor run (it is layout-bound) and does the
-//! work the interpreter would otherwise repeat every iteration:
+//! work the interpreter would otherwise repeat every iteration. One
+//! recursive walk per statement does all of it:
 //!
 //! * **Address precomputation** — every array reference collapses to an
 //!   [`AccessPat`]: one base slot/byte-address plus a combined stride
@@ -9,27 +10,26 @@
 //!   identical references within a nest deduplicated. References into
 //!   contracted arrays keep their dimension-0 subscript as a
 //!   per-access modulo term.
-//! * **Constant folding** — subtrees with constant operands fold at
-//!   lower time, using the same `f64` operator implementations the
-//!   interpreter applies so folded values are bit-identical.
-//! * **Fused multiply-add recognition** — `Add(Mul(a, b), c)` and
-//!   `Add(c, Mul(a, b))` become single three-operand micro-ops
-//!   ([`MicroOp::MulAdd`]/[`MicroOp::AddMul`]); see the rounding and
-//!   ordering invariants documented in [`crate::tape`].
-//! * **Row programs** — each statement's postfix tape is also turned
-//!   into the three-address [`RowStmt`] the row runner executes, and
-//!   each nest gets its lane-safety verdict and row width.
+//! * **Constant folding** — an operator whose operands are all constants
+//!   is applied at lower time, with the same `f64` operator
+//!   implementations the interpreter applies, so folded values are
+//!   bit-identical.
+//! * **Row programs** — every operator left is one three-address
+//!   [`RowOp`] of the statement's [`RowStmt`], the one lowered form both
+//!   runner widths execute; the loads are noted in evaluation order for
+//!   the sink, and each nest gets its row width.
 //!
-//! Work counters stay interpreter-exact because each statement carries
-//! bulk `flops`/`loads` charges taken from the *original* tree.
+//! Work counters stay interpreter-exact because each statement's `flops`
+//! and load count are those of the *original* tree.
 
+use crate::exec::ExecError;
 use crate::tape::{
-    AccessPat, MicroOp, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat, MIN_ROW,
-    ROW,
+    AccessPat, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat, MIN_ROW, ROW,
 };
+use shift_peel_core::pipeline::Fnv1a64;
 use shift_peel_core::LoweringFootprint;
 use sp_cache::MemoryLayout;
-use sp_ir::{ArrayRef, BinOp, Expr, LoopSequence, UnaryOp};
+use sp_ir::{ArrayRef, Expr, LoopSequence};
 use std::time::Instant;
 
 impl ProgramTape {
@@ -46,7 +46,11 @@ impl ProgramTape {
         footprint: &LoweringFootprint,
     ) -> ProgramTape {
         let t0 = Instant::now();
-        let mut rows = RowBuilder::default();
+        let mut rows = RowBuilder {
+            ops: Vec::with_capacity(footprint.max_rhs_nodes),
+            loads: Vec::with_capacity(footprint.max_rhs_nodes),
+            live: Vec::new(),
+        };
         let mut nests = Vec::with_capacity(footprint.nests);
         for nest in &seq.nests {
             let depth = nest.depth();
@@ -57,149 +61,163 @@ impl ProgramTape {
                 pats: Vec::new(),
             };
             let mut stmts = Vec::with_capacity(nest.body.len());
-            let mut max_stack = 1usize;
             for stmt in &nest.body {
-                let folded = fold(&stmt.rhs);
-                let mut e = Emitter {
-                    ops: Vec::with_capacity(footprint.max_rhs_nodes),
-                    sp: 0,
-                    max_sp: 0,
-                };
-                e.emit(&folded, &mut pats);
-                debug_assert_eq!(e.sp, 1, "RHS tape must leave exactly one value");
-                max_stack = max_stack.max(e.max_sp);
+                let result = rows.emit(&stmt.rhs, &mut pats);
                 stmts.push(StmtTape {
-                    row: rows.build(&e.ops),
-                    ops: e.ops,
+                    // Kept as long as the tape: sized exactly.
+                    row: RowStmt::new(rows.ops.to_vec(), result),
+                    loads: rows.loads.to_vec(),
                     store: pats.intern(&stmt.lhs),
                     // Charged from the original tree so counters match
                     // the interpreter despite folding.
                     flops: stmt.rhs.op_count() as u64,
-                    loads: stmt.rhs.reads().len() as u64,
                 });
+                rows.reset();
             }
-            let stores: Vec<u32> = stmts.iter().map(|st| st.store).collect();
-            let width = row_width(&pats.pats, &stores, depth);
             nests.push(NestTape {
                 depth,
                 elem_bytes: layout.elem_bytes as i64,
+                row_width: row_width(&pats.pats, &stmts, depth),
                 pats: pats.pats,
                 stmts,
-                max_stack,
-                lane_safe: width.is_some(),
-                row_width: width.unwrap_or(0),
             });
         }
         ProgramTape {
             nests,
+            layout_fp: layout_fingerprint(layout),
             lower_nanos: t0.elapsed().as_nanos() as u64,
         }
     }
+
+    /// Checks that this tape was lowered for `seq` under `layout`, as far
+    /// as a tape records it: the nest count, each nest's depth, and a
+    /// fingerprint of every placement's base, strides and wrap window.
+    /// An executor handed a tape from outside
+    /// ([`crate::RunConfig::with_tape`]) runs this first: the runner
+    /// indexes `nests` by nest and trusts the baked-in slots, whose bounds
+    /// checks are debug-only.
+    pub(crate) fn check_lowered_for(
+        &self,
+        seq: &LoopSequence,
+        layout: &MemoryLayout,
+    ) -> Result<(), ExecError> {
+        let lowered = self.nests.iter().map(|n| n.depth);
+        let wanted = seq.nests.iter().map(|n| n.depth());
+        if !lowered.clone().eq(wanted.clone()) {
+            return Err(ExecError::Config(format!(
+                "injected tape was lowered for nests of depths {:?} but the program's are {:?}",
+                lowered.collect::<Vec<_>>(),
+                wanted.collect::<Vec<_>>()
+            )));
+        }
+        if self.layout_fp != layout_fingerprint(layout) {
+            return Err(ExecError::Config(
+                "injected tape was lowered against a different memory layout".into(),
+            ));
+        }
+        Ok(())
+    }
 }
 
-/// Decides [`NestTape::lane_safe`] and [`NestTape::row_width`] for one
-/// lowered nest: `Some(width)` when the row runner may execute it in
-/// chunks of `width` consecutive inner iterations and still reproduce
-/// the scalar backends bit for bit. The conditions (each documented on
-/// [`NestTape`]):
-///
-/// 1. no contracted-array (`wrap`) references;
-/// 2. every pattern's innermost coefficient is exactly 1 (unit stride);
-/// 3. all patterns share one coefficient vector, making every
-///    pattern-to-pattern slot distance a compile-time constant;
-/// 4. for every store pattern `s` and every pattern `p`, the distance
-///    `Δ = s.slot_base - p.slot_base` is `0` or `|Δ| >= MIN_ROW`.
-///
-/// The width is the smallest such non-zero `|Δ|`, capped at [`ROW`]: no
-/// dependence at a distance shorter than a chunk can land inside one.
-fn row_width(pats: &[AccessPat], stores: &[u32], depth: usize) -> Option<usize> {
-    let first = pats.first()?;
-    if pats.iter().any(|p| p.wrap.is_some()) {
-        return None;
+/// What of a layout a tape bakes in, hashed: element size, extent, and
+/// each array's base, strides and contraction window.
+fn layout_fingerprint(layout: &MemoryLayout) -> u64 {
+    let mut h = Fnv1a64::new();
+    let mut word = |w: u64| h.write(&w.to_le_bytes());
+    word(layout.elem_bytes as u64);
+    word(layout.total_bytes);
+    for p in &layout.placements {
+        word(p.start);
+        word(p.wrap.map_or(0, |w| w as u64));
+        for &s in &p.strides {
+            word(s as u64);
+        }
     }
-    if pats.iter().any(|p| p.coeffs[depth - 1] != 1) {
-        return None;
-    }
-    if pats.iter().any(|p| p.coeffs != first.coeffs) {
-        return None;
+    h.finish()
+}
+
+/// Decides [`NestTape::row_width`] for one lowered nest, by the four
+/// conditions on the field's docs: no `wrap` reference, unit inner
+/// stride, one shared coefficient vector, and every store-to-pattern
+/// distance `Δ` either 0 or at least [`MIN_ROW`]. The width is the
+/// smallest non-zero `|Δ|`, capped at [`ROW`]: no dependence at a distance
+/// shorter than a chunk can land inside one.
+fn row_width(pats: &[AccessPat], stmts: &[StmtTape], depth: usize) -> usize {
+    let Some(first) = pats.first() else { return 0 };
+    if pats
+        .iter()
+        .any(|p| p.wrap.is_some() || p.coeffs[depth - 1] != 1 || p.coeffs != first.coeffs)
+    {
+        return 0;
     }
     let mut width = ROW as u64;
-    for &idx in stores {
-        let store = &pats[idx as usize];
+    for st in stmts {
+        let store = &pats[st.store as usize];
         for p in pats {
             match (store.slot_base - p.slot_base).unsigned_abs() {
                 0 => {}
-                d if d < MIN_ROW as u64 => return None,
+                d if d < MIN_ROW as u64 => return 0,
                 d => width = width.min(d),
             }
         }
     }
-    Some(width as usize)
+    width as usize
 }
 
-/// Builds statements' row programs from their postfix tapes (see
-/// [`RowStmt`]); one builder serves a whole lowering so its working
+/// Builds statements' row programs (see [`RowStmt`]) straight from their
+/// `Expr` trees; one builder serves a whole lowering so its working
 /// vectors are allocated once. A temporary is free again once the op
 /// consuming it has been emitted, and a destination is picked before its
 /// operands are freed, so no op writes a row it reads.
-#[derive(Default)]
 struct RowBuilder {
-    stack: Vec<Operand>,
-    out: Vec<RowOp>,
-    /// `live[i]`: temporary `i` holds a value still on the stack.
+    ops: Vec<RowOp>,
+    /// Pattern index of every load met, in the order met.
+    loads: Vec<u32>,
+    /// `live[i]`: temporary `i` holds a value not yet consumed.
     live: Vec<bool>,
 }
 
 impl RowBuilder {
-    fn build(&mut self, ops: &[MicroOp]) -> RowStmt {
-        self.live.clear();
-        // The program is kept as long as the tape: size it exactly.
-        self.out.reserve_exact(
-            ops.iter()
-                .map(|op| match op {
-                    MicroOp::Const(_) | MicroOp::Load(_) => 0,
-                    MicroOp::MulAdd | MicroOp::AddMul => 2,
-                    _ => 1,
-                })
-                .sum(),
-        );
-        for op in ops {
-            match *op {
-                MicroOp::Const(c) => self.stack.push(Operand::Const(c)),
-                MicroOp::Load(j) => self.stack.push(Operand::Row(j)),
-                MicroOp::Add => self.binary_top(BinOp::Add),
-                MicroOp::Sub => self.binary_top(BinOp::Sub),
-                MicroOp::Mul => self.binary_top(BinOp::Mul),
-                MicroOp::Div => self.binary_top(BinOp::Div),
-                MicroOp::Min => self.binary_top(BinOp::Min),
-                MicroOp::Max => self.binary_top(BinOp::Max),
-                MicroOp::Neg => self.unary(UnaryOp::Neg),
-                MicroOp::Abs => self.unary(UnaryOp::Abs),
-                MicroOp::Sqrt => self.unary(UnaryOp::Sqrt),
-                MicroOp::MulAdd => {
-                    let (z, y, x) = (self.pop(), self.pop(), self.pop());
-                    let t = self.binary(BinOp::Mul, x, y);
-                    let r = self.binary(BinOp::Add, t, z);
-                    self.stack.push(r);
-                }
-                MicroOp::AddMul => {
-                    let (z, y, x) = (self.pop(), self.pop(), self.pop());
-                    let t = self.binary(BinOp::Mul, y, z);
-                    let r = self.binary(BinOp::Add, x, t);
-                    self.stack.push(r);
-                }
+    /// Emits the ops computing `e` and says where its value is. The walk
+    /// is the interpreter's — left operand, right operand, operator — so
+    /// patterns are interned and loads noted in evaluation order.
+    /// Constants fold on the way up with the interpreter's own operator
+    /// implementations.
+    fn emit(&mut self, e: &Expr, pats: &mut PatTable<'_>) -> Operand {
+        match e {
+            Expr::Const(c) => Operand::Const(*c),
+            Expr::Load(r) => {
+                let j = pats.intern(r);
+                self.loads.push(j);
+                Operand::Row(j)
             }
+            Expr::Unary(op, a) => match self.emit(a, pats) {
+                Operand::Const(c) => Operand::Const(op.apply(c)),
+                a => {
+                    let dst = self.dst();
+                    self.ops.push(RowOp::Unary { op: *op, a, dst });
+                    self.free(a);
+                    Operand::Temp(dst)
+                }
+            },
+            Expr::Binary(op, a, b) => match (self.emit(a, pats), self.emit(b, pats)) {
+                (Operand::Const(x), Operand::Const(y)) => Operand::Const(op.apply(x, y)),
+                (a, b) => {
+                    let dst = self.dst();
+                    self.ops.push(RowOp::Binary { op: *op, a, b, dst });
+                    self.free(a);
+                    self.free(b);
+                    Operand::Temp(dst)
+                }
+            },
         }
-        let result = self.pop();
-        debug_assert!(
-            self.stack.is_empty(),
-            "RHS tape must leave exactly one value"
-        );
-        RowStmt::new(std::mem::take(&mut self.out), result)
     }
 
-    fn pop(&mut self) -> Operand {
-        self.stack.pop().expect("postfix tape underflow")
+    /// Ready for the next statement.
+    fn reset(&mut self) {
+        self.ops.clear();
+        self.loads.clear();
+        self.live.clear();
     }
 
     fn dst(&mut self) -> u32 {
@@ -216,59 +234,6 @@ impl RowBuilder {
             self.live[i as usize] = false;
         }
     }
-
-    fn unary(&mut self, op: UnaryOp) {
-        let a = self.pop();
-        let dst = self.dst();
-        self.out.push(RowOp::Unary { op, a, dst });
-        self.free(a);
-        self.stack.push(Operand::Temp(dst));
-    }
-
-    fn binary(&mut self, op: BinOp, a: Operand, b: Operand) -> Operand {
-        let dst = self.dst();
-        self.out.push(RowOp::Binary { op, a, b, dst });
-        self.free(a);
-        self.free(b);
-        Operand::Temp(dst)
-    }
-
-    fn binary_top(&mut self, op: BinOp) {
-        let b = self.pop();
-        let a = self.pop();
-        let r = self.binary(op, a, b);
-        self.stack.push(r);
-    }
-}
-
-/// Per-nest lane safety without lowering statement bodies: the decision
-/// depends only on the interned access-pattern set and which patterns
-/// are stored to, both of which are available straight from the IR.
-/// This is the analysis behind [`crate::LaneSafetyPass`]; lowering
-/// reaches the same verdicts because it interns the same references
-/// against the same layout (constant folding never removes an array
-/// reference, so the pattern sets coincide).
-pub fn analyze_lane_safety(seq: &LoopSequence, layout: &MemoryLayout) -> Vec<bool> {
-    seq.nests
-        .iter()
-        .map(|nest| {
-            let depth = nest.depth();
-            let mut pats = PatTable {
-                layout,
-                depth,
-                refs: Vec::new(),
-                pats: Vec::new(),
-            };
-            let mut stores = Vec::with_capacity(nest.body.len());
-            for stmt in &nest.body {
-                for r in stmt.rhs.reads() {
-                    pats.intern(r);
-                }
-                stores.push(pats.intern(&stmt.lhs));
-            }
-            row_width(&pats.pats, &stores, depth).is_some()
-        })
-        .collect()
 }
 
 /// Interns deduplicated access patterns for one nest.
@@ -324,95 +289,6 @@ fn lower_ref(r: &ArrayRef, layout: &MemoryLayout, depth: usize) -> AccessPat {
     }
 }
 
-/// Folds constant subtrees with the interpreter's own operator
-/// implementations (bit-identical results).
-fn fold(e: &Expr) -> Expr {
-    match e {
-        Expr::Const(_) | Expr::Load(_) => e.clone(),
-        Expr::Unary(op, a) => match fold(a) {
-            Expr::Const(c) => Expr::Const(op.apply(c)),
-            fa => Expr::Unary(*op, Box::new(fa)),
-        },
-        Expr::Binary(op, a, b) => match (fold(a), fold(b)) {
-            (Expr::Const(x), Expr::Const(y)) => Expr::Const(op.apply(x, y)),
-            (fa, fb) => Expr::Binary(*op, Box::new(fa), Box::new(fb)),
-        },
-    }
-}
-
-struct Emitter {
-    ops: Vec<MicroOp>,
-    sp: usize,
-    max_sp: usize,
-}
-
-impl Emitter {
-    fn push(&mut self, op: MicroOp, net: isize) {
-        self.ops.push(op);
-        self.sp = (self.sp as isize + net) as usize;
-        self.max_sp = self.max_sp.max(self.sp);
-    }
-
-    /// Emits `e` in the interpreter's left-to-right evaluation order
-    /// (operand order is load order is trace order).
-    fn emit(&mut self, e: &Expr, pats: &mut PatTable<'_>) {
-        match e {
-            Expr::Const(c) => self.push(MicroOp::Const(*c), 1),
-            Expr::Load(r) => {
-                let i = pats.intern(r);
-                self.push(MicroOp::Load(i), 1);
-            }
-            Expr::Unary(op, a) => {
-                self.emit(a, pats);
-                self.push(
-                    match op {
-                        UnaryOp::Neg => MicroOp::Neg,
-                        UnaryOp::Abs => MicroOp::Abs,
-                        UnaryOp::Sqrt => MicroOp::Sqrt,
-                    },
-                    0,
-                );
-            }
-            Expr::Binary(BinOp::Add, a, b) => {
-                // Multiply-add recognition; the left-multiply form wins
-                // when both operands are products (identical rounding
-                // either way, but operand order must follow evaluation
-                // order).
-                if let Expr::Binary(BinOp::Mul, x, y) = &**a {
-                    self.emit(x, pats);
-                    self.emit(y, pats);
-                    self.emit(b, pats);
-                    self.push(MicroOp::MulAdd, -2);
-                } else if let Expr::Binary(BinOp::Mul, x, y) = &**b {
-                    self.emit(a, pats);
-                    self.emit(x, pats);
-                    self.emit(y, pats);
-                    self.push(MicroOp::AddMul, -2);
-                } else {
-                    self.emit(a, pats);
-                    self.emit(b, pats);
-                    self.push(MicroOp::Add, -1);
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                self.emit(a, pats);
-                self.emit(b, pats);
-                self.push(
-                    match op {
-                        BinOp::Add => MicroOp::Add,
-                        BinOp::Sub => MicroOp::Sub,
-                        BinOp::Mul => MicroOp::Mul,
-                        BinOp::Div => MicroOp::Div,
-                        BinOp::Min => MicroOp::Min,
-                        BinOp::Max => MicroOp::Max,
-                    },
-                    -1,
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,7 +297,8 @@ mod tests {
     use crate::sink::{NullSink, RecordingSink};
     use crate::tape::Engine;
     use sp_cache::LayoutStrategy;
-    use sp_ir::SeqBuilder;
+    use sp_ir::builder::NestCtx;
+    use sp_ir::{AffineExpr, ArrayId, BinOp, SeqBuilder};
 
     fn stencil_seq() -> LoopSequence {
         let n = 10usize;
@@ -429,7 +306,8 @@ mod tests {
         let a = b.array("a", [n, n]);
         let c = b.array("c", [n, n]);
         b.nest("L1", [(1, 8), (1, 8)], |x| {
-            // Exercises folding (2.0 + 1.0), FMA shapes, and unary ops.
+            // Exercises folding (2.0 + 1.0), both multiply-add shapes,
+            // and unary ops.
             let r = x.ld(a, [0, 1]) * (Expr::Const(2.0) + Expr::Const(1.0))
                 + (x.ld(a, [0, -1]) + x.ld(a, [1, 0]) * x.ld(a, [-1, 0]));
             x.assign(c, [0, 0], -r);
@@ -437,28 +315,36 @@ mod tests {
         b.finish()
     }
 
+    /// Constant subtrees fold away at lower time — wholly (a fill has no
+    /// ops at all) or down to one constant operand — while the counters
+    /// still charge the original tree.
     #[test]
     fn folding_collapses_constant_subtrees() {
-        let e = Expr::Binary(
-            BinOp::Mul,
-            Box::new(Expr::Const(3.0)),
-            Box::new(Expr::Binary(
-                BinOp::Add,
-                Box::new(Expr::Const(1.0)),
-                Box::new(Expr::Const(0.5)),
-            )),
-        );
-        assert_eq!(fold(&e), Expr::Const(4.5));
-    }
-
-    #[test]
-    fn mul_add_shapes_become_three_operand_ops() {
-        let seq = stencil_seq();
+        let mut b = SeqBuilder::new("fold");
+        let a = b.array("a", [8usize]);
+        let c = b.array("c", [8usize]);
+        b.nest("L1", [(0, 7)], |x| {
+            let k = Expr::Const(3.0) * (Expr::Const(1.0) + Expr::Const(0.5));
+            x.assign(c, [0], k.clone());
+            x.assign(c, [0], x.ld(a, [0]) * -k);
+        });
+        let seq = b.finish();
         let mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         let tape = ProgramTape::lower(&seq, &mem.layout);
-        let ops = &tape.nests[0].stmts[0].ops;
-        assert!(ops.contains(&MicroOp::MulAdd), "left-product add: {ops:?}");
-        assert!(ops.contains(&MicroOp::AddMul), "right-product add: {ops:?}");
+        let stmts = &tape.nests[0].stmts;
+        assert_eq!(stmts[0].row.ops(), []);
+        assert_eq!(stmts[0].row.result(), Operand::Const(4.5));
+        // The first statement's store took pattern 0.
+        assert_eq!(
+            stmts[1].row.ops(),
+            [RowOp::Binary {
+                op: BinOp::Mul,
+                a: Operand::Row(1),
+                b: Operand::Const(-4.5),
+                dst: 0,
+            }]
+        );
+        assert_eq!((stmts[0].flops, stmts[1].flops), (2, 4));
     }
 
     #[test]
@@ -476,7 +362,9 @@ mod tests {
         let tape = ProgramTape::lower(&seq, &mem.layout);
         // a[0] twice dedupes; a[1] and the c[0] store are distinct.
         assert_eq!(tape.nests[0].pats.len(), 3);
-        assert!(tape.total_ops() > 0);
+        assert_eq!(tape.nests[0].stmts[0].loads, [0, 0, 1]);
+        // Two adds and the store.
+        assert_eq!(tape.total_ops(), 3);
         assert_eq!(tape.pattern_count(), 3);
     }
 
@@ -494,7 +382,11 @@ mod tests {
             let c1 = run_original(&seq, &mut m1, &mut s1);
             let tape = ProgramTape::lower(&seq, &m2.layout);
             let mut s2 = RecordingSink::default();
-            let c2 = Engine::Compiled(&tape).run_original(&seq, &mut m2, &mut s2);
+            let c2 = Engine::Tape {
+                tape: &tape,
+                rows: false,
+            }
+            .run_original(&seq, &mut m2, &mut s2);
             assert_eq!(s1.trace, s2.trace, "{layout:?}");
             assert_eq!(m1.snapshot_all(&seq), m2.snapshot_all(&seq), "{layout:?}");
             assert_eq!(c1, c2, "{layout:?}");
@@ -503,47 +395,114 @@ mod tests {
         }
     }
 
-    /// The lane-safety classifier: stencils over distinct arrays and
-    /// outer-carried recurrences run in rows; inner serial recurrences
-    /// and contracted arrays fall back to the scalar runner.
+    /// The four ways a nest loses its row width, and a control that
+    /// keeps it. Every case's RHS is shaped `p + q * r` over three
+    /// distinct references, so the row program reads `q` and `r` first
+    /// while the sink must still hear `p, q, r`; under both runner widths
+    /// the results, the access trace and the counters are the
+    /// interpreter's, and a nest without a row width runs a column at a
+    /// time under `rows` too.
     #[test]
-    fn lane_safety_classifies_nests() {
-        let n = 16usize;
-        let mut b = SeqBuilder::new("lanes");
-        let a = b.array("a", [n, n]);
-        let c = b.array("c", [n, n]);
-        let v = b.array("v", [n]);
-        // Distinct source/destination arrays: slot distance is the whole
-        // inter-array gap (>= MIN_ROW), safe.
-        b.nest("stencil", [(1, 14), (1, 14)], |x| {
-            let r = x.ld(a, [0, -1]) + x.ld(a, [0, 1]);
-            x.assign(c, [0, 0], r);
-        });
-        // Outer-carried recurrence: store a[i][j], load a[i-1][j] — the
-        // slot distance is one row (n >= MIN_ROW), safe.
-        b.nest("outer", [(1, 14), (1, 14)], |x| {
-            let r = x.ld(a, [-1, 0]) + x.ld(c, [0, 0]);
-            x.assign(a, [0, 0], r);
-        });
-        // Inner serial recurrence: store v[i], load v[i-1] — distance 1
-        // is below MIN_ROW, unsafe.
-        b.nest("serial", [(1, 14)], |x| {
-            let r = x.ld(v, [-1]) + Expr::Const(1.0);
-            x.assign(v, [0], r);
-        });
-        let seq = b.finish();
-        let mem = Memory::new(&seq, LayoutStrategy::Contiguous);
-        let tape = ProgramTape::lower(&seq, &mem.layout);
-        assert!(tape.nests[0].lane_safe, "distinct-array stencil");
-        assert!(tape.nests[1].lane_safe, "outer-carried recurrence");
-        assert!(!tape.nests[2].lane_safe, "inner serial recurrence");
-        assert_eq!(tape.lane_safe_nests(), 2);
-        // Contracting an array adds a wrap pattern, which disqualifies
-        // every nest referencing it.
-        let mut wrapped = Memory::new(&seq, LayoutStrategy::Contiguous);
-        wrapped.layout.contract(sp_ir::ArrayId(0), 3);
-        let tape = ProgramTape::lower(&seq, &wrapped.layout);
-        assert!(!tape.nests[0].lane_safe, "wrap pattern disqualifies");
+    fn row_width_verdicts_and_both_widths_match_the_interpreter() {
+        /// One nest `dst = p + q * r` over arrays `a`, `c`, `d` of the
+        /// given extents; `refs` names `[p, q, r, dst]`.
+        fn case(
+            dims: [&[usize]; 3],
+            bounds: &[(i64, i64)],
+            refs: impl Fn(&NestCtx, [ArrayId; 3]) -> [ArrayRef; 4],
+        ) -> LoopSequence {
+            let mut b = SeqBuilder::new("case");
+            let ids = std::array::from_fn(|i| b.array(["a", "c", "d"][i], dims[i].to_vec()));
+            b.nest("L1", bounds.to_vec(), |x| {
+                let [p, q, r, dst] = refs(x, ids);
+                x.assign_ref(dst, x.ld_ref(p) + x.ld_ref(q) * x.ld_ref(r));
+            });
+            b.finish()
+        }
+        const N: usize = 16;
+        let sq: &[usize] = &[N, N];
+        let rows = [(1, N as i64 - 2); 2];
+        let stencil = |x: &NestCtx, [a, c, d]: [ArrayId; 3]| {
+            [
+                x.at(a, [0, -1]),
+                x.at(a, [0, 1]),
+                x.at(c, [0, 0]),
+                x.at(d, [0, 0]),
+            ]
+        };
+        let even = |arr, off| ArrayRef::new(arr, vec![AffineExpr::new(vec![2], off)]);
+        // (what, sequence, planes array `a` is contracted to, row width).
+        let cases = [
+            (
+                "control: unit stride, one coefficient vector, far stores",
+                case([sq, sq, sq], &rows, stencil),
+                None,
+                ROW,
+            ),
+            (
+                "wrap: a contracted array's modulo term",
+                case([sq, sq, sq], &rows, stencil),
+                Some(3),
+                0,
+            ),
+            (
+                "inner stride 2",
+                case([&[2 * N]; 3], &[(0, N as i64 - 1)], |_, [a, c, d]| {
+                    [even(a, 0), even(a, 1), even(c, 0), even(d, 0)]
+                }),
+                None,
+                0,
+            ),
+            (
+                "mixed coefficient vectors: rows of N and of 2N",
+                case([sq, &[N, 2 * N], sq], &rows, stencil),
+                None,
+                0,
+            ),
+            (
+                "Δ = 1: the store feeds the next iteration's load",
+                case([&[N]; 3], &rows[..1], |x, [a, c, _]| {
+                    [x.at(c, [0]), x.at(a, [-1]), x.at(c, [1]), x.at(a, [0])]
+                }),
+                None,
+                0,
+            ),
+        ];
+        for (what, seq, contract, width) in cases {
+            let mut m0 = Memory::new(&seq, LayoutStrategy::Contiguous);
+            if let Some(planes) = contract {
+                m0.layout.contract(ArrayId(0), planes);
+            }
+            m0.init_deterministic(&seq, 5);
+            let tape = ProgramTape::lower(&seq, &m0.layout);
+            assert_eq!(tape.nests[0].row_width, width, "{what}");
+            assert_eq!(tape.lane_safe_nests(), usize::from(width > 0), "{what}");
+            // Evaluation order for the sink, product first for the rows.
+            let stmt = &tape.nests[0].stmts[0];
+            assert_eq!(stmt.loads, [0, 1, 2], "{what}");
+            let mul = RowOp::Binary {
+                op: BinOp::Mul,
+                a: Operand::Row(1),
+                b: Operand::Row(2),
+                dst: 0,
+            };
+            assert_eq!(stmt.row.ops()[0], mul, "{what}");
+            let mut mi = m0.clone();
+            let mut si = RecordingSink::default();
+            let ci = run_original(&seq, &mut mi, &mut si);
+            assert!(!si.trace.is_empty(), "{what}");
+            for rows in [false, true] {
+                let what = format!("{what}, rows {rows}");
+                let mut mt = m0.clone();
+                let mut st = RecordingSink::default();
+                let ct = Engine::Tape { tape: &tape, rows }.run_original(&seq, &mut mt, &mut st);
+                assert_eq!(mi.snapshot_all(&seq), mt.snapshot_all(&seq), "{what}");
+                assert_eq!(si.trace, st.trace, "{what}");
+                assert_eq!(ci, ct, "{what}");
+                let in_rows = if rows && width > 0 { ct.iters } else { 0 };
+                assert_eq!(ct.vec_iters, in_rows, "{what}");
+            }
+        }
     }
 
     /// The three-address form of the two multiply-add shapes and of a
@@ -574,7 +533,6 @@ mod tests {
             b: Operand::Row(1),
             dst: 0,
         };
-        assert_eq!(stmts[0].ops.last(), Some(&MicroOp::MulAdd));
         assert_eq!(
             stmts[0].row.ops(),
             [
@@ -588,7 +546,6 @@ mod tests {
             ]
         );
         assert_eq!(stmts[0].row.result(), Operand::Temp(1));
-        assert_eq!(stmts[1].ops.last(), Some(&MicroOp::AddMul));
         assert_eq!(
             stmts[1].row.ops(),
             [
@@ -632,11 +589,14 @@ mod tests {
             let mut m2 = m1.clone();
             let tape = ProgramTape::lower(&seq, &m2.layout);
             for nest in &tape.nests {
-                assert!(nest.lane_safe, "Δ = {delta} >= MIN_ROW");
                 assert_eq!(nest.row_width, delta);
             }
             let c1 = run_original(&seq, &mut m1, &mut NullSink);
-            let c2 = Engine::Simd(&tape).run_original(&seq, &mut m2, &mut NullSink);
+            let c2 = Engine::Tape {
+                tape: &tape,
+                rows: true,
+            }
+            .run_original(&seq, &mut m2, &mut NullSink);
             assert_eq!(m1.snapshot_all(&seq), m2.snapshot_all(&seq), "Δ = {delta}");
             assert_eq!(c1, c2);
             assert_eq!(c2.vec_iters, c2.iters);
@@ -664,7 +624,11 @@ mod tests {
         run_original(&seq, &mut m1, &mut s1);
         let tape = ProgramTape::lower(&seq, &m2.layout);
         let mut s2 = RecordingSink::default();
-        Engine::Compiled(&tape).run_original(&seq, &mut m2, &mut s2);
+        Engine::Tape {
+            tape: &tape,
+            rows: false,
+        }
+        .run_original(&seq, &mut m2, &mut s2);
         assert_eq!(s1.trace, s2.trace);
         assert_eq!(m1.snapshot_all(&seq), m2.snapshot_all(&seq));
     }

@@ -41,10 +41,10 @@ pub struct RunReport {
     /// End-to-end wall time of the run as seen by the caller (excludes
     /// lowering, reported separately below).
     pub wall_nanos: u64,
-    /// Time spent lowering loop bodies to micro-op tapes (0 for the
+    /// Time spent lowering loop bodies to row programs (0 for the
     /// interpreted backend).
     pub lower_nanos: u64,
-    /// Total micro-ops across the lowered tapes (0 for interpreted).
+    /// Row ops and stores across the lowered tape (0 for interpreted).
     pub tape_ops: u64,
     /// True when the run executed a tape served from an artifact cache
     /// (`RunConfig::precompiled`): no lowering happened for this run and
@@ -246,7 +246,7 @@ impl RunReport {
         );
         reg.counter(
             "spfc_tape_ops_total",
-            "Micro-ops across lowered tapes",
+            "Row ops and stores across the lowered tape",
             self.tape_ops,
         );
         reg.gauge(

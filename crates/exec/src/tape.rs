@@ -1,48 +1,48 @@
-//! Compiled kernel tapes: flat micro-op programs executed by tight
-//! non-recursive loops.
+//! Lowered kernels: one row program per statement, executed a row or a
+//! column at a time.
 //!
 //! The interpreter in [`crate::interp`] walks an `Expr` tree and
 //! re-derives every affine address from scratch at every iteration
-//! point. A [`ProgramTape`] is the compiled alternative: each nest body
-//! is lowered once (see [`crate::lower`]) into a postfix sequence of
-//! [`MicroOp`]s over a small value stack, and every array reference
-//! becomes an [`AccessPat`] — a precomputed base slot/address plus one
-//! combined stride coefficient per loop level. The tape executor then
-//! runs a plain counted loop nest, updating each access's flat offset
-//! *incrementally* as loop variables advance, so the hot path is stack
-//! arithmetic plus pointer reads — no recursion, no subscript vectors,
-//! no per-access layout walks.
+//! point. A [`ProgramTape`] is the lowered alternative: each statement's
+//! RHS becomes, once (see [`crate::lower`]), a three-address [`RowStmt`]
+//! — constants folded, every array reference collapsed to an
+//! [`AccessPat`], a precomputed base slot/address plus one combined
+//! stride coefficient per loop level. That is the only lowered form, and
+//! [`exec_region_tape`] is its only runner, at one of two widths:
 //!
-//! **Equivalence contract.** A tape must be observationally identical to
-//! the interpreter on the same schedule: same results bit for bit, same
-//! access stream (addresses in the same order, so cache simulations
-//! produce identical per-processor miss counts), and same work counters.
-//! Three lowering invariants guarantee this:
+//! * **a column at a time** (`Backend::Compiled`, and every nest that is
+//!   not row-safe): each [`RowOp`] is applied to one value held in a
+//!   register file, and each access pattern's offset is advanced
+//!   incrementally along the row, so an iteration is register arithmetic
+//!   plus pointer reads — no recursion, no subscript vectors, no
+//!   per-access layout walks;
+//! * **a row at a time** (`Backend::Simd`, nests with a non-zero
+//!   [`NestTape::row_width`]): each [`RowOp`] is one slice loop over up to
+//!   [`ROW`] consecutive inner iterations, so dispatch is paid once per op
+//!   per chunk, the loops are the shape the compiler vectorizes, array
+//!   rows are read in place and temporaries stay in an L1-resident
+//!   scratch.
 //!
-//! 1. micro-ops are emitted in the interpreter's left-to-right
-//!    evaluation order, so loads hit the [`AccessSink`] in the same
-//!    sequence;
-//! 2. the fused multiply-add ops ([`MicroOp::MulAdd`]/[`MicroOp::AddMul`])
-//!    compute `a * b` and the addition as **two separately rounded**
-//!    `f64` operations — they fuse instruction dispatch, never the
-//!    floating-point rounding (`f64::mul_add` would change results);
-//! 3. constant folding uses the same `f64` operator implementations the
-//!    interpreter applies, and the [`ExecCounters`] work fields are
-//!    charged from the *original* (pre-folding) expression tree.
+//! **Equivalence contract.** Either width must be observationally
+//! identical to the interpreter on the same schedule: same results bit
+//! for bit, same access stream (addresses in the same order, so cache
+//! simulations produce identical per-processor miss counts), and same
+//! work counters. Lowering and the runner guarantee this between them:
 //!
-//! **The row runner.** The scalar tape pays one `match` per micro-op per
-//! iteration. For nests whose references all walk the innermost loop at
-//! unit stride, lowering also turns each statement's postfix tape into a
-//! three-address [`RowStmt`], and [`exec_region_rows`] executes each of
-//! its ops as one slice loop over up to [`ROW`] consecutive inner
-//! iterations: dispatch is paid once per op per chunk, the loops are the
-//! shape the compiler vectorizes, array rows are read in place and
-//! temporaries stay in an L1-resident scratch. Reordering a chunk from
-//! iteration-major to statement-major would reorder the access stream
-//! too, so the runner instead *replays* each chunk's accesses to the
-//! sink in scalar order before computing it — and skips the replay when
-//! the sink declares, by [`AccessSink::OBSERVES`], that it is not
-//! looking.
+//! 1. every op is sp-ir's own `UnaryOp::apply`/`BinOp::apply`, once per
+//!    column — `a * b + c` stays two separately rounded operations — and
+//!    constant folding uses the same implementations;
+//! 2. a row program may read its operands in another order than the
+//!    interpreter evaluates them (`a + b * c` reads `b` and `c` first),
+//!    which no value can see because nothing is stored before a
+//!    statement's last op; the sink is told each statement's
+//!    [`StmtTape::loads`], which *is* the interpreter's order, and only
+//!    when it declares by [`AccessSink::OBSERVES`] that it is looking;
+//! 3. running a chunk statement-major instead of iteration-major would
+//!    reorder the access stream too, so a row-wide chunk's accesses are
+//!    replayed to the sink in scalar order before it computes;
+//! 4. the [`ExecCounters`] work fields are charged once per region from
+//!    the *original* (pre-folding) expression tree.
 
 use crate::interp::{exec_region, ExecCounters};
 use crate::memory::{MemView, Memory};
@@ -60,48 +60,11 @@ use sp_ir::{AffineExpr, BinOp, IterSpace, LoopSequence, UnaryOp};
 /// has the sweep.
 pub const ROW: usize = 128;
 
-/// Shortest non-zero store-to-reference distance the row runner accepts
-/// (see [`NestTape::lane_safe`]). A nest carrying a dependence closer
+/// Shortest non-zero store-to-reference distance the row width accepts
+/// (see [`NestTape::row_width`]). A nest carrying a dependence closer
 /// than this would run in rows too short to pay for their dispatch; it
-/// stays on the scalar tape.
+/// runs a column at a time.
 pub const MIN_ROW: usize = 8;
-
-/// One instruction of a statement tape, operating on a value stack.
-///
-/// Binary ops pop two values and push one; unary ops replace the top of
-/// stack; the three-operand ops pop three and push one.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum MicroOp {
-    /// Push a (possibly folded) constant.
-    Const(f64),
-    /// Load through the nest's access pattern with this index and push
-    /// the value; reports the access to the sink.
-    Load(u32),
-    /// `a + b`.
-    Add,
-    /// `a - b`.
-    Sub,
-    /// `a * b`.
-    Mul,
-    /// `a / b`.
-    Div,
-    /// `a.min(b)`.
-    Min,
-    /// `a.max(b)`.
-    Max,
-    /// `-a`.
-    Neg,
-    /// `a.abs()`.
-    Abs,
-    /// `a.sqrt()`.
-    Sqrt,
-    /// `(a * b) + c` from `Add(Mul(a, b), c)`, stack order `[a, b, c]`.
-    /// Two separately rounded operations — *not* a hardware FMA.
-    MulAdd,
-    /// `c + (a * b)` from `Add(c, Mul(a, b))`, stack order `[c, a, b]`.
-    /// Two separately rounded operations — *not* a hardware FMA.
-    AddMul,
-}
 
 /// The dimension-0 part of a reference into a *contracted* array
 /// (`ArrayPlacement::wrap`): the plane subscript must be reduced modulo
@@ -191,13 +154,10 @@ pub enum RowOp {
     },
 }
 
-/// One statement's RHS as a row program, built from its postfix tape by
-/// running the tape on a stack of [`Operand`]s instead of values:
-/// `Load`/`Const` push a descriptor and emit nothing (a row is read
-/// where it is consumed — no store intervenes within a statement), each
-/// arithmetic op pops its operands and emits one [`RowOp`], and
-/// `MulAdd`/`AddMul` emit the `Mul` and then the `Add`, which is the
-/// two roundings the scalar runners perform.
+/// One statement's RHS as a row program: a `Load` or `Const` leaf is an
+/// [`Operand`] and emits nothing (a row is read where it is consumed — no
+/// store intervenes within a statement), and each operator of the folded
+/// tree is one [`RowOp`] writing a temporary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowStmt {
     ops: Vec<RowOp>,
@@ -248,25 +208,24 @@ impl RowStmt {
     }
 }
 
-/// One statement compiled to postfix form.
+/// One lowered statement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StmtTape {
-    /// RHS micro-ops in interpreter evaluation order; leaves exactly one
-    /// value on the stack.
-    pub(crate) ops: Vec<MicroOp>,
-    /// The same RHS as a row program.
+    /// The RHS as a row program.
     pub(crate) row: RowStmt,
+    /// Access-pattern index of every RHS load, in the interpreter's
+    /// evaluation order: what the sink is told, and — folding never
+    /// removes a load — how many loads the original tree charges per
+    /// iteration.
+    pub(crate) loads: Vec<u32>,
     /// Access-pattern index of the store target.
     pub(crate) store: u32,
-    /// Arithmetic ops of the *original* RHS tree, bulk-charged per
-    /// iteration so counters match the interpreter despite folding.
+    /// Arithmetic ops of the *original* RHS tree, charged per iteration
+    /// so counters match the interpreter despite folding.
     pub(crate) flops: u64,
-    /// Loads of the original RHS tree (folding never removes loads, so
-    /// this also equals the `Load` micro-ops executed).
-    pub(crate) loads: u64,
 }
 
-/// One loop nest's compiled body.
+/// One loop nest's lowered body.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NestTape {
     /// Loop depth the access patterns' coefficients are indexed by.
@@ -277,14 +236,13 @@ pub struct NestTape {
     pub(crate) pats: Vec<AccessPat>,
     /// The statements, in program order.
     pub(crate) stmts: Vec<StmtTape>,
-    /// Value-stack slots the deepest statement needs.
-    pub(crate) max_stack: usize,
-    /// Whether the row runner may execute this nest in chunks of
-    /// consecutive inner iterations and still reproduce the scalar
-    /// backends bit for bit. Decided once at lowering:
+    /// Most consecutive inner iterations the runner may execute as one
+    /// chunk and still reproduce the interpreter bit for bit; 0 when the
+    /// nest only runs a column at a time. Decided once at lowering. A
+    /// nest is row-safe when
     ///
-    /// * no contracted-array (`wrap`) references — their modulo term is
-    ///   not affine in the column index;
+    /// * it has no contracted-array (`wrap`) references — their modulo
+    ///   term is not affine in the column index;
     /// * every access pattern's innermost coefficient is exactly 1, so a
     ///   chunk of `n` iterations touches `n` consecutive slots — a row —
     ///   per pattern;
@@ -292,16 +250,12 @@ pub struct NestTape {
     ///   between any two patterns is the constant `Δ = slot_base
     ///   difference` at every iteration point;
     /// * for every store pattern and every pattern, `Δ == 0` or `|Δ| >=
-    ///   MIN_ROW` (see [`NestTape::row_width`] for what `Δ` decides).
+    ///   MIN_ROW`,
     ///
-    /// Ineligible nests fall back to the scalar tape runner.
-    pub(crate) lane_safe: bool,
-    /// Most consecutive inner iterations the row runner executes as one
-    /// chunk: `min(ROW, smallest non-zero |Δ|)` over every store pattern
-    /// against every pattern; 0 unless `lane_safe`.
+    /// and its width is then `min(ROW, smallest non-zero |Δ|)`.
     ///
     /// A chunk runs statement-major — statement 1 for all its
-    /// iterations, then statement 2 — where the scalar backends run
+    /// iterations, then statement 2 — where the interpreter runs
     /// iteration-major. A store at iteration `i` and another reference
     /// at iteration `i'` touch the same slot exactly when `i' - i = Δ`.
     /// With `Δ == 0` both fall in one iteration, and their order there
@@ -313,28 +267,30 @@ pub struct NestTape {
 }
 
 impl NestTape {
-    /// Micro-ops across all statements (stores count as one each).
+    /// Row ops across all statements (stores count as one each).
     pub fn op_count(&self) -> u64 {
-        self.stmts.iter().map(|s| s.ops.len() as u64 + 1).sum()
+        self.stmts.iter().map(|s| s.row.ops.len() as u64 + 1).sum()
     }
 
-    /// Temporary rows the widest statement's row program names.
+    /// Temporaries the widest statement's row program names.
     fn row_temps(&self) -> usize {
         self.stmts.iter().map(|s| s.row.temps).max().unwrap_or(0)
     }
 }
 
-/// A worker's reusable working memory for [`exec_region_rows`]: the
-/// temporary rows and the outer-loop odometer. It grows to what the
-/// widest nest it meets needs and is then reused, so steady-state
-/// region calls do not touch the allocator.
+/// A worker's reusable working memory for [`exec_region_tape`]: the
+/// temporaries (rows of them, or one register each), the odometer and the
+/// per-pattern offsets. It grows to what the widest nest it meets needs
+/// and is then reused, so steady-state region calls do not touch the
+/// allocator at either width.
 #[derive(Debug, Default)]
 pub struct RowScratch {
     temps: Vec<f64>,
     point: Vec<i64>,
+    offs: Vec<i64>,
 }
 
-/// A whole sequence compiled against one [`sp_cache::MemoryLayout`]:
+/// A whole sequence lowered against one [`sp_cache::MemoryLayout`]:
 /// one [`NestTape`] per nest, indexed like `seq.nests`.
 ///
 /// Tapes are schedule-independent: shift-and-peel reindexes *iteration
@@ -346,6 +302,9 @@ pub struct RowScratch {
 pub struct ProgramTape {
     /// Per-nest tapes, indexed by nest position in the sequence.
     pub(crate) nests: Vec<NestTape>,
+    /// Fingerprint of the layout the tape was lowered against; an
+    /// executor checks it before running a tape it was handed.
+    pub(crate) layout_fp: u64,
     /// Wall time the lowering pass took.
     pub(crate) lower_nanos: u64,
 }
@@ -356,8 +315,8 @@ impl ProgramTape {
         self.lower_nanos
     }
 
-    /// Total micro-ops across every nest (the tape-size counter reported
-    /// in [`crate::report::RunReport`]).
+    /// Total row ops and stores across every nest (the tape-size counter
+    /// reported in [`crate::report::RunReport`]).
     pub fn total_ops(&self) -> u64 {
         self.nests.iter().map(|n| n.op_count()).sum()
     }
@@ -367,16 +326,16 @@ impl ProgramTape {
         self.nests.iter().map(|n| n.pats.len()).sum()
     }
 
-    /// Nests the row runner accepts (see [`NestTape`] docs); the rest
-    /// run scalar under `Backend::Simd` too.
+    /// Nests with a non-zero [`NestTape::row_width`]; the rest run a
+    /// column at a time under `Backend::Simd` too.
     pub fn lane_safe_nests(&self) -> usize {
-        self.nests.iter().filter(|n| n.lane_safe).count()
+        self.nests.iter().filter(|n| n.row_width > 0).count()
     }
 }
 
 /// Which execution backend a driver loop uses for nest bodies: the
-/// recursive interpreter, a compiled [`ProgramTape`], or the tape's
-/// row programs.
+/// recursive interpreter, or a lowered [`ProgramTape`] at one of its two
+/// widths.
 ///
 /// All backends are observationally identical (results, access stream,
 /// counters); they differ only in speed. The engine is `Copy` so worker
@@ -385,11 +344,15 @@ impl ProgramTape {
 pub enum Engine<'a> {
     /// Walk `Expr` trees per iteration ([`crate::interp`]).
     Interp,
-    /// Execute pre-lowered micro-op tapes.
-    Compiled(&'a ProgramTape),
-    /// Execute tapes a row of up to [`ROW`] inner iterations at a time
-    /// ([`exec_region_rows`]); ineligible nests run scalar.
-    Simd(&'a ProgramTape),
+    /// Execute the lowered row programs ([`exec_region_tape`]).
+    Tape {
+        /// The lowered program.
+        tape: &'a ProgramTape,
+        /// Whether row-safe nests run a row of up to [`ROW`] inner
+        /// iterations at a time (`Backend::Simd`) or, like every other
+        /// nest, a column at a time (`Backend::Compiled`).
+        rows: bool,
+    },
 }
 
 impl Engine<'_> {
@@ -411,17 +374,13 @@ impl Engine<'_> {
         scratch: &mut RowScratch,
         counters: &mut ExecCounters,
     ) {
-        match self {
+        match *self {
             // SAFETY: forwarded from caller.
             Engine::Interp => unsafe { exec_region(seq, view, nest_idx, region, sink, counters) },
-            Engine::Simd(tape) if tape.nests[nest_idx].lane_safe => {
+            Engine::Tape { tape, rows } => {
                 let nest = &tape.nests[nest_idx];
                 // SAFETY: forwarded from caller.
-                unsafe { exec_region_rows(nest, region, view, sink, scratch, counters) }
-            }
-            Engine::Compiled(tape) | Engine::Simd(tape) => {
-                // SAFETY: forwarded from caller.
-                unsafe { exec_region_tape(&tape.nests[nest_idx], region, view, sink, counters) }
+                unsafe { exec_region_tape(nest, region, rows, view, sink, scratch, counters) }
             }
         }
     }
@@ -447,13 +406,29 @@ impl Engine<'_> {
     }
 }
 
-/// Executes every iteration of `region` through a compiled nest tape.
+/// Executes every iteration of `region` through a lowered nest.
 ///
-/// The loop nest is a hand-rolled counted loop (innermost level
-/// advances fastest, matching `IterSpace::for_each`); each access
-/// pattern's flat offset is maintained incrementally with per-level
-/// deltas, so steady-state iterations do no address multiplication at
-/// all.
+/// One hand-rolled odometer walks the region's inner rows (innermost
+/// level fastest, matching `IterSpace::for_each`), and a row runs at one
+/// of two widths over the same [`RowStmt`]s:
+///
+/// * with `rows` set and a non-zero [`NestTape::row_width`], in chunks of
+///   at most that many consecutive iterations, a chunk statement by
+///   statement and each [`RowOp`] as one slice loop over the whole chunk
+///   ([`run_chunk`]); why that order is legal is argued on
+///   [`NestTape::row_width`];
+/// * otherwise a column at a time ([`run_columns`]), iteration-major like
+///   the interpreter, each pattern's offset advanced incrementally.
+///
+/// Every column goes through the same separately rounded `f64`
+/// operations either way, so results are bit for bit the interpreter's.
+///
+/// Access-stream parity: an observing sink ([`AccessSink::OBSERVES`])
+/// is told every access in exact scalar order (iteration → statement →
+/// RHS loads in evaluation order → store) — per iteration at one column,
+/// per chunk before the chunk computes at row width — so cache
+/// simulations see the address sequence the interpreter produces. The
+/// work counters are charged once, for the whole region.
 ///
 /// # Safety
 /// As [`exec_region`]: the caller upholds [`MemView`]'s contract, and
@@ -461,155 +436,12 @@ impl Engine<'_> {
 pub unsafe fn exec_region_tape<S: AccessSink>(
     nest: &NestTape,
     region: &IterSpace,
-    view: &MemView<'_>,
-    sink: &mut S,
-    counters: &mut ExecCounters,
-) {
-    if region.is_empty() {
-        return;
-    }
-    let depth = region.depth();
-    debug_assert_eq!(
-        depth, nest.depth,
-        "region depth must match the lowered nest"
-    );
-    let eb = nest.elem_bytes;
-    let lows: Vec<i64> = region.bounds.iter().map(|&(lo, _)| lo).collect();
-    // Linear offset of each pattern at the region's first point.
-    let mut cur: Vec<i64> = nest.pats.iter().map(|p| dot(&p.coeffs, &lows)).collect();
-    // delta[l][j]: offset change of pattern j when level l increments
-    // (which simultaneously resets every deeper level to its lower
-    // bound, hence the subtraction of the deeper levels' full spans).
-    let deltas: Vec<Vec<i64>> = (0..depth)
-        .map(|l| {
-            nest.pats
-                .iter()
-                .map(|p| {
-                    let mut d = p.coeffs[l];
-                    for m in l + 1..depth {
-                        d -= p.coeffs[m] * (region.bounds[m].1 - region.bounds[m].0);
-                    }
-                    d
-                })
-                .collect()
-        })
-        .collect();
-    let mut stack = vec![0.0f64; nest.max_stack];
-    let mut point = lows;
-    'iteration: loop {
-        for st in &nest.stmts {
-            let mut sp = 0usize;
-            for op in &st.ops {
-                match *op {
-                    MicroOp::Const(c) => {
-                        stack[sp] = c;
-                        sp += 1;
-                    }
-                    MicroOp::Load(j) => {
-                        let j = j as usize;
-                        let pat = &nest.pats[j];
-                        let var = pat.var(cur[j], &point);
-                        sink.access((pat.addr_base + var * eb) as u64, false);
-                        // SAFETY: forwarded from caller; the pattern
-                        // reproduces the layout's slot exactly.
-                        stack[sp] = unsafe { view.read_slot((pat.slot_base + var) as usize) };
-                        sp += 1;
-                    }
-                    MicroOp::Add => {
-                        sp -= 1;
-                        stack[sp - 1] += stack[sp];
-                    }
-                    MicroOp::Sub => {
-                        sp -= 1;
-                        stack[sp - 1] -= stack[sp];
-                    }
-                    MicroOp::Mul => {
-                        sp -= 1;
-                        stack[sp - 1] *= stack[sp];
-                    }
-                    MicroOp::Div => {
-                        sp -= 1;
-                        stack[sp - 1] /= stack[sp];
-                    }
-                    MicroOp::Min => {
-                        sp -= 1;
-                        stack[sp - 1] = stack[sp - 1].min(stack[sp]);
-                    }
-                    MicroOp::Max => {
-                        sp -= 1;
-                        stack[sp - 1] = stack[sp - 1].max(stack[sp]);
-                    }
-                    MicroOp::Neg => stack[sp - 1] = -stack[sp - 1],
-                    MicroOp::Abs => stack[sp - 1] = stack[sp - 1].abs(),
-                    MicroOp::Sqrt => stack[sp - 1] = stack[sp - 1].sqrt(),
-                    MicroOp::MulAdd => {
-                        sp -= 2;
-                        stack[sp - 1] = stack[sp - 1] * stack[sp] + stack[sp + 1];
-                    }
-                    MicroOp::AddMul => {
-                        sp -= 2;
-                        stack[sp - 1] += stack[sp] * stack[sp + 1];
-                    }
-                }
-            }
-            debug_assert_eq!(sp, 1, "statement tape must leave exactly one value");
-            let j = st.store as usize;
-            let pat = &nest.pats[j];
-            let var = pat.var(cur[j], &point);
-            sink.access((pat.addr_base + var * eb) as u64, true);
-            // SAFETY: forwarded from caller.
-            unsafe { view.write_slot((pat.slot_base + var) as usize, stack[0]) };
-            counters.flops += st.flops;
-            counters.loads += st.loads;
-            counters.stores += 1;
-        }
-        counters.iters += 1;
-        for l in (0..depth).rev() {
-            point[l] += 1;
-            if point[l] <= region.bounds[l].1 {
-                for (c, d) in cur.iter_mut().zip(&deltas[l]) {
-                    *c += *d;
-                }
-                continue 'iteration;
-            }
-            point[l] = region.bounds[l].0;
-        }
-        break;
-    }
-}
-
-/// Executes every iteration of `region` through a lane-safe nest's row
-/// programs: each inner row of the region is cut into chunks of at most
-/// [`NestTape::row_width`] consecutive iterations, and a chunk runs
-/// statement by statement, each [`RowOp`] as one slice loop over the
-/// whole chunk. Every column goes through the same separately rounded
-/// `f64` operations, in the same order, that the scalar backends apply
-/// to that iteration, so results are bit for bit identical; why running
-/// a chunk statement-major is legal is argued on
-/// [`NestTape::row_width`].
-///
-/// Access-stream parity: an observing sink ([`AccessSink::OBSERVES`])
-/// is told each chunk's accesses in exact scalar order (iteration →
-/// statement → RHS loads → store) before the chunk computes, so cache
-/// simulations see the address sequence the scalar backends produce.
-/// The work counters are charged once, for the whole region.
-///
-/// # Safety
-/// As [`exec_region_tape`]: the caller upholds [`MemView`]'s contract,
-/// and the tape must have been lowered against `view`'s layout.
-///
-/// # Panics
-/// Panics if the nest is not lane-safe.
-pub unsafe fn exec_region_rows<S: AccessSink>(
-    nest: &NestTape,
-    region: &IterSpace,
+    rows: bool,
     view: &MemView<'_>,
     sink: &mut S,
     scratch: &mut RowScratch,
     counters: &mut ExecCounters,
 ) {
-    let width = nest.row_width;
-    assert!(width > 0, "only lane-safe nests have a row width");
     if region.is_empty() {
         return;
     }
@@ -618,66 +450,138 @@ pub unsafe fn exec_region_rows<S: AccessSink>(
         depth, nest.depth,
         "region depth must match the lowered nest"
     );
+    let width = if rows { nest.row_width } else { 0 };
     let inner = depth - 1;
     let (ilo, ihi) = region.bounds[inner];
     let trip = (ihi - ilo + 1) as usize;
-    // Lane-safe patterns share one coefficient vector with innermost
-    // coefficient 1: a single running offset places every pattern's row.
-    let coeffs = &nest.pats[0].coeffs;
-    let RowScratch { temps, point } = scratch;
-    let row_temps = nest.row_temps();
-    if temps.len() < row_temps * width {
-        temps.resize(row_temps * width, 0.0);
+    let RowScratch { temps, point, offs } = scratch;
+    let need = nest.row_temps() * width.max(1);
+    if temps.len() < need {
+        temps.resize(need, 0.0);
     }
     point.clear();
     point.extend(region.bounds.iter().map(|&(lo, _)| lo));
-    let mut row_off = dot(coeffs, point);
     'rows: loop {
-        let mut t = 0usize;
-        while t < trip {
-            let n = width.min(trip - t);
-            let off = row_off + t as i64;
-            if S::OBSERVES {
-                replay_chunk(nest, off, n, sink);
+        if width > 0 {
+            // Row-safe patterns share one coefficient vector with
+            // innermost coefficient 1: one offset places every
+            // pattern's row.
+            let row_off = dot(&nest.pats[0].coeffs, point);
+            let mut t = 0usize;
+            while t < trip {
+                let n = width.min(trip - t);
+                let off = row_off + t as i64;
+                if S::OBSERVES {
+                    replay_chunk(nest, off, n, sink);
+                }
+                // SAFETY: forwarded from caller; `temps` holds the
+                // nest's temporaries as rows of `width >= n` elements
+                // (resized above).
+                unsafe { run_chunk(nest, off, n, view, temps) };
+                t += n;
             }
-            // SAFETY: forwarded from caller; `temps` holds `row_temps`
-            // rows of `width >= n` elements (resized above).
-            unsafe { run_chunk(nest, off, n, view, temps) };
-            t += n;
+        } else {
+            // SAFETY: forwarded from caller; `temps` holds one register
+            // per temporary (resized above).
+            unsafe { run_columns(nest, point, trip, view, sink, offs, temps) };
         }
         for l in (0..inner).rev() {
             let (lo, hi) = region.bounds[l];
             point[l] += 1;
             if point[l] <= hi {
-                row_off += coeffs[l];
                 continue 'rows;
             }
             point[l] = lo;
-            row_off -= coeffs[l] * (hi - lo);
         }
         break;
     }
     let iters = region.len() as u64;
     counters.iters += iters;
-    counters.vec_iters += iters;
+    if width > 0 {
+        counters.vec_iters += iters;
+    }
     for st in &nest.stmts {
         counters.flops += st.flops * iters;
-        counters.loads += st.loads * iters;
+        counters.loads += st.loads.len() as u64 * iters;
     }
     counters.stores += nest.stmts.len() as u64 * iters;
 }
 
+/// One inner row a column at a time: the `trip` iterations starting at
+/// `point`, iteration-major. `offs[j]` is pattern `j`'s linear offset,
+/// set at the row's first point and advanced by the pattern's innermost
+/// coefficient per column; `regs[i]` is temporary `i`.
+///
+/// # Safety
+/// As [`exec_region_tape`]; `regs` must hold `nest.row_temps()` values.
+unsafe fn run_columns<S: AccessSink>(
+    nest: &NestTape,
+    point: &mut [i64],
+    trip: usize,
+    view: &MemView<'_>,
+    sink: &mut S,
+    offs: &mut Vec<i64>,
+    regs: &mut [f64],
+) {
+    let eb = nest.elem_bytes;
+    let inner = point.len() - 1;
+    let ilo = point[inner];
+    offs.clear();
+    offs.extend(nest.pats.iter().map(|p| dot(&p.coeffs, point)));
+    for _ in 0..trip {
+        // Pattern `j` and its offset from its bases at this point.
+        let at = |j: u32| {
+            let pat = &nest.pats[j as usize];
+            (pat, pat.var(offs[j as usize], point))
+        };
+        for st in &nest.stmts {
+            if S::OBSERVES {
+                for &j in &st.loads {
+                    let (pat, var) = at(j);
+                    sink.access((pat.addr_base + var * eb) as u64, false);
+                }
+            }
+            let val = |o: Operand, regs: &[f64]| match o {
+                Operand::Temp(i) => regs[i as usize],
+                Operand::Row(j) => {
+                    let (pat, var) = at(j);
+                    // SAFETY: forwarded from caller; the pattern
+                    // reproduces the layout's slot exactly.
+                    unsafe { view.read_slot((pat.slot_base + var) as usize) }
+                }
+                Operand::Const(c) => c,
+            };
+            for op in &st.row.ops {
+                match *op {
+                    RowOp::Unary { op, a, dst } => regs[dst as usize] = op.apply(val(a, regs)),
+                    RowOp::Binary { op, a, b, dst } => {
+                        regs[dst as usize] = op.apply(val(a, regs), val(b, regs))
+                    }
+                }
+            }
+            let v = val(st.row.result, regs);
+            let (pat, var) = at(st.store);
+            sink.access((pat.addr_base + var * eb) as u64, true);
+            // SAFETY: forwarded from caller.
+            unsafe { view.write_slot((pat.slot_base + var) as usize, v) };
+        }
+        point[inner] += 1;
+        for (o, p) in offs.iter_mut().zip(&nest.pats) {
+            *o += p.coeffs[inner];
+        }
+    }
+    point[inner] = ilo;
+}
+
 /// Reports the `n` iterations starting `off` slots past every pattern's
 /// base to the sink, in scalar order: iteration → statement → RHS loads
-/// (tape order is evaluation order) → store.
+/// in evaluation order → store.
 fn replay_chunk<S: AccessSink>(nest: &NestTape, off: i64, n: usize, sink: &mut S) {
     let eb = nest.elem_bytes;
     for var in off..off + n as i64 {
         for st in &nest.stmts {
-            for op in &st.ops {
-                if let MicroOp::Load(j) = *op {
-                    sink.access((nest.pats[j as usize].addr_base + var * eb) as u64, false);
-                }
+            for &j in &st.loads {
+                sink.access((nest.pats[j as usize].addr_base + var * eb) as u64, false);
             }
             sink.access(
                 (nest.pats[st.store as usize].addr_base + var * eb) as u64,
@@ -698,7 +602,7 @@ enum Src<'a> {
 /// pattern's base, statement by statement.
 ///
 /// # Safety
-/// As [`exec_region_rows`]; `temps` must hold `nest.row_temps()` rows
+/// As [`exec_region_tape`]; `temps` must hold `nest.row_temps()` rows
 /// of `nest.row_width >= n` elements.
 unsafe fn run_chunk(nest: &NestTape, off: i64, n: usize, view: &MemView<'_>, temps: &mut [f64]) {
     let width = nest.row_width;

@@ -1,8 +1,8 @@
 //! The content-addressed artifact cache.
 //!
 //! Two tiers. The in-memory tier is a small LRU of full [`Artifact`]s —
-//! derived plan, dependence analysis, and (for the compiled backend) the
-//! lowered micro-op tape. The optional on-disk tier persists *plans
+//! derived plan, dependence analysis, and (for the tape backends) the
+//! lowered tape. The optional on-disk tier persists *plans
 //! only*, in a versioned, checksummed line format: plans are the
 //! expensive legality-bearing half of compilation and are tiny, while
 //! tapes bake in layout base addresses and are cheap to re-lower from a
@@ -54,7 +54,7 @@ pub struct Artifact {
     pub plan: Arc<FusionPlan>,
     /// The dependence analysis the plan was derived from.
     pub deps: Option<Arc<SequenceDeps>>,
-    /// The lowered micro-op tape (compiled backend only).
+    /// The lowered tape (tape backends only).
     pub tape: Option<Arc<ProgramTape>>,
 }
 

@@ -13,7 +13,7 @@
 //!   count;
 //! * [`cache`] — the [`ArtifactCache`]: an in-memory LRU tier over
 //!   derived [`FusionPlan`](shift_peel_core::FusionPlan)s, dependence
-//!   analyses, and lowered micro-op tapes, with an optional on-disk tier
+//!   analyses, and lowered tapes, with an optional on-disk tier
 //!   (plans only, versioned + checksummed, corruption degrades to a
 //!   recompile) and hit/miss/evict counters that feed the `sp-trace`
 //!   metrics registry;

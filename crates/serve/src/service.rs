@@ -152,7 +152,7 @@ pub struct JobSpec {
     pub levels: usize,
     /// What to execute (serial / blocked / fused + grid).
     pub plan: ExecPlan,
-    /// Interpreter or compiled micro-op tapes.
+    /// Interpreter, or the lowered tape a column or a row at a time.
     pub backend: Backend,
     /// Work-distribution discipline for parallel runs (static, guided,
     /// stealing). Not part of the cache key: every schedule derives the

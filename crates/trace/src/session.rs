@@ -35,7 +35,7 @@ pub enum JobStage {
     Analysis,
     /// Fusion-plan derivation (0 on a full cache hit).
     Plan,
-    /// Lowering to micro-op tapes (0 for cached tapes and interp runs).
+    /// Lowering to row programs (0 for cached tapes and interp runs).
     Lower,
     /// The executor run on the worker pool.
     Execute,

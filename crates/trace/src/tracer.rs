@@ -31,7 +31,7 @@ pub enum SpanKind {
     Serial,
     /// Time spent waiting at a phase barrier.
     BarrierWait,
-    /// Lowering loop bodies to compiled micro-op tapes.
+    /// Lowering loop bodies to row programs.
     Lower,
     /// A work-stealing victim search that ended in a successful claim
     /// (`group` holds the stolen chunk's index).
@@ -114,7 +114,7 @@ pub struct TraceEvent {
     pub group: u32,
     /// Most consecutive iterations the work this span covered
     /// dispatches at once (`lower` spans record the backend's: 1 for
-    /// scalar tapes, the row width for the SIMD backend), or
+    /// the scalar backends, the row width for the SIMD backend), or
     /// [`NO_INDEX`].
     pub lanes: u32,
 }
