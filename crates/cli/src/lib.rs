@@ -1151,8 +1151,12 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             if backend != Backend::Interp {
                 let _ = writeln!(
                     out,
-                    "lowered {} row ops in {} ns",
-                    report.tape_ops, report.lower_nanos
+                    "lowered {} row ops ({} chains, {} direct stores) in {} ns, {} row loops",
+                    report.tape_ops,
+                    report.tape_chains,
+                    report.tape_direct_stores,
+                    report.lower_nanos,
+                    report.row_isa
                 );
             }
             if backend == Backend::Simd {

@@ -28,12 +28,14 @@ use crate::pool::{SenseBarrier, WorkerPool, MIN_SPIN};
 use crate::report::{RunReport, WorkerReport};
 use crate::schedule::{Schedule, DEFAULT_STEAL_SEED};
 use crate::sink::{AccessSink, CacheSink, NullSink};
-use crate::tape::{Engine, ProgramTape};
+use crate::tape::{Engine, ProgramTape, RowIsa};
 use shift_peel_core::{CodegenMethod, FusionPlan};
 use sp_cache::{Cache, CacheConfig};
 use sp_ir::LoopSequence;
 use sp_trace::tracer::NO_INDEX;
-use sp_trace::{RunTrace, SpanKind, TraceConfig, WorkerTrace, WorkerTracer, CONTROLLER_LANE};
+use sp_trace::{
+    LowerNote, RunTrace, SpanKind, TraceConfig, WorkerTrace, WorkerTracer, CONTROLLER_LANE,
+};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -382,6 +384,8 @@ struct RunTracing {
     cfg: TraceConfig,
     epoch: Instant,
     controller: WorkerTracer,
+    /// What the `lower` span produced, once recorded.
+    lower: Option<LowerNote>,
 }
 
 impl RunTracing {
@@ -397,18 +401,27 @@ impl RunTracing {
                 cfg: tc,
                 epoch,
                 controller,
+                lower: None,
             }
         })
     }
 
-    fn record_lower(&mut self, started: Instant, lanes: u32) {
+    fn record_lower(&mut self, started: Instant, lanes: u32, tape: &ProgramTape) {
         self.controller
             .record_lanes_until_now(SpanKind::Lower, started, lanes, NO_INDEX, NO_INDEX);
+        self.lower = Some(LowerNote {
+            chains: tape.chain_count(),
+            direct_stores: tape.direct_store_count(),
+            isa: RowIsa::detect().name(),
+        });
     }
 
     fn finish(self, mut lanes: Vec<WorkerTrace>) -> RunTrace {
         lanes.push(self.controller.finish(CONTROLLER_LANE));
-        RunTrace::assemble(lanes)
+        RunTrace {
+            lower: self.lower,
+            ..RunTrace::assemble(lanes)
+        }
     }
 }
 
@@ -463,7 +476,7 @@ fn lower_tape(
             let footprint = fp.lowering_footprint(prog.seq());
             let tape = Arc::new(ProgramTape::lower_with(prog.seq(), &mem.layout, &footprint));
             if let Some(tr) = tracing {
-                tr.record_lower(t0, backend.lane_width());
+                tr.record_lower(t0, backend.lane_width(), &tape);
             }
             Ok(Some(tape))
         }
@@ -575,6 +588,7 @@ impl<'c> Prepared<'c> {
         if let Some((_, list)) = &self.parallel {
             list.merge_into(&mut totals);
         }
+        let tape = self.tape.as_deref();
         RunReport {
             executor: name.into(),
             backend: cfg.backend_choice().name().into(),
@@ -587,9 +601,12 @@ impl<'c> Prepared<'c> {
             lower_nanos: if cfg.tape_cached() {
                 0
             } else {
-                self.tape.as_ref().map_or(0, |t| t.lower_nanos())
+                tape.map_or(0, |t| t.lower_nanos())
             },
-            tape_ops: self.tape.as_ref().map_or(0, |t| t.total_ops()),
+            tape_ops: tape.map_or(0, |t| t.total_ops()),
+            tape_chains: tape.map_or(0, |t| t.chain_count()),
+            tape_direct_stores: tape.map_or(0, |t| t.direct_store_count()),
+            row_isa: tape.map_or("", |_| RowIsa::detect().name()).into(),
             cached: cfg.tape_cached(),
             // The queue-wait/execute split belongs to the serve tier; a
             // direct executor run has no queue to wait in.
@@ -1368,6 +1385,6 @@ mod tests {
         // Someone waited at some barrier, and imbalance is near 1.
         assert!(report.max_barrier_wait_nanos() > 0);
         let imb = report.imbalance();
-        assert!(imb >= 1.0 && imb < 2.0, "imbalance {imb}");
+        assert!((1.0..2.0).contains(&imb), "imbalance {imb}");
     }
 }

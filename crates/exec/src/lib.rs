@@ -84,5 +84,5 @@ pub use sink::{
 };
 pub use sp_trace::{MetricsRegistry, RunTrace, SpanKind, TraceConfig, WorkerTrace};
 pub use tape::{
-    exec_region_tape, AccessPat, Engine, NestTape, ProgramTape, RowScratch, StmtTape, ROW,
+    exec_region_tape, AccessPat, Engine, NestTape, ProgramTape, RowIsa, RowScratch, StmtTape, ROW,
 };

@@ -14,22 +14,29 @@
 //!   is applied at lower time, with the same `f64` operator
 //!   implementations the interpreter applies, so folded values are
 //!   bit-identical.
-//! * **Row programs** — every operator left is one three-address
-//!   [`RowOp`] of the statement's [`RowStmt`], the one lowered form both
+//! * **Row programs** — the operators left become the three-address
+//!   [`RowOp`]s of the statement's [`RowStmt`], the one lowered form both
 //!   runner widths execute; the loads are noted in evaluation order for
 //!   the sink, and each nest gets its row width.
+//! * **Chains** — a peephole on the op just emitted: when an arithmetic
+//!   operator's operand is the result of the arithmetic op emitted
+//!   immediately before it, the two become one [`RowOp::Chain`], so
+//!   `(p + q) / 4` and `r + t * u` are one pass over their rows instead of
+//!   two. The shape comes from the tree, not from a catalogue of kernels;
+//!   both roundings and the operand order stay, so the value cannot change.
 //!
 //! Work counters stay interpreter-exact because each statement's `flops`
 //! and load count are those of the *original* tree.
 
 use crate::exec::ExecError;
 use crate::tape::{
-    AccessPat, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat, MIN_ROW, ROW,
+    chains, AccessPat, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat, MIN_ROW,
+    ROW,
 };
 use shift_peel_core::pipeline::Fnv1a64;
 use shift_peel_core::LoweringFootprint;
 use sp_cache::MemoryLayout;
-use sp_ir::{ArrayRef, Expr, LoopSequence};
+use sp_ir::{ArrayRef, BinOp, Expr, LoopSequence};
 use std::time::Instant;
 
 impl ProgramTape {
@@ -50,6 +57,7 @@ impl ProgramTape {
             ops: Vec::with_capacity(footprint.max_rhs_nodes),
             loads: Vec::with_capacity(footprint.max_rhs_nodes),
             live: Vec::new(),
+            consts: Vec::new(),
         };
         let mut nests = Vec::with_capacity(footprint.nests);
         for nest in &seq.nests {
@@ -59,15 +67,20 @@ impl ProgramTape {
                 depth,
                 refs: Vec::new(),
                 pats: Vec::new(),
+                store_slot: 0,
             };
             let mut stmts = Vec::with_capacity(nest.body.len());
             for stmt in &nest.body {
+                // The destination first: the chain peephole asks which
+                // rows are it.
+                let store = pats.intern(&stmt.lhs);
+                pats.store_slot = pats.pats[store as usize].slot_base;
                 let result = rows.emit(&stmt.rhs, &mut pats);
                 stmts.push(StmtTape {
                     // Kept as long as the tape: sized exactly.
                     row: RowStmt::new(rows.ops.to_vec(), result),
                     loads: rows.loads.to_vec(),
-                    store: pats.intern(&stmt.lhs),
+                    store,
                     // Charged from the original tree so counters match
                     // the interpreter despite folding.
                     flops: stmt.rhs.op_count() as u64,
@@ -80,6 +93,7 @@ impl ProgramTape {
                 row_width: row_width(&pats.pats, &stmts, depth),
                 pats: pats.pats,
                 stmts,
+                consts: std::mem::take(&mut rows.consts),
             });
         }
         ProgramTape {
@@ -175,6 +189,9 @@ struct RowBuilder {
     loads: Vec<u32>,
     /// `live[i]`: temporary `i` holds a value not yet consumed.
     live: Vec<bool>,
+    /// Distinct constant operands of the nest's ops so far
+    /// ([`NestTape::consts`]).
+    consts: Vec<f64>,
 }
 
 impl RowBuilder {
@@ -203,14 +220,66 @@ impl RowBuilder {
             Expr::Binary(op, a, b) => match (self.emit(a, pats), self.emit(b, pats)) {
                 (Operand::Const(x), Operand::Const(y)) => Operand::Const(op.apply(x, y)),
                 (a, b) => {
-                    let dst = self.dst();
-                    self.ops.push(RowOp::Binary { op: *op, a, b, dst });
-                    self.free(a);
-                    self.free(b);
+                    self.note_const(a);
+                    self.note_const(b);
+                    let dst = self.chain(*op, a, b, pats).unwrap_or_else(|| {
+                        let dst = self.dst();
+                        self.ops.push(RowOp::Binary { op: *op, a, b, dst });
+                        self.free(a);
+                        self.free(b);
+                        dst
+                    });
                     Operand::Temp(dst)
                 }
             },
         }
+    }
+
+    /// The chain peephole: `outer(x, y)` where `x` or `y` is the result of
+    /// the binary op just emitted, and both operators are arithmetic,
+    /// rewrites that op into the [`RowOp::Chain`] computing both and says
+    /// which temporary holds the value.
+    ///
+    /// The chain keeps the inner op's destination: that one was picked
+    /// while the inner operands were live, whereas the free list could
+    /// now hand out a temporary the inner op reads. And it is refused
+    /// when an inner operand is the statement's destination row: should
+    /// this chain end the statement, the row loops could read that row
+    /// through the destination only as `c`.
+    fn chain(&mut self, outer: BinOp, x: Operand, y: Operand, pats: &PatTable<'_>) -> Option<u32> {
+        let last = self.ops.last_mut()?;
+        let RowOp::Binary {
+            op: inner,
+            a,
+            b,
+            dst,
+        } = *last
+        else {
+            return None;
+        };
+        // A live temporary is written by one op only, so the last op
+        // writing `x`'s means `y` emitted nothing: a leaf.
+        let (c, inner_right) = if x == Operand::Temp(dst) {
+            (y, false)
+        } else if y == Operand::Temp(dst) {
+            (x, true)
+        } else {
+            return None;
+        };
+        if !(chains(inner) && chains(outer)) || pats.is_store(a) || pats.is_store(b) {
+            return None;
+        }
+        *last = RowOp::Chain {
+            inner,
+            outer,
+            a,
+            b,
+            c,
+            inner_right,
+            dst,
+        };
+        self.free(c);
+        Some(dst)
     }
 
     /// Ready for the next statement.
@@ -234,6 +303,14 @@ impl RowBuilder {
             self.live[i as usize] = false;
         }
     }
+
+    fn note_const(&mut self, o: Operand) {
+        if let Operand::Const(c) = o {
+            if !self.consts.iter().any(|k| k.to_bits() == c.to_bits()) {
+                self.consts.push(c);
+            }
+        }
+    }
 }
 
 /// Interns deduplicated access patterns for one nest.
@@ -242,9 +319,18 @@ struct PatTable<'a> {
     depth: usize,
     refs: Vec<ArrayRef>,
     pats: Vec<AccessPat>,
+    /// Base slot of the statement's store pattern.
+    store_slot: i64,
 }
 
 impl PatTable<'_> {
+    /// Whether `o` may be the row the statement stores to: a row-safe
+    /// nest's patterns share one coefficient vector, so equal bases are
+    /// equal rows (and elsewhere the answer only costs a chain).
+    fn is_store(&self, o: Operand) -> bool {
+        matches!(o, Operand::Row(j) if self.pats[j as usize].slot_base == self.store_slot)
+    }
+
     fn intern(&mut self, r: &ArrayRef) -> u32 {
         if let Some(i) = self.refs.iter().position(|q| q == r) {
             return i as u32;
@@ -360,11 +446,25 @@ mod tests {
         let seq = b.finish();
         let mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         let tape = ProgramTape::lower(&seq, &mem.layout);
-        // a[0] twice dedupes; a[1] and the c[0] store are distinct.
+        // The c[0] store is interned first; a[0] twice dedupes; a[1] is
+        // distinct.
         assert_eq!(tape.nests[0].pats.len(), 3);
-        assert_eq!(tape.nests[0].stmts[0].loads, [0, 0, 1]);
-        // Two adds and the store.
-        assert_eq!(tape.total_ops(), 3);
+        assert_eq!(tape.nests[0].stmts[0].store, 0);
+        assert_eq!(tape.nests[0].stmts[0].loads, [1, 1, 2]);
+        // The two adds as one chain, and the store.
+        assert_eq!(
+            tape.nests[0].stmts[0].row.ops(),
+            [RowOp::Chain {
+                inner: BinOp::Add,
+                outer: BinOp::Add,
+                a: Operand::Row(1),
+                b: Operand::Row(1),
+                c: Operand::Row(2),
+                inner_right: false,
+                dst: 0,
+            }]
+        );
+        assert_eq!(tape.total_ops(), 2);
         assert_eq!(tape.pattern_count(), 3);
     }
 
@@ -397,8 +497,9 @@ mod tests {
 
     /// The four ways a nest loses its row width, and a control that
     /// keeps it. Every case's RHS is shaped `p + q * r` over three
-    /// distinct references, so the row program reads `q` and `r` first
-    /// while the sink must still hear `p, q, r`; under both runner widths
+    /// distinct references, so the row program multiplies `q` and `r`
+    /// before it reads `p` while the sink must still hear `p, q, r`; under
+    /// both runner widths
     /// the results, the access trace and the counters are the
     /// interpreter's, and a nest without a row width runs a column at a
     /// time under `rows` too.
@@ -477,16 +578,21 @@ mod tests {
             let tape = ProgramTape::lower(&seq, &m0.layout);
             assert_eq!(tape.nests[0].row_width, width, "{what}");
             assert_eq!(tape.lane_safe_nests(), usize::from(width > 0), "{what}");
-            // Evaluation order for the sink, product first for the rows.
+            // Evaluation order for the sink (the store took pattern 0),
+            // product first for the rows: one chain, the sum outermost
+            // with the product on its right.
             let stmt = &tape.nests[0].stmts[0];
-            assert_eq!(stmt.loads, [0, 1, 2], "{what}");
-            let mul = RowOp::Binary {
-                op: BinOp::Mul,
-                a: Operand::Row(1),
-                b: Operand::Row(2),
+            assert_eq!(stmt.loads, [1, 2, 3], "{what}");
+            let mul_add = RowOp::Chain {
+                inner: BinOp::Mul,
+                outer: BinOp::Add,
+                a: Operand::Row(2),
+                b: Operand::Row(3),
+                c: Operand::Row(1),
+                inner_right: true,
                 dst: 0,
             };
-            assert_eq!(stmt.row.ops()[0], mul, "{what}");
+            assert_eq!(stmt.row.ops(), [mul_add], "{what}");
             let mut mi = m0.clone();
             let mut si = RecordingSink::default();
             let ci = run_original(&seq, &mut mi, &mut si);
@@ -505,21 +611,38 @@ mod tests {
         }
     }
 
-    /// The three-address form of the two multiply-add shapes and of a
-    /// pure copy: `Mul` then `Add` with the product as the operand the
-    /// source had it as, rows read in place, and no instruction at all
-    /// for a copy.
+    /// The row programs of the two multiply-add shapes, of in-place
+    /// updates, of a chain `min` breaks, and of a pure copy: a chain where
+    /// an arithmetic op consumes the arithmetic op just emitted — operand
+    /// order kept, the inner op's temporary kept — rows read in place, the
+    /// destination admitted to a chain as `c` only, and no instruction at
+    /// all for a copy.
     #[test]
     fn row_programs_are_three_address_and_read_rows_in_place() {
         let mut b = SeqBuilder::new("rows");
         let [a, c, d, e] = ["a", "c", "d", "e"].map(|name| b.array(name, [8usize, 8]));
         b.nest("L1", [(1, 6), (1, 6)], |x| {
-            // Patterns intern in evaluation order: a[0,0]=0, a[0,1]=1,
-            // c[0,0]=2, then the store d[0,0]=3.
+            // The store is interned first, then loads in evaluation
+            // order: d[0,0]=0, a[0,0]=1, a[0,1]=2, c[0,0]=3.
             let r = x.ld(a, [0, 0]) * x.ld(a, [0, 1]) + x.ld(c, [0, 0]);
             x.assign(d, [0, 0], r);
             let r = x.ld(c, [0, 0]) + x.ld(a, [0, 0]) * x.ld(a, [0, 1]);
             x.assign(d, [0, 0], r);
+            // In place: the destination as the outer operand chains, as
+            // an inner operand it does not.
+            let r = x.ld(d, [0, 0]) - 0.5 * x.ld(a, [0, 0]);
+            x.assign(d, [0, 0], r);
+            let r = x.ld(d, [0, 0]) * 0.5 - x.ld(a, [0, 0]);
+            x.assign(d, [0, 0], r);
+            // `min` is no half of a chain, and ends the one before it;
+            // the chain after it takes a temporary as `c`.
+            let m = Expr::Binary(
+                BinOp::Min,
+                Box::new(x.ld(a, [0, 0]) + x.ld(a, [0, 1])),
+                Box::new(x.ld(c, [0, 0])),
+            );
+            x.assign(d, [0, 0], m / (x.ld(a, [0, 0]) - x.ld(c, [0, 0])));
+            // e[0,0]=4.
             let r = x.ld(a, [0, 0]);
             x.assign(e, [0, 0], r);
         });
@@ -527,40 +650,345 @@ mod tests {
         let mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         let tape = ProgramTape::lower(&seq, &mem.layout);
         let stmts = &tape.nests[0].stmts;
-        let mul = RowOp::Binary {
-            op: BinOp::Mul,
-            a: Operand::Row(0),
-            b: Operand::Row(1),
+        let (d00, a00, a01, c00) = (
+            Operand::Row(0),
+            Operand::Row(1),
+            Operand::Row(2),
+            Operand::Row(3),
+        );
+        let mul_add = |inner_right| RowOp::Chain {
+            inner: BinOp::Mul,
+            outer: BinOp::Add,
+            a: a00,
+            b: a01,
+            c: c00,
+            inner_right,
             dst: 0,
         };
+        assert_eq!(stmts[0].row.ops(), [mul_add(false)]);
+        assert_eq!(stmts[1].row.ops(), [mul_add(true)]);
         assert_eq!(
-            stmts[0].row.ops(),
+            stmts[2].row.ops(),
+            [RowOp::Chain {
+                inner: BinOp::Mul,
+                outer: BinOp::Sub,
+                a: Operand::Const(0.5),
+                b: a00,
+                c: d00,
+                inner_right: true,
+                dst: 0,
+            }]
+        );
+        assert_eq!(
+            stmts[3].row.ops(),
             [
-                mul,
                 RowOp::Binary {
-                    op: BinOp::Add,
+                    op: BinOp::Mul,
+                    a: d00,
+                    b: Operand::Const(0.5),
+                    dst: 0,
+                },
+                RowOp::Binary {
+                    op: BinOp::Sub,
                     a: Operand::Temp(0),
-                    b: Operand::Row(2),
+                    b: a00,
                     dst: 1,
                 },
             ]
         );
-        assert_eq!(stmts[0].row.result(), Operand::Temp(1));
         assert_eq!(
-            stmts[1].row.ops(),
+            stmts[4].row.ops(),
             [
-                mul,
                 RowOp::Binary {
                     op: BinOp::Add,
-                    a: Operand::Row(2),
-                    b: Operand::Temp(0),
+                    a: a00,
+                    b: a01,
+                    dst: 0,
+                },
+                RowOp::Binary {
+                    op: BinOp::Min,
+                    a: Operand::Temp(0),
+                    b: c00,
                     dst: 1,
+                },
+                RowOp::Chain {
+                    inner: BinOp::Sub,
+                    outer: BinOp::Div,
+                    a: a00,
+                    b: c00,
+                    c: Operand::Temp(1),
+                    inner_right: true,
+                    dst: 0,
                 },
             ]
         );
-        assert_eq!(stmts[1].row.result(), Operand::Temp(1));
-        assert_eq!(stmts[2].row.ops(), []);
-        assert_eq!(stmts[2].row.result(), Operand::Row(0));
+        for st in &stmts[..5] {
+            let (dst, _) = st.row.ops().last().unwrap().parts();
+            assert_eq!(st.row.result(), Operand::Temp(dst));
+        }
+        assert_eq!(stmts[5].row.ops(), []);
+        assert_eq!(stmts[5].row.result(), a00);
+        assert_eq!(tape.nests[0].consts, [0.5]);
+        assert_eq!((tape.chain_count(), tape.direct_store_count()), (4, 5));
+    }
+
+    const ARITH: [BinOp; 4] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+
+    /// What a chain operand of the table below is.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        Row,
+        Const,
+        Temp,
+        Dest,
+    }
+    const KINDS: [Kind; 4] = [Kind::Row, Kind::Const, Kind::Temp, Kind::Dest];
+
+    /// One 1-D nest of 64 statements `d_s = outer(inner(a, b), c)` — or
+    /// `outer(c, inner(a, b))` — one per choice of [`Kind`] for `a`, `b`
+    /// and `c`, and four single ops in place: rows are the read-only `p`, `q`, `r`; temporaries are a
+    /// `neg`, a `max` and an `abs` of them (so the `max` also sits where a
+    /// chain could start and must not); the destination is the statement's
+    /// own `d_s`, read at distance 0. Beside it, whether each statement's
+    /// last op should be a chain. The trip is one full chunk and a ragged
+    /// one.
+    fn chain_table(inner: BinOp, outer: BinOp, inner_right: bool) -> (LoopSequence, Vec<bool>) {
+        let n = ROW + 37;
+        let mut b = SeqBuilder::new("chains");
+        let [p, q, r] = ["p", "q", "r"].map(|name| b.array(name, [n]));
+        let mut chained = Vec::new();
+        let kinds = KINDS
+            .iter()
+            .flat_map(|&ka| KINDS.iter().map(move |&kb| (ka, kb)))
+            .flat_map(|(ka, kb)| KINDS.iter().map(move |&kc| [ka, kb, kc]));
+        let dests: Vec<_> = (0..68).map(|s| b.array(format!("d{s}"), [n])).collect();
+        b.nest("L1", [(0, n as i64 - 1)], |x| {
+            for (ks, &d) in kinds.zip(&dests) {
+                let operand = |pos: usize| match ks[pos] {
+                    Kind::Row => x.ld([p, q, r][pos], [0]),
+                    Kind::Const => Expr::Const([2.5, -0.75, 3.0][pos]),
+                    Kind::Temp => match pos {
+                        0 => -x.ld(p, [0]),
+                        1 => {
+                            Expr::Binary(BinOp::Max, Box::new(x.ld(q, [0])), Box::new(x.ld(p, [0])))
+                        }
+                        _ => Expr::Unary(sp_ir::UnaryOp::Abs, Box::new(x.ld(r, [0]))),
+                    },
+                    Kind::Dest => x.ld(d, [0]),
+                };
+                let inner_e = Expr::Binary(inner, Box::new(operand(0)), Box::new(operand(1)));
+                let c = Box::new(operand(2));
+                x.assign(
+                    d,
+                    [0],
+                    if inner_right {
+                        Expr::Binary(outer, c, Box::new(inner_e))
+                    } else {
+                        Expr::Binary(outer, Box::new(inner_e), c)
+                    },
+                );
+                let [ka, kb, kc] = ks;
+                // The inner op exists, is the op just emitted when the
+                // outer one is, and keeps the destination out of itself.
+                chained.push(
+                    (ka, kb) != (Kind::Const, Kind::Const)
+                        && (inner_right || kc != Kind::Temp)
+                        && ka != Kind::Dest
+                        && kb != Kind::Dest,
+                );
+            }
+            // Single ops writing the row they read: both sides of a
+            // binary op, each side, and a unary op.
+            let [d0, d1, d2, d3] = dests[64..] else {
+                unreachable!()
+            };
+            x.assign(
+                d0,
+                [0],
+                Expr::Binary(outer, Box::new(x.ld(d0, [0])), Box::new(x.ld(d0, [0]))),
+            );
+            x.assign(
+                d1,
+                [0],
+                Expr::Binary(inner, Box::new(x.ld(d1, [0])), Box::new(x.ld(p, [0]))),
+            );
+            x.assign(
+                d2,
+                [0],
+                Expr::Binary(inner, Box::new(x.ld(q, [0])), Box::new(x.ld(d2, [0]))),
+            );
+            x.assign(d3, [0], -x.ld(d3, [0]));
+            chained.extend([false; 4]);
+        });
+        (b.finish(), chained)
+    }
+
+    /// Values in ±(0.5, 1.5) with one special — NaN, ±Inf, −0.0, two
+    /// subnormals — in every second column, in one array per column. One
+    /// per column because `x + y` with two different NaNs is whichever the
+    /// hardware's first source operand holds, and the compiler may commute
+    /// an addition to fold a load: Rust promises no NaN payload, so bit
+    /// equality is only asked where every NaN a column meets is the same.
+    fn init_with_specials(mem: &mut Memory, seq: &LoopSequence) {
+        const SPECIALS: [f64; 6] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            -1.1e-308,
+        ];
+        mem.init_deterministic(seq, 9);
+        for i in 0..seq.arrays.len() {
+            let id = ArrayId(i as u32);
+            // `p`, `q`, `r`, and every destination as the fourth.
+            let lane = i.min(3);
+            let plain = mem.snapshot(seq, id);
+            mem.fill_with(seq, id, |idx| {
+                let k = idx[0] as usize;
+                let m = k / 2;
+                if k.is_multiple_of(2) && m % 4 == lane {
+                    SPECIALS[(m / 4) % SPECIALS.len()]
+                } else if k % 3 == 1 {
+                    -plain[k]
+                } else {
+                    plain[k]
+                }
+            });
+        }
+    }
+
+    /// Jacobi's stencil and copy, then LL18's velocity and position
+    /// updates cut to two terms: 2-D rows, chains of every orientation,
+    /// in-place updates, a pure copy.
+    fn stencils_2d() -> LoopSequence {
+        let n = 40usize;
+        let mut b = SeqBuilder::new("stencils");
+        let [a, c, za, zz, zu, zr] =
+            ["a", "c", "za", "zz", "zu", "zr"].map(|name| b.array(name, [n, n]));
+        let inner = [(1, n as i64 - 2); 2];
+        b.nest("jacobi", inner, |x| {
+            let r = (x.ld(a, [0, -1]) + x.ld(a, [0, 1]) + x.ld(a, [-1, 0]) + x.ld(a, [1, 0])) / 4.0;
+            x.assign(c, [0, 0], r);
+        });
+        b.nest("copy", inner, |x| {
+            let r = x.ld(c, [0, 0]);
+            x.assign(a, [0, 0], r);
+        });
+        b.nest("hydro", inner, |x| {
+            let r = x.ld(zu, [0, 0])
+                + 0.0041
+                    * (x.ld(za, [0, 0]) * (x.ld(zz, [0, 0]) - x.ld(zz, [0, 1]))
+                        - x.ld(za, [0, -1]) * (x.ld(zz, [0, 0]) - x.ld(zz, [0, -1])));
+            x.assign(zu, [0, 0], r);
+            let r = x.ld(zr, [0, 0]) + 0.0037 * x.ld(zu, [0, 0]);
+            x.assign(zr, [0, 0], r);
+        });
+        b.finish()
+    }
+
+    fn bits(mem: &Memory, seq: &LoopSequence) -> Vec<Vec<u64>> {
+        let arrays = mem.snapshot_all(seq).into_iter();
+        arrays
+            .map(|a| a.into_iter().map(f64::to_bits).collect())
+            .collect()
+    }
+
+    /// Every chain shape — 4 x 4 operator pairs, both orientations — over
+    /// every kind of operand in every position: the fold happens exactly
+    /// where it should, and at both runner widths memory is the
+    /// interpreter's bit for bit on inputs full of NaN, infinities, −0.0
+    /// and subnormals, the sink hears the same trace, the counters agree.
+    ///
+    /// Mutation-checked when written; each of these fails it: ignoring
+    /// `inner_right` (at either width), swapping `a` and `b` in a chain
+    /// loop, taking a constant from the wrong scratch row, swapping the
+    /// operands of a binary loop whose right operand is the destination,
+    /// a destination arm (unary, both-sides binary, chain `c`) that does
+    /// not read the destination, and lowering a chain whose inner operand
+    /// is the destination.
+    #[test]
+    fn chain_shapes_and_operand_kinds_match_the_interpreter_at_both_widths() {
+        for (inner, outer) in ARITH.iter().flat_map(|&i| ARITH.map(|o| (i, o))) {
+            for inner_right in [false, true] {
+                let what = format!("{inner:?} then {outer:?}, inner on the right: {inner_right}");
+                let (seq, chained) = chain_table(inner, outer, inner_right);
+                let mut m0 = Memory::new(&seq, LayoutStrategy::Contiguous);
+                init_with_specials(&mut m0, &seq);
+                let tape = ProgramTape::lower(&seq, &m0.layout);
+                assert_eq!(tape.nests[0].row_width, ROW, "{what}");
+                for (s, (st, &chained)) in tape.nests[0].stmts.iter().zip(&chained).enumerate() {
+                    let last = st.row.ops().last();
+                    assert_eq!(
+                        matches!(last, Some(RowOp::Chain { .. })),
+                        chained,
+                        "{what}, statement {s}: {:?}",
+                        st.row.ops()
+                    );
+                }
+                let mut mi = m0.clone();
+                let mut si = RecordingSink::default();
+                let ci = run_original(&seq, &mut mi, &mut si);
+                for rows in [false, true] {
+                    let mut mt = m0.clone();
+                    let mut st = RecordingSink::default();
+                    let ct =
+                        Engine::Tape { tape: &tape, rows }.run_original(&seq, &mut mt, &mut st);
+                    for (s, (want, got)) in bits(&mi, &seq).iter().zip(bits(&mt, &seq)).enumerate()
+                    {
+                        assert_eq!(want, &got, "{what}, rows {rows}, array {s}");
+                    }
+                    assert_eq!(si.trace, st.trace, "{what}, rows {rows}");
+                    assert_eq!(ci, ct, "{what}, rows {rows}");
+                    assert_eq!(ct.vec_iters, if rows { ct.iters } else { 0 });
+                }
+            }
+        }
+    }
+
+    /// The two compilations of the row loops compute the same bits: every
+    /// nest of the chain table and of a 2-D sequence with Jacobi's and
+    /// LL18's statement shapes, whole regions run once by the baseline
+    /// body and once by what the host detects. (On a
+    /// host without AVX2 both are the baseline body and this is vacuous.)
+    #[test]
+    fn baseline_and_detected_row_loops_compute_equal_bits() {
+        use crate::interp::ExecCounters;
+        use crate::memory::MemView;
+        use crate::tape::{exec_region_tape, RowIsa, RowScratch};
+        let mut seqs = vec![stencils_2d()];
+        for (inner, outer) in ARITH.iter().flat_map(|&i| ARITH.map(|o| (i, o))) {
+            seqs.extend([false, true].map(|right| chain_table(inner, outer, right).0));
+        }
+        for seq in &seqs {
+            let mut m0 = Memory::new(seq, LayoutStrategy::Contiguous);
+            init_with_specials(&mut m0, seq);
+            let tape = ProgramTape::lower(seq, &m0.layout);
+            let run = |isa| {
+                let mut mem = m0.clone();
+                let mut scratch = RowScratch::on(isa);
+                let view = MemView::new(&mut mem);
+                for (nest, tape) in seq.nests.iter().zip(&tape.nests) {
+                    assert!(tape.row_width > 0);
+                    let (mut sink, mut counters) = (NullSink, ExecCounters::default());
+                    // SAFETY: single-threaded, and the tape was lowered
+                    // against this memory's layout.
+                    unsafe {
+                        exec_region_tape(
+                            tape,
+                            &nest.space(),
+                            true,
+                            &view,
+                            &mut sink,
+                            &mut scratch,
+                            &mut counters,
+                        )
+                    };
+                }
+                bits(&mem, seq)
+            };
+            assert_eq!(run(RowIsa::Baseline), run(RowIsa::detect()), "{}", seq.name);
+        }
     }
 
     /// A dependence at distance `MIN_ROW <= Δ < ROW` narrows the chunk to

@@ -80,18 +80,38 @@ impl Memory {
         }
     }
 
+    /// Visits one array's logical contents in row-major order
+    /// (independent of padding/gaps) without copying them: one layout
+    /// walk per inner row, then a strided read along it.
+    pub fn for_each_value(&self, seq: &LoopSequence, array: ArrayId, mut f: impl FnMut(f64)) {
+        let dims = &seq.array(array).dims;
+        let Some((&n, outer)) = dims.split_last() else {
+            return;
+        };
+        let stride = *self.layout.placements[array.index()]
+            .strides
+            .last()
+            .expect("a stride per dimension");
+        // Every row's first element: the inner index pinned at 0.
+        let rows = sp_ir::IterSpace::new(
+            outer
+                .iter()
+                .map(|&d| (0i64, d as i64 - 1))
+                .chain([(0, 0)])
+                .collect::<Vec<_>>(),
+        );
+        rows.for_each(|p| {
+            let row = &self.data[self.layout.slot(array, p)..];
+            row.iter().step_by(stride).take(n).for_each(|&v| f(v));
+        });
+    }
+
     /// Snapshot of one array's logical contents in row-major order
     /// (independent of padding/gaps), for comparing results across
     /// layouts and schedules.
     pub fn snapshot(&self, seq: &LoopSequence, array: ArrayId) -> Vec<f64> {
-        let dims = &seq.array(array).dims;
-        let mut out = Vec::with_capacity(dims.iter().product());
-        let space = sp_ir::IterSpace::new(
-            dims.iter()
-                .map(|&d| (0i64, d as i64 - 1))
-                .collect::<Vec<_>>(),
-        );
-        space.for_each(|p| out.push(self.get(array, p)));
+        let mut out = Vec::with_capacity(seq.array(array).dims.iter().product());
+        self.for_each_value(seq, array, |v| out.push(v));
         out
     }
 
@@ -238,6 +258,41 @@ mod tests {
         assert_eq!(m1.snapshot_all(&s), m2.snapshot_all(&s));
         // But the physical footprints differ.
         assert_ne!(m1.data.len(), m2.data.len());
+    }
+
+    /// The row-wise walk behind `snapshot` reads what an element-wise
+    /// `get` walk reads, under padding, partitioning gaps and contraction.
+    #[test]
+    fn snapshot_matches_an_elementwise_walk_under_every_layout() {
+        let s = seq();
+        let strategies = [
+            LayoutStrategy::Contiguous,
+            LayoutStrategy::InnerPad(3),
+            LayoutStrategy::CachePartition(sp_cache::CacheConfig::new(1024, 64, 1)),
+        ];
+        for (strategy, contract) in strategies.into_iter().flat_map(|l| [(l, false), (l, true)]) {
+            let mut m = Memory::new(&s, strategy);
+            if contract {
+                m.layout.contract(ArrayId(0), 3);
+            }
+            m.init_deterministic(&s, 7);
+            for (i, decl) in s.arrays.iter().enumerate() {
+                let id = ArrayId(i as u32);
+                let mut want = Vec::new();
+                let space = sp_ir::IterSpace::new(
+                    decl.dims
+                        .iter()
+                        .map(|&d| (0i64, d as i64 - 1))
+                        .collect::<Vec<_>>(),
+                );
+                space.for_each(|p| want.push(m.get(id, p)));
+                assert_eq!(
+                    m.snapshot(&s, id),
+                    want,
+                    "{strategy:?}, contracted {contract}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn pool_jobs_may_borrow_the_stack() {
         let mut pool = WorkerPool::new(3);
-        let data = vec![0u64; 3];
+        let data = [0u64; 3];
         let slots: Vec<Mutex<u64>> = data.iter().map(|_| Mutex::new(0)).collect();
         pool.run(&|w| {
             *slots[w].lock().unwrap() = w as u64 + 1;

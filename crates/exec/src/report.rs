@@ -46,6 +46,15 @@ pub struct RunReport {
     pub lower_nanos: u64,
     /// Row ops and stores across the lowered tape (0 for interpreted).
     pub tape_ops: u64,
+    /// Two-operator chains among the tape's row ops: passes lowering
+    /// saved.
+    pub tape_chains: u64,
+    /// Statements whose last op stores the destination row itself at row
+    /// width (all that have an op).
+    pub tape_direct_stores: u64,
+    /// Which compilation of the row loops this host runs (`avx2` or
+    /// `baseline`); empty for interpreted runs.
+    pub row_isa: String,
     /// True when the run executed a tape served from an artifact cache
     /// (`RunConfig::precompiled`): no lowering happened for this run and
     /// `lower_nanos` is 0.
@@ -336,7 +345,8 @@ impl RunReport {
         let mut s = String::with_capacity(256 + 256 * self.workers.len());
         s.push_str(&format!(
             "{{\"executor\":\"{}\",\"backend\":\"{}\",\"schedule\":\"{}\",\"procs\":{},\
-             \"steps\":{},\"wall_nanos\":{},\"lower_nanos\":{},\"tape_ops\":{},\"cached\":{},\
+             \"steps\":{},\"wall_nanos\":{},\"lower_nanos\":{},\"tape_ops\":{},\
+             \"tape_chains\":{},\"tape_direct_stores\":{},\"row_isa\":\"{}\",\"cached\":{},\
              \"queue_wait_nanos\":{},\"exec_nanos\":{},",
             json_escape(&self.executor),
             json_escape(&self.backend),
@@ -346,6 +356,9 @@ impl RunReport {
             self.wall_nanos,
             self.lower_nanos,
             self.tape_ops,
+            self.tape_chains,
+            self.tape_direct_stores,
+            json_escape(&self.row_isa),
             self.cached,
             self.queue_wait_nanos,
             self.exec_nanos
@@ -416,6 +429,9 @@ impl RunReport {
                 "wall_nanos" => r.wall_nanos = counter(v, key)?,
                 "lower_nanos" => r.lower_nanos = counter(v, key)?,
                 "tape_ops" => r.tape_ops = counter(v, key)?,
+                "tape_chains" => r.tape_chains = counter(v, key)?,
+                "tape_direct_stores" => r.tape_direct_stores = counter(v, key)?,
+                "row_isa" => r.row_isa = string(v, key)?,
                 "cached" => match v {
                     Json::Bool(b) => r.cached = *b,
                     _ => return Err("`cached` is not a boolean".into()),
@@ -533,6 +549,9 @@ mod tests {
             wall_nanos: 1_000_000,
             lower_nanos: 0,
             tape_ops: 0,
+            tape_chains: 0,
+            tape_direct_stores: 0,
+            row_isa: String::new(),
             cached: false,
             queue_wait_nanos: 0,
             exec_nanos: 0,
@@ -609,6 +628,9 @@ mod tests {
         r.backend = "compiled".into();
         r.lower_nanos = 1234;
         r.tape_ops = 42;
+        r.tape_chains = 9;
+        r.tape_direct_stores = 6;
+        r.row_isa = "avx2".into();
         r.workers[0].cache = Some(CacheStats {
             accesses: 1000,
             misses: 37,

@@ -19,9 +19,10 @@
 //! * **a row at a time** (`Backend::Simd`, nests with a non-zero
 //!   [`NestTape::row_width`]): each [`RowOp`] is one slice loop over up to
 //!   [`ROW`] consecutive inner iterations, so dispatch is paid once per op
-//!   per chunk, the loops are the shape the compiler vectorizes, array
-//!   rows are read in place and temporaries stay in an L1-resident
-//!   scratch.
+//!   per chunk, the loops are the shape the compiler vectorizes (and are
+//!   compiled once more for AVX2, see [`RowIsa`]), array rows are read in
+//!   place, temporaries stay in an L1-resident scratch, and a statement's
+//!   last op writes its destination row itself.
 //!
 //! **Equivalence contract.** Either width must be observationally
 //! identical to the interpreter on the same schedule: same results bit
@@ -30,8 +31,9 @@
 //! work counters. Lowering and the runner guarantee this between them:
 //!
 //! 1. every op is sp-ir's own `UnaryOp::apply`/`BinOp::apply`, once per
-//!    column — `a * b + c` stays two separately rounded operations — and
-//!    constant folding uses the same implementations;
+//!    column — `a * b + c` stays two separately rounded operations, also
+//!    when one [`RowOp::Chain`] applies both — and constant folding uses
+//!    the same implementations;
 //! 2. a row program may read its operands in another order than the
 //!    interpreter evaluates them (`a + b * c` reads `b` and `c` first),
 //!    which no value can see because nothing is stored before a
@@ -56,8 +58,8 @@ use sp_ir::{AffineExpr, BinOp, IterSpace, LoopSequence, UnaryOp};
 /// measurably is not), narrow enough that a chunk's working set — the
 /// rows it reads plus its temporaries, 1 KiB each — stays in a 32 KiB L1
 /// between the op that writes a row and the op that reads it: LL18's
-/// widest nest touches 16 rows and 3 temporaries, 19 KiB. EXPERIMENTS.md
-/// has the sweep.
+/// widest nest touches 16 rows, 3 temporaries and a constant, 20 KiB.
+/// EXPERIMENTS.md has the sweeps.
 pub const ROW: usize = 128;
 
 /// Shortest non-zero store-to-reference distance the row width accepts
@@ -128,8 +130,9 @@ pub enum Operand {
     Const(f64),
 }
 
-/// One three-address instruction of a row program: a whole-row
-/// operation writing temporary `dst`.
+/// One instruction of a row program: a whole-row operation writing
+/// temporary `dst`. `Copy`, so lowering's peephole rewrites the op it just
+/// emitted in place.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RowOp {
     /// `dst = op(a)`.
@@ -152,12 +155,52 @@ pub enum RowOp {
         /// Temporary written.
         dst: u32,
     },
+    /// Two arithmetic operators in one pass: `dst = outer(inner(a, b), c)`,
+    /// or `outer(c, inner(a, b))` when `inner_right`. Each column is still
+    /// two separately rounded operations with the source's operand order —
+    /// exactly what the two [`RowOp::Binary`] ops it stands for compute —
+    /// so it differs from them only in never storing the inner result.
+    Chain {
+        /// The operator applied first; `Add`, `Sub`, `Mul` or `Div`.
+        inner: BinOp,
+        /// The operator applied to the inner result and `c`; likewise.
+        outer: BinOp,
+        /// Left input of `inner`.
+        a: Operand,
+        /// Right input of `inner`.
+        b: Operand,
+        /// The other input of `outer`.
+        c: Operand,
+        /// Whether the inner result is `outer`'s right operand.
+        inner_right: bool,
+        /// Temporary written.
+        dst: u32,
+    },
+}
+
+impl RowOp {
+    /// The temporary written and the operands read.
+    pub(crate) fn parts(&self) -> (u32, [Option<Operand>; 3]) {
+        match *self {
+            RowOp::Unary { a, dst, .. } => (dst, [Some(a), None, None]),
+            RowOp::Binary { a, b, dst, .. } => (dst, [Some(a), Some(b), None]),
+            RowOp::Chain { a, b, c, dst, .. } => (dst, [Some(a), Some(b), Some(c)]),
+        }
+    }
+}
+
+/// Whether `op` may be half of a [`RowOp::Chain`]: the four arithmetic
+/// operators. `Min`/`Max` stay single ops, which bounds the row loops a
+/// chain needs at 4 x 4 operator pairs.
+pub(crate) fn chains(op: BinOp) -> bool {
+    matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
 }
 
 /// One statement's RHS as a row program: a `Load` or `Const` leaf is an
 /// [`Operand`] and emits nothing (a row is read where it is consumed — no
-/// store intervenes within a statement), and each operator of the folded
-/// tree is one [`RowOp`] writing a temporary.
+/// store intervenes within a statement), and the operators of the folded
+/// tree are [`RowOp`]s writing temporaries — one each, or one per two
+/// where lowering found a chain.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowStmt {
     ops: Vec<RowOp>,
@@ -170,9 +213,11 @@ impl RowStmt {
     /// A row program computing `result` by running `ops` in order.
     ///
     /// # Panics
-    /// Panics if an op writes a temporary it also reads: the runner
+    /// Panics if an op writes a temporary it also reads (the row runner
     /// hands each op's destination and sources to a slice loop as
-    /// non-overlapping rows.
+    /// non-overlapping rows), if a chain names `Min` or `Max`, or if
+    /// `result` is not what the last op wrote (at row width the last op
+    /// writes the destination row itself and `result` is not consulted).
     pub fn new(ops: Vec<RowOp>, result: Operand) -> RowStmt {
         let temp = |o: Operand| match o {
             Operand::Temp(i) => Some(i),
@@ -180,17 +225,32 @@ impl RowStmt {
         };
         let mut temps = temp(result).map_or(0, |i| i as usize + 1);
         for op in &ops {
-            let (dst, srcs) = match *op {
-                RowOp::Unary { a, dst, .. } => (dst, [temp(a), None]),
-                RowOp::Binary { a, b, dst, .. } => (dst, [temp(a), temp(b)]),
-            };
+            let (dst, srcs) = op.parts();
+            let srcs = srcs.map(|o| o.and_then(temp));
             assert!(
                 !srcs.contains(&Some(dst)),
                 "row op {op:?} writes a temporary it reads"
             );
+            if let RowOp::Chain { inner, outer, .. } = *op {
+                assert!(
+                    chains(inner) && chains(outer),
+                    "row op {op:?} chains a non-arithmetic operator"
+                );
+            }
             for i in srcs.into_iter().flatten().chain([dst]) {
                 temps = temps.max(i as usize + 1);
             }
+        }
+        match ops.last() {
+            Some(last) => assert_eq!(
+                result,
+                Operand::Temp(last.parts().0),
+                "a row program's result is what its last op wrote"
+            ),
+            None => assert!(
+                temp(result).is_none(),
+                "a row program without ops cannot yield temporary {result:?}"
+            ),
         }
         RowStmt { ops, result, temps }
     }
@@ -200,9 +260,9 @@ impl RowStmt {
         &self.ops
     }
 
-    /// Where the value to store is once the instructions ran: a
-    /// temporary, or — for a pure copy or fill, which has no
-    /// instructions — an array row or a constant.
+    /// Where the value to store is once the instructions ran: the last
+    /// instruction's temporary, or — for a pure copy or fill, which has
+    /// no instructions — an array row or a constant.
     pub fn result(&self) -> Operand {
         self.result
     }
@@ -263,7 +323,23 @@ pub struct NestTape {
     /// statement) either way. With `|Δ|` at least the chunk width they
     /// never share a chunk, and chunks run in iteration order. So no
     /// pair of conflicting accesses is reordered.
+    ///
+    /// The same bound is what lets a statement's last op write the
+    /// destination row itself: within a chunk every row the statement
+    /// reads is either disjoint from the destination row (`|Δ|` at least
+    /// the chunk width) or *exactly* it (`Δ == 0`, as in `zu = zu + …`),
+    /// never a partial overlap. A disjoint row is read as a slice; the
+    /// destination is read column by column through the one `&mut` slice
+    /// that also writes it ([`Src::Dest`]), each column before it is
+    /// written. Lowering keeps the destination out of a final chain's
+    /// inner operands (see [`crate::lower`]), so a chain meets it as `c`
+    /// only.
     pub(crate) row_width: usize,
+    /// The distinct constants the row ops name as operands, by bit
+    /// pattern. At row width each is broadcast into a scratch row once
+    /// per region, so every operand of a row loop is a row and the loops
+    /// are not multiplied by an operand-kind product.
+    pub(crate) consts: Vec<f64>,
 }
 
 impl NestTape {
@@ -276,6 +352,13 @@ impl NestTape {
     fn row_temps(&self) -> usize {
         self.stmts.iter().map(|s| s.row.temps).max().unwrap_or(0)
     }
+
+    /// Scratch row holding constant `c` at row width: the constants come
+    /// first, the temporaries after them.
+    fn const_row(&self, c: f64) -> usize {
+        let k = self.consts.iter().position(|k| k.to_bits() == c.to_bits());
+        k.expect("lowering lists every constant operand in `consts`")
+    }
 }
 
 /// A worker's reusable working memory for [`exec_region_tape`]: the
@@ -283,11 +366,35 @@ impl NestTape {
 /// per-pattern offsets. It grows to what the widest nest it meets needs
 /// and is then reused, so steady-state region calls do not touch the
 /// allocator at either width.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RowScratch {
     temps: Vec<f64>,
     point: Vec<i64>,
     offs: Vec<i64>,
+    /// Which row loops this worker runs: what the host has, detected once
+    /// when the scratch is made.
+    isa: RowIsa,
+}
+
+impl Default for RowScratch {
+    fn default() -> Self {
+        RowScratch::on(RowIsa::detect())
+    }
+}
+
+impl RowScratch {
+    /// A scratch whose chunks run `isa`'s row loops. Private to the crate:
+    /// nothing outside picks an ISA, and `Avx2` is only sound where
+    /// [`RowIsa::detect`] found it (tests pass `Baseline` to compare the
+    /// two bodies on an AVX2 host).
+    pub(crate) fn on(isa: RowIsa) -> Self {
+        RowScratch {
+            temps: Vec::new(),
+            point: Vec::new(),
+            offs: Vec::new(),
+            isa,
+        }
+    }
 }
 
 /// A whole sequence lowered against one [`sp_cache::MemoryLayout`]:
@@ -319,6 +426,23 @@ impl ProgramTape {
     /// reported in [`crate::report::RunReport`]).
     pub fn total_ops(&self) -> u64 {
         self.nests.iter().map(|n| n.op_count()).sum()
+    }
+
+    /// [`RowOp::Chain`]s across every nest: passes over a chunk that
+    /// lowering saved by running two operators in one.
+    pub fn chain_count(&self) -> u64 {
+        let chains = |s: &StmtTape| {
+            let ops = s.row.ops.iter();
+            ops.filter(|op| matches!(op, RowOp::Chain { .. })).count() as u64
+        };
+        self.nests.iter().flat_map(|n| &n.stmts).map(chains).sum()
+    }
+
+    /// Statements whose last op writes the destination row itself at row
+    /// width — every statement that has an op; copies and fills have none.
+    pub fn direct_store_count(&self) -> u64 {
+        let stmts = self.nests.iter().flat_map(|n| &n.stmts);
+        stmts.filter(|s| !s.row.ops.is_empty()).count() as u64
     }
 
     /// Deduplicated access patterns across every nest.
@@ -454,10 +578,25 @@ pub unsafe fn exec_region_tape<S: AccessSink>(
     let inner = depth - 1;
     let (ilo, ihi) = region.bounds[inner];
     let trip = (ihi - ilo + 1) as usize;
-    let RowScratch { temps, point, offs } = scratch;
-    let need = nest.row_temps() * width.max(1);
+    let RowScratch {
+        temps,
+        point,
+        offs,
+        isa,
+    } = scratch;
+    let need = if width > 0 {
+        (nest.row_temps() + nest.consts.len()) * width
+    } else {
+        nest.row_temps()
+    };
     if temps.len() < need {
         temps.resize(need, 0.0);
+    }
+    if width > 0 {
+        // No chunk of this region is longer than `trip`.
+        for (row, &c) in temps.chunks_exact_mut(width).zip(&nest.consts) {
+            row[..width.min(trip)].fill(c);
+        }
     }
     point.clear();
     point.extend(region.bounds.iter().map(|&(lo, _)| lo));
@@ -475,9 +614,9 @@ pub unsafe fn exec_region_tape<S: AccessSink>(
                     replay_chunk(nest, off, n, sink);
                 }
                 // SAFETY: forwarded from caller; `temps` holds the
-                // nest's temporaries as rows of `width >= n` elements
-                // (resized above).
-                unsafe { run_chunk(nest, off, n, view, temps) };
+                // nest's constants and temporaries as rows of `width >=
+                // n` elements (resized and filled above).
+                unsafe { run_chunk(*isa, nest, off, n, view, temps) };
                 t += n;
             }
         } else {
@@ -557,6 +696,22 @@ unsafe fn run_columns<S: AccessSink>(
                     RowOp::Binary { op, a, b, dst } => {
                         regs[dst as usize] = op.apply(val(a, regs), val(b, regs))
                     }
+                    RowOp::Chain {
+                        inner,
+                        outer,
+                        a,
+                        b,
+                        c,
+                        inner_right,
+                        dst,
+                    } => {
+                        let (t, c) = (inner.apply(val(a, regs), val(b, regs)), val(c, regs));
+                        regs[dst as usize] = if inner_right {
+                            outer.apply(c, t)
+                        } else {
+                            outer.apply(t, c)
+                        };
+                    }
                 }
             }
             let v = val(st.row.result, regs);
@@ -591,67 +746,238 @@ fn replay_chunk<S: AccessSink>(nest: &NestTape, off: i64, n: usize, sink: &mut S
     }
 }
 
-/// A resolved [`Operand`]: `n` values, or one value `n` times.
-#[derive(Clone, Copy)]
-enum Src<'a> {
-    Row(&'a [f64]),
-    Const(f64),
+/// Which compilation of the row loops runs a chunk. The loops are plain
+/// Rust compiled twice from one body ([`chunk_body`]): as the build's
+/// target has them, and with AVX2 enabled for hosts that report it. Both
+/// apply the same separately rounded IEEE operation to every column —
+/// `fma` is deliberately not enabled, a contracted multiply-add rounds
+/// once — so they differ in width, never in bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowIsa {
+    /// The build target's baseline (SSE2 on x86-64).
+    Baseline,
+    /// 256-bit AVX2 loops; x86-64 hosts that report `avx2`.
+    Avx2,
 }
 
-/// One chunk: the `n` iterations starting `off` slots past every
-/// pattern's base, statement by statement.
-///
-/// # Safety
-/// As [`exec_region_tape`]; `temps` must hold `nest.row_temps()` rows
-/// of `nest.row_width >= n` elements.
-unsafe fn run_chunk(nest: &NestTape, off: i64, n: usize, view: &MemView<'_>, temps: &mut [f64]) {
-    let width = nest.row_width;
-    debug_assert!(n <= width && nest.row_temps() * width <= temps.len());
-    let tp = temps.as_mut_ptr();
-    // SAFETY: pattern `j`'s row is `n` slots inside the backing store
-    // (the pattern reproduces the layout's slots; forwarded from caller).
-    let row = |j: u32| unsafe { view.row_ptr((nest.pats[j as usize].slot_base + off) as usize, n) };
-    // SAFETY: a statement names temporaries below `row_temps()`, each
-    // `width` elements inside `temps`.
-    let temp = |i: u32| unsafe { tp.add(i as usize * width) };
-    // SAFETY: both kinds of row are `n` initialized elements (above) that
-    // nothing writes while the slice lives — see `dst` for temporaries;
-    // the backing store is only written by the copy that ends a
-    // statement, after its last op.
-    let src = |o: Operand| match o {
-        Operand::Temp(i) => Src::Row(unsafe { std::slice::from_raw_parts(temp(i), n) }),
-        Operand::Row(j) => Src::Row(unsafe { std::slice::from_raw_parts(row(j), n) }),
-        Operand::Const(c) => Src::Const(c),
-    };
-    // SAFETY: an op's destination is a temporary none of its operands
-    // names (`RowStmt::new` checks), so it overlaps no live source slice.
-    let dst = |i: u32| unsafe { std::slice::from_raw_parts_mut(temp(i), n) };
-    for st in &nest.stmts {
-        for op in &st.row.ops {
-            match *op {
-                RowOp::Unary { op, a, dst: d } => unary_row(op, dst(d), src(a)),
-                RowOp::Binary { op, a, b, dst: d } => binary_row(op, dst(d), src(a), src(b)),
-            }
+impl RowIsa {
+    /// What this host runs: AVX2 where the CPU reports it, else baseline.
+    pub fn detect() -> RowIsa {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return RowIsa::Avx2;
         }
-        let out = row(st.store);
-        // SAFETY: `out` and the sources are `n` elements each (above); a
-        // temporary never overlaps the backing store, a source row may
-        // (a copy onto itself).
-        unsafe {
-            match st.row.result {
-                Operand::Temp(i) => std::ptr::copy_nonoverlapping(temp(i), out, n),
-                Operand::Row(j) => std::ptr::copy(row(j), out, n),
-                Operand::Const(c) => std::slice::from_raw_parts_mut(out, n).fill(c),
-            }
+        RowIsa::Baseline
+    }
+
+    /// `avx2` or `baseline`, as reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            RowIsa::Baseline => "baseline",
+            RowIsa::Avx2 => "avx2",
         }
     }
 }
 
+/// One chunk — the `n` iterations starting `off` slots past every
+/// pattern's base, statement by statement — by the row loops `isa` names.
+///
+/// # Safety
+/// As [`exec_region_tape`]; `temps` must hold the nest's constants,
+/// broadcast, and then its temporaries as rows of `nest.row_width >= n`
+/// elements; `isa` must be `Baseline` or what [`RowIsa::detect`] found.
+unsafe fn run_chunk(
+    isa: RowIsa,
+    nest: &NestTape,
+    off: i64,
+    n: usize,
+    view: &MemView<'_>,
+    temps: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if isa == RowIsa::Avx2 {
+        // SAFETY: forwarded from caller, who says the CPU has AVX2.
+        return unsafe { chunk_avx2(nest, off, n, view, temps) };
+    }
+    let _ = isa;
+    // SAFETY: forwarded from caller.
+    unsafe { chunk_body(nest, off, n, view, temps) }
+}
+
+/// [`chunk_body`] compiled with AVX2 enabled: every row loop is inlined
+/// into it, so the vectorizer emits them 256 bits wide.
+///
+/// # Safety
+/// As [`run_chunk`], on a CPU with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn chunk_avx2(nest: &NestTape, off: i64, n: usize, view: &MemView<'_>, temps: &mut [f64]) {
+    // SAFETY: forwarded from caller.
+    unsafe { chunk_body(nest, off, n, view, temps) }
+}
+
+/// An input row of a row loop: `n` values read as a slice, or the row
+/// the loop writes.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    /// A temporary, a broadcast constant, or an array row disjoint from
+    /// the row being written.
+    Row(&'a [f64]),
+    /// The row being written, which one `&mut` slice both reads (each
+    /// column before it is written) and writes; only a statement's last
+    /// op, whose destination is an array row, can meet it.
+    Dest,
+}
+
+/// One chunk's rows: which `n` elements each operand names. Only
+/// [`chunk_body`] builds one, from arguments its caller vouches for
+/// ([`run_chunk`]'s contract); the methods below rely on that.
+struct ChunkRows<'a> {
+    nest: &'a NestTape,
+    view: &'a MemView<'a>,
+    /// The scratch rows: constants, then temporaries.
+    temps: *mut f64,
+    off: i64,
+    n: usize,
+}
+
+impl<'a> ChunkRows<'a> {
+    /// Where pattern `j`'s row starts.
+    #[inline(always)]
+    fn row(&self, j: u32) -> *mut f64 {
+        // SAFETY: pattern `j`'s row is `n` slots inside the backing store
+        // (the pattern reproduces the layout's slots; `run_chunk`'s
+        // contract).
+        unsafe {
+            self.view.row_ptr(
+                (self.nest.pats[j as usize].slot_base + self.off) as usize,
+                self.n,
+            )
+        }
+    }
+
+    /// Where scratch row `i` starts.
+    #[inline(always)]
+    fn scratch(&self, i: usize) -> *mut f64 {
+        // SAFETY: constants and temporaries are rows below `consts.len() +
+        // row_temps()`, each `row_width` elements inside `temps`
+        // (`run_chunk`'s contract).
+        unsafe { self.temps.add(i * self.nest.row_width) }
+    }
+
+    /// Where temporary `i`'s row starts.
+    #[inline(always)]
+    fn temp(&self, i: u32) -> *mut f64 {
+        self.scratch(self.nest.consts.len() + i as usize)
+    }
+
+    /// The row `o` names, for an op writing a temporary or — `dest` being
+    /// the base slot of its store pattern — the statement's destination
+    /// row. `row_width` keeps every pattern of the nest at distance 0 from
+    /// a store or at least a chunk away, so an array row is the destination
+    /// exactly ([`Src::Dest`]) or disjoint from it.
+    #[inline(always)]
+    fn src(&self, o: Operand, dest: Option<i64>) -> Src<'a> {
+        let p = match o {
+            Operand::Temp(i) => self.temp(i),
+            Operand::Row(j) if Some(self.nest.pats[j as usize].slot_base) == dest => {
+                return Src::Dest
+            }
+            Operand::Row(j) => self.row(j),
+            Operand::Const(c) => self.scratch(self.nest.const_row(c)),
+        };
+        // SAFETY: `n` initialized elements (`row`, `scratch`) that nothing
+        // writes while the slice lives: the op's destination is a
+        // temporary none of its operands names (`RowStmt::new` checks), or
+        // the destination row, which the arm above keeps out of here.
+        Src::Row(unsafe { std::slice::from_raw_parts(p, self.n) })
+    }
+}
+
+/// The body of [`run_chunk`], inlined into one caller per [`RowIsa`].
+///
+/// # Safety
+/// As [`run_chunk`].
+#[inline(always)]
+unsafe fn chunk_body(nest: &NestTape, off: i64, n: usize, view: &MemView<'_>, temps: &mut [f64]) {
+    debug_assert!(
+        n <= nest.row_width
+            && (nest.row_temps() + nest.consts.len()) * nest.row_width <= temps.len()
+    );
+    let rows = ChunkRows {
+        nest,
+        view,
+        temps: temps.as_mut_ptr(),
+        off,
+        n,
+    };
+    for st in &nest.stmts {
+        let out = rows.row(st.store);
+        let Some((last, body)) = st.row.ops.split_last() else {
+            // A copy or a fill: no op to write the row.
+            // SAFETY: `out` and a source row are `n` elements each; a
+            // source row may be `out` itself.
+            unsafe {
+                match st.row.result {
+                    Operand::Row(j) => std::ptr::copy(rows.row(j), out, n),
+                    Operand::Const(c) => std::slice::from_raw_parts_mut(out, n).fill(c),
+                    Operand::Temp(_) => unreachable!("a temporary is some op's result"),
+                }
+            }
+            continue;
+        };
+        for op in body {
+            // SAFETY: see `ChunkRows::src` — a temporary no operand of `op`
+            // names.
+            let dst = unsafe { std::slice::from_raw_parts_mut(rows.temp(op.parts().0), n) };
+            run_op(op, dst, &rows, None);
+        }
+        // The last op writes the destination row itself.
+        // SAFETY: `n` elements overlapping no slice `src` hands out when
+        // told the store pattern's base.
+        let dst = unsafe { std::slice::from_raw_parts_mut(out, n) };
+        run_op(
+            last,
+            dst,
+            &rows,
+            Some(nest.pats[st.store as usize].slot_base),
+        );
+    }
+}
+
+/// Runs one op over a chunk: `dst` is the row it writes, and `dest` says
+/// whether that is the statement's destination (see [`ChunkRows::src`]).
+#[inline(always)]
+fn run_op(op: &RowOp, dst: &mut [f64], rows: &ChunkRows<'_>, dest: Option<i64>) {
+    match *op {
+        RowOp::Unary { op, a, .. } => unary_row(op, dst, rows.src(a, dest)),
+        RowOp::Binary { op, a, b, .. } => binary_row(op, dst, rows.src(a, dest), rows.src(b, dest)),
+        RowOp::Chain {
+            inner,
+            outer,
+            a,
+            b,
+            c,
+            inner_right,
+            ..
+        } => {
+            // The chain loops read `a` and `b` as slices, so only `c` may
+            // be the row being written; lowering folds no other chain.
+            let (Src::Row(a), Src::Row(b)) = (rows.src(a, dest), rows.src(b, dest)) else {
+                panic!("row op {op:?} reads its destination through the inner operator");
+            };
+            chain_row(inner, outer, inner_right, dst, a, b, rows.src(c, dest));
+        }
+    }
+}
+
+#[inline(always)]
 fn unary_row(op: UnaryOp, dst: &mut [f64], a: Src<'_>) {
+    #[inline(always)]
     fn go(dst: &mut [f64], a: Src<'_>, f: impl Fn(f64) -> f64) {
         match a {
             Src::Row(a) => dst.iter_mut().zip(a).for_each(|(d, &x)| *d = f(x)),
-            Src::Const(x) => dst.fill(f(x)),
+            Src::Dest => dst.iter_mut().for_each(|d| *d = f(*d)),
         }
     }
     // One arm per operator so each instance of `go` is a loop over a
@@ -663,7 +989,9 @@ fn unary_row(op: UnaryOp, dst: &mut [f64], a: Src<'_>) {
     }
 }
 
+#[inline(always)]
 fn binary_row(op: BinOp, dst: &mut [f64], a: Src<'_>, b: Src<'_>) {
+    #[inline(always)]
     fn go(dst: &mut [f64], a: Src<'_>, b: Src<'_>, f: impl Fn(f64, f64) -> f64) {
         match (a, b) {
             (Src::Row(a), Src::Row(b)) => {
@@ -671,9 +999,9 @@ fn binary_row(op: BinOp, dst: &mut [f64], a: Src<'_>, b: Src<'_>) {
                     *d = f(x, y);
                 }
             }
-            (Src::Row(a), Src::Const(y)) => dst.iter_mut().zip(a).for_each(|(d, &x)| *d = f(x, y)),
-            (Src::Const(x), Src::Row(b)) => dst.iter_mut().zip(b).for_each(|(d, &y)| *d = f(x, y)),
-            (Src::Const(x), Src::Const(y)) => dst.fill(f(x, y)),
+            (Src::Dest, Src::Row(b)) => dst.iter_mut().zip(b).for_each(|(d, &y)| *d = f(*d, y)),
+            (Src::Row(a), Src::Dest) => dst.iter_mut().zip(a).for_each(|(d, &x)| *d = f(x, *d)),
+            (Src::Dest, Src::Dest) => dst.iter_mut().for_each(|d| *d = f(*d, *d)),
         }
     }
     match op {
@@ -683,6 +1011,79 @@ fn binary_row(op: BinOp, dst: &mut [f64], a: Src<'_>, b: Src<'_>) {
         BinOp::Div => go(dst, a, b, |x, y| BinOp::Div.apply(x, y)),
         BinOp::Min => go(dst, a, b, |x, y| BinOp::Min.apply(x, y)),
         BinOp::Max => go(dst, a, b, |x, y| BinOp::Max.apply(x, y)),
+    }
+}
+
+/// `dst = outer(inner(a, b), c)`, or `outer(c, inner(a, b))` when
+/// `inner_right`, as one loop per (operator pair, orientation, kind of
+/// `c`): 4 x 4 x 2 x 2 = 64 instances.
+#[inline(always)]
+fn chain_row(
+    inner: BinOp,
+    outer: BinOp,
+    inner_right: bool,
+    dst: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    c: Src<'_>,
+) {
+    #[inline(always)]
+    fn go(dst: &mut [f64], a: &[f64], b: &[f64], c: Src<'_>, f: impl Fn(f64, f64, f64) -> f64) {
+        match c {
+            Src::Row(c) => {
+                for (((d, &x), &y), &z) in dst.iter_mut().zip(a).zip(b).zip(c) {
+                    *d = f(x, y, z);
+                }
+            }
+            Src::Dest => {
+                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                    *d = f(x, y, *d);
+                }
+            }
+        }
+    }
+    /// `f` is the inner operator, known; pick the outer and the side.
+    #[inline(always)]
+    fn outer_of(
+        outer: BinOp,
+        inner_right: bool,
+        dst: &mut [f64],
+        a: &[f64],
+        b: &[f64],
+        c: Src<'_>,
+        f: impl Fn(f64, f64) -> f64,
+    ) {
+        macro_rules! arm {
+            ($op:expr) => {
+                if inner_right {
+                    go(dst, a, b, c, |x, y, z| $op.apply(z, f(x, y)))
+                } else {
+                    go(dst, a, b, c, |x, y, z| $op.apply(f(x, y), z))
+                }
+            };
+        }
+        match outer {
+            BinOp::Add => arm!(BinOp::Add),
+            BinOp::Sub => arm!(BinOp::Sub),
+            BinOp::Mul => arm!(BinOp::Mul),
+            BinOp::Div => arm!(BinOp::Div),
+            BinOp::Min | BinOp::Max => unreachable!("`RowStmt::new` admits arithmetic chains only"),
+        }
+    }
+    match inner {
+        BinOp::Add => outer_of(outer, inner_right, dst, a, b, c, |x, y| {
+            BinOp::Add.apply(x, y)
+        }),
+        BinOp::Sub => outer_of(outer, inner_right, dst, a, b, c, |x, y| {
+            BinOp::Sub.apply(x, y)
+        }),
+        BinOp::Mul => outer_of(outer, inner_right, dst, a, b, c, |x, y| {
+            BinOp::Mul.apply(x, y)
+        }),
+        BinOp::Div => outer_of(outer, inner_right, dst, a, b, c, |x, y| {
+            BinOp::Div.apply(x, y)
+        }),
+        BinOp::Min | BinOp::Max => unreachable!("`RowStmt::new` admits arithmetic chains only"),
     }
 }
 

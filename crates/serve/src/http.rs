@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn shutdown_joins_even_with_no_traffic() {
-        let server = MetricsServer::start("127.0.0.1:0", Arc::new(|| String::new())).unwrap();
+        let server = MetricsServer::start("127.0.0.1:0", Arc::new(String::new)).unwrap();
         // Drop path: must not hang waiting for a connection.
         drop(server);
     }

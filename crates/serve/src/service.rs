@@ -29,7 +29,7 @@ use sp_exec::{
     register_pass_metrics, Backend, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program,
     ProgramTape, RunConfig, RunReport, Schedule,
 };
-use sp_ir::LoopSequence;
+use sp_ir::{ArrayId, LoopSequence};
 use sp_trace::{JobSpans, JobStage, MetricsRegistry, SessionTrace};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -1086,8 +1086,10 @@ fn run_job_stages(
         });
     }
 
-    let snapshot = mem.snapshot_all(&spec.seq);
-    let digest = snapshot_digest(&snapshot);
+    // The digest reads the live memory; only a reply that carries the
+    // arrays pays for a copy of them.
+    let digest = memory_digest(&mem, &spec.seq);
+    let output = spec.keep_output.then(|| mem.snapshot_all(&spec.seq));
     spans.stage(JobStage::Respond, t_respond, since_epoch(epoch) - t_respond);
     Ok(JobResult {
         id: job.id,
@@ -1097,7 +1099,7 @@ fn run_job_stages(
         report,
         cache: outcome,
         digest,
-        output: spec.keep_output.then_some(snapshot),
+        output,
         queued_nanos,
         run_nanos,
         order: 0,
@@ -1105,9 +1107,7 @@ fn run_job_stages(
 }
 
 /// FNV digest over array lengths and the exact bit patterns of every
-/// element — equal digests mean bit-for-bit equal outputs. Streamed, so
-/// the respond stage holds no third copy of a job's output beside its
-/// memory and its snapshot: that stage sets the service's peak heap.
+/// element — equal digests mean bit-for-bit equal outputs.
 pub fn snapshot_digest(arrays: &[Vec<f64>]) -> u64 {
     let mut h = Fnv1a64::new();
     for a in arrays {
@@ -1115,6 +1115,22 @@ pub fn snapshot_digest(arrays: &[Vec<f64>]) -> u64 {
         for v in a {
             h.write(&v.to_bits().to_le_bytes());
         }
+    }
+    h.finish()
+}
+
+/// [`snapshot_digest`] of `mem.snapshot_all(seq)` without the snapshot:
+/// the same lengths and bit patterns in the same logical row-major order,
+/// streamed out of the live memory, so the respond stage — which sets the
+/// service's peak heap — holds no copy of a job's output beside the
+/// memory itself.
+pub fn memory_digest(mem: &Memory, seq: &LoopSequence) -> u64 {
+    let mut h = Fnv1a64::new();
+    for (i, a) in seq.arrays.iter().enumerate() {
+        h.write(&(a.dims.iter().product::<usize>() as u64).to_le_bytes());
+        mem.for_each_value(seq, ArrayId(i as u32), |v| {
+            h.write(&v.to_bits().to_le_bytes())
+        });
     }
     h.finish()
 }

@@ -61,7 +61,7 @@ fn cached_results_are_bit_identical_to_uncached() {
             let want = fresh_run(seq, &spec);
 
             let a = service.wait(service.submit(spec.clone()).unwrap()).unwrap();
-            let b = service.wait(service.submit(spec).unwrap()).unwrap();
+            let b = service.wait(service.submit(spec.clone()).unwrap()).unwrap();
             assert_eq!(
                 a.cache,
                 CacheOutcome::Miss,
@@ -90,13 +90,19 @@ fn cached_results_are_bit_identical_to_uncached() {
                 snapshot_digest(&want),
                 "digest covers the snapshot"
             );
+            // A reply without the arrays is digested from the live memory
+            // and never snapshots: same digest, no output.
+            let mut bare = spec.clone();
+            bare.keep_output = false;
+            let c = service.wait(service.submit(bare).unwrap()).unwrap();
+            assert_eq!((c.digest, c.output), (a.digest, None));
         }
     }
     let c = service.cache_counters();
     assert_eq!(
         c.hits,
-        kernels.len() as u64 * 2,
-        "one warm hit per kernel × backend"
+        kernels.len() as u64 * 4,
+        "two warm hits per kernel × backend"
     );
     assert_eq!(c.misses, kernels.len() as u64 * 2);
 }

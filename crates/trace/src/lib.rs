@@ -38,6 +38,6 @@ pub use metrics::{Histogram, MetricsRegistry};
 pub use ring::EventRing;
 pub use session::{JobSpans, JobStage, SessionTrace, StageSpan};
 pub use tracer::{
-    validate_chrome_trace, RunTrace, SpanKind, TraceConfig, TraceEvent, TraceSummary, WorkerTrace,
-    WorkerTracer, CONTROLLER_LANE,
+    validate_chrome_trace, LowerNote, RunTrace, SpanKind, TraceConfig, TraceEvent, TraceSummary,
+    WorkerTrace, WorkerTracer, CONTROLLER_LANE,
 };

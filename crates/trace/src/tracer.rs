@@ -241,12 +241,28 @@ pub struct WorkerTrace {
     pub dropped: u64,
 }
 
+/// What a run's lowering produced, exported as the args of its `lower`
+/// span, so a trace from another host says which row loops ran and how
+/// many passes lowering saved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LowerNote {
+    /// Two-operator chains among the tape's row ops.
+    pub chains: u64,
+    /// Statements whose last op stores its row itself.
+    pub direct_stores: u64,
+    /// Row-loop ISA of the host (`avx2` / `baseline`).
+    pub isa: &'static str,
+}
+
 /// Everything recorded about one run, collected from the workers' rings
 /// after the run completes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunTrace {
     /// Per-worker traces, sorted by processor id, controller lane last.
     pub workers: Vec<WorkerTrace>,
+    /// What the run's `lower` span produced; `None` when nothing was
+    /// lowered during the run.
+    pub lower: Option<LowerNote>,
 }
 
 impl RunTrace {
@@ -265,7 +281,10 @@ impl RunTrace {
                 _ => workers.push(lane),
             }
         }
-        RunTrace { workers }
+        RunTrace {
+            workers,
+            lower: None,
+        }
     }
 
     /// Total events across lanes.
@@ -367,6 +386,12 @@ impl RunTrace {
                 }
                 if e.lanes != NO_INDEX {
                     s.push_str(&format!("\"lanes\":{},", e.lanes));
+                }
+                if let (SpanKind::Lower, Some(n)) = (e.kind, self.lower) {
+                    s.push_str(&format!(
+                        "\"chains\":{},\"direct_stores\":{},\"isa\":\"{}\",",
+                        n.chains, n.direct_stores, n.isa
+                    ));
                 }
                 if s.ends_with(',') {
                     s.pop();
@@ -686,11 +711,22 @@ mod tests {
         let mut t = WorkerTracer::new(TraceConfig::with_capacity(8), epoch);
         t.record_lanes_until_now(SpanKind::Lower, epoch, 8, NO_INDEX, NO_INDEX);
         t.record(SpanKind::Fused, epoch, 10, 0, 0);
-        let trace = RunTrace::assemble(vec![t.finish(CONTROLLER_LANE)]);
+        let mut trace = RunTrace::assemble(vec![t.finish(CONTROLLER_LANE)]);
         assert_eq!(trace.workers[0].events[0].lanes, 8);
         assert_eq!(trace.workers[0].events[1].lanes, NO_INDEX);
         let json = trace.chrome_json();
-        assert!(json.contains("\"lanes\":8"), "{json}");
+        assert!(json.contains("\"lanes\":8}"), "{json}");
+        validate_chrome_trace(&json).expect("valid chrome trace");
+        // What lowering produced rides on the same span, and on no other.
+        trace.lower = Some(LowerNote {
+            chains: 3,
+            direct_stores: 2,
+            isa: "avx2",
+        });
+        let json = trace.chrome_json();
+        let args = "\"lanes\":8,\"chains\":3,\"direct_stores\":2,\"isa\":\"avx2\"}";
+        assert_eq!(json.matches(args).count(), 1, "{json}");
+        assert_eq!(json.matches("chains").count(), 1, "{json}");
         validate_chrome_trace(&json).expect("valid chrome trace");
     }
 

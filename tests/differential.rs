@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use shift_peel::core::CodegenMethod;
 use shift_peel::prelude::*;
 use sp_cache::CacheConfig;
+use sp_ir::{BinOp, UnaryOp};
 
 /// Splitmix64: one u64 seed fans out into the whole program shape, so a
 /// failing case reproduces from the seed alone.
@@ -38,8 +39,14 @@ impl Rng {
 
 /// A random chain: nest `j` writes `a[j+1]` from 1-3 uniform reads of
 /// `a[j]` (offsets in [-2, 2] per dimension) combined by a random mix of
-/// add / multiply / fused multiply-add shapes, with a 25% chance of a
-/// self-read recurrence that makes the nest serial.
+/// shapes: the four arithmetic operators with the running value on either
+/// side and constants on either side (what lowering folds into two-operator
+/// chains), and `abs` / `sqrt` / `min` / `max` nodes between them, which
+/// end one chain and let the next begin. Divisors are constants or
+/// `|x| + 1`, so every value stays finite and `==` compares results. A
+/// nest then has a 50% chance of an in-place update — its destination read
+/// at distance 0, as the left or the right operand — and a 25% chance of a
+/// self-read recurrence that makes it serial.
 fn build(seed: u64) -> LoopSequence {
     let mut r = Rng(seed);
     let nnests = 1 + r.below(4) as usize;
@@ -50,32 +57,52 @@ fn build(seed: u64) -> LoopSequence {
         .map(|i| b.array(format!("a{i}"), vec![n; depth]))
         .collect();
     let bounds = vec![(4i64, n as i64 - 5); depth];
+    let node = |op, a: Expr, b: Expr| Expr::Binary(op, Box::new(a), Box::new(b));
+    let abs = |a: Expr| Expr::Unary(UnaryOp::Abs, Box::new(a));
     for j in 0..nnests {
         let (src, dst) = (arrays[j], arrays[j + 1]);
         let nreads = 1 + r.below(3) as usize;
         let offs: Vec<Vec<i64>> = (0..nreads)
             .map(|_| (0..depth).map(|_| r.below(5) as i64 - 2).collect())
             .collect();
-        let shapes: Vec<u64> = (1..nreads).map(|_| r.below(4)).collect();
+        let shapes: Vec<u64> = (1..nreads).map(|_| r.below(12)).collect();
+        let in_place = r.below(4);
         let serial = r.below(4) == 0;
         b.nest(format!("L{j}"), bounds.clone(), |x| {
             let mut e = x.ld(src, &offs[0]);
             for (o, shape) in offs[1..].iter().zip(&shapes) {
+                let ld = x.ld(src, o);
                 e = match shape {
-                    0 => e + x.ld(src, o),
-                    1 => e * 0.5 + x.ld(src, o),
-                    // Add(e, Mul) and Add(Mul, e): the AddMul / MulAdd
-                    // shapes the lowering pass fuses into 3-operand ops.
-                    2 => e + x.ld(src, o) * Expr::Const(0.25),
-                    _ => x.ld(src, o) * (Expr::Const(0.5) + Expr::Const(0.25)) + e,
+                    0 => e + ld,
+                    1 => e * 0.5 + ld,
+                    // A product on either side of a sum, and of a
+                    // difference.
+                    2 => e + ld * Expr::Const(0.25),
+                    3 => ld * (Expr::Const(0.5) + Expr::Const(0.25)) + e,
+                    4 => ld - e,
+                    5 => e - ld * 0.5,
+                    // Quotients in both orders, and a chain under one.
+                    6 => e / (abs(ld) + 1.0),
+                    7 => (e - ld) / 4.0,
+                    8 => ld / 2.0 - e,
+                    // Nodes no chain crosses.
+                    9 => node(BinOp::Max, e * 0.5, ld) - 0.25,
+                    10 => 1.5 - node(BinOp::Min, e, ld.clone()) * ld,
+                    _ => Expr::Unary(UnaryOp::Sqrt, Box::new(abs(e))) + ld,
                 };
             }
+            let here = vec![0i64; depth];
+            e = match in_place {
+                0 => x.ld(dst, &here) + e * 0.125,
+                1 => e * 0.125 - x.ld(dst, &here),
+                _ => e,
+            };
             if serial {
                 let mut back = vec![0i64; depth];
                 back[0] = -1;
                 e = e + x.ld(dst, back);
             }
-            x.assign(dst, vec![0i64; depth], e);
+            x.assign(dst, here, e);
         });
     }
     b.finish()
