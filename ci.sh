@@ -16,7 +16,7 @@ cargo fmt --check \
   -p sp-exec -p sp-trace -p sp-kernels -p sp-baselines -p sp-machine \
   -p sp-bench -p sp-cli -p sp-serve -p sp-net
 
-echo "==> structure: no deprecated shims, one hash, one PRNG, one JSON reader, one place for ISA"
+echo "==> structure: no deprecated shims, one hash, one PRNG, one JSON reader, one place for ISA, one wait policy, bounded results"
 # Cheap greps over first-party code. Each of these helpers once existed
 # two or three times; a second definition is a regression, not a lint.
 if grep -rn --include='*.rs' '#\[deprecated' crates/; then
@@ -58,6 +58,21 @@ if grep -nE 'target-cpu|target-feature' .cargo/config.toml; then
 fi
 if grep -n 'copy_nonoverlapping' crates/exec/src/tape.rs; then
   echo "FAIL: a temporary-then-copy store tail is back in the row runner"
+  exit 1
+fi
+# A parallel run wakes the threads it needs and nobody else, and everything
+# that waits does so by the one clock-driven policy: a broadcast wake or an
+# iteration-count spin budget with its adaptive mode must not grow back.
+if grep -nE 'notify_all|adaptive|MIN_SPIN|MAX_SPIN' crates/exec/src/pool.rs; then
+  echo "FAIL: a broadcast wake or a spin budget is back in crates/exec/src/pool.rs"
+  exit 1
+fi
+# The service's result table is bounded: the one insertion sits in
+# State::deliver, next to the RESULT_RETENTION loop that evicts.
+n="$(grep -c 'done\.insert(' crates/serve/src/service.rs)"
+if [ "$n" -ne 1 ] \
+  || ! grep -A4 'done\.insert(' crates/serve/src/service.rs | grep -q 'RESULT_RETENTION'; then
+  echo "FAIL: State::done is inserted into away from its retention bound"
   exit 1
 fi
 for def in 'fn fnv1a64' 'fn splitmix64' 'fn string(&mut self)'; do
@@ -148,6 +163,16 @@ awk '/simd\/interp throughput/ {
   if (ratio + 0 < 6.0) { print "FAIL: simd below 6x interp: " $0; bad = 1 }
 }
 END { if (n == 0) { print "FAIL: no simd/interp acceptance lines"; exit 1 } exit bad }' "$runtime_out"
+# What a small parallel run costs when the pool was idle before it (the
+# condition a service creates and the sweeps above never do): a 2-step
+# 34x34 jacobi run at p = 2 must stay under 300 us. It read ~1000 us while
+# the first arriver spun out its budget at every barrier before letting a
+# just-woken peer run.
+dispatch_p2="$(grep -o '"dispatch_us":{"p1":[0-9.]*,"p2":[0-9.]*' results/BENCH_runtime.json | sed 's/.*"p2"://')"
+awk -v d="$dispatch_p2" 'BEGIN {
+  if (d == "" || d + 0 <= 0 || d + 0 >= 300) { print "FAIL: dispatch_us.p2 \"" d "\" not in (0, 300) us"; exit 1 }
+  print "dispatch_us.p2 = " d " us (< 300)"
+}'
 # Adaptive scheduling gate: the skewed-load sweep (same seed, all three
 # schedules, bit-for-bit verified inside the binary) must show stealing
 # strictly flattening the busy-time imbalance relative to static
@@ -195,39 +220,42 @@ grep -q 'cleared' "$serve_out"
 rm -rf "$serve_cache" "$serve_out"
 
 echo "==> serve observability: traced session export + overhead gate (<=5%)"
-# A heavier manifest than the smoke (so wall time is ~0.2s, large enough
-# for a stable ratio): the whole traced session must export ONE valid
+# A session of 975 jobs (>= 1 s of wall time, so that one descheduling
+# does not decide a ratio): the whole traced session must export ONE valid
 # Chrome trace, the metrics snapshot must carry the per-stage labeled
 # histograms and outcome counters, and tracing the session must not cost
-# more than 5% wall time (best-of-3 each way).
+# more than 5% wall time — by the medians of nine traced and nine untraced
+# sessions run in alternation, so that host drift lands on both alike.
 load_manifest="$(mktemp /tmp/spfc-load.XXXXXX.manifest)"
 cat > "$load_manifest" <<'MANIFEST'
-job load-jacobi kernel=jacobi grid=2x2 steps=6 strip=8 repeat=40
-job load-ll18   kernel=ll18   procs=4  steps=6 repeat=25
+job load-jacobi kernel=jacobi grid=2x2 steps=6 strip=8 repeat=600
+job load-ll18   kernel=ll18   procs=4  steps=6 repeat=375
 MANIFEST
 session_trace="$(mktemp /tmp/spfc-session.XXXXXX.json)"
 session_prom="$(mktemp /tmp/spfc-session.XXXXXX.prom)"
-plain_best=1e9
-traced_best=1e9
-for _ in 1 2 3; do
-  s="$(cargo run --release -q -p sp-cli -- serve --jobs "$load_manifest" \
-    | grep -Eo 'in [0-9.]+ s' | awk '{print $2}')"
-  plain_best="$(awk -v a="$plain_best" -v b="$s" 'BEGIN{print (b+0 < a+0) ? b : a}')"
-done
-for _ in 1 2 3; do
-  s="$(cargo run --release -q -p sp-cli -- serve --jobs "$load_manifest" \
+plain_walls="$(mktemp /tmp/spfc-plain-walls.XXXXXX)"
+traced_walls="$(mktemp /tmp/spfc-traced-walls.XXXXXX)"
+cargo build --release -q -p sp-cli
+for _ in 1 2 3 4 5 6 7 8 9; do
+  ./target/release/spfc serve --jobs "$load_manifest" \
+    | grep -Eo 'in [0-9.]+ s' | awk '{print $2}' >> "$plain_walls"
+  ./target/release/spfc serve --jobs "$load_manifest" \
     --trace-out "$session_trace" --metrics-out "$session_prom" \
-    | grep -Eo 'in [0-9.]+ s' | awk '{print $2}')"
-  traced_best="$(awk -v a="$traced_best" -v b="$s" 'BEGIN{print (b+0 < a+0) ? b : a}')"
+    | grep -Eo 'in [0-9.]+ s' | awk '{print $2}' >> "$traced_walls"
 done
-awk -v p="$plain_best" -v t="$traced_best" 'BEGIN {
+median() { sort -n "$1" | awk '{ v[NR] = $1 } END { print v[int((NR + 1) / 2)] }'; }
+awk -v p="$(median "$plain_walls")" -v t="$(median "$traced_walls")" 'BEGIN {
+  if (p + 0 < 1.0) { printf "FAIL: an untraced session took %.3fs, under the 1 s the gate needs\n", p; exit 1 }
   ratio = t / p
-  printf "traced/untraced serve wall: %.3f (traced %.3fs, untraced %.3fs)\n", ratio, t, p
+  printf "traced/untraced serve wall, medians of 9: %.3f (traced %.3fs, untraced %.3fs)\n", ratio, t, p
   if (ratio > 1.05) { print "FAIL: traced serve overhead above 5%"; exit 1 }
 }'
+rm -f "$plain_walls" "$traced_walls"
 cargo run --release -p sp-cli -- trace-check "$session_trace"
-grep -q '^spfc_serve_jobs_total{component="sp-serve",outcome="ok"} 65$' "$session_prom"
-grep -q '^spfc_serve_stage_nanos_bucket{component="sp-serve",stage="execute",le="+Inf"} 65$' "$session_prom"
+grep -q '^spfc_serve_jobs_total{component="sp-serve",outcome="ok"} 975$' "$session_prom"
+grep -q '^spfc_serve_stage_nanos_bucket{component="sp-serve",stage="execute",le="+Inf"} 975$' "$session_prom"
+grep -q '^spfc_serve_results_retained{component="sp-serve"} 975$' "$session_prom"
+grep -q '^spfc_serve_pool_busy_ratio{component="sp-serve"} 0\.[0-9]' "$session_prom"
 grep -q '^spfc_serve_stage_nanos_bucket{component="sp-serve",stage="queue_wait"' "$session_prom"
 rm -f "$load_manifest" "$session_trace" "$session_prom"
 

@@ -25,13 +25,22 @@
 //! enabled (`traced` column): the traced/compiled throughput ratio is
 //! the recorded cost of span recording, expected to stay within noise.
 //!
+//! The sweeps above run back to back, so the pool's threads never go to
+//! sleep between two runs. A service does the opposite — a few hundred
+//! microseconds of other work on the calling thread between two small
+//! runs — and the `dispatch_us` column measures that: what one small
+//! pooled run costs when the pool was idle before it.
+//!
 //! Prints a table per kernel and writes every run's full `RunReport`
 //! (per-worker counters, barrier waits, imbalance) to
 //! `results/BENCH_runtime.json`.
 
 use sp_bench::{f2, Opts, Table};
-use sp_cache::CacheConfig;
-use sp_exec::{RunReport, Schedule, DEFAULT_STEAL_SEED};
+use sp_cache::{CacheConfig, LayoutStrategy};
+use sp_exec::{
+    Backend, Executor, Memory, PooledExecutor, Program, RunConfig, RunReport, Schedule,
+    DEFAULT_STEAL_SEED,
+};
 use sp_ir::LoopSequence;
 use sp_kernels::{jacobi, skewed, tomcatv};
 use sp_machine::{
@@ -39,6 +48,42 @@ use sp_machine::{
     CONVEX_SPP1000,
 };
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
+
+/// Runs behind each `dispatch_us` median.
+const DISPATCH_RUNS: usize = 201;
+/// Work the calling thread does between two of them.
+const DISPATCH_GAP: Duration = Duration::from_micros(300);
+
+/// Median wall time, in µs, of a two-step 34² jacobi run on `procs`
+/// processors of a two-processor pool, each run after [`DISPATCH_GAP`]
+/// of work on the calling thread alone — `serve-mixed`'s most popular job
+/// as the service's scheduler issues it, with the pool's other thread
+/// long asleep by the time the run starts.
+fn dispatch_us(procs: usize) -> f64 {
+    let seq = jacobi::sequence(34);
+    let prog = Program::new(&seq, 1).expect("jacobi analyses");
+    let cfg = RunConfig::fused([procs])
+        .strip(16)
+        .steps(2)
+        .backend(Backend::Simd);
+    let mut pool = PooledExecutor::new(2);
+    let mut us: Vec<f64> = (0..DISPATCH_RUNS)
+        .map(|run| {
+            let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+            mem.init_deterministic(&seq, run as u64);
+            let gap = Instant::now();
+            while gap.elapsed() < DISPATCH_GAP {
+                std::hint::spin_loop();
+            }
+            let t = Instant::now();
+            pool.run(&prog, &mut mem, &cfg).expect("pooled run");
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[us.len() / 2]
+}
 
 struct KernelRun {
     name: &'static str,
@@ -178,6 +223,7 @@ fn skew_sweep(n: usize, procs: usize, steps: usize, reps: usize) -> SkewRun {
             "it/s",
             "time imbalance",
             "steals",
+            "yields",
             "parks",
             "max barrier us",
         ],
@@ -188,6 +234,7 @@ fn skew_sweep(n: usize, procs: usize, steps: usize, reps: usize) -> SkewRun {
             format!("{:.0}", r.report.iters_per_sec()),
             f2(r.report.time_imbalance()),
             r.report.total_steals().to_string(),
+            r.report.total_yields().to_string(),
             r.report.total_parks().to_string(),
             format!("{:.1}", r.report.max_barrier_wait_nanos() as f64 / 1e3),
         ]);
@@ -197,8 +244,11 @@ fn skew_sweep(n: usize, procs: usize, steps: usize, reps: usize) -> SkewRun {
     SkewRun { steps, chunk, rows }
 }
 
-fn emit_json(kernels: &[KernelRun], skew: &SkewRun) -> String {
-    let mut out = String::from("{\"kernels\":[");
+fn emit_json(kernels: &[KernelRun], skew: &SkewRun, dispatch: [f64; 2]) -> String {
+    let mut out = format!(
+        "{{\"dispatch_us\":{{\"p1\":{:.1},\"p2\":{:.1}}},\"kernels\":[",
+        dispatch[0], dispatch[1]
+    );
     for (i, k) in kernels.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -293,7 +343,15 @@ fn main() {
     // ratio needs enough per-step work for busy times to dominate
     // scheduling jitter.
     let skew = skew_sweep(n, procs, if opts.quick { 30 } else { 100 }, reps);
-    let json = emit_json(&kernels, &skew);
+    let dispatch = [dispatch_us(1), dispatch_us(2)];
+    println!(
+        "dispatch: a 2-step 34x34 jacobi run after {} us of caller-side work = \
+{:.1} us at p=1, {:.1} us at p=2 (median of {DISPATCH_RUNS})\n",
+        DISPATCH_GAP.as_micros(),
+        dispatch[0],
+        dispatch[1]
+    );
+    let json = emit_json(&kernels, &skew, dispatch);
     let path = "results/BENCH_runtime.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),

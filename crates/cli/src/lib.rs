@@ -559,22 +559,32 @@ fn serve_command(opts: &Options) -> Result<String, CliError> {
     };
 
     let started = std::time::Instant::now();
-    let mut ids = Vec::with_capacity(specs.len());
+    // Results are read in submission order, the oldest outstanding one
+    // whenever the queue pushes back: the service remembers only its most
+    // recent `RESULT_RETENTION` results, so a manifest longer than that
+    // must not leave them all unread until the end.
+    let mut outstanding = std::collections::VecDeque::new();
+    let mut results = Vec::with_capacity(specs.len());
     for spec in specs {
         loop {
-            match service.submit(spec.clone()) {
-                Ok(id) => break ids.push(id),
-                Err(ServeError::QueueFull { .. }) => {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+            if outstanding.len() < sp_serve::RESULT_RETENTION {
+                match service.submit(spec.clone()) {
+                    Ok(id) => break outstanding.push_back(id),
+                    Err(ServeError::QueueFull { .. }) => {}
+                    Err(e) => return fail(e.to_string()),
                 }
-                Err(e) => return fail(e.to_string()),
+            }
+            match outstanding.pop_front() {
+                Some(id) => results.push((id, service.wait(id))),
+                None => std::thread::sleep(std::time::Duration::from_millis(1)),
             }
         }
     }
+    results.extend(outstanding.into_iter().map(|id| (id, service.wait(id))));
     let mut out = String::new();
     let (mut ok, mut failed) = (0u64, 0u64);
-    for id in ids {
-        match service.wait(id) {
+    for (id, res) in results {
+        match res {
             Ok(r) => {
                 ok += 1;
                 let _ = writeln!(
@@ -1133,18 +1143,21 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             );
             let _ = writeln!(
                 out,
-                "backend {}, imbalance {:.3}, max barrier wait {} ns",
+                "backend {}, imbalance {:.3}, max barrier wait {} ns \
+                 ({} barrier waits: {} yielded, {} parked)",
                 report.backend,
                 report.imbalance(),
-                report.max_barrier_wait_nanos()
+                report.max_barrier_wait_nanos(),
+                c.barriers,
+                report.total_yields(),
+                report.total_parks()
             );
             if schedule != Schedule::Static {
                 let _ = writeln!(
                     out,
-                    "schedule {}, {} steals, {} parks, time imbalance {:.3}",
+                    "schedule {}, {} steals, time imbalance {:.3}",
                     report.schedule,
                     report.total_steals(),
-                    report.total_parks(),
                     report.time_imbalance()
                 );
             }

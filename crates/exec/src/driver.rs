@@ -302,7 +302,7 @@ pub(crate) type WorkerOut = (ExecCounters, Option<WorkerTrace>);
 /// One (real or simulated) processor's private state across a run.
 ///
 /// `counters` holds the worker's dispatch accounting — barriers, waits,
-/// parks, steals, phase wall time — plus the work of serial nests; the
+/// yields, parks, steals, phase wall time — plus the work of serial nests; the
 /// work counters of every chunk go to the chunk's shared slot and are
 /// merged per *owner* after the run, so they do not depend on who
 /// executed the chunk.
@@ -339,14 +339,15 @@ impl<'s, S: AccessSink> Worker<'s, S> {
 
     fn cross(&mut self, barrier: &SenseBarrier, sense: &mut bool, step: u32, g: u32) {
         let bt0 = Instant::now();
-        let (waited, parked) = barrier.wait_outcome(sense);
-        self.counters.barrier_wait_nanos += waited;
+        let waited = barrier.wait_outcome(sense);
+        self.counters.barrier_wait_nanos += waited.nanos;
         self.counters.barriers += 1;
-        self.counters.parks += u64::from(parked);
+        self.counters.yields += u64::from(waited.yielded);
+        self.counters.parks += u64::from(waited.parked);
         if let Some(t) = &mut self.tracer {
-            t.record(SpanKind::BarrierWait, bt0, waited, step, g);
-            if parked {
-                t.record(SpanKind::Park, bt0, waited, step, g);
+            t.record(SpanKind::BarrierWait, bt0, waited.nanos, step, g);
+            if waited.parked {
+                t.record(SpanKind::Park, bt0, waited.nanos, step, g);
             }
         }
     }

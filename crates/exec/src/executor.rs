@@ -9,9 +9,10 @@
 //! * [`ScopedExecutor`] — spawns a fresh set of OS threads for **every
 //!   timestep** (`std::thread::scope`). This is the seed runtime's
 //!   behavior, kept as the baseline the pool is measured against.
-//! * [`PooledExecutor`] — a persistent [`WorkerPool`]: workers are
-//!   created once, park between runs, and a whole multi-timestep run is
-//!   a single dispatch with [`SenseBarrier`] phase synchronization.
+//! * [`PooledExecutor`] — a persistent [`WorkerPool`]: its threads are
+//!   created once and park between runs, the calling thread is
+//!   processor 0, and a whole multi-timestep run is a single dispatch
+//!   with [`SenseBarrier`] phase synchronization.
 //! * [`SimExecutor`] — the deterministic single-threaded simulation of
 //!   `P` processors, optionally with per-processor cache simulation.
 //!
@@ -24,7 +25,7 @@ use crate::driver::{drive_worker, run_phase, PhaseList, RunCtx, Worker, WorkerOu
 use crate::exec::{ExecError, ExecPlan, Program};
 use crate::interp::ExecCounters;
 use crate::memory::{MemView, Memory};
-use crate::pool::{SenseBarrier, WorkerPool, MIN_SPIN};
+use crate::pool::{SenseBarrier, WorkerPool};
 use crate::report::{RunReport, WorkerReport};
 use crate::schedule::{Schedule, DEFAULT_STEAL_SEED};
 use crate::sink::{AccessSink, CacheSink, NullSink};
@@ -664,18 +665,11 @@ fn run_threaded(
     let mut outs: Vec<(usize, WorkerOut)> = Vec::new();
     match threads {
         Threads::Pool(pool) => {
-            // Adaptive schedules use the contention-aware barrier
-            // (imbalanced phases are the whole point).
-            let barrier = match cfg.schedule_choice() {
-                Schedule::Static => SenseBarrier::new(nprocs),
-                _ => SenseBarrier::adaptive(nprocs),
-            };
+            let barrier = SenseBarrier::new(nprocs);
             let slots: Vec<Mutex<WorkerOut>> = (0..nprocs).map(|_| Mutex::default()).collect();
-            pool.run(&|p: usize| {
-                if p >= nprocs {
-                    return; // surplus workers idle through this run
-                }
-                // SAFETY: the `nprocs` participating workers share one
+            // The calling thread is processor 0; surplus workers sleep on.
+            pool.run(nprocs, &|p: usize| {
+                // SAFETY: the `nprocs` participating processors share one
                 // context and barrier and cover the same steps.
                 let out = unsafe { drive_worker(&ctx, p, &barrier, 0..steps, NO_INDEX) };
                 // One write at job end keeps the hot path lock-free.
@@ -688,10 +682,7 @@ fn run_threaded(
         }
         Threads::PerStep => {
             for step in 0..steps {
-                // Freshly spawned threads arrive staggered by spawn
-                // latency, so spinning for them only burns a core the
-                // late starter may need: park almost at once.
-                let barrier = SenseBarrier::with_spin(nprocs, MIN_SPIN);
+                let barrier = SenseBarrier::new(nprocs);
                 std::thread::scope(|scope| {
                     let (ctx, barrier) = (&ctx, &barrier);
                     let handles: Vec<_> = (0..nprocs)
@@ -799,24 +790,26 @@ impl Executor for ScopedExecutor {
     }
 }
 
-/// Persistent-pool runtime: workers are created once (at
+/// Persistent-pool runtime: threads are created once (at
 /// [`PooledExecutor::new`]) and reused by every run; a multi-timestep run
-/// is a single pool dispatch whose workers loop over timesteps, meeting
-/// at a sense-reversing barrier at every phase boundary.
+/// is a single pool dispatch whose processors — the calling thread is
+/// processor 0 — loop over timesteps, meeting at a sense-reversing
+/// barrier at every phase boundary.
 pub struct PooledExecutor {
     pool: WorkerPool,
 }
 
 impl PooledExecutor {
-    /// A pool with `size` persistent workers. Plans may use up to `size`
-    /// processors; extra workers idle through runs that need fewer.
+    /// A pool for plans of up to `size` processors: the caller of
+    /// [`run`](Executor::run) plus `size - 1` persistent threads. A run
+    /// that needs fewer leaves the rest asleep.
     pub fn new(size: usize) -> Self {
         PooledExecutor {
             pool: WorkerPool::new(size),
         }
     }
 
-    /// Number of pooled workers.
+    /// Processors a plan may use on this pool.
     pub fn size(&self) -> usize {
         self.pool.size()
     }

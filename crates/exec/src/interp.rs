@@ -17,10 +17,11 @@ use sp_ir::{Expr, IterSpace, LoopSequence, Statement};
 /// deterministic simulator, of its serialized phases; it never waits at
 /// a barrier). They are
 /// **excluded from equality**: two runs performing identical work compare
-/// equal even though their timings differ. `vec_iters`, `steals`, and
-/// `parks` are likewise excluded — they record *how* work was dispatched
-/// (in rows vs one at a time, stolen vs owned, parked vs spun), which is
-/// backend- and schedule-dependent, while the work fields are not.
+/// equal even though their timings differ. `vec_iters`, `steals`,
+/// `yields` and `parks` are likewise excluded — they record *how* work was
+/// dispatched (in rows vs one at a time, stolen vs owned, spun vs yielded
+/// vs parked), which is backend-, schedule- and host-dependent, while the
+/// work fields are not.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecCounters {
     /// Loop-body iterations executed in fused/original phases.
@@ -47,8 +48,13 @@ pub struct ExecCounters {
     /// this records *how* work was dispatched, not what work ran, so it
     /// is excluded from equality.
     pub steals: u64,
-    /// Barrier waits that exhausted their spin budget and parked on the
-    /// condvar. Dispatch accounting, excluded from equality.
+    /// Barrier waits that outlasted their spin and gave up the processor
+    /// at least once (see [`wait_step`](crate::pool::wait_step)).
+    /// Dispatch accounting, excluded from equality.
+    pub yields: u64,
+    /// Barrier waits that outlasted their yields too and slept on the
+    /// condvar; a subset of `yields`. Dispatch accounting, excluded from
+    /// equality.
     pub parks: u64,
     /// Wall time spent in fused (and serial/original) phases.
     pub fused_nanos: u64,
@@ -82,6 +88,7 @@ impl ExecCounters {
         self.guards += o.guards;
         self.barriers += o.barriers;
         self.steals += o.steals;
+        self.yields += o.yields;
         self.parks += o.parks;
         self.fused_nanos += o.fused_nanos;
         self.peeled_nanos += o.peeled_nanos;

@@ -63,19 +63,32 @@ impl Memory {
     /// smooth pseudo-random values (a tiny splitmix-style hash of the
     /// element coordinates and `seed`), so runs are reproducible across
     /// layouts and schedules.
+    ///
+    /// An element's value is the hash chain `h = salt; for c in coords
+    /// { h = round(h, c) }` mapped into (0.5, 1.5). The chain over a
+    /// row's outer coordinates is the same for the whole row, so it is
+    /// computed once per row and each element costs one round.
     pub fn init_deterministic(&mut self, seq: &LoopSequence, seed: u64) {
+        fn round(h: u64, c: i64) -> u64 {
+            let h = (h ^ (c as u64).wrapping_add(0x9E37_79B9_7F4A_7C15))
+                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^ (h >> 27)
+        }
+        let Memory { layout, data } = self;
         for (i, _) in seq.arrays.iter().enumerate() {
-            let id = ArrayId(i as u32);
             let array_salt = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            self.fill_with(seq, id, |p| {
-                let mut h = array_salt;
-                for &c in p {
-                    h ^= (c as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    h ^= h >> 27;
+            for_each_run(layout, seq, ArrayId(i as u32), |first, run| {
+                let (&k0, outer) = first.split_last().expect("a run starts at an element");
+                let row_hash = outer.iter().fold(array_salt, |h, &c| round(h, c));
+                for (k, v) in (k0..).zip(
+                    data[run.slot..]
+                        .iter_mut()
+                        .step_by(run.stride)
+                        .take(run.len),
+                ) {
+                    // Map to (0.5, 1.5) to keep divisions well-conditioned.
+                    *v = 0.5 + (round(row_hash, k) >> 11) as f64 / (1u64 << 53) as f64;
                 }
-                // Map to (0.5, 1.5) to keep divisions well-conditioned.
-                0.5 + (h >> 11) as f64 / (1u64 << 53) as f64
             });
         }
     }
@@ -84,25 +97,9 @@ impl Memory {
     /// (independent of padding/gaps) without copying them: one layout
     /// walk per inner row, then a strided read along it.
     pub fn for_each_value(&self, seq: &LoopSequence, array: ArrayId, mut f: impl FnMut(f64)) {
-        let dims = &seq.array(array).dims;
-        let Some((&n, outer)) = dims.split_last() else {
-            return;
-        };
-        let stride = *self.layout.placements[array.index()]
-            .strides
-            .last()
-            .expect("a stride per dimension");
-        // Every row's first element: the inner index pinned at 0.
-        let rows = sp_ir::IterSpace::new(
-            outer
-                .iter()
-                .map(|&d| (0i64, d as i64 - 1))
-                .chain([(0, 0)])
-                .collect::<Vec<_>>(),
-        );
-        rows.for_each(|p| {
-            let row = &self.data[self.layout.slot(array, p)..];
-            row.iter().step_by(stride).take(n).for_each(|&v| f(v));
+        for_each_run(&self.layout, seq, array, |_, run| {
+            let row = self.data[run.slot..].iter().step_by(run.stride);
+            row.take(run.len).for_each(|&v| f(v));
         });
     }
 
@@ -121,6 +118,63 @@ impl Memory {
             .map(|i| self.snapshot(seq, ArrayId(i as u32)))
             .collect()
     }
+}
+
+/// Consecutive elements of one inner row that sit `stride` slots apart,
+/// starting at `slot`.
+struct Run {
+    slot: usize,
+    stride: usize,
+    len: usize,
+}
+
+/// The one row walker: visits `array`'s elements in row-major order as
+/// [`Run`]s, calling `f(first, run)` with the coordinates of each run's
+/// first element — one layout walk per run instead of one per element.
+///
+/// An inner row is one run, except where the array is contracted *and*
+/// one-dimensional: the fold applies to the outermost index, which is
+/// then also the innermost, so the row's slots start over every `wrap`
+/// elements and each window is a run of its own.
+fn for_each_run(
+    layout: &MemoryLayout,
+    seq: &LoopSequence,
+    array: ArrayId,
+    mut f: impl FnMut(&[i64], Run),
+) {
+    let Some((&n, outer)) = seq.array(array).dims.split_last() else {
+        return;
+    };
+    let place = &layout.placements[array.index()];
+    let stride = *place.strides.last().expect("a stride per dimension");
+    if let (Some(wrap), true) = (place.wrap, outer.is_empty()) {
+        for k0 in (0..n).step_by(wrap) {
+            let first = [k0 as i64];
+            let slot = layout.slot(array, &first);
+            let len = wrap.min(n - k0);
+            f(&first, Run { slot, stride, len });
+        }
+        return;
+    }
+    // Every row's first element: the inner index pinned at 0.
+    let rows = sp_ir::IterSpace::new(
+        outer
+            .iter()
+            .map(|&d| (0i64, d as i64 - 1))
+            .chain([(0, 0)])
+            .collect::<Vec<_>>(),
+    );
+    rows.for_each(|first| {
+        let slot = layout.slot(array, first);
+        f(
+            first,
+            Run {
+                slot,
+                stride,
+                len: n,
+            },
+        );
+    });
 }
 
 /// An unsafe shared view of a [`Memory`] for the static-blocked parallel
@@ -260,37 +314,96 @@ mod tests {
         assert_ne!(m1.data.len(), m2.data.len());
     }
 
-    /// The row-wise walk behind `snapshot` reads what an element-wise
-    /// `get` walk reads, under padding, partitioning gaps and contraction.
-    #[test]
-    fn snapshot_matches_an_elementwise_walk_under_every_layout() {
-        let s = seq();
+    /// One-, two- and three-dimensional arrays, two of each: the walker's
+    /// cases are an array with no outer dimension, rows, and rows under
+    /// more than one outer index.
+    fn ranks() -> LoopSequence {
+        let mut b = SeqBuilder::new("ranks");
+        let v = b.array("v", [8]);
+        let w = b.array("w", [8]);
+        b.array("a", [4, 4]);
+        b.array("c", [4, 4]);
+        b.array("s", [3, 4, 5]);
+        b.array("t", [3, 4, 5]);
+        b.nest("L1", [(0, 7)], |x| {
+            let r = x.ld(v, [0]);
+            x.assign(w, [0], r);
+        });
+        b.finish()
+    }
+
+    /// Every layout strategy, with and without the first array of each
+    /// rank contracted (the 1-D one to 3 of its 8 elements).
+    fn layouts_of(s: &LoopSequence) -> Vec<(String, Memory)> {
         let strategies = [
             LayoutStrategy::Contiguous,
             LayoutStrategy::InnerPad(3),
             LayoutStrategy::CachePartition(sp_cache::CacheConfig::new(1024, 64, 1)),
         ];
+        let mut out = Vec::new();
         for (strategy, contract) in strategies.into_iter().flat_map(|l| [(l, false), (l, true)]) {
-            let mut m = Memory::new(&s, strategy);
+            let mut m = Memory::new(s, strategy);
             if contract {
-                m.layout.contract(ArrayId(0), 3);
+                for (array, wrap) in [(0, 3), (2, 3), (4, 2)] {
+                    m.layout.contract(ArrayId(array), wrap);
+                }
             }
+            out.push((format!("{strategy:?}, contracted {contract}"), m));
+        }
+        out
+    }
+
+    fn points(dims: &[usize]) -> sp_ir::IterSpace {
+        sp_ir::IterSpace::new(
+            dims.iter()
+                .map(|&d| (0i64, d as i64 - 1))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// The row-wise walk behind `snapshot` reads what an element-wise
+    /// `get` walk reads, under padding, partitioning gaps and contraction
+    /// — of a one-dimensional array too, whose inner index is the folded
+    /// one.
+    #[test]
+    fn snapshot_matches_an_elementwise_walk_under_every_layout() {
+        let s = ranks();
+        for (what, mut m) in layouts_of(&s) {
             m.init_deterministic(&s, 7);
             for (i, decl) in s.arrays.iter().enumerate() {
                 let id = ArrayId(i as u32);
                 let mut want = Vec::new();
-                let space = sp_ir::IterSpace::new(
-                    decl.dims
-                        .iter()
-                        .map(|&d| (0i64, d as i64 - 1))
-                        .collect::<Vec<_>>(),
-                );
-                space.for_each(|p| want.push(m.get(id, p)));
-                assert_eq!(
-                    m.snapshot(&s, id),
-                    want,
-                    "{strategy:?}, contracted {contract}"
-                );
+                points(&decl.dims).for_each(|p| want.push(m.get(id, p)));
+                assert_eq!(m.snapshot(&s, id), want, "{what}, array {}", decl.name);
+            }
+        }
+    }
+
+    /// The row-wise initialization stores, slot for slot, the bits of its
+    /// definition: every element, in row-major order, set to a hash chain
+    /// over all its coordinates.
+    #[test]
+    fn init_matches_the_elementwise_definition() {
+        let s = ranks();
+        for seed in [0, 7, u64::MAX] {
+            for (what, mut m) in layouts_of(&s) {
+                let mut want = m.clone();
+                for i in 0..s.arrays.len() {
+                    let array_salt =
+                        seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    want.fill_with(&s, ArrayId(i as u32), |p| {
+                        let mut h = array_salt;
+                        for &c in p {
+                            h ^= (c as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+                            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                            h ^= h >> 27;
+                        }
+                        0.5 + (h >> 11) as f64 / (1u64 << 53) as f64
+                    });
+                }
+                m.init_deterministic(&s, seed);
+                let bits = |m: &Memory| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&m), bits(&want), "{what}, seed {seed}");
             }
         }
     }

@@ -163,6 +163,12 @@ impl RunReport {
         self.workers.iter().map(|w| w.counters.steals).sum()
     }
 
+    /// Total barrier waits that gave up the processor before their
+    /// release (the ones that went on to park included).
+    pub fn total_yields(&self) -> u64 {
+        self.workers.iter().map(|w| w.counters.yields).sum()
+    }
+
     /// Total barrier waits that parked on a condvar.
     pub fn total_parks(&self) -> u64 {
         self.workers.iter().map(|w| w.counters.parks).sum()
@@ -226,6 +232,11 @@ impl RunReport {
             "spfc_steals_total",
             "Chunks executed by workers that did not own them",
             m.steals,
+        );
+        reg.counter(
+            "spfc_barrier_yields_total",
+            "Barrier waits that outlasted their spin and yielded the processor",
+            m.yields,
         );
         reg.counter(
             "spfc_parks_total",
@@ -380,8 +391,8 @@ impl RunReport {
             s.push_str(&format!(
                 "{{\"proc\":{},\"iters\":{},\"vec_iters\":{},\"peeled_iters\":{},\"flops\":{},\
                  \"loads\":{},\"stores\":{},\"strips\":{},\"guards\":{},\"barriers\":{},\
-                 \"steals\":{},\"parks\":{},\"fused_nanos\":{},\"peeled_nanos\":{},\
-                 \"barrier_wait_nanos\":{}",
+                 \"steals\":{},\"yields\":{},\"parks\":{},\"fused_nanos\":{},\
+                 \"peeled_nanos\":{},\"barrier_wait_nanos\":{}",
                 w.proc,
                 c.iters,
                 c.vec_iters,
@@ -393,6 +404,7 @@ impl RunReport {
                 c.guards,
                 c.barriers,
                 c.steals,
+                c.yields,
                 c.parks,
                 c.fused_nanos,
                 c.peeled_nanos,
@@ -502,6 +514,7 @@ fn worker_from_json(v: &Json) -> Result<WorkerReport, String> {
             "guards" => c.guards = counter(v, key)?,
             "barriers" => c.barriers = counter(v, key)?,
             "steals" => c.steals = counter(v, key)?,
+            "yields" => c.yields = counter(v, key)?,
             "parks" => c.parks = counter(v, key)?,
             "fused_nanos" => c.fused_nanos = counter(v, key)?,
             "peeled_nanos" => c.peeled_nanos = counter(v, key)?,
@@ -582,6 +595,7 @@ mod tests {
             "\"backend\":\"interp\"",
             "\"schedule\":\"static\"",
             "\"steals\":0",
+            "\"yields\":0",
             "\"parks\":0",
             "\"procs\":2",
             "\"steps\":3",
@@ -611,6 +625,7 @@ mod tests {
                 wb.counters.barrier_wait_nanos
             );
             assert_eq!(wa.counters.steals, wb.counters.steals);
+            assert_eq!(wa.counters.yields, wb.counters.yields);
             assert_eq!(wa.counters.parks, wb.counters.parks);
         }
     }
@@ -702,6 +717,7 @@ mod tests {
         let mut r = report();
         r.schedule = "stealing".into();
         r.workers[0].counters.steals = 3;
+        r.workers[1].counters.yields = 5;
         r.workers[1].counters.parks = 2;
         r.workers[0].counters.fused_nanos = 100;
         r.workers[1].counters.fused_nanos = 300;
@@ -713,7 +729,12 @@ mod tests {
         assert_reports_equal(&r, &parsed);
         assert_eq!(parsed.schedule, "stealing");
         assert_eq!(parsed.total_steals(), 3);
+        assert_eq!(parsed.total_yields(), 5);
         assert_eq!(parsed.total_parks(), 2);
+        assert_eq!(
+            r.metrics().counter_value("spfc_barrier_yields_total"),
+            Some(5)
+        );
         assert!((parsed.time_imbalance() - 1.5).abs() < 1e-9);
     }
 

@@ -49,7 +49,7 @@ use crate::wire::{
     CODE_UNKNOWN_PROGRAM, HEADER_LEN,
 };
 use sp_ir::{parse_sequence, LoopSequence};
-use sp_serve::{JobId, JobSpec, Service, SocketServer};
+use sp_serve::{JobId, JobSpec, Service, SocketServer, RESULT_RETENTION};
 use sp_trace::{JobStage, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -74,8 +74,13 @@ const PUMP_REARM: Duration = Duration::from_millis(10);
 /// Bound on the retry-dedupe FIFO: how many recently submitted
 /// `(tenant, request_id)` keys the server remembers. Old entries fall
 /// off the front, so the map cannot reintroduce the unbounded-growth
-/// bug the program registry had.
-const DEDUPE_CAPACITY: usize = 4096;
+/// bug the program registry had. It is the service's own bound on
+/// delivered results: an entry is only good for attaching a retry to the
+/// job's result, so the ledger has no use remembering a job for longer
+/// than the service remembers what came of it. (A retry that still finds
+/// an entry whose result has just expired — jobs that overtook it in the
+/// queue can make that happen — is answered `UnknownJob`.)
+const DEDUPE_CAPACITY: usize = RESULT_RETENTION;
 
 /// Tunables for [`NetServer::start_with`].
 #[derive(Clone, Debug)]

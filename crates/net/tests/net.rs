@@ -9,9 +9,13 @@
 //! as the service behaves in-process.
 
 use shift_peel_core::CodegenMethod;
-use sp_exec::{Backend, ExecPlan};
+use sp_exec::{Backend, ExecPlan, Schedule};
+use sp_ir::display::render_sequence;
 use sp_kernels::jacobi;
-use sp_net::{Client, ClientConfig, NetError, NetServer, NetServerConfig};
+use sp_net::{
+    read_frame, write_frame, Client, ClientConfig, Frame, NetError, NetServer, NetServerConfig,
+    ProgramRef, SubmitJob,
+};
 use sp_serve::{CacheOutcome, JobSpec, Service, ServiceConfig};
 use sp_trace::JobStage;
 use std::sync::Arc;
@@ -346,5 +350,54 @@ fn pipelined_jobs_match_serial_bit_for_bit() {
     let stats = server.stats();
     assert_eq!(stats.dedupe_hits, 0);
     assert_eq!(stats.programs_live, 2);
+    server.shutdown();
+}
+
+/// A request resent inside the server's memory of it — same tenant, same
+/// nonzero id, same body, as a client does after a transport error —
+/// attaches to the job the first copy created: both replies carry that
+/// job, `dedupe_hits` counts the second copy, and nothing runs twice.
+#[test]
+fn a_resubmission_attaches_to_the_first_job() {
+    let server = start_server(ServiceConfig::default().workers(2));
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let submit = Frame::Submit(SubmitJob {
+        request_id: 42,
+        tenant: "retrier".into(),
+        name: "once".into(),
+        program: ProgramRef::Text(render_sequence(&jacobi::sequence(32))),
+        plan: fused(&[2]),
+        backend: Backend::Compiled,
+        schedule: Schedule::default(),
+        steps: 2,
+        seed: 5,
+        deadline_nanos: 0,
+    });
+    let mut round_trip = || {
+        write_frame(&mut stream, &submit).unwrap();
+        match read_frame(&mut stream).expect("a reply") {
+            Frame::Result(r) => r,
+            other => panic!("expected a result, got {other:?}"),
+        }
+    };
+    let first = round_trip();
+    let second = round_trip();
+    assert_eq!((first.request_id, second.request_id), (42, 42));
+    assert_eq!(second.job, first.job, "the retry attached to the first job");
+    assert_eq!(
+        (second.digest, second.order),
+        (first.digest, first.order),
+        "and was answered with its result"
+    );
+    assert_eq!(server.stats().dedupe_hits, 1);
+    let reg = server.service().metrics();
+    assert_eq!(
+        reg.counter_value("spfc_serve_jobs_submitted_total"),
+        Some(1)
+    );
+    assert_eq!(
+        reg.counter_value("spfc_serve_jobs_completed_total"),
+        Some(1)
+    );
     server.shutdown();
 }

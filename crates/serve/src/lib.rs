@@ -61,4 +61,5 @@ pub use manifest::parse_manifest;
 pub use obs::{disk_stage_stats, StageStats, TenantStats};
 pub use service::{
     CacheOutcome, JobId, JobResult, JobSpec, ServeError, Service, ServiceConfig, TenantQuota,
+    RESULT_RETENTION,
 };

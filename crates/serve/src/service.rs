@@ -31,8 +31,9 @@ use sp_exec::{
 };
 use sp_ir::{ArrayId, LoopSequence};
 use sp_trace::{JobSpans, JobStage, MetricsRegistry, SessionTrace};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -54,7 +55,8 @@ pub enum ServeError {
     },
     /// The service is draining or shut down; no new work is admitted.
     ShuttingDown,
-    /// No job with this id was ever submitted.
+    /// No job with this id was ever submitted, or it finished so long
+    /// ago that its result has expired (see [`RESULT_RETENTION`]).
     UnknownJob(JobId),
     /// Planning or execution failed.
     Exec(ExecError),
@@ -440,10 +442,25 @@ struct QueuedJob {
     enqueue_dur: u64,
 }
 
+/// How many finished jobs a [`Service`] remembers the results of. Results
+/// are kept so that a job which finished before anyone asked can still be
+/// waited on or polled; beyond this many the oldest is forgotten (first
+/// finished, first forgotten) and its id answers
+/// [`ServeError::UnknownJob`], so a long-lived service's memory does not
+/// grow with the number of jobs it has served.
+pub const RESULT_RETENTION: usize = 4096;
+
 #[derive(Default)]
 struct State {
     pending: VecDeque<QueuedJob>,
-    done: HashMap<u64, Result<JobResult, ServeError>>,
+    /// The retained results; only [`State::deliver`] inserts. A tree of
+    /// boxes, not a hash table of inline entries: a table under steady
+    /// insert-and-remove fills with tombstones and doubles once, late,
+    /// which at ~370 B an entry made the service's heap peak depend on how
+    /// long it had been running.
+    done: BTreeMap<u64, Box<Result<JobResult, ServeError>>>,
+    /// The ids in `done`, oldest result first.
+    done_order: VecDeque<u64>,
     /// Jobs started per client — the fair-share balance.
     served: HashMap<String, u64>,
     running: Option<JobId>,
@@ -466,6 +483,31 @@ impl State {
             .count();
         let running = usize::from(self.running_client.as_deref() == Some(tenant));
         pending + running
+    }
+
+    /// Records a finished (or administratively failed) job's result and
+    /// forgets the oldest ones beyond [`RESULT_RETENTION`].
+    fn deliver(&mut self, id: JobId, res: Result<JobResult, ServeError>) {
+        self.done.insert(id.0, Box::new(res));
+        self.done_order.push_back(id.0);
+        if self.done_order.len() > RESULT_RETENTION {
+            let oldest = self.done_order.pop_front().expect("longer than the bound");
+            self.done.remove(&oldest);
+        }
+    }
+
+    /// Where `id` stands: its result while that is retained, `None` while
+    /// it is pending or running (or was never submitted), and
+    /// [`ServeError::UnknownJob`] once the result has expired — a waiter
+    /// must be told so, since nothing will ever complete that id again.
+    fn outcome(&self, id: JobId) -> Option<Result<JobResult, ServeError>> {
+        if let Some(res) = self.done.get(&id.0) {
+            return Some((**res).clone());
+        }
+        let expired = id.0 < self.next_id
+            && self.running != Some(id)
+            && !self.pending.iter().any(|j| j.id == id);
+        expired.then_some(Err(ServeError::UnknownJob(id)))
     }
 }
 
@@ -535,6 +577,13 @@ pub struct Service {
 impl Service {
     /// Starts the scheduler thread and its worker pool.
     pub fn new(cfg: ServiceConfig) -> Service {
+        let pool = PooledExecutor::new(cfg.workers.max(1));
+        Service::start(cfg, pool)
+    }
+
+    /// [`Service::new`] over a given executor (the seam the fault tests
+    /// put a panicking one through).
+    fn start(cfg: ServiceConfig, exec: impl Executor + Send + 'static) -> Service {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 accepting: true,
@@ -552,10 +601,9 @@ impl Service {
             obs: Mutex::new(ServeObs::new(cfg.tracing)),
         });
         let sched = Arc::clone(&shared);
-        let workers = cfg.workers.max(1);
         let scheduler = thread::Builder::new()
             .name("sp-serve-scheduler".into())
-            .spawn(move || scheduler_loop(&sched, workers))
+            .spawn(move || scheduler_loop(&sched, exec))
             .expect("spawn scheduler");
         Service {
             shared,
@@ -642,17 +690,20 @@ impl Service {
         }
     }
 
-    /// Non-blocking completion check. `None` while queued or running.
+    /// Non-blocking completion check. `None` while queued or running;
+    /// [`ServeError::UnknownJob`] once the result has expired.
     pub fn poll(&self, id: JobId) -> Option<Result<JobResult, ServeError>> {
-        self.shared.state.lock().unwrap().done.get(&id.0).cloned()
+        self.shared.state.lock().unwrap().outcome(id)
     }
 
     /// Blocks until *any* of `ids` completes (or fails), or `timeout`
     /// elapses — the completion primitive for wire-tier pipelining: a
     /// connection's pump parks one thread here for its whole in-flight
     /// window instead of one thread per job. Returns `None` on timeout
-    /// or when `ids` is empty; completed results stay available, so a
-    /// job that finished before the call returns immediately.
+    /// or when `ids` is empty; completed results stay available (the most
+    /// recent [`RESULT_RETENTION`] of them), so a job that finished before
+    /// the call returns immediately, and one whose result has expired
+    /// returns [`ServeError::UnknownJob`] instead of blocking.
     pub fn wait_any(
         &self,
         ids: &[JobId],
@@ -665,8 +716,8 @@ impl Service {
         let mut st = self.shared.state.lock().unwrap();
         loop {
             for id in ids {
-                if let Some(res) = st.done.get(&id.0) {
-                    return Some((*id, res.clone()));
+                if let Some(res) = st.outcome(*id) {
+                    return Some((*id, res));
                 }
             }
             let left = deadline.saturating_duration_since(Instant::now());
@@ -677,15 +728,17 @@ impl Service {
         }
     }
 
-    /// Blocks until `id` completes (or fails).
+    /// Blocks until `id` completes (or fails). An id that was never
+    /// submitted, or whose result has expired, is
+    /// [`ServeError::UnknownJob`].
     pub fn wait(&self, id: JobId) -> Result<JobResult, ServeError> {
         let mut st = self.shared.state.lock().unwrap();
         if id.0 >= st.next_id {
             return Err(ServeError::UnknownJob(id));
         }
         loop {
-            if let Some(res) = st.done.get(&id.0) {
-                return res.clone();
+            if let Some(res) = st.outcome(id) {
+                return res;
             }
             st = self.shared.done_cv.wait(st).unwrap();
         }
@@ -733,9 +786,20 @@ impl Service {
                 "Jobs pending",
                 st.pending.len() as f64,
             );
+            reg.gauge(
+                "spfc_serve_results_retained",
+                "Finished jobs whose results are still held",
+                st.done.len() as f64,
+            );
         }
         {
             let obs = self.shared.obs.lock().unwrap();
+            let executing = obs.stats.stage(JobStage::Execute).map_or(0, |h| h.sum());
+            reg.gauge(
+                "spfc_serve_pool_busy_ratio",
+                "Execute-stage time over the scheduler's wall time since start",
+                executing as f64 / since_epoch(self.shared.epoch).max(1) as f64,
+            );
             const JOBS_TOTAL: &str = "spfc_serve_jobs_total";
             const JOBS_HELP: &str = "Jobs by terminal outcome";
             reg.labeled_counter(JOBS_TOTAL, JOBS_HELP, ("outcome", "ok"), obs.stats.ok);
@@ -803,7 +867,7 @@ impl Drop for Service {
             // Fail whatever never started; the running job (if any)
             // finishes — the pool is never interrupted mid-run.
             while let Some(job) = st.pending.pop_front() {
-                st.done.insert(job.id.0, Err(ServeError::ShuttingDown));
+                st.deliver(job.id, Err(ServeError::ShuttingDown));
                 st.failed += 1;
             }
             self.shared.work_cv.notify_all();
@@ -834,8 +898,7 @@ fn pick_next(st: &State) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-fn scheduler_loop(shared: &Shared, workers: usize) {
-    let mut exec = PooledExecutor::new(workers);
+fn scheduler_loop(shared: &Shared, mut exec: impl Executor) {
     loop {
         let job = {
             let mut st = shared.state.lock().unwrap();
@@ -861,11 +924,11 @@ fn scheduler_loop(shared: &Shared, workers: usize) {
             Ok(mut r) => {
                 st.completed += 1;
                 r.order = st.completed;
-                st.done.insert(job.id.0, Ok(r));
+                st.deliver(job.id, Ok(r));
             }
             Err(e) => {
                 st.failed += 1;
-                st.done.insert(job.id.0, Err(e));
+                st.deliver(job.id, Err(e));
             }
         }
         shared.done_cv.notify_all();
@@ -878,13 +941,21 @@ fn scheduler_loop(shared: &Shared, workers: usize) {
 /// and (when tracing) the spans join the session trace.
 fn run_job(
     shared: &Shared,
-    exec: &mut PooledExecutor,
+    exec: &mut dyn Executor,
     job: &QueuedJob,
 ) -> Result<JobResult, ServeError> {
     let mut spans = JobSpans::new(job.id.0, &job.spec.name, &job.spec.client);
     spans.stage(JobStage::Decode, job.decode.0, job.decode.1);
     spans.stage(JobStage::Enqueue, job.enqueue_start, job.enqueue_dur);
-    let res = run_job_stages(shared, exec, job, &mut spans);
+    // This thread is processor 0 of every job it runs. The pool already
+    // turns a panic inside a parallel run into `WorkerPanic`; a panic
+    // anywhere else on the job's path (no lock is held across a stage) is
+    // reported the same way rather than taking the scheduler, and every
+    // waiter and later job, down with it.
+    let res = catch_unwind(AssertUnwindSafe(|| {
+        run_job_stages(shared, exec, job, &mut spans)
+    }))
+    .unwrap_or(Err(ServeError::Exec(ExecError::WorkerPanic { proc: 0 })));
     let mut obs = shared.obs.lock().unwrap();
     for sp in &spans.stages {
         obs.stats.observe(sp.stage, sp.dur_nanos);
@@ -911,7 +982,7 @@ fn run_job(
 /// early deadline return carries the stages the job did reach.
 fn run_job_stages(
     shared: &Shared,
-    exec: &mut PooledExecutor,
+    exec: &mut dyn Executor,
     job: &QueuedJob,
     spans: &mut JobSpans,
 ) -> Result<JobResult, ServeError> {
@@ -1133,4 +1204,61 @@ pub fn memory_digest(mem: &Memory, seq: &LoopSequence) -> u64 {
         });
     }
     h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sp_kernels::jacobi;
+
+    /// The real pool, except that a run of exactly `PANIC_STEPS` timesteps
+    /// panics on the thread that called it — an interpreter bug, as far as
+    /// the service can tell.
+    struct Faulty(PooledExecutor);
+    const PANIC_STEPS: usize = 13;
+
+    impl Executor for Faulty {
+        fn name(&self) -> &'static str {
+            "faulty"
+        }
+
+        fn run(
+            &mut self,
+            prog: &Program<'_>,
+            mem: &mut Memory,
+            cfg: &RunConfig,
+        ) -> Result<RunReport, ExecError> {
+            if cfg.step_count() == PANIC_STEPS {
+                panic!("injected fault");
+            }
+            self.0.run(prog, mem, cfg)
+        }
+    }
+
+    /// ROADMAP item 6: a panicking job yields a typed error while pool and
+    /// service keep serving.
+    #[test]
+    fn a_panicking_job_is_a_typed_error_and_the_next_job_is_served() {
+        let service = Service::start(
+            ServiceConfig::default().workers(2),
+            Faulty(PooledExecutor::new(2)),
+        );
+        let plan = RunConfig::fused([2]).plan().clone();
+        let spec = JobSpec::new("j", jacobi::sequence(32), plan);
+        let run = |steps| service.wait(service.submit(spec.clone().steps(steps)).unwrap());
+        let want = run(2).unwrap().digest;
+        assert_eq!(
+            run(PANIC_STEPS).unwrap_err(),
+            ServeError::Exec(ExecError::WorkerPanic { proc: 0 })
+        );
+        let again = run(2).unwrap();
+        assert_eq!(again.digest, want, "the same pool serves the next job");
+        assert_eq!(again.cache, CacheOutcome::Memory);
+        let reg = service.metrics();
+        assert_eq!(reg.counter_value("spfc_serve_jobs_failed_total"), Some(1));
+        assert_eq!(
+            reg.counter_value("spfc_serve_jobs_completed_total"),
+            Some(2)
+        );
+    }
 }

@@ -139,7 +139,13 @@ fn metrics_report_stage_histograms_and_outcomes() {
     // The deadline job still recorded enqueue + queue-wait.
     assert_eq!(stats.stage(JobStage::QueueWait).unwrap().count(), 2);
 
-    let text = service.metrics().to_prometheus();
+    let reg = service.metrics();
+    // Both jobs' results are held; the pool was busy for the one execute
+    // stage out of however long the scheduler has been up.
+    assert_eq!(reg.gauge_value("spfc_serve_results_retained"), Some(2.0));
+    let busy = reg.gauge_value("spfc_serve_pool_busy_ratio").unwrap();
+    assert!(busy > 0.0 && busy < 1.0, "busy ratio {busy}");
+    let text = reg.to_prometheus();
     assert!(text.contains("spfc_serve_jobs_total{component=\"sp-serve\",outcome=\"ok\"} 1"));
     assert!(text.contains("spfc_serve_jobs_total{component=\"sp-serve\",outcome=\"deadline\"} 1"));
     assert!(text.contains("spfc_serve_jobs_total{component=\"sp-serve\",outcome=\"rejected\"} 0"));

@@ -14,6 +14,7 @@ use sp_kernels::{calc, jacobi, ll18};
 use sp_serve::service::snapshot_digest;
 use sp_serve::{
     ArtifactCacheConfig, CacheOutcome, JobId, JobSpec, ServeError, Service, ServiceConfig,
+    RESULT_RETENTION,
 };
 use std::time::Duration;
 
@@ -306,6 +307,42 @@ fn waiting_on_an_unsubmitted_id_is_an_error() {
         ServeError::UnknownJob(JobId(99))
     );
     assert!(service.poll(JobId(99)).is_none());
+}
+
+/// The service remembers the most recent `RESULT_RETENTION` results and
+/// no more: older ids answer `UnknownJob` on every completion call —
+/// `wait` included, which would otherwise block for ever on an id that
+/// nothing will complete again — and the retained ones are untouched.
+#[test]
+fn delivered_results_expire_oldest_first() {
+    const EXTRA: usize = 5;
+    let service = Service::new(ServiceConfig::default().workers(1));
+    let spec = JobSpec::new("tiny", jacobi::sequence(8), ExecPlan::Serial);
+    let ids: Vec<JobId> = (0..RESULT_RETENTION + EXTRA)
+        .map(|_| {
+            let id = service.submit(spec.clone()).unwrap();
+            service.wait(id).expect("tiny job runs");
+            id
+        })
+        .collect();
+    let (expired, retained) = ids.split_at(EXTRA);
+    for &id in expired {
+        let gone = ServeError::UnknownJob(id);
+        assert_eq!(service.poll(id).unwrap().unwrap_err(), gone);
+        assert_eq!(service.wait(id).unwrap_err(), gone);
+        let (which, res) = service.wait_any(&[id], Duration::from_secs(5)).unwrap();
+        assert_eq!((which, res.unwrap_err()), (id, gone));
+    }
+    for &id in retained {
+        assert_eq!(service.poll(id).unwrap().unwrap().id, id);
+    }
+    // An id that was never submitted is still not an expired one.
+    assert!(service.poll(JobId(u64::MAX)).is_none());
+    let reg = service.metrics();
+    assert_eq!(
+        reg.gauge_value("spfc_serve_results_retained"),
+        Some(RESULT_RETENTION as f64)
+    );
 }
 
 /// A block-size change — a different processor grid over the same

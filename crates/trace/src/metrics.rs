@@ -245,6 +245,14 @@ impl MetricsRegistry {
             .map(|(_, _, v)| *v)
     }
 
+    /// Looks up a gauge's value (for tests and assertions).
+    pub fn gauge_value(&self, name: &str) -> Option<f64> {
+        self.gauges
+            .iter()
+            .find(|(n, _, _)| n == name)
+            .map(|(_, _, v)| *v)
+    }
+
     /// Looks up a histogram (for tests and assertions).
     pub fn histogram_value(&self, name: &str) -> Option<&Histogram> {
         self.histograms

@@ -36,8 +36,8 @@ pub enum SpanKind {
     /// A work-stealing victim search that ended in a successful claim
     /// (`group` holds the stolen chunk's index).
     Steal,
-    /// A barrier wait that exhausted its spin budget and parked on the
-    /// condvar (recorded alongside the enclosing `BarrierWait` span).
+    /// A barrier wait that outlasted its spin and its yields and slept on
+    /// the condvar (recorded alongside the enclosing `BarrierWait` span).
     Park,
 }
 

@@ -33,6 +33,16 @@ fn render() -> String {
         1,
     );
     reg.gauge("spfc_serve_queue_depth", "Jobs pending", 2.0);
+    reg.gauge(
+        "spfc_serve_results_retained",
+        "Finished jobs whose results are still held",
+        4.0,
+    );
+    reg.gauge(
+        "spfc_serve_pool_busy_ratio",
+        "Execute-stage time over the scheduler's wall time since start",
+        0.25,
+    );
     let h = reg.histogram("spfc_run_nanos", "Run wall time");
     for v in [100, 900, 1_500, 70_000] {
         h.observe(v);
