@@ -16,7 +16,7 @@ cargo fmt --check \
   -p sp-exec -p sp-trace -p sp-kernels -p sp-baselines -p sp-machine \
   -p sp-bench -p sp-cli -p sp-serve -p sp-net
 
-echo "==> structure: no deprecated shims, one hash, one PRNG, one JSON reader, one place for ISA, one wait policy, bounded results"
+echo "==> structure: no deprecated shims, one hash, one array hasher, one renderer, one PRNG, one JSON reader, one place for ISA, one wait policy, bounded results"
 # Cheap greps over first-party code. Each of these helpers once existed
 # two or three times; a second definition is a regression, not a lint.
 if grep -rn --include='*.rs' '#\[deprecated' crates/; then
@@ -83,6 +83,24 @@ for def in 'fn fnv1a64' 'fn splitmix64' 'fn string(&mut self)'; do
     exit 1
   fi
 done
+
+# A job's arrays are hashed a word at a time by the one array hasher, in
+# sp-exec; FNV is the hash of text and keys. A byte-serial digest of
+# values in the service, a second hasher, or the renderer that built a
+# String per subscript, reference and expression node must not grow back.
+if grep -nE 'Fnv1a64|to_le_bytes' crates/serve/src/service.rs; then
+  echo "FAIL: crates/serve/src/service.rs hashes bytes again (the array digest is sp_exec::WordDigest)"
+  exit 1
+fi
+n="$(grep -rn --include='*.rs' 'struct WordDigest' crates/ | wc -l)"
+if [ "$n" -ne 1 ]; then
+  echo "FAIL: $n definitions of the array hasher under crates/ (expected exactly one)"
+  exit 1
+fi
+if grep -nE 'format!\(|\.join\(' crates/ir/src/display.rs; then
+  echo "FAIL: crates/ir/src/display.rs allocates per node again (render into the one buffer)"
+  exit 1
+fi
 
 echo "==> lint wall: runtime + observability + serving crates must be clippy-clean"
 cargo clippy --all-targets -p sp-exec -p sp-trace -p sp-cli -p sp-serve -p sp-net -- -D warnings

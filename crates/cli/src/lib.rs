@@ -1083,7 +1083,7 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
                 code: 1,
             })?;
             let prog =
-                Program::from_analysis(&seq, (*planned.deps).clone(), 1).map_err(|e| CliError {
+                Program::from_analysis(&seq, planned.deps.clone(), 1).map_err(|e| CliError {
                     message: e.to_string(),
                     code: 1,
                 })?;

@@ -100,8 +100,8 @@ pub use analysis::{
 };
 pub use explain::{explain_sequence, ExplainEvent, ExplainTrace};
 pub use pipeline::{
-    dependence_key, AnalysisArtifacts, ArtifactKey, NullObserver, Pass, PassRequest, PassTiming,
-    PassTimings, Pipeline, PlanObserver, Planned, Planner,
+    dependence_key, dependence_key_of_rendered, AnalysisArtifacts, ArtifactKey, NullObserver, Pass,
+    PassRequest, PassTiming, PassTimings, Pipeline, PlanObserver, Planned, Planner,
 };
 pub use plan::{
     fusion_plan, singleton_plan, CodegenMethod, FusedGroup, FusionPlan, LoweringFootprint,

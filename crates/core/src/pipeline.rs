@@ -53,10 +53,12 @@ pub mod pass {
     pub const COST: &str = "cost";
 }
 
-/// 64-bit FNV-1a, the one content hash of the workspace (artifact keys
-/// here, cache keys and digests in `sp-serve`). Small, dependency-free,
-/// and stable across platforms — collision resistance only has to beat
-/// accidental aliasing among a handful of programs, not an adversary.
+/// 64-bit FNV-1a, the one hash of text and keys in the workspace
+/// (artifact keys here, cache keys and disk checksums in `sp-serve`,
+/// program digests in `sp-net`; array *values* are hashed by
+/// `sp_exec::WordDigest`). Small, dependency-free, and stable across
+/// platforms — collision resistance only has to beat accidental aliasing
+/// among a handful of programs, not an adversary.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a64::new();
     h.write(bytes);
@@ -92,6 +94,15 @@ impl Fnv1a64 {
 impl Default for Fnv1a64 {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Hashes text as it is formatted, so a keyed text never has to be
+/// assembled just to be hashed. Never fails.
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -141,7 +152,13 @@ fn artifact_key(
 /// can seed it into a store with [`AnalysisArtifacts::seed`] and the
 /// pipeline will reuse it instead of re-analyzing.
 pub fn dependence_key(seq: &LoopSequence) -> ArtifactKey {
-    artifact_key(pass::DEPENDENCE, seq_hash(seq), "", &[])
+    dependence_key_of_rendered(&render_sequence(seq))
+}
+
+/// [`dependence_key`] for a caller that already holds `program`, the
+/// sequence's [`render_sequence`] text.
+pub fn dependence_key_of_rendered(program: &str) -> ArtifactKey {
+    artifact_key(pass::DEPENDENCE, fnv1a64(program.as_bytes()), "", &[])
 }
 
 /// Everything a pass may read: the sequence being planned and the

@@ -136,21 +136,24 @@ impl From<LegalityError> for ExecError {
     }
 }
 
-/// A sequence bound to its dependence analysis (carried as a seeded
-/// artifact store, so repeated planning reuses whatever is still
-/// valid), ready to execute under different plans and executors.
+/// A sequence bound to its dependence analysis, ready to execute under
+/// different plans and executors. Planning goes through an artifact
+/// store seeded with that analysis, so repeated planning reuses whatever
+/// is still valid.
 pub struct Program<'a> {
     seq: &'a LoopSequence,
-    deps: SequenceDeps,
+    deps: Arc<SequenceDeps>,
     levels: usize,
+    /// Seeded with `deps` by the first planning run: a program that only
+    /// ever executes plans derived elsewhere never renders its sequence
+    /// for the key.
     artifacts: Mutex<AnalysisArtifacts>,
 }
 
 impl<'a> Program<'a> {
     /// Analyses `seq` for fusion of its first `levels` loop dimensions.
     pub fn new(seq: &'a LoopSequence, levels: usize) -> Result<Self, ExecError> {
-        let deps = analyze_sequence(seq)?;
-        Program::bind(seq, deps, levels)
+        Program::from_analysis(seq, Arc::new(analyze_sequence(seq)?), levels)
     }
 
     /// Binds `seq` to an analysis computed elsewhere (e.g. served from
@@ -160,30 +163,20 @@ impl<'a> Program<'a> {
     /// sequence's canonical text.
     pub fn from_analysis(
         seq: &'a LoopSequence,
-        deps: SequenceDeps,
+        deps: Arc<SequenceDeps>,
         levels: usize,
     ) -> Result<Self, ExecError> {
-        Program::bind(seq, deps, levels)
-    }
-
-    fn bind(seq: &'a LoopSequence, deps: SequenceDeps, levels: usize) -> Result<Self, ExecError> {
         if levels < 1 || levels > deps.depth {
             return Err(ExecError::Legality(LegalityError::BadLevels {
                 levels,
                 depth: deps.depth,
             }));
         }
-        let mut store = AnalysisArtifacts::new();
-        store.seed(
-            pass::DEPENDENCE,
-            dependence_key(seq),
-            Arc::new(deps.clone()),
-        );
         Ok(Program {
             seq,
             deps,
             levels,
-            artifacts: Mutex::new(store),
+            artifacts: Mutex::new(AnalysisArtifacts::new()),
         })
     }
 
@@ -214,6 +207,10 @@ impl<'a> Program<'a> {
             ExecPlan::Fused { method, .. } => Planner::fused(self.levels).method(*method),
         };
         let mut store = self.artifacts.lock().unwrap();
+        if store.is_empty() {
+            let key = dependence_key(self.seq);
+            store.seed(pass::DEPENDENCE, key, self.deps.clone());
+        }
         let planned = planner.plan_with(self.seq, &mut store, &mut NullObserver)?;
         Ok(planned.plan)
     }

@@ -6,6 +6,8 @@
 //! * [`memory`] — flat backing storage honoring an `sp-cache` layout
 //!   (padding and partition gaps physically present), plus the shared
 //!   view used by the parallel runtime;
+//! * [`digest`] — [`WordDigest`], the lane-parallel hash of a program's
+//!   output arrays behind [`Memory::digest`];
 //! * [`sink`] — pluggable consumers of the access stream (null, counting,
 //!   cache simulators, trace recording);
 //! * [`interp`] — the statement/region interpreter and the serial
@@ -49,6 +51,7 @@
 //! program (whose singleton groups have `Nt = 0`, so any chunk size is
 //! legal) is `RunConfig::blocked(grid).schedule(Schedule::Stealing)`.
 
+pub mod digest;
 pub mod driver;
 pub mod exec;
 pub mod executor;
@@ -62,6 +65,7 @@ pub mod schedule;
 pub mod sink;
 pub mod tape;
 
+pub use digest::WordDigest;
 pub use driver::{run_fused_phase, run_peeled_phase};
 pub use exec::{ExecError, ExecPlan, Program};
 pub use executor::{

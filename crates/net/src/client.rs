@@ -170,7 +170,7 @@ pub struct NetJobResult {
     pub tenant: String,
     /// Which cache tier served the compilation.
     pub cache: CacheOutcome,
-    /// FNV digest of the final array snapshot.
+    /// `sp_serve::service::snapshot_digest` of the final arrays.
     pub digest: u64,
     /// Queue wait on the server.
     pub queued_nanos: u64,

@@ -7,7 +7,7 @@
 //! (no async runtime, matching `sp_serve::MetricsServer`):
 //!
 //! * [`wire`] — the `SPFC` length-prefixed binary frame format
-//!   (version 2): versioned header, CRC-32 integrity check, and five
+//!   (version 3): versioned header, CRC-32 integrity check, and five
 //!   frame types (SubmitJob / JobResult / Error / Drain / Ping).
 //!   Submissions carry a client-assigned `request_id` (echoed on the
 //!   reply so many requests can share one connection), the program

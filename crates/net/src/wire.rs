@@ -5,7 +5,7 @@
 //! ```text
 //!  offset  size  field
 //!  0       4     magic  "SPFC"
-//!  4       2     protocol version (little-endian, currently 2)
+//!  4       2     protocol version (little-endian, currently 3)
 //!  6       1     frame type (1 SubmitJob, 2 JobResult, 3 Error,
 //!                            4 Drain, 5 Ping)
 //!  7       1     reserved (must be 0)
@@ -30,8 +30,15 @@
 //! request produces. Id 0 means "unpipelined" (one request in flight,
 //! replies in order). A client reuses the id when it retries a request,
 //! which lets the server recognize a resubmission of work it is already
-//! running (or has finished) instead of executing it twice. Version 1
-//! peers reject v2 frames with the typed [`WireError::Version`].
+//! running (or has finished) instead of executing it twice.
+//!
+//! Version 3 changes no layout. It changes what a number means: the
+//! `digest` of a `JobResult` is the lane-parallel word hash of the
+//! output arrays (`sp_exec::WordDigest`) where versions 1 and 2 carried
+//! a byte-serial FNV-1a of the same words. A client comparing a v2
+//! server's digest with one it computed itself would see every job
+//! "differ", so a v2 peer is refused with the typed
+//! [`WireError::Version`] instead.
 
 use shift_peel_core::CodegenMethod;
 use sp_exec::{Backend, ExecPlan, Schedule};
@@ -42,8 +49,9 @@ use std::io::{Read, Write};
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SPFC";
 /// Current protocol version. Version 2 added the `request_id`
-/// correlation field to submit/result/error payloads (pipelining).
-pub const VERSION: u16 = 2;
+/// correlation field to submit/result/error payloads (pipelining);
+/// version 3 redefined `JobResult.digest` (see the module docs).
+pub const VERSION: u16 = 3;
 /// Fixed header size (magic + version + type + reserved + length).
 pub const HEADER_LEN: usize = 12;
 /// Largest accepted payload. Program text is at most a few hundred KiB;
@@ -175,7 +183,7 @@ pub struct ResultFrame {
     pub tenant: String,
     /// Which cache tier served the compilation.
     pub cache: CacheOutcome,
-    /// FNV digest of the final array snapshot.
+    /// `sp_serve::service::snapshot_digest` of the final arrays.
     pub digest: u64,
     /// Queue wait on the server.
     pub queued_nanos: u64,

@@ -197,6 +197,16 @@ proptest! {
     }
 }
 
+/// The by-digest registry's address of a program is the FNV of its
+/// rendered text: pinned to the value the nested-`format!` renderer
+/// gave, so a client and a server built either side of the renderer
+/// change still name the same program.
+#[test]
+fn program_digest_is_pinned() {
+    let seq = sp_kernels::jacobi::sequence(32);
+    assert_eq!(sp_net::program_digest(&seq), 0x39ee_d3f7_65ea_0c90);
+}
+
 #[test]
 fn bad_magic_is_rejected() {
     let mut bytes = encode_frame(&Frame::Ping);
@@ -214,6 +224,18 @@ fn version_skew_is_rejected_before_anything_else() {
         panic!("version skew must be typed");
     };
     assert_eq!((got, want), (VERSION + 1, VERSION));
+}
+
+/// A version-2 peer computes `JobResult.digest` with another function;
+/// its frames are refused, not believed.
+#[test]
+fn a_v2_header_is_refused() {
+    let mut bytes = encode_frame(&Frame::Ping);
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    assert_eq!(
+        decode_frame(&bytes),
+        Err(WireError::Version { got: 2, want: 3 })
+    );
 }
 
 #[test]

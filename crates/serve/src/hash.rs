@@ -39,9 +39,21 @@ impl CacheKey {
         backend: Backend,
         procs: usize,
     ) -> CacheKey {
-        CacheKey(fnv1a64(
-            Self::canonical_text(seq, cfg, backend, procs).as_bytes(),
-        ))
+        Self::of_rendered(&render_sequence(seq), cfg, backend, procs)
+    }
+
+    /// [`CacheKey::compute`] for a caller that already holds `program`,
+    /// the sequence's [`render_sequence`] text: the canonical text is
+    /// hashed piece by piece as it is formatted, never assembled.
+    pub fn of_rendered(
+        program: &str,
+        cfg: &PlanConfig,
+        backend: Backend,
+        procs: usize,
+    ) -> CacheKey {
+        let mut h = Fnv1a64::new();
+        write_canonical(&mut h, program, cfg, backend, procs);
+        CacheKey(h.finish())
     }
 
     /// The exact text hashed by [`CacheKey::compute`], exposed so tests
@@ -52,19 +64,32 @@ impl CacheKey {
         backend: Backend,
         procs: usize,
     ) -> String {
-        format!(
-            "{CACHE_FORMAT_VERSION}\n{}\nplan: {}\nbackend: {}\nprocs: {}\n",
-            render_sequence(seq),
-            cfg.canonical(),
-            backend.name(),
-            procs
-        )
+        let mut text = String::new();
+        write_canonical(&mut text, &render_sequence(seq), cfg, backend, procs);
+        text
     }
 
     /// Fixed-width lowercase hex, used for file names and display.
     pub fn hex(&self) -> String {
         format!("{:016x}", self.0)
     }
+}
+
+/// The one definition of the keyed text, written to a `String` or
+/// straight into the hash (neither sink can fail).
+fn write_canonical(
+    out: &mut impl fmt::Write,
+    program: &str,
+    cfg: &PlanConfig,
+    backend: Backend,
+    procs: usize,
+) {
+    let _ = write!(
+        out,
+        "{CACHE_FORMAT_VERSION}\n{program}\nplan: {}\nbackend: {}\nprocs: {procs}\n",
+        cfg.canonical(),
+        backend.name(),
+    );
 }
 
 impl fmt::Display for CacheKey {
@@ -118,6 +143,25 @@ mod tests {
         // Hex rendering is fixed-width and agrees with Display.
         assert_eq!(k.hex().len(), 16);
         assert_eq!(k.hex(), format!("{k}"));
+    }
+
+    /// The values the commit before the single-buffer renderer printed.
+    /// The rendered text, and with it every key already on a disk tier,
+    /// must not drift; and a key derived from text a caller already
+    /// holds is the key derived from the sequence.
+    #[test]
+    fn keys_are_pinned_and_the_same_by_text() {
+        use shift_peel_core::{dependence_key, dependence_key_of_rendered};
+        let seq = jacobi::sequence(32);
+        let text = render_sequence(&seq);
+        let cfg = PlanConfig::fused(2);
+        let k = CacheKey::compute(&seq, &cfg, Backend::Compiled, 4);
+        assert_eq!(k.hex(), "fba94f95ab885cb6");
+        assert_eq!(k, CacheKey::of_rendered(&text, &cfg, Backend::Compiled, 4));
+        let hashed = CacheKey::canonical_text(&seq, &cfg, Backend::Compiled, 4);
+        assert_eq!(k.0, fnv1a64(hashed.as_bytes()));
+        assert_eq!(dependence_key(&seq).hex(), "c427c365ca312f5a");
+        assert_eq!(dependence_key(&seq), dependence_key_of_rendered(&text));
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //! a clean state for the next job.
 
 use crate::cache::{Artifact, ArtifactCache, ArtifactCacheConfig, CacheCounters, Tier};
-use crate::hash::{CacheKey, Fnv1a64};
+use crate::hash::CacheKey;
 use crate::obs::{flush_stage_stats, ServeObs, StageStats};
 use shift_peel_core::pipeline::pass;
 use shift_peel_core::{
-    dependence_key, AnalysisArtifacts, FusionPlan, NullObserver, PassTiming, PassTimings,
-    PlanConfig, Planner,
+    dependence_key_of_rendered, AnalysisArtifacts, FusionPlan, NullObserver, PassTiming,
+    PassTimings, PlanConfig, Planner,
 };
 use sp_cache::LayoutStrategy;
 use sp_dep::{analyze_sequence, SequenceDeps};
@@ -29,7 +29,8 @@ use sp_exec::{
     register_pass_metrics, Backend, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program,
     ProgramTape, RunConfig, RunReport, Schedule,
 };
-use sp_ir::{ArrayId, LoopSequence};
+use sp_ir::display::render_sequence;
+use sp_ir::LoopSequence;
 use sp_trace::{JobSpans, JobStage, MetricsRegistry, SessionTrace};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
@@ -243,8 +244,15 @@ impl JobSpec {
 
     /// The content address of this spec's compilation artifacts.
     pub fn cache_key(&self) -> CacheKey {
-        CacheKey::compute(
-            &self.seq,
+        self.cache_key_of_rendered(&render_sequence(&self.seq))
+    }
+
+    /// [`JobSpec::cache_key`] given `program`, the [`render_sequence`]
+    /// text of `self.seq` (the scheduler renders once and derives every
+    /// key from that text).
+    fn cache_key_of_rendered(&self, program: &str) -> CacheKey {
+        CacheKey::of_rendered(
+            program,
             &self.plan_config(),
             self.backend,
             self.plan.procs(),
@@ -290,7 +298,7 @@ pub struct JobResult {
     pub report: RunReport,
     /// Which tier served the compilation.
     pub cache: CacheOutcome,
-    /// FNV digest of the final array snapshot — cheap bit-for-bit
+    /// [`snapshot_digest`] of the final arrays — cheap bit-for-bit
     /// comparison between cached and uncached runs.
     pub digest: u64,
     /// The snapshot itself, when the spec asked to keep it.
@@ -977,6 +985,32 @@ fn run_job(
     res
 }
 
+/// Times a job's stages so that they tile it: one timestamp per boundary,
+/// each stage starting at the instant the previous one ended, so nothing
+/// the scheduler thread does for a job falls between two spans.
+struct StageClock {
+    epoch: Instant,
+    /// Where the stage now running began, on the session epoch.
+    at: u64,
+}
+
+impl StageClock {
+    /// Records the next `dur` nanoseconds as `stage` (0 for a stage the
+    /// job skipped).
+    fn advance(&mut self, spans: &mut JobSpans, stage: JobStage, dur: u64) {
+        spans.stage(stage, self.at, dur);
+        self.at += dur;
+    }
+
+    /// Records everything from the last boundary to now as `stage` and
+    /// returns its duration; the next stage starts at the same instant.
+    fn close(&mut self, spans: &mut JobSpans, stage: JobStage) -> u64 {
+        let dur = since_epoch(self.epoch).saturating_sub(self.at);
+        self.advance(spans, stage, dur);
+        dur
+    }
+}
+
 /// The staged body of [`run_job`]: each pipeline stage is timed on the
 /// session epoch and appended to `spans` as it completes, so even an
 /// early deadline return carries the stages the job did reach.
@@ -987,37 +1021,36 @@ fn run_job_stages(
     spans: &mut JobSpans,
 ) -> Result<JobResult, ServeError> {
     let spec = &job.spec;
-    let epoch = shared.epoch;
     let deadline_err = || ServeError::Deadline {
         job: job.id,
         budget: spec.deadline.unwrap_or_default(),
     };
-    let queue_start = job.enqueued.saturating_duration_since(epoch).as_nanos() as u64;
+    let mut clock = StageClock {
+        epoch: shared.epoch,
+        at: job
+            .enqueued
+            .saturating_duration_since(shared.epoch)
+            .as_nanos() as u64,
+    };
     // Pre-check: a job that aged out while queued never starts.
-    if spec.deadline.is_some_and(|d| job.enqueued.elapsed() > d) {
-        spans.stage(
-            JobStage::QueueWait,
-            queue_start,
-            job.enqueued.elapsed().as_nanos() as u64,
-        );
+    let expired = spec.deadline.is_some_and(|d| job.enqueued.elapsed() > d);
+    let queued_nanos = clock.close(spans, JobStage::QueueWait);
+    if expired {
         return Err(deadline_err());
     }
-    let started = Instant::now();
-    let queued_nanos = started.duration_since(job.enqueued).as_nanos() as u64;
-    spans.stage(JobStage::QueueWait, queue_start, queued_nanos);
+    let started = clock.at;
 
-    let key = spec.cache_key();
-    let t_lookup = since_epoch(epoch);
+    // The program is rendered once; the artifact key and the analysis
+    // key both hash that text.
+    let program = render_sequence(&spec.seq);
+    let key = spec.cache_key_of_rendered(&program);
+    let akey = dependence_key_of_rendered(&program);
     let hit = shared
         .cache
         .lock()
         .unwrap()
         .lookup(key, &spec.seq, spec.plan.grid());
-    spans.stage(
-        JobStage::CacheLookup,
-        t_lookup,
-        since_epoch(epoch) - t_lookup,
-    );
+    clock.close(spans, JobStage::CacheLookup);
     let (outcome, cached_plan, cached_deps, cached_tape) = match hit {
         Some((art, Tier::Memory)) => (CacheOutcome::Memory, Some(art.plan), art.deps, art.tape),
         Some((art, Tier::Disk)) => (CacheOutcome::Disk, Some(art.plan), art.deps, art.tape),
@@ -1033,12 +1066,10 @@ fn run_job_stages(
     // Hit paths record their skipped stages as zero-duration spans so
     // every job exports all eight stages and the histograms keep a
     // truthful per-stage sample count.
-    let akey = dependence_key(&spec.seq);
-    let t_plan = since_epoch(epoch);
     let (deps, plan): (Arc<SequenceDeps>, Arc<FusionPlan>) = match (cached_plan, cached_deps) {
         (Some(p), Some(d)) => {
-            spans.stage(JobStage::Analysis, t_plan, 0);
-            spans.stage(JobStage::Plan, t_plan, 0);
+            clock.advance(spans, JobStage::Analysis, 0);
+            clock.advance(spans, JobStage::Plan, 0);
             (d, p)
         }
         (Some(p), None) => {
@@ -1050,9 +1081,8 @@ fn run_job_stages(
                         .map_err(|e| ServeError::Exec(ExecError::Analysis(e)))?,
                 ),
             };
-            let dur = since_epoch(epoch) - t_plan;
-            spans.stage(JobStage::Analysis, t_plan, dur);
-            spans.stage(JobStage::Plan, t_plan + dur, 0);
+            clock.close(spans, JobStage::Analysis);
+            clock.advance(spans, JobStage::Plan, 0);
             (d, p)
         }
         (None, _) => {
@@ -1063,7 +1093,6 @@ fn run_job_stages(
             let planned = Planner::new(spec.plan_config())
                 .plan_with(&spec.seq, &mut store, &mut NullObserver)
                 .map_err(|e| ServeError::Exec(ExecError::Legality(e)))?;
-            let total = since_epoch(epoch) - t_plan;
             // The pipeline's own dependence-pass timing splits the
             // plan_with wall time into analysis vs planning; a reused
             // (seeded) dependence pass costs ~0 and attributes to plan.
@@ -1072,11 +1101,10 @@ fn run_job_stages(
                 .passes
                 .iter()
                 .find(|p| p.pass == pass::DEPENDENCE && !p.reused)
-                .map_or(0, |p| p.nanos)
-                .min(total);
-            spans.stage(JobStage::Analysis, t_plan, analysis);
-            spans.stage(JobStage::Plan, t_plan + analysis, total - analysis);
+                .map_or(0, |p| p.nanos);
+            clock.advance(spans, JobStage::Analysis, analysis);
             record_pass_timings(shared, &planned.timings);
+            clock.close(spans, JobStage::Plan);
             (planned.deps, planned.plan)
         }
     };
@@ -1090,8 +1118,7 @@ fn run_job_stages(
 
     // Lower: everything between the plan and a runnable configuration —
     // program construction, memory init, and (tape backends) lowering.
-    let t_lower = since_epoch(epoch);
-    let prog = Program::from_analysis(&spec.seq, (*deps).clone(), spec.levels)?;
+    let prog = Program::from_analysis(&spec.seq, Arc::clone(&deps), spec.levels)?;
 
     let mut mem = Memory::new(&spec.seq, LayoutStrategy::Contiguous);
     mem.init_deterministic(&spec.seq, spec.seed);
@@ -1122,13 +1149,11 @@ fn run_job_stages(
             }
         }
     }
-    spans.stage(JobStage::Lower, t_lower, since_epoch(epoch) - t_lower);
+    clock.close(spans, JobStage::Lower);
 
-    let t_exec = since_epoch(epoch);
+    spans.exec_offset_nanos = clock.at;
     let mut report = exec.run(&prog, &mut mem, &cfg)?;
-    let exec_nanos = since_epoch(epoch) - t_exec;
-    spans.stage(JobStage::Execute, t_exec, exec_nanos);
-    spans.exec_offset_nanos = t_exec;
+    let exec_nanos = clock.close(spans, JobStage::Execute);
     if shared.tracing {
         // The session trace owns the run's worker lanes; the per-job
         // report keeps everything else.
@@ -1136,7 +1161,7 @@ fn run_job_stages(
     }
     report.queue_wait_nanos = queued_nanos;
     report.exec_nanos = exec_nanos;
-    let run_nanos = started.elapsed().as_nanos() as u64;
+    let run_nanos = clock.at - started;
 
     // Post-check: the run always completes (the pool is never poisoned
     // by a timeout), but an overrun job's result is discarded.
@@ -1144,8 +1169,7 @@ fn run_job_stages(
         return Err(deadline_err());
     }
 
-    // Respond: cache population, snapshot, digest.
-    let t_respond = since_epoch(epoch);
+    // Respond: cache population, digest, snapshot.
     // Misses populate the cache; disk hits upgrade into the memory tier
     // with their freshly lowered tape and recomputed analysis.
     if outcome != CacheOutcome::Memory {
@@ -1161,7 +1185,7 @@ fn run_job_stages(
     // arrays pays for a copy of them.
     let digest = memory_digest(&mem, &spec.seq);
     let output = spec.keep_output.then(|| mem.snapshot_all(&spec.seq));
-    spans.stage(JobStage::Respond, t_respond, since_epoch(epoch) - t_respond);
+    clock.close(spans, JobStage::Respond);
     Ok(JobResult {
         id: job.id,
         name: spec.name.clone(),
@@ -1177,33 +1201,15 @@ fn run_job_stages(
     })
 }
 
-/// FNV digest over array lengths and the exact bit patterns of every
-/// element — equal digests mean bit-for-bit equal outputs.
-pub fn snapshot_digest(arrays: &[Vec<f64>]) -> u64 {
-    let mut h = Fnv1a64::new();
-    for a in arrays {
-        h.write(&(a.len() as u64).to_le_bytes());
-        for v in a {
-            h.write(&v.to_bits().to_le_bytes());
-        }
-    }
-    h.finish()
-}
+pub use sp_exec::digest::snapshot_digest;
 
 /// [`snapshot_digest`] of `mem.snapshot_all(seq)` without the snapshot:
-/// the same lengths and bit patterns in the same logical row-major order,
-/// streamed out of the live memory, so the respond stage — which sets the
-/// service's peak heap — holds no copy of a job's output beside the
-/// memory itself.
+/// the same words in the same logical row-major order, hashed row by row
+/// out of the live memory ([`Memory::digest`]), so the respond stage —
+/// which sets the service's peak heap — holds no copy of a job's output
+/// beside the memory itself.
 pub fn memory_digest(mem: &Memory, seq: &LoopSequence) -> u64 {
-    let mut h = Fnv1a64::new();
-    for (i, a) in seq.arrays.iter().enumerate() {
-        h.write(&(a.dims.iter().product::<usize>() as u64).to_le_bytes());
-        mem.for_each_value(seq, ArrayId(i as u32), |v| {
-            h.write(&v.to_bits().to_le_bytes())
-        });
-    }
-    h.finish()
+    mem.digest(seq)
 }
 
 #[cfg(test)]

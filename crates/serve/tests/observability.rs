@@ -112,6 +112,75 @@ fn traced_session_exports_one_chrome_trace_with_flows() {
     }
 }
 
+/// The scheduler-side stages, in the order a job goes through them.
+const TILING: [JobStage; 7] = [
+    JobStage::QueueWait,
+    JobStage::CacheLookup,
+    JobStage::Analysis,
+    JobStage::Plan,
+    JobStage::Lower,
+    JobStage::Execute,
+    JobStage::Respond,
+];
+
+/// The spans a job exported from `queue_wait` on, checked to be a prefix
+/// of [`TILING`] in which every stage starts where the one before it
+/// ended. Returns how many stages the job reached.
+fn tiled_stages(job: &sp_trace::JobSpans) -> usize {
+    let spans: Vec<_> = job
+        .stages
+        .iter()
+        .filter(|s| TILING.contains(&s.stage))
+        .collect();
+    for (i, span) in spans.iter().enumerate() {
+        assert_eq!(span.stage, TILING[i], "job {} stage {i}", job.name);
+    }
+    for pair in spans.windows(2) {
+        assert_eq!(
+            pair[0].start_nanos + pair[0].dur_nanos,
+            pair[1].start_nanos,
+            "job {}: {} does not end where {} starts",
+            job.name,
+            pair[0].stage.name(),
+            pair[1].stage.name()
+        );
+    }
+    spans.len()
+}
+
+/// Stage shares divide by the sum of the stage spans, so the spans must
+/// tile the job: nothing the scheduler does for it — key derivation
+/// included — may fall between two of them. Holds for a miss, a hit, and
+/// a job whose deadline cut it short at either check.
+#[test]
+fn stage_spans_tile_the_job() {
+    let service = Service::new(ServiceConfig::default().workers(2).traced());
+    let run = |spec: JobSpec| service.wait(service.submit(spec).unwrap());
+    let spec = |name: &str| JobSpec::new(name, ll18::sequence(48), fused(&[2])).steps(2);
+    assert_eq!(run(spec("miss")).unwrap().cache.name(), "miss");
+    assert_eq!(run(spec("hit")).unwrap().cache.name(), "hit");
+    // A zero budget dies at the pre-check; a budget a long run outlasts
+    // dies at the post-check (or at the pre-check on a stalled host).
+    let stillborn = run(spec("stillborn").deadline(Duration::ZERO));
+    let overrun = run(spec("overrun")
+        .steps(400)
+        .deadline(Duration::from_millis(1)));
+    for res in [stillborn, overrun] {
+        assert!(matches!(res, Err(ServeError::Deadline { .. })), "{res:?}");
+    }
+
+    let session = service.session_trace().expect("tracing service");
+    let reached: Vec<(&str, usize)> = session
+        .jobs
+        .iter()
+        .map(|job| (job.name.as_str(), tiled_stages(job)))
+        .collect();
+    assert_eq!(reached[..3], [("miss", 7), ("hit", 7), ("stillborn", 1)]);
+    let (name, stages) = reached[3];
+    assert_eq!(name, "overrun");
+    assert!(stages == 6 || stages == 1, "through execute, no respond");
+}
+
 /// Satellite 1 + tentpole metrics: outcome counters and per-stage
 /// histograms appear in the registry and its Prometheus rendering.
 #[test]

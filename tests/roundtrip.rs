@@ -50,3 +50,108 @@ fn parsed_program_executes_identically() {
     };
     assert_eq!(run(seq), run(&parsed));
 }
+
+/// The renderer this repository started with: a `String` per subscript,
+/// reference, expression node and nest, glued by `format!` and `join`.
+/// Kept as the definition of the canonical text — every cache key,
+/// artifact key and program digest hashes it — that the single-buffer
+/// renderer must reproduce byte for byte.
+mod reference {
+    use shift_peel::ir::{ArrayRef, Expr, LoopNest, LoopSequence};
+    use std::fmt::Write as _;
+
+    pub fn sequence(seq: &LoopSequence) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "! sequence {}", seq.name);
+        for (i, a) in seq.arrays.iter().enumerate() {
+            let dims: Vec<String> = a.dims.iter().map(|d| d.to_string()).collect();
+            let _ = writeln!(out, "! array A{i} {}({})", a.name, dims.join(","));
+        }
+        for nest in &seq.nests {
+            out.push_str(&self::nest(seq, nest));
+        }
+        out
+    }
+
+    pub fn nest(seq: &LoopSequence, nest: &LoopNest) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "{}:", nest.label);
+        for (l, b) in nest.bounds.iter().enumerate() {
+            let indent = "  ".repeat(l + 1);
+            let _ = writeln!(out, "{indent}do i{l} = {}, {}", b.lo, b.hi);
+        }
+        let indent = "  ".repeat(nest.depth() + 1);
+        for stmt in &nest.body {
+            let _ = writeln!(
+                out,
+                "{indent}{} = {}",
+                array_ref(seq, &stmt.lhs),
+                expr(seq, &stmt.rhs)
+            );
+        }
+        for l in (0..nest.depth()).rev() {
+            let indent = "  ".repeat(l + 1);
+            let _ = writeln!(out, "{indent}end do");
+        }
+        out
+    }
+
+    pub fn array_ref(seq: &LoopSequence, r: &ArrayRef) -> String {
+        let name = seq
+            .arrays
+            .get(r.array.index())
+            .map(|a| a.name.as_str())
+            .unwrap_or("?");
+        let subs: Vec<String> = r.subs.iter().map(|s| s.to_string()).collect();
+        format!("{name}[{}]", subs.join(","))
+    }
+
+    pub fn expr(seq: &LoopSequence, e: &Expr) -> String {
+        match e {
+            Expr::Const(c) => format!("{c}"),
+            Expr::Load(r) => array_ref(seq, r),
+            Expr::Unary(op, inner) => format!("{:?}({})", op, expr(seq, inner)),
+            Expr::Binary(op, a, b) => {
+                format!("({} {} {})", expr(seq, a), op.symbol(), expr(seq, b))
+            }
+        }
+    }
+}
+
+#[test]
+fn render_is_byte_identical_to_the_nested_format_reference() {
+    use shift_peel::ir::display::{render_expr, render_nest, render_ref};
+    let mut seqs = Vec::new();
+    for scale in [0.1, 0.125] {
+        for entry in all_programs() {
+            seqs.extend((entry.build)(scale).sequences);
+        }
+    }
+    assert_eq!(seqs.len(), 2 * 19, "the suite's sequences at two scales");
+    for name in ["fig9", "jacobi", "skewed", "swap"] {
+        let path = format!(
+            "{}/examples/programs/{name}.loop",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        seqs.push(parse_sequence(&text).unwrap_or_else(|e| panic!("{path}: {e}")));
+    }
+    for seq in &seqs {
+        assert_eq!(
+            render_sequence(seq),
+            reference::sequence(seq),
+            "{}",
+            seq.name
+        );
+        for nest in &seq.nests {
+            assert_eq!(render_nest(seq, nest), reference::nest(seq, nest));
+            for stmt in &nest.body {
+                assert_eq!(
+                    render_ref(seq, &stmt.lhs),
+                    reference::array_ref(seq, &stmt.lhs)
+                );
+                assert_eq!(render_expr(seq, &stmt.rhs), reference::expr(seq, &stmt.rhs));
+            }
+        }
+    }
+}
