@@ -16,7 +16,7 @@ cargo fmt --check \
   -p sp-exec -p sp-trace -p sp-kernels -p sp-baselines -p sp-machine \
   -p sp-bench -p sp-cli -p sp-serve -p sp-net
 
-echo "==> structure: no deprecated shims, one hash, one array hasher, one renderer, one PRNG, one JSON reader, one place for ISA, one wait policy, bounded results"
+echo "==> structure: no deprecated shims, one hash, one array hasher, one renderer, one program object, one PRNG, one JSON reader, one place for ISA, one wait policy, bounded results"
 # Cheap greps over first-party code. Each of these helpers once existed
 # two or three times; a second definition is a regression, not a lint.
 if grep -rn --include='*.rs' '#\[deprecated' crates/; then
@@ -99,6 +99,28 @@ if [ "$n" -ne 1 ]; then
 fi
 if grep -nE 'format!\(|\.join\(' crates/ir/src/display.rs; then
   echo "FAIL: crates/ir/src/display.rs allocates per node again (render into the one buffer)"
+  exit 1
+fi
+# A program is rendered and hashed once, when its SharedProgram is made.
+# The client sends what the spec holds; the server parses a text only when
+# the registry does not hold those bytes (one call site); a request's
+# fingerprint is streamed, not a second encoding of the frame; the CRC goes
+# by table. None of the per-job work these replaced may grow back.
+if grep -nE 'render_sequence\(|program_digest\(' crates/net/src/client.rs; then
+  echo "FAIL: crates/net/src/client.rs renders or hashes a program per request (send spec.seq.text()/digest())"
+  exit 1
+fi
+n="$(sed '/#\[cfg(test)\]/,$d' crates/net/src/server.rs | grep -c 'parse_sequence(' || true)"
+if [ "$n" -ne 1 ]; then
+  echo "FAIL: $n parse_sequence( calls in crates/net/src/server.rs outside its tests (expected exactly one, behind the registry's text lookup)"
+  exit 1
+fi
+if grep -rn 'encode_payload_for_fingerprint' crates/ src/ tests/ examples/; then
+  echo "FAIL: the request fingerprint encodes the frame a second time again"
+  exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/net/src/wire.rs | grep -n 'for _ in 0\.\.8'; then
+  echo "FAIL: a bit-at-a-time CRC loop is back in crates/net/src/wire.rs (the bitwise reference lives in its test module)"
   exit 1
 fi
 

@@ -730,8 +730,14 @@ fn serve_listen_command(opts: &Options) -> Result<String, CliError> {
     let n = server.stats();
     let _ = writeln!(
         out,
-        "programs: {} registered, {} evicted, {} live, {} digest hits, {} dedupe hits",
-        n.programs_registered, n.programs_evicted, n.programs_live, n.digest_hits, n.dedupe_hits,
+        "programs: {} registered ({} without a parse), {} evicted, {} live, {} digest hits, \
+{} dedupe hits",
+        n.programs_registered,
+        n.text_hits,
+        n.programs_evicted,
+        n.programs_live,
+        n.digest_hits,
+        n.dedupe_hits,
     );
     for t in &stats.tenants {
         let _ = writeln!(

@@ -18,6 +18,10 @@
 //!   [`RowOp`]s of the statement's [`RowStmt`], the one lowered form both
 //!   runner widths execute; the loads are noted in evaluation order for
 //!   the sink, and each nest gets its row width.
+//! * **Division by a power of two** — `x / c` with `c = ±2^k` and `1 / c`
+//!   a normal power of two becomes `x * (1 / c)`: the same correctly
+//!   rounded real number, so the same bits for every `x`
+//!   (see `pow2_reciprocal`).
 //! * **Chains** — a peephole on the op just emitted: when an arithmetic
 //!   operator's operand is the result of the arithmetic op emitted
 //!   immediately before it, the two become one [`RowOp::Chain`], so
@@ -220,11 +224,18 @@ impl RowBuilder {
             Expr::Binary(op, a, b) => match (self.emit(a, pats), self.emit(b, pats)) {
                 (Operand::Const(x), Operand::Const(y)) => Operand::Const(op.apply(x, y)),
                 (a, b) => {
+                    let (op, b) = match (*op, b) {
+                        (BinOp::Div, Operand::Const(c)) => match pow2_reciprocal(c) {
+                            Some(r) => (BinOp::Mul, Operand::Const(r)),
+                            None => (BinOp::Div, b),
+                        },
+                        other => other,
+                    };
                     self.note_const(a);
                     self.note_const(b);
-                    let dst = self.chain(*op, a, b, pats).unwrap_or_else(|| {
+                    let dst = self.chain(op, a, b, pats).unwrap_or_else(|| {
                         let dst = self.dst();
-                        self.ops.push(RowOp::Binary { op: *op, a, b, dst });
+                        self.ops.push(RowOp::Binary { op, a, b, dst });
                         self.free(a);
                         self.free(b);
                         dst
@@ -311,6 +322,26 @@ impl RowBuilder {
             }
         }
     }
+}
+
+/// `1 / c` when dividing by `c` can be lowered to multiplying by it: `c`
+/// is a power of two (either sign) and so is its reciprocal, both normal.
+/// Then `r` is exactly `1 / c`, so `x / c` and `x * r` are the correctly
+/// rounded value of one and the same real number, and IEEE 754 leaves a
+/// correctly rounded result no freedom: the bits are equal for every `x` —
+/// zeros and subnormals, quotients that round into or out of the
+/// subnormal range or overflow, infinities — and a NaN `x` comes out of
+/// either operation as it went in. A vector division is several times a
+/// multiplication's cost, and `/ 4.0` is how a stencil averages.
+///
+/// Anything else keeps its division: `3.0` has no exact reciprocal, that
+/// of `2^1023` is subnormal, and zero, infinities and NaN are not powers
+/// of two.
+fn pow2_reciprocal(c: f64) -> Option<f64> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let pow2 = |v: f64| v.is_normal() && v.to_bits() & MANTISSA == 0;
+    let r = 1.0 / c;
+    (pow2(c) && pow2(r)).then_some(r)
 }
 
 /// Interns deduplicated access patterns for one nest.
@@ -944,6 +975,148 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `2^e` for any `e` a double can hold, subnormal ones included.
+    fn pow2(e: i32) -> f64 {
+        assert!((-1074..=1023).contains(&e));
+        if e >= -1022 {
+            f64::from_bits(((e + 1023) as u64) << 52)
+        } else {
+            f64::from_bits(1 << (e + 1074))
+        }
+    }
+
+    /// Division by `±2^k` lowers to a multiplication by the reciprocal
+    /// wherever that is a normal power of two, alone and as the outer half
+    /// of a chain, and nowhere else; and at both runner widths the values
+    /// are the interpreter's own division bit for bit — on NaN, infinities,
+    /// zeros and subnormals, and on dividends picked per divisor so that
+    /// the quotient lands one binade either side of the smallest
+    /// subnormal, the smallest normal and the overflow threshold, with
+    /// mantissas that have to round there.
+    #[test]
+    fn division_by_a_power_of_two_is_a_multiplication_with_equal_bits() {
+        const KS: [i32; 8] = [-1022, -537, -1, 1, 2, 52, 1021, 1022];
+        let rewritten: Vec<f64> = KS.iter().flat_map(|&k| [pow2(k), -pow2(k)]).collect();
+        let kept = [
+            3.0,
+            pow2(1023),
+            -pow2(1023),
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            // A subnormal power of two, whose reciprocal overflows.
+            pow2(-1030),
+        ];
+        let divisors: Vec<f64> = rewritten.iter().chain(&kept).copied().collect();
+
+        // The dividends: the first 64 columns are `init_with_specials`'
+        // own, then for each `k` the values whose quotient by `2^k` sits
+        // around a boundary.
+        let mut edge = Vec::new();
+        for k in KS {
+            for landing in [-1075, -1074, -1073, -1023, -1022, -1021, 1022, 1023] {
+                let e = k + landing;
+                if (-1074..=1023).contains(&e) {
+                    for m in [1.0, 1.5, 1.0 + f64::EPSILON, 2.0 - f64::EPSILON] {
+                        edge.extend([m * pow2(e), -m * pow2(e)]);
+                    }
+                }
+            }
+        }
+        let n = 64 + edge.len();
+        assert!(n > ROW, "more than one chunk");
+
+        let mut b = SeqBuilder::new("pow2");
+        let [p, q] = ["p", "q"].map(|name| b.array(name, [n]));
+        let dests: Vec<_> = (0..2 * divisors.len())
+            .map(|s| b.array(format!("d{s}"), [n]))
+            .collect();
+        b.nest("L1", [(0, n as i64 - 1)], |x| {
+            for (pair, &c) in dests.chunks(2).zip(&divisors) {
+                x.assign(pair[0], [0], x.ld(p, [0]) / c);
+                x.assign(pair[1], [0], (x.ld(p, [0]) + x.ld(q, [0])) / c);
+            }
+        });
+        let seq = b.finish();
+        let mut m0 = Memory::new(&seq, LayoutStrategy::Contiguous);
+        init_with_specials(&mut m0, &seq);
+        let plain = m0.snapshot(&seq, p);
+        m0.fill_with(&seq, p, |idx| {
+            let k = idx[0] as usize;
+            if k < 64 {
+                plain[k]
+            } else {
+                edge[k - 64]
+            }
+        });
+
+        let tape = ProgramTape::lower(&seq, &m0.layout);
+        assert_eq!(tape.nests[0].row_width, ROW);
+        for (pair, &c) in tape.nests[0].stmts.chunks(2).zip(&divisors) {
+            let (want_op, want_c) = if rewritten.iter().any(|r| r.to_bits() == c.to_bits()) {
+                (BinOp::Mul, 1.0 / c)
+            } else {
+                (BinOp::Div, c)
+            };
+            let [RowOp::Binary {
+                op,
+                b: Operand::Const(by),
+                ..
+            }] = *pair[0].row.ops()
+            else {
+                panic!("x / {c:e} lowered to {:?}", pair[0].row.ops());
+            };
+            assert_eq!((op, by.to_bits()), (want_op, want_c.to_bits()), "x / {c:e}");
+            let [RowOp::Chain {
+                inner: BinOp::Add,
+                outer,
+                c: Operand::Const(by),
+                inner_right: false,
+                ..
+            }] = *pair[1].row.ops()
+            else {
+                panic!("(x + y) / {c:e} lowered to {:?}", pair[1].row.ops());
+            };
+            assert_eq!(
+                (outer, by.to_bits()),
+                (want_op, want_c.to_bits()),
+                "(x + y) / {c:e}"
+            );
+            // The counters charge the division the source wrote.
+            assert_eq!((pair[0].flops, pair[1].flops), (1, 2));
+        }
+
+        let mut mi = m0.clone();
+        let mut si = RecordingSink::default();
+        let ci = run_original(&seq, &mut mi, &mut si);
+        for rows in [false, true] {
+            let mut mt = m0.clone();
+            let mut st = RecordingSink::default();
+            let ct = Engine::Tape { tape: &tape, rows }.run_original(&seq, &mut mt, &mut st);
+            for (s, (want, got)) in bits(&mi, &seq).iter().zip(bits(&mt, &seq)).enumerate() {
+                assert_eq!(want, &got, "rows {rows}, array {s}");
+            }
+            assert_eq!(si.trace, st.trace, "rows {rows}");
+            assert_eq!(ci, ct, "rows {rows}");
+        }
+        // The boundaries were met: among the rewritten divisions are
+        // normal dividends that became zeros and subnormals, and finite
+        // ones that became infinities.
+        let dividends = mi.snapshot(&seq, p);
+        let met = |f: &dyn Fn(f64, f64) -> bool| {
+            (0..rewritten.len()).any(|i| {
+                let quotients = mi.snapshot(&seq, dests[2 * i]);
+                dividends[64..]
+                    .iter()
+                    .zip(&quotients[64..])
+                    .any(|(&x, &y)| f(x, y))
+            })
+        };
+        assert!(met(&|x, y| x.is_normal() && y == 0.0));
+        assert!(met(&|x, y| x.is_normal() && y.is_subnormal()));
+        assert!(met(&|x, y| x.is_finite() && y.is_infinite()));
     }
 
     /// The two compilations of the row loops compute the same bits: every

@@ -33,7 +33,12 @@
 //! 1. every op is sp-ir's own `UnaryOp::apply`/`BinOp::apply`, once per
 //!    column — `a * b + c` stays two separately rounded operations, also
 //!    when one [`RowOp::Chain`] applies both — and constant folding uses
-//!    the same implementations;
+//!    the same implementations. The one op that is not the source's own
+//!    is `x * (1 / c)` for `x / c` where `c` and `1 / c` are both normal
+//!    powers of two: `1 / c` is then exact, so both expressions are the
+//!    correctly rounded value of the same real number and IEEE 754 gives
+//!    them the same bits for every `x` (zeros, subnormals, results that
+//!    underflow or overflow, infinities; a NaN passes through either);
 //! 2. a row program may read its operands in another order than the
 //!    interpreter evaluates them (`a + b * c` reads `b` and `c` first),
 //!    which no value can see because nothing is stored before a

@@ -28,8 +28,8 @@
 //! [`NetError::DeadlineExhausted`] without bothering the server.
 
 use crate::wire::{
-    encode_frame, program_digest, read_frame, write_frame, ErrorFrame, Frame, ProgramRef,
-    ReadError, ResultFrame, SubmitJob, WireError, CODE_UNKNOWN_PROGRAM,
+    encode_frame, read_frame, write_frame, ErrorFrame, Frame, ProgramRef, ReadError, ResultFrame,
+    SubmitJob, WireError, CODE_UNKNOWN_PROGRAM,
 };
 use sp_exec::RunReport;
 use sp_serve::{CacheOutcome, JobSpec};
@@ -314,13 +314,13 @@ impl Client {
     /// Submits `spec`'s program by full text under this client's
     /// tenant, with retries and deadline propagation.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<NetJobResult, NetError> {
-        self.submit_request(&self.request_for(spec, false))
+        self.submit_request(self.request_for(spec, false))
     }
 
     /// Submits by content digest alone — valid once the server has seen
     /// the text (a prior [`Client::submit`] from any connection).
     pub fn submit_by_digest(&mut self, spec: &JobSpec) -> Result<NetJobResult, NetError> {
-        self.submit_request(&self.request_for(spec, true))
+        self.submit_request(self.request_for(spec, true))
     }
 
     fn request_for(&self, spec: &JobSpec, by_digest: bool) -> SubmitJob {
@@ -328,10 +328,11 @@ impl Client {
             request_id: 0,
             tenant: self.cfg.tenant.clone(),
             name: spec.name.clone(),
+            // Both are held by the spec's program; nothing is rendered.
             program: if by_digest {
-                ProgramRef::Digest(program_digest(&spec.seq))
+                ProgramRef::Digest(spec.seq.digest())
             } else {
-                ProgramRef::Text(sp_ir::display::render_sequence(&spec.seq))
+                ProgramRef::Text(spec.seq.text().to_string())
             },
             plan: spec.plan.clone(),
             backend: spec.backend,
@@ -345,7 +346,7 @@ impl Client {
     }
 
     /// The retry loop shared by the single-submit paths.
-    fn submit_request(&mut self, req: &SubmitJob) -> Result<NetJobResult, NetError> {
+    fn submit_request(&mut self, mut req: SubmitJob) -> Result<NetJobResult, NetError> {
         let started = Instant::now();
         let budget = (req.deadline_nanos > 0).then(|| Duration::from_nanos(req.deadline_nanos));
         // One id for the whole logical request: a retry after a
@@ -353,6 +354,9 @@ impl Client {
         // already accepted the first attempt dedupes instead of
         // executing twice.
         let request_id = self.next_request_id();
+        req.request_id = request_id;
+        // One frame for every attempt; only its deadline is rewritten.
+        let mut frame = Frame::Submit(req);
         let attempts = 1 + self.cfg.retries;
         let mut backoff = self.cfg.backoff;
         let mut last: Option<NetError> = None;
@@ -360,16 +364,14 @@ impl Client {
             // Re-encode the remaining budget so server queue time and
             // client retry time share one clock. A budget already at
             // zero fails fast — 0 on the wire would mean "no deadline".
-            let mut frame_req = req.clone();
-            frame_req.request_id = request_id;
-            if let Some(total) = budget {
+            if let (Some(total), Frame::Submit(req)) = (budget, &mut frame) {
                 let remaining = total.checked_sub(started.elapsed()).unwrap_or_default();
                 if remaining.is_zero() {
                     return Err(NetError::DeadlineExhausted);
                 }
-                frame_req.deadline_nanos = remaining.as_nanos().min(u64::MAX as u128) as u64;
+                req.deadline_nanos = remaining.as_nanos().min(u64::MAX as u128) as u64;
             }
-            let outcome = self.exchange(&Frame::Submit(frame_req));
+            let outcome = self.exchange(&frame);
             let transient = match outcome {
                 Ok(Frame::Result(r)) => {
                     if r.request_id != request_id {
@@ -483,8 +485,7 @@ impl Client {
             .iter()
             .enumerate()
             .map(|(idx, spec)| {
-                let digest = program_digest(&spec.seq);
-                let mut req = self.request_for(spec, !interned.insert(digest));
+                let mut req = self.request_for(spec, !interned.insert(spec.seq.digest()));
                 req.request_id = self.next_request_id();
                 PendingReq {
                     idx,

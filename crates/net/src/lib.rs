@@ -18,9 +18,11 @@
 //! * [`server`] — [`NetServer`]: the shared
 //!   [`SocketServer`](sp_serve::SocketServer) accept loop plus, per
 //!   connection, a reader thread (decode + submit) and a completion
-//!   pump that writes replies out-of-order as jobs finish. Program
-//!   texts live in a bounded LRU registry; a retried `request_id` is
-//!   deduped against the job already admitted. Wire jobs gain `decode`
+//!   pump that writes replies out-of-order as jobs finish. Programs
+//!   live in a bounded LRU registry as shared objects (a by-digest hit
+//!   is a reference, and a text whose bytes the registry holds is not
+//!   parsed again); a retried `request_id` is deduped against the job
+//!   already admitted. Wire jobs gain `decode`
 //!   and `respond_wire` stage spans in the serve-tier observability.
 //! * [`client`] — [`Client`]: blocking, with connect/io timeouts,
 //!   bounded exponential-backoff retries on transient errors

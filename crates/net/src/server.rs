@@ -25,13 +25,21 @@
 //! it twice; a fingerprint of the request body guards against an id
 //! accidentally reused for different work.
 //!
-//! Programs: text submissions register the parsed sequence under its
-//! content digest so later jobs can submit by digest alone. The
-//! registry is a bounded LRU ([`NetServerConfig::program_capacity`]);
-//! an evicted digest is a typed [`CODE_UNKNOWN_PROGRAM`] rejection and
-//! the client re-registers transparently by resubmitting the text.
-//! Registration, eviction, and dedupe counters surface through
-//! [`NetServer::stats`] and the [`NetStatsHandle`] metrics registry.
+//! Programs: text submissions register the parsed program — a
+//! [`SharedProgram`], which holds its canonical text and digest — under
+//! that digest, so later jobs can submit by digest alone and a hit hands
+//! out a reference, not a copy. A text the registry already holds is not
+//! parsed again: the FNV-1a of canonical text *is* the program's digest,
+//! so the submitted text's hash finds the entry, and the entry is taken
+//! when its text is byte-equal to the submitted one. The hash alone is
+//! never trusted — two texts can share one — and any other text (first
+//! contact, hand-written, different whitespace) is parsed and registered
+//! under its canonical digest. The registry is a bounded LRU
+//! ([`NetServerConfig::program_capacity`]); an evicted digest is a typed
+//! [`CODE_UNKNOWN_PROGRAM`] rejection and the client re-registers
+//! transparently by resubmitting the text. Registration, eviction, and
+//! dedupe counters surface through [`NetServer::stats`] and the
+//! [`NetStatsHandle`] metrics registry.
 //!
 //! Deadlines: the submit frame carries the *remaining* budget in
 //! nanoseconds; the server re-arms it as a service deadline on arrival,
@@ -44,12 +52,13 @@
 //! the server down.
 
 use crate::wire::{
-    encode_frame, encode_payload_for_fingerprint, program_digest, write_frame, ErrorFrame, Frame,
-    FrameHeader, ProgramRef, ResultFrame, SubmitJob, WireError, CODE_MALFORMED,
-    CODE_UNKNOWN_PROGRAM, HEADER_LEN,
+    encode_frame, write_frame, ErrorFrame, Frame, FrameHeader, ProgramRef, ResultFrame, SubmitJob,
+    WireError, CODE_MALFORMED, CODE_UNKNOWN_PROGRAM, HEADER_LEN,
 };
-use sp_ir::{parse_sequence, LoopSequence};
-use sp_serve::{JobId, JobSpec, Service, SocketServer, RESULT_RETENTION};
+use sp_exec::ExecPlan;
+use sp_ir::parse_sequence;
+use sp_serve::hash::Fnv1a64;
+use sp_serve::{fnv1a64, JobId, JobSpec, Service, SharedProgram, SocketServer, RESULT_RETENTION};
 use sp_trace::{JobStage, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
@@ -101,8 +110,12 @@ impl Default for NetServerConfig {
 /// counters live in [`Service::metrics`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetServerStats {
-    /// Text submissions that registered (or re-registered) a program.
+    /// Text submissions that registered (or re-registered) a program —
+    /// every one that resolved, parsed or not.
     pub programs_registered: u64,
+    /// Text submissions served from the registry without a parse: the
+    /// submitted bytes were the resident entry's text.
+    pub text_hits: u64,
     /// Programs evicted from the LRU registry.
     pub programs_evicted: u64,
     /// Programs currently resident in the registry.
@@ -129,6 +142,7 @@ impl NetStatsHandle {
         let dedupe = self.shared.dedupe.lock().unwrap();
         NetServerStats {
             programs_registered: reg.registered,
+            text_hits: reg.text_hits,
             programs_evicted: reg.evictions,
             programs_live: reg.map.len() as u64,
             digest_hits: reg.digest_hits,
@@ -146,6 +160,11 @@ impl NetStatsHandle {
             "spfc_net_programs_registered_total",
             "Program texts registered in the digest registry",
             s.programs_registered,
+        );
+        reg.counter(
+            "spfc_net_text_hits_total",
+            "Text submissions resolved from the registry without a parse",
+            s.text_hits,
         );
         reg.counter(
             "spfc_net_program_evictions_total",
@@ -186,9 +205,10 @@ pub struct NetServer {
 /// digests that were re-touched, which `touch` compacts away.
 struct ProgramRegistry {
     capacity: usize,
-    map: HashMap<u64, LoopSequence>,
+    map: HashMap<u64, SharedProgram>,
     lru: VecDeque<u64>,
     registered: u64,
+    text_hits: u64,
     evictions: u64,
     digest_hits: u64,
 }
@@ -200,21 +220,27 @@ impl ProgramRegistry {
             map: HashMap::new(),
             lru: VecDeque::new(),
             registered: 0,
+            text_hits: 0,
             evictions: 0,
             digest_hits: 0,
         }
     }
 
+    /// Marks `digest` most recent. A service mostly reruns its hottest
+    /// program, which already is: only a change of order walks the list.
     fn touch(&mut self, digest: u64) {
-        self.lru.retain(|&d| d != digest);
-        self.lru.push_back(digest);
+        if self.lru.back() != Some(&digest) {
+            self.lru.retain(|&d| d != digest);
+            self.lru.push_back(digest);
+        }
     }
 
-    /// Registers (or refreshes) a program, evicting the coldest entries
-    /// past capacity.
-    fn insert(&mut self, digest: u64, seq: &LoopSequence) {
+    /// Registers (or refreshes) a program under its digest, evicting the
+    /// coldest entries past capacity.
+    fn insert(&mut self, program: SharedProgram) {
         self.registered += 1;
-        if self.map.insert(digest, seq.clone()).is_none() {
+        let digest = program.digest();
+        if self.map.insert(digest, program).is_none() {
             while self.map.len() > self.capacity {
                 let Some(cold) = self.lru.pop_front() else {
                     break;
@@ -227,21 +253,36 @@ impl ProgramRegistry {
         self.touch(digest);
     }
 
-    fn get(&mut self, digest: u64) -> Option<LoopSequence> {
-        let seq = self.map.get(&digest).cloned()?;
+    /// The entry a by-digest submission names.
+    fn get(&mut self, digest: u64) -> Option<SharedProgram> {
+        let program = self.map.get(&digest).cloned()?;
         self.digest_hits += 1;
         self.touch(digest);
-        Some(seq)
+        Some(program)
+    }
+
+    /// The entry whose text is `text`, `key` being `fnv1a64(text)` — the
+    /// digest the program is registered under if `text` is canonical. The
+    /// bytes decide, not the hash: an entry that merely shares the hash
+    /// is left alone and the caller parses.
+    fn get_text(&mut self, key: u64, text: &str) -> Option<SharedProgram> {
+        let program = self.map.get(&key).filter(|p| p.text() == text).cloned()?;
+        self.registered += 1;
+        self.text_hits += 1;
+        self.touch(key);
+        Some(program)
     }
 }
 
 /// The retry-dedupe ledger: recently submitted `(tenant, request_id)`
-/// keys mapped to the job they created, FIFO-capped. `order` may hold
-/// stale keys for entries that were overwritten; eviction just skips
-/// them.
+/// keys mapped to the job they created, FIFO-capped. Tenants are the
+/// outer key and their names are shared, so a lookup borrows the name
+/// and a request that is not a retry (nearly all of them) allocates
+/// nothing here unless it is its tenant's first.
 struct DedupeMap {
-    map: HashMap<(String, u64), (JobId, u64)>,
-    order: VecDeque<(String, u64)>,
+    map: HashMap<Arc<str>, HashMap<u64, (JobId, u64)>>,
+    /// The keys in `map`, oldest first.
+    order: VecDeque<(Arc<str>, u64)>,
     hits: u64,
 }
 
@@ -257,8 +298,7 @@ impl DedupeMap {
     /// The existing job for a resubmission of (`tenant`, `request_id`)
     /// with the same request body, if the server still remembers it.
     fn lookup(&mut self, tenant: &str, request_id: u64, fingerprint: u64) -> Option<JobId> {
-        let key = (tenant.to_string(), request_id);
-        match self.map.get(&key) {
+        match self.map.get(tenant)?.get(&request_id) {
             Some(&(job, fp)) if fp == fingerprint => {
                 self.hits += 1;
                 Some(job)
@@ -268,14 +308,24 @@ impl DedupeMap {
     }
 
     fn record(&mut self, tenant: &str, request_id: u64, job: JobId, fingerprint: u64) {
-        let key = (tenant.to_string(), request_id);
-        if self.map.insert(key.clone(), (job, fingerprint)).is_none() {
-            self.order.push_back(key);
-            while self.map.len() > DEDUPE_CAPACITY {
-                let Some(old) = self.order.pop_front() else {
+        let name = match self.map.get_key_value(tenant) {
+            Some((name, _)) => Arc::clone(name),
+            None => Arc::from(tenant),
+        };
+        let ids = self.map.entry(Arc::clone(&name)).or_default();
+        if ids.insert(request_id, (job, fingerprint)).is_none() {
+            self.order.push_back((name, request_id));
+            while self.order.len() > DEDUPE_CAPACITY {
+                let Some((tenant, id)) = self.order.pop_front() else {
                     break;
                 };
-                self.map.remove(&old);
+                // A tenant whose last key aged out leaves nothing behind.
+                if let Some(ids) = self.map.get_mut(&tenant) {
+                    ids.remove(&id);
+                    if ids.is_empty() {
+                        self.map.remove(&tenant);
+                    }
+                }
             }
         }
     }
@@ -517,11 +567,22 @@ fn handle_submit(
     submit: SubmitJob,
     decode: (u64, u64),
 ) -> bool {
-    let request_id = submit.request_id;
-    let tenant = submit.tenant.clone();
+    let program_key = registry_key(&submit.program);
     // A retried request (same tenant + nonzero id + same body) attaches
     // to the job the earlier attempt created instead of running twice.
-    let fingerprint = request_fingerprint(&submit);
+    let fingerprint = request_fingerprint(&submit, program_key);
+    let SubmitJob {
+        request_id,
+        tenant,
+        name,
+        program,
+        plan,
+        backend,
+        schedule,
+        steps,
+        seed,
+        deadline_nanos,
+    } = submit;
     if request_id != 0 {
         let existing = shared
             .dedupe
@@ -533,7 +594,7 @@ fn handle_submit(
             return true;
         }
     }
-    let seq = match resolve_program(shared, &submit.program) {
+    let seq = match resolve_program(&shared.programs, &program, program_key) {
         Ok(seq) => seq,
         Err(mut err) => {
             err.request_id = request_id;
@@ -541,14 +602,14 @@ fn handle_submit(
             return conn.write(&Frame::Error(err));
         }
     };
-    let mut spec = JobSpec::new(&submit.name, seq, submit.plan.clone())
+    let mut spec = JobSpec::new(name, seq, plan)
         .client(&tenant)
-        .backend(submit.backend)
-        .schedule(submit.schedule)
-        .steps(submit.steps as usize)
-        .seed(submit.seed);
-    if submit.deadline_nanos > 0 {
-        spec = spec.deadline(Duration::from_nanos(submit.deadline_nanos));
+        .backend(backend)
+        .schedule(schedule)
+        .steps(steps as usize)
+        .seed(seed);
+    if deadline_nanos > 0 {
+        spec = spec.deadline(Duration::from_nanos(deadline_nanos));
     }
     let id = match shared.service.submit_wire(spec, decode) {
         Ok(id) => id,
@@ -573,6 +634,16 @@ fn handle_submit(
     true
 }
 
+/// What a submission names its program by in the registry: the digest it
+/// carries, or the hash of the text it carries — which is the program's
+/// digest when that text is canonical.
+fn registry_key(program: &ProgramRef) -> u64 {
+    match program {
+        ProgramRef::Text(text) => fnv1a64(text.as_bytes()),
+        ProgramRef::Digest(d) => *d,
+    }
+}
+
 fn enqueue_reply(conn: &Arc<ConnShared>, request_id: u64, job: JobId, tenant: String) {
     let mut q = conn.queue.lock().unwrap();
     q.pending.push(InFlight {
@@ -583,12 +654,50 @@ fn enqueue_reply(conn: &Arc<ConnShared>, request_id: u64, job: JobId, tenant: St
     conn.cv.notify_all();
 }
 
-/// The identity of a request's *work*, deadline excluded (retries
-/// re-encode the remaining budget, which must not defeat dedupe).
-fn request_fingerprint(submit: &SubmitJob) -> u64 {
-    let mut canon = submit.clone();
-    canon.deadline_nanos = 0;
-    sp_serve::fnv1a64(&encode_payload_for_fingerprint(&canon))
+/// The identity of a request's *work*, streamed field by field into the
+/// hash: name, program (whether it came as text or as a digest, and
+/// `program_key`, the digest or the text's hash), plan, backend,
+/// schedule, steps and seed. The tenant and the request id are the
+/// ledger's key, not part of the body; the deadline is left out because
+/// a retry re-encodes the remaining budget, which must not defeat dedupe.
+fn request_fingerprint(submit: &SubmitJob, program_key: u64) -> u64 {
+    // Every field is named, so that a new one has to be placed here.
+    let SubmitJob {
+        request_id: _,
+        tenant: _,
+        name,
+        program,
+        plan,
+        backend,
+        schedule,
+        steps,
+        seed,
+        deadline_nanos: _,
+    } = submit;
+    let mut h = Fnv1a64::new();
+    let mut word = |w: u64| h.write(&w.to_le_bytes());
+    word(match program {
+        ProgramRef::Text(_) => 0,
+        ProgramRef::Digest(_) => 1,
+    });
+    word(program_key);
+    let (kind, method, strip) = match plan {
+        ExecPlan::Serial => (0, 0, 0),
+        ExecPlan::Blocked { .. } => (1, 0, 0),
+        ExecPlan::Fused { method, strip, .. } => (2, *method as u64, *strip as u64),
+    };
+    word(kind);
+    word(plan.grid().len() as u64);
+    plan.grid().iter().for_each(|&d| word(d as u64));
+    word(method);
+    word(strip);
+    word(*backend as u64);
+    word(*schedule as u64);
+    word(*steps);
+    word(*seed);
+    // Last, so that its length needs no prefix.
+    h.write(name.as_bytes());
+    h.finish()
 }
 
 /// The completion pump: waits on the connection's in-flight window and
@@ -700,13 +809,20 @@ fn pump_loop(shared: &Arc<ServerShared>, conn: &Arc<ConnShared>) {
     }
 }
 
-/// Text registers the program under its digest; a digest looks it up.
+/// A digest looks the program up. So does a text, by its hash `key`:
+/// when the registry holds those very bytes the entry is the program and
+/// nothing is parsed; any other text is parsed, rendered once (by
+/// [`SharedProgram::from`]) and registered under its canonical digest.
 fn resolve_program(
-    shared: &ServerShared,
+    programs: &Mutex<ProgramRegistry>,
     program: &ProgramRef,
-) -> Result<LoopSequence, ErrorFrame> {
+    key: u64,
+) -> Result<SharedProgram, ErrorFrame> {
     match program {
         ProgramRef::Text(text) => {
+            if let Some(known) = programs.lock().unwrap().get_text(key, text) {
+                return Ok(known);
+            }
             let seq = parse_sequence(text).map_err(|e| ErrorFrame {
                 request_id: 0,
                 code: CODE_MALFORMED,
@@ -714,26 +830,17 @@ fn resolve_program(
                 tenant: String::new(),
                 message: format!("program parse error: {e}"),
             })?;
-            let digest = program_digest(&seq);
-            shared.programs.lock().unwrap().insert(digest, &seq);
-            Ok(seq)
+            let program = SharedProgram::from(seq);
+            programs.lock().unwrap().insert(program.clone());
+            Ok(program)
         }
-        ProgramRef::Digest(d) => {
-            shared
-                .programs
-                .lock()
-                .unwrap()
-                .get(*d)
-                .ok_or_else(|| ErrorFrame {
-                    request_id: 0,
-                    code: CODE_UNKNOWN_PROGRAM,
-                    job: 0,
-                    tenant: String::new(),
-                    message: format!(
-                        "unknown program digest {d:#018x}; submit the text once first"
-                    ),
-                })
-        }
+        ProgramRef::Digest(d) => programs.lock().unwrap().get(*d).ok_or_else(|| ErrorFrame {
+            request_id: 0,
+            code: CODE_UNKNOWN_PROGRAM,
+            job: 0,
+            tenant: String::new(),
+            message: format!("unknown program digest {d:#018x}; submit the text once first"),
+        }),
     }
 }
 
@@ -787,8 +894,10 @@ fn read_polling(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shift_peel_core::CodegenMethod;
+    use sp_exec::{Backend, Schedule};
 
-    fn seq(n: usize) -> LoopSequence {
+    fn program(n: usize) -> SharedProgram {
         use sp_ir::SeqBuilder;
         let mut b = SeqBuilder::new(format!("p{n}"));
         let a = b.array("a", [n]);
@@ -797,25 +906,60 @@ mod tests {
             let r = x.ld(a, [1]) + x.ld(a, [-1]);
             x.assign(c, [0], r);
         });
-        b.finish()
+        b.finish().into()
     }
 
     #[test]
     fn program_registry_evicts_in_lru_order() {
         let mut reg = ProgramRegistry::new(2);
-        let (s1, s2, s3) = (seq(8), seq(9), seq(10));
-        reg.insert(1, &s1);
-        reg.insert(2, &s2);
-        assert!(reg.get(1).is_some(), "touch 1 so 2 is coldest");
-        reg.insert(3, &s3);
+        let (p1, p2, p3) = (program(8), program(9), program(10));
+        reg.insert(p1.clone());
+        reg.insert(p2.clone());
+        assert!(reg.get(p1.digest()).is_some(), "touch 1 so 2 is coldest");
+        reg.insert(p3.clone());
         assert_eq!(reg.evictions, 1);
-        assert!(reg.get(2).is_none(), "2 was coldest");
-        assert!(reg.get(1).is_some() && reg.get(3).is_some());
+        assert!(reg.get(p2.digest()).is_none(), "2 was coldest");
+        assert!(reg.get(p1.digest()).is_some() && reg.get(p3.digest()).is_some());
+        // Touching the most recent entry again changes nothing: 1 is
+        // still the coldest and is the one evicted next.
+        assert!(reg.get(p3.digest()).is_some());
+        assert_eq!(reg.lru, [p1.digest(), p3.digest()]);
         // Re-registering an evicted program is transparent.
-        reg.insert(2, &s2);
+        reg.insert(p2.clone());
         assert_eq!(reg.evictions, 2);
-        assert!(reg.get(2).is_some());
+        assert!(reg.get(p1.digest()).is_none(), "1 was coldest");
+        assert!(reg.get(p2.digest()).is_some());
         assert_eq!(reg.registered, 4);
+        // A hit hands out the registered object, not a copy of it.
+        assert!(SharedProgram::ptr_eq(&reg.get(p2.digest()).unwrap(), &p2));
+    }
+
+    /// The by-text rule: the submitted bytes decide, never the hash. An
+    /// entry filed under `fnv1a64(text_b)` that holds program A (what a
+    /// hash collision would look like) is not served for `text_b`: B is
+    /// parsed, and takes the slot under its own digest.
+    #[test]
+    fn a_text_is_served_from_the_registry_only_when_its_bytes_are_there() {
+        let (a, b) = (program(8), program(9));
+        let text_b = ProgramRef::Text(b.text().to_string());
+        let key_b = fnv1a64(b.text().as_bytes());
+        assert_eq!(key_b, b.digest(), "canonical text hashes to the digest");
+
+        let programs = Mutex::new(ProgramRegistry::new(4));
+        programs.lock().unwrap().map.insert(key_b, a.clone());
+        let got = resolve_program(&programs, &text_b, key_b).expect("B parses");
+        assert_eq!(got.text(), b.text(), "the impostor entry was not served");
+        assert_eq!(got.digest(), b.digest());
+        {
+            let reg = programs.lock().unwrap();
+            assert_eq!((reg.registered, reg.text_hits), (1, 0), "parsed");
+        }
+        // Now the registry holds those very bytes: no parse, same object.
+        let again = resolve_program(&programs, &text_b, key_b).expect("B is resident");
+        assert!(SharedProgram::ptr_eq(&again, &got));
+        let reg = programs.lock().unwrap();
+        assert_eq!((reg.registered, reg.text_hits), (2, 1));
+        assert_eq!(reg.digest_hits, 0, "a text hit is not a digest hit");
     }
 
     #[test]
@@ -827,5 +971,136 @@ mod tests {
         assert_eq!(d.lookup("b", 7, 0xAB), None, "different tenant");
         assert_eq!(d.lookup("a", 8, 0xAB), None, "different id");
         assert_eq!(d.hits, 1);
+    }
+
+    /// The ledger stays bounded, oldest key first, and a tenant whose
+    /// keys have all aged out leaves no entry behind.
+    #[test]
+    fn dedupe_map_forgets_the_oldest_keys_and_their_tenants() {
+        let mut d = DedupeMap::new();
+        d.record("early", 1, JobId(1), 0xAB);
+        for id in 0..DEDUPE_CAPACITY as u64 {
+            d.record("late", id, JobId(id), id);
+        }
+        assert_eq!(d.order.len(), DEDUPE_CAPACITY);
+        assert_eq!(d.lookup("early", 1, 0xAB), None, "aged out");
+        assert!(!d.map.contains_key("early"));
+        assert_eq!(d.lookup("late", 0, 0), Some(JobId(0)));
+        // Recording a key again overwrites it without a second slot.
+        d.record("late", 0, JobId(9), 0);
+        assert_eq!(d.order.len(), DEDUPE_CAPACITY);
+        assert_eq!(d.lookup("late", 0, 0), Some(JobId(9)));
+    }
+
+    /// What the fingerprint covers: every field that says what work the
+    /// request is, and not the deadline.
+    #[test]
+    fn fingerprint_covers_the_work_and_not_the_deadline() {
+        let base = SubmitJob {
+            request_id: 42,
+            tenant: "t".into(),
+            name: "job".into(),
+            program: ProgramRef::Digest(7),
+            plan: ExecPlan::Fused {
+                grid: vec![2, 2],
+                method: CodegenMethod::StripMined,
+                strip: 8,
+            },
+            backend: Backend::Compiled,
+            schedule: Schedule::Static,
+            steps: 3,
+            seed: 5,
+            deadline_nanos: 0,
+        };
+        let fp = |s: &SubmitJob| request_fingerprint(s, registry_key(&s.program));
+        let want = fp(&base);
+        let hurried = SubmitJob {
+            deadline_nanos: 1_000_000,
+            ..base.clone()
+        };
+        assert_eq!(
+            fp(&hurried),
+            want,
+            "a retry re-encodes the remaining budget"
+        );
+        let fused = |grid: &[usize], method, strip| ExecPlan::Fused {
+            grid: grid.to_vec(),
+            method,
+            strip,
+        };
+        let with_plan = |plan| SubmitJob {
+            plan,
+            ..base.clone()
+        };
+        let b = || base.clone();
+        let changed = [
+            (
+                "name",
+                SubmitJob {
+                    name: "job2".into(),
+                    ..b()
+                },
+            ),
+            (
+                "program",
+                SubmitJob {
+                    program: ProgramRef::Digest(8),
+                    ..b()
+                },
+            ),
+            (
+                "grid",
+                with_plan(fused(&[2, 4], CodegenMethod::StripMined, 8)),
+            ),
+            (
+                "grid rank",
+                with_plan(fused(&[2], CodegenMethod::StripMined, 8)),
+            ),
+            (
+                "method",
+                with_plan(fused(&[2, 2], CodegenMethod::Direct, 8)),
+            ),
+            (
+                "strip",
+                with_plan(fused(&[2, 2], CodegenMethod::StripMined, 16)),
+            ),
+            (
+                "plan kind",
+                with_plan(ExecPlan::Blocked { grid: vec![2, 2] }),
+            ),
+            ("serial", with_plan(ExecPlan::Serial)),
+            (
+                "backend",
+                SubmitJob {
+                    backend: Backend::Simd,
+                    ..b()
+                },
+            ),
+            (
+                "schedule",
+                SubmitJob {
+                    schedule: Schedule::Stealing,
+                    ..b()
+                },
+            ),
+            ("steps", SubmitJob { steps: 4, ..b() }),
+            ("seed", SubmitJob { seed: 6, ..b() }),
+        ];
+        let mut seen = vec![want];
+        for (what, submit) in &changed {
+            let got = fp(submit);
+            assert!(!seen.contains(&got), "changing the {what} must not dedupe");
+            seen.push(got);
+        }
+        // The same key arriving as a text is a different request.
+        let text = SubmitJob {
+            program: ProgramRef::Text("x".into()),
+            ..base.clone()
+        };
+        assert_ne!(
+            request_fingerprint(&text, 7),
+            request_fingerprint(&base, 7),
+            "a text and a digest with one key are different requests"
+        );
     }
 }

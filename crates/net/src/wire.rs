@@ -248,19 +248,70 @@ pub fn program_digest(seq: &sp_ir::LoopSequence) -> u64 {
     sp_serve::fnv1a64(sp_ir::display::render_sequence(seq).as_bytes())
 }
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFFFFFF`) — the same
-/// polynomial as zlib, computed bitwise; frames are small enough that a
-/// lookup table buys nothing.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// `CRC_TABLES[0][b]` is the CRC register after byte `b` alone went
+/// through the reflected polynomial `0xEDB88320`; `CRC_TABLES[k][b]` is
+/// the same byte followed by `k` zero bytes, which is what lets eight
+/// input bytes be folded in with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// The CRC register before the first byte; the sum is its complement
+/// after the last.
+const CRC_INIT: u32 = 0xFFFF_FFFF;
+
+/// Folds `bytes` into a running CRC register (not yet inverted), eight
+/// bytes a step.
+fn crc32_extend(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFFFFFF`) — the same
+/// polynomial as zlib, slice-by-8 over tables built at compile time. A
+/// job crosses the checksum four times (each of its two frames is summed
+/// by its sender and by its receiver), and a by-text submission is over
+/// a kilobyte: the bit-at-a-time loop this replaced read 5.1 ns a byte,
+/// 24 us a job on LL18's 1203-byte text.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_extend(CRC_INIT, bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -271,9 +322,6 @@ struct Enc {
 }
 
 impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -331,8 +379,7 @@ fn encode_plan(e: &mut Enc, plan: &ExecPlan) {
     }
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut e = Enc::new();
+fn encode_payload(e: &mut Enc, frame: &Frame) {
     match frame {
         Frame::Submit(s) => {
             e.u64(s.request_id);
@@ -348,7 +395,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
                     e.u64(*d);
                 }
             }
-            encode_plan(&mut e, &s.plan);
+            encode_plan(e, &s.plan);
             e.u8(match s.backend {
                 Backend::Interp => 0,
                 Backend::Compiled => 1,
@@ -388,30 +435,25 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
         }
         Frame::Drain | Frame::Ping => {}
     }
-    e.buf
-}
-
-/// The canonical payload bytes of a submission, for server-side
-/// request fingerprinting: a retry that reuses a `request_id` must
-/// carry the same work, and hashing the encoded payload is how the
-/// server checks without a field-by-field compare.
-pub(crate) fn encode_payload_for_fingerprint(submit: &SubmitJob) -> Vec<u8> {
-    encode_payload(&Frame::Submit(submit.clone()))
 }
 
 /// Encodes `frame` into a complete wire frame (header, payload, CRC).
+/// The payload is written straight behind the header and its length
+/// filled in afterwards, so a frame is built in the one buffer it is
+/// sent from.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(frame.frame_type());
-    out.push(0); // reserved
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    let mut e = Enc { buf: Vec::new() };
+    e.buf.extend_from_slice(&MAGIC);
+    e.u16(VERSION);
+    e.u8(frame.frame_type());
+    e.u8(0); // reserved
+    e.u32(0); // payload length, known once the payload is written
+    encode_payload(&mut e, frame);
+    let payload_len = (e.buf.len() - HEADER_LEN) as u32;
+    e.buf[8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&e.buf);
+    e.u32(crc);
+    e.buf
 }
 
 // ---------------------------------------------------------------------
@@ -628,10 +670,7 @@ impl FrameHeader {
         }
         let (payload, crc_bytes) = body.split_at(self.payload_len as usize);
         let got = u32::from_le_bytes(crc_bytes[..4].try_into().unwrap());
-        let mut covered = Vec::with_capacity(HEADER_LEN + payload.len());
-        covered.extend_from_slice(&self.raw);
-        covered.extend_from_slice(payload);
-        let want = crc32(&covered);
+        let want = !crc32_extend(crc32_extend(CRC_INIT, &self.raw), payload);
         if got != want {
             return Err(WireError::BadCrc { got, want });
         }
@@ -718,12 +757,123 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ReadError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The definition: one bit at a time through the reflected
+    /// polynomial. The reference [`crc32`] is checked against.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // The standard IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Every split of a buffer into eight-byte steps and a tail, at every
+    /// alignment of its first byte.
+    #[test]
+    fn crc32_matches_the_bitwise_definition_at_every_length_and_offset() {
+        let ramp: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=67 {
+                let bytes = &ramp[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "{len} bytes from {start}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn crc32_matches_the_bitwise_definition_on_random_buffers(
+            bytes in prop::collection::vec(any::<u8>(), 0..=4096),
+            cut in any::<usize>(),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+            // A frame is summed as header then payload: a sum carried
+            // across any cut is the sum of the whole.
+            let (head, tail) = bytes.split_at(cut % (bytes.len() + 1));
+            let carried = !crc32_extend(crc32_extend(CRC_INIT, head), tail);
+            prop_assert_eq!(carried, crc32(&bytes));
+        }
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// One submission and one result, byte for byte as the build before
+    /// the table-driven CRC and the single-buffer encoder framed them: a
+    /// captured frame stays valid and `VERSION` stays 3.
+    #[test]
+    fn frames_are_pinned_to_the_bytes_of_protocol_version_3() {
+        let submit = Frame::Submit(SubmitJob {
+            request_id: 0x0102_0304_0506_0708,
+            tenant: "bench".into(),
+            name: "jacobi-34-p2".into(),
+            program: ProgramRef::Text("program p\narray a[8]\n".into()),
+            plan: ExecPlan::Fused {
+                grid: vec![2, 3],
+                method: CodegenMethod::Direct,
+                strip: 16,
+            },
+            backend: Backend::Simd,
+            schedule: Schedule::Guided,
+            steps: 2,
+            seed: 0xDEAD_BEEF,
+            deadline_nanos: 1_000_000,
+        });
+        let result = Frame::Result(ResultFrame {
+            request_id: 9,
+            job: 77,
+            name: "ll18".into(),
+            tenant: "t".into(),
+            cache: CacheOutcome::Disk,
+            digest: 0x1122_3344_5566_7788,
+            queued_nanos: 5,
+            run_nanos: 6,
+            order: 7,
+            report_json: "{\"procs\":2}".into(),
+        });
+        let pinned = [
+            (
+                submit,
+                "53504643030001006800000008070605040302010500000062656e63680c0000006a61636f\
+                 62692d33342d7032001500000070726f6772616d20700a617272617920615b385d0a020202\
+                 0000000300000010000000000000000102010200000000000000efbeadde0000000040420f\
+                 000000000088bde180",
+            ),
+            (
+                result,
+                "53504643030002004d00000009000000000000004d00000000000000040000006c6c313801\
+                 000000740288776655443322110500000000000000060000000000000007000000000000\
+                 000b0000007b2270726f6373223a327d03f6abef",
+            ),
+        ];
+        for (frame, hex) in pinned {
+            let bytes = unhex(hex);
+            assert_eq!(encode_frame(&frame), bytes);
+            assert_eq!(decode_frame(&bytes).unwrap(), frame);
+        }
     }
 
     #[test]

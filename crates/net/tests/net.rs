@@ -401,3 +401,225 @@ fn a_resubmission_attaches_to_the_first_job() {
     );
     server.shutdown();
 }
+
+/// A program the server knows costs no front end again: the second
+/// by-text submission of the same canonical text is served from the
+/// registry without a parse, and is the same job in every respect — same
+/// answer, and a cache hit, which only an equal `CacheKey` can be.
+#[test]
+fn a_known_text_is_served_without_a_parse() {
+    let server = start_server(ServiceConfig::default().workers(2));
+    let mut c = client(&server, "repeater");
+    let spec = JobSpec::new("again", jacobi::sequence(32), fused(&[2])).steps(2);
+
+    let first = c.submit(&spec).unwrap();
+    let stats = server.stats();
+    assert_eq!((stats.programs_registered, stats.text_hits), (1, 0));
+
+    let second = c.submit(&spec).unwrap();
+    let stats = server.stats();
+    assert_eq!((stats.programs_registered, stats.text_hits), (2, 1));
+    assert_eq!(stats.digest_hits, 0, "a text hit is not a digest hit");
+    assert_eq!(second.digest, first.digest);
+    assert_eq!(
+        (first.cache, second.cache),
+        (CacheOutcome::Miss, CacheOutcome::Memory)
+    );
+    let counters = server.service().cache_counters();
+    assert_eq!((counters.total_hits(), counters.misses), (1, 1));
+    server.shutdown();
+}
+
+/// One hand-framed submission over `stream`, and the result it is owed.
+fn raw_round_trip(stream: &mut std::net::TcpStream, submit: &SubmitJob) -> sp_net::ResultFrame {
+    write_frame(stream, &Frame::Submit(submit.clone())).unwrap();
+    match read_frame(stream).expect("a reply") {
+        Frame::Result(r) => r,
+        other => panic!("expected a result, got {other:?}"),
+    }
+}
+
+/// A text that is not the canonical rendering — a comment and a blank
+/// line ahead of it — is parsed, and registers the program under its
+/// *canonical* digest: a by-digest submission then finds it, and so does
+/// the canonical text, without a parse.
+#[test]
+fn a_hand_written_text_registers_under_the_canonical_digest() {
+    let server = start_server(ServiceConfig::default().workers(2));
+    let spec = JobSpec::new("by-hand", jacobi::sequence(32), fused(&[2])).steps(2);
+    let by_hand = format!("! typed in by hand\n\n{}", spec.seq.text());
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let submit = SubmitJob {
+        request_id: 0,
+        tenant: "author".into(),
+        name: "by-hand".into(),
+        program: ProgramRef::Text(by_hand),
+        plan: fused(&[2]),
+        backend: Backend::Compiled,
+        schedule: Schedule::default(),
+        steps: 2,
+        seed: 7,
+        deadline_nanos: 0,
+    };
+    let first = raw_round_trip(&mut stream, &submit);
+    // The same bytes again are still not the entry's text: parsed again.
+    let second = raw_round_trip(&mut stream, &submit);
+    assert_eq!(second.digest, first.digest);
+    let stats = server.stats();
+    assert_eq!((stats.programs_registered, stats.text_hits), (2, 0));
+    assert_eq!(stats.programs_live, 1, "one program, under one digest");
+
+    let mut c = client(&server, "author");
+    let by_digest = c
+        .submit_by_digest(&spec)
+        .expect("the canonical digest is known");
+    assert_eq!(by_digest.digest, first.digest);
+    assert_eq!(
+        by_digest.cache,
+        CacheOutcome::Memory,
+        "one program, one key"
+    );
+    let canonical = c.submit(&spec).unwrap();
+    assert_eq!(canonical.digest, first.digest);
+    let stats = server.stats();
+    assert_eq!((stats.digest_hits, stats.text_hits), (1, 1));
+    server.shutdown();
+}
+
+/// Every text submission either parsed its program or found it:
+/// `programs_registered = parses + text_hits`, through an eviction and the
+/// re-registration after it.
+#[test]
+fn text_submissions_are_parses_plus_text_hits() {
+    let service = Arc::new(Service::new(ServiceConfig::default().workers(2)));
+    let server = NetServer::start_with(
+        "127.0.0.1:0",
+        service,
+        NetServerConfig {
+            program_capacity: 1,
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut c = client(&server, "counter");
+    let spec_a = JobSpec::new("a", jacobi::sequence(32), fused(&[2])).steps(2);
+    let spec_b = JobSpec::new("b", jacobi::sequence(40), fused(&[2])).steps(2);
+
+    // (spec, parsed?): first contact parses, a resident text does not, and
+    // an evicted one parses again.
+    let script = [
+        (&spec_a, true),
+        (&spec_a, false),
+        (&spec_b, true),
+        (&spec_a, true),
+        (&spec_a, false),
+        (&spec_a, false),
+    ];
+    let (mut submissions, mut parses) = (0, 0);
+    for (spec, parsed) in script {
+        c.submit(spec).expect("text submission");
+        submissions += 1;
+        parses += u64::from(parsed);
+        let stats = server.stats();
+        assert_eq!(stats.programs_registered, submissions);
+        assert_eq!(stats.programs_registered, parses + stats.text_hits);
+    }
+    let stats = server.stats();
+    assert_eq!((stats.text_hits, stats.programs_evicted), (3, 2));
+    assert_eq!(stats.programs_live, 1);
+    server.shutdown();
+}
+
+/// The wire tier's counters all reach the scrape endpoint's registry.
+#[test]
+fn net_counters_are_exported_as_metrics() {
+    let server = start_server(ServiceConfig::default().workers(2));
+    let mut c = client(&server, "scraped");
+    let spec = JobSpec::new("m", jacobi::sequence(32), fused(&[2]));
+    c.submit(&spec).unwrap();
+    c.submit(&spec).unwrap();
+    c.submit_by_digest(&spec).unwrap();
+
+    let reg = server.stats_handle().metrics();
+    for (series, want) in [
+        ("spfc_net_programs_registered_total", 2),
+        ("spfc_net_text_hits_total", 1),
+        ("spfc_net_program_evictions_total", 0),
+        ("spfc_net_digest_hits_total", 1),
+        ("spfc_net_dedupe_hits_total", 0),
+    ] {
+        assert_eq!(reg.counter_value(series), Some(want), "{series}");
+    }
+    let text = reg.to_prometheus();
+    for series in [
+        "spfc_net_programs_registered_total",
+        "spfc_net_text_hits_total",
+        "spfc_net_program_evictions_total",
+        "spfc_net_digest_hits_total",
+        "spfc_net_dedupe_hits_total",
+    ] {
+        let line = format!("{series}{{component=\"sp-net\"}} ");
+        assert!(text.contains(&line), "{series} missing from:\n{text}");
+    }
+    assert!(text.contains("spfc_net_programs_live{component=\"sp-net\"} 1"));
+    server.shutdown();
+}
+
+/// What makes a resent request the same request: tenant, id and the work
+/// asked for. By digest it dedupes as by text does; a reused id with
+/// other work runs as a new job; a different deadline alone — what a
+/// retry carries — still attaches.
+#[test]
+fn dedupe_follows_the_work_not_the_deadline() {
+    let server = start_server(ServiceConfig::default().workers(2));
+    let seq = jacobi::sequence(32);
+    let mut c = client(&server, "retrier");
+    c.submit(&JobSpec::new("register", seq.clone(), fused(&[2])))
+        .expect("the text registers");
+
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let base = SubmitJob {
+        request_id: 42,
+        tenant: "retrier".into(),
+        name: "once".into(),
+        program: ProgramRef::Digest(sp_net::program_digest(&seq)),
+        plan: fused(&[2]),
+        backend: Backend::Compiled,
+        schedule: Schedule::default(),
+        steps: 2,
+        seed: 5,
+        deadline_nanos: 0,
+    };
+    let mut round_trip = |submit: &SubmitJob| raw_round_trip(&mut stream, submit);
+    let first = round_trip(&base);
+    let resent = round_trip(&base);
+    assert_eq!(resent.job, first.job, "a by-digest retry attaches");
+    let hurried = round_trip(&SubmitJob {
+        deadline_nanos: 30_000_000_000,
+        ..base.clone()
+    });
+    assert_eq!(
+        hurried.job, first.job,
+        "the remaining budget is not the work"
+    );
+    assert_eq!(server.stats().dedupe_hits, 2);
+
+    // Same tenant, same id, other work: a job of its own (the unit test
+    // beside `request_fingerprint` goes through every field).
+    let reseeded = SubmitJob {
+        seed: 6,
+        ..base.clone()
+    };
+    let other = round_trip(&reseeded);
+    assert!(
+        other.job > first.job,
+        "a changed seed must run as a new job"
+    );
+    // By text, the same work is still a different request than by digest.
+    let by_text = round_trip(&SubmitJob {
+        program: ProgramRef::Text(render_sequence(&seq)),
+        ..reseeded
+    });
+    assert!(by_text.job > other.job);
+    assert_eq!(server.stats().dedupe_hits, 2);
+    server.shutdown();
+}

@@ -207,6 +207,15 @@ fn program_digest_is_pinned() {
     assert_eq!(sp_net::program_digest(&seq), 0x39ee_d3f7_65ea_0c90);
 }
 
+/// A job spec holds that digest from the moment it is made; the client
+/// sends it without rendering anything.
+#[test]
+fn a_spec_holds_the_digest_its_program_goes_by() {
+    let seq = sp_kernels::jacobi::sequence(32);
+    let spec = sp_serve::JobSpec::new("j", seq.clone(), ExecPlan::Serial);
+    assert_eq!(spec.seq.digest(), sp_net::program_digest(&seq));
+}
+
 #[test]
 fn bad_magic_is_rejected() {
     let mut bytes = encode_frame(&Frame::Ping);

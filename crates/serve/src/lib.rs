@@ -17,6 +17,10 @@
 //!   (plans only, versioned + checksummed, corruption degrades to a
 //!   recompile) and hit/miss/evict counters that feed the `sp-trace`
 //!   metrics registry;
+//! * [`program`] — [`SharedProgram`]: a job's program with its canonical
+//!   text and digest, made once and shared by reference count from the
+//!   socket to the scheduler, so no per-job path renders, hashes or
+//!   copies a program;
 //! * [`service`] — the [`Service`]: a job queue in front of the shared
 //!   persistent worker pool, admitting many concurrent clients with
 //!   FIFO + per-client fair-share scheduling, bounded-queue backpressure
@@ -51,6 +55,7 @@ pub mod http;
 pub mod listener;
 pub mod manifest;
 pub mod obs;
+pub mod program;
 pub mod service;
 
 pub use cache::{Artifact, ArtifactCache, ArtifactCacheConfig, CacheCounters, Tier};
@@ -59,6 +64,7 @@ pub use http::{MetricsRender, MetricsServer};
 pub use listener::{parse_request_line, read_http_head, ConnHandler, SocketServer};
 pub use manifest::parse_manifest;
 pub use obs::{disk_stage_stats, StageStats, TenantStats};
+pub use program::SharedProgram;
 pub use service::{
     CacheOutcome, JobId, JobResult, JobSpec, ServeError, Service, ServiceConfig, TenantQuota,
     RESULT_RETENTION,

@@ -18,6 +18,7 @@
 use crate::cache::{Artifact, ArtifactCache, ArtifactCacheConfig, CacheCounters, Tier};
 use crate::hash::CacheKey;
 use crate::obs::{flush_stage_stats, ServeObs, StageStats};
+use crate::program::SharedProgram;
 use shift_peel_core::pipeline::pass;
 use shift_peel_core::{
     dependence_key_of_rendered, AnalysisArtifacts, FusionPlan, NullObserver, PassTiming,
@@ -29,7 +30,6 @@ use sp_exec::{
     register_pass_metrics, Backend, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program,
     ProgramTape, RunConfig, RunReport, Schedule,
 };
-use sp_ir::display::render_sequence;
 use sp_ir::LoopSequence;
 use sp_trace::{JobSpans, JobStage, MetricsRegistry, SessionTrace};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -149,8 +149,9 @@ pub struct JobSpec {
     pub client: String,
     /// Display name (kernel name, manifest job name).
     pub name: String,
-    /// The program to run. Owned so specs outlive their source text.
-    pub seq: LoopSequence,
+    /// The program to run, with its canonical text and digest. Shared:
+    /// cloning a spec copies a pointer, not the program.
+    pub seq: SharedProgram,
     /// Fused loop levels (= grid rank for parallel plans).
     pub levels: usize,
     /// What to execute (serial / blocked / fused + grid).
@@ -173,13 +174,15 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A compiled-backend job for `seq` under `plan`, one step, defaults
-    /// everywhere else. `levels` is the grid rank (1 for serial).
-    pub fn new(name: impl Into<String>, seq: LoopSequence, plan: ExecPlan) -> JobSpec {
+    /// everywhere else. `levels` is the grid rank (1 for serial). A
+    /// [`LoopSequence`] is rendered and hashed here, once; a
+    /// [`SharedProgram`] is taken as it is.
+    pub fn new(name: impl Into<String>, seq: impl Into<SharedProgram>, plan: ExecPlan) -> JobSpec {
         let levels = plan.grid().len().max(1);
         JobSpec {
             client: "default".into(),
             name: name.into(),
-            seq,
+            seq: seq.into(),
             levels,
             plan,
             backend: Backend::Compiled,
@@ -242,17 +245,11 @@ impl JobSpec {
         }
     }
 
-    /// The content address of this spec's compilation artifacts.
+    /// The content address of this spec's compilation artifacts, hashed
+    /// from the text the program already holds.
     pub fn cache_key(&self) -> CacheKey {
-        self.cache_key_of_rendered(&render_sequence(&self.seq))
-    }
-
-    /// [`JobSpec::cache_key`] given `program`, the [`render_sequence`]
-    /// text of `self.seq` (the scheduler renders once and derives every
-    /// key from that text).
-    fn cache_key_of_rendered(&self, program: &str) -> CacheKey {
         CacheKey::of_rendered(
-            program,
+            self.seq.text(),
             &self.plan_config(),
             self.backend,
             self.plan.procs(),
@@ -1040,11 +1037,10 @@ fn run_job_stages(
     }
     let started = clock.at;
 
-    // The program is rendered once; the artifact key and the analysis
-    // key both hash that text.
-    let program = render_sequence(&spec.seq);
-    let key = spec.cache_key_of_rendered(&program);
-    let akey = dependence_key_of_rendered(&program);
+    // The artifact key and the analysis key both hash the text the
+    // program holds; nothing on a job's path renders it.
+    let key = spec.cache_key();
+    let akey = dependence_key_of_rendered(spec.seq.text());
     let hit = shared
         .cache
         .lock()
