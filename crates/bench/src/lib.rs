@@ -1,10 +1,9 @@
 //! # sp-bench — experiment harnesses for the paper's tables and figures
 //!
 //! One binary per table/figure (see `src/bin/`): each prints the rows or
-//! series the paper reports, regenerated on the simulated machines.
-//! Criterion benches under `benches/` measure real wall-clock behaviour
-//! of the manual kernels on the host, plus ablations of the design
-//! choices DESIGN.md calls out.
+//! series the paper reports, regenerated on the simulated machines;
+//! `runtime` times the executors and backends on the host and writes
+//! `results/BENCH_runtime.json`, which [`regression`] gates.
 //!
 //! Common conventions: every binary accepts `--scale <f>` to shrink the
 //! paper's array sizes (default 1.0 = paper size) and `--quick` as a
@@ -12,7 +11,7 @@
 
 pub mod regression;
 
-pub use regression::{check_dirs, CheckReport, Json, MetricCheck, DEFAULT_BAND, RATIO_BAND};
+pub use regression::{check_dirs, CheckReport, Json, MetricCheck, DEFAULT_BAND};
 
 use std::fmt::Write as _;
 

@@ -1,119 +1,55 @@
-//! Bench-regression gating: compare freshly generated bench artifacts
-//! (`results/BENCH_runtime.json`, `results/BENCH_serve.json`,
-//! `results/BENCH_net.json`) against a committed baseline copy, with
-//! per-metric tolerance bands and a machine-readable verdict.
+//! Bench-regression gating: compare a freshly generated
+//! `results/BENCH_runtime.json` against a committed baseline copy, with
+//! a tolerance band and a machine-readable verdict.
 //!
-//! All gated metrics are higher-is-better (throughputs, speedup ratios,
-//! hit rates), so a check passes when
-//! `current >= baseline * (1 - band)`. Bands are deliberately loose by
-//! default ([`DEFAULT_BAND`]): CI machines are noisy, and the gate
-//! exists to catch collapses (a backend silently falling back to the
-//! interpreter, a cache that stopped hitting), not 3% jitter. Metrics
-//! that are ratios of like measurements on the same machine
-//! (`warm_over_cold`, `hit_rate_warm`, `digest_match`) get much tighter
-//! bands because machine speed divides out of them.
+//! All gated metrics are throughputs (higher is better), so a check
+//! passes when `current >= baseline * (1 - band)`. The band is
+//! deliberately loose by default ([`DEFAULT_BAND`]): CI machines are
+//! noisy, and the gate exists to catch collapses (a backend silently
+//! falling back to the interpreter), not 3% jitter.
 //!
-//! The JSON the bench binaries emit is hand-rolled and read back with
+//! The JSON the bench binary emits is hand-rolled and read back with
 //! the workspace's one reader, [`sp_trace::json`].
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-/// Default fractional regression band for raw-throughput metrics.
+/// Default fractional regression band.
 pub const DEFAULT_BAND: f64 = 0.5;
-/// Band for machine-speed-independent ratio metrics.
-pub const RATIO_BAND: f64 = 0.05;
 
 pub use sp_trace::json::Json;
 
 // ---------------------------------------------------------------------
 // Metric extraction.
 
-/// The gated metrics of one artifact set, flattened to dotted names.
-pub fn extract_metrics(
-    runtime: Option<&Json>,
-    serve: Option<&Json>,
-    net: Option<&Json>,
-) -> Vec<(String, f64, f64)> {
+/// The gated metrics of a `BENCH_runtime.json` document, flattened to
+/// dotted names.
+pub fn extract_metrics(runtime: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
-    if let Some(doc) = runtime {
-        for k in doc
-            .get("kernels")
+    for k in runtime
+        .get("kernels")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+    {
+        let name = k.get("kernel").and_then(Json::as_str).unwrap_or("kernel");
+        // The last row is the deepest timestep count — the steady
+        // state the paper's tables report.
+        let Some(last) = k
+            .get("rows")
             .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let name = k.get("kernel").and_then(Json::as_str).unwrap_or("kernel");
-            // The last row is the deepest timestep count — the steady
-            // state the paper's tables report.
-            let Some(last) = k
-                .get("rows")
-                .and_then(Json::as_arr)
-                .and_then(<[Json]>::last)
-            else {
-                continue;
-            };
-            for col in ["pooled", "compiled", "simd"] {
-                if let Some(v) = last
-                    .get(col)
-                    .and_then(|r| r.get("iters_per_sec"))
-                    .and_then(Json::as_f64)
-                {
-                    out.push((
-                        format!("runtime.{name}.{col}.iters_per_sec"),
-                        v,
-                        DEFAULT_BAND,
-                    ));
-                }
-            }
-        }
-    }
-    if let Some(doc) = serve {
-        let metric = |path: &[&str]| -> Option<f64> {
-            let mut v = doc;
-            for key in path {
-                v = v.get(key)?;
-            }
-            v.as_f64()
+            .and_then(<[Json]>::last)
+        else {
+            continue;
         };
-        for (name, path, band) in [
-            (
-                "serve.warm.jobs_per_sec",
-                &["warm", "jobs_per_sec"][..],
-                DEFAULT_BAND,
-            ),
-            ("serve.warm_over_cold", &["warm_over_cold"][..], RATIO_BAND),
-            ("serve.hit_rate_warm", &["hit_rate_warm"][..], RATIO_BAND),
-            // digest_match is 0/1: any band < 1 forces current == 1
-            // whenever the baseline was 1.
-            ("serve.digest_match", &["digest_match"][..], 0.0),
-        ] {
-            if let Some(v) = metric(path) {
-                out.push((name.to_string(), v, band));
+        for col in ["pooled", "compiled", "simd"] {
+            if let Some(v) = last
+                .get(col)
+                .and_then(|r| r.get("iters_per_sec"))
+                .and_then(Json::as_f64)
+            {
+                out.push((format!("runtime.{name}.{col}.iters_per_sec"), v));
             }
-        }
-    }
-    if let Some(doc) = net {
-        if let Some(v) = doc
-            .get("net")
-            .and_then(|n| n.get("jobs_per_sec"))
-            .and_then(Json::as_f64)
-        {
-            out.push(("net.jobs_per_sec".to_string(), v, DEFAULT_BAND));
-        }
-        // The pipelined column: losing it (the bench silently dropping
-        // the phase) is a missing-metric failure, same as any other.
-        if let Some(v) = doc
-            .get("pipelined")
-            .and_then(|n| n.get("jobs_per_sec"))
-            .and_then(Json::as_f64)
-        {
-            out.push(("net.pipelined.jobs_per_sec".to_string(), v, DEFAULT_BAND));
-        }
-        // digest_match is 0/1 and a hard guarantee of the wire tier:
-        // current must be 1 whenever the baseline was.
-        if let Some(v) = doc.get("digest_match").and_then(Json::as_f64) {
-            out.push(("net.digest_match".to_string(), v, 0.0));
         }
     }
     out
@@ -230,23 +166,18 @@ impl CheckReport {
     }
 }
 
-/// Compares already-extracted metric sets. `tolerance` overrides the
-/// default band on raw-throughput metrics; ratio metrics keep their
-/// tight bands regardless.
+/// Compares already-extracted metric sets. `tolerance` overrides
+/// [`DEFAULT_BAND`].
 pub fn compare(
-    baseline: &[(String, f64, f64)],
-    current: &[(String, f64, f64)],
+    baseline: &[(String, f64)],
+    current: &[(String, f64)],
     tolerance: Option<f64>,
 ) -> CheckReport {
+    let band = tolerance.unwrap_or(DEFAULT_BAND);
     let mut report = CheckReport::default();
-    for (name, base, band) in baseline {
-        let band = if (*band - DEFAULT_BAND).abs() < f64::EPSILON {
-            tolerance.unwrap_or(*band)
-        } else {
-            *band
-        };
-        match current.iter().find(|(n, _, _)| n == name) {
-            Some((_, cur, _)) => {
+    for (name, base) in baseline {
+        match current.iter().find(|(n, _)| n == name) {
+            Some((_, cur)) => {
                 let ok = cur.is_finite() && *cur >= base * (1.0 - band);
                 report.checks.push(MetricCheck {
                     name: name.clone(),
@@ -262,45 +193,32 @@ pub fn compare(
     report
 }
 
-fn load(dir: &Path, file: &str, errors: &mut Vec<String>) -> Option<Json> {
-    let path = dir.join(file);
+/// The gated metrics of `dir/BENCH_runtime.json`: none when the file is
+/// absent, none plus an error when it cannot be read or parsed.
+fn load_metrics(dir: &Path, errors: &mut Vec<String>) -> Vec<(String, f64)> {
+    let path = dir.join("BENCH_runtime.json");
     if !path.exists() {
-        return None;
+        return Vec::new();
     }
     match fs::read_to_string(&path) {
         Ok(text) => match Json::parse(&text) {
-            Some(doc) => Some(doc),
-            None => {
-                errors.push(format!("{}: unparseable JSON", path.display()));
-                None
-            }
+            Some(doc) => return extract_metrics(&doc),
+            None => errors.push(format!("{}: unparseable JSON", path.display())),
         },
-        Err(e) => {
-            errors.push(format!("{}: {e}", path.display()));
-            None
-        }
+        Err(e) => errors.push(format!("{}: {e}", path.display())),
     }
+    Vec::new()
 }
 
-/// Runs the gate over two artifact directories, each expected to hold
-/// some of `BENCH_runtime.json`, `BENCH_serve.json`, and
-/// `BENCH_net.json`. A baseline file that does not exist contributes no
-/// checks (nothing committed to gate against); a baseline file the
-/// current side lacks fails every one of its metrics as missing.
+/// Runs the gate over two artifact directories, reading
+/// `BENCH_runtime.json` from each and nothing else (any other file in
+/// either directory is ignored). A baseline without gated metrics is an
+/// error (nothing committed to gate against is not a pass); a current
+/// side without the file fails every baseline metric as missing.
 pub fn check_dirs(baseline_dir: &Path, current_dir: &Path, tolerance: Option<f64>) -> CheckReport {
     let mut errors = Vec::new();
-    let base_runtime = load(baseline_dir, "BENCH_runtime.json", &mut errors);
-    let base_serve = load(baseline_dir, "BENCH_serve.json", &mut errors);
-    let base_net = load(baseline_dir, "BENCH_net.json", &mut errors);
-    let cur_runtime = load(current_dir, "BENCH_runtime.json", &mut errors);
-    let cur_serve = load(current_dir, "BENCH_serve.json", &mut errors);
-    let cur_net = load(current_dir, "BENCH_net.json", &mut errors);
-    let baseline = extract_metrics(
-        base_runtime.as_ref(),
-        base_serve.as_ref(),
-        base_net.as_ref(),
-    );
-    let current = extract_metrics(cur_runtime.as_ref(), cur_serve.as_ref(), cur_net.as_ref());
+    let baseline = load_metrics(baseline_dir, &mut errors);
+    let current = load_metrics(current_dir, &mut errors);
     if baseline.is_empty() {
         errors.push(format!(
             "{}: no gated metrics found in baseline",
@@ -316,106 +234,47 @@ pub fn check_dirs(baseline_dir: &Path, current_dir: &Path, tolerance: Option<f64
 mod tests {
     use super::*;
 
-    const SERVE: &str = r#"{"workers":4,"jobs_per_phase":36,
-        "cold":{"seconds":0.03,"jobs":36,"jobs_per_sec":1100.0,"hits":0,"misses":36,"hit_rate":0.0},
-        "warm":{"seconds":0.025,"jobs":36,"jobs_per_sec":1400.0,"hits":36,"misses":0,"hit_rate":1.0},
-        "warm_over_cold":1.29,"hit_rate_warm":1.0,"digest_match":true}"#;
-
     const RUNTIME: &str = r#"{"kernels":[{"kernel":"jacobi","rows":[
         {"steps":1,"pooled":{"iters_per_sec":10.0},"compiled":{"iters_per_sec":20.0}},
         {"steps":4,"pooled":{"iters_per_sec":100.0},"compiled":{"iters_per_sec":200.0},
          "simd":{"iters_per_sec":400.0}}],"miss_parity":true}],"skewed":{}}"#;
 
-    const NET: &str = r#"{"clients":4,"rounds":4,"jobs":96,
-        "net":{"seconds":0.04,"jobs_per_sec":2400.0,"p50_rt_ms":1.1,"p99_rt_ms":2.1},
-        "pipelined":{"window":4,"seconds":0.03,"jobs_per_sec":3200.0,"speedup_over_serial":1.33},
-        "inproc_jobs_per_sec":3400.0,"net_over_inproc":0.7,
-        "warm_hits":90,"cold_misses":6,"digest_match":true}"#;
-
-    fn metrics(runtime: &str, serve: &str) -> Vec<(String, f64, f64)> {
-        metrics3(runtime, serve, NET)
-    }
-
-    fn metrics3(runtime: &str, serve: &str, net: &str) -> Vec<(String, f64, f64)> {
-        extract_metrics(
-            Some(&Json::parse(runtime).unwrap()),
-            Some(&Json::parse(serve).unwrap()),
-            Some(&Json::parse(net).unwrap()),
-        )
+    fn metrics(runtime: &str) -> Vec<(String, f64)> {
+        extract_metrics(&Json::parse(runtime).unwrap())
     }
 
     #[test]
     fn parser_handles_the_real_artifact_shapes() {
-        let doc = Json::parse(SERVE).unwrap();
+        let doc = Json::parse(RUNTIME).unwrap();
+        let kernel = &doc.get("kernels").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(kernel.get("kernel").and_then(Json::as_str), Some("jacobi"));
+        assert_eq!(kernel.get("miss_parity").unwrap().as_f64(), Some(1.0));
+        let rows = kernel.get("rows").and_then(Json::as_arr).unwrap();
         assert_eq!(
-            doc.get("warm").unwrap().get("jobs_per_sec").unwrap(),
-            &Json::Num(1400.0)
+            rows[1].get("simd").unwrap().get("iters_per_sec").unwrap(),
+            &Json::Num(400.0)
         );
-        assert_eq!(doc.get("digest_match").unwrap().as_f64(), Some(1.0));
     }
 
     #[test]
-    fn extraction_gates_the_last_row_and_the_serve_ratios() {
-        let m = metrics(RUNTIME, SERVE);
-        let names: Vec<&str> = m.iter().map(|(n, _, _)| n.as_str()).collect();
+    fn extraction_gates_the_last_row_of_each_kernel() {
+        let m = metrics(RUNTIME);
+        let names: Vec<&str> = m.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
             [
                 "runtime.jacobi.pooled.iters_per_sec",
                 "runtime.jacobi.compiled.iters_per_sec",
                 "runtime.jacobi.simd.iters_per_sec",
-                "serve.warm.jobs_per_sec",
-                "serve.warm_over_cold",
-                "serve.hit_rate_warm",
-                "serve.digest_match",
-                "net.jobs_per_sec",
-                "net.pipelined.jobs_per_sec",
-                "net.digest_match",
             ]
         );
         // Last row, not first: 100, not 10.
         assert_eq!(m[0].1, 100.0);
-        assert_eq!(m[6].1, 1.0);
-        // net.jobs_per_sec and the pipelined column come from their
-        // nested objects, with the default throughput band;
-        // net.digest_match is exact.
-        assert_eq!(m[7], ("net.jobs_per_sec".to_string(), 2400.0, DEFAULT_BAND));
-        assert_eq!(
-            m[8],
-            (
-                "net.pipelined.jobs_per_sec".to_string(),
-                3200.0,
-                DEFAULT_BAND
-            )
-        );
-        assert_eq!(m[9], ("net.digest_match".to_string(), 1.0, 0.0));
-    }
-
-    #[test]
-    fn a_broken_wire_digest_fails_even_under_loose_tolerance() {
-        let base = metrics(RUNTIME, SERVE);
-        let broken = NET.replace("\"digest_match\":true", "\"digest_match\":false");
-        let report = compare(&base, &metrics3(RUNTIME, SERVE, &broken), Some(0.9));
-        assert_eq!(report.regressions(), 1);
-        assert!(report
-            .checks
-            .iter()
-            .any(|c| c.name == "net.digest_match" && !c.ok));
-        // A net artifact the current run lost entirely is a failure, not
-        // a skip.
-        let without = extract_metrics(
-            Some(&Json::parse(RUNTIME).unwrap()),
-            Some(&Json::parse(SERVE).unwrap()),
-            None,
-        );
-        let report = compare(&base, &without, None);
-        assert!(!report.passed());
-        assert!(report.missing.contains(&"net.jobs_per_sec".to_string()));
     }
 
     #[test]
     fn identical_artifacts_pass_and_regressions_fail() {
-        let base = metrics(RUNTIME, SERVE);
+        let base = metrics(RUNTIME);
         assert!(compare(&base, &base, None).passed());
 
         // Inject a collapse: simd throughput drops 90%.
@@ -423,7 +282,7 @@ mod tests {
             "\"simd\":{\"iters_per_sec\":400.0}",
             "\"simd\":{\"iters_per_sec\":40.0}",
         );
-        let report = compare(&base, &metrics(&regressed, SERVE), None);
+        let report = compare(&base, &metrics(&regressed), None);
         assert!(!report.passed());
         assert_eq!(report.regressions(), 1);
         let failing = report.checks.iter().find(|c| !c.ok).unwrap();
@@ -436,34 +295,17 @@ mod tests {
             "\"simd\":{\"iters_per_sec\":400.0}",
             "\"simd\":{\"iters_per_sec\":280.0}",
         );
-        assert!(compare(&base, &metrics(&dipped, SERVE), None).passed());
+        assert!(compare(&base, &metrics(&dipped), None).passed());
         // ...but a tightened tolerance catches it.
-        assert!(!compare(&base, &metrics(&dipped, SERVE), Some(0.1)).passed());
-    }
-
-    #[test]
-    fn ratio_metrics_keep_tight_bands_under_loose_tolerance() {
-        let base = metrics(RUNTIME, SERVE);
-        let broken = SERVE
-            .replace("\"hit_rate_warm\":1.0", "\"hit_rate_warm\":0.5")
-            .replace("\"digest_match\":true", "\"digest_match\":false");
-        let report = compare(&base, &metrics(RUNTIME, &broken), Some(0.9));
-        assert_eq!(report.regressions(), 2);
-        let names: Vec<&str> = report
-            .checks
-            .iter()
-            .filter(|c| !c.ok)
-            .map(|c| c.name.as_str())
-            .collect();
-        assert_eq!(names, ["serve.hit_rate_warm", "serve.digest_match"]);
+        assert!(!compare(&base, &metrics(&dipped), Some(0.1)).passed());
     }
 
     #[test]
     fn missing_metrics_fail_the_gate() {
-        let base = metrics(RUNTIME, SERVE);
+        let base = metrics(RUNTIME);
         // Current run lost the simd column entirely.
         let truncated = RUNTIME.replace(",\n         \"simd\":{\"iters_per_sec\":400.0}", "");
-        let report = compare(&base, &metrics(&truncated, SERVE), None);
+        let report = compare(&base, &metrics(&truncated), None);
         assert!(!report.passed());
         assert_eq!(report.missing, ["runtime.jacobi.simd.iters_per_sec"]);
     }
@@ -477,15 +319,13 @@ mod tests {
         fs::create_dir_all(&cdir).unwrap();
         for dir in [&bdir, &cdir] {
             fs::write(dir.join("BENCH_runtime.json"), RUNTIME).unwrap();
-            fs::write(dir.join("BENCH_serve.json"), SERVE).unwrap();
-            fs::write(dir.join("BENCH_net.json"), NET).unwrap();
         }
         assert!(check_dirs(&bdir, &cdir, None).passed());
 
-        // Corrupt the current serve artifact's ratio: gate fails.
+        // Corrupt the current artifact's simd column: gate fails.
         fs::write(
-            cdir.join("BENCH_serve.json"),
-            SERVE.replace("\"warm_over_cold\":1.29", "\"warm_over_cold\":0.01"),
+            cdir.join("BENCH_runtime.json"),
+            RUNTIME.replace("400.0", "4.0"),
         )
         .unwrap();
         let report = check_dirs(&bdir, &cdir, None);
@@ -493,11 +333,13 @@ mod tests {
         assert!(report
             .checks
             .iter()
-            .any(|c| c.name == "serve.warm_over_cold" && !c.ok));
+            .any(|c| c.name == "runtime.jacobi.simd.iters_per_sec" && !c.ok));
 
-        // An empty baseline is an error, not a silent pass.
+        // A current side that lost the artifact fails every metric as
+        // missing; an empty baseline is an error, not a silent pass.
         let empty = root.join("empty");
         fs::create_dir_all(&empty).unwrap();
+        assert_eq!(check_dirs(&bdir, &empty, None).missing.len(), 3);
         assert!(!check_dirs(&empty, &cdir, None).passed());
         let _ = fs::remove_dir_all(&root);
     }

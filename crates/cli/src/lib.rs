@@ -9,7 +9,6 @@
 //! spfc fuse     prog.loop [--strip N] # emit the fused pseudocode
 //! spfc run      prog.loop [--procs N] # execute fused vs serial, verify
 //! spfc simulate prog.loop [--machine ksr2|convex] [--procs N]
-//! spfc distribute prog.loop           # loop fission, print the result
 //! spfc serve --listen ADDR            # SPFC wire server until drained
 //! spfc submit --connect ADDR jacobi   # run a job on a remote server
 //! ```
@@ -17,7 +16,7 @@
 //! The logic lives here (returning strings) so both `main` and the
 //! integration tests drive exactly the same code.
 
-use shift_peel_core::analysis::{derive_levels, distribute_sequence, render_plan};
+use shift_peel_core::analysis::{derive_levels, render_plan};
 use shift_peel_core::{CodegenMethod, Planner};
 use sp_cache::LayoutStrategy;
 use sp_dep::{analyze_sequence, describe_deps};
@@ -25,7 +24,7 @@ use sp_exec::{
     register_pass_metrics, Backend, ExecPlan, Executor, Memory, PooledExecutor, Program, RunConfig,
     Schedule, ScopedExecutor, SimExecutor,
 };
-use sp_ir::{display::render_sequence, parse_sequence, LoopSequence};
+use sp_ir::{parse_sequence, LoopSequence};
 use sp_machine::{simulate, SimPlan, CONVEX_SPP1000, KSR2};
 use sp_net::{Client, ClientConfig, NetServer};
 use sp_serve::{
@@ -128,8 +127,8 @@ pub struct Options {
     /// `--current-dir DIR`: fresh bench artifacts for `bench check`
     /// (default `results`).
     pub current_dir: Option<String>,
-    /// `--tolerance F`: fractional regression band override for raw
-    /// throughput metrics in `bench check`.
+    /// `--tolerance F`: fractional regression band override for
+    /// `bench check`.
     pub tolerance: Option<f64>,
     /// `--json-out FILE`: machine-readable `bench check` verdict.
     pub json_out: Option<String>,
@@ -332,7 +331,7 @@ impl Options {
 
 /// The usage string.
 pub const USAGE: &str = "usage: spfc \
-<analyze|derive|fuse|distribute|explain|run|simulate|trace-check> <prog.loop|kernel|trace.json> \
+<analyze|derive|fuse|explain|run|simulate|trace-check> <prog.loop|kernel|trace.json> \
 [--procs N] [--strip N] [--steps N] [--machine ksr2|convex] \
 [--executor scoped|pooled|sim] [--backend interp|compiled|simd] \
 [--schedule static|guided|stealing] [--chunk N] \
@@ -365,8 +364,8 @@ latencies).\n\
 `submit drain` quiesces the server, `submit ping` measures the round trip; \
 --window N pipelines up to N submissions on the one connection and \
 --repeat N submits the job list N times.\n\
-  bench check gates fresh results/BENCH_*.json against a committed \
-baseline copy with per-metric tolerance bands; nonzero exit on regression.";
+  bench check gates a fresh results/BENCH_runtime.json against a committed \
+baseline copy within a tolerance band; nonzero exit on regression.";
 
 fn parse_backend(s: &str) -> Result<Backend, CliError> {
     match s {
@@ -914,8 +913,8 @@ fn render_wire_result(out: &mut String, res: &sp_net::NetJobResult) {
     );
 }
 
-/// `spfc bench check`: gate fresh bench artifacts against a committed
-/// baseline. Prints the verdict table; a regression (or a missing
+/// `spfc bench check`: gate a fresh `BENCH_runtime.json` against a
+/// committed baseline. Prints the verdict table; a regression (or a missing
 /// metric) is a nonzero exit with the same table on stderr.
 fn bench_command(opts: &Options) -> Result<String, CliError> {
     if opts.path != "check" {
@@ -1068,10 +1067,6 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             for dim in &d.dims {
                 let _ = writeln!(out, "level {}: Nt = {}", dim.level, dim.nt());
             }
-        }
-        "distribute" => {
-            let dist = distribute_sequence(&seq);
-            out.push_str(&render_sequence(&dist));
         }
         "fuse" => {
             let planned = Planner::fused(1).plan(&seq).map_err(|e| CliError {

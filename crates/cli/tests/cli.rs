@@ -138,12 +138,15 @@ fn simulate_reports_both_machines() {
     });
 }
 
+/// Loop fission went with PR 24, and its verb with it: no tombstone.
 #[test]
-fn distribute_splits_nothing_here_but_prints() {
+fn distribute_is_an_unknown_command() {
     with_program(|path| {
-        let out = run(&["distribute", path]).expect("distribute");
-        assert!(out.contains("do i0 = 1, 94"), "{out}");
-        assert!(out.contains("demo-distributed"), "{out}");
+        let e = run(&["distribute", path]).unwrap_err();
+        assert_eq!(e.code, 2);
+        let expected = format!("unknown command distribute\n{}", sp_cli::USAGE);
+        assert_eq!(e.message, expected);
+        assert!(!sp_cli::USAGE.contains("distribute"));
     });
 }
 
@@ -425,58 +428,61 @@ fn traced_serve_exports_a_session_trace_and_stage_stats() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `spfc bench check`: identical artifact sets pass, an injected
-/// regression fails with a nonzero exit and a machine-readable verdict.
+/// `spfc bench check` reads `BENCH_runtime.json` and nothing else: a
+/// pair of directories holding only that file passes, a stale artifact
+/// of a deleted instrument in the baseline is ignored, an injected simd
+/// collapse fails with a nonzero exit and a machine-readable verdict,
+/// and an empty baseline is an error rather than a pass.
 #[test]
 fn bench_check_gates_regressions() {
     let dir = std::env::temp_dir().join(format!("spfc-bench-check-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (base, cur) = (dir.join("base"), dir.join("cur"));
-    std::fs::create_dir_all(&base).expect("mkdir");
-    std::fs::create_dir_all(&cur).expect("mkdir");
+    let (base, cur, empty) = (dir.join("base"), dir.join("cur"), dir.join("empty"));
+    for d in [&base, &cur, &empty] {
+        std::fs::create_dir_all(d).expect("mkdir");
+    }
     let runtime = r#"{"kernels":[{"kernel":"jacobi","rows":[
         {"steps":4,"pooled":{"iters_per_sec":100.0},"compiled":{"iters_per_sec":200.0},
          "simd":{"iters_per_sec":400.0}}]}]}"#;
-    let serve = r#"{"warm":{"jobs_per_sec":1400.0},"warm_over_cold":1.3,
-        "hit_rate_warm":1.0,"digest_match":true}"#;
     for d in [&base, &cur] {
         std::fs::write(d.join("BENCH_runtime.json"), runtime).expect("write");
-        std::fs::write(d.join("BENCH_serve.json"), serve).expect("write");
     }
     let verdict = dir.join("verdict.json");
+    let check = |baseline: &std::path::Path| {
+        run(&[
+            "bench",
+            "check",
+            "--baseline-dir",
+            baseline.to_str().unwrap(),
+            "--current-dir",
+            cur.to_str().unwrap(),
+            "--json-out",
+            verdict.to_str().unwrap(),
+        ])
+    };
 
-    let out = run(&[
-        "bench",
-        "check",
-        "--baseline-dir",
-        base.to_str().unwrap(),
-        "--current-dir",
-        cur.to_str().unwrap(),
-        "--json-out",
-        verdict.to_str().unwrap(),
-    ])
-    .expect("identical artifacts pass");
-    assert!(out.contains("bench check: PASS"), "{out}");
+    let out = check(&base).expect("identical artifacts pass");
+    assert!(out.contains("bench check: PASS (3 metrics"), "{out}");
     let json = std::fs::read_to_string(&verdict).expect("verdict");
     assert!(json.contains("\"passed\":true"), "{json}");
 
-    // Inject a collapse in the current artifacts: the gate must fail.
+    // A copy of a pre-PR-24 results/ as the baseline: the serve artifact
+    // is not read, so nothing is "missing from current artifacts".
     std::fs::write(
-        cur.join("BENCH_serve.json"),
-        serve.replace("\"hit_rate_warm\":1.0", "\"hit_rate_warm\":0.1"),
+        base.join("BENCH_serve.json"),
+        r#"{"warm":{"jobs_per_sec":1400.0},"warm_over_cold":1.3,"digest_match":true}"#,
     )
     .expect("write");
-    let err = run(&[
-        "bench",
-        "check",
-        "--baseline-dir",
-        base.to_str().unwrap(),
-        "--current-dir",
-        cur.to_str().unwrap(),
-        "--json-out",
-        verdict.to_str().unwrap(),
-    ])
-    .unwrap_err();
+    let out = check(&base).expect("a stale serve artifact is ignored");
+    assert!(out.contains("bench check: PASS (3 metrics"), "{out}");
+
+    // Inject a collapse in the current artifact: the gate must fail.
+    std::fs::write(
+        cur.join("BENCH_runtime.json"),
+        runtime.replace("400.0", "4.0"),
+    )
+    .expect("write");
+    let err = check(&base).unwrap_err();
     assert_eq!(err.code, 1);
     assert!(
         err.message.contains("bench regression detected"),
@@ -484,12 +490,22 @@ fn bench_check_gates_regressions() {
         err.message
     );
     assert!(
-        err.message.contains("serve.hit_rate_warm"),
+        err.message
+            .contains("FAIL runtime.jacobi.simd.iters_per_sec"),
         "{}",
         err.message
     );
     let json = std::fs::read_to_string(&verdict).expect("verdict");
     assert!(json.contains("\"passed\":false"), "{json}");
+
+    // Nothing to gate against is a failure too.
+    let err = check(&empty).unwrap_err();
+    assert_eq!(err.code, 1);
+    assert!(
+        err.message.contains("no gated metrics found in baseline"),
+        "{}",
+        err.message
+    );
 
     // Usage errors.
     let e = run(&["bench", "check"]).unwrap_err();

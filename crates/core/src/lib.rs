@@ -18,8 +18,7 @@
 //!   shift/peel derivation (Figure 8), legality and Theorem 1's
 //!   iteration count threshold, block-geometry scheduling (Figures 12
 //!   and 16), strip selection and cost estimation (Section 4),
-//!   profitability (Section 6), array contraction, and loop
-//!   distribution.
+//!   profitability (Section 6), and array contraction.
 //! * [`explain`] — opt-in decision tracing: structured events recording
 //!   why each pass decided what it did (edge contributions, fusion
 //!   rejections, Theorem 1 threshold checks), rendered by `spfc explain`.
@@ -30,7 +29,6 @@
 mod codegen;
 mod contract;
 mod derive;
-mod distribute;
 mod emit;
 mod legality;
 mod profit;
@@ -42,8 +40,7 @@ pub mod plan;
 
 /// The individual analyses behind the pipeline's passes: derivation,
 /// legality, block-geometry scheduling, codegen cost/strip selection,
-/// profitability, array contraction, loop distribution, and plan
-/// rendering.
+/// profitability, array contraction, and plan rendering.
 pub mod analysis {
     pub use crate::codegen::{
         bytes_per_outer_iter, estimate_block_cost, suggest_strip, GroupCost, StripSpec,
@@ -53,7 +50,6 @@ pub mod analysis {
         derive_dim, derive_dim_observed, derive_levels, derive_shift_peel, Derivation, DeriveError,
         DimDerivation,
     };
-    pub use crate::distribute::{distribute_nest, distribute_sequence, Distribution};
     pub use crate::emit::render_plan;
     pub use crate::legality::{
         check_blocks, check_sequence, max_procs, plan_nt_requirements, revalidate_plan,

@@ -10,8 +10,6 @@
 //! evaluated in the compiler with knowledge of the data size with respect
 //! to the cache size"; this module is that evaluation.
 
-use crate::derive::Derivation;
-use sp_dep::ReuseSummary;
 use sp_ir::LoopSequence;
 
 /// A simple capacity-based profitability model.
@@ -97,45 +95,6 @@ impl ProfitabilityModel {
     pub fn should_fuse(&self, seq: &LoopSequence, start: usize, end: usize) -> bool {
         end - start >= 2 && self.profitable_to_grow(seq, start, end)
     }
-
-    /// Reuse-aware net gain estimate, in cycles, of fusing `[start, end)`:
-    /// the miss penalty saved on re-fetched lines (only available while
-    /// the group's per-processor data exceeds the cache — otherwise the
-    /// unfused program hits too) minus the shift-and-peel overhead of
-    /// executing the peeled iterations separately.
-    ///
-    /// Positive means fuse. This refines [`Self::should_fuse`] with the
-    /// actual inter-nest reuse volume (paper Sections 1–2) instead of
-    /// treating all touched data as reusable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reuse_gain_cycles(
-        &self,
-        seq: &LoopSequence,
-        reuse: &ReuseSummary,
-        deriv: &Derivation,
-        start: usize,
-        end: usize,
-        miss_penalty: u64,
-        line_bytes: usize,
-    ) -> i64 {
-        const PEELED_ITER_COST: i64 = 10;
-        // Gain: lines the fused group avoids re-fetching, if and only if
-        // the unfused program would actually be missing them.
-        let gain = if self.data_per_processor(seq, start, end) > self.cache_bytes {
-            reuse.lines_saved(start, end, self.elem_bytes, line_bytes) as i64 * miss_penalty as i64
-        } else {
-            0
-        };
-        // Cost: peeled iterations run in a separate phase on every
-        // processor (inner iterations per outer plane x (shift + peel)).
-        let dim = &deriv.dims[0];
-        let mut peeled_iters = 0i64;
-        for (k, nest) in seq.nests[start..end].iter().enumerate() {
-            let inner: i64 = nest.bounds[1..].iter().map(|b| b.count() as i64).product();
-            peeled_iters += (dim.shifts[k] + dim.peels[k]) * inner;
-        }
-        gain - peeled_iters * self.processors as i64 * PEELED_ITER_COST
-    }
 }
 
 #[cfg(test)]
@@ -190,53 +149,5 @@ mod tests {
         m.max_arrays = 2;
         assert!(m.profitable_to_grow(&seq, 0, 1));
         assert!(!m.profitable_to_grow(&seq, 0, 2)); // 3 arrays > 2
-    }
-}
-
-#[cfg(test)]
-mod reuse_tests {
-    use super::*;
-    use crate::derive::derive_shift_peel;
-    use sp_dep::analyze_reuse;
-    use sp_ir::SeqBuilder;
-
-    fn chain(n: usize) -> LoopSequence {
-        let mut b = SeqBuilder::new("c");
-        let x = b.array("x", [n, n]);
-        let y = b.array("y", [n, n]);
-        let z = b.array("z", [n, n]);
-        let (lo, hi) = (1, n as i64 - 2);
-        b.nest("L1", [(lo, hi), (lo, hi)], |c| {
-            let r = c.ld(x, [0, 1]) + c.ld(x, [0, -1]);
-            c.assign(y, [0, 0], r);
-        });
-        b.nest("L2", [(lo, hi), (lo, hi)], |c| {
-            let r = c.ld(y, [1, 0]) + c.ld(y, [-1, 0]) + c.ld(x, [0, 0]);
-            c.assign(z, [0, 0], r);
-        });
-        b.finish()
-    }
-
-    #[test]
-    fn reuse_gain_positive_when_data_exceeds_cache() {
-        let seq = chain(256); // 3 x 512 KB arrays
-        let reuse = analyze_reuse(&seq);
-        let deriv = derive_shift_peel(&seq).unwrap();
-        let m = ProfitabilityModel::new(64 << 10, 4);
-        let gain = m.reuse_gain_cycles(&seq, &reuse, &deriv, 0, 2, 50, 64);
-        assert!(gain > 0, "gain {gain}");
-    }
-
-    #[test]
-    fn reuse_gain_negative_when_data_fits() {
-        let seq = chain(64); // 3 x 32 KB arrays fit a 1 MB cache
-        let reuse = analyze_reuse(&seq);
-        let deriv = derive_shift_peel(&seq).unwrap();
-        let m = ProfitabilityModel::new(1 << 20, 8);
-        let gain = m.reuse_gain_cycles(&seq, &reuse, &deriv, 0, 2, 50, 64);
-        assert!(
-            gain < 0,
-            "gain {gain}: only overhead remains when data fits"
-        );
     }
 }

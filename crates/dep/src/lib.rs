@@ -22,7 +22,6 @@ pub mod graph;
 pub mod indep;
 pub mod linsolve;
 pub mod rational;
-pub mod reuse;
 
 pub use analysis::{
     analyze_sequence, parallel_levels, ref_distance, AnalysisError, DepKind, InterDep, NestInfo,
@@ -33,4 +32,3 @@ pub use graph::{DepEdge, DepMultigraph};
 pub use indep::{test_pair, IndepResult};
 pub use linsolve::{solve, LinSolution};
 pub use rational::Rational;
-pub use reuse::{analyze_reuse, ReusePair, ReuseSummary};

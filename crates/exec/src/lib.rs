@@ -66,27 +66,21 @@ pub mod sink;
 pub mod tape;
 
 pub use digest::WordDigest;
-pub use driver::{run_fused_phase, run_peeled_phase};
 pub use exec::{ExecError, ExecPlan, Program};
 pub use executor::{
     Backend, Executor, PooledExecutor, RunConfig, ScopedExecutor, SimExecutor, SinkChoice,
 };
-pub use interp::{exec_region, exec_statement, run_original, ExecCounters};
+pub use interp::{exec_region, run_original, ExecCounters};
 pub use memory::{MemView, Memory};
 pub use pass::register_pass_metrics;
 pub use pool::{SenseBarrier, WorkerPool};
 pub use report::{RunReport, WorkerReport};
 pub use schedule::{
     simulate_stealing, splitmix64, static_busy, Schedule, SimClock, StealEvent, StealSimReport,
-    StealSimSpec, VictimSelector, DEFAULT_STEAL_SEED,
+    StealSimSpec, DEFAULT_STEAL_SEED,
 };
 // Tracing types callers need to configure a traced run and consume its
 // result, re-exported so `sp-exec` users don't name `sp-trace` directly.
-pub use sink::{
-    AccessSink, CacheSink, ClassifySink, CountingSink, HierarchySink, InfiniteSink, NullSink,
-    RecordingSink,
-};
+pub use sink::{AccessSink, CacheSink, ClassifySink, HierarchySink, NullSink, RecordingSink};
 pub use sp_trace::{MetricsRegistry, RunTrace, SpanKind, TraceConfig, WorkerTrace};
-pub use tape::{
-    exec_region_tape, AccessPat, Engine, NestTape, ProgramTape, RowIsa, RowScratch, StmtTape, ROW,
-};
+pub use tape::{ProgramTape, ROW};

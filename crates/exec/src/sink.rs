@@ -6,7 +6,7 @@
 //! that nobody is listening, so plain correctness runs and wall-clock
 //! benchmarks skip the reporting entirely.
 
-use sp_cache::{Cache, CacheHierarchy, CacheStats, ClassifyingCache, InfiniteCache};
+use sp_cache::{Cache, CacheHierarchy, CacheStats, ClassifyingCache};
 
 /// Consumer of the interpreter's memory-access stream.
 pub trait AccessSink {
@@ -95,20 +95,6 @@ impl ClassifySink {
 }
 
 impl AccessSink for ClassifySink {
-    #[inline]
-    fn access(&mut self, addr: u64, _is_write: bool) {
-        self.cache.access(addr);
-    }
-}
-
-/// Feeds accesses to an infinite cache (compulsory misses only).
-#[derive(Debug)]
-pub struct InfiniteSink {
-    /// The unbounded cache.
-    pub cache: InfiniteCache,
-}
-
-impl AccessSink for InfiniteSink {
     #[inline]
     fn access(&mut self, addr: u64, _is_write: bool) {
         self.cache.access(addr);

@@ -465,89 +465,6 @@ pub fn backend_miss_parity(
     })
 }
 
-/// One phase (cold or warm) of a [`serve_sweep`].
-#[derive(Clone, Debug)]
-pub struct ServePhase {
-    /// Wall time of the whole phase (submission to last completion).
-    pub seconds: f64,
-    /// Jobs completed.
-    pub jobs: usize,
-    /// Cache hits this phase (memory + disk).
-    pub hits: u64,
-    /// Cache misses this phase.
-    pub misses: u64,
-    /// Per-job output digests, in submission order.
-    pub digests: Vec<u64>,
-}
-
-impl ServePhase {
-    /// Completed jobs per second of wall time.
-    pub fn jobs_per_sec(&self) -> f64 {
-        self.jobs as f64 / self.seconds.max(1e-9)
-    }
-
-    /// Hits as a fraction of lookups this phase.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.hits + self.misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / lookups as f64
-        }
-    }
-}
-
-/// The serving benchmark harness: submits `specs` to a fresh
-/// [`Service`](sp_serve::Service) twice — a *cold* phase that compiles
-/// every artifact and a *warm* phase resubmitting identical specs so
-/// every job is a cache hit — and returns both phases. Errors if any job
-/// fails or any warm digest differs from its cold counterpart (cached
-/// artifacts must reproduce outputs bit-for-bit).
-pub fn serve_sweep(
-    specs: &[sp_serve::JobSpec],
-    workers: usize,
-) -> Result<(ServePhase, ServePhase), sp_serve::ServeError> {
-    use sp_serve::{ArtifactCacheConfig, Service, ServiceConfig};
-    let widest = specs.iter().map(|s| s.plan.procs()).max().unwrap_or(1);
-    let service = Service::new(
-        ServiceConfig::default()
-            .workers(workers.max(widest))
-            .queue_capacity(specs.len().max(1))
-            // Memory-only and big enough that the warm phase never
-            // misses for capacity reasons.
-            .cache(ArtifactCacheConfig::memory(2 * specs.len().max(1))),
-    );
-    let phase = || -> Result<ServePhase, sp_serve::ServeError> {
-        let before = service.cache_counters();
-        let t0 = std::time::Instant::now();
-        let ids = specs
-            .iter()
-            .map(|s| service.submit(s.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut digests = Vec::with_capacity(ids.len());
-        for id in ids {
-            digests.push(service.wait(id)?.digest);
-        }
-        let seconds = t0.elapsed().as_secs_f64();
-        let after = service.cache_counters();
-        Ok(ServePhase {
-            seconds,
-            jobs: digests.len(),
-            hits: after.total_hits() - before.total_hits(),
-            misses: after.misses - before.misses,
-            digests,
-        })
-    };
-    let cold = phase()?;
-    let warm = phase()?;
-    if cold.digests != warm.digests {
-        return Err(sp_serve::ServeError::Manifest(
-            "warm digests diverged from cold digests".into(),
-        ));
-    }
-    Ok((cold, warm))
-}
-
 /// The fusion improvement ratio of Figure 24: unfused time / fused time
 /// at a fixed processor count (>1 means fusion wins).
 pub fn improvement_ratio(
@@ -635,30 +552,6 @@ mod tests {
                 "simd run executed its iterations in rows"
             );
         }
-    }
-
-    #[test]
-    fn serve_sweep_hits_on_the_warm_phase() {
-        let seq = seq3(48);
-        let specs: Vec<sp_serve::JobSpec> = (0..3)
-            .map(|i| {
-                let plan = ExecPlan::Fused {
-                    grid: vec![2],
-                    method: CodegenMethod::StripMined,
-                    strip: 8,
-                };
-                // Different seeds, same cache key: outputs differ per
-                // job, artifacts are shared.
-                sp_serve::JobSpec::new(format!("j{i}"), seq.clone(), plan).seed(100 + i)
-            })
-            .collect();
-        let (cold, warm) = serve_sweep(&specs, 2).unwrap();
-        assert_eq!(cold.jobs, 3);
-        assert_eq!(cold.misses, 1, "identical specs compile once");
-        assert_eq!(warm.hits, 3, "warm phase never compiles");
-        assert_eq!(warm.misses, 0);
-        assert!(warm.hit_rate() > cold.hit_rate());
-        assert_eq!(cold.digests, warm.digests);
     }
 
     #[test]

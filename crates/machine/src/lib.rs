@@ -10,27 +10,20 @@
 //! * [`sim`] — whole-program simulation ([`simulate`]);
 //! * [`experiment`] — the sweep harnesses behind the paper's figures
 //!   (speedup-vs-processors, misses-vs-padding, improvement-vs-size);
-//! * [`tune`] — the adaptive-schedule auto-tuner: chunk-size bounds from
-//!   the cost model (`Nt` floor to cache-capacity), schedule choice from
-//!   probe runs on the real pool, and the skewed-load sweep harness;
-//! * [`net`] — the wire-tier sweep: concurrent socket clients against an
-//!   `sp-net` server, measured against the in-process ceiling.
+//! * [`tune`] — chunk-size bounds for the adaptive schedules from the
+//!   cost model (`Nt` floor to cache-capacity) and the skewed-load sweep
+//!   harness that runs all three schedules on the real pool.
 
 pub mod config;
 pub mod experiment;
-pub mod net;
 pub mod sim;
 pub mod tune;
 
 pub use config::{MachineConfig, CONVEX_SPP1000, KSR2};
 pub use experiment::{
     app_speedup_sweep, auto_strip, backend_miss_parity, improvement_ratio, padding_sweep,
-    runtime_sweep, serve_sweep, speedup_sweep, sum_results, MissParity, PaddingRow, PaddingSweep,
-    RuntimeRow, ServePhase, SweepOptions, SweepRow,
+    runtime_sweep, speedup_sweep, sum_results, MissParity, PaddingRow, PaddingSweep, RuntimeRow,
+    SweepOptions, SweepRow,
 };
-pub use net::{net_sweep, NetSweep};
 pub use sim::{price, simulate, ProcResult, SimPlan, SimResult};
-pub use tune::{
-    auto_tune, chunk_bounds, skewed_sweep, ChunkBounds, SkewRow, TuneChoice, TuneProbe,
-    SKEW_THRESHOLD,
-};
+pub use tune::{chunk_bounds, skewed_sweep, ChunkBounds, SkewRow};

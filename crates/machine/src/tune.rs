@@ -1,14 +1,13 @@
-//! Auto-tuning for the adaptive schedules: pick a chunk size between the
-//! Theorem-1 `Nt` floor and the cache-capacity bound, then let short
-//! probe runs on the real worker pool decide which schedule to use.
+//! Chunk sizing and the skewed-load harness for the adaptive schedules.
 //!
-//! The cost model supplies the *static* part of the decision — a chunk
-//! smaller than `Nt` is illegal (the peeled iterations of a fused group
-//! would not fit the block), and a chunk larger than the per-partition
-//! cache capacity defeats the locality the fusion bought. Between those
-//! bounds the choice is a run-time property: a uniform load wants static
-//! blocking (no claim traffic at all), a skewed load wants stealing. The
-//! tuner measures instead of guessing, using the imbalance and
+//! The cost model supplies the *static* part of a chunk choice — a chunk
+//! smaller than the Theorem-1 `Nt` is illegal (the peeled iterations of a
+//! fused group would not fit the block), and a chunk larger than the
+//! per-partition cache capacity defeats the locality the fusion bought
+//! ([`chunk_bounds`]). Which schedule wins between those bounds is a
+//! run-time property: a uniform load wants static blocking (no claim
+//! traffic at all), a skewed load wants stealing. [`skewed_sweep`] runs
+//! all three on the real worker pool and reports the imbalance and
 //! barrier-wait counters the [`RunReport`] already carries.
 
 use crate::config::MachineConfig;
@@ -82,95 +81,6 @@ pub fn chunk_bounds(seq: &LoopSequence, machine: &MachineConfig, procs: usize) -
         capacity,
         block_trip,
     }
-}
-
-/// One probe run of the tuner: a schedule tried on the real pool.
-#[derive(Clone, Debug)]
-pub struct TuneProbe {
-    /// Schedule this probe ran under.
-    pub schedule: Schedule,
-    /// Chunk override the probe used (`None` for static).
-    pub chunk: Option<i64>,
-    /// The probe's full report (wall time, imbalance, steals, waits).
-    pub report: RunReport,
-}
-
-/// The tuner's decision plus the evidence behind it.
-#[derive(Clone, Debug)]
-pub struct TuneChoice {
-    /// Chosen schedule.
-    pub schedule: Schedule,
-    /// Chosen chunk size (`None` when static blocking wins).
-    pub chunk: Option<i64>,
-    /// The chunk-size bounds the cost model derived.
-    pub bounds: ChunkBounds,
-    /// All probe runs, in `Schedule::all()` order.
-    pub probes: Vec<TuneProbe>,
-}
-
-/// Busy-time imbalance above which the static probe is considered
-/// skewed and an adaptive schedule is worth its claim traffic.
-pub const SKEW_THRESHOLD: f64 = 1.15;
-
-/// Probes every schedule on the real worker pool and picks one.
-///
-/// The chunk size is fixed by the cost model ([`chunk_bounds`]); the
-/// probes decide only *which runtime* to use. Static wins unless its
-/// own probe reports busy-time imbalance above [`SKEW_THRESHOLD`], in
-/// which case the faster of the guided and stealing probes wins.
-/// All probes run the same plan on the same deterministic initial
-/// memory; results are bit-for-bit identical across schedules (the
-/// differential suite enforces this), so the tuner is free to compare
-/// them on time alone.
-pub fn auto_tune(
-    seq: &LoopSequence,
-    machine: &MachineConfig,
-    grid: &[usize],
-    strip: i64,
-    probe_steps: usize,
-) -> Result<TuneChoice, ExecError> {
-    let procs: usize = grid.iter().product();
-    let bounds = chunk_bounds(seq, machine, procs);
-    let chunk = bounds.pick();
-    let prog = Program::new(seq, grid.len())?;
-    let mut pool = PooledExecutor::new(procs);
-    let mut probes = Vec::with_capacity(Schedule::all().len());
-    for schedule in Schedule::all() {
-        let chunk_opt = match schedule {
-            Schedule::Static => None,
-            _ => Some(chunk),
-        };
-        let mut cfg = RunConfig::fused(grid.to_vec())
-            .strip(strip)
-            .steps(probe_steps.max(1))
-            .schedule(schedule);
-        if let Some(c) = chunk_opt {
-            cfg = cfg.chunk(c);
-        }
-        let mut mem = Memory::new(seq, LayoutStrategy::Contiguous);
-        mem.init_deterministic(seq, 42);
-        let report = pool.run(&prog, &mut mem, &cfg)?;
-        probes.push(TuneProbe {
-            schedule,
-            chunk: chunk_opt,
-            report,
-        });
-    }
-    let skewed = probes[0].report.time_imbalance() > SKEW_THRESHOLD;
-    let winner = if skewed {
-        probes[1..]
-            .iter()
-            .min_by(|a, b| a.report.wall_nanos.cmp(&b.report.wall_nanos))
-            .unwrap()
-    } else {
-        &probes[0]
-    };
-    Ok(TuneChoice {
-        schedule: winner.schedule,
-        chunk: winner.chunk,
-        bounds,
-        probes,
-    })
 }
 
 /// One schedule's run in a skewed-load comparison.
@@ -271,22 +181,6 @@ mod tests {
         let pick = b.pick();
         assert!(pick >= b.nt_floor);
         assert!(pick <= b.block_trip.max(b.nt_floor));
-    }
-
-    #[test]
-    fn auto_tune_probes_every_schedule_and_picks_a_legal_chunk() {
-        let seq = jacobi(48);
-        let choice = auto_tune(&seq, &CONVEX_SPP1000, &[2], 8, 2).unwrap();
-        assert_eq!(choice.probes.len(), 3);
-        assert_eq!(choice.probes[0].schedule, Schedule::Static);
-        assert!(choice.probes[0].chunk.is_none());
-        for p in &choice.probes[1..] {
-            let c = p.chunk.expect("adaptive probes carry a chunk");
-            assert!(c >= choice.bounds.nt_floor);
-        }
-        if let Some(c) = choice.chunk {
-            assert!(c >= choice.bounds.nt_floor);
-        }
     }
 
     #[test]

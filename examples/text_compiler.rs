@@ -1,11 +1,11 @@
 //! A miniature source-to-source compiler session: parse a textual loop
-//! program, distribute multi-statement nests, plan fusion, print the
-//! derived amounts and the generated (Figure 12-style) pseudocode, and
-//! verify the transformed execution against the original.
+//! program, plan fusion, print the derived amounts and the generated
+//! (Figure 12-style) pseudocode, and verify the transformed execution
+//! against the original.
 //!
 //! Run with: `cargo run --example text_compiler`
 
-use shift_peel::core::analysis::{distribute_sequence, render_plan};
+use shift_peel::core::analysis::render_plan;
 use shift_peel::core::{fusion_plan, CodegenMethod};
 use shift_peel::ir::parse_sequence;
 use shift_peel::prelude::*;
@@ -42,21 +42,9 @@ fn main() {
         seq.arrays.len()
     );
 
-    // 2. Distribute multi-statement nests (L1 splits into the t- and
-    //    u-producing loops).
-    let dist = distribute_sequence(&seq);
-    println!(
-        "distributed into {} nests: {:?}",
-        dist.len(),
-        dist.nests
-            .iter()
-            .map(|n| n.label.as_str())
-            .collect::<Vec<_>>()
-    );
-
-    // 3. Plan fusion over the distributed sequence.
-    let deps = analyze_sequence(&dist).expect("analysis");
-    let plan = fusion_plan(&dist, &deps, 1, CodegenMethod::StripMined, None).expect("plan");
+    // 2. Plan fusion.
+    let deps = analyze_sequence(&seq).expect("analysis");
+    let plan = fusion_plan(&seq, &deps, 1, CodegenMethod::StripMined, None).expect("plan");
     println!(
         "fusion plan: {} group(s), longest {}, max shift/peel {}/{}",
         plan.groups.len(),
@@ -65,27 +53,26 @@ fn main() {
         plan.max_peel()
     );
 
-    // 4. Show the generated code.
-    println!("\n{}", render_plan(&dist, &plan, 16));
+    // 3. Show the generated code.
+    println!("\n{}", render_plan(&seq, &plan, 16));
 
-    // 5. Verify: transformed parallel execution equals the original.
-    let ex_orig = Program::new(&seq, 1).expect("orig executor");
+    // 4. Verify: transformed parallel execution equals the original.
+    let prog = Program::new(&seq, 1).expect("executor");
     let mut m1 = Memory::new(&seq, LayoutStrategy::Contiguous);
     m1.init_deterministic(&seq, 5);
-    ex_orig.run(&mut m1, &ExecPlan::Serial).expect("serial");
+    prog.run(&mut m1, &ExecPlan::Serial).expect("serial");
 
-    let ex_dist = Program::new(&dist, 1).expect("dist executor");
-    let mut m2 = Memory::new(&dist, LayoutStrategy::Contiguous);
-    m2.init_deterministic(&dist, 5);
+    let mut m2 = Memory::new(&seq, LayoutStrategy::Contiguous);
+    m2.init_deterministic(&seq, 5);
     let cfg = RunConfig::fused([4])
         .method(CodegenMethod::StripMined)
         .strip(16);
-    ScopedExecutor.run(&ex_dist, &mut m2, &cfg).expect("fused");
+    ScopedExecutor.run(&prog, &mut m2, &cfg).expect("fused");
 
     assert_eq!(
         m1.snapshot_all(&seq),
-        m2.snapshot_all(&dist),
+        m2.snapshot_all(&seq),
         "transformed execution diverged"
     );
-    println!("verified: distributed + fused execution matches the original bit-for-bit");
+    println!("verified: fused execution matches the original bit-for-bit");
 }

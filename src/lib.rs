@@ -12,7 +12,7 @@
 //! * [`cache`] — trace-driven cache simulation, padding, and the cache
 //!   partitioning layout algorithm (the paper's second contribution).
 //! * [`exec`] — an interpreter and the static-blocked parallel runtimes
-//!   (spawn-per-step, persistent worker pool, self-scheduled ablation)
+//!   (spawn-per-step, persistent worker pool, sequential simulation)
 //!   behind one `Executor` trait, driven by a `RunConfig` and reporting
 //!   per-worker `RunReport` instrumentation; adaptive schedules (guided
 //!   and work-stealing over `Nt`-legal chunks) via `RunConfig::schedule`.

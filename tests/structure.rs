@@ -1,0 +1,354 @@
+//! Structure guards: things that once existed twice, or were deleted on
+//! purpose, and must not grow back. Each row of [`RULES`] is a text
+//! search over first-party files with an expected count; a broken rule
+//! fails with its name, the PR that introduced it and why it exists.
+//!
+//! A pattern is a list of literal alternatives and a line matches when it
+//! contains any of them (what `grep -E 'a|b'` did for these in `ci.sh`).
+//! This file is never scanned: it has to spell every forbidden name.
+
+use std::fs;
+use std::path::Path;
+
+#[derive(Debug)]
+enum Expect {
+    /// No line matches.
+    Absent,
+    /// Exactly this many lines match.
+    Exactly(usize),
+    /// No alternative matches more than this many lines.
+    AtMostOfEach(usize),
+    /// Exactly one line matches, and the text appears on it or on one of
+    /// the next `usize` lines.
+    OnceBeside(&'static str, usize),
+    /// Exactly this many files are selected (the pattern is not used).
+    Files(usize),
+}
+use Expect::*;
+
+struct Rule {
+    name: &'static str,
+    /// Files or directories (searched recursively) under the repo root.
+    roots: &'static [&'static str],
+    /// Glob over the file name; `*` is the only wildcard.
+    files: &'static str,
+    /// Paths under `roots` the rule does not apply to.
+    except: &'static [&'static str],
+    any_of: &'static [&'static str],
+    /// Drop everything from a file's first `#[cfg(test)]` on.
+    cut_tests: bool,
+    expect: Expect,
+    pr: u32,
+    why: &'static str,
+}
+
+const SOURCES: &[&str] = &["crates", "src", "tests", "examples"];
+
+/// What a row leaves out: every file under [`SOURCES`], no matching line.
+const RULE: Rule = Rule {
+    name: "",
+    roots: SOURCES,
+    files: "*",
+    except: &[],
+    any_of: &[],
+    cut_tests: false,
+    expect: Absent,
+    pr: 0,
+    why: "",
+};
+
+const RULES: &[Rule] = &[
+    Rule {
+        name: "no-deprecated-shims",
+        roots: &["crates"],
+        files: "*.rs",
+        any_of: &["#[deprecated"],
+        pr: 12,
+        why: "a deprecated item is a second path kept alive: delete the shim instead",
+        ..RULE
+    },
+    Rule {
+        name: "one-definition-of-each-helper",
+        files: "*.rs",
+        any_of: &["fn fnv1a64", "fn splitmix64", "fn string(&mut self)"],
+        expect: AtMostOfEach(1),
+        pr: 12,
+        why: "the key hash, the PRNG and the JSON reader each existed two or three times",
+        ..RULE
+    },
+    Rule {
+        name: "one-simd-inner-loop",
+        roots: &["crates/exec/src"],
+        files: "*.rs",
+        any_of: &["vector_block", "scalar_span", "fn boundary"],
+        pr: 13,
+        why: "the simd backend is one row runner: no lane-blocked pair, no peel detour",
+        ..RULE
+    },
+    Rule {
+        name: "one-lowered-form",
+        any_of: &[
+            "MicroOp",
+            "max_stack",
+            "analyze_lane_safety",
+            "LaneSafetyPass",
+        ],
+        pr: 15,
+        why: "a statement lowers to the row program only: no stack machine, no second verdict",
+        ..RULE
+    },
+    Rule {
+        name: "isa-in-one-place",
+        files: "*.rs",
+        except: &["crates/exec/src/tape.rs"],
+        any_of: &["target_feature"],
+        pr: 16,
+        why: "the row loops are compiled twice inside tape.rs; nothing else enables features",
+        ..RULE
+    },
+    Rule {
+        name: "no-intrinsics",
+        roots: &["crates"],
+        files: "*.rs",
+        any_of: &["std::arch::"],
+        pr: 16,
+        why: "the row loops are plain Rust",
+        ..RULE
+    },
+    Rule {
+        name: "no-build-wide-isa",
+        roots: &[".cargo/config.toml"],
+        any_of: &["target-cpu", "target-feature"],
+        pr: 16,
+        why: "benchmark/ inherits .cargo/config.toml: it would move the hand-written yardstick",
+        ..RULE
+    },
+    Rule {
+        name: "last-op-stores-its-row",
+        roots: &["crates/exec/src/tape.rs"],
+        any_of: &["copy_nonoverlapping"],
+        pr: 16,
+        why: "a statement's last op stores its row itself: no temporary-then-copy tail",
+        ..RULE
+    },
+    Rule {
+        name: "one-wait-policy",
+        roots: &["crates/exec/src/pool.rs"],
+        any_of: &["notify_all", "adaptive", "MIN_SPIN", "MAX_SPIN"],
+        pr: 17,
+        why: "a run wakes only its participants and waits by the clock: no spin budget",
+        ..RULE
+    },
+    Rule {
+        name: "bounded-results",
+        roots: &["crates/serve/src/service.rs"],
+        any_of: &["done.insert("],
+        expect: OnceBeside("RESULT_RETENTION", 4),
+        pr: 17,
+        why: "State::done grows in one place, next to the loop that evicts, or heap grows",
+        ..RULE
+    },
+    Rule {
+        name: "service-hashes-no-bytes",
+        roots: &["crates/serve/src/service.rs"],
+        any_of: &["Fnv1a64", "to_le_bytes"],
+        pr: 18,
+        why: "arrays are digested a word at a time by WordDigest; FNV is for text and keys",
+        ..RULE
+    },
+    Rule {
+        name: "one-array-hasher",
+        roots: &["crates"],
+        files: "*.rs",
+        any_of: &["struct WordDigest"],
+        expect: Exactly(1),
+        pr: 18,
+        why: "digests cross the wire: two hashers would be two protocols",
+        ..RULE
+    },
+    Rule {
+        name: "render-into-one-buffer",
+        roots: &["crates/ir/src/display.rs"],
+        any_of: &["format!(", ".join("],
+        pr: 18,
+        why: "the renderer built a String per subscript, reference and expression node",
+        ..RULE
+    },
+    Rule {
+        name: "client-sends-held-text",
+        roots: &["crates/net/src/client.rs"],
+        any_of: &["render_sequence(", "program_digest("],
+        pr: 19,
+        why: "SharedProgram renders and hashes once: send spec.seq.text() / digest()",
+        ..RULE
+    },
+    Rule {
+        name: "one-parse-site",
+        roots: &["crates/net/src/server.rs"],
+        any_of: &["parse_sequence("],
+        cut_tests: true,
+        expect: Exactly(1),
+        pr: 19,
+        why: "the server parses a text only behind the registry's by-text lookup",
+        ..RULE
+    },
+    Rule {
+        name: "fingerprint-is-streamed",
+        any_of: &["encode_payload_for_fingerprint"],
+        pr: 19,
+        why: "the request fingerprint is not a second encoding of the frame",
+        ..RULE
+    },
+    Rule {
+        name: "crc-by-table",
+        roots: &["crates/net/src/wire.rs"],
+        any_of: &["for _ in 0..8"],
+        cut_tests: true,
+        pr: 19,
+        why: "the bit-at-a-time CRC is the test module's reference, not the wire path",
+        ..RULE
+    },
+    Rule {
+        name: "no-criterion",
+        roots: &["Cargo.toml", "Cargo.lock", "crates", "vendor"],
+        files: "Cargo.*",
+        any_of: &["criterion"],
+        pr: 24,
+        why: "no ci.sh step ran the criterion benches: benchmark/ is the timing instrument",
+        ..RULE
+    },
+    Rule {
+        name: "simulator-does-not-serve",
+        roots: &["crates/machine/src"],
+        any_of: &["sp_serve", "sp_net"],
+        pr: 24,
+        why: "sp-machine simulates KSR2/Convex; serve and wire speed is benchmark/ serve-mixed",
+        ..RULE
+    },
+    Rule {
+        name: "one-bench-artifact",
+        roots: &["results"],
+        files: "BENCH_*.json",
+        expect: Files(1),
+        pr: 24,
+        why: "`spfc bench check` reads BENCH_runtime.json only: a second one is gated by nothing",
+        ..RULE
+    },
+    Rule {
+        name: "deleted-with-no-caller",
+        any_of: &[
+            "fn distribute_nest",
+            "fn distribute_sequence",
+            "fn auto_tune",
+            "fn analyze_reuse",
+            "fn serve_sweep",
+            "fn net_sweep",
+        ],
+        pr: 24,
+        why: "fission, the probe tuner, the reuse summary and the serve/wire sweeps had no caller",
+        ..RULE
+    },
+];
+
+fn glob(pat: &str, name: &str) -> bool {
+    match pat.split_once('*') {
+        None => pat == name,
+        Some((head, tail)) => {
+            name.len() >= head.len() + tail.len() && name.starts_with(head) && name.ends_with(tail)
+        }
+    }
+}
+
+/// Appends every file at or under `root/rel`, as paths relative to `root`.
+fn collect(root: &Path, rel: &str, out: &mut Vec<String>) {
+    let path = root.join(rel);
+    if path.is_dir() {
+        let mut names: Vec<String> = fs::read_dir(&path)
+            .expect("readable directory")
+            .map(|e| {
+                e.expect("directory entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8 name")
+            })
+            .collect();
+        names.sort();
+        for name in names.iter().filter(|n| *n != "target") {
+            collect(root, &format!("{rel}/{name}"), out);
+        }
+    } else if path.is_file() {
+        out.push(rel.to_string());
+    }
+}
+
+/// Checks one rule against the tree under `root`; `Err` is the message.
+fn check(rule: &Rule, root: &Path) -> Result<(), String> {
+    let mut files = Vec::new();
+    for r in rule.roots {
+        collect(root, r, &mut files);
+    }
+    files.retain(|f| {
+        glob(rule.files, f.rsplit('/').next().expect("a file name"))
+            && f != "tests/structure.rs"
+            && !rule.except.contains(&f.as_str())
+    });
+    // Matching lines, and how many of them each alternative accounts for.
+    let mut hits = Vec::new();
+    let mut per_alt = vec![0; rule.any_of.len()];
+    let mut beside = false;
+    for file in &files {
+        let bytes = fs::read(root.join(file)).expect("readable file");
+        let text = String::from_utf8_lossy(&bytes);
+        let mut lines: Vec<&str> = text.lines().collect();
+        if rule.cut_tests {
+            let end = lines.iter().position(|l| l.contains("#[cfg(test)]"));
+            lines.truncate(end.unwrap_or(lines.len()));
+        }
+        for (i, line) in lines.iter().enumerate() {
+            let Some(alt) = rule.any_of.iter().position(|p| line.contains(p)) else {
+                continue;
+            };
+            per_alt[alt] += 1;
+            hits.push(format!("{file}:{}: {}", i + 1, line.trim()));
+            if let OnceBeside(text, after) = rule.expect {
+                let window = &lines[i..lines.len().min(i + after + 1)];
+                beside = window.iter().any(|l| l.contains(text));
+            }
+        }
+    }
+    let ok = match rule.expect {
+        // A search over no files proves nothing: the path has moved.
+        _ if files.is_empty() => false,
+        Absent => hits.is_empty(),
+        Exactly(n) => hits.len() == n,
+        AtMostOfEach(n) => per_alt.iter().all(|&c| c <= n),
+        OnceBeside(..) => hits.len() == 1 && beside,
+        Files(n) => files.len() == n,
+    };
+    if ok {
+        return Ok(());
+    }
+    if let Files(_) = rule.expect {
+        hits.clone_from(&files);
+    }
+    Err(format!(
+        "structure rule `{}` (PR {}) is broken: expected {:?} of {:?} in {:?} ({}), searched {} \
+         file(s) and found\n  {}\n  why the rule exists: {}",
+        rule.name,
+        rule.pr,
+        rule.expect,
+        rule.any_of,
+        rule.roots,
+        rule.files,
+        files.len(),
+        hits.join("\n  "),
+        rule.why
+    ))
+}
+
+#[test]
+fn structure_rules_hold() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let broken: Vec<String> = RULES.iter().filter_map(|r| check(r, root).err()).collect();
+    assert!(broken.is_empty(), "\n{}", broken.join("\n"));
+}
