@@ -31,12 +31,18 @@
 //! runs — and the `dispatch_us` column measures that: what one small
 //! pooled run costs when the pool was idle before it.
 //!
+//! A job's input is seeded on the calling thread before its run, and the
+//! `seed_ns_per_value` column times that on the scalar kernel and on the
+//! wide one (AVX-512, where the host has it), which `spfc bench check`
+//! holds to at most 0.6 of the scalar time.
+//!
 //! Prints a table per kernel and writes every run's full `RunReport`
 //! (per-worker counters, barrier waits, imbalance) to
 //! `results/BENCH_runtime.json`.
 
 use sp_bench::{f2, Opts, Table};
 use sp_cache::{CacheConfig, LayoutStrategy};
+use sp_exec::memory::SeedIsa;
 use sp_exec::{
     Backend, Executor, Memory, PooledExecutor, Program, RunConfig, RunReport, Schedule,
     DEFAULT_STEAL_SEED,
@@ -83,6 +89,30 @@ fn dispatch_us(procs: usize) -> f64 {
         .collect();
     us.sort_by(f64::total_cmp);
     us[us.len() / 2]
+}
+
+/// Seedings behind each `seed_ns_per_value`, alternating the kernels.
+const SEED_RUNS: usize = 31;
+
+/// Fastest of [`SEED_RUNS`] seedings of a 258² tomcatv store —
+/// `serve-mixed`'s largest job — per value, in ns, on the scalar kernel
+/// and on the wide one (`None` on a host without it). The store is
+/// allocated once, so the time is the kernel's and the row walk's.
+fn seed_ns_per_value() -> (f64, Option<f64>) {
+    let seq = tomcatv::sequence(258);
+    let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+    let isas = [SeedIsa::Scalar, SeedIsa::detect()];
+    let mut best = [f64::INFINITY; 2];
+    for run in 0..SEED_RUNS {
+        for (best, &isa) in best.iter_mut().zip(&isas) {
+            let t = Instant::now();
+            mem.init_on(isa, &seq, run as u64);
+            *best = best.min(t.elapsed().as_secs_f64() * 1e9);
+        }
+    }
+    let per_value = |ns: f64| ns / mem.data.len() as f64;
+    let wide = (isas[1] != SeedIsa::Scalar).then(|| per_value(best[1]));
+    (per_value(best[0]), wide)
 }
 
 struct KernelRun {
@@ -244,10 +274,17 @@ fn skew_sweep(n: usize, procs: usize, steps: usize, reps: usize) -> SkewRun {
     SkewRun { steps, chunk, rows }
 }
 
-fn emit_json(kernels: &[KernelRun], skew: &SkewRun, dispatch: [f64; 2]) -> String {
+fn emit_json(
+    kernels: &[KernelRun],
+    skew: &SkewRun,
+    dispatch: [f64; 2],
+    seed: (f64, Option<f64>),
+) -> String {
+    let wide = seed.1.map_or("null".into(), |ns| format!("{ns:.3}"));
     let mut out = format!(
-        "{{\"dispatch_us\":{{\"p1\":{:.1},\"p2\":{:.1}}},\"kernels\":[",
-        dispatch[0], dispatch[1]
+        "{{\"dispatch_us\":{{\"p1\":{:.1},\"p2\":{:.1}}},\
+         \"seed_ns_per_value\":{{\"scalar\":{:.3},\"wide\":{wide}}},\"kernels\":[",
+        dispatch[0], dispatch[1], seed.0
     );
     for (i, k) in kernels.iter().enumerate() {
         if i > 0 {
@@ -351,7 +388,16 @@ fn main() {
         dispatch[0],
         dispatch[1]
     );
-    let json = emit_json(&kernels, &skew, dispatch);
+    let seed = seed_ns_per_value();
+    println!(
+        "seed: {:.3} ns a value scalar, {} (a 258x258 tomcatv store, best of {SEED_RUNS})\n",
+        seed.0,
+        seed.1.map_or(
+            format!("no {} kernel", SeedIsa::Avx512.name()),
+            |ns| format!("{ns:.3} {}", SeedIsa::detect().name())
+        )
+    );
+    let json = emit_json(&kernels, &skew, dispatch, seed);
     let path = "results/BENCH_runtime.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),

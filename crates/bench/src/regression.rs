@@ -8,6 +8,10 @@
 //! noisy, and the gate exists to catch collapses (a backend silently
 //! falling back to the interpreter), not 3% jitter.
 //!
+//! One check reads the current artifact alone: where it reports a wide
+//! seeding kernel, that kernel must run in at most [`SEED_WIDE_CEILING`]
+//! of the scalar one's time ([`seed_floor`]).
+//!
 //! The JSON the bench binary emits is hand-rolled and read back with
 //! the workspace's one reader, [`sp_trace::json`].
 
@@ -55,6 +59,29 @@ pub fn extract_metrics(runtime: &Json) -> Vec<(String, f64)> {
     out
 }
 
+/// The most time the wide seeding kernel may take, as a share of the
+/// scalar kernel's.
+pub const SEED_WIDE_CEILING: f64 = 0.6;
+
+/// The seeding check of a `BENCH_runtime.json` document, as the speedup
+/// `scalar / wide` held to the floor `1 / SEED_WIDE_CEILING` (the check's
+/// `baseline`, with no band). `None` when the document reports no wide
+/// time: a host without the ISA writes `"wide":null`.
+pub fn seed_floor(runtime: &Json) -> Option<MetricCheck> {
+    let seed = runtime.get("seed_ns_per_value")?;
+    let ns = |isa| seed.get(isa).and_then(Json::as_f64);
+    let (scalar, wide) = (ns("scalar")?, ns("wide")?);
+    let floor = 1.0 / SEED_WIDE_CEILING;
+    let speedup = scalar / wide;
+    Some(MetricCheck {
+        name: "runtime.seed.wide_speedup".into(),
+        baseline: floor,
+        current: speedup,
+        band: 0.0,
+        ok: speedup.is_finite() && speedup >= floor,
+    })
+}
+
 // ---------------------------------------------------------------------
 // The check itself.
 
@@ -63,7 +90,7 @@ pub fn extract_metrics(runtime: &Json) -> Vec<(String, f64)> {
 pub struct MetricCheck {
     /// Dotted metric name (e.g. `runtime.jacobi.simd.iters_per_sec`).
     pub name: String,
-    /// The committed baseline value.
+    /// The committed baseline value ([`seed_floor`]'s floor).
     pub baseline: f64,
     /// The freshly measured value.
     pub current: f64,
@@ -193,39 +220,43 @@ pub fn compare(
     report
 }
 
-/// The gated metrics of `dir/BENCH_runtime.json`: none when the file is
-/// absent, none plus an error when it cannot be read or parsed.
-fn load_metrics(dir: &Path, errors: &mut Vec<String>) -> Vec<(String, f64)> {
+/// `dir/BENCH_runtime.json`: `None` when the file is absent, `None` plus
+/// an error when it cannot be read or parsed.
+fn load(dir: &Path, errors: &mut Vec<String>) -> Option<Json> {
     let path = dir.join("BENCH_runtime.json");
     if !path.exists() {
-        return Vec::new();
+        return None;
     }
     match fs::read_to_string(&path) {
         Ok(text) => match Json::parse(&text) {
-            Some(doc) => return extract_metrics(&doc),
+            Some(doc) => return Some(doc),
             None => errors.push(format!("{}: unparseable JSON", path.display())),
         },
         Err(e) => errors.push(format!("{}: {e}", path.display())),
     }
-    Vec::new()
+    None
 }
 
 /// Runs the gate over two artifact directories, reading
 /// `BENCH_runtime.json` from each and nothing else (any other file in
-/// either directory is ignored). A baseline without gated metrics is an
-/// error (nothing committed to gate against is not a pass); a current
-/// side without the file fails every baseline metric as missing.
+/// either directory is ignored), and adds the current side's
+/// [`seed_floor`]. A baseline without gated metrics is an error (nothing
+/// committed to gate against is not a pass); a current side without the
+/// file fails every baseline metric as missing.
 pub fn check_dirs(baseline_dir: &Path, current_dir: &Path, tolerance: Option<f64>) -> CheckReport {
     let mut errors = Vec::new();
-    let baseline = load_metrics(baseline_dir, &mut errors);
-    let current = load_metrics(current_dir, &mut errors);
-    if baseline.is_empty() {
+    let baseline = load(baseline_dir, &mut errors);
+    let current = load(current_dir, &mut errors);
+    let metrics = |doc: &Option<Json>| doc.as_ref().map(extract_metrics).unwrap_or_default();
+    let base_metrics = metrics(&baseline);
+    if base_metrics.is_empty() {
         errors.push(format!(
             "{}: no gated metrics found in baseline",
             baseline_dir.display()
         ));
     }
-    let mut report = compare(&baseline, &current, tolerance);
+    let mut report = compare(&base_metrics, &metrics(&current), tolerance);
+    report.checks.extend(current.as_ref().and_then(seed_floor));
     report.errors = errors;
     report
 }
@@ -311,6 +342,22 @@ mod tests {
     }
 
     #[test]
+    fn seed_floor_holds_the_wide_kernel_where_the_artifact_reports_one() {
+        let seed = |scalar: &str, wide: &str| {
+            let doc = format!(r#"{{"seed_ns_per_value":{{"scalar":{scalar},"wide":{wide}}}}}"#);
+            seed_floor(&Json::parse(&doc).unwrap())
+        };
+        let fast = seed("1.0", "0.4").unwrap();
+        assert!(fast.ok && (fast.current - 2.5).abs() < 1e-9, "{fast:?}");
+        // 0.6 of the scalar time is the ceiling; above it the gate fails.
+        assert!(seed("1.0", "0.59").unwrap().ok);
+        assert!(!seed("1.0", "0.7").unwrap().ok);
+        // No wide kernel on the host, or no seeding column: nothing gated.
+        assert!(seed("1.0", "null").is_none());
+        assert!(seed_floor(&Json::parse(RUNTIME).unwrap()).is_none());
+    }
+
+    #[test]
     fn check_dirs_round_trips_through_the_filesystem() {
         let root = std::env::temp_dir().join(format!("sp-bench-reg-{}", std::process::id()));
         let (bdir, cdir) = (root.join("base"), root.join("cur"));
@@ -341,6 +388,18 @@ mod tests {
         fs::create_dir_all(&empty).unwrap();
         assert_eq!(check_dirs(&bdir, &empty, None).missing.len(), 3);
         assert!(!check_dirs(&empty, &cdir, None).passed());
+
+        // A current artifact whose wide seeding kernel is too slow fails
+        // against a baseline it otherwise matches.
+        let slow_seed =
+            RUNTIME.replacen('{', r#"{"seed_ns_per_value":{"scalar":1.0,"wide":0.9},"#, 1);
+        fs::write(cdir.join("BENCH_runtime.json"), &slow_seed).unwrap();
+        let report = check_dirs(&bdir, &cdir, None);
+        assert_eq!(report.regressions(), 1);
+        assert_eq!(
+            report.checks.last().unwrap().name,
+            "runtime.seed.wide_speedup"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -1114,8 +1114,7 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
                 }
                 other => return usage(format!("unknown executor {other} (scoped|pooled|sim)")),
             };
-            let mut ref_mem = Memory::new(&seq, LayoutStrategy::Contiguous);
-            ref_mem.init_deterministic(&seq, 42);
+            let mut ref_mem = Memory::seeded(&seq, LayoutStrategy::Contiguous, 42);
             for _ in 0..opts.steps {
                 prog.run(&mut ref_mem, &ExecPlan::Serial)
                     .map_err(|e| CliError {
@@ -1123,8 +1122,7 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
                         code: 1,
                     })?;
             }
-            let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
-            mem.init_deterministic(&seq, 42);
+            let mut mem = Memory::seeded(&seq, LayoutStrategy::Contiguous, 42);
             let report = executor.run(&prog, &mut mem, &cfg).map_err(|e| CliError {
                 message: e.to_string(),
                 code: 1,

@@ -8,6 +8,7 @@
 use crate::digest::WordDigest;
 use sp_cache::{LayoutStrategy, MemoryLayout};
 use sp_ir::{ArrayId, LoopSequence};
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// A sequence's arrays materialized in one flat allocation.
@@ -31,6 +32,43 @@ impl Memory {
     pub fn with_base(seq: &LoopSequence, strategy: LayoutStrategy, base: u64) -> Self {
         let layout = MemoryLayout::build(&seq.arrays, std::mem::size_of::<f64>(), strategy, base);
         let data = vec![0.0; layout.total_elements()];
+        Memory { layout, data }
+    }
+
+    /// [`Memory::new`] followed by [`Memory::init_deterministic`], bit for
+    /// bit, in one pass over the store: each slot is written once, an
+    /// element with its value and a layout gap with `0.0`, where the two
+    /// calls zero-fill the whole store and then overwrite the elements.
+    pub fn seeded(seq: &LoopSequence, strategy: LayoutStrategy, seed: u64) -> Self {
+        let layout = MemoryLayout::build(&seq.arrays, std::mem::size_of::<f64>(), strategy, 0);
+        Self::seeded_in(layout, seq, seed)
+    }
+
+    /// [`Memory::seeded`] on a layout the caller built (and may have
+    /// contracted).
+    fn seeded_in(layout: MemoryLayout, seq: &LoopSequence, seed: u64) -> Self {
+        const ZERO: MaybeUninit<f64> = MaybeUninit::new(0.0);
+        let isa = SeedIsa::detect();
+        let n = layout.total_elements();
+        let mut data = Vec::with_capacity(n);
+        let store = &mut data.spare_capacity_mut()[..n];
+        // Every slot below `end` has been written and none at or above it,
+        // so a run that starts past `end` zeroes the gap before it, and one
+        // that starts below (a contracted array's rows folding back onto
+        // its window, a layout placing arrays out of order) overwrites
+        // written slots in the order `init_deterministic` would.
+        let mut end = 0;
+        for_each_seed_run(&layout, seq, seed, |row_hash, k0, run| {
+            if run.start > end {
+                store[end..run.start].fill(ZERO);
+            }
+            end = end.max(run.end);
+            // SAFETY: `isa` is what `detect` found.
+            unsafe { seed_row(isa, row_hash, k0, &mut store[run]) };
+        });
+        store[end..].fill(ZERO);
+        // SAFETY: the walk wrote every slot below `end`, the fill the rest.
+        unsafe { data.set_len(n) };
         Memory { layout, data }
     }
 
@@ -69,31 +107,33 @@ impl Memory {
     /// An element's value is the hash chain `h = salt; for c in coords
     /// { h = round(h, c) }` mapped into (0.5, 1.5). The chain over a
     /// row's outer coordinates is the same for the whole row, so it is
-    /// computed once per row and each element costs one round.
+    /// computed once per row and each element costs one round, on the
+    /// widest kernel [`SeedIsa::detect`] finds.
     pub fn init_deterministic(&mut self, seq: &LoopSequence, seed: u64) {
-        fn round(h: u64, c: i64) -> u64 {
-            let h = (h ^ (c as u64).wrapping_add(0x9E37_79B9_7F4A_7C15))
-                .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            h ^ (h >> 27)
-        }
+        self.init_on(SeedIsa::detect(), seq, seed);
+    }
+
+    /// [`Memory::init_deterministic`] on the kernel `isa` names, which
+    /// stores the same bits on every ISA (benchmarks time one against the
+    /// other).
+    ///
+    /// # Panics
+    /// If `isa` is neither `Scalar` nor what [`SeedIsa::detect`] found.
+    pub fn init_on(&mut self, isa: SeedIsa, seq: &LoopSequence, seed: u64) {
+        assert!(
+            isa == SeedIsa::Scalar || isa == SeedIsa::detect(),
+            "{} seeding on a host without it",
+            isa.name()
+        );
         let Memory { layout, data } = self;
-        for (i, _) in seq.arrays.iter().enumerate() {
-            let array_salt = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            for_each_run(layout, seq, ArrayId(i as u32), |first, run| {
-                let (&k0, outer) = first.split_last().expect("a run starts at an element");
-                let row_hash = outer.iter().fold(array_salt, |h, &c| round(h, c));
-                for (k, v) in (k0..).zip(&mut data[run]) {
-                    // Keeps the loop scalar, at a multiply and a convert
-                    // per element. The baseline ISA has neither a 64-bit
-                    // vector multiply nor a vector i64 -> f64, and the
-                    // two-lane emulation the vectorizer otherwise picks
-                    // costs 1.4 ns an element against 1.0.
-                    let k = std::hint::black_box(k);
-                    // Map to (0.5, 1.5) to keep divisions well-conditioned.
-                    *v = 0.5 + (round(row_hash, k) >> 11) as f64 / (1u64 << 53) as f64;
-                }
-            });
-        }
+        let data: *mut [f64] = data.as_mut_slice();
+        // SAFETY: the kernels store only initialized values, so the slots
+        // may be lent out as `MaybeUninit` for the walk.
+        let store = unsafe { &mut *(data as *mut [MaybeUninit<f64>]) };
+        for_each_seed_run(layout, seq, seed, |row_hash, k0, run| {
+            // SAFETY: `isa` is `Scalar` or what `detect` found (asserted).
+            unsafe { seed_row(isa, row_hash, k0, &mut store[run]) };
+        });
     }
 
     /// Snapshot of one array's logical contents in row-major order
@@ -128,6 +168,119 @@ impl Memory {
             });
         }
         h.finish()
+    }
+}
+
+/// One round of the element hash chain of [`Memory::init_deterministic`].
+#[inline(always)]
+fn round(h: u64, c: i64) -> u64 {
+    let h =
+        (h ^ (c as u64).wrapping_add(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^ (h >> 27)
+}
+
+/// The value of the element at inner index `k` of a row whose outer
+/// coordinates hash to `row_hash`, in (0.5, 1.5) to keep divisions
+/// well-conditioned.
+#[inline(always)]
+fn seed_value(row_hash: u64, k: i64) -> f64 {
+    0.5 + (round(row_hash, k) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The seeding walk: every array's runs in declaration and row-major
+/// order, each with the hash of its outer coordinates and its first
+/// inner index.
+fn for_each_seed_run(
+    layout: &MemoryLayout,
+    seq: &LoopSequence,
+    seed: u64,
+    mut f: impl FnMut(u64, i64, Range<usize>),
+) {
+    for i in 0..seq.arrays.len() {
+        let array_salt = seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for_each_run(layout, seq, ArrayId(i as u32), |first, run| {
+            let (&k0, outer) = first.split_last().expect("a run starts at an element");
+            f(outer.iter().fold(array_salt, |h, &c| round(h, c)), k0, run);
+        });
+    }
+}
+
+/// Which compilation of the seeding kernel fills a row: the loop is
+/// plain Rust compiled twice from [`seed_value`], scalar and with
+/// AVX-512 enabled for hosts that report it.
+///
+/// The two store the same bits. Every step of the per-element round is
+/// exact at vector width: `vpmullq` keeps the low 64 bits of the
+/// product, which is `wrapping_mul`; `h >> 11` is below 2⁵³, so its
+/// conversion to f64 (`vcvtqq2pd`) is exact; dividing by 2⁵³ is exact, as
+/// a multiplication by 2⁻⁵³ is; and `0.5 + x` is one IEEE addition,
+/// rounded the same way in a lane as in a scalar register. Neither the
+/// baseline ISA nor AVX2 has a 64-bit vector multiply or a vector
+/// 64-bit integer → f64, which is why the fallback stays one element at
+/// a time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SeedIsa {
+    /// One element at a time, on the build target's baseline.
+    Scalar,
+    /// AVX-512 F/DQ/VL loops; x86-64 hosts that report `avx512dq` and
+    /// `avx512vl`.
+    Avx512,
+}
+
+impl SeedIsa {
+    /// What this host runs: AVX-512 where the CPU reports DQ and VL,
+    /// else scalar.
+    pub fn detect() -> SeedIsa {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx512dq") && std::is_x86_feature_detected!("avx512vl") {
+            return SeedIsa::Avx512;
+        }
+        SeedIsa::Scalar
+    }
+
+    /// `avx512` or `scalar`, as reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SeedIsa::Scalar => "scalar",
+            SeedIsa::Avx512 => "avx512",
+        }
+    }
+}
+
+/// Seeds one run: `out[i]` gets the value of inner index `k0 + i`.
+///
+/// # Safety
+/// `isa` must be `Scalar` or what [`SeedIsa::detect`] found.
+#[inline(always)]
+unsafe fn seed_row(isa: SeedIsa, row_hash: u64, k0: i64, out: &mut [MaybeUninit<f64>]) {
+    #[cfg(target_arch = "x86_64")]
+    if isa == SeedIsa::Avx512 {
+        // SAFETY: forwarded from caller, who says the CPU has AVX-512.
+        return unsafe { seed_row_avx512(row_hash, k0, out) };
+    }
+    let _ = isa;
+    seed_row_scalar(row_hash, k0, out)
+}
+
+/// The scalar kernel. `black_box` keeps it one element at a time: the
+/// two-lane emulation the baseline vectorizer otherwise picks costs
+/// 1.4 ns a value against 1.0.
+fn seed_row_scalar(row_hash: u64, k0: i64, out: &mut [MaybeUninit<f64>]) {
+    for (i, v) in out.iter_mut().enumerate() {
+        v.write(seed_value(row_hash, std::hint::black_box(k0 + i as i64)));
+    }
+}
+
+/// The same loop compiled with AVX-512 enabled, for the vectorizer to
+/// run eight lanes an instruction.
+///
+/// # Safety
+/// The CPU must have AVX-512 F, DQ and VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+unsafe fn seed_row_avx512(row_hash: u64, k0: i64, out: &mut [MaybeUninit<f64>]) {
+    for (i, v) in out.iter_mut().enumerate() {
+        v.write(seed_value(row_hash, k0 + i as i64));
     }
 }
 
@@ -414,6 +567,61 @@ mod tests {
                 m.init_deterministic(&s, seed);
                 let bits = |m: &Memory| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&m), bits(&want), "{what}, seed {seed}");
+            }
+        }
+    }
+
+    /// Both seeding kernels, called directly so that each runs on a host
+    /// that has the wide one, store the bits of the word-at-a-time
+    /// definition: every run length up to 67 (every tail a 4- or 8-lane
+    /// loop can leave, past a 32-wide unrolled body), offsets on both
+    /// sides of zero, random row hashes.
+    #[test]
+    fn both_seeding_kernels_store_the_definition() {
+        let want = |row_hash: u64, k: i64| {
+            let mut h = row_hash ^ (k as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 27;
+            0.5 + (h >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut state = 25;
+        let isas = [SeedIsa::Scalar, SeedIsa::detect()];
+        let mut out = vec![MaybeUninit::new(f64::NAN); 67];
+        for len in 0..=67 {
+            for k0 in [0, 1, 7, -3, 1 << 40, i64::MIN + 5] {
+                let row_hash = crate::schedule::splitmix64(&mut state);
+                for isa in isas {
+                    let out = &mut out[..len];
+                    // SAFETY: `Scalar` or what `detect` found.
+                    unsafe { seed_row(isa, row_hash, k0, out) };
+                    for (i, v) in out.iter().enumerate() {
+                        // SAFETY: the kernel wrote all `len` slots.
+                        let got = unsafe { v.assume_init() };
+                        let want = want(row_hash, k0.wrapping_add(i as i64));
+                        assert_eq!(got.to_bits(), want.to_bits(), "{isa:?}, len {len}, k0 {k0}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// One pass stores what the zero fill and the seeding do in two, slot
+    /// for slot, gaps included: contiguous, padded, partitioned, with and
+    /// without contracted arrays (whose folded rows overwrite each other).
+    #[test]
+    fn seeded_equals_new_then_init_under_every_layout() {
+        let s = ranks();
+        let bits = |m: &Memory| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for seed in [0, 7, u64::MAX] {
+            for (what, mut want) in layouts_of(&s) {
+                let got = Memory::seeded_in(want.layout.clone(), &s, seed);
+                want.init_deterministic(&s, seed);
+                assert_eq!(bits(&got), bits(&want), "{what}, seed {seed}");
+            }
+            for strategy in [LayoutStrategy::Contiguous, LayoutStrategy::InnerPad(3)] {
+                let mut want = Memory::new(&s, strategy);
+                want.init_deterministic(&s, seed);
+                assert_eq!(bits(&Memory::seeded(&s, strategy, seed)), bits(&want));
             }
         }
     }

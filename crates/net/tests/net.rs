@@ -193,7 +193,19 @@ fn wire_jobs_record_decode_and_respond_wire_stages() {
     let spec = JobSpec::new("staged", jacobi::sequence(32), fused(&[2])).steps(2);
     let res = c.submit(&spec).unwrap();
 
-    let stats = server.service().stage_stats();
+    // The server records `RespondWire` once the reply is written, which
+    // can be after the client has read it: poll, with a deadline.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = server.service().stage_stats();
+        let recorded = stats
+            .stage(JobStage::RespondWire)
+            .is_some_and(|h| h.count() > 0);
+        if recorded || Instant::now() > deadline {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     assert_eq!(stats.ok, 1);
     assert_eq!(stats.stage(JobStage::Decode).unwrap().count(), 1);
     assert_eq!(stats.stage(JobStage::RespondWire).unwrap().count(), 1);

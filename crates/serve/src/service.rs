@@ -1116,8 +1116,7 @@ fn run_job_stages(
     // program construction, memory init, and (tape backends) lowering.
     let prog = Program::from_analysis(&spec.seq, Arc::clone(&deps), spec.levels)?;
 
-    let mut mem = Memory::new(&spec.seq, LayoutStrategy::Contiguous);
-    mem.init_deterministic(&spec.seq, spec.seed);
+    let mut mem = Memory::seeded(&spec.seq, LayoutStrategy::Contiguous, spec.seed);
 
     let mut cfg = RunConfig::from_plan(spec.plan.clone())
         .steps(spec.steps)

@@ -100,10 +100,11 @@ const RULES: &[Rule] = &[
     Rule {
         name: "isa-in-one-place",
         files: "*.rs",
-        except: &["crates/exec/src/tape.rs"],
+        except: &["crates/exec/src/tape.rs", "crates/exec/src/memory.rs"],
         any_of: &["target_feature"],
         pr: 16,
-        why: "the row loops are compiled twice inside tape.rs; nothing else enables features",
+        why: "the row loops (tape.rs) and the seeding loop (memory.rs) are each compiled twice; \
+              nothing else enables features",
         ..RULE
     },
     Rule {
@@ -246,6 +247,17 @@ const RULES: &[Rule] = &[
         ],
         pr: 24,
         why: "fission, the probe tuner, the reuse summary and the serve/wire sweeps had no caller",
+        ..RULE
+    },
+    Rule {
+        name: "product-paths-seed-in-one-pass",
+        roots: &["crates/serve/src", "crates/cli/src"],
+        files: "*.rs",
+        any_of: &["init_deterministic"],
+        cut_tests: true,
+        pr: 25,
+        why: "a job's memory is Memory::seeded: zero-filling the store and then overwriting it \
+              is a second pass over the input",
         ..RULE
     },
 ];
