@@ -36,19 +36,29 @@
 //! wide one (AVX-512, where the host has it), which `spfc bench check`
 //! holds to at most 0.6 of the scalar time.
 //!
+//! Before any of that runs, a program is compiled: the `compile` entry
+//! times the front end over 23 texts (the paper's suite at scale 0.125,
+//! rendered, and `examples/programs/*.loop`) — parse, plan against a
+//! fresh store (its dependence pass reported apart), layout, lower — as
+//! texts a second, which `spfc bench check` gates, and µs a text per
+//! stage.
+//!
 //! Prints a table per kernel and writes every run's full `RunReport`
 //! (per-worker counters, barrier waits, imbalance) to
 //! `results/BENCH_runtime.json`.
 
+use shift_peel_core::pipeline::pass;
+use shift_peel_core::{CodegenMethod, Planner};
 use sp_bench::{f2, Opts, Table};
 use sp_cache::{CacheConfig, LayoutStrategy};
 use sp_exec::memory::SeedIsa;
 use sp_exec::{
-    Backend, Executor, Memory, PooledExecutor, Program, RunConfig, RunReport, Schedule,
-    DEFAULT_STEAL_SEED,
+    Backend, Executor, Memory, PooledExecutor, Program, ProgramTape, RunConfig, RunReport,
+    Schedule, DEFAULT_STEAL_SEED,
 };
-use sp_ir::LoopSequence;
-use sp_kernels::{jacobi, skewed, tomcatv};
+use sp_ir::display::render_sequence;
+use sp_ir::{parse_sequence, LoopSequence};
+use sp_kernels::{all_programs, jacobi, skewed, tomcatv};
 use sp_machine::{
     backend_miss_parity, chunk_bounds, runtime_sweep, skewed_sweep, MissParity, SkewRow,
     CONVEX_SPP1000,
@@ -113,6 +123,79 @@ fn seed_ns_per_value() -> (f64, Option<f64>) {
     let per_value = |ns: f64| ns / mem.data.len() as f64;
     let wide = (isas[1] != SeedIsa::Scalar).then(|| per_value(best[1]));
     (per_value(best[0]), wide)
+}
+
+/// Rounds over the compile texts; the first is warm-up.
+const COMPILE_ROUNDS: usize = 301;
+
+/// The texts `compile` times: every sequence of the paper's suite at
+/// scale 0.125, rendered, then `examples/programs/*.loop` by name.
+fn compile_texts() -> Vec<String> {
+    let mut texts: Vec<String> = all_programs()
+        .iter()
+        .flat_map(|entry| (entry.build)(0.125).sequences)
+        .map(|seq| render_sequence(&seq))
+        .collect();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/programs");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples/programs")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+        .collect();
+    files.sort();
+    texts.extend(
+        files
+            .iter()
+            .map(|p| std::fs::read_to_string(p).expect("a .loop file")),
+    );
+    texts
+}
+
+/// Median front-end cost over [`COMPILE_ROUNDS`] rounds of the compile
+/// texts: texts a second, and µs a text in each stage.
+struct CompileRate {
+    texts: usize,
+    texts_per_sec: f64,
+    /// parse, plan, dependence (within plan), layout, lower.
+    us_per_text: [f64; 5],
+}
+
+const COMPILE_STAGES: [&str; 5] = ["parse", "plan", "dependence", "layout", "lower"];
+
+fn compile_rate() -> CompileRate {
+    let texts = compile_texts();
+    let planner = Planner::fused(1).method(CodegenMethod::StripMined);
+    let mut rounds: Vec<(f64, [f64; 5])> = (0..COMPILE_ROUNDS)
+        .map(|_| {
+            let mut stages = [0f64; 5];
+            let round = Instant::now();
+            for text in &texts {
+                let t = Instant::now();
+                let seq = parse_sequence(text).expect("suite text parses");
+                stages[0] += t.elapsed().as_secs_f64();
+                let t = Instant::now();
+                let planned = planner.plan(&seq).expect("suite text plans");
+                stages[1] += t.elapsed().as_secs_f64();
+                let dependence = planned.timings.timing_of(pass::DEPENDENCE);
+                stages[2] += dependence.map_or(0, |d| d.nanos) as f64 * 1e-9;
+                let t = Instant::now();
+                let mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+                stages[3] += t.elapsed().as_secs_f64();
+                let t = Instant::now();
+                std::hint::black_box(ProgramTape::lower(&seq, &mem.layout));
+                stages[4] += t.elapsed().as_secs_f64();
+            }
+            (round.elapsed().as_secs_f64(), stages)
+        })
+        .skip(1)
+        .collect();
+    rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (seconds, stages) = rounds[rounds.len() / 2];
+    CompileRate {
+        texts: texts.len(),
+        texts_per_sec: texts.len() as f64 / seconds,
+        us_per_text: stages.map(|s| s * 1e6 / texts.len() as f64),
+    }
 }
 
 struct KernelRun {
@@ -279,13 +362,26 @@ fn emit_json(
     skew: &SkewRun,
     dispatch: [f64; 2],
     seed: (f64, Option<f64>),
+    compile: &CompileRate,
 ) -> String {
     let wide = seed.1.map_or("null".into(), |ns| format!("{ns:.3}"));
     let mut out = format!(
         "{{\"dispatch_us\":{{\"p1\":{:.1},\"p2\":{:.1}}},\
-         \"seed_ns_per_value\":{{\"scalar\":{:.3},\"wide\":{wide}}},\"kernels\":[",
+         \"seed_ns_per_value\":{{\"scalar\":{:.3},\"wide\":{wide}}},",
         dispatch[0], dispatch[1], seed.0
     );
+    let _ = write!(
+        out,
+        "\"compile\":{{\"texts\":{},\"rounds\":{},\"texts_per_sec\":{:.0},\"us_per_text\":{{",
+        compile.texts,
+        COMPILE_ROUNDS - 1,
+        compile.texts_per_sec
+    );
+    for (i, (stage, us)) in COMPILE_STAGES.iter().zip(compile.us_per_text).enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(out, "{sep}\"{stage}\":{us:.2}");
+    }
+    out.push_str("}},\"kernels\":[");
     for (i, k) in kernels.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -388,6 +484,19 @@ fn main() {
         dispatch[0],
         dispatch[1]
     );
+    let compile = compile_rate();
+    println!(
+        "compile: {:.0} texts/s over {} texts; us a text: {} (median of {} rounds)\n",
+        compile.texts_per_sec,
+        compile.texts,
+        COMPILE_STAGES
+            .iter()
+            .zip(compile.us_per_text)
+            .map(|(stage, us)| format!("{stage} {us:.2}"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        COMPILE_ROUNDS - 1
+    );
     let seed = seed_ns_per_value();
     println!(
         "seed: {:.3} ns a value scalar, {} (a 258x258 tomcatv store, best of {SEED_RUNS})\n",
@@ -397,7 +506,7 @@ fn main() {
             |ns| format!("{ns:.3} {}", SeedIsa::detect().name())
         )
     );
-    let json = emit_json(&kernels, &skew, dispatch, seed);
+    let json = emit_json(&kernels, &skew, dispatch, seed, &compile);
     let path = "results/BENCH_runtime.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),

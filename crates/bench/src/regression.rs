@@ -2,8 +2,10 @@
 //! `results/BENCH_runtime.json` against a committed baseline copy, with
 //! a tolerance band and a machine-readable verdict.
 //!
-//! All gated metrics are throughputs (higher is better), so a check
-//! passes when `current >= baseline * (1 - band)`. The band is
+//! All gated metrics are throughputs (higher is better): iterations a
+//! second per kernel and backend, and front-end texts a second
+//! (`runtime.compile.texts_per_sec`). A check passes when
+//! `current >= baseline * (1 - band)`. The band is
 //! deliberately loose by default ([`DEFAULT_BAND`]): CI machines are
 //! noisy, and the gate exists to catch collapses (a backend silently
 //! falling back to the interpreter), not 3% jitter.
@@ -55,6 +57,13 @@ pub fn extract_metrics(runtime: &Json) -> Vec<(String, f64)> {
                 out.push((format!("runtime.{name}.{col}.iters_per_sec"), v));
             }
         }
+    }
+    if let Some(v) = runtime
+        .get("compile")
+        .and_then(|c| c.get("texts_per_sec"))
+        .and_then(Json::as_f64)
+    {
+        out.push(("runtime.compile.texts_per_sec".into(), v));
     }
     out
 }
@@ -301,6 +310,29 @@ mod tests {
         );
         // Last row, not first: 100, not 10.
         assert_eq!(m[0].1, 100.0);
+    }
+
+    #[test]
+    fn the_front_end_rate_is_gated_where_reported() {
+        let with = RUNTIME.replacen(
+            '{',
+            r#"{"compile":{"texts":23,"texts_per_sec":40000,"us_per_text":{"parse":9.1}},"#,
+            1,
+        );
+        let m = metrics(&with);
+        assert_eq!(
+            m.last().unwrap(),
+            &("runtime.compile.texts_per_sec".to_string(), 40000.0)
+        );
+        // Half the rate is inside the default band; a third is not.
+        let half = with.replace("40000", "20001");
+        assert!(compare(&m, &metrics(&half), None).passed());
+        let third = with.replace("40000", "13000");
+        let report = compare(&m, &metrics(&third), None);
+        assert_eq!(report.regressions(), 1);
+        // A current artifact without the entry fails it as missing.
+        let report = compare(&m, &metrics(RUNTIME), None);
+        assert_eq!(report.missing, ["runtime.compile.texts_per_sec"]);
     }
 
     #[test]

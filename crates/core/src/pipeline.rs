@@ -28,10 +28,10 @@ use crate::plan::{fusion_plan_observed, singleton_plan, CodegenMethod, FusionPla
 use crate::profit::ProfitabilityModel;
 use crate::schedule::global_fused_range;
 use sp_dep::SequenceDeps;
-use sp_ir::display::render_sequence;
+use sp_ir::display::write_sequence;
 use sp_ir::LoopSequence;
 use std::any::Any;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -125,24 +125,50 @@ impl std::fmt::Display for ArtifactKey {
     }
 }
 
+/// FNV-1a of the sequence's canonical rendering, hashed as it is
+/// rendered: the text itself is never assembled.
 fn seq_hash(seq: &LoopSequence) -> u64 {
-    fnv1a64(render_sequence(seq).as_bytes())
+    let mut h = Fnv1a64::new();
+    let _ = write_sequence(&mut h, seq);
+    h.finish()
 }
 
-/// Computes the key of pass `name` over a sequence with hash `seq`,
-/// fingerprint `fp`, and the given `(input pass, input key)` pairs.
+/// Computes the key of pass `name` over a sequence with hash `seq`, the
+/// fingerprint `fp` writes, and the given `(input pass, input key)`
+/// pairs: the FNV-1a of
+///
+/// ```text
+/// {PIPELINE_VERSION}
+/// pass: {name}
+/// seq: {seq:016x}
+/// fingerprint: {fp}
+/// input {pass}: {key}     (one line per input)
+/// ```
+///
+/// written straight into the hasher.
 fn artifact_key(
     name: &str,
     seq: u64,
-    fp: &str,
+    fp: impl FnOnce(&mut dyn fmt::Write) -> fmt::Result,
     inputs: &[(&'static str, ArtifactKey)],
 ) -> ArtifactKey {
-    let mut text =
-        format!("{PIPELINE_VERSION}\npass: {name}\nseq: {seq:016x}\nfingerprint: {fp}\n");
+    // Writing to a hasher cannot fail.
+    let mut h = Fnv1a64::new();
+    let _ = write!(
+        h,
+        "{PIPELINE_VERSION}\npass: {name}\nseq: {seq:016x}\nfingerprint: "
+    );
+    let _ = fp(&mut h);
+    h.write(b"\n");
     for (dep, key) in inputs {
-        let _ = writeln!(text, "input {dep}: {key}");
+        let _ = writeln!(h, "input {dep}: {key}");
     }
-    ArtifactKey(fnv1a64(text.as_bytes()))
+    ArtifactKey(h.finish())
+}
+
+/// The dependence pass has no fingerprint and no inputs.
+fn dependence_key_of_hash(seq: u64) -> ArtifactKey {
+    artifact_key(pass::DEPENDENCE, seq, |_| Ok(()), &[])
 }
 
 /// The key the standard pipeline assigns to the dependence artifact of
@@ -152,13 +178,13 @@ fn artifact_key(
 /// can seed it into a store with [`AnalysisArtifacts::seed`] and the
 /// pipeline will reuse it instead of re-analyzing.
 pub fn dependence_key(seq: &LoopSequence) -> ArtifactKey {
-    dependence_key_of_rendered(&render_sequence(seq))
+    dependence_key_of_hash(seq_hash(seq))
 }
 
 /// [`dependence_key`] for a caller that already holds `program`, the
-/// sequence's [`render_sequence`] text.
+/// sequence's [`sp_ir::display::render_sequence`] text.
 pub fn dependence_key_of_rendered(program: &str) -> ArtifactKey {
-    artifact_key(pass::DEPENDENCE, fnv1a64(program.as_bytes()), "", &[])
+    dependence_key_of_hash(fnv1a64(program.as_bytes()))
 }
 
 /// Everything a pass may read: the sequence being planned and the
@@ -219,10 +245,11 @@ pub trait Pass: Send + Sync {
         &[]
     }
 
-    /// A stable rendering of every request field (beyond the sequence
-    /// and the input artifacts) that influences this pass's output.
-    fn fingerprint(&self, _req: &PassRequest<'_>) -> String {
-        String::new()
+    /// Writes a stable rendering of every request field (beyond the
+    /// sequence and the input artifacts) that influences this pass's
+    /// output. It goes straight into the artifact key's hasher.
+    fn fingerprint(&self, _req: &PassRequest<'_>, _out: &mut dyn fmt::Write) -> fmt::Result {
+        Ok(())
     }
 
     /// Produces the artifact. Input artifacts are present in `store`
@@ -460,7 +487,7 @@ impl Pipeline {
             inputs.push((dep, key));
         }
         stack.pop();
-        let key = artifact_key(name, seq, &pass.fingerprint(req), &inputs);
+        let key = artifact_key(name, seq, |out| pass.fingerprint(req, out), &inputs);
         if store.key_of(name) == Some(key) {
             store.reused += 1;
             timings.passes.push(PassTiming {
@@ -533,8 +560,8 @@ impl Pass for PlanPass {
         &[pass::DEPENDENCE]
     }
 
-    fn fingerprint(&self, req: &PassRequest<'_>) -> String {
-        format!("{} profit={:?}", req.config.canonical(), req.profit)
+    fn fingerprint(&self, req: &PassRequest<'_>, out: &mut dyn fmt::Write) -> fmt::Result {
+        write!(out, "{} profit={:?}", req.config, req.profit)
     }
 
     fn run(
@@ -601,8 +628,8 @@ impl Pass for CostPass {
         &[pass::PLAN]
     }
 
-    fn fingerprint(&self, req: &PassRequest<'_>) -> String {
-        format!("profit={:?}", req.profit)
+    fn fingerprint(&self, req: &PassRequest<'_>, out: &mut dyn fmt::Write) -> fmt::Result {
+        write!(out, "profit={:?}", req.profit)
     }
 
     fn run(
@@ -931,6 +958,45 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, ExplainEvent::Threshold { .. })));
+    }
+
+    /// The keys the last build that assembled each keyed text in a
+    /// `String` derived. Hashing the text as it is written must not move
+    /// a byte of it: these name artifacts on disk tiers.
+    #[test]
+    fn artifact_keys_are_pinned() {
+        let keys = |planner: Planner| {
+            let mut store = AnalysisArtifacts::new();
+            planner
+                .plan_with(&fig9(64), &mut store, &mut NullObserver)
+                .unwrap();
+            [pass::DEPENDENCE, pass::PLAN, pass::LEGALITY, pass::COST]
+                .map(|p| store.key_of(p).unwrap().hex())
+        };
+        assert_eq!(
+            keys(Planner::fused(1)),
+            [
+                "ee07a38f6185c8d1",
+                "c0b6f245c27c774f",
+                "8a8053a8e45d306d",
+                "fc70d95e7f2dd9e2"
+            ]
+        );
+        let profit = ProfitabilityModel::new(32 * 1024, 4);
+        assert_eq!(
+            keys(
+                Planner::fused(1)
+                    .method(CodegenMethod::Direct)
+                    .profit(profit)
+            ),
+            [
+                "ee07a38f6185c8d1",
+                "8899f3e17db68bed",
+                "d7b14eb27ba5359d",
+                "0d58040c8cac32a7"
+            ]
+        );
+        assert_eq!(dependence_key(&fig9(64)).hex(), "ee07a38f6185c8d1");
     }
 
     #[test]

@@ -372,17 +372,6 @@ impl PlanConfig {
         self
     }
 
-    /// A stable, human-readable rendering for content hashing. Every
-    /// field is spelled out so that adding a field later forces a
-    /// deliberate decision about cache-key compatibility.
-    pub fn canonical(&self) -> String {
-        let method = match self.method {
-            CodegenMethod::StripMined => "strip-mined",
-            CodegenMethod::Direct => "direct",
-        };
-        format!("levels={} fuse={} method={method}", self.levels, self.fuse)
-    }
-
     /// Derives the plan this config describes for `seq`.
     pub fn plan(
         &self,
@@ -394,6 +383,23 @@ impl PlanConfig {
         } else {
             singleton_plan(seq, deps, self.levels)
         }
+    }
+}
+
+/// The canonical rendering, for content hashing (keys write it straight
+/// into their hasher): every field is spelled out so that adding a field
+/// later forces a deliberate decision about cache-key compatibility.
+impl std::fmt::Display for PlanConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let method = match self.method {
+            CodegenMethod::StripMined => "strip-mined",
+            CodegenMethod::Direct => "direct",
+        };
+        write!(
+            f,
+            "levels={} fuse={} method={method}",
+            self.levels, self.fuse
+        )
     }
 }
 
@@ -560,22 +566,22 @@ mod tests {
         // The canonical text distinguishes every field: it is the
         // planning half of a cache key.
         assert_eq!(
-            PlanConfig::fused(1).canonical(),
+            PlanConfig::fused(1).to_string(),
             "levels=1 fuse=true method=strip-mined"
         );
         assert_ne!(
-            PlanConfig::fused(1).canonical(),
-            PlanConfig::unfused(1).canonical()
+            PlanConfig::fused(1).to_string(),
+            PlanConfig::unfused(1).to_string()
         );
         assert_ne!(
-            PlanConfig::fused(1).canonical(),
-            PlanConfig::fused(2).canonical()
+            PlanConfig::fused(1).to_string(),
+            PlanConfig::fused(2).to_string()
         );
         assert_ne!(
-            PlanConfig::fused(1).canonical(),
+            PlanConfig::fused(1).to_string(),
             PlanConfig::fused(1)
                 .method(CodegenMethod::Direct)
-                .canonical()
+                .to_string()
         );
     }
 

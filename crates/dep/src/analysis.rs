@@ -6,7 +6,7 @@
 //! that establishes which loop levels are parallel (`doall`).
 
 use crate::indep::{test_pair, IndepResult};
-use crate::linsolve::{solve, LinSolution};
+use crate::linsolve::{solve, solve_separable, LinSolution};
 use sp_ir::{ArrayId, ArrayRef, LoopNest, LoopSequence};
 use std::fmt;
 
@@ -50,49 +50,73 @@ pub enum PairDistance {
 /// Both nests must have the same depth. For uniform pairs (identical
 /// linear parts) the distance is exact; otherwise the GCD/Banerjee battery
 /// either proves independence or the dependence is reported with all
-/// levels non-uniform.
+/// levels non-uniform. A uniform pair whose subscripts each name at most
+/// one loop level is solved in closed form ([`solve_separable`]) and
+/// allocates only the returned distance vector.
 pub fn ref_distance(
     src: &ArrayRef,
     src_nest: &LoopNest,
     snk: &ArrayRef,
     snk_nest: &LoopNest,
 ) -> PairDistance {
-    debug_assert_eq!(src.array, snk.array);
-    let depth = src_nest.depth();
-    debug_assert_eq!(depth, snk_nest.depth());
+    let mut dist = Vec::with_capacity(src_nest.depth());
+    if distance_into(src, src_nest, snk, snk_nest, &mut dist) {
+        PairDistance::Distance(dist)
+    } else {
+        PairDistance::Independent
+    }
+}
 
-    if src.same_linear_part(snk) {
-        // h·d = c_src - c_snk, d = i_snk - i_src.
-        let rows: Vec<Vec<i64>> = src.subs.iter().map(|s| s.coeffs.clone()).collect();
-        let rhs: Vec<i64> = src
-            .subs
-            .iter()
-            .zip(&snk.subs)
-            .map(|(a, b)| a.offset - b.offset)
-            .collect();
-        match solve(&rows, &rhs) {
-            LinSolution::Inconsistent => PairDistance::Independent,
-            LinSolution::Solvable { fixed } => {
-                // Realizability: for each fixed level, some source iteration
-                // must have its sink iteration in bounds.
-                for (l, d) in fixed.iter().enumerate() {
-                    if let Some(d) = d {
-                        let (lo1, hi1) = (src_nest.bounds[l].lo, src_nest.bounds[l].hi);
-                        let (lo2, hi2) = (snk_nest.bounds[l].lo, snk_nest.bounds[l].hi);
-                        if lo1.max(lo2 - d) > hi1.min(hi2 - d) {
-                            return PairDistance::Independent;
-                        }
-                    }
+/// [`ref_distance`] into a caller's buffer: returns whether the pair
+/// depends, and leaves its per-level distance in `dist` if so. Only a
+/// coupled subscript (one naming two loop levels) or a non-uniform pair
+/// allocates.
+fn distance_into(
+    src: &ArrayRef,
+    src_nest: &LoopNest,
+    snk: &ArrayRef,
+    snk_nest: &LoopNest,
+    dist: &mut Vec<Option<i64>>,
+) -> bool {
+    debug_assert_eq!(src.array, snk.array);
+    debug_assert_eq!(src_nest.depth(), snk_nest.depth());
+    dist.clear();
+    dist.resize(src_nest.depth(), None);
+    if !src.same_linear_part(snk) {
+        return test_pair(src, src_nest, snk, snk_nest) == IndepResult::MaybeDependent;
+    }
+    // h·d = c_src - c_snk, d = i_snk - i_src.
+    let rows = src
+        .subs
+        .iter()
+        .zip(&snk.subs)
+        .map(|(a, b)| (a.coeffs.as_slice(), a.offset - b.offset));
+    let consistent = match solve_separable(rows.clone(), dist) {
+        Some(consistent) => consistent,
+        None => {
+            let coeffs: Vec<Vec<i64>> = rows.clone().map(|(h, _)| h.to_vec()).collect();
+            let rhs: Vec<i64> = rows.map(|(_, c)| c).collect();
+            match solve(&coeffs, &rhs) {
+                LinSolution::Inconsistent => false,
+                LinSolution::Solvable { fixed } => {
+                    *dist = fixed;
+                    true
                 }
-                PairDistance::Distance(fixed)
             }
         }
-    } else {
-        match test_pair(src, src_nest, snk, snk_nest) {
-            IndepResult::Independent => PairDistance::Independent,
-            IndepResult::MaybeDependent => PairDistance::Distance(vec![None; depth]),
-        }
-    }
+    };
+    consistent && realizable(dist, src_nest, snk_nest)
+}
+
+/// Realizability: for each fixed level, some source iteration must have
+/// its sink iteration in bounds.
+fn realizable(dist: &[Option<i64>], src_nest: &LoopNest, snk_nest: &LoopNest) -> bool {
+    dist.iter().enumerate().all(|(l, d)| {
+        let Some(d) = *d else { return true };
+        let (lo1, hi1) = (src_nest.bounds[l].lo, src_nest.bounds[l].hi);
+        let (lo2, hi2) = (snk_nest.bounds[l].lo, snk_nest.bounds[l].hi);
+        lo1.max(lo2 - d) <= hi1.min(hi2 - d)
+    })
 }
 
 /// One interloop dependence (Definition 3) between two nests of a
@@ -194,18 +218,22 @@ pub fn analyze_sequence(seq: &LoopSequence) -> Result<SequenceDeps, AnalysisErro
         });
     }
 
+    // Each nest's references, collected once for every pair it is in.
+    let refs = NestRefs::collect(seq);
+    let mut dist = Vec::with_capacity(depth);
     let mut inter = Vec::new();
     for a in 0..seq.nests.len() {
         for b in (a + 1)..seq.nests.len() {
-            collect_inter_deps(seq, a, b, &mut inter);
+            collect_inter_deps(seq, &refs, a, b, &mut dist, &mut inter);
         }
     }
 
     let nests = seq
         .nests
         .iter()
-        .map(|n| NestInfo {
-            parallel: parallel_levels(n),
+        .enumerate()
+        .map(|(k, n)| NestInfo {
+            parallel: parallel_levels(n, refs.nest(k), &mut dist),
         })
         .collect();
 
@@ -216,25 +244,48 @@ pub fn analyze_sequence(seq: &LoopSequence) -> Result<SequenceDeps, AnalysisErro
     })
 }
 
-/// Gathers `(reference, is_write)` pairs of a nest grouped by array.
-fn refs_of(nest: &LoopNest) -> Vec<(&ArrayRef, bool)> {
-    let mut out = Vec::new();
-    for stmt in &nest.body {
-        out.push((&stmt.lhs, true));
-        for r in stmt.rhs.reads() {
-            out.push((r, false));
-        }
-    }
-    out
+/// Every nest's `(reference, is_write)` pairs in one list: per statement
+/// the write, then the reads in evaluation order.
+struct NestRefs<'s> {
+    refs: Vec<(&'s ArrayRef, bool)>,
+    /// Nest `k`'s pairs are `refs[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
 }
 
-fn collect_inter_deps(seq: &LoopSequence, a: usize, b: usize, out: &mut Vec<InterDep>) {
+impl<'s> NestRefs<'s> {
+    fn collect(seq: &'s LoopSequence) -> Self {
+        let mut total = 0;
+        seq.for_each_ref(|_, _, _| total += 1);
+        let mut refs = Vec::with_capacity(total);
+        let mut starts = Vec::with_capacity(seq.nests.len() + 1);
+        for nest in &seq.nests {
+            starts.push(refs.len());
+            for stmt in &nest.body {
+                refs.push((&stmt.lhs, true));
+                stmt.rhs.for_each_read(&mut |r| refs.push((r, false)));
+            }
+        }
+        starts.push(refs.len());
+        NestRefs { refs, starts }
+    }
+
+    fn nest(&self, k: usize) -> &[(&'s ArrayRef, bool)] {
+        &self.refs[self.starts[k]..self.starts[k + 1]]
+    }
+}
+
+fn collect_inter_deps(
+    seq: &LoopSequence,
+    refs: &NestRefs,
+    a: usize,
+    b: usize,
+    dist: &mut Vec<Option<i64>>,
+    out: &mut Vec<InterDep>,
+) {
     let na = &seq.nests[a];
     let nb = &seq.nests[b];
-    let ra = refs_of(na);
-    let rb = refs_of(nb);
-    for &(src, src_w) in &ra {
-        for &(snk, snk_w) in &rb {
+    for &(src, src_w) in refs.nest(a) {
+        for &(snk, snk_w) in refs.nest(b) {
             if src.array != snk.array || (!src_w && !snk_w) {
                 continue;
             }
@@ -244,39 +295,39 @@ fn collect_inter_deps(seq: &LoopSequence, a: usize, b: usize, out: &mut Vec<Inte
                 (true, true) => DepKind::Output,
                 (false, false) => unreachable!(),
             };
-            match ref_distance(src, na, snk, nb) {
-                PairDistance::Independent => {}
-                PairDistance::Distance(dist) => out.push(InterDep {
+            if distance_into(src, na, snk, nb, dist) {
+                out.push(InterDep {
                     src_nest: a,
                     dst_nest: b,
                     array: src.array,
                     kind,
-                    dist,
-                }),
+                    dist: dist.clone(),
+                });
             }
         }
     }
 }
 
-/// Determines per-level parallelism of a single nest: level `l` is
+/// Determines per-level parallelism of a single nest from its collected
+/// `refs`, with `dist` as the pair test's scratch buffer: level `l` is
 /// parallel iff every dependence among the nest's own references has a
 /// fixed distance of zero at level `l` (no dependence crosses level-`l`
 /// iterations).
-pub fn parallel_levels(nest: &LoopNest) -> Vec<bool> {
-    let refs = refs_of(nest);
+fn parallel_levels(
+    nest: &LoopNest,
+    refs: &[(&ArrayRef, bool)],
+    dist: &mut Vec<Option<i64>>,
+) -> Vec<bool> {
     let mut parallel = vec![true; nest.depth()];
     for (i, &(r1, w1)) in refs.iter().enumerate() {
         for &(r2, w2) in refs.iter().skip(i) {
             if r1.array != r2.array || (!w1 && !w2) {
                 continue;
             }
-            match ref_distance(r1, nest, r2, nest) {
-                PairDistance::Independent => {}
-                PairDistance::Distance(dist) => {
-                    for (l, d) in dist.iter().enumerate() {
-                        if *d != Some(0) {
-                            parallel[l] = false;
-                        }
+            if distance_into(r1, nest, r2, nest, dist) {
+                for (l, d) in dist.iter().enumerate() {
+                    if *d != Some(0) {
+                        parallel[l] = false;
                     }
                 }
             }

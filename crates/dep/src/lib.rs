@@ -24,11 +24,11 @@ pub mod linsolve;
 pub mod rational;
 
 pub use analysis::{
-    analyze_sequence, parallel_levels, ref_distance, AnalysisError, DepKind, InterDep, NestInfo,
-    PairDistance, SequenceDeps,
+    analyze_sequence, ref_distance, AnalysisError, DepKind, InterDep, NestInfo, PairDistance,
+    SequenceDeps,
 };
 pub use describe::describe_deps;
 pub use graph::{DepEdge, DepMultigraph};
 pub use indep::{test_pair, IndepResult};
-pub use linsolve::{solve, LinSolution};
+pub use linsolve::{solve, solve_separable, LinSolution};
 pub use rational::Rational;

@@ -113,6 +113,52 @@ pub fn solve(rows: &[Vec<i64>], b: &[i64]) -> LinSolution {
     LinSolution::Solvable { fixed }
 }
 
+/// [`solve`] in closed form for a *separable* system, one whose every
+/// row has at most one non-zero coefficient — the distance system of a
+/// uniform pair whose subscripts each name at most one loop level:
+///
+/// - a zero row is consistent iff its right-hand side is zero;
+/// - a row `h·x_j = b` fixes `x_j = b / h`, and is inconsistent if that
+///   is not an integer or another row fixed `x_j` to something else;
+/// - a column no row names is free.
+///
+/// `rows` yields `(coefficients, rhs)` pairs and is walked twice: once to
+/// check separability, once to solve. `fixed` must hold one `None` per
+/// column on entry. Returns `None`, with `fixed` untouched, when a row
+/// couples two columns or names one past `fixed` ([`solve`] is then the
+/// only way), and otherwise whether the system is consistent. A
+/// consistent system leaves in `fixed` exactly what
+/// [`LinSolution::Solvable`] would carry; an inconsistent one leaves it
+/// unspecified. Nothing is allocated.
+pub fn solve_separable<'r>(
+    rows: impl Iterator<Item = (&'r [i64], i64)> + Clone,
+    fixed: &mut [Option<i64>],
+) -> Option<bool> {
+    let ncols = fixed.len();
+    // `Some(None)` for a zero row, `Some(Some((j, h)))` for `h·x_j`.
+    let column = |coeffs: &[i64]| {
+        let mut named = coeffs.iter().enumerate().filter(|&(_, &h)| h != 0);
+        match (named.next(), named.next()) {
+            (None, _) => Some(None),
+            (Some((j, &h)), None) if j < ncols => Some(Some((j, h))),
+            _ => None,
+        }
+    };
+    for (coeffs, _) in rows.clone() {
+        column(coeffs)?;
+    }
+    for (coeffs, b) in rows {
+        let consistent = match column(coeffs).expect("checked above") {
+            None => b == 0,
+            Some((j, h)) => b % h == 0 && *fixed[j].get_or_insert(b / h) == b / h,
+        };
+        if !consistent {
+            return Some(false);
+        }
+    }
+    Some(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,6 +233,56 @@ mod tests {
             LinSolution::Solvable { fixed: vec![] }
         );
         assert_eq!(solve(&[vec![]], &[1]), LinSolution::Inconsistent);
+    }
+
+    /// `solve_separable` on `rows`/`b`, in `solve`'s terms.
+    fn separable(rows: &[Vec<i64>], b: &[i64], ncols: usize) -> Option<LinSolution> {
+        let mut fixed = vec![None; ncols];
+        let pairs = rows.iter().map(Vec::as_slice).zip(b.iter().copied());
+        let consistent = solve_separable(pairs, &mut fixed)?;
+        Some(if consistent {
+            LinSolution::Solvable { fixed }
+        } else {
+            LinSolution::Inconsistent
+        })
+    }
+
+    #[test]
+    fn closed_form_equals_gauss_jordan_on_every_small_separable_system() {
+        // Two rows over two columns, each row naming at most one column
+        // with a coefficient in -2..=2, right-hand sides in -3..=3.
+        let row_shapes: Vec<Vec<i64>> = (-2..=2).flat_map(|h| [vec![h, 0], vec![0, h]]).collect();
+        let mut systems = 0;
+        for r0 in &row_shapes {
+            for r1 in &row_shapes {
+                for b0 in -3..=3 {
+                    for b1 in -3..=3 {
+                        let rows = [r0.clone(), r1.clone()];
+                        let b = [b0, b1];
+                        assert_eq!(
+                            separable(&rows, &b, 2),
+                            Some(solve(&rows, &b)),
+                            "{rows:?} = {b:?}"
+                        );
+                        systems += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(systems, 10 * 10 * 49);
+    }
+
+    #[test]
+    fn closed_form_declines_coupled_rows() {
+        assert_eq!(separable(&[vec![1, 1]], &[4], 2), None);
+        // A column past the caller's is not its to fix either.
+        assert_eq!(separable(&[vec![0, 0, 1]], &[4], 2), None);
+        assert_eq!(
+            separable(&[vec![0, 0]], &[0], 2),
+            Some(LinSolution::Solvable {
+                fixed: vec![None, None]
+            })
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! of shift-and-peel — correspond to pairs of references whose affine
 //! subscripts share the same linear part.
 
+use crate::display::write_int;
 use std::fmt;
 use std::ops::{Add, Neg, Sub};
 
@@ -163,42 +164,48 @@ impl Neg for AffineExpr {
     }
 }
 
-impl fmt::Display for AffineExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl AffineExpr {
+    /// Writes the [`Display`](fmt::Display) form to `out`: `i0-2*i1+3`,
+    /// a zero coefficient omitted, a unit one written bare, the offset
+    /// last (alone when every coefficient is zero).
+    pub(crate) fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         let mut first = true;
         for (l, &c) in self.coeffs.iter().enumerate() {
             if c == 0 {
                 continue;
             }
-            if first {
-                if c == 1 {
-                    write!(f, "i{l}")?;
-                } else if c == -1 {
-                    write!(f, "-i{l}")?;
-                } else {
-                    write!(f, "{c}*i{l}")?;
+            match c {
+                1 if !first => out.write_char('+')?,
+                1 => {}
+                -1 => out.write_char('-')?,
+                _ => {
+                    if c > 0 && !first {
+                        out.write_char('+')?;
+                    }
+                    write_int(out, c)?;
+                    out.write_char('*')?;
                 }
-                first = false;
-            } else if c > 0 {
-                if c == 1 {
-                    write!(f, "+i{l}")?;
-                } else {
-                    write!(f, "+{c}*i{l}")?;
-                }
-            } else if c == -1 {
-                write!(f, "-i{l}")?;
-            } else {
-                write!(f, "{c}*i{l}")?;
             }
+            out.write_char('i')?;
+            write_int(out, l as i64)?;
+            first = false;
         }
         if first {
-            write!(f, "{}", self.offset)?;
+            write_int(out, self.offset)
         } else if self.offset > 0 {
-            write!(f, "+{}", self.offset)?;
+            out.write_char('+')?;
+            write_int(out, self.offset)
         } else if self.offset < 0 {
-            write!(f, "{}", self.offset)?;
+            write_int(out, self.offset)
+        } else {
+            Ok(())
         }
-        Ok(())
+    }
+}
+
+impl fmt::Display for AffineExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -254,6 +261,45 @@ mod tests {
         assert_eq!(e.to_string(), "i0-i1+2");
         assert_eq!(AffineExpr::constant(2, -3).to_string(), "-3");
         assert_eq!(AffineExpr::var(2, 1, 0).to_string(), "i1");
+    }
+
+    /// The `write!`-per-term form the writer replaced, as the definition
+    /// of the bytes: every cache and artifact key hashes them.
+    fn reference(e: &AffineExpr) -> String {
+        let mut s = String::new();
+        for (l, &c) in e.coeffs.iter().enumerate().filter(|(_, &c)| c != 0) {
+            s += &match (s.is_empty(), c) {
+                (true, 1) => format!("i{l}"),
+                (_, -1) => format!("-i{l}"),
+                (false, 1) => format!("+i{l}"),
+                (false, c) if c > 0 => format!("+{c}*i{l}"),
+                (_, c) => format!("{c}*i{l}"),
+            };
+        }
+        match (s.is_empty(), e.offset) {
+            (true, c) => s += &c.to_string(),
+            (false, c) if c > 0 => s += &format!("+{c}"),
+            (false, c) if c < 0 => s += &c.to_string(),
+            _ => {}
+        }
+        s
+    }
+
+    #[test]
+    fn display_matches_the_per_term_reference() {
+        let mut seen = 0;
+        for c0 in -3..=3 {
+            for c1 in -3..=3 {
+                for off in [-12, -1, 0, 1, 7, i64::MIN, i64::MAX] {
+                    let e = AffineExpr::new(vec![c0, c1], off);
+                    assert_eq!(e.to_string(), reference(&e), "{e:?}");
+                    seen += 1;
+                }
+            }
+        }
+        assert_eq!(seen, 7 * 7 * 7);
+        let wide = AffineExpr::new(vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1234], -56);
+        assert_eq!(wide.to_string(), "-1234*i11-56");
     }
 
     #[test]

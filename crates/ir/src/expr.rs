@@ -65,6 +65,15 @@ pub enum UnaryOp {
 }
 
 impl UnaryOp {
+    /// The call name the text form spells (`Neg(...)`).
+    pub fn name(self) -> &'static str {
+        match self {
+            UnaryOp::Neg => "Neg",
+            UnaryOp::Abs => "Abs",
+            UnaryOp::Sqrt => "Sqrt",
+        }
+    }
+
     /// Applies the operator.
     #[inline]
     pub fn apply(self, a: f64) -> f64 {
@@ -95,18 +104,24 @@ impl Expr {
         Expr::Load(r)
     }
 
+    /// Calls `f` on every array read in the expression, in evaluation
+    /// order, without collecting them anywhere.
+    pub fn for_each_read<'a>(&'a self, f: &mut impl FnMut(&'a ArrayRef)) {
+        match self {
+            Expr::Const(_) => {}
+            Expr::Load(r) => f(r),
+            Expr::Unary(_, e) => e.for_each_read(f),
+            Expr::Binary(_, a, b) => {
+                a.for_each_read(f);
+                b.for_each_read(f);
+            }
+        }
+    }
+
     /// Collects every array read in the expression, in evaluation order,
     /// into `out`.
     pub fn collect_reads<'a>(&'a self, out: &mut Vec<&'a ArrayRef>) {
-        match self {
-            Expr::Const(_) => {}
-            Expr::Load(r) => out.push(r),
-            Expr::Unary(_, e) => e.collect_reads(out),
-            Expr::Binary(_, a, b) => {
-                a.collect_reads(out);
-                b.collect_reads(out);
-            }
-        }
+        self.for_each_read(&mut |r| out.push(r));
     }
 
     /// All array reads as a fresh vector.

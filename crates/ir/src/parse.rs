@@ -17,6 +17,14 @@
 //! `+ - * /`, infix `min`/`max`, the unary calls `Neg(...)`, `Abs(...)`,
 //! `Sqrt(...)`, numeric literals, and array references; subscripts are
 //! affine in the loop variables `i0..iN`.
+//!
+//! Headers are checked against what they declare: `! array A<k>` must
+//! carry the id its line order gives it, and the `d`-th `do` of a nest
+//! must name `i<d>`.
+//!
+//! The parser makes one pass over the text. Tokens borrow their line,
+//! and one token buffer serves every statement, so the allocations left
+//! are the ones the IR itself holds.
 
 use crate::affine::AffineExpr;
 use crate::array::{ArrayDecl, ArrayId};
@@ -54,81 +62,80 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
 // Tokenizer (per line)
 // ------------------------------------------------------------------
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Num(String),
+/// One token, borrowed from its line. (The variant names and payloads
+/// print as the owned tokens did, so diagnostics that show a token read
+/// the same.)
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'s> {
+    Ident(&'s str),
+    Num(&'s str),
     Sym(char),
 }
 
-fn tokenize(line: &str, lineno: usize) -> Result<Vec<Tok>, ParseError> {
-    let mut out = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c.is_ascii_alphabetic() || c == '_' {
-            let mut s = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_alphanumeric() || c == '_' {
-                    s.push(c);
-                    chars.next();
-                } else {
-                    break;
+/// Splits `line` into `out`, which is cleared first. Every token
+/// character is ASCII, so the scan is over bytes; a non-ASCII character
+/// is decoded only to be skipped as whitespace or reported.
+fn tokenize<'s>(line: &'s str, lineno: usize, out: &mut Vec<Tok<'s>>) -> Result<(), ParseError> {
+    out.clear();
+    let b = line.as_bytes();
+    let mut i = 0;
+    while i < b.len() {
+        let c = b[i];
+        let start = i;
+        if c == b' ' {
+            i += 1;
+        } else if c.is_ascii_alphabetic() || c == b'_' {
+            while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+                i += 1;
+            }
+            out.push(Tok::Ident(&line[start..i]));
+        } else if c.is_ascii_digit() || c == b'.' {
+            while i < b.len() && matches!(b[i], b'0'..=b'9' | b'.' | b'e' | b'E') {
+                i += 1;
+                // Exponent sign.
+                if matches!(b[i - 1], b'e' | b'E') && matches!(b.get(i), Some(b'+' | b'-')) {
+                    i += 1;
                 }
             }
-            out.push(Tok::Ident(s));
-        } else if c.is_ascii_digit() || c == '.' {
-            let mut s = String::new();
-            while let Some(&c) = chars.peek() {
-                if c.is_ascii_digit() || c == '.' || c == 'e' || c == 'E' {
-                    s.push(c);
-                    chars.next();
-                    // Exponent sign.
-                    if (s.ends_with('e') || s.ends_with('E'))
-                        && matches!(chars.peek(), Some('+') | Some('-'))
-                    {
-                        s.push(chars.next().expect("peeked"));
-                    }
-                } else {
-                    break;
-                }
-            }
-            out.push(Tok::Num(s));
-        } else if "[](),=+-*/:".contains(c) {
-            out.push(Tok::Sym(c));
-            chars.next();
+            out.push(Tok::Num(&line[start..i]));
+        } else if b"[](),=+-*/:".contains(&c) {
+            out.push(Tok::Sym(char::from(c)));
+            i += 1;
         } else {
-            return err(lineno, format!("unexpected character {c:?}"));
+            let ch = line[i..].chars().next().expect("i is on a char boundary");
+            if !ch.is_whitespace() {
+                return err(lineno, format!("unexpected character {ch:?}"));
+            }
+            i += ch.len_utf8();
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 // ------------------------------------------------------------------
 // Token cursor
 // ------------------------------------------------------------------
 
-struct Cur<'a> {
-    toks: &'a [Tok],
+struct Cur<'t, 's> {
+    toks: &'t [Tok<'s>],
     pos: usize,
     line: usize,
 }
 
-impl<'a> Cur<'a> {
-    fn peek(&self) -> Option<&'a Tok> {
-        self.toks.get(self.pos)
+impl<'s> Cur<'_, 's> {
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<&'a Tok> {
-        let t = self.toks.get(self.pos);
+    fn next(&mut self) -> Option<Tok<'s>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
 
     fn expect_sym(&mut self, c: char) -> Result<(), ParseError> {
         match self.next() {
-            Some(Tok::Sym(s)) if *s == c => Ok(()),
+            Some(Tok::Sym(s)) if s == c => Ok(()),
             other => err(self.line, format!("expected {c:?}, found {other:?}")),
         }
     }
@@ -142,8 +149,25 @@ impl<'a> Cur<'a> {
 // Affine subscript expressions
 // ------------------------------------------------------------------
 
-fn parse_loop_var(name: &str) -> Option<usize> {
-    name.strip_prefix('i').and_then(|d| d.parse().ok())
+/// `k` when `name` is `prefix` followed by the decimal digits of `k`
+/// (`i2` for a loop variable, `A3` for an array tag).
+fn numbered(name: &str, prefix: char) -> Option<usize> {
+    let digits = name.strip_prefix(prefix)?;
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// The loop level `name` denotes in a nest of `depth` levels.
+fn loop_level(name: &str, depth: usize, line: usize) -> Result<usize, ParseError> {
+    let Some(level) = numbered(name, 'i') else {
+        return err(line, format!("{name} is not a loop variable"));
+    };
+    if level >= depth {
+        return err(line, format!("loop variable i{level} exceeds depth"));
+    }
+    Ok(level)
 }
 
 /// Parses `[c*]iN | c` terms joined by `+`/`-` into an affine function
@@ -179,24 +203,13 @@ fn parse_affine(cur: &mut Cur, depth: usize) -> Result<AffineExpr, ParseError> {
                     let Some(Tok::Ident(name)) = cur.next() else {
                         return err(cur.line, "expected loop variable after '*'");
                     };
-                    let Some(level) = parse_loop_var(name) else {
-                        return err(cur.line, format!("{name} is not a loop variable"));
-                    };
-                    if level >= depth {
-                        return err(cur.line, format!("loop variable i{level} exceeds depth"));
-                    }
-                    acc.coeffs[level] += sign * v;
+                    acc.coeffs[loop_level(name, depth, cur.line)?] += sign * v;
                 } else {
                     acc.offset += sign * v;
                 }
             }
             Some(Tok::Ident(name)) => {
-                let Some(level) = parse_loop_var(name) else {
-                    return err(cur.line, format!("{name} is not a loop variable"));
-                };
-                if level >= depth {
-                    return err(cur.line, format!("loop variable i{level} exceeds depth"));
-                }
+                let level = loop_level(name, depth, cur.line)?;
                 cur.next();
                 acc.coeffs[level] += sign;
             }
@@ -226,25 +239,16 @@ fn parse_affine(cur: &mut Cur, depth: usize) -> Result<AffineExpr, ParseError> {
 // ------------------------------------------------------------------
 
 struct ExprCtx<'a> {
-    arrays: &'a [(String, ArrayId)],
+    arrays: &'a [ArrayDecl],
     depth: usize,
 }
 
-fn lookup_array(ctx: &ExprCtx, name: &str, line: usize) -> Result<ArrayId, ParseError> {
-    ctx.arrays
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|&(_, id)| id)
-        .ok_or_else(|| ParseError {
-            line,
-            message: format!("undeclared array {name}"),
-        })
-}
-
 fn parse_ref(cur: &mut Cur, ctx: &ExprCtx, name: &str) -> Result<ArrayRef, ParseError> {
-    let id = lookup_array(ctx, name, cur.line)?;
+    let Some(k) = ctx.arrays.iter().position(|a| a.name == name) else {
+        return err(cur.line, format!("undeclared array {name}"));
+    };
     cur.expect_sym('[')?;
-    let mut subs = Vec::new();
+    let mut subs = Vec::with_capacity(ctx.arrays[k].rank());
     loop {
         subs.push(parse_affine(cur, ctx.depth)?);
         match cur.next() {
@@ -253,7 +257,7 @@ fn parse_ref(cur: &mut Cur, ctx: &ExprCtx, name: &str) -> Result<ArrayRef, Parse
             other => return err(cur.line, format!("expected ',' or ']', found {other:?}")),
         }
     }
-    Ok(ArrayRef::new(id, subs))
+    Ok(ArrayRef::new(ArrayId(k as u32), subs))
 }
 
 fn parse_primary(cur: &mut Cur, ctx: &ExprCtx) -> Result<Expr, ParseError> {
@@ -272,12 +276,9 @@ fn parse_primary(cur: &mut Cur, ctx: &ExprCtx) -> Result<Expr, ParseError> {
         }
         Some(Tok::Sym('-')) => Ok(-parse_primary(cur, ctx)?),
         Some(Tok::Ident(name)) => {
-            let unary = match name.as_str() {
-                "Neg" => Some(UnaryOp::Neg),
-                "Abs" => Some(UnaryOp::Abs),
-                "Sqrt" => Some(UnaryOp::Sqrt),
-                _ => None,
-            };
+            let unary = [UnaryOp::Neg, UnaryOp::Abs, UnaryOp::Sqrt]
+                .into_iter()
+                .find(|op| op.name() == name);
             if let Some(op) = unary {
                 cur.expect_sym('(')?;
                 let e = parse_expr(cur, ctx)?;
@@ -325,8 +326,8 @@ fn parse_expr(cur: &mut Cur, ctx: &ExprCtx) -> Result<Expr, ParseError> {
     let mut e = parse_addsub(cur, ctx)?;
     loop {
         let op = match cur.peek() {
-            Some(Tok::Ident(n)) if n == "min" => BinOp::Min,
-            Some(Tok::Ident(n)) if n == "max" => BinOp::Max,
+            Some(Tok::Ident("min")) => BinOp::Min,
+            Some(Tok::Ident("max")) => BinOp::Max,
             _ => break,
         };
         cur.next();
@@ -334,6 +335,58 @@ fn parse_expr(cur: &mut Cur, ctx: &ExprCtx) -> Result<Expr, ParseError> {
         e = Expr::Binary(op, Box::new(e), Box::new(rhs));
     }
     Ok(e)
+}
+
+// ------------------------------------------------------------------
+// Headers
+// ------------------------------------------------------------------
+
+/// `A<k> <name>(<dims>)`, declaring the array with id `k`.
+fn parse_array_header(decl: &str, k: usize, lineno: usize) -> Result<ArrayDecl, ParseError> {
+    let mut words = decl.split_whitespace();
+    let first = words.next();
+    let (tag, spec) = match (first, words.last()) {
+        (Some(tag), Some(spec)) => (Some(tag), spec),
+        (Some(spec), None) => (None, spec),
+        (None, _) => return err(lineno, "malformed array header"),
+    };
+    let Some((aname, dims)) = spec.split_once('(') else {
+        return err(lineno, "array header needs (dims)");
+    };
+    let dims_str = dims.trim_end_matches(')');
+    let dims: Result<Vec<usize>, _> = dims_str
+        .split(',')
+        .map(|d| d.trim().parse::<usize>())
+        .collect();
+    let Ok(dims) = dims else {
+        return err(lineno, format!("bad dimensions {dims_str:?}"));
+    };
+    match tag {
+        Some(tag) if numbered(tag, 'A') == Some(k) => Ok(ArrayDecl::new(aname, dims)),
+        Some(tag) => err(lineno, format!("array header tag {tag:?}, expected A{k}")),
+        None => err(lineno, format!("array header has no tag, expected A{k}")),
+    }
+}
+
+/// `i<level> = lo, hi` (what follows `do `), opening loop `level`.
+fn parse_do_header(rest: &str, level: usize, lineno: usize) -> Result<LoopBounds, ParseError> {
+    let Some((var, bounds)) = rest.split_once('=') else {
+        return err(lineno, "malformed do header");
+    };
+    let Some((lo, hi)) = bounds.split_once(',') else {
+        return err(lineno, "do header needs 'lo, hi'");
+    };
+    let (Ok(lo), Ok(hi)) = (lo.trim().parse::<i64>(), hi.trim().parse::<i64>()) else {
+        return err(lineno, "bad loop bounds");
+    };
+    let var = var.trim();
+    if numbered(var, 'i') != Some(level) {
+        return err(
+            lineno,
+            format!("do header names {var:?}, expected i{level}"),
+        );
+    }
+    Ok(LoopBounds::new(lo, hi))
 }
 
 // ------------------------------------------------------------------
@@ -352,13 +405,13 @@ fn parse_expr(cur: &mut Cur, ctx: &ExprCtx) -> Result<Expr, ParseError> {
 /// assert!(seq.validate().is_ok());
 /// ```
 pub fn parse_sequence(src: &str) -> Result<LoopSequence, ParseError> {
-    let mut name = String::from("parsed");
+    let mut name = "parsed";
     let mut arrays: Vec<ArrayDecl> = Vec::new();
-    let mut names: Vec<(String, ArrayId)> = Vec::new();
     let mut nests: Vec<LoopNest> = Vec::new();
+    let mut toks: Vec<Tok> = Vec::new();
 
     // Per-nest accumulation state.
-    let mut cur_label: Option<String> = None;
+    let mut cur_label: Option<&str> = None;
     let mut cur_bounds: Vec<LoopBounds> = Vec::new();
     let mut cur_body: Vec<Statement> = Vec::new();
     let mut open_loops = 0usize;
@@ -373,27 +426,9 @@ pub fn parse_sequence(src: &str) -> Result<LoopSequence, ParseError> {
         if let Some(rest) = line.strip_prefix('!') {
             let rest = rest.trim();
             if let Some(n) = rest.strip_prefix("sequence ") {
-                name = n.trim().to_string();
+                name = n.trim();
             } else if let Some(decl) = rest.strip_prefix("array ") {
-                // "A<k> <name>(<dims>)"
-                let parts: Vec<&str> = decl.split_whitespace().collect();
-                let Some(spec) = parts.last() else {
-                    return err(lineno, "malformed array header");
-                };
-                let Some((aname, dims)) = spec.split_once('(') else {
-                    return err(lineno, "array header needs (dims)");
-                };
-                let dims_str = dims.trim_end_matches(')');
-                let dims: Result<Vec<usize>, _> = dims_str
-                    .split(',')
-                    .map(|d| d.trim().parse::<usize>())
-                    .collect();
-                let Ok(dims) = dims else {
-                    return err(lineno, format!("bad dimensions {dims_str:?}"));
-                };
-                let id = ArrayId(arrays.len() as u32);
-                names.push((aname.to_string(), id));
-                arrays.push(ArrayDecl::new(aname, dims));
+                arrays.push(parse_array_header(decl, arrays.len(), lineno)?);
             }
             continue;
         }
@@ -402,7 +437,7 @@ pub fn parse_sequence(src: &str) -> Result<LoopSequence, ParseError> {
             if open_loops > 0 {
                 return err(lineno, "label inside an open loop");
             }
-            cur_label = Some(line.trim_end_matches(':').to_string());
+            cur_label = Some(line.trim_end_matches(':'));
             continue;
         }
         // "do iN = lo, hi"
@@ -410,16 +445,7 @@ pub fn parse_sequence(src: &str) -> Result<LoopSequence, ParseError> {
             if !cur_body.is_empty() {
                 return err(lineno, "loop header after statements (imperfect nest)");
             }
-            let Some((_var, bounds)) = rest.split_once('=') else {
-                return err(lineno, "malformed do header");
-            };
-            let Some((lo, hi)) = bounds.split_once(',') else {
-                return err(lineno, "do header needs 'lo, hi'");
-            };
-            let (Ok(lo), Ok(hi)) = (lo.trim().parse::<i64>(), hi.trim().parse::<i64>()) else {
-                return err(lineno, "bad loop bounds");
-            };
-            cur_bounds.push(LoopBounds::new(lo, hi));
+            cur_bounds.push(parse_do_header(rest, cur_bounds.len(), lineno)?);
             open_loops += 1;
             continue;
         }
@@ -434,9 +460,10 @@ pub fn parse_sequence(src: &str) -> Result<LoopSequence, ParseError> {
                 if cur_body.is_empty() {
                     return err(lineno, "nest has no statements");
                 }
-                let label = cur_label
-                    .take()
-                    .unwrap_or_else(|| format!("L{}", nests.len() + 1));
+                let label = match cur_label.take() {
+                    Some(l) => l.to_string(),
+                    None => format!("L{}", nests.len() + 1),
+                };
                 nests.push(LoopNest::new(
                     label,
                     std::mem::take(&mut cur_bounds),
@@ -449,14 +476,14 @@ pub fn parse_sequence(src: &str) -> Result<LoopSequence, ParseError> {
         if open_loops == 0 {
             return err(lineno, format!("statement outside a loop: {line:?}"));
         }
-        let toks = tokenize(line, lineno)?;
+        tokenize(line, lineno, &mut toks)?;
         let mut cur = Cur {
             toks: &toks,
             pos: 0,
             line: lineno,
         };
         let ctx = ExprCtx {
-            arrays: &names,
+            arrays: &arrays,
             depth: cur_bounds.len(),
         };
         let Some(Tok::Ident(lhs_name)) = cur.next() else {

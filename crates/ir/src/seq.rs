@@ -140,23 +140,24 @@ impl LoopSequence {
         for (n, nest) in self.nests.iter().enumerate() {
             for stmt in &nest.body {
                 f(n, &stmt.lhs, true);
-                for r in stmt.rhs.reads() {
-                    f(n, r, false);
-                }
+                stmt.rhs.for_each_read(&mut |r| f(n, r, false));
             }
         }
     }
 
     /// Structural validation: every reference names a declared array, has
     /// matching rank and depth, and stays in bounds over its nest's full
-    /// iteration space. Returns all problems found.
+    /// iteration space. Returns all problems found. On a valid sequence
+    /// the only allocation is one bounds buffer, reused nest to nest.
     pub fn validate(&self) -> Result<(), Vec<ValidationError>> {
         let mut errs = Vec::new();
         if self.nests.is_empty() {
             errs.push(ValidationError::Empty);
         }
+        let mut bounds: Vec<(i64, i64)> = Vec::new();
         for (n, nest) in self.nests.iter().enumerate() {
-            let bounds: Vec<(i64, i64)> = nest.bounds.iter().map(|b| (b.lo, b.hi)).collect();
+            bounds.clear();
+            bounds.extend(nest.bounds.iter().map(|b| (b.lo, b.hi)));
             let mut check = |r: &ArrayRef| {
                 let Some(decl) = self.arrays.get(r.array.index()) else {
                     errs.push(ValidationError::UnknownArray {
@@ -198,9 +199,7 @@ impl LoopSequence {
             };
             for stmt in &nest.body {
                 check(&stmt.lhs);
-                for r in stmt.rhs.reads() {
-                    check(r);
-                }
+                stmt.rhs.for_each_read(&mut check);
             }
         }
         if errs.is_empty() {

@@ -243,9 +243,11 @@ impl Frame {
 }
 
 /// The content address of a program's rendered text — what
-/// [`ProgramRef::Digest`] refers to.
+/// [`ProgramRef::Digest`] refers to — hashed as it is rendered.
 pub fn program_digest(seq: &sp_ir::LoopSequence) -> u64 {
-    sp_serve::fnv1a64(sp_ir::display::render_sequence(seq).as_bytes())
+    let mut h = sp_serve::hash::Fnv1a64::new();
+    let _ = sp_ir::display::write_sequence(&mut h, seq);
+    h.finish()
 }
 
 /// `CRC_TABLES[0][b]` is the CRC register after byte `b` alone went

@@ -86,8 +86,7 @@ fn write_canonical(
 ) {
     let _ = write!(
         out,
-        "{CACHE_FORMAT_VERSION}\n{program}\nplan: {}\nbackend: {}\nprocs: {procs}\n",
-        cfg.canonical(),
+        "{CACHE_FORMAT_VERSION}\n{program}\nplan: {cfg}\nbackend: {}\nprocs: {procs}\n",
         backend.name(),
     );
 }
