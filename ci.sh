@@ -72,6 +72,18 @@ cargo run --release -p sp-cli -- explain ll18 > "$explain_tmp"
 diff -u crates/cli/tests/golden/explain_ll18.txt "$explain_tmp"
 rm -f "$explain_tmp"
 
+echo "==> paper results: every table and figure binary reproduces results/ byte for byte"
+# The simulated machines are deterministic: a change to the analysis,
+# the planner, the cost model or the cache simulator that moves a number
+# of the paper's reproduction shows up here as a diff.
+cargo build --release -q -p sp-bench
+results_tmp="$(mktemp -d /tmp/spfc-results.XXXXXX)"
+for bin in table1 table2 fig18 fig20 fig21 fig22 fig23 fig24 fig25 fig26 modern missclasses; do
+  ./target/release/"$bin" > "$results_tmp/$bin.txt"
+  diff -u "results/$bin.txt" "$results_tmp/$bin.txt"
+done
+rm -rf "$results_tmp"
+
 echo "==> bench baseline: snapshot the committed artifact before regeneration"
 # The regression gate at the bottom compares the freshly regenerated
 # artifact against the version committed in the tree, so copy it aside

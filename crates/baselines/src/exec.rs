@@ -8,10 +8,10 @@
 
 use crate::transform::AlignedProgram;
 use shift_peel_core::analysis::decompose;
-use sp_cache::{Cache, LayoutStrategy};
-use sp_exec::{exec_region, AccessSink, CacheSink, ExecCounters, MemView, Memory};
+use sp_cache::LayoutStrategy;
+use sp_exec::{exec_region, AccessSink, ExecCounters, MemView, Memory};
 use sp_ir::IterSpace;
-use sp_machine::{price, MachineConfig, ProcResult, SimResult};
+use sp_machine::{processor_caches, MachineConfig, SimResult};
 
 /// Runs an aligned program as a deterministic simulation of `P`
 /// processors (`sinks.len()` of them), returning per-processor counters.
@@ -90,7 +90,7 @@ pub fn run_aligned_sim<S: AccessSink>(
 }
 
 /// Machine simulation of an aligned program (the Figure 26 comparator):
-/// one cache per processor, priced with the same cost model as
+/// one cache hierarchy per processor, priced with the same cost model as
 /// shift-and-peel runs.
 pub fn simulate_aligned(
     prog: &AlignedProgram,
@@ -101,32 +101,9 @@ pub fn simulate_aligned(
 ) -> SimResult {
     let mut mem = Memory::new(&prog.seq, layout);
     mem.init_deterministic(&prog.seq, seed);
-    let mut sinks: Vec<CacheSink> = (0..procs)
-        .map(|_| CacheSink::new(Cache::new(machine.cache)))
-        .collect();
-    let counters = run_aligned_sim(prog, &mut mem, &mut sinks);
-    let per_proc: Vec<ProcResult> = counters
-        .iter()
-        .zip(&sinks)
-        .map(|(c, s)| ProcResult {
-            counters: *c,
-            cache: s.stats(),
-            cycles: price(machine, c, &s.stats(), 0.0, procs),
-        })
-        .collect();
-    let barrier_cycles = counters
-        .first()
-        .map(|c| c.barriers * (machine.barrier_base + machine.barrier_per_proc * procs as u64))
-        .unwrap_or(0);
-    let cycles = per_proc.iter().map(|p| p.cycles).max().unwrap_or(0) + barrier_cycles;
-    SimResult {
-        procs,
-        cycles,
-        seconds: machine.seconds(cycles),
-        misses: per_proc.iter().map(|p| p.cache.misses).sum(),
-        accesses: per_proc.iter().map(|p| p.cache.accesses).sum(),
-        per_proc,
-    }
+    let mut caches = processor_caches(machine, procs);
+    let counters = run_aligned_sim(prog, &mut mem, &mut caches);
+    SimResult::tally(machine, &counters, &caches, 0.0)
 }
 
 #[cfg(test)]

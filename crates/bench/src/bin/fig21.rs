@@ -15,11 +15,11 @@ fn run(app: &App, procs: &[usize]) {
     let m = &CONVEX_SPP1000;
     // Baseline: unfused, cache partitioning, 1 processor.
     let with_cp = SweepOptions {
-        layout: LayoutStrategy::CachePartition(m.cache),
+        layout: LayoutStrategy::CachePartition(m.target()),
         strip: 0,
         method: CodegenMethod::StripMined,
         remote_bias: 0.0,
-        profitability: None,
+        profitability: false,
     };
     let without_cp = SweepOptions {
         layout: LayoutStrategy::Contiguous,

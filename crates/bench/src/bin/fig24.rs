@@ -7,7 +7,6 @@
 //! exceeds the cache; LL18, touching more arrays, stays profitable at
 //! sizes where calc no longer is.
 
-use shift_peel_core::ProfitabilityModel;
 use sp_bench::{f2, Opts, Table};
 use sp_kernels::{calc, ll18};
 use sp_machine::{improvement_ratio, SweepOptions, CONVEX_SPP1000};
@@ -35,7 +34,7 @@ fn main() {
             let ca =
                 improvement_ratio(&calc::sequence(n), &CONVEX_SPP1000, procs, &sw).expect("calc");
             // What the compile-time profitability evaluation would say.
-            let model = ProfitabilityModel::new(CONVEX_SPP1000.cache.capacity, procs);
+            let model = CONVEX_SPP1000.profitability(procs);
             let seq_ll = ll18::sequence(n);
             let seq_ca = calc::sequence(n);
             let verdicts = format!(

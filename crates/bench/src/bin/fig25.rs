@@ -15,7 +15,7 @@ fn run(app: &App, procs: &[usize], remote_bias: f64) {
     opts.remote_bias = remote_bias;
     // The Section 6 recommendation: evaluate profitability per sequence
     // with knowledge of data size vs cache size.
-    opts.profitability = Some(CONVEX_SPP1000.cache.capacity);
+    opts.profitability = true;
     let rows = app_speedup_sweep(&app.sequences, &CONVEX_SPP1000, procs, &opts).expect("sweep");
     let mut t = Table::new(
         format!("Figure 25 ({}): Convex speedup", app.name),

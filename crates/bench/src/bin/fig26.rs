@@ -16,7 +16,7 @@ use sp_machine::{simulate, MachineConfig, SimPlan, CONVEX_SPP1000, KSR2};
 
 fn run(machine: &MachineConfig, n: usize, procs: &[usize]) {
     let seq = ll18::sequence(n);
-    let layout = LayoutStrategy::CachePartition(machine.cache);
+    let layout = LayoutStrategy::CachePartition(machine.target());
     let prog = align_with_replication(&seq, 0).expect("alignment");
     println!(
         "alignment/replication for LL18: {} replicated arrays, {} inlined reads, {} extra elements",

@@ -5,10 +5,9 @@
 //! cache partitioning removes are exactly the *conflict* misses, while
 //! padding removes them only for lucky pad amounts.
 
-use shift_peel_core::CodegenMethod;
 use sp_bench::{Opts, Table};
 use sp_cache::{ClassifyingCache, LayoutStrategy};
-use sp_exec::{ClassifySink, ExecPlan, Memory, Program};
+use sp_exec::{ClassifySink, Memory, Program, RunConfig};
 use sp_kernels::ll18;
 use sp_machine::CONVEX_SPP1000;
 
@@ -17,7 +16,7 @@ fn main() {
     let n = opts.size(512);
     let seq = ll18::sequence(n);
     let ex = Program::new(&seq, 1).expect("analysis");
-    let cache = CONVEX_SPP1000.cache;
+    let cache = CONVEX_SPP1000.target();
 
     let mut t = Table::new(
         format!("Miss classes of fused LL18 ({n}x{n}) on the Convex cache"),
@@ -36,13 +35,9 @@ fn main() {
     for (name, layout) in layouts {
         let mut mem = Memory::new(&seq, layout);
         mem.init_deterministic(&seq, 42);
-        let plan = ExecPlan::Fused {
-            grid: vec![1],
-            method: CodegenMethod::StripMined,
-            strip: 16,
-        };
         let mut sinks = vec![ClassifySink::new(ClassifyingCache::new(cache))];
-        ex.run_with_sinks(&mut mem, &plan, &mut sinks).expect("run");
+        ex.run_with_sinks(&mut mem, &RunConfig::fused([1]).strip(16), &mut sinks)
+            .expect("run");
         let c = sinks[0].cache.classes();
         t.row(vec![
             name,

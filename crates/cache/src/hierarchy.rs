@@ -1,67 +1,48 @@
-//! Two-level cache hierarchies.
+//! Cache hierarchies.
 //!
 //! The paper's machines were themselves hierarchical (the KSR2's 256 KB
 //! subcache backs onto a 32 MB local ALLCACHE stage), and any modern
-//! reproduction target has at least an L1/L2 split. The single-level
-//! simulator in [`crate::sim`] models the level that dominated the
-//! paper's measurements; this module composes two of them for studies on
-//! deeper hierarchies.
+//! reproduction target has at least an L1/L2 split. A hierarchy stacks
+//! [`Cache`]s, first level first; one level is the degenerate case that
+//! models the level that dominated the paper's measurements.
 
 use crate::sim::{Cache, CacheConfig, CacheStats};
 
-/// Where an access was satisfied.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HitLevel {
-    /// First-level hit.
-    L1,
-    /// Second-level hit (first-level miss).
-    L2,
-    /// Miss in both levels.
-    Memory,
-}
-
-/// An inclusive two-level hierarchy: every L1 access is checked first;
-/// L1 misses are looked up (and allocated) in L2.
+/// An inclusive hierarchy: every access is looked up at the first level;
+/// a miss at one level is looked up (and allocated) at the next, so level
+/// `k + 1` sees exactly level `k`'s misses.
 #[derive(Clone, Debug)]
 pub struct CacheHierarchy {
-    /// First level.
-    pub l1: Cache,
-    /// Second level.
-    pub l2: Cache,
+    levels: Vec<Cache>,
 }
 
 impl CacheHierarchy {
-    /// Builds a hierarchy; `l2` is normally much larger than `l1`.
-    pub fn new(l1: CacheConfig, l2: CacheConfig) -> Self {
-        assert!(l2.capacity >= l1.capacity, "L2 must not be smaller than L1");
+    /// Builds a cold hierarchy from its levels, first level first. No
+    /// level may be smaller than the one before it.
+    pub fn new(levels: &[CacheConfig]) -> Self {
+        assert!(!levels.is_empty(), "a hierarchy needs at least one level");
+        assert!(
+            levels.windows(2).all(|w| w[1].capacity >= w[0].capacity),
+            "a level must not be smaller than the level before it"
+        );
         CacheHierarchy {
-            l1: Cache::new(l1),
-            l2: Cache::new(l2),
+            levels: levels.iter().map(|&c| Cache::new(c)).collect(),
         }
     }
 
     /// Accesses an address through the hierarchy.
     #[inline]
-    pub fn access(&mut self, addr: u64) -> HitLevel {
-        if self.l1.access(addr) {
-            HitLevel::L1
-        } else if self.l2.access(addr) {
-            HitLevel::L2
-        } else {
-            HitLevel::Memory
+    pub fn access(&mut self, addr: u64) {
+        for level in &mut self.levels {
+            if level.access(addr) {
+                return;
+            }
         }
     }
 
-    /// `(L1 stats, L2 stats)`. L2's accesses equal L1's misses.
-    pub fn stats(&self) -> (CacheStats, CacheStats) {
-        (self.l1.stats(), self.l2.stats())
-    }
-
-    /// Prices the access stream: `l1_hit` cycles per L1 hit, `l2_hit`
-    /// per L2 hit, `memory` per full miss.
-    pub fn cycles(&self, l1_hit: u64, l2_hit: u64, memory: u64) -> u64 {
-        let (s1, s2) = self.stats();
-        s1.hits() * l1_hit + s2.hits() * l2_hit + s2.misses * memory
+    /// Counters per level, first level first.
+    pub fn stats(&self) -> Vec<CacheStats> {
+        self.levels.iter().map(Cache::stats).collect()
     }
 }
 
@@ -70,47 +51,29 @@ mod tests {
     use super::*;
 
     fn small() -> CacheHierarchy {
-        CacheHierarchy::new(CacheConfig::new(128, 64, 1), CacheConfig::new(512, 64, 2))
+        CacheHierarchy::new(&[CacheConfig::new(128, 64, 1), CacheConfig::new(512, 64, 2)])
     }
 
     #[test]
-    fn hit_levels_progress() {
+    fn a_first_level_miss_is_looked_up_below() {
         let mut h = small();
-        assert_eq!(h.access(0), HitLevel::Memory);
-        assert_eq!(h.access(0), HitLevel::L1);
-        // Evict line 0 from the tiny L1 (2 lines, direct-mapped).
+        // Line 0 misses both levels, then hits the first.
+        h.access(0);
+        h.access(0);
+        // Line 128 evicts it from the tiny first level (2 lines,
+        // direct-mapped), so it now hits the second.
         h.access(128);
-        assert_eq!(h.access(0), HitLevel::L2);
-        assert_eq!(h.access(0), HitLevel::L1);
-    }
-
-    #[test]
-    fn l2_sees_only_l1_misses() {
-        let mut h = small();
-        for _ in 0..10 {
-            h.access(64);
-        }
-        let (l1, l2) = h.stats();
-        assert_eq!(l1.accesses, 10);
-        assert_eq!(l1.misses, 1);
-        assert_eq!(l2.accesses, 1);
-        assert_eq!(l2.misses, 1);
-    }
-
-    #[test]
-    fn pricing_accounts_levels() {
-        let mut h = small();
-        h.access(0); // memory
-        h.access(0); // l1
-        h.access(128); // memory
-        h.access(0); // l2 (l1 evicted line 0)
-                     // 1 l1 hit, 1 l2 hit, 2 memory.
-        assert_eq!(h.cycles(1, 10, 100), 1 + 10 + 200);
+        h.access(0);
+        let [l1, l2] = h.stats()[..] else {
+            panic!("two levels")
+        };
+        assert_eq!((l1.accesses, l1.misses), (4, 3));
+        assert_eq!((l2.accesses, l2.misses), (3, 2));
     }
 
     #[test]
     #[should_panic]
-    fn l2_smaller_than_l1_rejected() {
-        CacheHierarchy::new(CacheConfig::new(512, 64, 1), CacheConfig::new(128, 64, 1));
+    fn a_level_smaller_than_the_one_above_is_rejected() {
+        CacheHierarchy::new(&[CacheConfig::new(512, 64, 1), CacheConfig::new(128, 64, 1)]);
     }
 }

@@ -9,6 +9,7 @@
 //! * [`sim`] — a trace-driven set-associative LRU cache simulator (the
 //!   substitute for the KSR2/Convex hardware miss counters), plus an
 //!   infinite cache for isolating compulsory misses;
+//! * [`hierarchy`] — inclusive stacks of those caches, one level or more;
 //! * [`layout`] — memory layouts: contiguous, inner-dimension padding
 //!   (the erratic classical technique of Figures 18/20), and cache
 //!   partitioning;
@@ -27,7 +28,7 @@ pub mod sim;
 
 pub use classify::{ClassifyingCache, FullyAssocLru, MissClasses};
 pub use compat::{address_profile, compatibility, group_compatibility, Compatibility};
-pub use hierarchy::{CacheHierarchy, HitLevel};
+pub use hierarchy::CacheHierarchy;
 pub use layout::{ArrayPlacement, LayoutStrategy, MemoryLayout};
 pub use partition::{gap_overhead, greedy_partition_starts};
 pub use sim::{Cache, CacheConfig, CacheStats, InfiniteCache};

@@ -44,12 +44,6 @@ impl CacheConfig {
     pub fn map_space(&self) -> usize {
         self.capacity / self.assoc
     }
-
-    /// The cache set an address maps to.
-    #[inline]
-    pub fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.line as u64) as usize) % self.sets()
-    }
 }
 
 /// Hit/miss counters.
@@ -59,22 +53,6 @@ pub struct CacheStats {
     pub accesses: u64,
     /// Total misses.
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hits.
-    pub fn hits(&self) -> u64 {
-        self.accesses - self.misses
-    }
-
-    /// Miss ratio in `[0, 1]`; 0 when no accesses were made.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A set-associative LRU cache.
@@ -112,11 +90,6 @@ impl Cache {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Accesses one byte address; returns `true` on hit. Reads and writes
     /// are treated alike (allocate-on-write), matching the write-allocate
     /// caches of the paper's machines.
@@ -143,18 +116,6 @@ impl Cache {
     /// Counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Empties the cache and zeroes the counters.
-    pub fn reset(&mut self) {
-        self.tags.fill(EMPTY);
-        self.stats = CacheStats::default();
-    }
-
-    /// Empties the cache contents but keeps counters (e.g. between
-    /// repetitions that should stay cold).
-    pub fn flush(&mut self) {
-        self.tags.fill(EMPTY);
     }
 }
 
@@ -251,17 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_and_flush() {
-        let mut c = Cache::new(CacheConfig::new(1024, 64, 1));
-        c.access(0);
-        c.flush();
-        assert!(!c.access(0)); // cold again
-        assert_eq!(c.stats().accesses, 2);
-        c.reset();
-        assert_eq!(c.stats(), CacheStats::default());
-    }
-
-    #[test]
     fn infinite_cache_counts_compulsory_only() {
         let mut c = InfiniteCache::new(64);
         for _ in 0..3 {
@@ -274,17 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn miss_ratio() {
-        let s = CacheStats {
-            accesses: 8,
-            misses: 2,
-        };
-        assert_eq!(s.hits(), 6);
-        assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
-        assert_eq!(CacheStats::default().miss_ratio(), 0.0);
-    }
-
-    #[test]
     fn config_geometry() {
         let c = CacheConfig::new(1 << 20, 64, 1);
         assert_eq!(c.sets(), (1 << 20) / 64);
@@ -292,7 +231,5 @@ mod tests {
         let k = CacheConfig::new(256 << 10, 128, 2);
         assert_eq!(k.sets(), (256 << 10) / 256);
         assert_eq!(k.map_space(), 128 << 10);
-        assert_eq!(k.set_of(0), 0);
-        assert_eq!(k.set_of((128 << 10) as u64), 0); // wraps at map_space
     }
 }

@@ -1213,7 +1213,7 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
                 "convex" => CONVEX_SPP1000,
                 other => return usage(format!("unknown machine {other} (ksr2|convex)")),
             };
-            let layout = LayoutStrategy::CachePartition(machine.cache);
+            let layout = LayoutStrategy::CachePartition(machine.target());
             let base = simulate(
                 &seq,
                 &machine,

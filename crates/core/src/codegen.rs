@@ -34,7 +34,7 @@ impl StripSpec {
 /// (e.g. one row of a 2-D array); shifting extends the live window by
 /// `max_shift` further iterations, which must also stay resident for the
 /// reuse to be caught. The result is clamped to `[1, max_strip]`.
-pub fn suggest_strip(
+pub(crate) fn suggest_strip(
     cache_bytes: usize,
     na: usize,
     bytes_per_iter: usize,
@@ -50,7 +50,7 @@ pub fn suggest_strip(
 /// Per-iteration bytes touched in one array by the outermost fused loop:
 /// the product of the inner extents times the element size. For 1-D
 /// arrays this is just the element size.
-pub fn bytes_per_outer_iter(seq: &LoopSequence, elem_bytes: usize) -> usize {
+pub(crate) fn bytes_per_outer_iter(seq: &LoopSequence, elem_bytes: usize) -> usize {
     seq.arrays
         .iter()
         .map(|a| a.dims[1..].iter().product::<usize>() * elem_bytes)

@@ -42,9 +42,7 @@ pub mod plan;
 /// legality, block-geometry scheduling, codegen cost/strip selection,
 /// profitability, array contraction, and plan rendering.
 pub mod analysis {
-    pub use crate::codegen::{
-        bytes_per_outer_iter, estimate_block_cost, suggest_strip, GroupCost, StripSpec,
-    };
+    pub use crate::codegen::{estimate_block_cost, GroupCost, StripSpec};
     pub use crate::contract::{find_contractable, ContractionCandidate};
     pub use crate::derive::{
         derive_dim, derive_dim_observed, derive_levels, derive_shift_peel, Derivation, DeriveError,

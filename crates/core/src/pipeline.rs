@@ -658,16 +658,7 @@ impl Pass for CostPass {
                 })
                 .collect();
             let strip = match req.profit {
-                Some(m) => {
-                    let na = crate::codegen::bytes_per_outer_iter(req.seq, m.elem_bytes);
-                    crate::codegen::suggest_strip(
-                        m.cache_bytes,
-                        members.len().max(1),
-                        na.max(1),
-                        g.derivation.max_shift(),
-                        block,
-                    )
-                }
+                Some(m) => m.strip(req.seq, g.derivation.max_shift(), block),
                 None => StripSpec::new(block),
             };
             costs.push(estimate_block_cost(
@@ -982,6 +973,7 @@ mod tests {
                 "fc70d95e7f2dd9e2"
             ]
         );
+        // A model's keys hash its `Debug` text: they move with its fields.
         let profit = ProfitabilityModel::new(32 * 1024, 4);
         assert_eq!(
             keys(
@@ -991,9 +983,9 @@ mod tests {
             ),
             [
                 "ee07a38f6185c8d1",
-                "8899f3e17db68bed",
-                "d7b14eb27ba5359d",
-                "0d58040c8cac32a7"
+                "a32b31dadd5d748b",
+                "fc028c3ee70f267d",
+                "827b35f054584e79"
             ]
         );
         assert_eq!(dependence_key(&fig9(64)).hex(), "ee07a38f6185c8d1");

@@ -8,41 +8,47 @@
 //! beyond ~32 KSR2 processors, calc beyond ~24 (Figure 22). The paper
 //! concludes that "the profitability of the transformation should be
 //! evaluated in the compiler with knowledge of the data size with respect
-//! to the cache size"; this module is that evaluation.
+//! to the cache size"; this module is that evaluation, and the strip size
+//! the same cache bounds (Section 4, last paragraph).
 
+use crate::codegen::{bytes_per_outer_iter, suggest_strip, StripSpec};
 use sp_ir::LoopSequence;
 
-/// A simple capacity-based profitability model.
+/// Bytes in one array element: every array holds `f64`s.
+const ELEM_BYTES: usize = std::mem::size_of::<f64>();
+
+/// A simple capacity-based profitability model: the planner's view of
+/// the machine.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProfitabilityModel {
-    /// Per-processor cache capacity in bytes.
+    /// Per-processor capacity in bytes of the cache level fusion targets.
     pub cache_bytes: usize,
     /// Number of processors intended for execution.
     pub processors: usize,
-    /// Size of one array element in bytes.
-    pub elem_bytes: usize,
-    /// Fusion is considered profitable only while the per-processor data
-    /// of the group exceeds `threshold * cache_bytes`. 1.0 is the natural
-    /// setting; values below 1.0 make the model more eager to fuse.
-    pub threshold: f64,
-    /// Upper bound on distinct arrays in one fused group; each array gets
-    /// a `capacity / n_arrays` cache partition (Section 4), so groups
-    /// touching too many arrays leave partitions smaller than a strip's
-    /// working set. `0` disables the limit.
-    pub max_arrays: usize,
 }
 
 impl ProfitabilityModel {
     /// A model for a machine with `cache_bytes` per-processor cache and
-    /// `processors` CPUs, `f64` data.
+    /// `processors` CPUs.
     pub fn new(cache_bytes: usize, processors: usize) -> Self {
         ProfitabilityModel {
             cache_bytes,
             processors,
-            elem_bytes: std::mem::size_of::<f64>(),
-            threshold: 1.0,
-            max_arrays: 0,
         }
+    }
+
+    /// The partition-coupled strip for `seq` on this cache: every array
+    /// of the sequence gets one partition (Figure 19), and a strip of the
+    /// outermost fused loop, widened by `max_shift`, must fit one. At
+    /// most `max_strip`.
+    pub fn strip(&self, seq: &LoopSequence, max_shift: i64, max_strip: i64) -> StripSpec {
+        suggest_strip(
+            self.cache_bytes,
+            seq.arrays.len().max(1),
+            bytes_per_outer_iter(seq, ELEM_BYTES).max(1),
+            max_shift,
+            max_strip,
+        )
     }
 
     /// Bytes of distinct array data referenced by nests `[start, end)` of
@@ -62,32 +68,17 @@ impl ProfitabilityModel {
             .iter()
             .zip(&seen)
             .filter(|(_, &s)| s)
-            .map(|(a, _)| a.len() * self.elem_bytes)
+            .map(|(a, _)| a.len() * ELEM_BYTES)
             .sum();
         total / self.processors.max(1)
     }
 
     /// Is it (still) profitable to grow a group to `[start, end)`?
     ///
-    /// True while per-processor data exceeds the cache threshold — i.e.
-    /// while there is locality left for fusion to recover — and the
-    /// array-count limit is not exceeded.
+    /// True while per-processor data exceeds the cache — i.e. while
+    /// there is locality left for fusion to recover.
     pub fn profitable_to_grow(&self, seq: &LoopSequence, start: usize, end: usize) -> bool {
-        if self.max_arrays > 0 {
-            let mut seen = vec![false; seq.arrays.len()];
-            for nest in &seq.nests[start..end] {
-                for stmt in &nest.body {
-                    seen[stmt.lhs.array.index()] = true;
-                    for r in stmt.rhs.reads() {
-                        seen[r.array.index()] = true;
-                    }
-                }
-            }
-            if seen.iter().filter(|&&s| s).count() > self.max_arrays {
-                return false;
-            }
-        }
-        self.data_per_processor(seq, start, end) as f64 > self.threshold * self.cache_bytes as f64
+        self.data_per_processor(seq, start, end) > self.cache_bytes
     }
 
     /// Whole-group verdict used by experiment harnesses: should this group
@@ -143,11 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn array_limit_veto() {
+    fn strip_gives_every_array_a_partition() {
+        // 3 arrays of 128-element rows (1 KiB each) in 64 KiB: 21 rows a
+        // partition, less a shift of 2.
         let seq = two_loop_seq(128);
-        let mut m = ProfitabilityModel::new(1 << 10, 1);
-        m.max_arrays = 2;
-        assert!(m.profitable_to_grow(&seq, 0, 1));
-        assert!(!m.profitable_to_grow(&seq, 0, 2)); // 3 arrays > 2
+        let m = ProfitabilityModel::new(64 << 10, 1);
+        assert_eq!(m.strip(&seq, 2, 1 << 30).size, (64 << 10) / 3 / 1024 - 2);
+        assert_eq!(m.strip(&seq, 2, 8).size, 8);
     }
 }

@@ -11,6 +11,7 @@
 use crate::executor::{simulate, RunConfig};
 use crate::interp::ExecCounters;
 use crate::memory::Memory;
+use crate::report::RunReport;
 use crate::sink::{AccessSink, NullSink};
 use shift_peel_core::pipeline::pass;
 use shift_peel_core::{
@@ -78,13 +79,6 @@ pub enum ExecError {
         /// Sinks the caller supplied.
         got: usize,
     },
-    /// The chosen executor cannot run the given plan.
-    Unsupported {
-        /// Executor name.
-        executor: &'static str,
-        /// Why the combination is rejected.
-        reason: String,
-    },
     /// The plan needs more processors than the pool has workers.
     PoolTooSmall {
         /// Workers in the pool.
@@ -110,9 +104,6 @@ impl std::fmt::Display for ExecError {
                     f,
                     "plan needs {expected} sinks (one per processor), got {got}"
                 )
-            }
-            ExecError::Unsupported { executor, reason } => {
-                write!(f, "executor `{executor}` cannot run this plan: {reason}")
             }
             ExecError::PoolTooSmall { pool, required } => {
                 write!(f, "pool has {pool} workers but the plan needs {required}")
@@ -226,19 +217,22 @@ impl<'a> Program<'a> {
     /// access stream. Returns per-processor counters.
     pub fn run(&self, mem: &mut Memory, plan: &ExecPlan) -> Result<Vec<ExecCounters>, ExecError> {
         let mut sinks = vec![NullSink; plan.procs()];
-        self.run_with_sinks(mem, plan, &mut sinks)
+        let report = self.run_with_sinks(mem, &RunConfig::from_plan(plan.clone()), &mut sinks)?;
+        Ok(report.workers.into_iter().map(|w| w.counters).collect())
     }
 
-    /// Executes deterministically with one [`AccessSink`] per simulated
-    /// processor (e.g. per-processor cache simulators).
+    /// Executes `cfg` deterministically — the processors of each phase
+    /// one after another, on any backend and schedule — reporting each
+    /// simulated processor's accesses to its own [`AccessSink`]: the one
+    /// way to cache-simulate a run. Sinks keep their state across
+    /// timesteps, as caches do on hardware.
     pub fn run_with_sinks<S: AccessSink>(
         &self,
         mem: &mut Memory,
-        plan: &ExecPlan,
+        cfg: &RunConfig,
         sinks: &mut [S],
-    ) -> Result<Vec<ExecCounters>, ExecError> {
-        let report = simulate("sim", self, mem, &RunConfig::from_plan(plan.clone()), sinks)?;
-        Ok(report.workers.into_iter().map(|w| w.counters).collect())
+    ) -> Result<RunReport, ExecError> {
+        simulate("sim", self, mem, cfg, sinks)
     }
 }
 
@@ -456,7 +450,7 @@ mod tests {
         mem.init_deterministic(&seq, 1);
         let mut sinks = vec![NullSink; 3];
         let err = prog
-            .run_with_sinks(&mut mem, &ExecPlan::Blocked { grid: vec![4] }, &mut sinks)
+            .run_with_sinks(&mut mem, &RunConfig::blocked([4]), &mut sinks)
             .unwrap_err();
         assert_eq!(
             err,

@@ -14,10 +14,11 @@
 //!   processor 0, and a whole multi-timestep run is a single dispatch
 //!   with [`SenseBarrier`] phase synchronization.
 //! * [`SimExecutor`] — the deterministic single-threaded simulation of
-//!   `P` processors, optionally with per-processor cache simulation.
+//!   `P` processors; [`Program::run_with_sinks`] runs it with one access
+//!   sink per processor (a cache hierarchy, say).
 //!
-//! All are driven by a [`RunConfig`] — plan, timestep count, schedule,
-//! and sink choice — and produce a [`RunReport`] with per-worker
+//! All are driven by a [`RunConfig`] — plan, timestep count, schedule
+//! and backend — and produce a [`RunReport`] with per-worker
 //! counters, phase wall times, barrier-wait times, and block-imbalance
 //! statistics.
 
@@ -28,10 +29,9 @@ use crate::memory::{MemView, Memory};
 use crate::pool::{SenseBarrier, WorkerPool};
 use crate::report::{RunReport, WorkerReport};
 use crate::schedule::{Schedule, DEFAULT_STEAL_SEED};
-use crate::sink::{AccessSink, CacheSink, NullSink};
+use crate::sink::{AccessSink, NullSink};
 use crate::tape::{Engine, ProgramTape, RowIsa};
 use shift_peel_core::{CodegenMethod, FusionPlan};
-use sp_cache::{Cache, CacheConfig};
 use sp_ir::LoopSequence;
 use sp_trace::tracer::NO_INDEX;
 use sp_trace::{
@@ -83,21 +83,8 @@ impl Backend {
     }
 }
 
-/// Where the access stream goes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SinkChoice {
-    /// Discard accesses (fastest; the only choice the threaded runtimes
-    /// accept).
-    #[default]
-    Null,
-    /// Feed each simulated processor's accesses through its own cache
-    /// simulator ([`SimExecutor`] only); per-worker hit/miss statistics
-    /// land in the report.
-    Cache(CacheConfig),
-}
-
 /// A complete description of one run: what plan to execute, how many
-/// timesteps to repeat it, and where the access stream goes.
+/// timesteps to repeat it, and on which backend and schedule.
 ///
 /// Built fluently:
 ///
@@ -109,7 +96,6 @@ pub enum SinkChoice {
 pub struct RunConfig {
     plan: ExecPlan,
     steps: usize,
-    sink: SinkChoice,
     backend: Backend,
     trace: Option<TraceConfig>,
     // Adaptive scheduling (crate::schedule): which claim discipline the
@@ -155,7 +141,6 @@ impl RunConfig {
         RunConfig {
             plan,
             steps: 1,
-            sink: SinkChoice::Null,
             backend: Backend::default(),
             trace: None,
             schedule: Schedule::default(),
@@ -212,12 +197,6 @@ impl RunConfig {
     /// Repeats the plan `n` times back to back (timestepping).
     pub fn steps(mut self, n: usize) -> Self {
         self.steps = n;
-        self
-    }
-
-    /// Chooses the access-stream sink.
-    pub fn sink(mut self, s: SinkChoice) -> Self {
-        self.sink = s;
         self
     }
 
@@ -287,11 +266,6 @@ impl RunConfig {
     /// Timesteps the plan runs for.
     pub fn step_count(&self) -> usize {
         self.steps
-    }
-
-    /// The configured sink.
-    pub fn sink_choice(&self) -> SinkChoice {
-        self.sink
     }
 
     /// The configured backend.
@@ -616,11 +590,7 @@ impl<'c> Prepared<'c> {
             workers: totals
                 .into_iter()
                 .enumerate()
-                .map(|(proc, counters)| WorkerReport {
-                    proc,
-                    counters,
-                    cache: None,
-                })
+                .map(|(proc, counters)| WorkerReport { proc, counters })
                 .collect(),
             trace: self.tracing.map(|tr| tr.finish(lanes)),
         }
@@ -644,12 +614,6 @@ fn run_threaded(
     mem: &mut Memory,
     cfg: &RunConfig,
 ) -> Result<RunReport, ExecError> {
-    if let SinkChoice::Cache(_) = cfg.sink_choice() {
-        return Err(ExecError::Unsupported {
-            executor: name,
-            reason: "cache simulation needs the deterministic `SimExecutor`".into(),
-        });
-    }
     if matches!(cfg.plan(), ExecPlan::Serial) {
         // A serial plan has no parallel phases; run it inline rather
         // than spawning or waking threads for nothing.
@@ -848,22 +812,8 @@ impl Executor for SimExecutor {
         mem: &mut Memory,
         cfg: &RunConfig,
     ) -> Result<RunReport, ExecError> {
-        let nprocs = cfg.plan().procs();
-        match cfg.sink_choice() {
-            SinkChoice::Null => simulate(self.name(), prog, mem, cfg, &mut vec![NullSink; nprocs]),
-            SinkChoice::Cache(cache_cfg) => {
-                // Cache state persists across timesteps, as it would on
-                // hardware.
-                let mut sinks: Vec<CacheSink> = (0..nprocs)
-                    .map(|_| CacheSink::new(Cache::new(cache_cfg)))
-                    .collect();
-                let mut report = simulate(self.name(), prog, mem, cfg, &mut sinks)?;
-                for (w, sink) in report.workers.iter_mut().zip(&sinks) {
-                    w.cache = Some(sink.stats());
-                }
-                Ok(report)
-            }
-        }
+        let mut sinks = vec![NullSink; cfg.plan().procs()];
+        simulate(self.name(), prog, mem, cfg, &mut sinks)
     }
 }
 
@@ -1310,43 +1260,6 @@ mod tests {
             .run(&prog, &mut mem, &RunConfig::serial().steps(0))
             .unwrap_err();
         assert!(matches!(err, ExecError::Config(_)));
-    }
-
-    #[test]
-    fn threaded_executors_reject_cache_sinks() {
-        let seq = jacobi(24);
-        let prog = Program::new(&seq, 2).unwrap();
-        let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
-        mem.init_deterministic(&seq, 7);
-        let cfg =
-            RunConfig::blocked([2]).sink(SinkChoice::Cache(CacheConfig::new(16 * 1024, 64, 1)));
-        assert!(matches!(
-            ScopedExecutor.run(&prog, &mut mem, &cfg),
-            Err(ExecError::Unsupported {
-                executor: "scoped",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn sim_cache_sink_reports_per_worker_stats() {
-        let seq = jacobi(24);
-        let prog = Program::new(&seq, 2).unwrap();
-        let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
-        mem.init_deterministic(&seq, 7);
-        let cfg = RunConfig::fused([2, 2])
-            .strip(4)
-            .steps(2)
-            .sink(SinkChoice::Cache(CacheConfig::new(16 * 1024, 64, 1)));
-        let report = SimExecutor.run(&prog, &mut mem, &cfg).unwrap();
-        assert_eq!(report.workers.len(), 4);
-        for w in &report.workers {
-            let cache = w.cache.expect("cache stats present");
-            assert!(cache.accesses > 0);
-        }
-        let json = report.to_json();
-        assert!(json.contains("\"cache\":{\"accesses\":"));
     }
 
     #[test]

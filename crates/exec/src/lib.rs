@@ -67,9 +67,7 @@ pub mod tape;
 
 pub use digest::WordDigest;
 pub use exec::{ExecError, ExecPlan, Program};
-pub use executor::{
-    Backend, Executor, PooledExecutor, RunConfig, ScopedExecutor, SimExecutor, SinkChoice,
-};
+pub use executor::{Backend, Executor, PooledExecutor, RunConfig, ScopedExecutor, SimExecutor};
 pub use interp::{exec_region, run_original, ExecCounters};
 pub use memory::{MemView, Memory};
 pub use pass::register_pass_metrics;
@@ -81,6 +79,6 @@ pub use schedule::{
 };
 // Tracing types callers need to configure a traced run and consume its
 // result, re-exported so `sp-exec` users don't name `sp-trace` directly.
-pub use sink::{AccessSink, CacheSink, ClassifySink, HierarchySink, NullSink, RecordingSink};
+pub use sink::{AccessSink, CacheSink, ClassifySink, NullSink, RecordingSink};
 pub use sp_trace::{MetricsRegistry, RunTrace, SpanKind, TraceConfig, WorkerTrace};
 pub use tape::{ProgramTape, ROW};

@@ -2,14 +2,12 @@
 //!
 //! Every [`Executor`](crate::executor::Executor) run produces a
 //! [`RunReport`]: wall time, per-worker [`ExecCounters`] (including phase
-//! wall times and barrier-wait times gathered by the parallel runtimes),
-//! and optional per-worker cache statistics from the deterministic
-//! simulator. Reports serialize to JSON by hand — the workspace builds
+//! wall times and barrier-wait times gathered by the parallel runtimes).
+//! Reports serialize to JSON by hand — the workspace builds
 //! offline with no serde — in a stable field order suitable for
 //! committing under `results/`.
 
 use crate::interp::ExecCounters;
-use sp_cache::CacheStats;
 use sp_trace::json::{escape as json_escape, Json};
 use sp_trace::{MetricsRegistry, RunTrace, SpanKind};
 
@@ -20,8 +18,6 @@ pub struct WorkerReport {
     pub proc: usize,
     /// Work and timing counters.
     pub counters: ExecCounters,
-    /// Cache statistics, when the run simulated per-processor caches.
-    pub cache: Option<CacheStats>,
 }
 
 /// Everything measured about one executor run.
@@ -410,12 +406,6 @@ impl RunReport {
                 c.peeled_nanos,
                 c.barrier_wait_nanos
             ));
-            if let Some(cache) = &w.cache {
-                s.push_str(&format!(
-                    ",\"cache\":{{\"accesses\":{},\"misses\":{}}}",
-                    cache.accesses, cache.misses
-                ));
-            }
             s.push('}');
         }
         s.push_str("]}");
@@ -519,17 +509,6 @@ fn worker_from_json(v: &Json) -> Result<WorkerReport, String> {
             "fused_nanos" => c.fused_nanos = counter(v, key)?,
             "peeled_nanos" => c.peeled_nanos = counter(v, key)?,
             "barrier_wait_nanos" => c.barrier_wait_nanos = counter(v, key)?,
-            "cache" => {
-                let mut stats = CacheStats::default();
-                for (key, v) in object(v, "cache")? {
-                    match key.as_str() {
-                        "accesses" => stats.accesses = counter(v, key)?,
-                        "misses" => stats.misses = counter(v, key)?,
-                        _ => {}
-                    }
-                }
-                w.cache = Some(stats);
-            }
             _ => {}
         }
     }
@@ -638,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_with_cache_and_tape_fields() {
+    fn json_round_trips_with_tape_fields() {
         let mut r = report();
         r.backend = "compiled".into();
         r.lower_nanos = 1234;
@@ -646,21 +625,10 @@ mod tests {
         r.tape_chains = 9;
         r.tape_direct_stores = 6;
         r.row_isa = "avx2".into();
-        r.workers[0].cache = Some(CacheStats {
-            accesses: 1000,
-            misses: 37,
-        });
         r.workers[0].counters.fused_nanos = 999;
         r.workers[1].counters.flops = 77;
         let parsed = RunReport::from_json(&r.to_json()).unwrap();
         assert_reports_equal(&r, &parsed);
-        assert_eq!(
-            parsed.workers[0].cache,
-            Some(CacheStats {
-                accesses: 1000,
-                misses: 37
-            })
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! that nobody is listening, so plain correctness runs and wall-clock
 //! benchmarks skip the reporting entirely.
 
-use sp_cache::{Cache, CacheHierarchy, CacheStats, ClassifyingCache};
+use sp_cache::{CacheHierarchy, CacheStats, ClassifyingCache};
 
 /// Consumer of the interpreter's memory-access stream.
 pub trait AccessSink {
@@ -53,21 +53,21 @@ impl AccessSink for CountingSink {
     }
 }
 
-/// Feeds accesses to a cache simulator.
+/// Feeds accesses to a cache hierarchy (one level or more).
 #[derive(Debug)]
 pub struct CacheSink {
-    /// The simulated cache.
-    pub cache: Cache,
+    /// The simulated hierarchy.
+    pub cache: CacheHierarchy,
 }
 
 impl CacheSink {
-    /// Wraps a cache.
-    pub fn new(cache: Cache) -> Self {
+    /// Wraps a hierarchy.
+    pub fn new(cache: CacheHierarchy) -> Self {
         CacheSink { cache }
     }
 
-    /// Simulation counters so far.
-    pub fn stats(&self) -> CacheStats {
+    /// Simulation counters so far, per level, first level first.
+    pub fn stats(&self) -> Vec<CacheStats> {
         self.cache.stats()
     }
 }
@@ -95,27 +95,6 @@ impl ClassifySink {
 }
 
 impl AccessSink for ClassifySink {
-    #[inline]
-    fn access(&mut self, addr: u64, _is_write: bool) {
-        self.cache.access(addr);
-    }
-}
-
-/// Feeds accesses through a two-level cache hierarchy.
-#[derive(Debug)]
-pub struct HierarchySink {
-    /// The hierarchy.
-    pub cache: CacheHierarchy,
-}
-
-impl HierarchySink {
-    /// Wraps a hierarchy.
-    pub fn new(cache: CacheHierarchy) -> Self {
-        HierarchySink { cache }
-    }
-}
-
-impl AccessSink for HierarchySink {
     #[inline]
     fn access(&mut self, addr: u64, _is_write: bool) {
         self.cache.access(addr);
@@ -158,11 +137,11 @@ mod tests {
 
     #[test]
     fn cache_sink_counts_misses() {
-        let mut s = CacheSink::new(Cache::new(CacheConfig::new(256, 64, 1)));
+        let mut s = CacheSink::new(CacheHierarchy::new(&[CacheConfig::new(256, 64, 1)]));
         s.access(0, false);
         s.access(0, true);
-        assert_eq!(s.stats().misses, 1);
-        assert_eq!(s.stats().accesses, 2);
+        assert_eq!(s.stats()[0].misses, 1);
+        assert_eq!(s.stats()[0].accesses, 2);
     }
 
     #[test]

@@ -361,6 +361,9 @@ fn parse_array_header(decl: &str, k: usize, lineno: usize) -> Result<ArrayDecl, 
     let Ok(dims) = dims else {
         return err(lineno, format!("bad dimensions {dims_str:?}"));
     };
+    if dims.contains(&0) {
+        return err(lineno, format!("zero dimension in {dims_str:?}"));
+    }
     match tag {
         Some(tag) if numbered(tag, 'A') == Some(k) => Ok(ArrayDecl::new(aname, dims)),
         Some(tag) => err(lineno, format!("array header tag {tag:?}, expected A{k}")),
@@ -385,6 +388,9 @@ fn parse_do_header(rest: &str, level: usize, lineno: usize) -> Result<LoopBounds
             lineno,
             format!("do header names {var:?}, expected i{level}"),
         );
+    }
+    if lo > hi {
+        return err(lineno, format!("empty loop bounds {lo}, {hi}"));
     }
     Ok(LoopBounds::new(lo, hi))
 }

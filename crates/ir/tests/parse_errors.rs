@@ -190,6 +190,18 @@ fn rows() -> Vec<(&'static str, String, usize, &'static str)> {
             1,
             "bad dimensions \"\"",
         ),
+        (
+            "zero dimension",
+            "! array A0 a(0)\n".to_string(),
+            1,
+            "zero dimension in \"0\"",
+        ),
+        (
+            "zero inner dimension",
+            "! array A0 a(8,0)\n".to_string(),
+            1,
+            "zero dimension in \"8,0\"",
+        ),
         // Nest structure.
         (
             "label inside a loop",
@@ -220,6 +232,12 @@ fn rows() -> Vec<(&'static str, String, usize, &'static str)> {
             format!("{HEAD}L1:\n  do i0 = 1, n\n"),
             4,
             "bad loop bounds",
+        ),
+        (
+            "empty loop",
+            format!("{HEAD}L1:\n  do i0 = 5, 4\n"),
+            4,
+            "empty loop bounds 5, 4",
         ),
         (
             "end do without a loop",

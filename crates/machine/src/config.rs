@@ -16,9 +16,19 @@
 //! exceed cache, transformation overhead (strips, guards, peeled
 //! iterations, barriers) dominates when they do not.
 
+use shift_peel_core::ProfitabilityModel;
 use sp_cache::CacheConfig;
 
-/// A simulated machine: cache geometry plus a cycle cost model.
+/// One level of a processor's cache hierarchy.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct CacheLevel {
+    /// The level's geometry.
+    pub geometry: CacheConfig,
+    /// Cycles added per miss at this level.
+    pub miss_penalty: u64,
+}
+
+/// A simulated machine: cache hierarchy plus a cycle cost model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineConfig {
     /// Display name.
@@ -27,10 +37,9 @@ pub struct MachineConfig {
     pub max_procs: usize,
     /// Clock in MHz (converts cycles to seconds).
     pub clock_mhz: u64,
-    /// Per-processor cache geometry.
-    pub cache: CacheConfig,
-    /// Cycles added per cache miss.
-    pub miss_penalty: u64,
+    /// Per-processor cache levels, first level first (an inclusive
+    /// hierarchy: each level sees the misses of the one before it).
+    pub levels: &'static [CacheLevel],
     /// Cycles per arithmetic operation.
     pub flop_cycles: u64,
     /// Cycles per memory reference that hits.
@@ -56,12 +65,14 @@ pub const KSR2: MachineConfig = MachineConfig {
     name: "KSR2",
     max_procs: 56,
     clock_mhz: 40,
-    cache: CacheConfig {
-        capacity: 256 << 10,
-        line: 128,
-        assoc: 2,
-    },
-    miss_penalty: 25,
+    levels: &[CacheLevel {
+        geometry: CacheConfig {
+            capacity: 256 << 10,
+            line: 128,
+            assoc: 2,
+        },
+        miss_penalty: 25,
+    }],
     flop_cycles: 1,
     mem_ref_cycles: 1,
     iter_overhead: 2,
@@ -77,12 +88,14 @@ pub const CONVEX_SPP1000: MachineConfig = MachineConfig {
     name: "Convex SPP-1000",
     max_procs: 16,
     clock_mhz: 100,
-    cache: CacheConfig {
-        capacity: 1 << 20,
-        line: 32,
-        assoc: 1,
-    },
-    miss_penalty: 60,
+    levels: &[CacheLevel {
+        geometry: CacheConfig {
+            capacity: 1 << 20,
+            line: 32,
+            assoc: 1,
+        },
+        miss_penalty: 60,
+    }],
     flop_cycles: 1,
     mem_ref_cycles: 1,
     iter_overhead: 2,
@@ -98,6 +111,22 @@ impl MachineConfig {
     pub fn seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_mhz as f64 * 1e6)
     }
+
+    /// The level that cache partitioning, strip sizing and the
+    /// profitability model target: the last one, whose misses go to
+    /// memory. Every such decision reads its geometry here.
+    pub fn target(&self) -> CacheConfig {
+        self.levels
+            .last()
+            .expect("a machine has at least one cache level")
+            .geometry
+    }
+
+    /// The planner's view of this machine at `processors` CPUs: the
+    /// target level's capacity.
+    pub fn profitability(&self, processors: usize) -> ProfitabilityModel {
+        ProfitabilityModel::new(self.target().capacity, processors)
+    }
 }
 
 #[cfg(test)]
@@ -107,9 +136,9 @@ mod tests {
     #[test]
     #[allow(clippy::assertions_on_constants)] // pins the preset relationship
     fn presets_are_consistent() {
-        assert_eq!(KSR2.cache.sets(), (256 << 10) / (128 * 2));
-        assert_eq!(CONVEX_SPP1000.cache.sets(), (1 << 20) / 32);
-        assert!(CONVEX_SPP1000.miss_penalty > KSR2.miss_penalty);
+        assert_eq!(KSR2.target().sets(), (256 << 10) / (128 * 2));
+        assert_eq!(CONVEX_SPP1000.target().sets(), (1 << 20) / 32);
+        assert!(CONVEX_SPP1000.levels[0].miss_penalty > KSR2.levels[0].miss_penalty);
         assert_eq!(KSR2.max_procs, 56);
         assert_eq!(CONVEX_SPP1000.max_procs, 16);
     }

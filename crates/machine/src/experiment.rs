@@ -7,12 +7,12 @@
 
 use crate::config::MachineConfig;
 use crate::sim::{simulate, SimPlan, SimResult};
-use shift_peel_core::analysis::{bytes_per_outer_iter, derive_levels, suggest_strip};
-use shift_peel_core::{CodegenMethod, ProfitabilityModel};
-use sp_cache::LayoutStrategy;
+use shift_peel_core::analysis::derive_levels;
+use shift_peel_core::CodegenMethod;
+use sp_cache::{CacheConfig, CacheHierarchy, LayoutStrategy};
 use sp_exec::{
-    Backend, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program, RunConfig, RunReport,
-    Schedule, ScopedExecutor, SimExecutor, SinkChoice,
+    Backend, CacheSink, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program, RunConfig,
+    RunReport, Schedule, ScopedExecutor,
 };
 use sp_ir::LoopSequence;
 
@@ -45,30 +45,30 @@ pub struct SweepOptions {
     pub method: CodegenMethod,
     /// NUMA bias (see [`SimPlan::remote_bias`]).
     pub remote_bias: f64,
-    /// When set, the "fused" variant consults this per-processor-count
-    /// profitability model (the paper's Section 6 recommendation) and
-    /// leaves sequences unfused when the per-processor data already fits
-    /// the cache. Applies to application sweeps.
-    pub profitability: Option<usize>,
+    /// When set, the "fused" variant consults the machine's
+    /// per-processor-count profitability model (the paper's Section 6
+    /// recommendation) and leaves sequences unfused when the
+    /// per-processor data already fits the target cache level. Applies to
+    /// application sweeps.
+    pub profitability: bool,
 }
 
 impl SweepOptions {
     /// Cache-partitioned layout for `machine`, default strip 16.
     pub fn for_machine(machine: &MachineConfig) -> Self {
         SweepOptions {
-            layout: LayoutStrategy::CachePartition(machine.cache),
+            layout: LayoutStrategy::CachePartition(machine.target()),
             strip: 0,
             method: CodegenMethod::StripMined,
             remote_bias: 0.0,
-            profitability: None,
+            profitability: false,
         }
     }
 }
 
 /// The partition-coupled strip size for one sequence on one machine
-/// (Section 4, final paragraph): the largest strip whose per-array data
-/// fits one cache partition, given the fused group's maximum shift.
-pub fn auto_strip(seq: &LoopSequence, machine: &MachineConfig) -> i64 {
+/// (Section 4, final paragraph), given the fused group's maximum shift.
+fn auto_strip(seq: &LoopSequence, machine: &MachineConfig) -> i64 {
     let max_shift = sp_dep::analyze_sequence(seq)
         .ok()
         .and_then(|deps| derive_levels(&deps, seq.len(), 1).ok())
@@ -80,14 +80,7 @@ pub fn auto_strip(seq: &LoopSequence, machine: &MachineConfig) -> i64 {
         .map(|n| n.bounds[0].count() as i64)
         .max()
         .unwrap_or(1);
-    suggest_strip(
-        machine.cache.capacity,
-        seq.arrays.len().max(1),
-        bytes_per_outer_iter(seq, std::mem::size_of::<f64>()),
-        max_shift,
-        trip,
-    )
-    .size
+    machine.profitability(1).strip(seq, max_shift, trip).size
 }
 
 fn strip_for(opts: &SweepOptions, seq: &LoopSequence, machine: &MachineConfig) -> i64 {
@@ -182,13 +175,8 @@ pub fn app_speedup_sweep(
     let sim_all = |p: usize, fused: bool| -> Result<SimResult, ExecError> {
         let mut parts = Vec::with_capacity(seqs.len());
         for s in seqs {
-            let mut do_fuse = fused;
-            if fused {
-                if let Some(cache_bytes) = opts.profitability {
-                    let model = ProfitabilityModel::new(cache_bytes, p);
-                    do_fuse = model.should_fuse(s, 0, s.len());
-                }
-            }
+            let do_fuse = fused
+                && (!opts.profitability || machine.profitability(p).should_fuse(s, 0, s.len()));
             let exec = if do_fuse {
                 ExecPlan::Fused {
                     grid: vec![p],
@@ -280,8 +268,8 @@ pub fn padding_sweep(
     }
     Ok(PaddingSweep {
         rows,
-        partitioned_unfused: run(LayoutStrategy::CachePartition(machine.cache), false)?,
-        partitioned_fused: run(LayoutStrategy::CachePartition(machine.cache), true)?,
+        partitioned_unfused: run(LayoutStrategy::CachePartition(machine.target()), false)?,
+        partitioned_fused: run(LayoutStrategy::CachePartition(machine.target()), true)?,
     })
 }
 
@@ -426,7 +414,7 @@ pub fn backend_miss_parity(
     grid: &[usize],
     strip: i64,
     steps: usize,
-    cache: sp_cache::CacheConfig,
+    cache: CacheConfig,
 ) -> Result<MissParity, ExecError> {
     let prog = Program::new(seq, grid.len())?;
     let run = |backend: Backend| -> Result<(Vec<u64>, Vec<Vec<f64>>), ExecError> {
@@ -435,14 +423,12 @@ pub fn backend_miss_parity(
         let cfg = RunConfig::fused(grid.to_vec())
             .strip(strip)
             .steps(steps)
-            .sink(SinkChoice::Cache(cache))
             .backend(backend);
-        let report = SimExecutor.run(&prog, &mut mem, &cfg)?;
-        let misses = report
-            .workers
-            .iter()
-            .map(|w| w.cache.map_or(0, |c| c.misses))
+        let mut sinks: Vec<CacheSink> = (0..cfg.plan().procs())
+            .map(|_| CacheSink::new(CacheHierarchy::new(&[cache])))
             .collect();
+        prog.run_with_sinks(&mut mem, &cfg, &mut sinks)?;
+        let misses = sinks.iter().map(|s| s.stats()[0].misses).collect();
         Ok((misses, mem.snapshot_all(seq)))
     };
     let (interp, want) = run(Backend::Interp)?;
@@ -557,14 +543,8 @@ mod tests {
     #[test]
     fn backend_miss_parity_is_exact() {
         let seq = seq3(64);
-        let parity = backend_miss_parity(
-            &seq,
-            &[2],
-            8,
-            2,
-            sp_cache::CacheConfig::new(16 * 1024, 64, 1),
-        )
-        .unwrap();
+        let parity =
+            backend_miss_parity(&seq, &[2], 8, 2, CacheConfig::new(16 * 1024, 64, 1)).unwrap();
         assert_eq!(parity.interp.len(), 2);
         assert!(parity.equal(), "{parity:?}");
         assert!(parity.interp.iter().any(|&m| m > 0));

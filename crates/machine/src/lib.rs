@@ -6,7 +6,8 @@
 //! computation, memory references, cache misses, transformation overhead
 //! (strips, guards, peeled iterations) and barriers.
 //!
-//! * [`config`] — machine models and the KSR2 / Convex presets;
+//! * [`config`] — machine models (cache levels plus a cycle cost model)
+//!   and the one-level KSR2 / Convex presets;
 //! * [`sim`] — whole-program simulation ([`simulate`]);
 //! * [`experiment`] — the sweep harnesses behind the paper's figures
 //!   (speedup-vs-processors, misses-vs-padding, improvement-vs-size);
@@ -19,11 +20,10 @@ pub mod experiment;
 pub mod sim;
 pub mod tune;
 
-pub use config::{MachineConfig, CONVEX_SPP1000, KSR2};
+pub use config::{CacheLevel, MachineConfig, CONVEX_SPP1000, KSR2};
 pub use experiment::{
-    app_speedup_sweep, auto_strip, backend_miss_parity, improvement_ratio, padding_sweep,
-    runtime_sweep, speedup_sweep, sum_results, MissParity, PaddingRow, PaddingSweep, RuntimeRow,
-    SweepOptions, SweepRow,
+    app_speedup_sweep, backend_miss_parity, improvement_ratio, padding_sweep, runtime_sweep,
+    speedup_sweep, sum_results, MissParity, RuntimeRow, SweepOptions,
 };
-pub use sim::{price, simulate, ProcResult, SimPlan, SimResult};
-pub use tune::{chunk_bounds, skewed_sweep, ChunkBounds, SkewRow};
+pub use sim::{processor_caches, simulate, SimPlan, SimResult};
+pub use tune::{chunk_bounds, skewed_sweep, SkewRow};

@@ -1,14 +1,14 @@
 //! Whole-program simulation on a machine model.
 //!
 //! A simulation executes a sequence under an execution plan with one cache
-//! simulator per processor (trace-driven, deterministic), then prices each
+//! hierarchy per processor (trace-driven, deterministic), then prices each
 //! processor's work with the machine's cycle model. The simulated time of
 //! a phase-parallel program is the *maximum* processor time plus barrier
 //! costs, so load imbalance (e.g. peeled iterations) is captured.
 
 use crate::config::MachineConfig;
-use sp_cache::{Cache, CacheStats, LayoutStrategy};
-use sp_exec::{CacheSink, ExecCounters, ExecError, ExecPlan, Memory, Program};
+use sp_cache::{CacheConfig, CacheHierarchy, CacheStats, LayoutStrategy};
+use sp_exec::{CacheSink, ExecCounters, ExecError, ExecPlan, Memory, Program, RunConfig};
 use sp_ir::LoopSequence;
 
 /// What to simulate.
@@ -39,12 +39,12 @@ impl SimPlan {
 }
 
 /// Per-processor simulation outcome.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProcResult {
     /// Work counters from the interpreter.
     pub counters: ExecCounters,
-    /// Cache behaviour.
-    pub cache: CacheStats,
+    /// Cache behaviour per level, first level first.
+    pub cache: Vec<CacheStats>,
     /// Priced cycles (excluding barrier costs, which are global).
     pub cycles: u64,
 }
@@ -60,9 +60,9 @@ pub struct SimResult {
     pub cycles: u64,
     /// Simulated wall-clock seconds at the machine's clock rate.
     pub seconds: f64,
-    /// Total cache misses across processors.
+    /// First-level cache misses across processors.
     pub misses: u64,
-    /// Total cache accesses across processors.
+    /// First-level cache accesses across processors.
     pub accesses: u64,
 }
 
@@ -72,15 +72,62 @@ impl SimResult {
     pub fn speedup_over(&self, base: &SimResult) -> f64 {
         base.seconds / self.seconds
     }
+
+    /// Prices a finished run on `machine`: each processor's `counters`
+    /// and the misses its cache hierarchy in `caches` counted, plus the
+    /// barriers every processor crossed. Whoever schedules the run (the
+    /// executor or the alignment/replication baseline) hands its sinks
+    /// here.
+    pub fn tally(
+        machine: &MachineConfig,
+        counters: &[ExecCounters],
+        caches: &[CacheSink],
+        remote_bias: f64,
+    ) -> SimResult {
+        let procs = counters.len();
+        let per_proc: Vec<ProcResult> = counters
+            .iter()
+            .zip(caches)
+            .map(|(c, s)| {
+                let cache = s.stats();
+                ProcResult {
+                    counters: *c,
+                    cycles: price(machine, c, &cache, remote_bias, procs),
+                    cache,
+                }
+            })
+            .collect();
+        let barrier_cycles = counters
+            .first()
+            .map(|c| c.barriers * (machine.barrier_base + machine.barrier_per_proc * procs as u64))
+            .unwrap_or(0);
+        let cycles = per_proc.iter().map(|p| p.cycles).max().unwrap_or(0) + barrier_cycles;
+        SimResult {
+            procs,
+            cycles,
+            seconds: machine.seconds(cycles),
+            misses: per_proc.iter().map(|p| p.cache[0].misses).sum(),
+            accesses: per_proc.iter().map(|p| p.cache[0].accesses).sum(),
+            per_proc,
+        }
+    }
 }
 
-/// Prices one processor's work in cycles under the machine's cost model
-/// (exposed for alternative schedulers, e.g. the alignment/replication
-/// baseline).
-pub fn price(
+/// One cold cache hierarchy per processor, with `machine`'s levels.
+pub fn processor_caches(machine: &MachineConfig, procs: usize) -> Vec<CacheSink> {
+    let levels: Vec<CacheConfig> = machine.levels.iter().map(|l| l.geometry).collect();
+    (0..procs)
+        .map(|_| CacheSink::new(CacheHierarchy::new(&levels)))
+        .collect()
+}
+
+/// Prices one processor's work in cycles under the machine's cost model;
+/// `cache` holds its counters per level, and each level's misses cost
+/// that level's penalty.
+fn price(
     machine: &MachineConfig,
     c: &ExecCounters,
-    cache: &CacheStats,
+    cache: &[CacheStats],
     remote_bias: f64,
     procs: usize,
 ) -> u64 {
@@ -91,15 +138,18 @@ pub fn price(
     cycles += c.peeled_iters * (machine.iter_overhead + machine.peeled_iter_overhead);
     cycles += c.strips * machine.strip_overhead;
     cycles += c.guards * machine.guard_overhead;
-    // Miss penalty, with an optional NUMA surcharge: with data spread over
-    // `procs` memories, a fraction (procs-1)/procs of misses are remote.
+    // Miss penalties, with an optional NUMA surcharge: with data spread
+    // over `procs` memories, a fraction (procs-1)/procs of misses are
+    // remote.
     let remote_fraction = if procs > 1 {
         (procs - 1) as f64 / procs as f64
     } else {
         0.0
     };
-    let miss_cost = machine.miss_penalty as f64 * (1.0 + remote_bias * remote_fraction);
-    cycles += (cache.misses as f64 * miss_cost) as u64;
+    for (level, stats) in machine.levels.iter().zip(cache) {
+        let miss_cost = level.miss_penalty as f64 * (1.0 + remote_bias * remote_fraction);
+        cycles += (stats.misses as f64 * miss_cost) as u64;
+    }
     cycles
 }
 
@@ -116,39 +166,22 @@ pub fn simulate(
     let ex = Program::new(seq, levels)?;
     let mut mem = Memory::new(seq, plan.layout);
     mem.init_deterministic(seq, plan.seed);
-    let procs = plan.exec.procs();
-    let mut sinks: Vec<CacheSink> = (0..procs)
-        .map(|_| CacheSink::new(Cache::new(machine.cache)))
-        .collect();
-    let counters = ex.run_with_sinks(&mut mem, &plan.exec, &mut sinks)?;
-    let per_proc: Vec<ProcResult> = counters
-        .iter()
-        .zip(&sinks)
-        .map(|(c, s)| ProcResult {
-            counters: *c,
-            cache: s.stats(),
-            cycles: price(machine, c, &s.stats(), plan.remote_bias, procs),
-        })
-        .collect();
-    let barrier_cycles = counters
-        .first()
-        .map(|c| c.barriers * (machine.barrier_base + machine.barrier_per_proc * procs as u64))
-        .unwrap_or(0);
-    let cycles = per_proc.iter().map(|p| p.cycles).max().unwrap_or(0) + barrier_cycles;
-    Ok(SimResult {
-        procs,
-        cycles,
-        seconds: machine.seconds(cycles),
-        misses: per_proc.iter().map(|p| p.cache.misses).sum(),
-        accesses: per_proc.iter().map(|p| p.cache.accesses).sum(),
-        per_proc,
-    })
+    let mut caches = processor_caches(machine, plan.exec.procs());
+    let cfg = RunConfig::from_plan(plan.exec.clone());
+    let report = ex.run_with_sinks(&mut mem, &cfg, &mut caches)?;
+    let counters: Vec<ExecCounters> = report.workers.iter().map(|w| w.counters).collect();
+    Ok(SimResult::tally(
+        machine,
+        &counters,
+        &caches,
+        plan.remote_bias,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CONVEX_SPP1000;
+    use crate::config::{CacheLevel, CONVEX_SPP1000};
     use shift_peel_core::CodegenMethod;
     use sp_ir::SeqBuilder;
 
@@ -213,7 +246,7 @@ mod tests {
         let seq = two_pass(512);
         let base = SimPlan::new(
             ExecPlan::Blocked { grid: vec![1] },
-            LayoutStrategy::CachePartition(CONVEX_SPP1000.cache),
+            LayoutStrategy::CachePartition(CONVEX_SPP1000.target()),
         );
         let fused = SimPlan::new(
             ExecPlan::Fused {
@@ -221,7 +254,7 @@ mod tests {
                 method: CodegenMethod::StripMined,
                 strip: 16,
             },
-            LayoutStrategy::CachePartition(CONVEX_SPP1000.cache),
+            LayoutStrategy::CachePartition(CONVEX_SPP1000.target()),
         );
         let rb = simulate(&seq, &CONVEX_SPP1000, &base).unwrap();
         let rf = simulate(&seq, &CONVEX_SPP1000, &fused).unwrap();
@@ -231,6 +264,52 @@ mod tests {
             rf.misses,
             rb.misses
         );
+    }
+
+    #[test]
+    fn each_level_charges_its_own_misses() {
+        let two_level = MachineConfig {
+            levels: &[
+                CacheLevel {
+                    geometry: CacheConfig {
+                        capacity: 4 << 10,
+                        line: 64,
+                        assoc: 2,
+                    },
+                    miss_penalty: 10,
+                },
+                CacheLevel {
+                    geometry: CacheConfig {
+                        capacity: 64 << 10,
+                        line: 64,
+                        assoc: 4,
+                    },
+                    miss_penalty: 200,
+                },
+            ],
+            flop_cycles: 0,
+            mem_ref_cycles: 1,
+            iter_overhead: 0,
+            strip_overhead: 0,
+            guard_overhead: 0,
+            peeled_iter_overhead: 0,
+            barrier_base: 0,
+            barrier_per_proc: 0,
+            ..CONVEX_SPP1000
+        };
+        let seq = two_pass(64);
+        let plan = SimPlan::new(
+            ExecPlan::Blocked { grid: vec![1] },
+            LayoutStrategy::Contiguous,
+        );
+        let r = simulate(&seq, &two_level, &plan).unwrap();
+        let [l1, l2] = r.per_proc[0].cache[..] else {
+            panic!("two levels")
+        };
+        assert_eq!(l2.accesses, l1.misses);
+        assert!(l2.misses > 0 && l2.misses < l1.misses);
+        assert_eq!(r.accesses, l1.accesses);
+        assert_eq!(r.cycles, l1.accesses + 10 * l1.misses + 200 * l2.misses);
     }
 
     #[test]

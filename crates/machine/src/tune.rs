@@ -11,7 +11,7 @@
 //! barrier-wait counters the [`RunReport`] already carries.
 
 use crate::config::MachineConfig;
-use shift_peel_core::analysis::{bytes_per_outer_iter, derive_levels, suggest_strip};
+use shift_peel_core::analysis::derive_levels;
 use sp_cache::LayoutStrategy;
 use sp_exec::{
     ExecError, Executor, Memory, PooledExecutor, Program, RunConfig, RunReport, Schedule,
@@ -26,7 +26,7 @@ pub struct ChunkBounds {
     pub nt_floor: i64,
     /// Upper bound from the cost model: the largest chunk whose
     /// per-array footprint still fits one cache partition (the same
-    /// `suggest_strip` bound that couples strip size to partition size).
+    /// bound that couples strip size to partition size).
     pub capacity: i64,
     /// Rows of one static block — no chunk can exceed its parent block.
     pub block_trip: i64,
@@ -67,15 +67,11 @@ pub fn chunk_bounds(seq: &LoopSequence, machine: &MachineConfig, procs: usize) -
     let trip = (hi - lo + 1).max(1);
     let p = procs.max(1) as i64;
     let block_trip = ((trip + p - 1) / p).max(1);
-    let capacity = suggest_strip(
-        machine.cache.capacity,
-        seq.arrays.len().max(1),
-        bytes_per_outer_iter(seq, std::mem::size_of::<f64>()),
-        max_shift,
-        block_trip,
-    )
-    .size
-    .max(nt_floor);
+    let capacity = machine
+        .profitability(procs)
+        .strip(seq, max_shift, block_trip)
+        .size
+        .max(nt_floor);
     ChunkBounds {
         nt_floor,
         capacity,

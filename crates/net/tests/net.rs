@@ -498,6 +498,43 @@ fn a_hand_written_text_registers_under_the_canonical_digest() {
     server.shutdown();
 }
 
+/// Text from outside the program that does not parse is a typed error on
+/// the reader thread that parsed it, never a panic: an empty loop and a
+/// zero-extent array are each refused as malformed, and the same
+/// connection then serves a good job.
+#[test]
+fn unparsable_text_is_malformed_and_the_connection_serves_on() {
+    let server = start_server(ServiceConfig::default().workers(2));
+    let spec = JobSpec::new("good", jacobi::sequence(32), fused(&[2])).steps(2);
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let submit = |text: &str| SubmitJob {
+        request_id: 0,
+        tenant: "fuzzer".into(),
+        name: "text".into(),
+        program: ProgramRef::Text(text.to_string()),
+        plan: fused(&[2]),
+        backend: Backend::Compiled,
+        schedule: Schedule::default(),
+        steps: 2,
+        seed: 7,
+        deadline_nanos: 0,
+    };
+    for bad in [
+        "! array A0 a(8)\nL1:\n  do i0 = 5, 4\n    a[i0] = 1.0\n  end do\n",
+        "! array A0 a(0)\n",
+    ] {
+        write_frame(&mut stream, &Frame::Submit(submit(bad))).unwrap();
+        match read_frame(&mut stream).expect("a reply") {
+            Frame::Error(e) => assert_eq!(e.code, sp_net::CODE_MALFORMED, "{bad:?}: {e:?}"),
+            other => panic!("{bad:?}: expected an error, got {other:?}"),
+        }
+    }
+    let good = raw_round_trip(&mut stream, &submit(spec.seq.text()));
+    let mut c = client(&server, "fuzzer");
+    assert_eq!(good.digest, c.submit(&spec).unwrap().digest);
+    server.shutdown();
+}
+
 /// Every text submission either parsed its program or found it:
 /// `programs_registered = parses + text_hits`, through an eviction and the
 /// re-registration after it.

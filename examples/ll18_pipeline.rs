@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example ll18_pipeline`
 
 use shift_peel::cache::group_compatibility;
-use shift_peel::core::analysis::{bytes_per_outer_iter, render_plan, suggest_strip};
+use shift_peel::core::analysis::render_plan;
 use shift_peel::core::CodegenMethod;
 use shift_peel::dep::describe_deps;
 use shift_peel::kernels::ll18;
@@ -23,7 +23,7 @@ fn main() {
     // 1. Analysis + planning with profitability.
     let deps = analyze_sequence(&seq).expect("analysis");
     println!("--- dependences ---\n{}", describe_deps(&seq, &deps));
-    let profit = ProfitabilityModel::new(machine.cache.capacity, procs);
+    let profit = machine.profitability(procs);
     let plan = fusion_plan(&seq, &deps, 1, CodegenMethod::StripMined, Some(&profit)).expect("plan");
     println!(
         "fusion plan: {} group(s), longest {}, max shift {}, max peel {}",
@@ -39,17 +39,10 @@ fn main() {
         None => println!("all references compatible: partitions stay conflict-free"),
         Some(v) => println!("incompatible references: {v:?} (data transformation needed)"),
     }
-    let layout = LayoutStrategy::CachePartition(machine.cache);
+    let layout = LayoutStrategy::CachePartition(machine.target());
 
     // 3. Strip size from the partition size (Section 4, last paragraph).
-    let na = seq.arrays.len();
-    let strip = suggest_strip(
-        machine.cache.capacity,
-        na,
-        bytes_per_outer_iter(&seq, 8),
-        plan.max_shift(),
-        n as i64,
-    );
+    let strip = profit.strip(&seq, plan.max_shift(), n as i64);
     println!(
         "strip size from partition size: {} outer iterations",
         strip.size

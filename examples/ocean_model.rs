@@ -15,7 +15,7 @@ fn main() {
     let app = spem::app(60, 65, 65); // the paper's size
     let machine = CONVEX_SPP1000;
     let procs = 8usize;
-    let layout = LayoutStrategy::CachePartition(machine.cache);
+    let layout = LayoutStrategy::CachePartition(machine.target());
 
     let mut total_unfused = 0.0;
     let mut total_fused = 0.0;
@@ -26,7 +26,7 @@ fn main() {
         let d = &plan.groups[0].derivation.dims[0];
         // What the compile-time profitability evaluation (the paper's
         // Section 6 recommendation) says about this sequence.
-        let profit = ProfitabilityModel::new(machine.cache.capacity, procs);
+        let profit = machine.profitability(procs);
         let verdict = if profit.should_fuse(seq, 0, seq.len()) {
             "fuse"
         } else {

@@ -71,8 +71,8 @@ pub mod prelude {
     pub use sp_exec::{
         simulate_stealing, static_busy, Backend, ExecError, ExecPlan, Executor, Memory,
         MetricsRegistry, PooledExecutor, Program, RunConfig, RunReport, RunTrace, Schedule,
-        ScopedExecutor, SimExecutor, SinkChoice, SpanKind, StealEvent, StealSimReport,
-        StealSimSpec, TraceConfig, WorkerReport, DEFAULT_STEAL_SEED,
+        ScopedExecutor, SimExecutor, SpanKind, StealEvent, StealSimReport, StealSimSpec,
+        TraceConfig, WorkerReport, DEFAULT_STEAL_SEED,
     };
     pub use sp_ir::{ArrayDecl, ArrayId, Expr, LoopSequence, SeqBuilder};
     pub use sp_machine::{simulate, MachineConfig, SimPlan, SimResult};

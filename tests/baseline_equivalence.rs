@@ -49,7 +49,7 @@ fn replication_overhead_is_measurable() {
     // ...and the aligned run issues more loads+stores than shift-and-peel
     // (copy loops + recomputed statements).
     let machine = CONVEX_SPP1000;
-    let layout = LayoutStrategy::CachePartition(machine.cache);
+    let layout = LayoutStrategy::CachePartition(machine.target());
     let aligned = simulate_aligned(&prog, &machine, 4, layout, 42);
     let peel = simulate(
         &seq,
@@ -79,7 +79,7 @@ fn fig26_shape_peeling_wins() {
     let seq = ll18::sequence(n);
     let prog = align_with_replication(&seq, 0).expect("alignment");
     let machine = CONVEX_SPP1000;
-    let layout = LayoutStrategy::CachePartition(machine.cache);
+    let layout = LayoutStrategy::CachePartition(machine.target());
     for procs in [2usize, 8] {
         let aligned = simulate_aligned(&prog, &machine, procs, layout, 42);
         let peel = simulate(

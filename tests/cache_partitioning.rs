@@ -3,8 +3,7 @@
 //! conflict cases that contiguous power-of-two layouts hit, and realize
 //! the fused loop's locality.
 
-use shift_peel::cache::{Cache, CacheConfig, LayoutStrategy, MemoryLayout};
-use shift_peel::core::CodegenMethod;
+use shift_peel::cache::{CacheConfig, CacheHierarchy, LayoutStrategy, MemoryLayout};
 use shift_peel::exec::CacheSink;
 use shift_peel::kernels::ll18;
 use shift_peel::prelude::*;
@@ -13,18 +12,14 @@ fn misses(seq: &LoopSequence, layout: LayoutStrategy, cache: CacheConfig, fused:
     let ex = Program::new(seq, 1).expect("analysis");
     let mut mem = Memory::new(seq, layout);
     mem.init_deterministic(seq, 2);
-    let plan = if fused {
-        ExecPlan::Fused {
-            grid: vec![1],
-            method: CodegenMethod::StripMined,
-            strip: 8,
-        }
+    let cfg = if fused {
+        RunConfig::fused([1]).strip(8)
     } else {
-        ExecPlan::Blocked { grid: vec![1] }
+        RunConfig::blocked([1])
     };
-    let mut sinks = vec![CacheSink::new(Cache::new(cache))];
-    ex.run_with_sinks(&mut mem, &plan, &mut sinks).expect("run");
-    sinks[0].stats().misses
+    let mut sinks = vec![CacheSink::new(CacheHierarchy::new(&[cache]))];
+    ex.run_with_sinks(&mut mem, &cfg, &mut sinks).expect("run");
+    sinks[0].stats()[0].misses
 }
 
 /// Power-of-two arrays laid out contiguously all map on top of each
@@ -110,4 +105,18 @@ fn padding_is_erratic_partitioning_is_not() {
         partitioned as f64 <= best as f64 * 1.05,
         "partitioned {partitioned} worse than best padding {best}"
     );
+}
+
+/// The planner's cost pass sizes strips the way the layout partitions:
+/// LL18's nine arrays share the 1 MB Convex cache, so a partition holds
+/// 1 MiB / 9 / 4 KiB = 28 rows of 512, less the shift of 2: 26 rows a
+/// strip, and 20 strips over the 512-row fused range.
+#[test]
+fn ll18_cost_strips_fill_one_of_nine_partitions() {
+    let planned = Planner::fused(1)
+        .profit(shift_peel::machine::CONVEX_SPP1000.profitability(1))
+        .plan(&ll18::sequence(512))
+        .expect("plan");
+    assert_eq!(planned.costs.len(), 1);
+    assert_eq!(planned.costs[0].strips, 20);
 }

@@ -4,7 +4,7 @@
 //! fused loop's cache footprint. Arrays whose halo (initial) values are
 //! read must be refused.
 
-use shift_peel::cache::{Cache, CacheConfig, LayoutStrategy};
+use shift_peel::cache::{CacheConfig, CacheHierarchy, LayoutStrategy};
 use shift_peel::core::analysis::{derive_levels, find_contractable, ContractionCandidate};
 use shift_peel::core::CodegenMethod;
 use shift_peel::exec::CacheSink;
@@ -58,14 +58,10 @@ fn run_pipeline(n: usize, strip: i64, contract: bool, cache: CacheConfig) -> (Ve
             mem.layout.contract(c.array, c.window(strip));
         }
     }
-    let plan = ExecPlan::Fused {
-        grid: vec![1],
-        method: CodegenMethod::StripMined,
-        strip,
-    };
-    let mut sinks = vec![CacheSink::new(Cache::new(cache))];
-    ex.run_with_sinks(&mut mem, &plan, &mut sinks).expect("run");
-    (mem.snapshot(&seq, ArrayId(3)), sinks[0].stats().misses)
+    let cfg = RunConfig::fused([1]).strip(strip);
+    let mut sinks = vec![CacheSink::new(CacheHierarchy::new(&[cache]))];
+    ex.run_with_sinks(&mut mem, &cfg, &mut sinks).expect("run");
+    (mem.snapshot(&seq, ArrayId(3)), sinks[0].stats()[0].misses)
 }
 
 #[test]

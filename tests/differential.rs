@@ -7,16 +7,17 @@
 //! backend, and the row-runner SIMD backend, on the deterministic
 //! simulator and the pooled threaded runtime. All of it must agree
 //! **bit for bit** with the serial interpreted reference — f64 results,
-//! work counters, and (for the simulator) per-processor cache miss
-//! counts. A deterministic sweep additionally pins the SIMD backend at
-//! every peel width 0..=3 against inner trips on either side of the
-//! row runner's chunk width, so short, exact and ragged chunks are
-//! always exercised.
+//! work counters, and (through the simulator's cache sinks)
+//! per-processor cache miss counts. A deterministic sweep additionally
+//! pins the SIMD backend at every peel width 0..=3 against inner trips on
+//! either side of the row runner's chunk width, so short, exact and
+//! ragged chunks are always exercised.
 
 use proptest::prelude::*;
 use shift_peel::core::CodegenMethod;
+use shift_peel::exec::CacheSink;
 use shift_peel::prelude::*;
-use sp_cache::CacheConfig;
+use sp_cache::{CacheConfig, CacheHierarchy, CacheStats};
 use sp_ir::{BinOp, UnaryOp};
 
 /// Splitmix64: one u64 seed fans out into the whole program shape, so a
@@ -123,6 +124,27 @@ fn run_config(
     (report, mem.snapshot_all(seq))
 }
 
+/// Runs `cfg` on the simulator with a 16 KiB direct-mapped cache per
+/// processor: each processor's cache counters, and the results.
+fn run_cached(
+    seq: &LoopSequence,
+    prog: &Program<'_>,
+    cfg: &RunConfig,
+) -> (Vec<Vec<CacheStats>>, Vec<Vec<f64>>) {
+    let mut mem = Memory::new(seq, LayoutStrategy::Contiguous);
+    mem.init_deterministic(seq, 5);
+    let cache = CacheConfig::new(16 * 1024, 64, 1);
+    let mut sinks: Vec<CacheSink> = (0..cfg.plan().procs())
+        .map(|_| CacheSink::new(CacheHierarchy::new(&[cache])))
+        .collect();
+    prog.run_with_sinks(&mut mem, cfg, &mut sinks)
+        .expect("cache-sink run");
+    (
+        sinks.iter().map(CacheSink::stats).collect(),
+        mem.snapshot_all(seq),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -183,19 +205,18 @@ proptest! {
 
         // Address streams are identical, so per-processor cache miss
         // counts must match exactly between backends.
-        let cache = SinkChoice::Cache(CacheConfig::new(16 * 1024, 64, 1));
-        let base = RunConfig::fused([procs]).strip(3).steps(steps).sink(cache);
-        let (ri, si) = run_config(&seq, &prog, &base, None);
-        let (rc, sc) = run_config(&seq, &prog, &base.clone().backend(Backend::Compiled), None);
-        let (rv, sv) = run_config(&seq, &prog, &base.clone().backend(Backend::Simd), None);
+        let base = RunConfig::fused([procs]).strip(3).steps(steps);
+        let (ki, si) = run_cached(&seq, &prog, &base);
+        let (kc, sc) = run_cached(&seq, &prog, &base.clone().backend(Backend::Compiled));
+        let (kv, sv) = run_cached(&seq, &prog, &base.clone().backend(Backend::Simd));
         prop_assert_eq!(&si, &sc, "cache-sink runs diverged (seed {})", seed);
         prop_assert_eq!(&si, &sv, "simd cache-sink run diverged (seed {})", seed);
-        for (wi, wc) in ri.workers.iter().zip(&rc.workers) {
-            prop_assert_eq!(wi.cache, wc.cache, "proc {} miss counts (seed {})", wi.proc, seed);
-            prop_assert!(wi.cache.is_some(), "cache stats present");
+        for (p, (wi, wc)) in ki.iter().zip(&kc).enumerate() {
+            prop_assert_eq!(wi, wc, "proc {} miss counts (seed {})", p, seed);
         }
-        for (wi, wv) in ri.workers.iter().zip(&rv.workers) {
-            prop_assert_eq!(wi.cache, wv.cache, "simd proc {} misses (seed {})", wi.proc, seed);
+        prop_assert!(ki.iter().any(|k| k[0].accesses > 0), "cache stats present");
+        for (p, (wi, wv)) in ki.iter().zip(&kv).enumerate() {
+            prop_assert_eq!(wi, wv, "simd proc {} misses (seed {})", p, seed);
         }
     }
 }
@@ -277,25 +298,23 @@ proptest! {
             // (Miss counts are *not* compared across schedules: chunking
             // restarts strip-mining at chunk boundaries, which reorders
             // the access stream as legally as changing `--strip` does.)
-            let cache = SinkChoice::Cache(CacheConfig::new(16 * 1024, 64, 1));
-            let kcfg = cfg.clone().sink(cache);
-            let (rki, ski) = run_config(&seq, &prog, &kcfg, None);
-            let (rkc, skc) = run_config(&seq, &prog, &kcfg.clone().backend(Backend::Compiled), None);
-            let (rkv, skv) = run_config(&seq, &prog, &kcfg.clone().backend(Backend::Simd), None);
+            let (rki, ski) = run_cached(&seq, &prog, &cfg);
+            let (rkc, skc) = run_cached(&seq, &prog, &ccfg);
+            let (rkv, skv) = run_cached(&seq, &prog, &vcfg);
             prop_assert_eq!(&ski, &want, "cache-sink {} diverged (seed {})", name, seed);
             prop_assert_eq!(&ski, &skc, "cache-sink {} compiled diverged (seed {})", name, seed);
             prop_assert_eq!(&ski, &skv, "cache-sink {} simd diverged (seed {})", name, seed);
-            for (wi, wc) in rki.workers.iter().zip(&rkc.workers) {
+            for (p, (wi, wc)) in rki.iter().zip(&rkc).enumerate() {
                 prop_assert_eq!(
-                    wi.cache, wc.cache,
-                    "{} proc {} miss counts interp/compiled (seed {})", name, wi.proc, seed
+                    wi, wc,
+                    "{} proc {} miss counts interp/compiled (seed {})", name, p, seed
                 );
-                prop_assert!(wi.cache.is_some(), "cache stats present");
             }
-            for (wi, wv) in rki.workers.iter().zip(&rkv.workers) {
+            prop_assert!(rki.iter().any(|k| k[0].accesses > 0), "cache stats present");
+            for (p, (wi, wv)) in rki.iter().zip(&rkv).enumerate() {
                 prop_assert_eq!(
-                    wi.cache, wv.cache,
-                    "{} proc {} miss counts interp/simd (seed {})", name, wi.proc, seed
+                    wi, wv,
+                    "{} proc {} miss counts interp/simd (seed {})", name, p, seed
                 );
             }
         }

@@ -1,11 +1,14 @@
 //! Property tests of the infrastructure models against independent
 //! reference implementations: the set-associative cache against a naive
-//! per-set LRU list, the greedy partition layout's invariants, the
+//! per-set LRU list (and the hierarchies built from it against the bare
+//! cache), the greedy partition layout's invariants, the
 //! parser against the printer on randomized programs, and the rational
 //! solver against brute force.
 
 use proptest::prelude::*;
-use shift_peel::cache::{greedy_partition_starts, Cache, CacheConfig, FullyAssocLru};
+use shift_peel::cache::{
+    greedy_partition_starts, Cache, CacheConfig, CacheHierarchy, FullyAssocLru,
+};
 use shift_peel::ir::display::render_sequence;
 use shift_peel::ir::{parse_sequence, SeqBuilder};
 
@@ -101,10 +104,26 @@ proptest! {
         let cfg = CacheConfig::new(64 * assoc * sets, 64, assoc);
         let mut real = Cache::new(cfg);
         let mut naive = NaiveCache::new(cfg);
+        // One level is the bare cache; below it, each level of a deeper
+        // hierarchy sees exactly the misses of the level above.
+        let mut one = CacheHierarchy::new(&[cfg]);
+        let mut three = CacheHierarchy::new(&[
+            cfg,
+            CacheConfig::new(cfg.capacity * 2, 64, 2 * assoc),
+            CacheConfig::new(cfg.capacity * 4, 128, 1),
+        ]);
         for &a in &addrs {
             prop_assert_eq!(real.access(a), naive.access(a), "addr {}", a);
+            one.access(a);
+            three.access(a);
         }
         prop_assert_eq!(real.stats().misses, naive.misses);
+        prop_assert_eq!(one.stats(), vec![real.stats()]);
+        let levels = three.stats();
+        prop_assert_eq!(levels[0], real.stats());
+        for k in 1..levels.len() {
+            prop_assert_eq!(levels[k].accesses, levels[k - 1].misses, "level {}", k);
+        }
     }
 
     #[test]

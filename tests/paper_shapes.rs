@@ -84,7 +84,7 @@ fn partitioning_dominates_padding() {
 #[test]
 fn fusion_reduces_misses_when_data_exceeds_cache() {
     let seq = ll18::sequence(512); // 9 x 2 MB >> 1 MB
-    let layout = LayoutStrategy::CachePartition(CONVEX_SPP1000.cache);
+    let layout = LayoutStrategy::CachePartition(CONVEX_SPP1000.target());
     let unfused = simulate(
         &seq,
         &CONVEX_SPP1000,
@@ -124,19 +124,15 @@ fn partitioning_eliminates_conflict_misses() {
     let classes = |layout: LayoutStrategy| {
         let mut mem = Memory::new(&seq, layout);
         mem.init_deterministic(&seq, 42);
-        let plan = ExecPlan::Fused {
-            grid: vec![1],
-            method: CodegenMethod::StripMined,
-            strip: 8,
-        };
         let mut sinks = vec![ClassifySink::new(ClassifyingCache::new(
-            CONVEX_SPP1000.cache,
+            CONVEX_SPP1000.target(),
         ))];
-        ex.run_with_sinks(&mut mem, &plan, &mut sinks).unwrap();
+        ex.run_with_sinks(&mut mem, &RunConfig::fused([1]).strip(8), &mut sinks)
+            .unwrap();
         sinks[0].cache.classes()
     };
     let contiguous = classes(LayoutStrategy::Contiguous);
-    let partitioned = classes(LayoutStrategy::CachePartition(CONVEX_SPP1000.cache));
+    let partitioned = classes(LayoutStrategy::CachePartition(CONVEX_SPP1000.target()));
     assert!(
         contiguous.conflict > 0,
         "contiguous power-of-two arrays must conflict"

@@ -260,6 +260,33 @@ const RULES: &[Rule] = &[
               is a second pass over the input",
         ..RULE
     },
+    Rule {
+        name: "one-cache-model",
+        any_of: &["HierarchySink", "HitLevel", "SinkChoice", "Unsupported {"],
+        why: "a run is cache-simulated one way, Program::run_with_sinks with a CacheSink over a \
+              CacheHierarchy of one level or more: no second sink, no sink a runtime must refuse",
+        ..RULE
+    },
+    Rule {
+        name: "one-strip-bound",
+        files: "*.rs",
+        except: &["crates/core/src/codegen.rs"],
+        any_of: &["suggest_strip("],
+        cut_tests: true,
+        expect: Exactly(1),
+        why: "ProfitabilityModel::strip is the partition-coupled strip for the cost pass, the \
+              sweeps, the chunk bound and the examples alike: one count of arrays sharing a cache",
+        ..RULE
+    },
+    Rule {
+        name: "machine-geometry-in-one-place",
+        files: "*.rs",
+        except: &["crates/machine/src/config.rs"],
+        any_of: &[".cache.capacity", "machine.cache"],
+        why: "which cache level partitioning, strips and profitability target is \
+              MachineConfig::target's decision, made once",
+        ..RULE
+    },
 ];
 
 fn glob(pat: &str, name: &str) -> bool {
