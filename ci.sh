@@ -18,8 +18,8 @@ cargo fmt --check \
   -p sp-exec -p sp-trace -p sp-kernels -p sp-baselines -p sp-machine \
   -p sp-bench -p sp-cli -p sp-serve -p sp-net
 
-echo "==> lint wall: runtime + observability + serving crates must be clippy-clean"
-cargo clippy --all-targets -p sp-exec -p sp-trace -p sp-cli -p sp-serve -p sp-net -- -D warnings
+echo "==> lint wall: the whole workspace must be clippy-clean"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> benchmark package: builds and smoke-tests against the library API, unedited"
 # benchmark/ is its own workspace (own Cargo.lock and target dir) and

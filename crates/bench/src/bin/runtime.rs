@@ -38,8 +38,8 @@
 //!
 //! Before any of that runs, a program is compiled: the `compile` entry
 //! times the front end over 23 texts (the paper's suite at scale 0.125,
-//! rendered, and `examples/programs/*.loop`) — parse, plan against a
-//! fresh store (its dependence pass reported apart), layout, lower — as
+//! rendered, and `examples/programs/*.loop`) — parse, plan (its
+//! dependence stage reported apart), layout, lower — as
 //! texts a second, which `spfc bench check` gates, and µs a text per
 //! stage.
 //!

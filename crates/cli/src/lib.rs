@@ -1076,9 +1076,9 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             out.push_str(&render_plan(&seq, &planned.plan, opts.strip));
         }
         "run" => {
-            // Plan once through the pass pipeline: the executor gets the
-            // plan prederived and the per-pass timings land in the
-            // exported metrics.
+            // Plan once through the planner: the executor gets the plan
+            // prederived and the per-stage timings land in the exported
+            // metrics.
             let planned = Planner::fused(1).plan(&seq).map_err(|e| CliError {
                 message: e.to_string(),
                 code: 1,

@@ -17,9 +17,7 @@
 //! [`crate::pipeline::NullObserver`] and records nothing and allocates
 //! nothing extra.
 
-use crate::legality::LegalityError;
-use crate::pipeline::{PlanObserver, Planner};
-use crate::plan::FusionPlan;
+use crate::pipeline::PlanObserver;
 use sp_dep::DepKind;
 use sp_ir::{ArrayId, LoopSequence};
 use std::fmt::Write as _;
@@ -298,9 +296,8 @@ impl ExplainTrace {
     }
 }
 
-/// [`ExplainTrace`] observes a pipeline run by recording every event;
-/// pass lifecycle notifications are ignored (the trace renders planning
-/// decisions, not scheduling).
+/// [`ExplainTrace`] observes a planning run by recording every event
+/// (`Planner::explain` plans with one).
 impl PlanObserver for ExplainTrace {
     fn wants_events(&self) -> bool {
         true
@@ -311,21 +308,10 @@ impl PlanObserver for ExplainTrace {
     }
 }
 
-/// Analyzes `seq`, plans fusion of its first `levels` dimensions, and
-/// returns the plan together with the full decision trace. This is the
-/// one-call entry point behind `spfc explain`, running the standard
-/// pass pipeline with the trace as its observer.
-pub fn explain_sequence(
-    seq: &LoopSequence,
-    levels: usize,
-) -> Result<(FusionPlan, ExplainTrace), LegalityError> {
-    let (planned, trace) = Planner::fused(levels).explain(seq)?;
-    Ok(((*planned.plan).clone(), trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Planner;
     use sp_ir::SeqBuilder;
 
     /// Figure 9's three-loop chain: one group, shifts/peels 0,1,2.
@@ -355,8 +341,8 @@ mod tests {
     #[test]
     fn fig9_trace_explains_the_fused_group() {
         let seq = fig9();
-        let (plan, trace) = explain_sequence(&seq, 1).unwrap();
-        assert_eq!(plan.groups.len(), 1);
+        let (planned, trace) = Planner::fused(1).explain(&seq).unwrap();
+        assert_eq!(planned.plan.groups.len(), 1);
         // Both passes visited the reduced edges (L1->L2, L2->L3).
         assert_eq!(trace.edge_visits(DerivePass::Shift), 2);
         assert_eq!(trace.edge_visits(DerivePass::Peel), 2);
@@ -389,8 +375,8 @@ mod tests {
             x.assign(a, [0], r);
         });
         let seq = b.finish();
-        let (plan, trace) = explain_sequence(&seq, 1).unwrap();
-        assert_eq!(plan.fused_group_count(), 0);
+        let (planned, trace) = Planner::fused(1).explain(&seq).unwrap();
+        assert_eq!(planned.plan.fused_group_count(), 0);
         // Rejected twice: once joining L1's group, once as the (serial)
         // opener of its own singleton group.
         let rejects: Vec<_> = trace.rejections().collect();
@@ -425,7 +411,7 @@ mod tests {
             x.assign(c, [0], r);
         });
         let seq = b.finish();
-        let (_, trace) = explain_sequence(&seq, 1).unwrap();
+        let (_, trace) = Planner::fused(1).explain(&seq).unwrap();
         let rejects: Vec<_> = trace.rejections().collect();
         assert_eq!(
             rejects,
@@ -444,7 +430,7 @@ mod tests {
         let untraced =
             crate::plan::fusion_plan(&seq, &deps, 1, crate::CodegenMethod::StripMined, None)
                 .unwrap();
-        let (traced, _) = explain_sequence(&seq, 1).unwrap();
-        assert_eq!(untraced, traced);
+        let (traced, _) = Planner::fused(1).explain(&seq).unwrap();
+        assert_eq!(untraced, *traced.plan);
     }
 }

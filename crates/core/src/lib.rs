@@ -10,11 +10,10 @@
 //! * [`plan`] — what to execute: [`FusionPlan`]/[`FusedGroup`], the
 //!   [`PlanConfig`] describing how a plan is derived, the codegen method
 //!   choice (Figure 11), and the low-level planning entry points.
-//! * [`pipeline`] — how plans are derived: the [`Pass`] manager with its
-//!   content-keyed [`AnalysisArtifacts`] store, and the [`Planner`]
-//!   builder that is the one planning entry point for the CLI, the
-//!   executors, and the serve tier.
-//! * [`analysis`] — the individual analyses the passes are built from:
+//! * [`pipeline`] — how plans are derived: the [`Planner`] builder that
+//!   runs the four stages (dependence, plan, legality, cost) in a row,
+//!   the one planning entry point for the CLI and the serve tier.
+//! * [`analysis`] — the individual analyses the stages are built from:
 //!   shift/peel derivation (Figure 8), legality and Theorem 1's
 //!   iteration count threshold, block-geometry scheduling (Figures 12
 //!   and 16), strip selection and cost estimation (Section 4),
@@ -38,7 +37,7 @@ pub mod explain;
 pub mod pipeline;
 pub mod plan;
 
-/// The individual analyses behind the pipeline's passes: derivation,
+/// The individual analyses behind the planning stages: derivation,
 /// legality, block-geometry scheduling, codegen cost/strip selection,
 /// profitability, array contraction, and plan rendering.
 pub mod analysis {
@@ -80,8 +79,8 @@ pub mod prelude {
     pub use crate::analysis::{
         derive_shift_peel, Derivation, LegalityError, NtRequirement, ProfitabilityModel,
     };
-    pub use crate::explain::{explain_sequence, ExplainTrace};
-    pub use crate::pipeline::{AnalysisArtifacts, ArtifactKey, Planned, Planner};
+    pub use crate::explain::ExplainTrace;
+    pub use crate::pipeline::{Planned, Planner};
     pub use crate::plan::{CodegenMethod, FusionPlan, PlanConfig};
 }
 
@@ -92,11 +91,8 @@ pub use analysis::{
     derive_shift_peel, Derivation, DeriveError, DimDerivation, LegalityError, NtRequirement,
     ProfitabilityModel,
 };
-pub use explain::{explain_sequence, ExplainEvent, ExplainTrace};
-pub use pipeline::{
-    dependence_key, dependence_key_of_rendered, AnalysisArtifacts, ArtifactKey, NullObserver, Pass,
-    PassRequest, PassTiming, PassTimings, Pipeline, PlanObserver, Planned, Planner,
-};
+pub use explain::{ExplainEvent, ExplainTrace};
+pub use pipeline::{NullObserver, PassTiming, PassTimings, PlanObserver, Planned, Planner};
 pub use plan::{
     fusion_plan, singleton_plan, CodegenMethod, FusedGroup, FusionPlan, LoweringFootprint,
     PlanConfig,

@@ -237,7 +237,7 @@ pub fn fusion_plan(
 /// of each multi-member group. Produces exactly the plan
 /// [`fusion_plan`] would; this is the single planning path behind both
 /// the untraced API and `spfc explain`.
-pub fn fusion_plan_observed(
+pub(crate) fn fusion_plan_observed(
     seq: &LoopSequence,
     deps: &SequenceDeps,
     levels: usize,
@@ -370,19 +370,6 @@ impl PlanConfig {
     pub fn method(mut self, method: CodegenMethod) -> Self {
         self.method = method;
         self
-    }
-
-    /// Derives the plan this config describes for `seq`.
-    pub fn plan(
-        &self,
-        seq: &LoopSequence,
-        deps: &SequenceDeps,
-    ) -> Result<FusionPlan, LegalityError> {
-        if self.fuse {
-            fusion_plan(seq, deps, self.levels, self.method, None)
-        } else {
-            singleton_plan(seq, deps, self.levels)
-        }
     }
 }
 
@@ -558,9 +545,12 @@ mod tests {
         });
         let seq = b.finish();
         let deps = sp_dep::analyze_sequence(&seq).unwrap();
-        let fused = PlanConfig::fused(1).plan(&seq, &deps).unwrap();
+        let plan = |cfg: PlanConfig| {
+            crate::pipeline::plan_stage(&seq, &deps, &cfg, None, &mut NullObserver).unwrap()
+        };
+        let fused = plan(PlanConfig::fused(1));
         assert_eq!(fused.fused_group_count(), 1);
-        let unfused = PlanConfig::unfused(1).plan(&seq, &deps).unwrap();
+        let unfused = plan(PlanConfig::unfused(1));
         assert_eq!(unfused.fused_group_count(), 0);
         assert_eq!(unfused, singleton_plan(&seq, &deps, 1).unwrap());
         // The canonical text distinguishes every field: it is the

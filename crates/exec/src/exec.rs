@@ -13,14 +13,11 @@ use crate::interp::ExecCounters;
 use crate::memory::Memory;
 use crate::report::RunReport;
 use crate::sink::{AccessSink, NullSink};
-use shift_peel_core::pipeline::pass;
-use shift_peel_core::{
-    dependence_key, AnalysisArtifacts, CodegenMethod, FusionPlan, LegalityError, NullObserver,
-    Planner,
-};
+use shift_peel_core::pipeline::plan_stage;
+use shift_peel_core::{CodegenMethod, FusionPlan, LegalityError, NullObserver, PlanConfig};
 use sp_dep::{analyze_sequence, AnalysisError, SequenceDeps};
 use sp_ir::LoopSequence;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// What to execute.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -128,17 +125,11 @@ impl From<LegalityError> for ExecError {
 }
 
 /// A sequence bound to its dependence analysis, ready to execute under
-/// different plans and executors. Planning goes through an artifact
-/// store seeded with that analysis, so repeated planning reuses whatever
-/// is still valid.
+/// different plans and executors.
 pub struct Program<'a> {
     seq: &'a LoopSequence,
     deps: Arc<SequenceDeps>,
     levels: usize,
-    /// Seeded with `deps` by the first planning run: a program that only
-    /// ever executes plans derived elsewhere never renders its sequence
-    /// for the key.
-    artifacts: Mutex<AnalysisArtifacts>,
 }
 
 impl<'a> Program<'a> {
@@ -163,12 +154,7 @@ impl<'a> Program<'a> {
                 depth: deps.depth,
             }));
         }
-        Ok(Program {
-            seq,
-            deps,
-            levels,
-            artifacts: Mutex::new(AnalysisArtifacts::new()),
-        })
+        Ok(Program { seq, deps, levels })
     }
 
     /// The underlying sequence.
@@ -187,30 +173,16 @@ impl<'a> Program<'a> {
     }
 
     /// The fusion plan an [`ExecPlan`] implies: singleton groups for
-    /// `Serial`/`Blocked`, greedy maximal fusion for `Fused`. Planned
-    /// through the pass pipeline against this program's artifact store,
-    /// so the seeded dependence analysis is never recomputed and
-    /// switching between plans only re-derives what the configuration
-    /// change invalidates.
+    /// `Serial`/`Blocked`, greedy maximal fusion for `Fused`. Derived
+    /// from this program's analysis by the planner's plan stage alone: a
+    /// run needs no `Nt` or cost table.
     pub fn fusion_plan_for(&self, plan: &ExecPlan) -> Result<Arc<FusionPlan>, ExecError> {
-        let planner = match plan {
-            ExecPlan::Serial | ExecPlan::Blocked { .. } => Planner::unfused(self.levels),
-            ExecPlan::Fused { method, .. } => Planner::fused(self.levels).method(*method),
+        let config = match plan {
+            ExecPlan::Serial | ExecPlan::Blocked { .. } => PlanConfig::unfused(self.levels),
+            ExecPlan::Fused { method, .. } => PlanConfig::fused(self.levels).method(*method),
         };
-        let mut store = self.artifacts.lock().unwrap();
-        if store.is_empty() {
-            let key = dependence_key(self.seq);
-            store.seed(pass::DEPENDENCE, key, self.deps.clone());
-        }
-        let planned = planner.plan_with(self.seq, &mut store, &mut NullObserver)?;
-        Ok(planned.plan)
-    }
-
-    /// `(reused, computed, invalidated)` artifact counts accumulated by
-    /// every planning run against this program (tests and diagnostics).
-    pub fn artifact_counters(&self) -> (u64, u64, u64) {
-        let store = self.artifacts.lock().unwrap();
-        (store.reused(), store.computed(), store.invalidated())
+        let fp = plan_stage(self.seq, &self.deps, &config, None, &mut NullObserver)?;
+        Ok(Arc::new(fp))
     }
 
     /// Executes deterministically (simulated processors), discarding the

@@ -432,11 +432,13 @@ fn plan_of(prog: &Program<'_>, cfg: &RunConfig) -> Result<Arc<FusionPlan>, ExecE
 /// the layout (a cache can never make an executor run a tape lowered for
 /// something else) and then used as it is — its lowering happened
 /// elsewhere, so no `Lower` span is recorded here; fresh lowering is
-/// timed into the controller lane, tagged with the backend's row width.
+/// sized by the run's plan `fp` and timed into the controller lane,
+/// tagged with the backend's row width.
 fn lower_tape(
     prog: &Program<'_>,
     mem: &Memory,
     cfg: &RunConfig,
+    fp: Option<&FusionPlan>,
     tracing: &mut Option<RunTracing>,
 ) -> Result<Option<Arc<ProgramTape>>, ExecError> {
     match cfg.backend_choice() {
@@ -447,7 +449,7 @@ fn lower_tape(
                 return Ok(Some(Arc::clone(t)));
             }
             let t0 = Instant::now();
-            let fp = plan_of(prog, cfg)?;
+            let fp = fp.expect("a run that lowers has its plan");
             let footprint = fp.lowering_footprint(prog.seq());
             let tape = Arc::new(ProgramTape::lower_with(prog.seq(), &mem.layout, &footprint));
             if let Some(tr) = tracing {
@@ -471,7 +473,7 @@ struct Prepared<'c> {
 }
 
 impl<'c> Prepared<'c> {
-    /// Validate, start tracing, lower, plan, flatten. `capacity` is the
+    /// Validate, start tracing, plan, lower, flatten. `capacity` is the
     /// most processors the runtime can provide; a larger grid fails
     /// before any of the work is done.
     fn new(
@@ -488,24 +490,32 @@ impl<'c> Prepared<'c> {
             });
         }
         let mut tracing = RunTracing::start(cfg);
-        let tape = lower_tape(prog, mem, cfg, &mut tracing)?;
+        let mut started = Instant::now();
+        // One plan per run: the phases execute it, and a tape lowered
+        // here is sized by it (the unfused plan for a serial run).
+        let lowers = cfg.backend_choice() != Backend::Interp && cfg.injected_tape().is_none();
+        let fp = match cfg.plan() {
+            ExecPlan::Serial if !lowers => None,
+            _ => Some(plan_of(prog, cfg)?),
+        };
+        let t0 = Instant::now();
+        let tape = lower_tape(prog, mem, cfg, fp.as_deref(), &mut tracing)?;
         // Wall time excludes lowering (reported separately) and nothing
         // else: planning and flattening are part of the run.
-        let started = Instant::now();
-        let parallel = match cfg.plan() {
-            ExecPlan::Serial => None,
-            plan => {
-                let fp = plan_of(prog, cfg)?;
+        started += t0.elapsed();
+        let parallel = match fp {
+            Some(fp) if !matches!(cfg.plan(), ExecPlan::Serial) => {
                 let list = PhaseList::build(
                     prog.seq(),
                     prog.deps(),
                     &fp,
-                    plan.grid(),
+                    cfg.plan().grid(),
                     cfg.schedule_choice(),
                     cfg.chunk_size(),
                 )?;
                 Some((fp, list))
             }
+            _ => None,
         };
         Ok(Prepared {
             cfg,

@@ -24,7 +24,7 @@
 //!   [`SenseBarrier`];
 //! * [`exec`] — [`Program`] (a sequence bound to its analysis) and
 //!   [`ExecPlan`] (what to execute);
-//! * [`pass`] — the per-pass timing export of the core pass pipeline
+//! * [`pass`] — the per-stage timing export of the core planner
 //!   ([`register_pass_metrics`]);
 //! * [`executor`] — the [`Executor`] trait with its three runtimes
 //!   ([`ScopedExecutor`], [`PooledExecutor`], [`SimExecutor`]) — thin

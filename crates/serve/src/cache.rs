@@ -21,18 +21,17 @@
 //! a miss.
 //!
 //! Alongside the full-artifact tiers sits an *analysis* tier: dependence
-//! analyses keyed by the pipeline's per-artifact
-//! [`ArtifactKey`] (sequence-only, via
-//! [`dependence_key`](shift_peel_core::dependence_key)). A full-key miss
-//! caused by a block-size, grid, or backend change still hits here, so
-//! the expensive dependence analysis is seeded into the planning
-//! pipeline instead of recomputed.
+//! analyses keyed by the program's digest
+//! ([`SharedProgram::digest`](crate::SharedProgram::digest), the FNV-1a
+//! of its text, which every job already holds). The analysis reads
+//! nothing but the sequence, so a full-key miss caused by a block-size,
+//! grid, or backend change still hits here, and the planner starts from
+//! the held analysis instead of recomputing it. The tier is memory-only:
+//! its key names nothing on disk.
 
 use crate::hash::{fnv1a64, CacheKey, CACHE_FORMAT_VERSION};
 use shift_peel_core::analysis::revalidate_plan;
-use shift_peel_core::{
-    ArtifactKey, CodegenMethod, Derivation, DimDerivation, FusedGroup, FusionPlan,
-};
+use shift_peel_core::{CodegenMethod, Derivation, DimDerivation, FusedGroup, FusionPlan};
 use sp_dep::SequenceDeps;
 use sp_exec::ProgramTape;
 use sp_ir::LoopSequence;
@@ -157,8 +156,8 @@ pub struct ArtifactCache {
     /// LRU order: front is coldest, back is hottest.
     entries: Vec<Artifact>,
     /// Analysis tier, same LRU discipline: dependence analyses keyed by
-    /// the pipeline's sequence-only artifact key.
-    analysis: Vec<(ArtifactKey, Arc<SequenceDeps>)>,
+    /// program digest.
+    analysis: Vec<(u64, Arc<SequenceDeps>)>,
     counters: CacheCounters,
 }
 
@@ -261,11 +260,12 @@ impl ArtifactCache {
         }
     }
 
-    /// Looks up a dependence analysis in the analysis tier. Counted
-    /// separately from full-artifact lookups: callers consult this tier
-    /// only after a full-key miss, so an analysis hit means planning
-    /// starts from a seeded store instead of from scratch.
-    pub fn lookup_analysis(&mut self, key: ArtifactKey) -> Option<Arc<SequenceDeps>> {
+    /// Looks up the dependence analysis of the program with digest `key`
+    /// in the analysis tier. Counted separately from full-artifact
+    /// lookups: callers consult this tier only after a full-key miss, so
+    /// an analysis hit means planning starts from the held analysis
+    /// instead of from scratch.
+    pub fn lookup_analysis(&mut self, key: u64) -> Option<Arc<SequenceDeps>> {
         if let Some(pos) = self.analysis.iter().position(|(k, _)| *k == key) {
             let e = self.analysis.remove(pos);
             let deps = Arc::clone(&e.1);
@@ -278,10 +278,10 @@ impl ArtifactCache {
         }
     }
 
-    /// Inserts (or refreshes) a dependence analysis under its
-    /// per-artifact key. Memory-only: the analysis is cheap to hold and
-    /// expensive to recompute, but not worth a disk format.
-    pub fn insert_analysis(&mut self, key: ArtifactKey, deps: Arc<SequenceDeps>) {
+    /// Inserts (or refreshes) a dependence analysis under its program's
+    /// digest. Memory-only: the analysis is cheap to hold and expensive
+    /// to recompute, but not worth a disk format.
+    pub fn insert_analysis(&mut self, key: u64, deps: Arc<SequenceDeps>) {
         if let Some(pos) = self.analysis.iter().position(|(k, _)| *k == key) {
             self.analysis.remove(pos);
         }
@@ -718,16 +718,15 @@ fn parse_disk_entry(text: &str, want: CacheKey) -> Result<FusionPlan, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shift_peel_core::PlanConfig;
+    use shift_peel_core::{PlanConfig, Planner};
     use sp_dep::analyze_sequence;
     use sp_exec::Backend;
     use sp_kernels::jacobi;
 
     fn derived(n: usize) -> (LoopSequence, Arc<FusionPlan>, CacheKey) {
         let seq = jacobi::sequence(n);
-        let deps = analyze_sequence(&seq).unwrap();
         let cfg = PlanConfig::fused(2);
-        let plan = Arc::new(cfg.plan(&seq, &deps).unwrap());
+        let plan = Planner::new(cfg).plan(&seq).unwrap().plan;
         let key = CacheKey::compute(&seq, &cfg, Backend::Compiled, 4);
         (seq, plan, key)
     }
@@ -929,7 +928,7 @@ mod tests {
     fn analysis_tier_hits_survive_full_key_misses() {
         let seq = jacobi::sequence(32);
         let deps = Arc::new(analyze_sequence(&seq).unwrap());
-        let akey = shift_peel_core::dependence_key(&seq);
+        let akey = crate::SharedProgram::from(seq.clone()).digest();
         let mut c = ArtifactCache::new(ArtifactCacheConfig::memory(2));
         assert!(c.lookup_analysis(akey).is_none(), "cold tier misses");
         c.insert_analysis(akey, Arc::clone(&deps));
@@ -938,8 +937,8 @@ mod tests {
         assert_eq!(c.counters().analysis_hits, 1);
         assert_eq!(c.counters().analysis_misses, 1);
         // LRU capacity applies to the analysis tier too.
-        c.insert_analysis(ArtifactKey(1), Arc::clone(&deps));
-        c.insert_analysis(ArtifactKey(2), Arc::clone(&deps));
+        c.insert_analysis(1, Arc::clone(&deps));
+        c.insert_analysis(2, Arc::clone(&deps));
         assert_eq!(c.analysis_len(), 2);
         assert!(c.lookup_analysis(akey).is_none(), "coldest evicted");
         // Counters round-trip through the stats file.

@@ -20,10 +20,7 @@ use crate::hash::CacheKey;
 use crate::obs::{flush_stage_stats, ServeObs, StageStats};
 use crate::program::SharedProgram;
 use shift_peel_core::pipeline::pass;
-use shift_peel_core::{
-    dependence_key_of_rendered, AnalysisArtifacts, FusionPlan, NullObserver, PassTiming,
-    PassTimings, PlanConfig, Planner,
-};
+use shift_peel_core::{FusionPlan, NullObserver, PassTimings, PlanConfig, Planner};
 use sp_cache::LayoutStrategy;
 use sp_dep::{analyze_sequence, SequenceDeps};
 use sp_exec::{
@@ -523,8 +520,8 @@ struct Shared {
     /// Wakes waiters: a job finished (or was failed administratively).
     done_cv: Condvar,
     cache: Mutex<ArtifactCache>,
-    /// Pipeline pass time accumulated across every planning run this
-    /// service performed (reused passes contribute 0).
+    /// Planning stage time accumulated across every planning run this
+    /// service performed (a supplied analysis contributes 0).
     pass_timings: Mutex<PassTimings>,
     queue_capacity: usize,
     /// Per-tenant admission quotas.
@@ -562,11 +559,7 @@ fn record_pass_timings(shared: &Shared, run: &PassTimings) {
         if let Some(slot) = agg.passes.iter_mut().find(|p| p.pass == t.pass) {
             slot.nanos += t.nanos;
         } else {
-            agg.passes.push(PassTiming {
-                pass: t.pass,
-                nanos: t.nanos,
-                reused: false,
-            });
+            agg.passes.push(t.clone());
         }
     }
 }
@@ -1037,10 +1030,11 @@ fn run_job_stages(
     }
     let started = clock.at;
 
-    // The artifact key and the analysis key both hash the text the
-    // program holds; nothing on a job's path renders it.
+    // The artifact key hashes the text the program holds, and the
+    // analysis tier is keyed by the digest made with it; nothing on a
+    // job's path renders the program.
     let key = spec.cache_key();
-    let akey = dependence_key_of_rendered(spec.seq.text());
+    let akey = spec.seq.digest();
     let hit = shared
         .cache
         .lock()
@@ -1055,9 +1049,9 @@ fn run_job_stages(
 
     // Analysis and plan. A full hit carries both. A disk hit carries the
     // plan only — the analysis tier (or a recompute) supplies deps. A
-    // full miss plans through the pipeline, seeding the store from the
-    // analysis tier so a dependence analysis computed under a different
-    // block size, grid, or backend is reused rather than redone.
+    // full miss plans from the analysis tier's entry when it has one, so
+    // a dependence analysis computed under a different block size, grid,
+    // or backend is reused rather than redone.
     //
     // Hit paths record their skipped stages as zero-duration spans so
     // every job exports all eight stages and the histograms keep a
@@ -1082,21 +1076,16 @@ fn run_job_stages(
             (d, p)
         }
         (None, _) => {
-            let mut store = AnalysisArtifacts::new();
-            if let Some(d) = shared.cache.lock().unwrap().lookup_analysis(akey) {
-                store.seed(pass::DEPENDENCE, akey, d);
-            }
+            let tier_hit = shared.cache.lock().unwrap().lookup_analysis(akey);
             let planned = Planner::new(spec.plan_config())
-                .plan_with(&spec.seq, &mut store, &mut NullObserver)
+                .plan_with(&spec.seq, tier_hit, &mut NullObserver)
                 .map_err(|e| ServeError::Exec(ExecError::Legality(e)))?;
-            // The pipeline's own dependence-pass timing splits the
-            // plan_with wall time into analysis vs planning; a reused
-            // (seeded) dependence pass costs ~0 and attributes to plan.
+            // The planner's own dependence timing splits the plan_with
+            // wall time into analysis vs planning; a tier hit records 0
+            // and the rest attributes to plan.
             let analysis = planned
                 .timings
-                .passes
-                .iter()
-                .find(|p| p.pass == pass::DEPENDENCE && !p.reused)
+                .timing_of(pass::DEPENDENCE)
                 .map_or(0, |p| p.nanos);
             clock.advance(spans, JobStage::Analysis, analysis);
             record_pass_timings(shared, &planned.timings);

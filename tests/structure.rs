@@ -263,6 +263,7 @@ const RULES: &[Rule] = &[
     Rule {
         name: "one-cache-model",
         any_of: &["HierarchySink", "HitLevel", "SinkChoice", "Unsupported {"],
+        pr: 27,
         why: "a run is cache-simulated one way, Program::run_with_sinks with a CacheSink over a \
               CacheHierarchy of one level or more: no second sink, no sink a runtime must refuse",
         ..RULE
@@ -274,6 +275,7 @@ const RULES: &[Rule] = &[
         any_of: &["suggest_strip("],
         cut_tests: true,
         expect: Exactly(1),
+        pr: 27,
         why: "ProfitabilityModel::strip is the partition-coupled strip for the cost pass, the \
               sweeps, the chunk bound and the examples alike: one count of arrays sharing a cache",
         ..RULE
@@ -283,8 +285,24 @@ const RULES: &[Rule] = &[
         files: "*.rs",
         except: &["crates/machine/src/config.rs"],
         any_of: &[".cache.capacity", "machine.cache"],
+        pr: 27,
         why: "which cache level partitioning, strips and profitability target is \
               MachineConfig::target's decision, made once",
+        ..RULE
+    },
+    Rule {
+        name: "planning-is-straight-line",
+        any_of: &[
+            "AnalysisArtifacts",
+            "trait Pass",
+            "ArtifactKey",
+            "PIPELINE_VERSION",
+            "spfc_pass_reused",
+            "with_pass",
+        ],
+        pr: 28,
+        why: "planning is four calls in a row: a content-keyed store cost more than the stages \
+              it cached, and a new stage is one more line in Planner::plan_with",
         ..RULE
     },
 ];
