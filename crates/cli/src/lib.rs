@@ -1174,10 +1174,8 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             if backend == Backend::Simd {
                 let _ = writeln!(
                     out,
-                    "vectorized {} of {} fused iterations (row width {})",
-                    c.vec_iters,
-                    c.iters,
-                    backend.lane_width()
+                    "vectorized {} of {} fused iterations (row width up to {})",
+                    c.vec_iters, c.iters, report.max_row_width
                 );
             }
             if let Some(path) = &opts.trace_out {

@@ -54,8 +54,9 @@ pub enum Backend {
     Compiled,
     /// The same row programs, a row at a time wherever a nest allows it
     /// — fused interior and peel regions alike: each arithmetic op is
-    /// one slice loop over up to [`ROW`](crate::tape::ROW) consecutive
-    /// inner iterations (plain loops the compiler autovectorizes).
+    /// one slice loop over a chunk of consecutive inner iterations (plain
+    /// loops the compiler autovectorizes), as wide as lowering found the
+    /// nest's chunk can be and still fit a 32 KiB L1 data cache.
     /// Bit-for-bit identical results and access streams to
     /// [`Backend::Interp`] — per-column ops round exactly like their
     /// scalar counterparts.
@@ -70,15 +71,6 @@ impl Backend {
             Backend::Interp => "interp",
             Backend::Compiled => "compiled",
             Backend::Simd => "simd",
-        }
-    }
-
-    /// Most consecutive inner iterations this backend dispatches at
-    /// once: the row width for `Simd`, 1 for the scalar backends.
-    pub fn lane_width(&self) -> u32 {
-        match self {
-            Backend::Interp | Backend::Compiled => 1,
-            Backend::Simd => crate::tape::ROW as u32,
         }
     }
 }
@@ -433,7 +425,8 @@ fn plan_of(prog: &Program<'_>, cfg: &RunConfig) -> Result<Arc<FusionPlan>, ExecE
 /// something else) and then used as it is — its lowering happened
 /// elsewhere, so no `Lower` span is recorded here; fresh lowering is
 /// sized by the run's plan `fp` and timed into the controller lane,
-/// tagged with the backend's row width.
+/// tagged with the most inner iterations the backend runs at once: the
+/// tape's widest nest under `Simd`, one column under `Compiled`.
 fn lower_tape(
     prog: &Program<'_>,
     mem: &Memory,
@@ -453,7 +446,11 @@ fn lower_tape(
             let footprint = fp.lowering_footprint(prog.seq());
             let tape = Arc::new(ProgramTape::lower_with(prog.seq(), &mem.layout, &footprint));
             if let Some(tr) = tracing {
-                tr.record_lower(t0, backend.lane_width(), &tape);
+                let lanes = match backend {
+                    Backend::Simd => tape.max_row_width().max(1),
+                    _ => 1,
+                };
+                tr.record_lower(t0, lanes as u32, &tape);
             }
             Ok(Some(tape))
         }
@@ -591,6 +588,7 @@ impl<'c> Prepared<'c> {
             tape_ops: tape.map_or(0, |t| t.total_ops()),
             tape_chains: tape.map_or(0, |t| t.chain_count()),
             tape_direct_stores: tape.map_or(0, |t| t.direct_store_count()),
+            max_row_width: tape.map_or(0, |t| t.max_row_width() as u64),
             row_isa: tape.map_or("", |_| RowIsa::detect().name()).into(),
             cached: cfg.tape_cached(),
             // The queue-wait/execute split belongs to the serve tier; a

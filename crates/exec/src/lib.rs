@@ -81,4 +81,4 @@ pub use schedule::{
 // result, re-exported so `sp-exec` users don't name `sp-trace` directly.
 pub use sink::{AccessSink, CacheSink, ClassifySink, NullSink, RecordingSink};
 pub use sp_trace::{MetricsRegistry, RunTrace, SpanKind, TraceConfig, WorkerTrace};
-pub use tape::{ProgramTape, ROW};
+pub use tape::ProgramTape;

@@ -35,7 +35,6 @@
 use crate::exec::ExecError;
 use crate::tape::{
     chains, AccessPat, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat, MIN_ROW,
-    ROW,
 };
 use shift_peel_core::pipeline::Fnv1a64;
 use shift_peel_core::LoweringFootprint;
@@ -55,6 +54,17 @@ impl ProgramTape {
         seq: &LoopSequence,
         layout: &MemoryLayout,
         footprint: &LoweringFootprint,
+    ) -> ProgramTape {
+        ProgramTape::lower_within(seq, layout, footprint, L1_BYTES)
+    }
+
+    /// [`ProgramTape::lower_with`] sizing row widths for an L1 data cache
+    /// of `l1_bytes` instead of [`L1_BYTES`].
+    pub(crate) fn lower_within(
+        seq: &LoopSequence,
+        layout: &MemoryLayout,
+        footprint: &LoweringFootprint,
+        l1_bytes: usize,
     ) -> ProgramTape {
         let t0 = Instant::now();
         let mut rows = RowBuilder {
@@ -91,14 +101,18 @@ impl ProgramTape {
                 });
                 rows.reset();
             }
-            nests.push(NestTape {
+            let mut tape = NestTape {
                 depth,
                 elem_bytes: layout.elem_bytes as i64,
-                row_width: row_width(&pats.pats, &stmts, depth),
+                row_width: 0,
                 pats: pats.pats,
                 stmts,
                 consts: std::mem::take(&mut rows.consts),
-            });
+            };
+            let inner = &nest.bounds[depth - 1];
+            let trip = (inner.hi - inner.lo + 1).max(0) as usize;
+            tape.row_width = row_width(&tape, trip, l1_bytes);
+            nests.push(tape);
         }
         ProgramTape {
             nests,
@@ -154,32 +168,83 @@ fn layout_fingerprint(layout: &MemoryLayout) -> u64 {
     h.finish()
 }
 
-/// Decides [`NestTape::row_width`] for one lowered nest, by the four
-/// conditions on the field's docs: no `wrap` reference, unit inner
-/// stride, one shared coefficient vector, and every store-to-pattern
-/// distance `Δ` either 0 or at least [`MIN_ROW`]. The width is the
-/// smallest non-zero `|Δ|`, capped at [`ROW`]: no dependence at a distance
-/// shorter than a chunk can land inside one.
-fn row_width(pats: &[AccessPat], stmts: &[StmtTape], depth: usize) -> usize {
+/// The L1 data cache a chunk's footprint is sized for: 32 KiB, what most
+/// x86-64 and AArch64 cores have. Budgets from 24 to 192 KiB ran Jacobi
+/// equally fast (EXPERIMENTS.md, "A row as wide as its nest's working
+/// set"), so no host is asked for its own.
+const L1_BYTES: usize = 32 << 10;
+
+/// The widest chunk of a nest of more than one statement. A chunk runs
+/// its statements one after another, each streaming its own rows, so the
+/// wider it is the longer one statement's rows stream while the others'
+/// wait. On LL18's two-statement position nest, 512 columns ran 8 %
+/// slower than 128 in one binary although both fit L1; 128 is the width
+/// every nest ran at before widths were sized per nest.
+const MULTI_STMT_WIDTH: usize = 128;
+
+/// Decides [`NestTape::row_width`] for one lowered nest whose inner loop
+/// runs `trip` iterations, by the four conditions on the field's docs: no
+/// `wrap` reference, unit inner stride, one shared coefficient vector, and
+/// every store-to-pattern distance `Δ` either 0 or at least [`MIN_ROW`].
+///
+/// The width is then the largest that satisfies all of:
+/// * at most the smallest non-zero `|Δ|`: no dependence at a distance
+///   shorter than a chunk can land inside one;
+/// * at most `trip`: no scratch row longer than a region can use;
+/// * at most [`MULTI_STMT_WIDTH`] if the nest has several statements;
+/// * a chunk's footprint fits `l1_bytes`, so every row an op writes is
+///   still in L1 when a later op reads it. The footprint is the columns
+///   the chunk's array rows cover — rows of patterns closer together than
+///   the width overlap, so `a(i,j-1)`, `a(i,j)` and `a(i,j+1)` are one row
+///   and two columns — plus one scratch row per temporary a chunk writes
+///   and per broadcast constant, at the element size a column. This
+///   bound alone never cuts the width below [`MIN_ROW`].
+fn row_width(nest: &NestTape, trip: usize, l1_bytes: usize) -> usize {
+    let pats = &nest.pats;
     let Some(first) = pats.first() else { return 0 };
     if pats
         .iter()
-        .any(|p| p.wrap.is_some() || p.coeffs[depth - 1] != 1 || p.coeffs != first.coeffs)
+        .any(|p| p.wrap.is_some() || p.coeffs[nest.depth - 1] != 1 || p.coeffs != first.coeffs)
     {
         return 0;
     }
-    let mut width = ROW as u64;
-    for st in stmts {
+    let mut cap = trip;
+    for st in &nest.stmts {
         let store = &pats[st.store as usize];
         for p in pats {
             match (store.slot_base - p.slot_base).unsigned_abs() {
                 0 => {}
                 d if d < MIN_ROW as u64 => return 0,
-                d => width = width.min(d),
+                d => cap = cap.min(d as usize),
             }
         }
     }
-    width as usize
+    if nest.stmts.len() > 1 {
+        cap = cap.min(MULTI_STMT_WIDTH);
+    }
+    // Every pattern's row starts at its base plus the same offset.
+    let mut bases: Vec<i64> = pats.iter().map(|p| p.slot_base).collect();
+    bases.sort_unstable();
+    bases.dedup();
+    let rows = 1 + nest.chunk_temps() + nest.consts.len();
+    let fits = |w: usize| {
+        let overlapped: usize = bases
+            .windows(2)
+            .map(|b| w.min((b[1] - b[0]) as usize))
+            .sum();
+        (rows * w + overlapped) * nest.elem_bytes as usize <= l1_bytes
+    };
+    // The footprint grows with the width: bisect for the widest that fits.
+    let (mut lo, mut hi) = (MIN_ROW.min(cap), cap);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if fits(mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    lo
 }
 
 /// Builds statements' row programs (see [`RowStmt`]) straight from their
@@ -569,7 +634,7 @@ mod tests {
                 "control: unit stride, one coefficient vector, far stores",
                 case([sq, sq, sq], &rows, stencil),
                 None,
-                ROW,
+                N - 2,
             ),
             (
                 "wrap: a contracted array's modulo term",
@@ -765,6 +830,31 @@ mod tests {
 
     const ARITH: [BinOp; 4] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
 
+    /// The row width the chunk-boundary tests below pin: their trips are
+    /// a full chunk of it and a ragged one.
+    const CHUNK: usize = 128;
+
+    /// Lowers `seq` and sets its first nest, which must be row-safe with
+    /// no store distance under `width`, `width` columns wide: the tables
+    /// below hold more constants than any kernel, so the width rule alone
+    /// would not give them the chunk the boundary cases need.
+    fn lower_at(seq: &LoopSequence, layout: &MemoryLayout, width: usize) -> ProgramTape {
+        let mut tape = ProgramTape::lower(seq, layout);
+        let nest = &mut tape.nests[0];
+        assert!(nest.row_width > 0, "row-safe");
+        let store = |st: &StmtTape| nest.pats[st.store as usize].slot_base;
+        let far = |st: &StmtTape| {
+            let d = |p: &AccessPat| (store(st) - p.slot_base).unsigned_abs();
+            nest.pats.iter().all(|p| d(p) == 0 || d(p) >= width as u64)
+        };
+        assert!(
+            nest.stmts.iter().all(far),
+            "no store distance under {width}"
+        );
+        nest.row_width = width;
+        tape
+    }
+
     /// What a chain operand of the table below is.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Kind {
@@ -784,7 +874,7 @@ mod tests {
     /// last op should be a chain. The trip is one full chunk and a ragged
     /// one.
     fn chain_table(inner: BinOp, outer: BinOp, inner_right: bool) -> (LoopSequence, Vec<bool>) {
-        let n = ROW + 37;
+        let n = CHUNK + 37;
         let mut b = SeqBuilder::new("chains");
         let [p, q, r] = ["p", "q", "r"].map(|name| b.array(name, [n]));
         let mut chained = Vec::new();
@@ -946,8 +1036,7 @@ mod tests {
                 let (seq, chained) = chain_table(inner, outer, inner_right);
                 let mut m0 = Memory::new(&seq, LayoutStrategy::Contiguous);
                 init_with_specials(&mut m0, &seq);
-                let tape = ProgramTape::lower(&seq, &m0.layout);
-                assert_eq!(tape.nests[0].row_width, ROW, "{what}");
+                let tape = lower_at(&seq, &m0.layout, CHUNK);
                 for (s, (st, &chained)) in tape.nests[0].stmts.iter().zip(&chained).enumerate() {
                     let last = st.row.ops().last();
                     assert_eq!(
@@ -1026,7 +1115,7 @@ mod tests {
             }
         }
         let n = 64 + edge.len();
-        assert!(n > ROW, "more than one chunk");
+        assert!(n > CHUNK, "more than one chunk");
 
         let mut b = SeqBuilder::new("pow2");
         let [p, q] = ["p", "q"].map(|name| b.array(name, [n]));
@@ -1052,8 +1141,7 @@ mod tests {
             }
         });
 
-        let tape = ProgramTape::lower(&seq, &m0.layout);
-        assert_eq!(tape.nests[0].row_width, ROW);
+        let tape = lower_at(&seq, &m0.layout, CHUNK);
         for (pair, &c) in tape.nests[0].stmts.chunks(2).zip(&divisors) {
             let (want_op, want_c) = if rewritten.iter().any(|r| r.to_bits() == c.to_bits()) {
                 (BinOp::Mul, 1.0 / c)
@@ -1164,8 +1252,8 @@ mod tests {
         }
     }
 
-    /// A dependence at distance `MIN_ROW <= Δ < ROW` narrows the chunk to
-    /// `Δ`: carried by the outer loop over rows of 12 and of 40 (one
+    /// A dependence at distance `Δ >= MIN_ROW` narrows the chunk to `Δ`:
+    /// carried by the outer loop over rows of 12 and of 40 (one
     /// chunk per row, so `Δ` is also the widest chunk ever asked for),
     /// and carried by the inner loop itself at the same distances, where
     /// a trip of many `Δ`s would go wrong with any wider chunk.
@@ -1202,6 +1290,114 @@ mod tests {
             assert_eq!(c1, c2);
             assert_eq!(c2.vec_iters, c2.iters);
         }
+    }
+
+    /// The width rule under an explicit L1 budget, one bound at a time:
+    /// each case is a 1-D nest `c(i) = rhs` over arrays of 8-byte
+    /// elements, lowered with `budget` bytes of L1.
+    #[test]
+    fn row_width_is_the_widest_chunk_that_fits_the_budget() {
+        fn width(
+            trip: usize,
+            budget: usize,
+            rhs: impl Fn(&NestCtx, [ArrayId; 2]) -> Expr,
+        ) -> usize {
+            let n = trip + 64;
+            let mut b = SeqBuilder::new("width");
+            let ids = [b.array("a", [n]), b.array("b", [n])];
+            let v = b.array("c", [n]);
+            b.nest("L1", [(32, 31 + trip as i64)], |x| {
+                let r = rhs(x, ids);
+                x.assign(v, [0], r);
+            });
+            let seq = b.finish();
+            let layout = Memory::new(&seq, LayoutStrategy::Contiguous).layout;
+            let footprint = LoweringFootprint::of_sequence(&seq);
+            ProgramTape::lower_within(&seq, &layout, &footprint, budget).nests[0].row_width
+        }
+        // Bytes of `rows` full rows of `w` columns.
+        let rows = |rows: usize, w: usize| rows * w * 8;
+        let sum = |x: &NestCtx, [a, b]: [ArrayId; 2]| x.ld(a, [0]) + x.ld(b, [0]);
+        let three_taps =
+            |x: &NestCtx, [a, _]: [ArrayId; 2]| x.ld(a, [-1]) + x.ld(a, [0]) + x.ld(a, [1]);
+        // `min` ends no chain: a temporary, then `* 0.5 + 2.0` as a
+        // chain writing `c`. Three rows, one temporary, two constants.
+        let scratch = |x: &NestCtx, [a, b]: [ArrayId; 2]| {
+            Expr::Binary(BinOp::Min, Box::new(x.ld(a, [0])), Box::new(x.ld(b, [0]))) * 0.5 + 2.0
+        };
+        let cases = [
+            (
+                "the trip caps a nest that fits",
+                width(100, 1 << 20, sum),
+                100,
+            ),
+            ("L1 caps a long trip", width(4000, rows(3, 500), sum), 500),
+            ("a byte short", width(4000, rows(3, 500) - 1, sum), 499),
+            (
+                "rows closer than the width are one: 2w + 2 columns, not 4w",
+                width(4000, 8 * (2 * 500 + 2), three_taps),
+                500,
+            ),
+            (
+                "temporaries and constants are scratch rows: six, not three",
+                width(4000, rows(6, 300), scratch),
+                300,
+            ),
+            (
+                "MIN_ROW floors a budget nothing fits",
+                width(4000, 8, sum),
+                MIN_ROW,
+            ),
+            ("the floor is no wider than the trip", width(5, 8, sum), 5),
+        ];
+        for (what, got, want) in cases {
+            assert_eq!(got, want, "{what}");
+        }
+        // The dependence bound: a store 40 slots from a load caps the
+        // width at 40 under any budget; closer than MIN_ROW refuses rows.
+        let carried = |delta: i64| {
+            let mut b = SeqBuilder::new("carried");
+            let v = b.array("v", [4096usize]);
+            b.nest("L1", [(delta, 4095)], |x| {
+                let r = x.ld(v, [-delta]) * 0.5 + 1.0;
+                x.assign(v, [0], r);
+            });
+            let seq = b.finish();
+            let layout = Memory::new(&seq, LayoutStrategy::Contiguous).layout;
+            let footprint = LoweringFootprint::of_sequence(&seq);
+            ProgramTape::lower_within(&seq, &layout, &footprint, 1 << 20).nests[0].row_width
+        };
+        assert_eq!(carried(40), 40);
+        assert_eq!(carried(MIN_ROW as i64), MIN_ROW);
+        assert_eq!(carried(MIN_ROW as i64 - 1), 0);
+    }
+
+    /// A nest of two statements keeps [`MULTI_STMT_WIDTH`] under any
+    /// budget, where the same rows in one statement run the whole trip;
+    /// the trip and the L1 bound still cut it.
+    #[test]
+    fn several_statements_keep_the_multi_statement_width() {
+        let width = |stmts: usize, trip: usize, budget: usize| {
+            let mut b = SeqBuilder::new("stmts");
+            let [p, q, r] = ["p", "q", "r"].map(|name| b.array(name, [trip]));
+            b.nest("L1", [(0, trip as i64 - 1)], |x| {
+                let v = x.ld(p, [0]) * 0.5;
+                x.assign(q, [0], v);
+                if stmts > 1 {
+                    let v = x.ld(p, [0]) * 0.25;
+                    x.assign(r, [0], v);
+                }
+            });
+            let seq = b.finish();
+            let layout = Memory::new(&seq, LayoutStrategy::Contiguous).layout;
+            let footprint = LoweringFootprint::of_sequence(&seq);
+            ProgramTape::lower_within(&seq, &layout, &footprint, budget).nests[0].row_width
+        };
+        assert_eq!(width(1, 4096, 1 << 20), 4096, "one statement");
+        assert_eq!(width(2, 4096, 1 << 20), MULTI_STMT_WIDTH, "two");
+        assert_eq!(width(2, 100, 1 << 20), 100, "the trip still caps");
+        // Three rows and two constants, 8 B a column.
+        assert_eq!(width(2, 4096, 5 * 8 * 64), 64, "and so does L1");
     }
 
     /// Contracted (wrapped) arrays take the modulo slow path and must

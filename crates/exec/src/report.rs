@@ -48,6 +48,10 @@ pub struct RunReport {
     /// Statements whose last op stores the destination row itself at row
     /// width (all that have an op).
     pub tape_direct_stores: u64,
+    /// The tape's widest nest chunk (`ProgramTape::max_row_width`): the
+    /// most consecutive inner iterations a row op runs at once under
+    /// `Backend::Simd`; 0 for interpreted runs.
+    pub max_row_width: u64,
     /// Which compilation of the row loops this host runs (`avx2` or
     /// `baseline`); empty for interpreted runs.
     pub row_isa: String,
@@ -353,8 +357,8 @@ impl RunReport {
         s.push_str(&format!(
             "{{\"executor\":\"{}\",\"backend\":\"{}\",\"schedule\":\"{}\",\"procs\":{},\
              \"steps\":{},\"wall_nanos\":{},\"lower_nanos\":{},\"tape_ops\":{},\
-             \"tape_chains\":{},\"tape_direct_stores\":{},\"row_isa\":\"{}\",\"cached\":{},\
-             \"queue_wait_nanos\":{},\"exec_nanos\":{},",
+             \"tape_chains\":{},\"tape_direct_stores\":{},\"max_row_width\":{},\"row_isa\":\"{}\",\
+             \"cached\":{},\"queue_wait_nanos\":{},\"exec_nanos\":{},",
             json_escape(&self.executor),
             json_escape(&self.backend),
             json_escape(&self.schedule),
@@ -365,6 +369,7 @@ impl RunReport {
             self.tape_ops,
             self.tape_chains,
             self.tape_direct_stores,
+            self.max_row_width,
             json_escape(&self.row_isa),
             self.cached,
             self.queue_wait_nanos,
@@ -433,6 +438,7 @@ impl RunReport {
                 "tape_ops" => r.tape_ops = counter(v, key)?,
                 "tape_chains" => r.tape_chains = counter(v, key)?,
                 "tape_direct_stores" => r.tape_direct_stores = counter(v, key)?,
+                "max_row_width" => r.max_row_width = counter(v, key)?,
                 "row_isa" => r.row_isa = string(v, key)?,
                 "cached" => match v {
                     Json::Bool(b) => r.cached = *b,
@@ -543,6 +549,7 @@ mod tests {
             tape_ops: 0,
             tape_chains: 0,
             tape_direct_stores: 0,
+            max_row_width: 0,
             row_isa: String::new(),
             cached: false,
             queue_wait_nanos: 0,
@@ -624,6 +631,7 @@ mod tests {
         r.tape_ops = 42;
         r.tape_chains = 9;
         r.tape_direct_stores = 6;
+        r.max_row_width = 682;
         r.row_isa = "avx2".into();
         r.workers[0].counters.fused_nanos = 999;
         r.workers[1].counters.flops = 77;

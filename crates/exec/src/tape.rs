@@ -17,12 +17,14 @@
 //!   plus pointer reads — no recursion, no subscript vectors, no
 //!   per-access layout walks;
 //! * **a row at a time** (`Backend::Simd`, nests with a non-zero
-//!   [`NestTape::row_width`]): each [`RowOp`] is one slice loop over up to
-//!   [`ROW`] consecutive inner iterations, so dispatch is paid once per op
-//!   per chunk, the loops are the shape the compiler vectorizes (and are
-//!   compiled once more for AVX2, see [`RowIsa`]), array rows are read in
-//!   place, temporaries stay in an L1-resident scratch, and a statement's
-//!   last op writes its destination row itself.
+//!   [`NestTape::row_width`]): each [`RowOp`] is one slice loop over a
+//!   chunk of up to that many consecutive inner iterations — as many as
+//!   keep the chunk's rows, temporaries and constants in a 32 KiB L1
+//!   data cache — so dispatch is paid once per op per chunk, the loops
+//!   are the shape the compiler vectorizes (and are compiled once more
+//!   for AVX2, see [`RowIsa`]), array rows are read in place, temporaries
+//!   stay in an L1-resident scratch, and a statement's last op writes its
+//!   destination row itself.
 //!
 //! **Equivalence contract.** Either width must be observationally
 //! identical to the interpreter on the same schedule: same results bit
@@ -56,21 +58,11 @@ use crate::memory::{MemView, Memory};
 use crate::sink::AccessSink;
 use sp_ir::{AffineExpr, BinOp, IterSpace, LoopSequence, UnaryOp};
 
-/// Widest chunk of consecutive inner iterations the row runner executes
-/// as one row.
-///
-/// Wide enough that per-op dispatch is small against the row (16 columns
-/// measurably is not), narrow enough that a chunk's working set — the
-/// rows it reads plus its temporaries, 1 KiB each — stays in a 32 KiB L1
-/// between the op that writes a row and the op that reads it: LL18's
-/// widest nest touches 16 rows, 3 temporaries and a constant, 20 KiB.
-/// EXPERIMENTS.md has the sweeps.
-pub const ROW: usize = 128;
-
 /// Shortest non-zero store-to-reference distance the row width accepts
-/// (see [`NestTape::row_width`]). A nest carrying a dependence closer
-/// than this would run in rows too short to pay for their dispatch; it
-/// runs a column at a time.
+/// (see [`NestTape::row_width`]), and the narrowest width the L1 budget
+/// cuts a chunk to. A nest carrying a dependence closer than this would
+/// run in rows too short to pay for their dispatch; it runs a column at
+/// a time.
 pub const MIN_ROW: usize = 8;
 
 /// The dimension-0 part of a reference into a *contracted* array
@@ -317,7 +309,11 @@ pub struct NestTape {
     /// * for every store pattern and every pattern, `Δ == 0` or `|Δ| >=
     ///   MIN_ROW`,
     ///
-    /// and its width is then `min(ROW, smallest non-zero |Δ|)`.
+    /// and its width is then the largest that is at most the smallest
+    /// non-zero `|Δ|` and the nest's inner trip, and whose chunk
+    /// footprint fits a 32 KiB L1 data cache (never cut below `MIN_ROW`
+    /// for that), and at most 128 in a nest of several statements;
+    /// `crate::lower` has the footprint.
     ///
     /// A chunk runs statement-major — statement 1 for all its
     /// iterations, then statement 2 — where the interpreter runs
@@ -356,6 +352,16 @@ impl NestTape {
     /// Temporaries the widest statement's row program names.
     fn row_temps(&self) -> usize {
         self.stmts.iter().map(|s| s.row.temps).max().unwrap_or(0)
+    }
+
+    /// Temporaries a chunk writes: those of every op but a statement's
+    /// last, which writes the destination row instead.
+    pub(crate) fn chunk_temps(&self) -> usize {
+        let written = |s: &StmtTape| {
+            let body = s.row.ops.split_last().map_or(&[][..], |(_, body)| body);
+            body.iter().map(|op| op.parts().0 as usize + 1).max()
+        };
+        self.stmts.iter().filter_map(written).max().unwrap_or(0)
     }
 
     /// Scratch row holding constant `c` at row width: the constants come
@@ -460,6 +466,13 @@ impl ProgramTape {
     pub fn lane_safe_nests(&self) -> usize {
         self.nests.iter().filter(|n| n.row_width > 0).count()
     }
+
+    /// The widest [`NestTape::row_width`] of any nest: the most
+    /// consecutive inner iterations `Backend::Simd` runs as one chunk; 0
+    /// when every nest runs a column at a time.
+    pub fn max_row_width(&self) -> usize {
+        self.nests.iter().map(|n| n.row_width).max().unwrap_or(0)
+    }
 }
 
 /// Which execution backend a driver loop uses for nest bodies: the
@@ -477,9 +490,10 @@ pub enum Engine<'a> {
     Tape {
         /// The lowered program.
         tape: &'a ProgramTape,
-        /// Whether row-safe nests run a row of up to [`ROW`] inner
-        /// iterations at a time (`Backend::Simd`) or, like every other
-        /// nest, a column at a time (`Backend::Compiled`).
+        /// Whether row-safe nests run a chunk of up to their
+        /// [`NestTape::row_width`] inner iterations at a time
+        /// (`Backend::Simd`) or, like every other nest, a column at a
+        /// time (`Backend::Compiled`).
         rows: bool,
     },
 }

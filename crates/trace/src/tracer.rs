@@ -114,7 +114,8 @@ pub struct TraceEvent {
     pub group: u32,
     /// Most consecutive iterations the work this span covered
     /// dispatches at once (`lower` spans record the backend's: 1 for
-    /// the scalar backends, the row width for the SIMD backend), or
+    /// the scalar backends, the widest nest's row width for the SIMD
+    /// backend), or
     /// [`NO_INDEX`].
     pub lanes: u32,
 }

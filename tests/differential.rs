@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use shift_peel::core::CodegenMethod;
-use shift_peel::exec::CacheSink;
+use shift_peel::exec::{CacheSink, ProgramTape};
 use shift_peel::prelude::*;
 use sp_cache::{CacheConfig, CacheHierarchy, CacheStats};
 use sp_ir::{BinOp, UnaryOp};
@@ -345,45 +345,58 @@ proptest! {
     }
 }
 
+/// The sweep's sequence: `depth` nests deep, inner trip `trip`, reads at
+/// `±w` in its second nest.
+fn peel_sweep(w: i64, trip: usize, depth: usize) -> LoopSequence {
+    let n = trip + 8; // bounds (4, n - 5) give exactly `trip` iterations
+    let mut b = SeqBuilder::new("peelsweep");
+    // The last dimension has the trip under test; a 2-D nest puts
+    // 8 rows of it under a fused outer loop.
+    let inner = (4, n as i64 - 5);
+    let (dims, bounds) = match depth {
+        1 => (vec![n], vec![inner]),
+        _ => (vec![16, n], vec![(4, 11), inner]),
+    };
+    let at = |o: i64| match depth {
+        1 => vec![o],
+        _ => vec![o, 0],
+    };
+    let a = b.array("a", dims.clone());
+    let c = b.array("c", dims);
+    b.nest("L1", bounds.clone(), |x| {
+        let r = x.ld(a, at(0)) * 0.5;
+        x.assign(a, at(0), r);
+    });
+    // Reads at +/- w force a shift of w and peel of w when fused.
+    b.nest("L2", bounds, |x| {
+        let r = x.ld(a, at(w)) + x.ld(a, at(-w));
+        x.assign(c, at(0), r);
+    });
+    b.finish()
+}
+
 /// Deterministic pin of the row runner's chunking and peel handling:
 /// every peel width 0..=3 crossed with inner trips around the old lane
-/// width (7, 8, 9, 19) and around the chunk boundary (`ROW - 1`, `ROW`,
-/// `ROW + 1`, `2 * ROW + 3`: "one short chunk", "exactly one", "one and
-/// a column", "two and a tail"), as a 1-D nest (the chunked loop is the
-/// fused, blocked one) and a 2-D nest (chunks along rows, blocks and
-/// peels across them), under all three schedules.
+/// width (7, 8, 9, 19) and around the chunk boundary of the row width
+/// the tape reports for a long trip (`W - 1`, `W`, `W + 1`, `2 * W + 3`:
+/// "one short chunk", "exactly one", "one and a column", "two and a
+/// tail"), as a 1-D nest (the chunked loop is the fused, blocked one)
+/// and a 2-D nest (chunks along rows, blocks and peels across them),
+/// under all three schedules.
 #[test]
 fn simd_peel_widths_and_ragged_trips_match_interp() {
-    use shift_peel::exec::ROW;
+    let long = peel_sweep(0, 1 << 16, 1);
+    let layout = Memory::new(&long, LayoutStrategy::Contiguous).layout;
+    let wide = ProgramTape::lower(&long, &layout).max_row_width();
+    assert!(
+        wide < 1 << 16,
+        "the L1 budget, not the trip, sets the width"
+    );
     for (w, trip, depth) in (0..=3i64)
-        .flat_map(|w| [7, 8, 9, 19, ROW - 1, ROW, ROW + 1, 2 * ROW + 3].map(|t| (w, t)))
+        .flat_map(|w| [7, 8, 9, 19, wide - 1, wide, wide + 1, 2 * wide + 3].map(|t| (w, t)))
         .flat_map(|(w, t)| [1usize, 2].map(|d| (w, t, d)))
     {
-        let n = trip + 8; // bounds (4, n - 5) give exactly `trip` iterations
-        let mut b = SeqBuilder::new("peelsweep");
-        // The last dimension has the trip under test; a 2-D nest puts
-        // 8 rows of it under a fused outer loop.
-        let inner = (4, n as i64 - 5);
-        let (dims, bounds) = match depth {
-            1 => (vec![n], vec![inner]),
-            _ => (vec![16, n], vec![(4, 11), inner]),
-        };
-        let at = |o: i64| match depth {
-            1 => vec![o],
-            _ => vec![o, 0],
-        };
-        let a = b.array("a", dims.clone());
-        let c = b.array("c", dims);
-        b.nest("L1", bounds.clone(), |x| {
-            let r = x.ld(a, at(0)) * 0.5;
-            x.assign(a, at(0), r);
-        });
-        // Reads at +/- w force a shift of w and peel of w when fused.
-        b.nest("L2", bounds, |x| {
-            let r = x.ld(a, at(w)) + x.ld(a, at(-w));
-            x.assign(c, at(0), r);
-        });
-        let seq = b.finish();
+        let seq = peel_sweep(w, trip, depth);
         let prog = Program::new(&seq, 1).expect("analysis");
         let (_, want) = run_config(&seq, &prog, &RunConfig::serial().steps(3), None);
         for procs in [1usize, 2] {

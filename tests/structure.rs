@@ -305,6 +305,15 @@ const RULES: &[Rule] = &[
               it cached, and a new stage is one more line in Planner::plan_with",
         ..RULE
     },
+    Rule {
+        name: "row-width-per-nest",
+        files: "*.rs",
+        any_of: &["const ROW:", "fn lane_width("],
+        pr: 29,
+        why: "a nest's chunk is as wide as its footprint fits the L1 (lower.rs::row_width): \
+              no global width, and no backend-wide lane count beside the tape's max_row_width",
+        ..RULE
+    },
 ];
 
 fn glob(pat: &str, name: &str) -> bool {
