@@ -117,7 +117,7 @@ pub struct Options {
     /// `--deadline-ms N`: round-trip deadline budget for `submit`.
     pub deadline_ms: Option<u64>,
     /// `--window N`: keep up to N submissions in flight on the one
-    /// `submit` connection (1 = classic request/response).
+    /// `submit` connection (1 = one request at a time).
     pub window: usize,
     /// `--repeat N`: submit the resolved job list N times (gives a
     /// pipelining window something to fill).
@@ -850,37 +850,24 @@ fn submit_command(opts: &Options) -> Result<String, CliError> {
         specs.push(spec);
     }
     let specs: Vec<JobSpec> = (0..opts.repeat).flat_map(|_| specs.clone()).collect();
-    if opts.window > 1 {
-        let t0 = std::time::Instant::now();
-        let outcomes = client.submit_pipelined(&specs, opts.window);
-        let secs = t0.elapsed().as_secs_f64();
-        let mut results = Vec::with_capacity(outcomes.len());
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            results.push(outcome.map_err(|e| CliError {
-                message: format!("submit {}: {e}", specs[i].name),
-                code: 1,
-            })?);
-        }
-        for res in &results {
-            render_wire_result(&mut out, res);
-        }
-        let _ = writeln!(
-            out,
-            "pipelined {} jobs, window {}: {:.1} ms ({:.0} jobs/s)",
-            results.len(),
-            opts.window,
-            secs * 1e3,
-            results.len() as f64 / secs.max(1e-9),
-        );
-    } else {
-        for spec in &specs {
-            let res = client.submit(spec).map_err(|e| CliError {
-                message: format!("submit {}: {e}", spec.name),
-                code: 1,
-            })?;
-            render_wire_result(&mut out, &res);
-        }
+    let t0 = std::time::Instant::now();
+    let outcomes = client.submit_pipelined(&specs, opts.window);
+    let secs = t0.elapsed().as_secs_f64();
+    for (spec, outcome) in specs.iter().zip(outcomes) {
+        let res = outcome.map_err(|e| CliError {
+            message: format!("submit {}: {e}", spec.name),
+            code: 1,
+        })?;
+        render_wire_result(&mut out, &res);
     }
+    let _ = writeln!(
+        out,
+        "pipelined {} jobs, window {}: {:.1} ms ({:.0} jobs/s)",
+        specs.len(),
+        opts.window,
+        secs * 1e3,
+        specs.len() as f64 / secs.max(1e-9),
+    );
     Ok(out)
 }
 

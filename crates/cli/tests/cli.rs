@@ -616,6 +616,31 @@ fn serve_listen_and_submit_round_trip() {
     .expect("warm submit");
     assert!(warm.contains("hit"), "{warm}");
 
+    // A window: the job list twice, every job reported, then the
+    // throughput line.
+    let windowed = run(&[
+        "submit",
+        "--connect",
+        &addr,
+        "jacobi",
+        "--tenant",
+        "alice",
+        "--procs",
+        "2",
+        "--window",
+        "3",
+        "--repeat",
+        "2",
+    ])
+    .expect("windowed submit");
+    let reports = windowed.lines().filter(|l| l.starts_with("job ")).count();
+    assert_eq!(reports, 2, "one report per job:\n{windowed}");
+    assert!(
+        windowed.contains("pipelined 2 jobs, window 3: "),
+        "{windowed}"
+    );
+    assert!(windowed.contains(" jobs/s)"), "{windowed}");
+
     // A .loop file goes over the wire too, under another tenant.
     with_program(|path| {
         let out = run(&[

@@ -1,15 +1,16 @@
 //! The blocking wire client: connect/submit timeouts, bounded
 //! exponential-backoff retries, deadline propagation, and windowed
-//! pipelining.
+//! pipelining — one request engine for all of it.
 //!
-//! One [`Client`] owns one connection. [`Client::submit`] keeps one
-//! request in flight (concurrency = more clients);
-//! [`Client::submit_pipelined`] keeps up to `window` requests in flight
-//! on the same connection, correlating out-of-order replies by the
-//! frame's `request_id`. Transient failures — transport errors and the
-//! server's back-off codes (`QueueFull`, `QuotaExceeded`) — are retried
-//! up to [`ClientConfig::retries`] times with exponential backoff;
-//! everything else surfaces immediately as a typed [`NetError`].
+//! One [`Client`] owns one connection and one engine, which keeps up to
+//! `window` requests in flight on it and correlates out-of-order replies
+//! by the frame's `request_id`. [`Client::submit_pipelined`] runs a batch
+//! through it; [`Client::submit`] and [`Client::submit_by_digest`] are a
+//! window of one (concurrency = more clients). Transient failures —
+//! transport errors and the server's back-off codes
+//! ([`ServeError::is_transient_code`]) — are retried up to
+//! [`ClientConfig::retries`] times with exponential backoff; everything
+//! else surfaces immediately as a typed [`NetError`].
 //!
 //! Request ids start from a per-client randomized base (so two clients
 //! sharing a tenant do not collide) and are **reused across retries**
@@ -18,21 +19,27 @@
 //! the server answers from the job it already has instead of running
 //! the work twice.
 //!
-//! Deadline propagation: [`Client::submit`] treats
-//! [`JobSpec::deadline`](sp_serve::JobSpec) as a budget for the *whole*
-//! round trip, started at the first attempt. Each attempt re-encodes
-//! the remaining budget into the frame, so time burned on retries,
-//! connection setup, and the server's queue all count against the same
-//! clock. Backoff sleeps are clamped to the remaining budget, and a
-//! budget that runs out client-side fails fast with
-//! [`NetError::DeadlineExhausted`] without bothering the server.
+//! Deadline propagation: [`JobSpec::deadline`](sp_serve::JobSpec) is a
+//! budget for the *whole* round trip, started when the call is made.
+//! Each request is encoded once; before every send only its deadline is
+//! rewritten, to the remaining budget, so time burned on retries,
+//! connection setup, the window and the server's queue all count
+//! against the same clock. Every backoff gate, per request or per
+//! connection, is clamped to the remaining budget, and a budget that
+//! runs out client-side fails with [`NetError::DeadlineExhausted`]
+//! at its deadline, without bothering the server.
+//!
+//! Text fallback: a batch interns its programs (text the first time,
+//! the digest after). If the server has evicted an interned program, the
+//! request is resent with its text under the same id. A digest the
+//! caller asked for ([`Client::submit_by_digest`]) never falls back.
 
 use crate::wire::{
-    encode_frame, read_frame, write_frame, ErrorFrame, Frame, ProgramRef, ReadError, ResultFrame,
-    SubmitJob, WireError, CODE_UNKNOWN_PROGRAM,
+    encode_frame, read_frame, set_submit_deadline, write_frame, Frame, ProgramRef, ReadError,
+    ResultFrame, SubmitJob, WireError, CODE_UNKNOWN_PROGRAM,
 };
 use sp_exec::RunReport;
-use sp_serve::{CacheOutcome, JobSpec};
+use sp_serve::{CacheOutcome, JobSpec, ServeError};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 use std::io::Write as _;
@@ -232,7 +239,7 @@ impl Client {
             conn: None,
             next_request_id: seed_request_id(),
         };
-        client.ensure_conn()?;
+        client.ensure_conn().map_err(NetError::Io)?;
         Ok(client)
     }
 
@@ -251,7 +258,9 @@ impl Client {
         self.next_request_id
     }
 
-    fn ensure_conn(&mut self) -> Result<&mut Conn, NetError> {
+    /// The live connection, or a new one; `Err` says why none could be
+    /// made.
+    fn ensure_conn(&mut self) -> Result<&mut Conn, String> {
         if self.conn.is_none() {
             let mut failures = Vec::new();
             for off in 0..self.addrs.len() {
@@ -276,19 +285,19 @@ impl Client {
                 }
             }
             if self.conn.is_none() {
-                return Err(NetError::Io(format!(
+                return Err(format!(
                     "connect failed on every resolved address: {}",
                     failures.join("; ")
-                )));
+                ));
             }
         }
         Ok(self.conn.as_mut().unwrap())
     }
 
-    /// One request/response exchange. Io failures poison the
-    /// connection so the next attempt reconnects.
+    /// One control-frame exchange (ping, drain). Io failures poison the
+    /// connection so the next call reconnects.
     fn exchange(&mut self, frame: &Frame) -> Result<Frame, NetError> {
-        let conn = self.ensure_conn()?;
+        let conn = self.ensure_conn().map_err(NetError::Io)?;
         if let Err(e) = write_frame(&mut conn.w, frame) {
             self.conn = None;
             return Err(NetError::Io(format!("write: {e}")));
@@ -312,23 +321,33 @@ impl Client {
     }
 
     /// Submits `spec`'s program by full text under this client's
-    /// tenant, with retries and deadline propagation.
+    /// tenant, with retries and deadline propagation: the engine behind
+    /// [`Client::submit_pipelined`] with one spec and a window of one.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<NetJobResult, NetError> {
-        self.submit_request(self.request_for(spec, false))
+        self.submit_one(spec, false)
     }
 
     /// Submits by content digest alone — valid once the server has seen
-    /// the text (a prior [`Client::submit`] from any connection).
+    /// the text (a prior [`Client::submit`] from any connection). A
+    /// digest the server does not know is
+    /// `NetError::Serve { code: CODE_UNKNOWN_PROGRAM, .. }`: the text is
+    /// never sent in its place.
     pub fn submit_by_digest(&mut self, spec: &JobSpec) -> Result<NetJobResult, NetError> {
-        self.submit_request(self.request_for(spec, true))
+        self.submit_one(spec, true)
     }
 
-    fn request_for(&self, spec: &JobSpec, by_digest: bool) -> SubmitJob {
-        SubmitJob {
-            request_id: 0,
+    fn submit_one(&mut self, spec: &JobSpec, by_digest: bool) -> Result<NetJobResult, NetError> {
+        let mut outcome = self.run_window(std::slice::from_ref(spec), 1, by_digest);
+        outcome.pop().unwrap_or(Err(NetError::Closed))
+    }
+
+    /// The encoded `Submit` frame for `spec`, naming its program by the
+    /// digest or by the text the spec holds (nothing is rendered).
+    fn encode_request(&self, spec: &JobSpec, request_id: u64, by_digest: bool) -> Vec<u8> {
+        encode_frame(&Frame::Submit(SubmitJob {
+            request_id,
             tenant: self.cfg.tenant.clone(),
             name: spec.name.clone(),
-            // Both are held by the spec's program; nothing is rendered.
             program: if by_digest {
                 ProgramRef::Digest(spec.seq.digest())
             } else {
@@ -339,230 +358,121 @@ impl Client {
             schedule: spec.schedule,
             steps: spec.steps as u64,
             seed: spec.seed,
-            deadline_nanos: spec
-                .deadline
-                .map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64),
-        }
-    }
-
-    /// The retry loop shared by the single-submit paths.
-    fn submit_request(&mut self, mut req: SubmitJob) -> Result<NetJobResult, NetError> {
-        let started = Instant::now();
-        let budget = (req.deadline_nanos > 0).then(|| Duration::from_nanos(req.deadline_nanos));
-        // One id for the whole logical request: a retry after a
-        // transport failure resends the same id, so a server that
-        // already accepted the first attempt dedupes instead of
-        // executing twice.
-        let request_id = self.next_request_id();
-        req.request_id = request_id;
-        // One frame for every attempt; only its deadline is rewritten.
-        let mut frame = Frame::Submit(req);
-        let attempts = 1 + self.cfg.retries;
-        let mut backoff = self.cfg.backoff;
-        let mut last: Option<NetError> = None;
-        for attempt in 0..attempts {
-            // Re-encode the remaining budget so server queue time and
-            // client retry time share one clock. A budget already at
-            // zero fails fast — 0 on the wire would mean "no deadline".
-            if let (Some(total), Frame::Submit(req)) = (budget, &mut frame) {
-                let remaining = total.checked_sub(started.elapsed()).unwrap_or_default();
-                if remaining.is_zero() {
-                    return Err(NetError::DeadlineExhausted);
-                }
-                req.deadline_nanos = remaining.as_nanos().min(u64::MAX as u128) as u64;
-            }
-            let outcome = self.exchange(&frame);
-            let transient = match outcome {
-                Ok(Frame::Result(r)) => {
-                    if r.request_id != request_id {
-                        self.conn = None;
-                        return Err(NetError::Wire(WireError::Malformed(format!(
-                            "reply correlates to request {} (sent {request_id})",
-                            r.request_id
-                        ))));
-                    }
-                    return decode_result(r);
-                }
-                Ok(Frame::Error(e)) => {
-                    if e.request_id != 0 && e.request_id != request_id {
-                        self.conn = None;
-                        return Err(NetError::Wire(WireError::Malformed(format!(
-                            "error correlates to request {} (sent {request_id})",
-                            e.request_id
-                        ))));
-                    }
-                    let err = NetError::Serve {
-                        code: e.code,
-                        job: e.job,
-                        tenant: e.tenant,
-                        message: e.message,
-                    };
-                    if is_transient_code(e.code) {
-                        last = Some(err);
-                        true
-                    } else {
-                        return Err(err);
-                    }
-                }
-                Ok(other) => {
-                    return Err(NetError::Wire(WireError::Malformed(format!(
-                        "unexpected reply frame type {}",
-                        other.frame_type()
-                    ))))
-                }
-                Err(e @ (NetError::Io(_) | NetError::Closed)) => {
-                    last = Some(e);
-                    true
-                }
-                Err(e) => return Err(e),
-            };
-            if transient && attempt + 1 < attempts {
-                // Sleep at most the remaining budget; a budget that
-                // cannot cover any wait is exhausted *now*, not after a
-                // full backoff it could never afford.
-                let sleep = match budget {
-                    Some(total) => {
-                        let remaining = total.checked_sub(started.elapsed()).unwrap_or_default();
-                        if remaining.is_zero() {
-                            return Err(NetError::DeadlineExhausted);
-                        }
-                        backoff.min(remaining)
-                    }
-                    None => backoff,
-                };
-                std::thread::sleep(sleep);
-                backoff = (backoff * 2).min(Duration::from_secs(1));
-            }
-        }
-        // Typed server rejections stay typed; only transport churn
-        // collapses into the retries-exhausted summary.
-        match last {
-            Some(e @ NetError::Serve { .. }) => Err(e),
-            Some(e) => Err(NetError::RetriesExhausted {
-                attempts,
-                last: e.to_string(),
-            }),
-            None => Err(NetError::RetriesExhausted {
-                attempts,
-                last: "no attempt was made".into(),
-            }),
-        }
+            deadline_nanos: spec.deadline.map_or(0, nanos),
+        }))
     }
 
     /// Submits every spec with up to `window` requests in flight on
     /// this one connection, correlating out-of-order replies by request
     /// id. Returns one outcome per spec, in spec order.
     ///
-    /// Beyond the windowing, the batch shape enables two protocol
-    /// savings a one-at-a-time caller cannot get: programs are
-    /// **interned** (the first submission of each distinct program
-    /// sends the text; every repeat sends only its digest, falling back
-    /// to text transparently if the server evicted it), and submission
-    /// frames are **coalesced** into one socket write per burst.
+    /// Programs are **interned** per call: the first submission of each
+    /// distinct program sends the text, every repeat sends only its
+    /// digest and falls back to the text if the server has evicted it.
+    /// Submission frames are **coalesced** into one socket write per
+    /// burst.
     ///
-    /// Each request keeps its own deadline budget and retry budget.
-    /// Transient server rejections back off per request (clamped to the
-    /// request's remaining budget); a transport failure poisons the
-    /// connection and resends every lost request **with its original
-    /// id** on the reconnect, so the server can answer from work it
-    /// already ran. A protocol-level desync fails every unfinished
-    /// request — the stream cannot be trusted after it.
+    /// Each request keeps its own deadline budget, from the start of the
+    /// call, and its own retry budget. A transient server rejection backs
+    /// off per request; a transport failure poisons the connection and
+    /// resends every lost request **with its original id** on the
+    /// reconnect, behind one backoff for the whole window, so the server
+    /// can answer from work it already ran. Every backoff is clamped to
+    /// the request's remaining budget. A protocol-level desync fails
+    /// every unfinished request — the stream cannot be trusted after it.
     pub fn submit_pipelined(
         &mut self,
         specs: &[JobSpec],
         window: usize,
     ) -> Vec<Result<NetJobResult, NetError>> {
+        self.run_window(specs, window, false)
+    }
+
+    /// The client's one request engine. With `by_digest`, every request
+    /// names its program by digest and an unknown digest is the caller's
+    /// error; without, programs are interned as
+    /// [`Client::submit_pipelined`] describes.
+    fn run_window(&mut self, specs: &[JobSpec], window: usize, by_digest: bool) -> Vec<Outcome> {
         let window = window.max(1);
         let started = Instant::now();
         let attempts = 1 + self.cfg.retries;
-        let mut results: Vec<Option<Result<NetJobResult, NetError>>> =
-            specs.iter().map(|_| None).collect();
-        // Intern per batch: the first occurrence of each program ships
-        // the text (registering it server-side), repeats ship the
-        // 8-byte digest instead.
-        let mut interned: HashSet<u64> = HashSet::new();
+        let mut results: Vec<Option<Outcome>> = specs.iter().map(|_| None).collect();
+        let mut seen: HashSet<u64> = HashSet::new();
         let mut queue: VecDeque<PendingReq> = specs
             .iter()
             .enumerate()
             .map(|(idx, spec)| {
-                let mut req = self.request_for(spec, !interned.insert(spec.seq.digest()));
-                req.request_id = self.next_request_id();
+                let interned = !by_digest && !seen.insert(spec.seq.digest());
+                // One id for the whole logical request: a resend after a
+                // transport failure carries it, so a server that already
+                // accepted the first copy dedupes instead of running twice.
+                let request_id = self.next_request_id();
                 PendingReq {
                     idx,
-                    budget: (req.deadline_nanos > 0)
-                        .then(|| Duration::from_nanos(req.deadline_nanos)),
-                    req,
+                    request_id,
+                    frame: self.encode_request(spec, request_id, by_digest || interned),
+                    interned,
+                    // 0 on the wire is "no deadline", and so is one no
+                    // `Instant` can hold.
+                    deadline: spec
+                        .deadline
+                        .filter(|d| !d.is_zero())
+                        .and_then(|d| started.checked_add(d)),
                     attempts_left: attempts,
                     backoff: self.cfg.backoff,
                     ready_at: None,
                     last: None,
-                    last_was_serve: false,
-                    last_serve: None,
                 }
             })
             .collect();
         let mut inflight: Vec<PendingReq> = Vec::new();
-        // Transport-level backoff, shared by the whole window (one dead
-        // server should not be hammered `window` times faster).
+        // Transport backoff, shared by the whole window (one dead server
+        // should not be hammered `window` times faster).
         let mut conn_backoff = self.cfg.backoff;
+        let mut burst = Vec::new();
 
-        'pump: loop {
+        loop {
+            // A budget that is gone fails fast, before any gate is asked
+            // whether it is open: 0 on the wire would mean "no deadline".
+            let now = Instant::now();
+            queue.retain(|p| {
+                let expired = p.deadline.is_some_and(|d| d <= now);
+                if expired {
+                    results[p.idx] = Some(Err(NetError::DeadlineExhausted));
+                }
+                !expired
+            });
             // Fill the window with every request that is ready to send,
-            // coalescing the whole burst into one socket write.
-            let mut burst = Vec::new();
-            let mut burst_reqs: Vec<PendingReq> = Vec::new();
-            while inflight.len() + burst_reqs.len() < window {
-                let now = Instant::now();
+            // each carrying its remaining budget, in one socket write.
+            burst.clear();
+            while inflight.len() < window {
                 let Some(pos) = queue
                     .iter()
                     .position(|p| p.ready_at.is_none_or(|t| t <= now))
                 else {
                     break;
                 };
-                let mut p = queue.remove(pos).unwrap();
-                let remaining = match p.budget {
-                    Some(total) => {
-                        let left = total.checked_sub(started.elapsed()).unwrap_or_default();
-                        if left.is_zero() {
-                            results[p.idx] = Some(Err(NetError::DeadlineExhausted));
-                            continue;
-                        }
-                        Some(left)
-                    }
-                    None => None,
-                };
-                if p.attempts_left == 0 {
-                    let idx = p.idx;
-                    results[idx] = Some(Err(p.exhausted(attempts)));
-                    continue;
-                }
+                let mut p = queue.remove(pos).expect("a queued request");
                 p.attempts_left -= 1;
-                let mut frame_req = p.req.clone();
-                if let Some(left) = remaining {
-                    frame_req.deadline_nanos = left.as_nanos().min(u64::MAX as u128) as u64;
+                if let Some(deadline) = p.deadline {
+                    set_submit_deadline(&mut p.frame, nanos(deadline - now));
                 }
-                burst.extend_from_slice(&encode_frame(&Frame::Submit(frame_req)));
-                burst_reqs.push(p);
+                burst.extend_from_slice(&p.frame);
+                inflight.push(p);
             }
             if !burst.is_empty() {
-                let sent = match self.ensure_conn() {
-                    Ok(conn) => conn.w.write_all(&burst).is_ok(),
-                    Err(_) => false,
-                };
-                if sent {
-                    inflight.append(&mut burst_reqs);
-                } else {
-                    // Transport failure: every in-flight reply on this
-                    // stream is lost too. Requeue them all (same ids)
-                    // behind a shared backoff gate.
-                    self.conn = None;
-                    let gate = Instant::now() + conn_backoff;
-                    conn_backoff = (conn_backoff * 2).min(Duration::from_secs(1));
-                    for mut lost in burst_reqs.drain(..).chain(inflight.drain(..)) {
-                        lost.last.get_or_insert_with(|| "connection lost".into());
-                        lost.ready_at = Some(gate);
-                        queue.push_back(lost);
-                    }
+                let written = self
+                    .ensure_conn()
+                    .and_then(|conn| conn.w.write_all(&burst).map_err(|e| format!("write: {e}")));
+                if let Err(m) = written {
+                    let lost = || NetError::Io(m.clone());
+                    self.lose_connection(
+                        &mut conn_backoff,
+                        &mut inflight,
+                        &mut queue,
+                        &mut results,
+                        lost,
+                    );
                 }
             }
 
@@ -570,127 +480,87 @@ impl Client {
                 if queue.is_empty() {
                     break;
                 }
-                // Everything left is backoff-gated: sleep until the
-                // earliest gate, clamped so a dying budget is reported
-                // at its deadline rather than after it.
-                let now = Instant::now();
-                let wake = queue
-                    .iter()
-                    .map(|p| {
-                        let gate = p.ready_at.unwrap_or(now);
-                        match p.budget {
-                            Some(total) => gate.min(started + total),
-                            None => gate,
-                        }
-                    })
-                    .min()
-                    .unwrap_or(now);
-                std::thread::sleep(
-                    wake.saturating_duration_since(now)
-                        .min(Duration::from_secs(1)),
-                );
+                // Everything left waits behind a gate that opens no later
+                // than its request's deadline: sleep to the first.
+                let wake = queue.iter().filter_map(|p| p.ready_at).min().unwrap_or(now);
+                std::thread::sleep(wake.saturating_duration_since(Instant::now()));
                 continue;
             }
 
             // One blocking read; replies may answer any in-flight id.
-            let conn = match self.ensure_conn() {
-                Ok(c) => c,
-                Err(_) => continue 'pump,
+            let read = match self.conn.as_mut() {
+                Some(conn) => read_frame(&mut conn.r),
+                None => Err(ReadError::Closed),
             };
-            match read_frame(&mut conn.r) {
+            match read {
                 Ok(Frame::Result(r)) => {
                     conn_backoff = self.cfg.backoff;
-                    let Some(pos) = inflight
-                        .iter()
-                        .position(|p| p.req.request_id == r.request_id)
-                    else {
-                        self.fail_batch(
-                            &mut results,
-                            inflight,
-                            queue,
-                            &format!("reply correlates to unknown request {}", r.request_id),
-                        );
+                    let Some(p) = take(&mut inflight, r.request_id) else {
+                        let detail =
+                            format!("reply correlates to unknown request {}", r.request_id);
+                        self.fail_batch(&mut results, inflight, queue, || malformed(&detail));
                         break;
                     };
-                    let p = inflight.remove(pos);
                     results[p.idx] = Some(decode_result(r));
                 }
                 Ok(Frame::Error(e)) => {
                     conn_backoff = self.cfg.backoff;
+                    let err = || NetError::Serve {
+                        code: e.code,
+                        job: e.job,
+                        tenant: e.tenant.clone(),
+                        message: e.message.clone(),
+                    };
                     if e.request_id == 0 {
                         // A connection-scoped rejection (the server is
                         // about to close); no request of ours can be
                         // answered on this stream anymore.
-                        self.fail_batch_serve(&mut results, inflight, queue, &e);
+                        self.fail_batch(&mut results, inflight, queue, err);
                         break;
                     }
-                    let Some(pos) = inflight
-                        .iter()
-                        .position(|p| p.req.request_id == e.request_id)
-                    else {
-                        self.fail_batch(
-                            &mut results,
-                            inflight,
-                            queue,
-                            &format!("error correlates to unknown request {}", e.request_id),
-                        );
+                    let Some(mut p) = take(&mut inflight, e.request_id) else {
+                        let detail =
+                            format!("error correlates to unknown request {}", e.request_id);
+                        self.fail_batch(&mut results, inflight, queue, || malformed(&detail));
                         break;
                     };
-                    let mut p = inflight.remove(pos);
-                    if e.code == CODE_UNKNOWN_PROGRAM
-                        && matches!(p.req.program, ProgramRef::Digest(_))
-                    {
-                        // The server evicted the interned program
-                        // between our registration and this submit:
-                        // resend the full text under the same id. Not a
-                        // failure of the request itself, so the attempt
-                        // is returned.
-                        let request_id = p.req.request_id;
-                        p.req = self.request_for(&specs[p.idx], false);
-                        p.req.request_id = request_id;
+                    if e.code == CODE_UNKNOWN_PROGRAM && p.interned {
+                        // The server evicted a program this call interned:
+                        // resend the text under the same id. Not a failure
+                        // of the request, so the attempt is returned.
+                        p.frame = self.encode_request(&specs[p.idx], p.request_id, false);
+                        p.interned = false;
                         p.attempts_left += 1;
-                        p.ready_at = None;
                         queue.push_back(p);
-                    } else if is_transient_code(e.code) && p.attempts_left > 0 {
-                        p.last = Some(format!("server error [code {}]: {}", e.code, e.message));
-                        p.last_was_serve = true;
-                        p.last_serve = Some((e.code, e.job, e.tenant, e.message));
-                        p.ready_at = Some(Instant::now() + p.backoff);
-                        p.backoff = (p.backoff * 2).min(Duration::from_secs(1));
-                        queue.push_back(p);
+                    } else if ServeError::is_transient_code(e.code) {
+                        p.last = Some(err());
+                        let gate = Instant::now() + p.backoff;
+                        p.backoff = (p.backoff * 2).min(MAX_BACKOFF);
+                        p.retry(gate, attempts, &mut queue, &mut results);
                     } else {
-                        results[p.idx] = Some(Err(NetError::Serve {
-                            code: e.code,
-                            job: e.job,
-                            tenant: e.tenant,
-                            message: e.message,
-                        }));
+                        results[p.idx] = Some(Err(err()));
                     }
                 }
                 Ok(other) => {
-                    self.fail_batch(
-                        &mut results,
-                        inflight,
-                        queue,
-                        &format!("unexpected reply frame type {}", other.frame_type()),
-                    );
+                    let detail = format!("unexpected reply frame type {}", other.frame_type());
+                    self.fail_batch(&mut results, inflight, queue, || malformed(&detail));
                     break;
                 }
-                Err(ReadError::Closed) | Err(ReadError::Io(_)) => {
-                    // Same treatment as a write failure: requeue the
-                    // whole window with the same ids behind a gate.
-                    self.conn = None;
-                    let gate = Instant::now() + conn_backoff;
-                    conn_backoff = (conn_backoff * 2).min(Duration::from_secs(1));
-                    for mut lost in inflight.drain(..) {
-                        lost.last = Some("connection lost awaiting reply".into());
-                        lost.last_was_serve = false;
-                        lost.ready_at = Some(gate);
-                        queue.push_back(lost);
-                    }
+                Err(e @ (ReadError::Closed | ReadError::Io(_))) => {
+                    let lost = || match &e {
+                        ReadError::Io(e) => NetError::Io(format!("read: {e}")),
+                        _ => NetError::Closed,
+                    };
+                    self.lose_connection(
+                        &mut conn_backoff,
+                        &mut inflight,
+                        &mut queue,
+                        &mut results,
+                        lost,
+                    );
                 }
                 Err(ReadError::Wire(e)) => {
-                    self.fail_batch(&mut results, inflight, queue, &e.to_string());
+                    self.fail_batch(&mut results, inflight, queue, || NetError::Wire(e.clone()));
                     break;
                 }
             }
@@ -702,37 +572,39 @@ impl Client {
             .collect()
     }
 
-    /// Fails every unfinished request after a protocol desync: the
-    /// stream's framing cannot be trusted, so nothing else can complete
-    /// on it.
-    fn fail_batch(
+    /// A transport failure: every reply owed on this stream is lost.
+    /// Each lost request is resent, same id, on a new connection behind
+    /// the one connection backoff — or finished if its attempts are spent.
+    fn lose_connection(
         &mut self,
-        results: &mut [Option<Result<NetJobResult, NetError>>],
-        inflight: Vec<PendingReq>,
-        queue: VecDeque<PendingReq>,
-        detail: &str,
+        conn_backoff: &mut Duration,
+        inflight: &mut Vec<PendingReq>,
+        queue: &mut VecDeque<PendingReq>,
+        results: &mut [Option<Outcome>],
+        err: impl Fn() -> NetError,
     ) {
         self.conn = None;
-        for p in inflight.into_iter().chain(queue) {
-            results[p.idx] = Some(Err(NetError::Wire(WireError::Malformed(detail.into()))));
+        let gate = Instant::now() + *conn_backoff;
+        *conn_backoff = (*conn_backoff * 2).min(MAX_BACKOFF);
+        for mut p in inflight.drain(..) {
+            p.last = Some(err());
+            p.retry(gate, 1 + self.cfg.retries, queue, results);
         }
     }
 
-    fn fail_batch_serve(
+    /// Fails every unfinished request with `err()` and drops the
+    /// connection: after a desync or a connection-scoped rejection,
+    /// nothing else can complete on it.
+    fn fail_batch(
         &mut self,
-        results: &mut [Option<Result<NetJobResult, NetError>>],
+        results: &mut [Option<Outcome>],
         inflight: Vec<PendingReq>,
         queue: VecDeque<PendingReq>,
-        e: &ErrorFrame,
+        err: impl Fn() -> NetError,
     ) {
         self.conn = None;
         for p in inflight.into_iter().chain(queue) {
-            results[p.idx] = Some(Err(NetError::Serve {
-                code: e.code,
-                job: e.job,
-                tenant: e.tenant.clone(),
-                message: e.message.clone(),
-            }));
+            results[p.idx] = Some(Err(err()));
         }
     }
 
@@ -741,10 +613,10 @@ impl Client {
         let t0 = Instant::now();
         match self.exchange(&Frame::Ping)? {
             Frame::Ping => Ok(t0.elapsed()),
-            f => Err(NetError::Wire(WireError::Malformed(format!(
+            f => Err(malformed(&format!(
                 "unexpected reply frame type {}",
                 f.frame_type()
-            )))),
+            ))),
         }
     }
 
@@ -753,59 +625,97 @@ impl Client {
     pub fn drain(&mut self) -> Result<(), NetError> {
         match self.exchange(&Frame::Drain)? {
             Frame::Drain => Ok(()),
-            f => Err(NetError::Wire(WireError::Malformed(format!(
+            f => Err(malformed(&format!(
                 "unexpected reply frame type {}",
                 f.frame_type()
-            )))),
+            ))),
         }
     }
 }
 
-/// One pipelined request's bookkeeping between send and reply.
+/// What one request ends with.
+type Outcome = Result<NetJobResult, NetError>;
+
+/// Backoffs double up to this.
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
+
+/// One request's bookkeeping from its first send to its outcome.
 struct PendingReq {
+    /// Index of its spec and of its outcome.
     idx: usize,
-    req: SubmitJob,
-    budget: Option<Duration>,
+    request_id: u64,
+    /// The encoded `Submit` frame; only its deadline is rewritten before
+    /// each send.
+    frame: Vec<u8>,
+    /// The frame names by digest a program this call interned, so an
+    /// unknown-program reply is answered by resending the text.
+    interned: bool,
+    /// When the caller's budget runs out.
+    deadline: Option<Instant>,
     attempts_left: u32,
+    /// This request's own backoff, for transient server rejections.
     backoff: Duration,
-    /// Gate before the next (re)send, set by backoff.
+    /// Gate before the next send, never past `deadline`.
     ready_at: Option<Instant>,
-    last: Option<String>,
-    last_was_serve: bool,
-    last_serve: Option<(u16, u64, String, String)>,
+    /// Why the last attempt failed.
+    last: Option<NetError>,
 }
 
 impl PendingReq {
-    /// The terminal error once the retry budget is gone: typed server
-    /// rejections stay typed, transport churn collapses into the
-    /// retries-exhausted summary (mirrors the single-submit loop).
-    fn exhausted(self, attempts: u32) -> NetError {
-        if self.last_was_serve {
-            if let Some((code, job, tenant, message)) = self.last_serve {
-                return NetError::Serve {
-                    code,
-                    job,
-                    tenant,
-                    message,
-                };
-            }
+    /// Queues the request again behind `gate`, clamped to its deadline,
+    /// or finishes it if its attempts are spent.
+    fn retry(
+        mut self,
+        gate: Instant,
+        attempts: u32,
+        queue: &mut VecDeque<PendingReq>,
+        results: &mut [Option<Outcome>],
+    ) {
+        if self.attempts_left == 0 {
+            let idx = self.idx;
+            results[idx] = Some(Err(self.exhausted(attempts)));
+        } else {
+            self.ready_at = Some(self.deadline.map_or(gate, |d| gate.min(d)));
+            queue.push_back(self);
         }
-        NetError::RetriesExhausted {
-            attempts,
-            last: self.last.unwrap_or_else(|| "no attempt was made".into()),
+    }
+
+    /// The terminal error once the retry budget is gone: typed server
+    /// rejections stay typed; only transport churn collapses into the
+    /// retries-exhausted summary.
+    fn exhausted(self, attempts: u32) -> NetError {
+        match self.last {
+            Some(e @ NetError::Serve { .. }) => e,
+            Some(e) => NetError::RetriesExhausted {
+                attempts,
+                last: e.to_string(),
+            },
+            None => NetError::RetriesExhausted {
+                attempts,
+                last: "no attempt was made".into(),
+            },
         }
     }
 }
 
-/// The server's transient codes: back off and retry.
-fn is_transient_code(code: u16) -> bool {
-    // 1 = QueueFull, 7 = QuotaExceeded (ServeError::code).
-    code == 1 || code == 7
+/// Removes and returns the in-flight request with `id`.
+fn take(inflight: &mut Vec<PendingReq>, id: u64) -> Option<PendingReq> {
+    let pos = inflight.iter().position(|p| p.request_id == id)?;
+    Some(inflight.swap_remove(pos))
 }
 
-fn decode_result(r: ResultFrame) -> Result<NetJobResult, NetError> {
+fn malformed(detail: &str) -> NetError {
+    NetError::Wire(WireError::Malformed(detail.into()))
+}
+
+/// A budget as the wire carries it.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
+fn decode_result(r: ResultFrame) -> Outcome {
     let report = RunReport::from_json(&r.report_json)
-        .map_err(|e| NetError::Wire(WireError::Malformed(format!("bad report json: {e}"))))?;
+        .map_err(|e| malformed(&format!("bad report json: {e}")))?;
     Ok(NetJobResult {
         job: r.job,
         name: r.name,

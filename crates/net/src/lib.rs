@@ -24,13 +24,15 @@
 //!   parsed again); a retried `request_id` is deduped against the job
 //!   already admitted. Wire jobs gain `decode`
 //!   and `respond_wire` stage spans in the serve-tier observability.
-//! * [`client`] — [`Client`]: blocking, with connect/io timeouts,
-//!   bounded exponential-backoff retries on transient errors
-//!   (transport failures, `QueueFull`, `QuotaExceeded`), and deadline
-//!   propagation — each retry re-encodes the remaining budget, clamps
-//!   backoff sleeps to it, and reuses the request id so the server
-//!   dedupes instead of re-executing. [`Client::submit_pipelined`]
-//!   keeps a window of requests in flight on one connection.
+//! * [`client`] — [`Client`]: blocking, with connect/io timeouts and
+//!   one request engine that keeps a window of requests in flight on
+//!   one connection. [`Client::submit_pipelined`] runs a batch through
+//!   it; [`Client::submit`] and [`Client::submit_by_digest`] are a
+//!   window of one. The engine retries transient errors (transport
+//!   failures, `QueueFull`, `QuotaExceeded`) with bounded exponential
+//!   backoff, rewrites each resend's deadline to the remaining budget,
+//!   clamps every backoff to it, and reuses the request id so the
+//!   server dedupes instead of re-executing.
 //!
 //! A job submitted over the wire returns a result bit-identical to the
 //! same job run in-process: the snapshot digest and the per-worker

@@ -458,6 +458,16 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     e.buf
 }
 
+/// Rewrites the deadline of an encoded `Submit` frame — the payload's
+/// last field — and the checksum behind it, so a resend re-encodes
+/// eight bytes and not the program.
+pub(crate) fn set_submit_deadline(frame: &mut [u8], deadline_nanos: u64) {
+    let crc_at = frame.len() - 4;
+    frame[crc_at - 8..crc_at].copy_from_slice(&deadline_nanos.to_le_bytes());
+    let crc = crc32(&frame[..crc_at]);
+    frame[crc_at..].copy_from_slice(&crc.to_le_bytes());
+}
+
 // ---------------------------------------------------------------------
 // Decoding
 
@@ -875,6 +885,32 @@ mod tests {
             let bytes = unhex(hex);
             assert_eq!(encode_frame(&frame), bytes);
             assert_eq!(decode_frame(&bytes).unwrap(), frame);
+        }
+    }
+
+    /// A patched deadline is the frame encoded with that deadline, byte
+    /// for byte.
+    #[test]
+    fn a_patched_deadline_is_a_fresh_encoding() {
+        let job = |deadline_nanos| {
+            Frame::Submit(SubmitJob {
+                request_id: 5,
+                tenant: "t".into(),
+                name: "n".into(),
+                program: ProgramRef::Text("program p\n".into()),
+                plan: ExecPlan::Serial,
+                backend: Backend::Compiled,
+                schedule: Schedule::Static,
+                steps: 1,
+                seed: 2,
+                deadline_nanos,
+            })
+        };
+        let mut bytes = encode_frame(&job(40_000_000));
+        for d in [1, 39_999_999, u64::MAX] {
+            set_submit_deadline(&mut bytes, d);
+            assert_eq!(bytes, encode_frame(&job(d)));
+            assert_eq!(decode_frame(&bytes).unwrap(), job(d));
         }
     }
 

@@ -221,10 +221,11 @@ fn wire_jobs_record_decode_and_respond_wire_stages() {
     server.shutdown();
 }
 
-/// Regression (ISSUE 10 satellite): the retry loop's backoff sleeps are
-/// clamped to the remaining deadline budget. A 50 ms budget against a
-/// full queue must come back as DeadlineExhausted in ≈budget — the old
-/// unclamped loop slept 20+40+80+160 ms of backoff first.
+/// Regression: every backoff gate is clamped to the remaining deadline
+/// budget, for a single submit and for a window alike. A 50 ms budget
+/// against a full queue, with a 300 ms first backoff, must come back as
+/// DeadlineExhausted in ≈budget: an unclamped gate lands far past it
+/// (a windowed engine once spun until its 300 ms gate opened).
 #[test]
 fn backoff_is_clamped_to_the_deadline_budget() {
     let one = ExecPlan::Fused {
@@ -232,41 +233,126 @@ fn backoff_is_clamped_to_the_deadline_budget() {
         method: CodegenMethod::StripMined,
         strip: 8,
     };
-    let server = start_server(ServiceConfig::default().workers(1).queue_capacity(1));
-    let service = Arc::clone(server.service());
+    for window in [1, 4] {
+        let server = start_server(ServiceConfig::default().workers(1).queue_capacity(1));
+        let service = Arc::clone(server.service());
 
-    // Occupy the single worker (~0.4 s of interpreter time), then fill
-    // the one queue slot, so every wire submission gets QueueFull.
-    let occupier = JobSpec::new("occupier", jacobi::sequence(128), one.clone())
-        .backend(Backend::Interp)
-        .steps(250);
-    let occupier_id = service.submit(occupier).unwrap();
-    while service.queue_depth() > 0 {
-        std::thread::yield_now();
+        // Occupy the single worker (~0.4 s of interpreter time), then
+        // fill the one queue slot, so every wire submission gets
+        // QueueFull.
+        let occupier = JobSpec::new("occupier", jacobi::sequence(128), one.clone())
+            .backend(Backend::Interp)
+            .steps(250);
+        let occupier_id = service.submit(occupier).unwrap();
+        while service.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        let filler = JobSpec::new("filler", jacobi::sequence(32), one.clone());
+        let filler_id = service.submit(filler).unwrap();
+
+        let mut c = Client::connect(
+            &server.addr().to_string(),
+            ClientConfig::default()
+                .tenant("hurried")
+                .backoff(Duration::from_millis(300)),
+        )
+        .expect("connect");
+        let spec = JobSpec::new("budgeted", jacobi::sequence(32), one.clone())
+            .deadline(Duration::from_millis(50));
+        let t0 = Instant::now();
+        let outcomes = if window == 1 {
+            vec![c.submit(&spec)]
+        } else {
+            c.submit_pipelined(&vec![spec; window], window)
+        };
+        let elapsed = t0.elapsed();
+        assert_eq!(outcomes.len(), window);
+        for outcome in outcomes {
+            assert!(
+                matches!(outcome, Err(NetError::DeadlineExhausted)),
+                "window {window}: expected DeadlineExhausted, got {outcome:?}"
+            );
+        }
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "window {window}: budget-clamped retries must give up in ≈budget, took {elapsed:?}"
+        );
+
+        // Let the occupier and filler finish so shutdown is quick and the
+        // pool proves itself intact.
+        service.wait(occupier_id).unwrap();
+        service.wait(filler_id).unwrap();
+        server.shutdown();
     }
-    let filler = JobSpec::new("filler", jacobi::sequence(32), one.clone());
-    let filler_id = service.submit(filler).unwrap();
+}
 
-    let mut c = client(&server, "hurried");
-    let spec =
-        JobSpec::new("budgeted", jacobi::sequence(32), one).deadline(Duration::from_millis(50));
-    let t0 = Instant::now();
-    let err = c.submit(&spec).expect_err("queue stays full past 50ms");
-    let elapsed = t0.elapsed();
-    assert!(
-        matches!(err, NetError::DeadlineExhausted),
-        "expected DeadlineExhausted, got {err:?}"
-    );
-    assert!(
-        elapsed < Duration::from_millis(200),
-        "budget-clamped retries must give up in ≈budget, took {elapsed:?}"
-    );
+/// A proxy in front of `server` for two connections. From the first it
+/// forwards the client's first frame, reads the server's answer and
+/// discards it, then hangs up on the client. The second is forwarded
+/// verbatim, both ways, until the client closes it.
+fn reply_dropping_proxy(
+    server: std::net::SocketAddr,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
+    let addr = listener.local_addr().unwrap();
+    let proxy = std::thread::spawn(move || {
+        let (mut client, _) = listener.accept().expect("first connection");
+        let mut upstream = TcpStream::connect(server).expect("proxy connects upstream");
+        let submit = read_frame(&mut client).expect("the client's submission");
+        write_frame(&mut upstream, &submit).unwrap();
+        read_frame(&mut upstream).expect("the server's reply");
+        drop((client, upstream)); // the client sees a hang-up where its reply was
 
-    // Let the occupier and filler finish so shutdown is quick and the
-    // pool proves itself intact.
-    service.wait(occupier_id).unwrap();
-    service.wait(filler_id).unwrap();
-    server.shutdown();
+        let (mut client, _) = listener.accept().expect("the reconnect");
+        let mut upstream = TcpStream::connect(server).expect("proxy connects upstream");
+        let (mut c2, mut u2) = (client.try_clone().unwrap(), upstream.try_clone().unwrap());
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _ = std::io::copy(&mut c2, &mut u2);
+                let _ = u2.shutdown(Shutdown::Both);
+            });
+            let _ = std::io::copy(&mut upstream, &mut client);
+            let _ = client.shutdown(Shutdown::Both);
+        });
+    });
+    (addr, proxy)
+}
+
+/// A reply lost with its connection is asked for again under the same
+/// request id on a new connection, and the server answers from the job
+/// the first copy ran: the right digest, one dedupe hit, one job run.
+#[test]
+fn a_resend_after_a_dropped_connection_runs_the_job_once() {
+    let spec = JobSpec::new("resent", jacobi::sequence(32), fused(&[2]))
+        .backend(Backend::Compiled)
+        .steps(2)
+        .seed(3);
+    let local = Service::new(ServiceConfig::default().workers(2));
+    let want = local.wait(local.submit(spec.clone()).unwrap()).unwrap();
+
+    for window in [1, 4] {
+        let server = start_server(ServiceConfig::default().workers(2));
+        let (addr, proxy) = reply_dropping_proxy(server.addr());
+        let cfg = ClientConfig::default()
+            .tenant("resender")
+            .io_timeout(Duration::from_secs(10));
+        let mut c = Client::connect(&addr.to_string(), cfg).expect("connect through the proxy");
+        let got = if window == 1 {
+            c.submit(&spec)
+        } else {
+            c.submit_pipelined(std::slice::from_ref(&spec), window)
+                .pop()
+                .unwrap()
+        }
+        .expect("the resend is answered");
+        assert_eq!(got.digest, want.digest, "window {window}");
+        assert_eq!(server.stats().dedupe_hits, 1, "window {window}");
+        assert_eq!(server.service().stage_stats().ok, 1, "window {window}");
+        drop(c);
+        proxy.join().expect("the proxy ends with the client");
+        server.shutdown();
+    }
 }
 
 /// Regression (ISSUE 10 satellite): the digest→program registry is a

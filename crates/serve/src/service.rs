@@ -86,13 +86,17 @@ impl ServeError {
         }
     }
 
-    /// True for errors a client may retry after backing off (transient
-    /// load conditions rather than permanent request defects).
+    /// True for the codes of errors a client may retry after backing off
+    /// (transient load conditions rather than permanent request defects):
+    /// a wire client sees the code and nothing else.
+    pub fn is_transient_code(code: u16) -> bool {
+        // QueueFull, QuotaExceeded.
+        matches!(code, 1 | 7)
+    }
+
+    /// [`ServeError::is_transient_code`] of this error's code.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            ServeError::QueueFull { .. } | ServeError::QuotaExceeded { .. }
-        )
+        Self::is_transient_code(self.code())
     }
 }
 
@@ -1200,6 +1204,46 @@ pub fn memory_digest(mem: &Memory, seq: &LoopSequence) -> u64 {
 mod tests {
     use super::*;
     use sp_kernels::jacobi;
+
+    /// Every variant, once: the codes are 1..=7, and the transient ones
+    /// are the two load conditions, by code and by value alike.
+    #[test]
+    fn transience_is_keyed_by_code() {
+        let all = [
+            ServeError::QueueFull { capacity: 1 },
+            ServeError::Deadline {
+                job: JobId(1),
+                budget: Duration::from_millis(1),
+            },
+            ServeError::ShuttingDown,
+            ServeError::UnknownJob(JobId(1)),
+            ServeError::Exec(ExecError::WorkerPanic { proc: 1 }),
+            ServeError::Manifest("x".into()),
+            ServeError::QuotaExceeded {
+                tenant: "t".into(),
+                in_flight: 1,
+                limit: 1,
+            },
+        ];
+        let codes: Vec<u16> = all.iter().map(ServeError::code).collect();
+        assert_eq!(codes, (1..=7).collect::<Vec<u16>>());
+        for e in &all {
+            // Exhaustive, so a new variant has to be placed here.
+            let load = match e {
+                ServeError::QueueFull { .. } | ServeError::QuotaExceeded { .. } => true,
+                ServeError::Deadline { .. }
+                | ServeError::ShuttingDown
+                | ServeError::UnknownJob(_)
+                | ServeError::Exec(_)
+                | ServeError::Manifest(_) => false,
+            };
+            assert_eq!(ServeError::is_transient_code(e.code()), e.is_transient());
+            assert_eq!(e.is_transient(), load, "{e}");
+        }
+        assert!(!ServeError::is_transient_code(0));
+        assert!(!ServeError::is_transient_code(100));
+        assert!(!ServeError::is_transient_code(101));
+    }
 
     /// The real pool, except that a run of exactly `PANIC_STEPS` timesteps
     /// panics on the thread that called it — an interpreter bug, as far as

@@ -314,6 +314,33 @@ const RULES: &[Rule] = &[
               no global width, and no backend-wide lane count beside the tape's max_row_width",
         ..RULE
     },
+    Rule {
+        name: "one-client-request-engine",
+        roots: &["crates"],
+        files: "*.rs",
+        any_of: &[
+            "fn submit_request",
+            "fn fail_batch_serve",
+            "code == 1 || code == 7",
+        ],
+        cut_tests: true,
+        pr: 30,
+        why: "a submit is a window of one: a second retry loop beside the windowed engine drifted \
+              from it (the deadline clamp, the text fallback), and retryable is \
+              ServeError::is_transient_code",
+        ..RULE
+    },
+    Rule {
+        name: "one-client-request-engine",
+        roots: &["crates/net/src/client.rs"],
+        any_of: &["thread::sleep("],
+        cut_tests: true,
+        expect: Exactly(1),
+        pr: 30,
+        why: "the engine waits in one place, until the first backoff gate, each clamped to its \
+              request's deadline",
+        ..RULE
+    },
 ];
 
 fn glob(pat: &str, name: &str) -> bool {
