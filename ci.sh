@@ -178,6 +178,7 @@ job load-ll18   kernel=ll18   procs=4  steps=6 repeat=375
 MANIFEST
 session_trace="$(mktemp /tmp/spfc-session.XXXXXX.json)"
 session_prom="$(mktemp /tmp/spfc-session.XXXXXX.prom)"
+session_check="$(mktemp /tmp/spfc-session-check.XXXXXX)"
 plain_walls="$(mktemp /tmp/spfc-plain-walls.XXXXXX)"
 traced_walls="$(mktemp /tmp/spfc-traced-walls.XXXXXX)"
 cargo build --release -q -p sp-cli
@@ -196,13 +197,15 @@ awk -v p="$(median "$plain_walls")" -v t="$(median "$traced_walls")" 'BEGIN {
   if (ratio > 1.05) { print "FAIL: traced serve overhead above 5%"; exit 1 }
 }'
 rm -f "$plain_walls" "$traced_walls"
-cargo run --release -p sp-cli -- trace-check "$session_trace"
+# Worker spans keep their step args in a session export too.
+cargo run --release -p sp-cli -- trace-check "$session_trace" | tee "$session_check"
+grep -Eq ', [1-9][0-9]* step\(s\)' "$session_check"
 grep -q '^spfc_serve_jobs_total{component="sp-serve",outcome="ok"} 975$' "$session_prom"
 grep -q '^spfc_serve_stage_nanos_bucket{component="sp-serve",stage="execute",le="+Inf"} 975$' "$session_prom"
 grep -q '^spfc_serve_results_retained{component="sp-serve"} 975$' "$session_prom"
 grep -q '^spfc_serve_pool_busy_ratio{component="sp-serve"} 0\.[0-9]' "$session_prom"
 grep -q '^spfc_serve_stage_nanos_bucket{component="sp-serve",stage="queue_wait"' "$session_prom"
-rm -f "$load_manifest" "$session_trace" "$session_prom"
+rm -f "$load_manifest" "$session_trace" "$session_prom" "$session_check"
 
 echo "==> wire tier: socket server smoke, pipelined + serial submits, drain over TCP"
 # A real SPFC server on an ephemeral port, two tenants submitting

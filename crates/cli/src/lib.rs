@@ -368,11 +368,9 @@ latencies).\n\
 baseline copy within a tolerance band; nonzero exit on regression.";
 
 fn parse_backend(s: &str) -> Result<Backend, CliError> {
-    match s {
-        "interp" => Ok(Backend::Interp),
-        "compiled" => Ok(Backend::Compiled),
-        "simd" => Ok(Backend::Simd),
-        other => usage(format!("unknown backend {other} (interp|compiled|simd)")),
+    match Backend::parse(s) {
+        Some(backend) => Ok(backend),
+        None => usage(format!("unknown backend {s} (interp|compiled|simd)")),
     }
 }
 

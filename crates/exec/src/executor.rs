@@ -73,6 +73,16 @@ impl Backend {
             Backend::Simd => "simd",
         }
     }
+
+    /// The backend named `s`, if any (inverse of [`Backend::name`]).
+    pub fn parse(s: &str) -> Option<Backend> {
+        match s {
+            "interp" => Some(Backend::Interp),
+            "compiled" => Some(Backend::Compiled),
+            "simd" => Some(Backend::Simd),
+            _ => None,
+        }
+    }
 }
 
 /// A complete description of one run: what plan to execute, how many
@@ -845,6 +855,14 @@ mod tests {
             x.assign(a, [0, 0], r);
         });
         b.finish()
+    }
+
+    #[test]
+    fn backend_names_parse_back() {
+        for b in [Backend::Interp, Backend::Compiled, Backend::Simd] {
+            assert_eq!(Backend::parse(b.name()), Some(b));
+        }
+        assert_eq!(Backend::parse("dynamic"), None);
     }
 
     /// A different program over the same two arrays: one copying nest.

@@ -35,9 +35,8 @@
 //!   into an `sp-trace` metrics registry via [`RunReport::metrics`];
 //! * tracing — every runtime threads optional `sp-trace` per-worker
 //!   event rings through its phase loop ([`RunConfig::trace`]); traced
-//!   runs carry a [`RunTrace`] (Chrome trace-event export, text
-//!   timeline) in their report, and the untraced default records
-//!   nothing.
+//!   runs carry a [`RunTrace`] (Chrome trace-event export) in their
+//!   report, and the untraced default records nothing.
 //!
 //! *Static blocked* scheduling remains the legality unit: the
 //! shift-and-peel transformation's legality argument (paper Section 3.2)

@@ -99,18 +99,6 @@ impl RunReport {
             .unwrap_or(0)
     }
 
-    /// Mean barrier-wait time across workers.
-    pub fn mean_barrier_wait_nanos(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 0.0;
-        }
-        self.workers
-            .iter()
-            .map(|w| w.counters.barrier_wait_nanos)
-            .sum::<u64>() as f64
-            / self.workers.len() as f64
-    }
-
     /// Block imbalance: the ratio of the busiest worker's iteration count
     /// to the mean (`1.0` = perfectly balanced, `0.0` when no work ran).
     /// Static blocked scheduling bounds this by construction — block

@@ -104,11 +104,6 @@ impl SeqBuilder {
         }
         seq
     }
-
-    /// Finishes without validating (for deliberately-invalid test inputs).
-    pub fn finish_unchecked(self) -> LoopSequence {
-        LoopSequence::new(self.name, self.arrays, self.nests)
-    }
 }
 
 /// Statement-emission context for one nest.

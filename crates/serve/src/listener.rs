@@ -80,11 +80,6 @@ impl SocketServer {
         self.addr
     }
 
-    /// True once shutdown has been requested.
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Stops the accept loop, joins the acceptor and every connection.
     pub fn shutdown(mut self) {
         self.stop_and_join();

@@ -95,10 +95,10 @@ pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, ServeError> {
                 }
                 Some(("plan", v @ ("fused" | "blocked" | "serial"))) => plan_kind = v,
                 Some(("plan", v)) => return Err(err(line_no, format!("unknown plan={v:?}"))),
-                Some(("backend", "compiled")) => backend = Backend::Compiled,
-                Some(("backend", "interp")) => backend = Backend::Interp,
-                Some(("backend", "simd")) => backend = Backend::Simd,
-                Some(("backend", v)) => return Err(err(line_no, format!("unknown backend={v:?}"))),
+                Some(("backend", v)) => {
+                    backend = Backend::parse(v)
+                        .ok_or_else(|| err(line_no, format!("unknown backend={v:?}")))?;
+                }
                 Some(("schedule", v)) => {
                     schedule = Schedule::parse(v)
                         .ok_or_else(|| err(line_no, format!("unknown schedule={v:?}")))?;

@@ -85,6 +85,8 @@ fn traced_session_exports_one_chrome_trace_with_flows() {
     let json = session.chrome_json();
     let summary = validate_chrome_trace(&json).expect("valid chrome trace");
     assert!(summary.span_count >= 3 * (JobStage::COUNT - 1));
+    // Worker spans keep their step args: every job ran steps(2).
+    assert_eq!(summary.steps, vec![0, 1]);
     for stage in JobStage::all() {
         if stage == JobStage::RespondWire {
             continue;

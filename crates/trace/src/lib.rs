@@ -10,10 +10,9 @@
 //!   on the hot path never allocates and never takes a lock (each worker
 //!   owns its ring exclusively for the duration of a run).
 //! * [`tracer`] — the [`WorkerTracer`]/[`RunTrace`] span API the
-//!   executors thread through their phase loops, a Chrome trace-event
-//!   JSON exporter (loadable in `chrome://tracing` and Perfetto), a
-//!   compact text timeline, and [`validate_chrome_trace`], the schema
-//!   check CI runs against emitted traces.
+//!   executors thread through their phase loops, and
+//!   [`validate_chrome_trace`], the schema check CI runs against emitted
+//!   traces.
 //! * [`json`] — the workspace's one JSON reader ([`json::Json`]) and
 //!   string escaper, shared by the trace validator, `RunReport`, and
 //!   the bench-regression gate.
@@ -22,7 +21,10 @@
 //! * [`session`] — serve-tier session traces: per-job lifecycle stage
 //!   spans ([`JobStage`]) plus every traced run's worker lanes, merged
 //!   onto one epoch and exported as a single Chrome trace with flow
-//!   events linking jobs to the workers that ran them.
+//!   events linking jobs to the workers that ran them. Its writer is the
+//!   crate's one Chrome trace-event exporter (loadable in
+//!   `chrome://tracing` and Perfetto): [`RunTrace::chrome_json`] exports
+//!   a run as a session of one run, with no job lanes and no flows.
 //!
 //! Tracing is opt-in per run and the crate is deliberately free of
 //! dependencies: the default (untraced) execution path constructs

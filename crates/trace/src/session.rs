@@ -17,7 +17,9 @@
 //! ("jobs" above, "workers" below) connected job by job.
 
 use crate::json::escape;
-use crate::tracer::{RunTrace, CONTROLLER_LANE};
+use crate::tracer::{LowerNote, RunTrace, SpanKind, WorkerTrace, CONTROLLER_LANE, NO_INDEX};
+use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 /// A serve-tier job's lifecycle stage, in pipeline order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -192,17 +194,18 @@ impl SessionTrace {
     /// Worker lanes (processor ids, controller excluded) that appear in
     /// at least one job's run trace, sorted.
     pub fn worker_lanes(&self) -> Vec<usize> {
-        let mut procs: Vec<usize> = self
-            .jobs
-            .iter()
-            .filter_map(|j| j.run_trace.as_ref())
-            .flat_map(|t| t.workers.iter())
-            .filter(|w| w.proc != CONTROLLER_LANE && !w.events.is_empty())
-            .map(|w| w.proc)
-            .collect();
-        procs.sort_unstable();
-        procs.dedup();
+        let runs = self.runs();
+        let mut procs = busy_lanes(&runs);
+        procs.retain(|&p| p != CONTROLLER_LANE);
         procs
+    }
+
+    /// Every traced run, with the job it ran for.
+    fn runs(&self) -> Vec<(&RunTrace, Option<&JobSpans>)> {
+        self.jobs
+            .iter()
+            .filter_map(|j| Some((j.run_trace.as_ref()?, Some(j))))
+            .collect()
     }
 
     /// The whole session as Chrome trace-event JSON: process 1 carries
@@ -213,166 +216,219 @@ impl SessionTrace {
     /// draws the job → worker linkage. Passes
     /// [`validate_chrome_trace`](crate::validate_chrome_trace).
     pub fn chrome_json(&self) -> String {
-        const WORKERS_PID: u32 = 0;
-        const JOBS_PID: u32 = 1;
-        let mut s = String::with_capacity(256 + 256 * self.jobs.len());
-        s.push_str(&format!(
-            "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"jobs\":{},\"droppedEvents\":{}}},\
-             \"traceEvents\":[",
-            self.jobs.len(),
-            self.dropped()
-        ));
-        let mut first = true;
-        let mut push = |s: &mut String, ev: String| {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&ev);
-        };
-        // Process names, then one thread_name per lane of each process.
-        for (pid, name) in [(WORKERS_PID, "workers"), (JOBS_PID, "jobs")] {
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-            );
+        chrome_json(&self.jobs, &self.runs())
+    }
+}
+
+const WORKERS_PID: u32 = 0;
+const JOBS_PID: u32 = 1;
+
+/// The one Chrome trace-event writer, behind both
+/// [`SessionTrace::chrome_json`] and [`RunTrace::chrome_json`] (a
+/// session of one run, with no job lanes). `jobs` become stage lanes of
+/// process 1; each of `runs` adds its worker lanes to process 0, shifted
+/// by its job's execute offset and linked to that job by a flow arrow
+/// when it has one. `otherData` carries the loss accounting: rings drop
+/// their oldest events on overflow, so a viewer must know when a lane's
+/// left edge is truncated; per-lane counts appear only when something
+/// was lost.
+pub(crate) fn chrome_json(jobs: &[JobSpans], runs: &[(&RunTrace, Option<&JobSpans>)]) -> String {
+    let lanes = busy_lanes(runs);
+    let mut dropped = BTreeMap::new();
+    for w in runs.iter().flat_map(|(t, _)| &t.workers) {
+        if w.dropped > 0 {
+            *dropped.entry(w.proc).or_insert(0) += w.dropped;
         }
-        let workers = self.worker_lanes();
-        let controller_tid = workers.iter().max().map_or(0, |m| m + 1);
-        let worker_tid = |proc: usize| {
-            if proc == CONTROLLER_LANE {
-                controller_tid
-            } else {
-                proc
-            }
-        };
-        let has_controller = self
-            .jobs
+    }
+    let events: usize = runs.iter().map(|(t, _)| t.event_count()).sum();
+    let mut s = String::with_capacity(256 + 256 * jobs.len() + 160 * events);
+    let _ = write!(
+        s,
+        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"jobs\":{},\"droppedEvents\":{}",
+        jobs.len(),
+        dropped.values().sum::<u64>()
+    );
+    if !dropped.is_empty() {
+        let by_lane: Vec<String> = dropped
             .iter()
-            .filter_map(|j| j.run_trace.as_ref())
-            .flat_map(|t| t.workers.iter())
-            .any(|w| w.proc == CONTROLLER_LANE && !w.events.is_empty());
-        for &proc in &workers {
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{WORKERS_PID},\
-                     \"tid\":{proc},\"args\":{{\"name\":\"worker {proc}\"}}}}"
-                ),
+            .map(|(&proc, n)| format!("\"{}\":{n}", lane_name(proc)))
+            .collect();
+        let _ = write!(s, ",\"droppedByLane\":{{{}}}", by_lane.join(","));
+    }
+    s.push_str("},\"traceEvents\":[");
+    // Lanes carry processor ids; the controller's is numbered after the
+    // highest worker's.
+    let controller_tid = lanes
+        .iter()
+        .filter(|&&p| p != CONTROLLER_LANE)
+        .max()
+        .map_or(0, |m| m + 1);
+    let tid = |proc: usize| {
+        if proc == CONTROLLER_LANE {
+            controller_tid
+        } else {
+            proc
+        }
+    };
+    write_names(
+        &mut s,
+        WORKERS_PID,
+        "workers",
+        lanes.iter().map(|&p| (tid(p) as u64, lane_name(p))),
+    );
+    if !jobs.is_empty() {
+        write_names(
+            &mut s,
+            JOBS_PID,
+            "jobs",
+            jobs.iter()
+                .map(|j| (j.job_id, format!("job {} {}", j.job_id, escape(&j.name)))),
+        );
+    }
+    // Job lanes: one X span per stage, on the session epoch.
+    for job in jobs {
+        for sp in &job.stages {
+            let _ = write!(
+                s,
+                ",{{\"name\":\"{}\",\"cat\":\"spfc-serve\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                 \"pid\":{JOBS_PID},\"tid\":{},\"args\":{{\"job\":{},\"client\":\"{}\"}}}}",
+                sp.stage.name(),
+                micros(sp.start_nanos),
+                micros(sp.dur_nanos),
+                job.job_id,
+                job.job_id,
+                escape(&job.client)
             );
         }
-        if has_controller {
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{WORKERS_PID},\
-                     \"tid\":{controller_tid},\"args\":{{\"name\":\"controller\"}}}}"
-                ),
-            );
-        }
-        for job in &self.jobs {
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{JOBS_PID},\
-                     \"tid\":{},\"args\":{{\"name\":\"job {} {}\"}}}}",
-                    job.job_id,
-                    job.job_id,
-                    escape(&job.name)
-                ),
-            );
-        }
-        // Job lanes: one X span per stage, on the session epoch.
-        for job in &self.jobs {
-            for sp in &job.stages {
-                push(
-                    &mut s,
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"spfc-serve\",\"ph\":\"X\",\
-                         \"ts\":{},\"dur\":{},\"pid\":{JOBS_PID},\"tid\":{},\
-                         \"args\":{{\"job\":{},\"client\":\"{}\"}}}}",
-                        sp.stage.name(),
-                        micros(sp.start_nanos),
-                        micros(sp.dur_nanos),
-                        job.job_id,
-                        job.job_id,
-                        escape(&job.client)
-                    ),
-                );
-            }
-        }
-        // Worker lanes + flow arrows, job by job. Each run's events shift
-        // by the job's execute offset so every lane shares the session
-        // epoch.
-        for job in &self.jobs {
-            let Some(trace) = &job.run_trace else {
-                continue;
-            };
+    }
+    // Worker lanes, run by run, each arrowed from its job's execute span.
+    for &(trace, job) in runs {
+        if let Some(job) = job {
             let exec_start = job
                 .stages
                 .iter()
                 .find(|sp| sp.stage == JobStage::Execute)
-                .map(|sp| sp.start_nanos)
-                .unwrap_or(job.exec_offset_nanos);
-            push(
-                &mut s,
-                format!(
-                    "{{\"name\":\"job\",\"cat\":\"spfc-job\",\"ph\":\"s\",\"id\":{},\
-                     \"ts\":{},\"pid\":{JOBS_PID},\"tid\":{}}}",
-                    job.job_id,
-                    micros(exec_start),
-                    job.job_id
-                ),
+                .map_or(job.exec_offset_nanos, |sp| sp.start_nanos);
+            let _ = write!(
+                s,
+                ",{{\"name\":\"job\",\"cat\":\"spfc-job\",\"ph\":\"s\",\"id\":{},\"ts\":{},\
+                 \"pid\":{JOBS_PID},\"tid\":{}}}",
+                job.job_id,
+                micros(exec_start),
+                job.job_id
             );
-            for w in &trace.workers {
-                if w.events.is_empty() {
-                    continue;
-                }
-                let tid = worker_tid(w.proc);
-                let first_ts = w
-                    .events
-                    .iter()
-                    .map(|e| e.start_nanos)
-                    .min()
-                    .unwrap_or(0)
-                    .saturating_add(job.exec_offset_nanos);
-                push(
-                    &mut s,
-                    format!(
-                        "{{\"name\":\"job\",\"cat\":\"spfc-job\",\"ph\":\"f\",\"bp\":\"e\",\
-                         \"id\":{},\"ts\":{},\"pid\":{WORKERS_PID},\"tid\":{tid}}}",
-                        job.job_id,
-                        micros(first_ts)
-                    ),
-                );
-                for e in &w.events {
-                    let ts = e.start_nanos.saturating_add(job.exec_offset_nanos);
-                    push(
-                        &mut s,
-                        format!(
-                            "{{\"name\":\"{}\",\"cat\":\"spfc\",\"ph\":\"X\",\"ts\":{},\
-                             \"dur\":{},\"pid\":{WORKERS_PID},\"tid\":{tid},\
-                             \"args\":{{\"job\":{}}}}}",
-                            e.kind.name(),
-                            micros(ts),
-                            micros(e.dur_nanos),
-                            job.job_id
-                        ),
-                    );
-                }
-            }
         }
-        s.push_str("]}");
-        s
+        for w in trace.workers.iter().filter(|w| !w.events.is_empty()) {
+            write_lane(&mut s, w, tid(w.proc), trace.lower, job);
+        }
+    }
+    s.push_str("]}");
+    s
+}
+
+/// Processor ids (the controller's included, last) whose lane recorded a
+/// span in any of `runs`, sorted.
+fn busy_lanes(runs: &[(&RunTrace, Option<&JobSpans>)]) -> Vec<usize> {
+    let mut lanes: Vec<usize> = runs
+        .iter()
+        .flat_map(|(t, _)| &t.workers)
+        .filter(|w| !w.events.is_empty())
+        .map(|w| w.proc)
+        .collect();
+    lanes.sort_unstable();
+    lanes.dedup();
+    lanes
+}
+
+fn lane_name(proc: usize) -> String {
+    if proc == CONTROLLER_LANE {
+        "controller".into()
+    } else {
+        format!("worker {proc}")
     }
 }
 
-/// Microseconds with nanosecond precision, as Chrome's `ts`/`dur` want.
-fn micros(nanos: u64) -> String {
-    format!("{}.{:03}", nanos / 1_000, nanos % 1_000)
+/// Metadata events naming process `pid` and each of its `(tid, name)`
+/// lanes. Like every event, they are comma-led unless one opens the
+/// `traceEvents` array.
+fn write_names(
+    s: &mut String,
+    pid: u32,
+    process: &str,
+    threads: impl Iterator<Item = (u64, String)>,
+) {
+    if !s.ends_with('[') {
+        s.push(',');
+    }
+    let _ = write!(
+        s,
+        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{process}\"}}}}"
+    );
+    for (tid, name) in threads {
+        let _ = write!(
+            s,
+            ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}}}"
+        );
+    }
+}
+
+/// One worker lane of one run as `tid` of the workers process: the
+/// job's flow finish at the lane's first span, then every span with its
+/// full args — `job`, `step`, `group`, `lanes`, and what lowering
+/// produced on `lower` spans.
+fn write_lane(
+    s: &mut String,
+    w: &WorkerTrace,
+    tid: usize,
+    lower: Option<LowerNote>,
+    job: Option<&JobSpans>,
+) {
+    let offset = job.map_or(0, |j| j.exec_offset_nanos);
+    if let Some(job) = job {
+        let first = w.events.iter().map(|e| e.start_nanos).min().unwrap_or(0);
+        let _ = write!(
+            s,
+            ",{{\"name\":\"job\",\"cat\":\"spfc-job\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"ts\":{},\
+             \"pid\":{WORKERS_PID},\"tid\":{tid}}}",
+            job.job_id,
+            micros(first.saturating_add(offset))
+        );
+    }
+    for e in &w.events {
+        let _ = write!(
+            s,
+            ",{{\"name\":\"{}\",\"cat\":\"spfc\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+             \"pid\":{WORKERS_PID},\"tid\":{tid},\"args\":{{",
+            e.kind.name(),
+            micros(e.start_nanos.saturating_add(offset)),
+            micros(e.dur_nanos)
+        );
+        if let Some(job) = job {
+            let _ = write!(s, "\"job\":{},", job.job_id);
+        }
+        for (key, v) in [("step", e.step), ("group", e.group), ("lanes", e.lanes)] {
+            if v != NO_INDEX {
+                let _ = write!(s, "\"{key}\":{v},");
+            }
+        }
+        if let (SpanKind::Lower, Some(n)) = (e.kind, lower) {
+            let _ = write!(
+                s,
+                "\"chains\":{},\"direct_stores\":{},\"isa\":\"{}\",",
+                n.chains, n.direct_stores, n.isa
+            );
+        }
+        if s.ends_with(',') {
+            s.pop();
+        }
+        s.push_str("}}");
+    }
+}
+
+/// Microseconds with nanosecond precision, as Chrome's `ts` and `dur`
+/// want.
+fn micros(nanos: u64) -> impl fmt::Display {
+    fmt::from_fn(move |f| write!(f, "{}.{:03}", nanos / 1_000, nanos % 1_000))
 }
 
 #[cfg(test)]
@@ -448,6 +504,45 @@ mod tests {
         assert_eq!(summary.span_count, 2);
         assert!(summary.flow_starts.is_empty(), "no trace, no flow");
         assert_eq!(session.worker_lanes(), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn session_worker_spans_keep_their_args_and_losses() {
+        let mut session = SessionTrace::new();
+        session.push(traced_job(4, 0));
+        let epoch = Instant::now();
+        let mut t = WorkerTracer::new(TraceConfig::with_capacity(2), epoch);
+        t.record_lanes_until_now(SpanKind::Lower, epoch, 8, NO_INDEX, NO_INDEX);
+        for step in 0..3 {
+            t.record(SpanKind::Fused, epoch, 10, step, 1);
+        }
+        let mut job = JobSpans::new(5, "lossy", "carol");
+        let mut run = RunTrace::assemble(vec![t.finish(0)]);
+        run.lower = Some(LowerNote {
+            chains: 1,
+            direct_stores: 0,
+            isa: "baseline",
+        });
+        job.run_trace = Some(run);
+        session.push(job);
+        let json = session.chrome_json();
+        assert!(
+            json.contains("\"args\":{\"job\":4,\"step\":0,\"group\":0}"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"args\":{\"job\":5,\"step\":2,\"group\":1}"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"droppedEvents\":2,\"droppedByLane\":{\"worker 0\":2}"),
+            "{json}"
+        );
+        // The lowering note was dropped with its span: no lower args remain.
+        assert!(!json.contains("chains"), "{json}");
+        let summary = validate_chrome_trace(&json).expect("valid chrome trace");
+        assert_eq!(summary.steps, vec![0, 1, 2]);
+        assert_eq!(summary.dropped_events, 2);
     }
 
     #[test]

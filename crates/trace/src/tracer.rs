@@ -1,15 +1,15 @@
-//! The span API the executors record into, and the exporters that make
-//! the recorded events viewable.
+//! The span API the executors record into, the run trace they collect,
+//! and the schema check for exported traces.
 //!
 //! A run that asks for tracing hands each worker a [`WorkerTracer`]
 //! (created at dispatch, before the phase loop) sharing one epoch
 //! `Instant`. Workers record [`TraceEvent`] spans — dispatch, fused
 //! phase, peeled phase, serial phase, barrier wait, tape lowering — into
 //! their private ring, and the executor collects the rings into a
-//! [`RunTrace`] when the run ends. [`RunTrace::chrome_json`] emits the
-//! Chrome trace-event format (one lane per worker plus a controller
-//! lane), loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
-//! [`RunTrace::timeline`] renders a compact text timeline for terminals;
+//! [`RunTrace`] when the run ends. [`RunTrace::chrome_json`] exports the
+//! run as a session of one run through the crate's one Chrome trace-event
+//! writer (one lane per worker plus a controller lane), loadable in
+//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
 //! [`validate_chrome_trace`] is the checked-in schema check CI runs
 //! against emitted JSON.
 
@@ -55,37 +55,6 @@ impl SpanKind {
             SpanKind::Steal => "steal",
             SpanKind::Park => "park",
         }
-    }
-
-    /// One-letter code used by the text timeline.
-    pub fn code(&self) -> char {
-        match self {
-            SpanKind::Dispatch => 'd',
-            SpanKind::Fused => 'F',
-            SpanKind::Peeled => 'P',
-            SpanKind::Serial => 'S',
-            SpanKind::BarrierWait => '·',
-            SpanKind::Lower => 'L',
-            SpanKind::Steal => 's',
-            SpanKind::Park => 'p',
-        }
-    }
-
-    /// Number of span kinds (the length of [`SpanKind::all`]).
-    pub const COUNT: usize = 8;
-
-    /// Every kind, in display order.
-    pub fn all() -> [SpanKind; Self::COUNT] {
-        [
-            SpanKind::Dispatch,
-            SpanKind::Fused,
-            SpanKind::Peeled,
-            SpanKind::Serial,
-            SpanKind::BarrierWait,
-            SpanKind::Lower,
-            SpanKind::Steal,
-            SpanKind::Park,
-        ]
     }
 }
 
@@ -317,148 +286,13 @@ impl RunTrace {
     }
 
     /// The Chrome trace-event JSON (the `{"traceEvents": [...]}` form),
-    /// loadable in `chrome://tracing` and Perfetto. Timestamps are
-    /// microseconds with nanosecond precision; each worker gets a `tid`
-    /// lane (the controller lane is named and numbered after the
-    /// workers) with thread-name metadata.
+    /// loadable in `chrome://tracing` and Perfetto: this run exported as
+    /// a session of one run, with no job lanes and no flow events (see
+    /// [`SessionTrace::chrome_json`](crate::SessionTrace::chrome_json)).
+    /// Each worker gets a `tid` lane named after it; the controller lane
+    /// is numbered after the workers.
     pub fn chrome_json(&self) -> String {
-        let mut s = String::with_capacity(128 + 160 * self.event_count());
-        // `otherData` carries the loss accounting: rings drop their
-        // oldest events on overflow, so a viewer must know when the
-        // timeline's left edge is truncated. Per-lane counts appear only
-        // when something was actually lost.
-        s.push_str(&format!(
-            "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"droppedEvents\":{}",
-            self.dropped()
-        ));
-        if self.dropped() > 0 {
-            s.push_str(",\"droppedByLane\":{");
-            let mut first = true;
-            for w in self.workers.iter().filter(|w| w.dropped > 0) {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                let lane = if w.proc == CONTROLLER_LANE {
-                    "controller".to_string()
-                } else {
-                    format!("worker {}", w.proc)
-                };
-                s.push_str(&format!("\"{lane}\":{}", w.dropped));
-            }
-            s.push('}');
-        }
-        s.push_str("},\"traceEvents\":[");
-        let mut first = true;
-        let worker_count = self
-            .workers
-            .iter()
-            .filter(|w| w.proc != CONTROLLER_LANE)
-            .count();
-        for w in &self.workers {
-            let (tid, name) = if w.proc == CONTROLLER_LANE {
-                (worker_count, "controller".to_string())
-            } else {
-                (w.proc, format!("worker {}", w.proc))
-            };
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ));
-            for e in &w.events {
-                s.push_str(&format!(
-                    ",{{\"name\":\"{}\",\"cat\":\"spfc\",\"ph\":\"X\",\"ts\":{}.{:03},\
-                     \"dur\":{}.{:03},\"pid\":0,\"tid\":{tid},\"args\":{{",
-                    e.kind.name(),
-                    e.start_nanos / 1_000,
-                    e.start_nanos % 1_000,
-                    e.dur_nanos / 1_000,
-                    e.dur_nanos % 1_000,
-                ));
-                if e.step != NO_INDEX {
-                    s.push_str(&format!("\"step\":{},", e.step));
-                }
-                if e.group != NO_INDEX {
-                    s.push_str(&format!("\"group\":{},", e.group));
-                }
-                if e.lanes != NO_INDEX {
-                    s.push_str(&format!("\"lanes\":{},", e.lanes));
-                }
-                if let (SpanKind::Lower, Some(n)) = (e.kind, self.lower) {
-                    s.push_str(&format!(
-                        "\"chains\":{},\"direct_stores\":{},\"isa\":\"{}\",",
-                        n.chains, n.direct_stores, n.isa
-                    ));
-                }
-                if s.ends_with(',') {
-                    s.pop();
-                }
-                s.push_str("}}");
-            }
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// A compact per-worker text timeline: the run's duration split into
-    /// `width` columns, each column showing the span kind that dominated
-    /// it on that worker's lane (`F` fused, `P` peeled, `S` serial, `·`
-    /// barrier wait, `L` lower, space idle).
-    pub fn timeline(&self, width: usize) -> String {
-        let width = width.clamp(10, 400);
-        let total = self.span_nanos().max(1);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "trace: {} events across {} lanes, span {:.3} ms{}\n",
-            self.event_count(),
-            self.workers.len(),
-            total as f64 / 1e6,
-            if self.dropped() > 0 {
-                format!(" ({} oldest events dropped)", self.dropped())
-            } else {
-                String::new()
-            }
-        ));
-        for w in &self.workers {
-            // Per column, nanoseconds covered by each kind; dominant wins.
-            let mut cover = vec![[0u64; SpanKind::COUNT]; width];
-            for e in &w.events {
-                if e.kind == SpanKind::Dispatch {
-                    continue; // background span; would shadow the phases
-                }
-                let kind_idx = SpanKind::all()
-                    .iter()
-                    .position(|k| *k == e.kind)
-                    .unwrap_or(0);
-                let c0 = (e.start_nanos as u128 * width as u128 / total as u128) as usize;
-                let c1 = ((e.start_nanos + e.dur_nanos) as u128 * width as u128 / total as u128)
-                    as usize;
-                for col in cover.iter_mut().take(c1.min(width - 1) + 1).skip(c0) {
-                    col[kind_idx] += e.dur_nanos.max(1);
-                }
-            }
-            let lane: String = cover
-                .iter()
-                .map(|c| match c.iter().enumerate().max_by_key(|(_, &n)| n) {
-                    Some((k, &n)) if n > 0 => SpanKind::all()[k].code(),
-                    _ => ' ',
-                })
-                .collect();
-            let label = if w.proc == CONTROLLER_LANE {
-                "ctl".to_string()
-            } else {
-                format!("w{:02}", w.proc)
-            };
-            out.push_str(&format!("{label} |{lane}|\n"));
-        }
-        out.push_str(
-            "     F fused  P peeled  S serial  · barrier wait  L lower  s steal  p park\n",
-        );
-        out
+        crate::session::chrome_json(&[], &[(self, None)])
     }
 }
 
@@ -666,16 +500,6 @@ mod tests {
         assert_eq!(trace.workers[0].proc, 0);
         assert_eq!(trace.workers[0].events.len(), 2);
         assert_eq!(trace.workers[1].events[1].step, 1);
-    }
-
-    #[test]
-    fn timeline_renders_one_lane_per_worker() {
-        let trace = sample_trace();
-        let text = trace.timeline(40);
-        assert!(text.contains("w00 |"), "{text}");
-        assert!(text.contains("w01 |"), "{text}");
-        assert!(text.contains("ctl |"), "{text}");
-        assert!(text.contains('F'), "fused phase visible: {text}");
     }
 
     #[test]

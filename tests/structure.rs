@@ -341,6 +341,33 @@ const RULES: &[Rule] = &[
               request's deadline",
         ..RULE
     },
+    Rule {
+        name: "one-chrome-exporter",
+        roots: &["crates"],
+        files: "*.rs",
+        any_of: &["\\\"thread_name\\\""],
+        cut_tests: true,
+        expect: Exactly(1),
+        pr: 32,
+        why: "a run exports as a session of one run: the session writer's second copy dropped \
+              its worker spans' step, group and lanes args and its per-lane loss counts",
+        ..RULE
+    },
+    Rule {
+        name: "no-uncalled-public-fns",
+        files: "*.rs",
+        any_of: &[
+            "fn mean_barrier_wait_nanos",
+            "fn stopping",
+            "fn finish_unchecked",
+            "fn timeline(",
+            "fn code(&self) -> char",
+        ],
+        pr: 32,
+        why: "nothing called them: the text timeline was a second trace renderer, and the rest \
+              were public functions without a caller",
+        ..RULE
+    },
 ];
 
 fn glob(pat: &str, name: &str) -> bool {

@@ -128,12 +128,6 @@ fn traced_pooled_run_covers_all_spans_workers_and_steps() {
     }
     assert_eq!(summary.lanes.len(), 5);
     assert_eq!(summary.steps, vec![0, 1, 2]);
-
-    // The text timeline renders one lane per worker.
-    let text = trace.timeline(60);
-    for lane in ["w00", "w01", "w02", "w03", "ctl"] {
-        assert!(text.contains(lane), "{lane} missing in timeline:\n{text}");
-    }
 }
 
 #[test]
