@@ -138,26 +138,29 @@ awk '/^skewed: time imbalance/ {
 END { if (n == 0) { print "FAIL: no skewed acceptance line"; exit 1 } exit bad }' "$runtime_out"
 rm -f "$runtime_out"
 
-echo "==> serving: manifest smoke x2, persistent cache must hit on the rerun"
-# The same manifest served twice against one on-disk cache: the second
-# process must start warm (disk hits), and the lifetime stats file must
-# aggregate across both processes.
+echo "==> serving: manifest smoke x2, lifetime stats add up across processes"
+# The same manifest served twice against one cache dir. Each process
+# derives its own plans (no plan outlives a process), and `cache stats`
+# must report exactly the sum of both runs' `cache:` lines.
 serve_cache="$(mktemp -d /tmp/spfc-serve-cache.XXXXXX)"
 serve_out="$(mktemp /tmp/spfc-serve-out.XXXXXX)"
-cargo run --release -p sp-cli -- serve --jobs examples/jobs.manifest \
-  --cache-dir "$serve_cache" | tee "$serve_out"
-grep -q '0 failed' "$serve_out"
-# The manifest includes full-key misses over a shared sequence (backend
-# and block-size variants of jacobi): the analysis tier must serve the
-# dependence analysis across them.
-grep -Eq 'analysis: [1-9][0-9]* hits' "$serve_out"
-cargo run --release -p sp-cli -- serve --jobs examples/jobs.manifest \
-  --cache-dir "$serve_cache" | tee "$serve_out"
-grep -q '0 failed' "$serve_out"
-grep -Eq 'analysis: [1-9][0-9]* hits' "$serve_out"
+serve_hits=0
+serve_misses=0
+for run in 1 2; do
+  cargo run --release -p sp-cli -- serve --jobs examples/jobs.manifest \
+    --cache-dir "$serve_cache" | tee "$serve_out"
+  grep -q '0 failed' "$serve_out"
+  # The manifest includes full-key misses over a shared sequence (backend
+  # and block-size variants of jacobi): the analysis tier must serve the
+  # dependence analysis across them.
+  grep -Eq 'analysis: [1-9][0-9]* hits' "$serve_out"
+  line="$(grep -E '^cache: [0-9]+ hits, [0-9]+ misses' "$serve_out")"
+  serve_hits=$((serve_hits + $(echo "$line" | awk '{print $2}')))
+  serve_misses=$((serve_misses + $(echo "$line" | awk '{print $4}')))
+done
 cargo run --release -p sp-cli -- cache stats --cache-dir "$serve_cache" \
   | tee "$serve_out"
-grep -Eq 'lifetime: [1-9][0-9]* hits' "$serve_out"
+grep -q "^lifetime: $serve_hits hits, $serve_misses misses," "$serve_out"
 grep -Eq 'analysis: [1-9][0-9]* hits' "$serve_out"
 cargo run --release -p sp-cli -- cache clear --cache-dir "$serve_cache" \
   | tee "$serve_out"
@@ -257,8 +260,11 @@ wait "$net_pid"
 grep -q 'drained:' "$net_log"
 grep -q 'tenant ci-a' "$net_log"
 grep -q 'tenant ci-b' "$net_log"
-# The drained summary surfaces the bounded program registry's counters.
+# The drained summary surfaces the bounded program registry's counters,
+# and ends with the same cache and analysis lines as manifest mode.
 grep -q 'programs: .* registered' "$net_log"
+grep -Eq '^cache: [0-9]+ hits, [0-9]+ misses' "$net_log"
+grep -q '^analysis: ' "$net_log"
 rm -f "$net_addr" "$net_log" "$sub_a" "$sub_b"
 
 echo "==> bench regression gate: fresh BENCH_runtime.json vs the committed baseline"

@@ -28,10 +28,12 @@ use sp_ir::{parse_sequence, LoopSequence};
 use sp_machine::{simulate, SimPlan, CONVEX_SPP1000, KSR2};
 use sp_net::{Client, ClientConfig, NetServer};
 use sp_serve::{
-    cache::{clear_disk, disk_entry_count, disk_stats},
-    parse_manifest, ArtifactCacheConfig, JobSpec, ServeError, Service, ServiceConfig,
+    cache::{clear_disk, disk_stats},
+    parse_manifest, ArtifactCacheConfig, JobSpec, MetricsRender, MetricsServer, ServeError,
+    Service, ServiceConfig,
 };
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A CLI failure: message plus suggested exit code.
 #[derive(Debug)]
@@ -93,7 +95,8 @@ pub struct Options {
     pub metrics_out: Option<String>,
     /// `--jobs FILE`: the job manifest for `serve`.
     pub jobs: Option<String>,
-    /// `--cache-dir DIR`: on-disk artifact-cache tier for `serve`/`cache`.
+    /// `--cache-dir DIR`: where `serve` adds up and `cache` reads its
+    /// lifetime stats.
     pub cache_dir: Option<String>,
     /// `--workers N`: worker-pool size for `serve` (default 4, grown to
     /// the widest grid in the manifest).
@@ -356,9 +359,9 @@ tomcatv, hydro2d, spem, jacobi) and prints every fusion/derivation decision.\n\
   serve runs a job manifest through the caching job service; --trace-out \
 exports the whole session as one Chrome trace, --listen-metrics serves \
 /metrics and /healthz over HTTP while the manifest runs; with --listen it \
-instead serves the SPFC wire protocol until a client drains it; cache \
-inspects or clears an on-disk artifact cache (stats includes serve stage \
-latencies).\n\
+instead serves the SPFC wire protocol until a client drains it; \
+--cache-dir DIR adds each run's cache and stage-latency counts to lifetime \
+stats in DIR, which cache stats reads and cache clear resets.\n\
   submit sends a program (a .loop file or suite kernel name) to a \
 `serve --listen` server over TCP and prints the returned run report; \
 `submit drain` quiesces the server, `submit ping` measures the round trip; \
@@ -521,10 +524,6 @@ fn serve_command(opts: &Options) -> Result<String, CliError> {
         code: 1,
     })?;
 
-    let mut cache = ArtifactCacheConfig::default();
-    if let Some(dir) = &opts.cache_dir {
-        cache = cache.disk(dir);
-    }
     // The pool must cover the widest grid any job asks for.
     let workers = specs
         .iter()
@@ -532,28 +531,10 @@ fn serve_command(opts: &Options) -> Result<String, CliError> {
         .max()
         .unwrap_or(1)
         .max(opts.workers);
-    let mut cfg = ServiceConfig::default()
-        .workers(workers)
-        .queue_capacity(opts.queue)
-        .cache(cache);
-    if opts.trace_out.is_some() {
-        cfg = cfg.traced();
-    }
-    let service = std::sync::Arc::new(Service::new(cfg));
-    let scraper = match &opts.listen_metrics {
-        Some(addr) => {
-            let svc = std::sync::Arc::clone(&service);
-            let render: sp_serve::MetricsRender =
-                std::sync::Arc::new(move || svc.metrics().to_prometheus());
-            Some(
-                sp_serve::MetricsServer::start(addr, render).map_err(|e| CliError {
-                    message: format!("cannot listen on {addr}: {e}"),
-                    code: 1,
-                })?,
-            )
-        }
-        None => None,
-    };
+    let service = serve_service(opts, workers);
+    let svc = Arc::clone(&service);
+    let metrics: MetricsRender = Arc::new(move || svc.metrics().to_prometheus());
+    let endpoint = metrics_endpoint(opts, &metrics)?;
 
     let started = std::time::Instant::now();
     // Results are read in submission order, the oldest outstanding one
@@ -602,24 +583,10 @@ fn serve_command(opts: &Options) -> Result<String, CliError> {
         }
     }
     let secs = started.elapsed().as_secs_f64();
-    let c = service.cache_counters();
     let _ = writeln!(
         out,
         "{ok} ok, {failed} failed in {secs:.3} s ({:.1} jobs/s) on {workers} workers",
         ok as f64 / secs.max(1e-9),
-    );
-    let _ = writeln!(
-        out,
-        "cache: {} hits ({} disk), {} misses, {} inserts",
-        c.total_hits(),
-        c.disk_hits,
-        c.misses,
-        c.inserts,
-    );
-    let _ = writeln!(
-        out,
-        "analysis: {} hits, {} misses",
-        c.analysis_hits, c.analysis_misses,
     );
     let stats = service.stage_stats();
     let _ = writeln!(
@@ -627,39 +594,7 @@ fn serve_command(opts: &Options) -> Result<String, CliError> {
         "outcomes: {} ok, {} deadline, {} rejected",
         stats.ok, stats.deadline, stats.rejected,
     );
-    let summary = stats.render_summary();
-    if !summary.is_empty() {
-        let _ = writeln!(out, "stage latency (p-bounds at log2 resolution):");
-        out.push_str(&summary);
-    }
-    if let Some(path) = &opts.trace_out {
-        let session = service.session_trace().ok_or_else(|| CliError {
-            message: "traced serve produced no session trace".into(),
-            code: 1,
-        })?;
-        std::fs::write(path, session.chrome_json()).map_err(|e| CliError {
-            message: format!("cannot write {path}: {e}"),
-            code: 1,
-        })?;
-        let _ = writeln!(
-            out,
-            "wrote {path}: {} jobs across {} worker lane(s) ({} dropped events)",
-            session.job_count(),
-            session.worker_lanes().len(),
-            session.dropped(),
-        );
-    }
-    if let Some(path) = &opts.metrics_out {
-        std::fs::write(path, service.metrics().to_prometheus()).map_err(|e| CliError {
-            message: format!("cannot write {path}: {e}"),
-            code: 1,
-        })?;
-        let _ = writeln!(out, "wrote {path}");
-    }
-    if let Some(server) = scraper {
-        let _ = writeln!(out, "metrics endpoint served on {}", server.addr());
-        server.shutdown();
-    }
+    finish_serve(&mut out, opts, &service, &metrics, endpoint)?;
     Ok(out)
 }
 
@@ -670,19 +605,8 @@ fn serve_command(opts: &Options) -> Result<String, CliError> {
 /// can discover an ephemeral port.
 fn serve_listen_command(opts: &Options) -> Result<String, CliError> {
     let addr = opts.listen.as_deref().unwrap();
-    let mut cache = ArtifactCacheConfig::default();
-    if let Some(dir) = &opts.cache_dir {
-        cache = cache.disk(dir);
-    }
-    let mut cfg = ServiceConfig::default()
-        .workers(opts.workers)
-        .queue_capacity(opts.queue)
-        .cache(cache);
-    if opts.trace_out.is_some() {
-        cfg = cfg.traced();
-    }
-    let service = std::sync::Arc::new(Service::new(cfg));
-    let server = NetServer::start(addr, std::sync::Arc::clone(&service)).map_err(|e| CliError {
+    let service = serve_service(opts, opts.workers);
+    let server = NetServer::start(addr, Arc::clone(&service)).map_err(|e| CliError {
         message: format!("cannot listen on {addr}: {e}"),
         code: 1,
     })?;
@@ -694,26 +618,16 @@ fn serve_listen_command(opts: &Options) -> Result<String, CliError> {
             code: 1,
         })?;
     }
-    let scraper = match &opts.listen_metrics {
-        Some(addr) => {
-            let svc = std::sync::Arc::clone(&service);
-            let net = server.stats_handle();
-            let render: sp_serve::MetricsRender = std::sync::Arc::new(move || {
-                format!(
-                    "{}{}",
-                    svc.metrics().to_prometheus(),
-                    net.metrics().to_prometheus()
-                )
-            });
-            Some(
-                sp_serve::MetricsServer::start(addr, render).map_err(|e| CliError {
-                    message: format!("cannot listen on {addr}: {e}"),
-                    code: 1,
-                })?,
-            )
-        }
-        None => None,
-    };
+    let svc = Arc::clone(&service);
+    let net = server.stats_handle();
+    let metrics: MetricsRender = Arc::new(move || {
+        format!(
+            "{}{}",
+            svc.metrics().to_prometheus(),
+            net.metrics().to_prometheus()
+        )
+    });
+    let endpoint = metrics_endpoint(opts, &metrics)?;
 
     server.wait_drained();
 
@@ -743,16 +657,68 @@ fn serve_listen_command(opts: &Options) -> Result<String, CliError> {
             t.name, t.ok, t.deadline, t.quota,
         );
     }
+    finish_serve(&mut out, opts, &service, &metrics, endpoint)?;
+    server.shutdown();
+    Ok(out)
+}
+
+/// The service behind `spfc serve` in either mode, on `workers` threads:
+/// `--cache-dir` keeps its lifetime stats, `--queue` bounds its queue,
+/// and `--trace-out` has it record the session.
+fn serve_service(opts: &Options, workers: usize) -> Arc<Service> {
+    let mut cache = ArtifactCacheConfig::default();
+    if let Some(dir) = &opts.cache_dir {
+        cache = cache.disk(dir);
+    }
+    let mut cfg = ServiceConfig::default()
+        .workers(workers)
+        .queue_capacity(opts.queue)
+        .cache(cache);
+    if opts.trace_out.is_some() {
+        cfg = cfg.traced();
+    }
+    Arc::new(Service::new(cfg))
+}
+
+/// The `--listen-metrics` scrape endpoint over `metrics`, when asked for.
+fn metrics_endpoint(
+    opts: &Options,
+    metrics: &MetricsRender,
+) -> Result<Option<MetricsServer>, CliError> {
+    let Some(addr) = &opts.listen_metrics else {
+        return Ok(None);
+    };
+    MetricsServer::start(addr, Arc::clone(metrics))
+        .map(Some)
+        .map_err(|e| CliError {
+            message: format!("cannot listen on {addr}: {e}"),
+            code: 1,
+        })
+}
+
+/// What both serve modes end with once the work is done: the cache and
+/// analysis counters, the stage summary, the `--trace-out` session trace,
+/// `--metrics-out` as `metrics` renders it (the text every scrape got),
+/// and the scrape endpoint, shut down.
+fn finish_serve(
+    out: &mut String,
+    opts: &Options,
+    service: &Service,
+    metrics: &MetricsRender,
+    endpoint: Option<MetricsServer>,
+) -> Result<(), CliError> {
     let c = service.cache_counters();
     let _ = writeln!(
         out,
-        "cache: {} hits ({} disk), {} misses, {} inserts",
-        c.total_hits(),
-        c.disk_hits,
-        c.misses,
-        c.inserts,
+        "cache: {} hits, {} misses, {} inserts",
+        c.hits, c.misses, c.inserts,
     );
-    let summary = stats.render_summary();
+    let _ = writeln!(
+        out,
+        "analysis: {} hits, {} misses",
+        c.analysis_hits, c.analysis_misses,
+    );
+    let summary = service.stage_stats().render_summary();
     if !summary.is_empty() {
         let _ = writeln!(out, "stage latency (p-bounds at log2 resolution):");
         out.push_str(&summary);
@@ -775,23 +741,17 @@ fn serve_listen_command(opts: &Options) -> Result<String, CliError> {
         );
     }
     if let Some(path) = &opts.metrics_out {
-        let text = format!(
-            "{}{}",
-            service.metrics().to_prometheus(),
-            server.stats_handle().metrics().to_prometheus()
-        );
-        std::fs::write(path, text).map_err(|e| CliError {
+        std::fs::write(path, metrics()).map_err(|e| CliError {
             message: format!("cannot write {path}: {e}"),
             code: 1,
         })?;
         let _ = writeln!(out, "wrote {path}");
     }
-    if let Some(metrics) = scraper {
-        let _ = writeln!(out, "metrics endpoint served on {}", metrics.addr());
-        metrics.shutdown();
+    if let Some(endpoint) = endpoint {
+        let _ = writeln!(out, "metrics endpoint served on {}", endpoint.addr());
+        endpoint.shutdown();
     }
-    server.shutdown();
-    Ok(out)
+    Ok(())
 }
 
 /// `spfc submit --connect ADDR <prog.loop|kernel|drain|ping>`: send a
@@ -934,7 +894,7 @@ fn bench_command(opts: &Options) -> Result<String, CliError> {
 }
 
 /// `spfc cache <stats|clear> --cache-dir DIR`: inspect or clear the
-/// on-disk artifact tier.
+/// lifetime stats `spfc serve --cache-dir DIR` runs add up there.
 fn cache_command(opts: &Options) -> Result<String, CliError> {
     let Some(dir) = &opts.cache_dir else {
         return usage(format!("cache needs --cache-dir DIR\n{USAGE}"));
@@ -944,36 +904,18 @@ fn cache_command(opts: &Options) -> Result<String, CliError> {
     match opts.path.as_str() {
         "stats" => {
             let c = disk_stats(dir);
+            let _ = writeln!(out, "cache dir: {}", dir.display());
             let _ = writeln!(
                 out,
-                "cache dir: {} ({} plan entries)",
-                dir.display(),
-                disk_entry_count(dir)
-            );
-            let _ = writeln!(
-                out,
-                "lifetime: {} hits ({} disk), {} misses, {} inserts, {} evictions, \
-{} poisoned, {} revalidation rejects",
-                c.total_hits(),
-                c.disk_hits,
-                c.misses,
-                c.inserts,
-                c.evictions,
-                c.poisoned,
-                c.revalidation_rejects,
+                "lifetime: {} hits, {} misses, {} inserts, {} evictions, \
+{} revalidation rejects",
+                c.hits, c.misses, c.inserts, c.evictions, c.revalidation_rejects,
             );
             let _ = writeln!(
                 out,
                 "analysis: {} hits, {} misses",
                 c.analysis_hits, c.analysis_misses,
             );
-            if c.clear_failed > 0 {
-                let _ = writeln!(
-                    out,
-                    "clear failures: {} entries undeletable",
-                    c.clear_failed
-                );
-            }
             let stages = sp_serve::disk_stage_stats(dir);
             if !stages.is_empty() {
                 let _ = writeln!(
@@ -986,20 +928,8 @@ fn cache_command(opts: &Options) -> Result<String, CliError> {
             }
         }
         "clear" => {
-            let (removed, failed) = clear_disk(dir);
-            if failed > 0 {
-                eprintln!(
-                    "cache clear: {failed} entries could not be deleted from {}",
-                    dir.display()
-                );
-                let _ = writeln!(
-                    out,
-                    "cleared {removed} plan entries from {} ({failed} failed)",
-                    dir.display()
-                );
-            } else {
-                let _ = writeln!(out, "cleared {removed} plan entries from {}", dir.display());
-            }
+            clear_disk(dir);
+            let _ = writeln!(out, "cleared the lifetime stats in {}", dir.display());
         }
         other => {
             return usage(format!(

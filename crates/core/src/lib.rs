@@ -93,7 +93,4 @@ pub use analysis::{
 };
 pub use explain::{ExplainEvent, ExplainTrace};
 pub use pipeline::{NullObserver, PassTiming, PassTimings, PlanObserver, Planned, Planner};
-pub use plan::{
-    fusion_plan, singleton_plan, CodegenMethod, FusedGroup, FusionPlan, LoweringFootprint,
-    PlanConfig,
-};
+pub use plan::{fusion_plan, singleton_plan, CodegenMethod, FusedGroup, FusionPlan, PlanConfig};

@@ -40,7 +40,7 @@ pub mod pass {
 }
 
 /// 64-bit FNV-1a, the one hash of text and keys in the workspace (cache
-/// keys and disk checksums in `sp-serve`, program digests in `sp-net`,
+/// keys in `sp-serve`, program digests in `sp-net`,
 /// the tape's layout fingerprint; array *values* are hashed by
 /// `sp_exec::WordDigest`). Small, dependency-free, and stable across
 /// platforms — collision resistance only has to beat accidental aliasing

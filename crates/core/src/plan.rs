@@ -97,66 +97,6 @@ impl FusionPlan {
             .max()
             .unwrap_or(0)
     }
-
-    /// Size metadata a tape-lowering backend needs to preallocate when
-    /// compiling `seq` for execution under this plan.
-    ///
-    /// Shift-and-peel reindexes *iteration spaces*, never statement
-    /// bodies, so the fused and peeled phases of every group execute the
-    /// same nest bodies the original program does — the footprint of a
-    /// plan is exactly the footprint of its sequence.
-    pub fn lowering_footprint(&self, seq: &LoopSequence) -> LoweringFootprint {
-        debug_assert_eq!(
-            self.groups.last().map(|g| g.end).unwrap_or(0),
-            seq.len(),
-            "plan must cover the sequence it lowers"
-        );
-        LoweringFootprint::of_sequence(seq)
-    }
-}
-
-/// Allocation-sizing metadata for lowering a sequence to a tape (see
-/// `sp-exec`'s `lower` module): how many nest/statement tapes to reserve
-/// and how long a statement's row program can get.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LoweringFootprint {
-    /// Loop nests (one tape each).
-    pub nests: usize,
-    /// Statements across all nests.
-    pub stmts: usize,
-    /// Deepest loop nest.
-    pub max_depth: usize,
-    /// Largest RHS expression-node count; an upper bound on both a
-    /// statement's row-op count and its load count.
-    pub max_rhs_nodes: usize,
-}
-
-impl LoweringFootprint {
-    /// Measures `seq`.
-    pub fn of_sequence(seq: &LoopSequence) -> LoweringFootprint {
-        let mut f = LoweringFootprint {
-            nests: seq.len(),
-            stmts: 0,
-            max_depth: 0,
-            max_rhs_nodes: 0,
-        };
-        for nest in &seq.nests {
-            f.stmts += nest.body.len();
-            f.max_depth = f.max_depth.max(nest.depth());
-            for stmt in &nest.body {
-                f.max_rhs_nodes = f.max_rhs_nodes.max(expr_nodes(&stmt.rhs));
-            }
-        }
-        f
-    }
-}
-
-fn expr_nodes(e: &sp_ir::Expr) -> usize {
-    match e {
-        sp_ir::Expr::Const(_) | sp_ir::Expr::Load(_) => 1,
-        sp_ir::Expr::Unary(_, a) => 1 + expr_nodes(a),
-        sp_ir::Expr::Binary(_, a, b) => 1 + expr_nodes(a) + expr_nodes(b),
-    }
 }
 
 /// Derives a [`Derivation`] for the subsequence `[start, end)` using
@@ -460,18 +400,6 @@ mod tests {
         assert_eq!(plan.longest_group(), 3);
         assert_eq!(plan.max_shift(), 2);
         assert_eq!(plan.max_peel(), 2);
-        // Lowering metadata: 3 single-statement nests of depth 1; the
-        // widest RHS is `ld + ld` (3 nodes).
-        let f = plan.lowering_footprint(&seq);
-        assert_eq!(
-            f,
-            LoweringFootprint {
-                nests: 3,
-                stmts: 3,
-                max_depth: 1,
-                max_rhs_nodes: 3
-            }
-        );
     }
 
     #[test]

@@ -434,14 +434,13 @@ fn plan_of(prog: &Program<'_>, cfg: &RunConfig) -> Result<Arc<FusionPlan>, ExecE
 /// the layout (a cache can never make an executor run a tape lowered for
 /// something else) and then used as it is — its lowering happened
 /// elsewhere, so no `Lower` span is recorded here; fresh lowering is
-/// sized by the run's plan `fp` and timed into the controller lane,
-/// tagged with the most inner iterations the backend runs at once: the
-/// tape's widest nest under `Simd`, one column under `Compiled`.
+/// timed into the controller lane, tagged with the most inner iterations
+/// the backend runs at once: the tape's widest nest under `Simd`, one
+/// column under `Compiled`.
 fn lower_tape(
     prog: &Program<'_>,
     mem: &Memory,
     cfg: &RunConfig,
-    fp: Option<&FusionPlan>,
     tracing: &mut Option<RunTracing>,
 ) -> Result<Option<Arc<ProgramTape>>, ExecError> {
     match cfg.backend_choice() {
@@ -452,9 +451,7 @@ fn lower_tape(
                 return Ok(Some(Arc::clone(t)));
             }
             let t0 = Instant::now();
-            let fp = fp.expect("a run that lowers has its plan");
-            let footprint = fp.lowering_footprint(prog.seq());
-            let tape = Arc::new(ProgramTape::lower_with(prog.seq(), &mem.layout, &footprint));
+            let tape = Arc::new(ProgramTape::lower(prog.seq(), &mem.layout));
             if let Some(tr) = tracing {
                 let lanes = match backend {
                     Backend::Simd => tape.max_row_width().max(1),
@@ -498,15 +495,14 @@ impl<'c> Prepared<'c> {
         }
         let mut tracing = RunTracing::start(cfg);
         let mut started = Instant::now();
-        // One plan per run: the phases execute it, and a tape lowered
-        // here is sized by it (the unfused plan for a serial run).
-        let lowers = cfg.backend_choice() != Backend::Interp && cfg.injected_tape().is_none();
+        // One plan per run, which the phases execute; a serial run has
+        // no phases and no plan.
         let fp = match cfg.plan() {
-            ExecPlan::Serial if !lowers => None,
+            ExecPlan::Serial => None,
             _ => Some(plan_of(prog, cfg)?),
         };
         let t0 = Instant::now();
-        let tape = lower_tape(prog, mem, cfg, fp.as_deref(), &mut tracing)?;
+        let tape = lower_tape(prog, mem, cfg, &mut tracing)?;
         // Wall time excludes lowering (reported separately) and nothing
         // else: planning and flattening are part of the run.
         started += t0.elapsed();
@@ -1144,11 +1140,7 @@ mod tests {
         // Derive the artifacts the way a cache would, then inject them.
         let fp = prog.fusion_plan_for(base.plan()).unwrap();
         let mem0 = Memory::new(&seq, LayoutStrategy::Contiguous);
-        let tape = Arc::new(ProgramTape::lower_with(
-            &seq,
-            &mem0.layout,
-            &fp.lowering_footprint(&seq),
-        ));
+        let tape = Arc::new(ProgramTape::lower(&seq, &mem0.layout));
         // `with_tape`: fresh lowering done outside the run — lower time
         // is charged, `cached` stays false.
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);

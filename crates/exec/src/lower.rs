@@ -37,7 +37,6 @@ use crate::tape::{
     chains, AccessPat, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat, MIN_ROW,
 };
 use shift_peel_core::pipeline::Fnv1a64;
-use shift_peel_core::LoweringFootprint;
 use sp_cache::MemoryLayout;
 use sp_ir::{ArrayRef, BinOp, Expr, LoopSequence};
 use std::time::Instant;
@@ -45,35 +44,33 @@ use std::time::Instant;
 impl ProgramTape {
     /// Lowers every nest of `seq` against `layout`.
     pub fn lower(seq: &LoopSequence, layout: &MemoryLayout) -> ProgramTape {
-        ProgramTape::lower_with(seq, layout, &LoweringFootprint::of_sequence(seq))
+        ProgramTape::lower_within(seq, layout, L1_BYTES)
     }
 
-    /// Lowers with a precomputed [`LoweringFootprint`] (from the plan
-    /// being executed) sizing the tape allocations up front.
-    pub fn lower_with(
-        seq: &LoopSequence,
-        layout: &MemoryLayout,
-        footprint: &LoweringFootprint,
-    ) -> ProgramTape {
-        ProgramTape::lower_within(seq, layout, footprint, L1_BYTES)
-    }
-
-    /// [`ProgramTape::lower_with`] sizing row widths for an L1 data cache
-    /// of `l1_bytes` instead of [`L1_BYTES`].
+    /// [`ProgramTape::lower`] sizing row widths for an L1 data cache of
+    /// `l1_bytes` instead of [`L1_BYTES`].
     pub(crate) fn lower_within(
         seq: &LoopSequence,
         layout: &MemoryLayout,
-        footprint: &LoweringFootprint,
         l1_bytes: usize,
     ) -> ProgramTape {
         let t0 = Instant::now();
+        // The largest RHS node count bounds both a statement's row-op
+        // count and its load count, so the scratch rows never regrow.
+        let max_rhs_nodes = seq
+            .nests
+            .iter()
+            .flat_map(|n| &n.body)
+            .map(|s| expr_nodes(&s.rhs))
+            .max()
+            .unwrap_or(0);
         let mut rows = RowBuilder {
-            ops: Vec::with_capacity(footprint.max_rhs_nodes),
-            loads: Vec::with_capacity(footprint.max_rhs_nodes),
+            ops: Vec::with_capacity(max_rhs_nodes),
+            loads: Vec::with_capacity(max_rhs_nodes),
             live: Vec::new(),
             consts: Vec::new(),
         };
-        let mut nests = Vec::with_capacity(footprint.nests);
+        let mut nests = Vec::with_capacity(seq.len());
         for nest in &seq.nests {
             let depth = nest.depth();
             let mut pats = PatTable {
@@ -148,6 +145,16 @@ impl ProgramTape {
             ));
         }
         Ok(())
+    }
+}
+
+/// Nodes of `e`'s tree: an upper bound on both the row ops and the loads
+/// a statement lowers to.
+fn expr_nodes(e: &Expr) -> usize {
+    match e {
+        Expr::Const(_) | Expr::Load(_) => 1,
+        Expr::Unary(_, a) => 1 + expr_nodes(a),
+        Expr::Binary(_, a, b) => 1 + expr_nodes(a) + expr_nodes(b),
     }
 }
 
@@ -1312,8 +1319,7 @@ mod tests {
             });
             let seq = b.finish();
             let layout = Memory::new(&seq, LayoutStrategy::Contiguous).layout;
-            let footprint = LoweringFootprint::of_sequence(&seq);
-            ProgramTape::lower_within(&seq, &layout, &footprint, budget).nests[0].row_width
+            ProgramTape::lower_within(&seq, &layout, budget).nests[0].row_width
         }
         // Bytes of `rows` full rows of `w` columns.
         let rows = |rows: usize, w: usize| rows * w * 8;
@@ -1364,8 +1370,7 @@ mod tests {
             });
             let seq = b.finish();
             let layout = Memory::new(&seq, LayoutStrategy::Contiguous).layout;
-            let footprint = LoweringFootprint::of_sequence(&seq);
-            ProgramTape::lower_within(&seq, &layout, &footprint, 1 << 20).nests[0].row_width
+            ProgramTape::lower_within(&seq, &layout, 1 << 20).nests[0].row_width
         };
         assert_eq!(carried(40), 40);
         assert_eq!(carried(MIN_ROW as i64), MIN_ROW);
@@ -1390,8 +1395,7 @@ mod tests {
             });
             let seq = b.finish();
             let layout = Memory::new(&seq, LayoutStrategy::Contiguous).layout;
-            let footprint = LoweringFootprint::of_sequence(&seq);
-            ProgramTape::lower_within(&seq, &layout, &footprint, budget).nests[0].row_width
+            ProgramTape::lower_within(&seq, &layout, budget).nests[0].row_width
         };
         assert_eq!(width(1, 4096, 1 << 20), 4096, "one statement");
         assert_eq!(width(2, 4096, 1 << 20), MULTI_STMT_WIDTH, "two");

@@ -420,7 +420,6 @@ fn encode_payload(e: &mut Enc, frame: &Frame) {
             e.u8(match r.cache {
                 CacheOutcome::Miss => 0,
                 CacheOutcome::Memory => 1,
-                CacheOutcome::Disk => 2,
             });
             e.u64(r.digest);
             e.u64(r.queued_nanos);
@@ -599,7 +598,6 @@ fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
             cache: match d.u8()? {
                 0 => CacheOutcome::Miss,
                 1 => CacheOutcome::Memory,
-                2 => CacheOutcome::Disk,
                 c => return Err(WireError::Malformed(format!("bad cache outcome {c}"))),
             },
             digest: d.u64()?,
@@ -859,7 +857,7 @@ mod tests {
             job: 77,
             name: "ll18".into(),
             tenant: "t".into(),
-            cache: CacheOutcome::Disk,
+            cache: CacheOutcome::Memory,
             digest: 0x1122_3344_5566_7788,
             queued_nanos: 5,
             run_nanos: 6,
@@ -877,8 +875,8 @@ mod tests {
             (
                 result,
                 "53504643030002004d00000009000000000000004d00000000000000040000006c6c313801\
-                 000000740288776655443322110500000000000000060000000000000007000000000000\
-                 000b0000007b2270726f6373223a327d03f6abef",
+                 000000740188776655443322110500000000000000060000000000000007000000000000\
+                 000b0000007b2270726f6373223a327d67c379a9",
             ),
         ];
         for (frame, hex) in pinned {
@@ -886,6 +884,35 @@ mod tests {
             assert_eq!(encode_frame(&frame), bytes);
             assert_eq!(decode_frame(&bytes).unwrap(), frame);
         }
+    }
+
+    /// Cache code 2 is retired: a result frame carrying it is malformed,
+    /// like any other unknown code.
+    #[test]
+    fn a_retired_cache_code_is_malformed() {
+        let mut bytes = encode_frame(&Frame::Result(ResultFrame {
+            request_id: 9,
+            job: 77,
+            name: "ll18".into(),
+            tenant: "t".into(),
+            cache: CacheOutcome::Memory,
+            digest: 1,
+            queued_nanos: 0,
+            run_nanos: 0,
+            order: 0,
+            report_json: "{}".into(),
+        }));
+        // Header, request id, job, then two length-prefixed strings.
+        let cache_at = HEADER_LEN + 8 + 8 + (4 + 4) + (4 + 1);
+        assert_eq!(bytes[cache_at], 1);
+        bytes[cache_at] = 2;
+        let crc_at = bytes.len() - 4;
+        let crc = crc32(&bytes[..crc_at]);
+        bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            decode_frame(&bytes),
+            Err(WireError::Malformed(m)) if m.contains("cache outcome 2")
+        ));
     }
 
     /// A patched deadline is the frame encoded with that deadline, byte

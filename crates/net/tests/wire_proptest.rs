@@ -96,7 +96,7 @@ fn result_strategy() -> impl Strategy<Value = ResultFrame> {
             string_strat(40),
             string_strat(24),
         ),
-        (0u8..=2, any::<u64>()),
+        (any::<bool>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>(), string_strat(200)),
     )
         .prop_map(
@@ -110,10 +110,10 @@ fn result_strategy() -> impl Strategy<Value = ResultFrame> {
                     job,
                     name,
                     tenant,
-                    cache: match csel {
-                        0 => CacheOutcome::Miss,
-                        1 => CacheOutcome::Memory,
-                        _ => CacheOutcome::Disk,
+                    cache: if csel {
+                        CacheOutcome::Memory
+                    } else {
+                        CacheOutcome::Miss
                     },
                     digest,
                     queued_nanos: queued,

@@ -18,10 +18,9 @@ use sp_ir::display::render_sequence;
 use sp_ir::LoopSequence;
 use std::fmt;
 
-/// Version prefix folded into every key and written at the head of every
-/// on-disk artifact. Bump it whenever the canonical rendering, the plan
-/// derivation, or the tape format changes semantics: old entries then
-/// miss (or fail the disk-format check) instead of serving stale plans.
+/// Version prefix folded into every key. Bump it whenever the canonical
+/// rendering, the plan derivation, or the tape format changes semantics,
+/// so no key names artifacts of two meanings.
 pub const CACHE_FORMAT_VERSION: &str = "spfc-cache-v1";
 
 pub use shift_peel_core::pipeline::{fnv1a64, Fnv1a64};
@@ -67,11 +66,6 @@ impl CacheKey {
         let mut text = String::new();
         write_canonical(&mut text, &render_sequence(seq), cfg, backend, procs);
         text
-    }
-
-    /// Fixed-width lowercase hex, used for file names and display.
-    pub fn hex(&self) -> String {
-        format!("{:016x}", self.0)
     }
 }
 
@@ -139,14 +133,12 @@ mod tests {
             CacheKey::compute(&jacobi::sequence(33), &cfg, Backend::Compiled, 4),
             "different program text must not alias"
         );
-        // Hex rendering is fixed-width and agrees with Display.
-        assert_eq!(k.hex().len(), 16);
-        assert_eq!(k.hex(), format!("{k}"));
+        // Display is fixed-width hex.
+        assert_eq!(format!("{k}").len(), 16);
     }
 
     /// The values the commit before the single-buffer renderer printed.
-    /// The rendered text, and with it every key already on a disk tier,
-    /// must not drift; and a key derived from text a caller already
+    /// The rendered text, and with it every key, must not drift; and a key derived from text a caller already
     /// holds is the key derived from the sequence.
     #[test]
     fn keys_are_pinned_and_the_same_by_text() {
@@ -154,7 +146,7 @@ mod tests {
         let text = render_sequence(&seq);
         let cfg = PlanConfig::fused(2);
         let k = CacheKey::compute(&seq, &cfg, Backend::Compiled, 4);
-        assert_eq!(k.hex(), "fba94f95ab885cb6");
+        assert_eq!(format!("{k}"), "fba94f95ab885cb6");
         assert_eq!(k, CacheKey::of_rendered(&text, &cfg, Backend::Compiled, 4));
         let hashed = CacheKey::canonical_text(&seq, &cfg, Backend::Compiled, 4);
         assert_eq!(k.0, fnv1a64(hashed.as_bytes()));

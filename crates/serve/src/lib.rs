@@ -11,12 +11,12 @@
 //!   versioned canonical rendering of the sequence plus the
 //!   [`PlanConfig`](shift_peel_core::PlanConfig), backend, and processor
 //!   count;
-//! * [`cache`] — the [`ArtifactCache`]: an in-memory LRU tier over
-//!   derived [`FusionPlan`](shift_peel_core::FusionPlan)s, dependence
-//!   analyses, and lowered tapes, with an optional on-disk tier
-//!   (plans only, versioned + checksummed, corruption degrades to a
-//!   recompile) and hit/miss/evict counters that feed the `sp-trace`
-//!   metrics registry;
+//! * [`cache`] — the [`ArtifactCache`]: an in-memory LRU over derived
+//!   [`FusionPlan`](shift_peel_core::FusionPlan)s, dependence analyses,
+//!   and lowered tapes. No plan is persisted: a fresh process derives
+//!   one faster than it could read it back. Its hit/miss/evict counters
+//!   feed the `sp-trace` metrics registry and, given a stats directory,
+//!   aggregate across processes;
 //! * [`program`] — [`SharedProgram`]: a job's program with its canonical
 //!   text and digest, made once and shared by reference count from the
 //!   socket to the scheduler, so no per-job path renders, hashes or
@@ -58,7 +58,7 @@ pub mod obs;
 pub mod program;
 pub mod service;
 
-pub use cache::{Artifact, ArtifactCache, ArtifactCacheConfig, CacheCounters, Tier};
+pub use cache::{Artifact, ArtifactCache, ArtifactCacheConfig, CacheCounters};
 pub use hash::{fnv1a64, CacheKey, CACHE_FORMAT_VERSION};
 pub use http::{MetricsRender, MetricsServer};
 pub use listener::{parse_request_line, read_http_head, ConnHandler, SocketServer};

@@ -15,14 +15,13 @@
 //! run itself is never interrupted, so the worker pool is always left in
 //! a clean state for the next job.
 
-use crate::cache::{Artifact, ArtifactCache, ArtifactCacheConfig, CacheCounters, Tier};
+use crate::cache::{Artifact, ArtifactCache, ArtifactCacheConfig, CacheCounters};
 use crate::hash::CacheKey;
 use crate::obs::{flush_stage_stats, ServeObs, StageStats};
 use crate::program::SharedProgram;
 use shift_peel_core::pipeline::pass;
-use shift_peel_core::{FusionPlan, NullObserver, PassTimings, PlanConfig, Planner};
+use shift_peel_core::{NullObserver, PassTimings, PlanConfig, Planner};
 use sp_cache::LayoutStrategy;
-use sp_dep::{analyze_sequence, SequenceDeps};
 use sp_exec::{
     register_pass_metrics, Backend, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program,
     ProgramTape, RunConfig, RunReport, Schedule,
@@ -258,15 +257,13 @@ impl JobSpec {
     }
 }
 
-/// Which cache tier (if any) served a job's compilation.
+/// Whether the cache served a job's compilation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Compiled from scratch (and inserted).
     Miss,
     /// Full artifact served from the in-memory tier.
     Memory,
-    /// Plan served from disk; tape re-lowered and upgraded to memory.
-    Disk,
 }
 
 impl CacheOutcome {
@@ -275,7 +272,6 @@ impl CacheOutcome {
         match self {
             CacheOutcome::Miss => "miss",
             CacheOutcome::Memory => "hit",
-            CacheOutcome::Disk => "disk-hit",
         }
     }
 }
@@ -294,7 +290,7 @@ pub struct JobResult {
     /// Full executor instrumentation (`cached` + `lower_nanos` reflect
     /// the cache outcome).
     pub report: RunReport,
-    /// Which tier served the compilation.
+    /// Whether the cache served the compilation.
     pub cache: CacheOutcome,
     /// [`snapshot_digest`] of the final arrays — cheap bit-for-bit
     /// comparison between cached and uncached runs.
@@ -879,7 +875,8 @@ impl Drop for Service {
             let _ = h.join();
         }
         // Persist lifetime cache stats for `spfc cache stats`, and the
-        // stage-latency stats alongside them when a disk tier exists.
+        // stage-latency stats alongside them when a stats directory
+        // exists.
         let mut cache = self.shared.cache.lock().unwrap();
         cache.flush_stats();
         if let Some(dir) = cache.disk_dir().map(std::path::Path::to_path_buf) {
@@ -1045,41 +1042,22 @@ fn run_job_stages(
         .unwrap()
         .lookup(key, &spec.seq, spec.plan.grid());
     clock.close(spans, JobStage::CacheLookup);
-    let (outcome, cached_plan, cached_deps, cached_tape) = match hit {
-        Some((art, Tier::Memory)) => (CacheOutcome::Memory, Some(art.plan), art.deps, art.tape),
-        Some((art, Tier::Disk)) => (CacheOutcome::Disk, Some(art.plan), art.deps, art.tape),
-        None => (CacheOutcome::Miss, None, None, None),
-    };
 
-    // Analysis and plan. A full hit carries both. A disk hit carries the
-    // plan only — the analysis tier (or a recompute) supplies deps. A
-    // full miss plans from the analysis tier's entry when it has one, so
-    // a dependence analysis computed under a different block size, grid,
-    // or backend is reused rather than redone.
+    // Analysis and plan. A hit carries both. A miss plans from the
+    // analysis tier's entry when it has one, so a dependence analysis
+    // computed under a different block size, grid, or backend is reused
+    // rather than redone.
     //
-    // Hit paths record their skipped stages as zero-duration spans so
-    // every job exports all eight stages and the histograms keep a
-    // truthful per-stage sample count.
-    let (deps, plan): (Arc<SequenceDeps>, Arc<FusionPlan>) = match (cached_plan, cached_deps) {
-        (Some(p), Some(d)) => {
+    // A hit records its skipped stages as zero-duration spans so every
+    // job exports all eight stages and the histograms keep a truthful
+    // per-stage sample count.
+    let (outcome, deps, plan, cached_tape) = match hit {
+        Some(art) => {
             clock.advance(spans, JobStage::Analysis, 0);
             clock.advance(spans, JobStage::Plan, 0);
-            (d, p)
+            (CacheOutcome::Memory, art.deps, art.plan, art.tape)
         }
-        (Some(p), None) => {
-            let tier_hit = shared.cache.lock().unwrap().lookup_analysis(akey);
-            let d = match tier_hit {
-                Some(d) => d,
-                None => Arc::new(
-                    analyze_sequence(&spec.seq)
-                        .map_err(|e| ServeError::Exec(ExecError::Analysis(e)))?,
-                ),
-            };
-            clock.close(spans, JobStage::Analysis);
-            clock.advance(spans, JobStage::Plan, 0);
-            (d, p)
-        }
-        (None, _) => {
+        None => {
             let tier_hit = shared.cache.lock().unwrap().lookup_analysis(akey);
             let planned = Planner::new(spec.plan_config())
                 .plan_with(&spec.seq, tier_hit, &mut NullObserver)
@@ -1094,7 +1072,7 @@ fn run_job_stages(
             clock.advance(spans, JobStage::Analysis, analysis);
             record_pass_timings(shared, &planned.timings);
             clock.close(spans, JobStage::Plan);
-            (planned.deps, planned.plan)
+            (CacheOutcome::Miss, planned.deps, planned.plan, None)
         }
     };
     // Keep the analysis tier warm for future full-key misses on this
@@ -1130,8 +1108,7 @@ fn run_job_stages(
         match cached_tape {
             Some(t) => cfg = cfg.precompiled(t),
             None => {
-                let footprint = plan.lowering_footprint(&spec.seq);
-                let tape = Arc::new(ProgramTape::lower_with(&spec.seq, &mem.layout, &footprint));
+                let tape = Arc::new(ProgramTape::lower(&spec.seq, &mem.layout));
                 lowered = Some(Arc::clone(&tape));
                 cfg = cfg.with_tape(tape);
             }
@@ -1158,13 +1135,11 @@ fn run_job_stages(
     }
 
     // Respond: cache population, digest, snapshot.
-    // Misses populate the cache; disk hits upgrade into the memory tier
-    // with their freshly lowered tape and recomputed analysis.
-    if outcome != CacheOutcome::Memory {
+    if outcome == CacheOutcome::Miss {
         shared.cache.lock().unwrap().insert(Artifact {
             key,
             plan,
-            deps: Some(deps),
+            deps,
             tape: lowered,
         });
     }

@@ -31,7 +31,7 @@ pub enum JobStage {
     Enqueue,
     /// Waiting in the queue for the scheduler to pick the job.
     QueueWait,
-    /// Artifact-cache lookup (memory and disk tiers).
+    /// Artifact-cache lookup.
     CacheLookup,
     /// Dependence analysis (0 when served from a cache tier).
     Analysis,

@@ -368,6 +368,23 @@ const RULES: &[Rule] = &[
               were public functions without a caller",
         ..RULE
     },
+    Rule {
+        name: "memory-only-artifact-cache",
+        roots: &["crates"],
+        any_of: &[
+            "parse_disk_entry",
+            "render_disk_entry",
+            "DiskLoad",
+            "CacheOutcome::Disk",
+            "\"disk-hit\"",
+            "LoweringFootprint",
+            "fn lower_with(",
+        ],
+        pr: 35,
+        why: "a fresh process derives a plan faster than it reads one back from disk: a plan \
+              lives in the memory tier or is derived, and a tape is sized by its sequence",
+        ..RULE
+    },
 ];
 
 fn glob(pat: &str, name: &str) -> bool {
