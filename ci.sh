@@ -64,8 +64,8 @@ grep -q '^spfc_iters_total' "$metrics_tmp"
 grep -q '^spfc_barrier_wait_nanos_bucket' "$metrics_tmp"
 rm -f "$trace_tmp" "$metrics_tmp"
 cargo test --release -q -p sp-cli --test explain_golden
-# The same golden end to end through the binary: `spfc explain` now
-# plans through the pass pipeline (Planner), and the rendered trace
+# The same golden end to end through the binary: `spfc explain` plans
+# through `Planner` (four stage calls in a row), and the rendered trace
 # must stay byte-identical to the pinned file.
 explain_tmp="$(mktemp /tmp/spfc-explain.XXXXXX)"
 cargo run --release -p sp-cli -- explain ll18 > "$explain_tmp"

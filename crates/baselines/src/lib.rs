@@ -10,13 +10,12 @@
 //! shift-and-peel win in Figure 26.
 //!
 //! * [`conflict`] — alignment derivation and conflict detection;
-//! * [`transform`] — conflict resolution producing an [`AlignedProgram`];
-//! * [`exec`] — execution and machine simulation of aligned programs.
+//! * [`transform`] — conflict resolution producing an [`AlignedProgram`],
+//!   and its lowering to the fusion plan ([`AlignedProgram::plan`]) that
+//!   runs it on `sp-exec`'s executors and `sp_machine::simulate`.
 
 pub mod conflict;
-pub mod exec;
 pub mod transform;
 
 pub use conflict::{derive_alignment, AlignmentResult, Conflict};
-pub use exec::{run_aligned_sim, simulate_aligned};
 pub use transform::{align_with_replication, AlignError, AlignedProgram};

@@ -20,8 +20,14 @@
 //! Both mechanisms add work (extra loads/stores, extra arithmetic, extra
 //! memory) — the overhead the paper's Figure 26 measures against
 //! shift-and-peel.
+//!
+//! [`AlignedProgram::plan`] lowers the result to a [`FusionPlan`], which
+//! every runtime, backend and schedule of the one executor runs.
 
 use crate::conflict::{derive_alignment, AlignmentResult, Conflict};
+use shift_peel_core::{
+    analysis::derive_dim, singleton_plan, CodegenMethod, Derivation, FusedGroup, FusionPlan,
+};
 use sp_dep::{analyze_sequence, DepKind, DepMultigraph};
 use sp_ir::{AffineExpr, ArrayDecl, ArrayId, ArrayRef, Expr, LoopNest, LoopSequence, Statement};
 use std::collections::HashMap;
@@ -86,6 +92,35 @@ impl AlignedProgram {
             .iter()
             .map(|&r| self.seq.array(r).len())
             .sum()
+    }
+
+    /// The fusion plan that runs this program (inject it with
+    /// `RunConfig::prederived`): each copy nest a singleton group, then
+    /// the originals as one group under the direct method — a guard per
+    /// fused point and nest, as in Figure 14(c). The originals' shifts
+    /// and peels come from the planner's Theorem-1 derivation, not from
+    /// the alignment: with shifts of offset − smallest offset and no
+    /// peels, a consumer can read across a block boundary before its
+    /// producer writes. LL18's derived amounts are all zero, its
+    /// alignment exactly; the swap kernel of Figure 13 peels one.
+    pub fn plan(&self) -> Result<FusionPlan, AlignError> {
+        let deps = analyze_sequence(&self.seq).map_err(|e| AlignError::Analysis(e.to_string()))?;
+        let window = DepMultigraph::build_window(&deps, self.n_copies, self.seq.len(), self.level);
+        let dim = derive_dim(&window).map_err(|e| AlignError::Analysis(e.to_string()))?;
+        // Every nest a singleton with zero amounts; the copies stay so.
+        let mut plan =
+            singleton_plan(&self.seq, &deps, 1).map_err(|e| AlignError::Analysis(e.to_string()))?;
+        plan.groups.truncate(self.n_copies);
+        plan.groups.push(FusedGroup {
+            start: self.n_copies,
+            end: self.seq.len(),
+            derivation: Derivation {
+                n: self.seq.len() - self.n_copies,
+                dims: vec![dim],
+            },
+        });
+        plan.method = CodegenMethod::Direct;
+        Ok(plan)
     }
 }
 

@@ -5,19 +5,24 @@
 //! Expected shape: peeling strictly above alignment/replication — the
 //! replicated copy loop and recomputed statements cost memory traffic
 //! and arithmetic every iteration.
+//!
+//! Both columns are `sp_machine::simulate` runs; the aligned one runs
+//! the replicated sequence under `AlignedProgram::plan`.
 
 use shift_peel_core::CodegenMethod;
-use sp_baselines::{align_with_replication, simulate_aligned};
+use sp_baselines::align_with_replication;
 use sp_bench::{f2, Opts, Table};
 use sp_cache::LayoutStrategy;
 use sp_exec::ExecPlan;
 use sp_kernels::ll18;
 use sp_machine::{simulate, MachineConfig, SimPlan, CONVEX_SPP1000, KSR2};
+use std::sync::Arc;
 
 fn run(machine: &MachineConfig, n: usize, procs: &[usize]) {
     let seq = ll18::sequence(n);
     let layout = LayoutStrategy::CachePartition(machine.target());
     let prog = align_with_replication(&seq, 0).expect("alignment");
+    let aligned_plan = Arc::new(prog.plan().expect("aligned plan"));
     println!(
         "alignment/replication for LL18: {} replicated arrays, {} inlined reads, {} extra elements",
         prog.replicated.len(),
@@ -50,7 +55,22 @@ fn run(machine: &MachineConfig, n: usize, procs: &[usize]) {
             ),
         )
         .expect("peel sim");
-        let aligned = simulate_aligned(&prog, machine, p, layout, 42);
+        let aligned = simulate(
+            &prog.seq,
+            machine,
+            &SimPlan {
+                prederived: Some(Arc::clone(&aligned_plan)),
+                ..SimPlan::new(
+                    ExecPlan::Fused {
+                        grid: vec![p],
+                        method: aligned_plan.method,
+                        strip: 1,
+                    },
+                    layout,
+                )
+            },
+        )
+        .expect("aligned sim");
         t.row(vec![
             p.to_string(),
             f2(base.seconds / peel.seconds),

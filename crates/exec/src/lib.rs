@@ -67,7 +67,7 @@ pub mod tape;
 pub use digest::WordDigest;
 pub use exec::{ExecError, ExecPlan, Program};
 pub use executor::{Backend, Executor, PooledExecutor, RunConfig, ScopedExecutor, SimExecutor};
-pub use interp::{exec_region, run_original, ExecCounters};
+pub use interp::{run_original, ExecCounters};
 pub use memory::{MemView, Memory};
 pub use pass::register_pass_metrics;
 pub use pool::{SenseBarrier, WorkerPool};

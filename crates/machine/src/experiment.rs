@@ -64,6 +64,14 @@ impl SweepOptions {
             profitability: false,
         }
     }
+
+    /// What to simulate for `exec` under these options.
+    fn sim_plan(&self, exec: ExecPlan) -> SimPlan {
+        SimPlan {
+            remote_bias: self.remote_bias,
+            ..SimPlan::new(exec, self.layout)
+        }
+    }
 }
 
 /// The partition-coupled strip size for one sequence on one machine
@@ -103,38 +111,23 @@ pub fn speedup_sweep(
     let base = simulate(
         seq,
         machine,
-        &SimPlan {
-            exec: ExecPlan::Blocked { grid: vec![1] },
-            layout: opts.layout,
-            seed: 42,
-            remote_bias: opts.remote_bias,
-        },
+        &opts.sim_plan(ExecPlan::Blocked { grid: vec![1] }),
     )?;
     let mut rows = Vec::with_capacity(proc_counts.len());
     for &p in proc_counts {
         let unfused = simulate(
             seq,
             machine,
-            &SimPlan {
-                exec: ExecPlan::Blocked { grid: vec![p] },
-                layout: opts.layout,
-                seed: 42,
-                remote_bias: opts.remote_bias,
-            },
+            &opts.sim_plan(ExecPlan::Blocked { grid: vec![p] }),
         )?;
         let fused = simulate(
             seq,
             machine,
-            &SimPlan {
-                exec: ExecPlan::Fused {
-                    grid: vec![p],
-                    method: opts.method,
-                    strip: strip_for(opts, seq, machine),
-                },
-                layout: opts.layout,
-                seed: 42,
-                remote_bias: opts.remote_bias,
-            },
+            &opts.sim_plan(ExecPlan::Fused {
+                grid: vec![p],
+                method: opts.method,
+                strip: strip_for(opts, seq, machine),
+            }),
         )?;
         rows.push(SweepRow {
             procs: p,
@@ -186,16 +179,7 @@ pub fn app_speedup_sweep(
             } else {
                 ExecPlan::Blocked { grid: vec![p] }
             };
-            parts.push(simulate(
-                s,
-                machine,
-                &SimPlan {
-                    exec,
-                    layout: opts.layout,
-                    seed: 42,
-                    remote_bias: opts.remote_bias,
-                },
-            )?);
+            parts.push(simulate(s, machine, &opts.sim_plan(exec))?);
         }
         Ok(sum_results(&parts))
     };

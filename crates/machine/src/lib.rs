@@ -25,5 +25,5 @@ pub use experiment::{
     app_speedup_sweep, backend_miss_parity, improvement_ratio, padding_sweep, runtime_sweep,
     speedup_sweep, sum_results, MissParity, RuntimeRow, SweepOptions,
 };
-pub use sim::{processor_caches, simulate, SimPlan, SimResult};
+pub use sim::{simulate, SimPlan, SimResult};
 pub use tune::{chunk_bounds, skewed_sweep, SkewRow};

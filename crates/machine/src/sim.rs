@@ -7,9 +7,14 @@
 //! costs, so load imbalance (e.g. peeled iterations) is captured.
 
 use crate::config::MachineConfig;
+use shift_peel_core::FusionPlan;
 use sp_cache::{CacheConfig, CacheHierarchy, CacheStats, LayoutStrategy};
 use sp_exec::{CacheSink, ExecCounters, ExecError, ExecPlan, Memory, Program, RunConfig};
 use sp_ir::LoopSequence;
+use std::sync::Arc;
+
+/// Seed of every simulation's deterministic array initialization.
+const SEED: u64 = 42;
 
 /// What to simulate.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,22 +23,24 @@ pub struct SimPlan {
     pub exec: ExecPlan,
     /// The data layout in memory.
     pub layout: LayoutStrategy,
-    /// Seed for the deterministic array initialization.
-    pub seed: u64,
     /// Fraction of misses charged an additional remote-access penalty
     /// (NUMA effect; grows with processor count in application runs like
     /// spem). 0 disables the effect.
     pub remote_bias: f64,
+    /// A fusion plan derived elsewhere, run in place of the one `exec`
+    /// derives (see `RunConfig::prederived`) — how Figure 26's
+    /// alignment/replication program runs (`AlignedProgram::plan`).
+    pub prederived: Option<Arc<FusionPlan>>,
 }
 
 impl SimPlan {
-    /// A plan with default seed, no NUMA bias.
+    /// A plan that derives its own fusion plan, no NUMA bias.
     pub fn new(exec: ExecPlan, layout: LayoutStrategy) -> Self {
         SimPlan {
             exec,
             layout,
-            seed: 42,
             remote_bias: 0.0,
+            prederived: None,
         }
     }
 }
@@ -75,10 +82,8 @@ impl SimResult {
 
     /// Prices a finished run on `machine`: each processor's `counters`
     /// and the misses its cache hierarchy in `caches` counted, plus the
-    /// barriers every processor crossed. Whoever schedules the run (the
-    /// executor or the alignment/replication baseline) hands its sinks
-    /// here.
-    pub fn tally(
+    /// barriers every processor crossed.
+    fn tally(
         machine: &MachineConfig,
         counters: &[ExecCounters],
         caches: &[CacheSink],
@@ -111,14 +116,6 @@ impl SimResult {
             per_proc,
         }
     }
-}
-
-/// One cold cache hierarchy per processor, with `machine`'s levels.
-pub fn processor_caches(machine: &MachineConfig, procs: usize) -> Vec<CacheSink> {
-    let levels: Vec<CacheConfig> = machine.levels.iter().map(|l| l.geometry).collect();
-    (0..procs)
-        .map(|_| CacheSink::new(CacheHierarchy::new(&levels)))
-        .collect()
 }
 
 /// Prices one processor's work in cycles under the machine's cost model;
@@ -165,9 +162,16 @@ pub fn simulate(
     };
     let ex = Program::new(seq, levels)?;
     let mut mem = Memory::new(seq, plan.layout);
-    mem.init_deterministic(seq, plan.seed);
-    let mut caches = processor_caches(machine, plan.exec.procs());
-    let cfg = RunConfig::from_plan(plan.exec.clone());
+    mem.init_deterministic(seq, SEED);
+    // One cold cache hierarchy per processor, with the machine's levels.
+    let geometry: Vec<CacheConfig> = machine.levels.iter().map(|l| l.geometry).collect();
+    let mut caches: Vec<CacheSink> = (0..plan.exec.procs())
+        .map(|_| CacheSink::new(CacheHierarchy::new(&geometry)))
+        .collect();
+    let mut cfg = RunConfig::from_plan(plan.exec.clone());
+    if let Some(fp) = &plan.prederived {
+        cfg = cfg.prederived(Arc::clone(fp));
+    }
     let report = ex.run_with_sinks(&mut mem, &cfg, &mut caches)?;
     let counters: Vec<ExecCounters> = report.workers.iter().map(|w| w.counters).collect();
     Ok(SimResult::tally(

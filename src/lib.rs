@@ -20,7 +20,8 @@
 //!   and Convex SPP-1000 presets) for the paper's speedup/miss experiments.
 //! * [`kernels`] — the paper's kernels and applications (LL18, calc,
 //!   filter, jacobi, tomcatv, hydro2d, spem).
-//! * [`baselines`] — the alignment/replication comparator of Figure 26.
+//! * [`baselines`] — the alignment/replication comparator of Figure 26,
+//!   lowered to a fusion plan the executors run.
 //! * [`serve`] — the content-addressed compilation cache and concurrent
 //!   job service (`spfc serve`).
 //!

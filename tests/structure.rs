@@ -385,6 +385,23 @@ const RULES: &[Rule] = &[
               lives in the memory tier or is derived, and a tape is sized by its sequence",
         ..RULE
     },
+    Rule {
+        name: "one-executor-for-aligned-programs",
+        except: &["crates/machine/src/sim.rs"],
+        any_of: &["run_aligned_sim", "simulate_aligned", "SimResult::tally("],
+        pr: 36,
+        why: "an aligned program is its replicated sequence plus AlignedProgram::plan, run by \
+              sp_machine::simulate: no second block walk, phase loop or pricing call",
+        ..RULE
+    },
+    Rule {
+        name: "one-executor-for-aligned-programs",
+        roots: &["crates/baselines"],
+        any_of: &["exec_region("],
+        pr: 36,
+        why: "regions run inside sp-exec's executor only: the comparator is a plan, not a caller",
+        ..RULE
+    },
 ];
 
 fn glob(pat: &str, name: &str) -> bool {
