@@ -12,6 +12,12 @@ cargo build --release
 echo "==> tier-1: test suite"
 cargo test -q
 
+echo "==> workspace tests: every crate's own unit and integration tests"
+# `cargo test -q` above runs the root package's tests only. The crates'
+# own suites — among them the row-loop bit-exactness gates in
+# crates/exec/src/lower.rs and every sp-serve and sp-net test — run here.
+cargo test --release -q --workspace
+
 echo "==> format: first-party crates must be rustfmt-clean (vendor/ excluded)"
 cargo fmt --check \
   -p shift-peel -p sp-ir -p sp-dep -p shift-peel-core -p sp-cache \

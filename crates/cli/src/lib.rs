@@ -1078,8 +1078,9 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
             if backend != Backend::Interp {
                 let _ = writeln!(
                     out,
-                    "lowered {} row ops ({} chains, {} direct stores) in {} ns, {} row loops",
+                    "lowered {} row ops ({} passes per chunk, {} chains, {} direct stores) in {} ns, {} row loops",
                     report.tape_ops,
+                    report.tape_passes(),
                     report.tape_chains,
                     report.tape_direct_stores,
                     report.lower_nanos,

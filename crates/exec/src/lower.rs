@@ -28,13 +28,21 @@
 //!   `(p + q) / 4` and `r + t * u` are one pass over their rows instead of
 //!   two. The shape comes from the tree, not from a catalogue of kernels;
 //!   both roundings and the operand order stay, so the value cannot change.
+//! * **Folds** — a pass over each statement's finished row program: a
+//!   chain followed by the `Add` or `Sub` consuming its result become one
+//!   [`RowOp::Fold`] where the three operators make `d ± c * (a ± b)` or
+//!   `((a ± b) ± c) ± d`, so LL18's `zu + s * (…)` and `p + q - r - t`
+//!   are one pass each. It merges only ops that would otherwise be a pass
+//!   of their own, so a statement with no such pair lowers as before; all
+//!   three roundings stay, in the source's order.
 //!
 //! Work counters stay interpreter-exact because each statement's `flops`
 //! and load count are those of the *original* tree.
 
 use crate::exec::ExecError;
 use crate::tape::{
-    chains, AccessPat, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat, MIN_ROW,
+    chains, folds, AccessPat, NestTape, Operand, ProgramTape, RowOp, RowStmt, StmtTape, WrapPat,
+    MIN_ROW,
 };
 use shift_peel_core::pipeline::Fnv1a64;
 use sp_cache::MemoryLayout;
@@ -87,6 +95,8 @@ impl ProgramTape {
                 let store = pats.intern(&stmt.lhs);
                 pats.store_slot = pats.pats[store as usize].slot_base;
                 let result = rows.emit(&stmt.rhs, &mut pats);
+                let result = rows.operand(result);
+                let result = rows.fold(result, &pats);
                 stmts.push(StmtTape {
                     // Kept as long as the tape: sized exactly.
                     row: RowStmt::new(rows.ops.to_vec(), result),
@@ -270,41 +280,48 @@ struct RowBuilder {
     consts: Vec<f64>,
 }
 
+/// A subtree's value while its statement is lowered: a constant, still
+/// open to folding, or where an op finds it.
+#[derive(Clone, Copy)]
+enum Val {
+    Const(f64),
+    At(Operand),
+}
+
 impl RowBuilder {
     /// Emits the ops computing `e` and says where its value is. The walk
     /// is the interpreter's — left operand, right operand, operator — so
     /// patterns are interned and loads noted in evaluation order.
     /// Constants fold on the way up with the interpreter's own operator
     /// implementations.
-    fn emit(&mut self, e: &Expr, pats: &mut PatTable<'_>) -> Operand {
+    fn emit(&mut self, e: &Expr, pats: &mut PatTable<'_>) -> Val {
         match e {
-            Expr::Const(c) => Operand::Const(*c),
+            Expr::Const(c) => Val::Const(*c),
             Expr::Load(r) => {
                 let j = pats.intern(r);
                 self.loads.push(j);
-                Operand::Row(j)
+                Val::At(Operand::Row(j))
             }
             Expr::Unary(op, a) => match self.emit(a, pats) {
-                Operand::Const(c) => Operand::Const(op.apply(c)),
-                a => {
+                Val::Const(c) => Val::Const(op.apply(c)),
+                Val::At(a) => {
                     let dst = self.dst();
                     self.ops.push(RowOp::Unary { op: *op, a, dst });
                     self.free(a);
-                    Operand::Temp(dst)
+                    Val::At(Operand::Temp(dst))
                 }
             },
             Expr::Binary(op, a, b) => match (self.emit(a, pats), self.emit(b, pats)) {
-                (Operand::Const(x), Operand::Const(y)) => Operand::Const(op.apply(x, y)),
+                (Val::Const(x), Val::Const(y)) => Val::Const(op.apply(x, y)),
                 (a, b) => {
                     let (op, b) = match (*op, b) {
-                        (BinOp::Div, Operand::Const(c)) => match pow2_reciprocal(c) {
-                            Some(r) => (BinOp::Mul, Operand::Const(r)),
+                        (BinOp::Div, Val::Const(c)) => match pow2_reciprocal(c) {
+                            Some(r) => (BinOp::Mul, Val::Const(r)),
                             None => (BinOp::Div, b),
                         },
                         other => other,
                     };
-                    self.note_const(a);
-                    self.note_const(b);
+                    let (a, b) = (self.operand(a), self.operand(b));
                     let dst = self.chain(op, a, b, pats).unwrap_or_else(|| {
                         let dst = self.dst();
                         self.ops.push(RowOp::Binary { op, a, b, dst });
@@ -312,9 +329,72 @@ impl RowBuilder {
                         self.free(b);
                         dst
                     });
-                    Operand::Temp(dst)
+                    Val::At(Operand::Temp(dst))
                 }
             },
+        }
+    }
+
+    /// Where an op finds `v`: a constant is looked up in the nest's
+    /// constants by bit pattern, and added the first time it is met.
+    fn operand(&mut self, v: Val) -> Operand {
+        match v {
+            Val::At(o) => o,
+            Val::Const(c) => {
+                let k = self.consts.iter().position(|k| k.to_bits() == c.to_bits());
+                Operand::Const(k.unwrap_or_else(|| {
+                    self.consts.push(c);
+                    self.consts.len() - 1
+                }) as u32)
+            }
+        }
+    }
+
+    /// The fold pass over the statement's row program, `result` being
+    /// where its value is: every [`RowOp::Chain`] directly followed by the
+    /// op consuming its result becomes one [`RowOp::Fold`] where
+    /// [`fold_pair`] allows, and the temporaries are then picked again as
+    /// emission would have picked them for the shorter program (the
+    /// consumer's temporary may be one the chain reads, the chain's may be
+    /// reused before the consumer's value is). Returns where the value is
+    /// now.
+    fn fold(&mut self, result: Operand, pats: &PatTable<'_>) -> Operand {
+        let mut folded = false;
+        let mut i = 0;
+        while i + 1 < self.ops.len() {
+            if let Some(op) = fold_pair(self.ops[i], self.ops[i + 1], pats) {
+                self.ops[i] = op;
+                self.ops.remove(i + 1);
+                folded = true;
+            }
+            i += 1;
+        }
+        if !folded {
+            return result;
+        }
+        // Each temporary is written once and read once after, so a read
+        // of old name `t` means the value the last op writing `t` made.
+        let mut names = vec![0u32; self.live.len()];
+        self.live.clear();
+        for k in 0..self.ops.len() {
+            let mut op = self.ops[k];
+            let (dst, srcs) = op.parts_mut();
+            let srcs = srcs.map(|o| {
+                let o = o?;
+                if let Operand::Temp(t) = o {
+                    *t = names[*t as usize];
+                }
+                Some(*o)
+            });
+            let old = *dst as usize;
+            *dst = self.dst();
+            names[old] = *dst;
+            srcs.into_iter().flatten().for_each(|o| self.free(o));
+            self.ops[k] = op;
+        }
+        match result {
+            Operand::Temp(t) => Operand::Temp(names[t as usize]),
+            o => o,
         }
     }
 
@@ -386,14 +466,71 @@ impl RowBuilder {
             self.live[i as usize] = false;
         }
     }
+}
 
-    fn note_const(&mut self, o: Operand) {
-        if let Operand::Const(c) = o {
-            if !self.consts.iter().any(|k| k.to_bits() == c.to_bits()) {
-                self.consts.push(c);
-            }
-        }
+/// `first` and `second` as one [`RowOp::Fold`], when `first` is a chain,
+/// `second` an `Add` or `Sub` reading its result, and together they make
+/// one of the fold's shapes with the chain's operands not the statement's
+/// destination row:
+///
+/// * `d ± c * (a ± b)`: the chain's outer operator is `Mul`, either way
+///   round; the consumer's `Add` either way round, its `Sub` with the
+///   product on the right;
+/// * `((a ± b) ± c) ± d`: the chain's outer `Add` either way round, its
+///   `Sub` with the inner result on the left; the consumer's `Add` either
+///   way round, its `Sub` with the chain's result on the left.
+///
+/// Taking an `Add` or a `Mul` either way round keeps the loops at one
+/// orientation a triple and changes no value: IEEE addition and
+/// multiplication commute (but for which NaN payload wins where two
+/// different NaNs meet, which no backend promises).
+fn fold_pair(first: RowOp, second: RowOp, pats: &PatTable<'_>) -> Option<RowOp> {
+    let RowOp::Chain {
+        inner,
+        outer: mid,
+        a,
+        b,
+        c,
+        inner_right,
+        dst,
+    } = first
+    else {
+        return None;
+    };
+    let RowOp::Binary {
+        op: outer,
+        a: x,
+        b: y,
+        dst: last,
+    } = second
+    else {
+        return None;
+    };
+    let t = Operand::Temp(dst);
+    let (d, d_left) = match (x == t, y == t) {
+        (true, false) => (y, false),
+        (false, true) => (x, true),
+        _ => return None,
+    };
+    // A `Sub` keeps its operand order: `c - (a ± b)`, and a consumer
+    // whose `d` stands where the shape does not have it, stay two ops.
+    if !folds(inner, mid, outer)
+        || (mid == BinOp::Sub && inner_right)
+        || (outer == BinOp::Sub && d_left != (mid == BinOp::Mul))
+        || [a, b, c].into_iter().any(|o| pats.is_store(o))
+    {
+        return None;
     }
+    Some(RowOp::Fold {
+        inner,
+        mid,
+        outer,
+        a,
+        b,
+        c,
+        d,
+        dst: last,
+    })
 }
 
 /// `1 / c` when dividing by `c` can be lowered to multiplying by it: `c`
@@ -506,15 +643,15 @@ mod tests {
 
     /// Constant subtrees fold away at lower time — wholly (a fill has no
     /// ops at all) or down to one constant operand — while the counters
-    /// still charge the original tree.
+    /// still charge the original tree; and the fill runs as the
+    /// interpreter's at both widths.
     #[test]
     fn folding_collapses_constant_subtrees() {
         let mut b = SeqBuilder::new("fold");
-        let a = b.array("a", [8usize]);
-        let c = b.array("c", [8usize]);
+        let [a, c, f] = ["a", "c", "f"].map(|name| b.array(name, [8usize]));
         b.nest("L1", [(0, 7)], |x| {
             let k = Expr::Const(3.0) * (Expr::Const(1.0) + Expr::Const(0.5));
-            x.assign(c, [0], k.clone());
+            x.assign(f, [0], k.clone());
             x.assign(c, [0], x.ld(a, [0]) * -k);
         });
         let seq = b.finish();
@@ -522,18 +659,23 @@ mod tests {
         let tape = ProgramTape::lower(&seq, &mem.layout);
         let stmts = &tape.nests[0].stmts;
         assert_eq!(stmts[0].row.ops(), []);
-        assert_eq!(stmts[0].row.result(), Operand::Const(4.5));
-        // The first statement's store took pattern 0.
+        assert_eq!(stmts[0].row.result(), Operand::Const(0));
+        // The statements' stores took patterns 0 and 1.
         assert_eq!(
             stmts[1].row.ops(),
             [RowOp::Binary {
                 op: BinOp::Mul,
-                a: Operand::Row(1),
-                b: Operand::Const(-4.5),
+                a: Operand::Row(2),
+                b: Operand::Const(1),
                 dst: 0,
             }]
         );
+        assert_eq!(tape.nests[0].consts, [4.5, -4.5]);
         assert_eq!((stmts[0].flops, stmts[1].flops), (2, 4));
+        assert!(tape.nests[0].row_width > 0);
+        let mut m0 = mem.clone();
+        m0.init_deterministic(&seq, 3);
+        assert_runs_match_the_interpreter(&seq, &tape, &m0, "fill");
     }
 
     #[test]
@@ -775,7 +917,7 @@ mod tests {
             [RowOp::Chain {
                 inner: BinOp::Mul,
                 outer: BinOp::Sub,
-                a: Operand::Const(0.5),
+                a: Operand::Const(0),
                 b: a00,
                 c: d00,
                 inner_right: true,
@@ -788,7 +930,7 @@ mod tests {
                 RowOp::Binary {
                     op: BinOp::Mul,
                     a: d00,
-                    b: Operand::Const(0.5),
+                    b: Operand::Const(0),
                     dst: 0,
                 },
                 RowOp::Binary {
@@ -969,7 +1111,7 @@ mod tests {
         mem.init_deterministic(seq, 9);
         for i in 0..seq.arrays.len() {
             let id = ArrayId(i as u32);
-            // `p`, `q`, `r`, and every destination as the fourth.
+            // `p`, `q`, `r`, and every other array as the fourth.
             let lane = i.min(3);
             let plain = mem.snapshot(seq, id);
             mem.fill_with(seq, id, |idx| {
@@ -1053,24 +1195,214 @@ mod tests {
                         st.row.ops()
                     );
                 }
-                let mut mi = m0.clone();
-                let mut si = RecordingSink::default();
-                let ci = run_original(&seq, &mut mi, &mut si);
-                for rows in [false, true] {
-                    let mut mt = m0.clone();
-                    let mut st = RecordingSink::default();
-                    let ct =
-                        Engine::Tape { tape: &tape, rows }.run_original(&seq, &mut mt, &mut st);
-                    for (s, (want, got)) in bits(&mi, &seq).iter().zip(bits(&mt, &seq)).enumerate()
-                    {
-                        assert_eq!(want, &got, "{what}, rows {rows}, array {s}");
-                    }
-                    assert_eq!(si.trace, st.trace, "{what}, rows {rows}");
-                    assert_eq!(ci, ct, "{what}, rows {rows}");
-                    assert_eq!(ct.vec_iters, if rows { ct.iters } else { 0 });
-                }
+                assert_runs_match_the_interpreter(&seq, &tape, &m0, &what);
             }
         }
+    }
+
+    /// Runs `seq` from `m0` by the interpreter and by `tape` a column and
+    /// a row at a time: memory bit for bit, the sink's trace and the
+    /// counters are the interpreter's, and every iteration ran at the
+    /// width asked for.
+    fn assert_runs_match_the_interpreter(
+        seq: &LoopSequence,
+        tape: &ProgramTape,
+        m0: &Memory,
+        what: &str,
+    ) {
+        let mut mi = m0.clone();
+        let mut si = RecordingSink::default();
+        let ci = run_original(seq, &mut mi, &mut si);
+        for rows in [false, true] {
+            let mut mt = m0.clone();
+            let mut st = RecordingSink::default();
+            let ct = Engine::Tape { tape, rows }.run_original(seq, &mut mt, &mut st);
+            for (s, (want, got)) in bits(&mi, seq).iter().zip(bits(&mt, seq)).enumerate() {
+                assert_eq!(want, &got, "{what}, rows {rows}, array {s}");
+            }
+            assert_eq!(si.trace, st.trace, "{what}, rows {rows}");
+            assert_eq!(ci, ct, "{what}, rows {rows}");
+            assert_eq!(ct.vec_iters, if rows { ct.iters } else { 0 });
+        }
+    }
+
+    /// One 1-D nest of 64 statements `d_s = outer(mid(inner(a, b), c), d)`
+    /// in every arrangement a source can write — the inner result on
+    /// either side of `mid`, the chain's result on either side of
+    /// `outer`, `c` and `d` each of every [`Kind`] — with `a` and `b`
+    /// taking turns at row, constant and temporary. Beside it, whether
+    /// each statement's last op should be a fold. A constant `c` is 0.25,
+    /// so `x / c` is the chain `Mul` by 4 and folds like a product.
+    fn fold_table(inner: BinOp, mid: BinOp, outer: BinOp) -> (LoopSequence, Vec<bool>) {
+        let n = CHUNK + 37;
+        let mut b = SeqBuilder::new("folds");
+        let [p, q, r, u] = ["p", "q", "r", "u"].map(|name| b.array(name, [n]));
+        let dests: Vec<_> = (0..64).map(|s| b.array(format!("d{s}"), [n])).collect();
+        let mut folded = Vec::new();
+        let shapes = [false, true]
+            .into_iter()
+            .flat_map(|inner_right| [false, true].map(|d_left| (inner_right, d_left)))
+            .flat_map(|sides| KINDS.map(move |kc| (sides, kc)))
+            .flat_map(|(sides, kc)| KINDS.map(move |kd| (sides, kc, kd)));
+        b.nest("L1", [(0, n as i64 - 1)], |x| {
+            for (s, (((inner_right, d_left), kc, kd), &dest)) in shapes.zip(&dests).enumerate() {
+                let [ka, kb] = [
+                    [Kind::Row, Kind::Row],
+                    [Kind::Temp, Kind::Const],
+                    [Kind::Const, Kind::Temp],
+                ][s % 3];
+                let operand = |kind: Kind, pos: usize| match kind {
+                    Kind::Row => x.ld([p, q, r, u][pos], [0]),
+                    Kind::Const => Expr::Const([2.5, -0.75, 0.25, 1.5][pos]),
+                    Kind::Temp => match pos {
+                        0 => -x.ld(p, [0]),
+                        1 => {
+                            Expr::Binary(BinOp::Max, Box::new(x.ld(q, [0])), Box::new(x.ld(p, [0])))
+                        }
+                        2 => Expr::Unary(sp_ir::UnaryOp::Abs, Box::new(x.ld(r, [0]))),
+                        _ => Expr::Unary(sp_ir::UnaryOp::Abs, Box::new(x.ld(u, [0]))),
+                    },
+                    Kind::Dest => x.ld(dest, [0]),
+                };
+                let node = |op, l, r| Expr::Binary(op, Box::new(l), Box::new(r));
+                let t = node(inner, operand(ka, 0), operand(kb, 1));
+                let (c, d) = (operand(kc, 2), operand(kd, 3));
+                let chain = if inner_right {
+                    node(mid, c, t)
+                } else {
+                    node(mid, t, c)
+                };
+                let rhs = if d_left {
+                    node(outer, d, chain)
+                } else {
+                    node(outer, chain, d)
+                };
+                x.assign(dest, [0], rhs);
+                // A chain forms when the inner op is the one emitted just
+                // before `mid`; a power-of-two divisor makes `mid` a `Mul`.
+                let chained = inner_right || kc != Kind::Temp;
+                let mid = match (mid, kc, inner_right) {
+                    (BinOp::Div, Kind::Const, false) => BinOp::Mul,
+                    _ => mid,
+                };
+                folded.push(
+                    chained
+                        && folds(inner, mid, outer)
+                        && !(mid == BinOp::Sub && inner_right)
+                        && !(outer == BinOp::Sub && d_left != (mid == BinOp::Mul))
+                        && (d_left || kd != Kind::Temp)
+                        && kc != Kind::Dest,
+                );
+            }
+        });
+        (b.finish(), folded)
+    }
+
+    /// Every fold — 12 operator triples — and every triple that is not
+    /// one, in every arrangement of [`fold_table`]: the fold happens
+    /// exactly where it should, and at both runner widths memory is the
+    /// interpreter's bit for bit on inputs full of NaN, infinities, −0.0
+    /// and subnormals, the sink hears the same trace, the counters agree.
+    /// (`baseline_and_detected_row_loops_compute_equal_bits` runs the same
+    /// tables on both row-loop bodies.)
+    ///
+    /// Mutation-checked when written; each of these fails it: computing
+    /// `(a + b) + c` as `a + (b + c)`, putting `d` on the other side of
+    /// the product shape's `Sub` (both widths), taking `c` for `d` in the
+    /// row loop's destination arm, swapping `a` and `b` in the row loop,
+    /// swapping `c` and `d` in the column runner only, folding a `Sub`
+    /// consumer with `d` on either side, folding where `c` is the
+    /// destination row, folding `c - (a - b)`, and keeping the
+    /// consumer's temporary for the fold instead of picking them again.
+    #[test]
+    fn fold_shapes_and_operand_kinds_match_the_interpreter_at_both_widths() {
+        let mut folds_met = 0;
+        for (inner, mid, outer) in ARITH
+            .iter()
+            .flat_map(|&i| ARITH.map(|m| (i, m)))
+            .flat_map(|(i, m)| ARITH.map(|o| (i, m, o)))
+        {
+            let what = format!("{inner:?}, {mid:?}, {outer:?}");
+            let (seq, folded) = fold_table(inner, mid, outer);
+            let mut m0 = Memory::new(&seq, LayoutStrategy::Contiguous);
+            init_with_specials(&mut m0, &seq);
+            let tape = lower_at(&seq, &m0.layout, CHUNK);
+            for (s, (st, &folded)) in tape.nests[0].stmts.iter().zip(&folded).enumerate() {
+                let last = st.row.ops().last();
+                assert_eq!(
+                    matches!(last, Some(RowOp::Fold { .. })),
+                    folded,
+                    "{what}, statement {s}: {:?}",
+                    st.row.ops()
+                );
+            }
+            folds_met += tape.fold_count();
+            assert_runs_match_the_interpreter(&seq, &tape, &m0, &what);
+        }
+        // The check above is exact per statement; the total shows the
+        // table does reach the folds it predicts.
+        assert_eq!(folds_met, 272);
+    }
+
+    /// LL18 lowers to 18 passes and 6 stores: each flux statement to 3
+    /// ops, its numerator `p + q - r - s` one fold; each velocity update
+    /// to 5, three of its four terms folded into the running sum and
+    /// `zu + s * (…)` one fold into the destination; each position update
+    /// to one chain. Jacobi, where no chain is followed by its consumer,
+    /// keeps the tape it lowered to before folds. Both run as the
+    /// interpreter does.
+    #[test]
+    fn ll18_lowers_to_18_passes_and_jacobi_is_unchanged() {
+        let seq = sp_kernels::ll18::sequence(16);
+        let mut m0 = Memory::new(&seq, LayoutStrategy::Contiguous);
+        init_with_specials(&mut m0, &seq);
+        let tape = ProgramTape::lower(&seq, &m0.layout);
+        let stmts = tape.nests.iter().flat_map(|n| &n.stmts);
+        let ops: Vec<usize> = stmts.map(|s| s.row.ops().len()).collect();
+        assert_eq!(ops, [3, 3, 5, 5, 1, 1]);
+        assert_eq!(tape.total_ops(), 18 + 6);
+        assert_eq!((tape.chain_count(), tape.fold_count()), (18, 8));
+        assert_eq!(tape.direct_store_count(), 6);
+        assert_runs_match_the_interpreter(&seq, &tape, &m0, "LL18");
+
+        let seq = sp_kernels::jacobi::sequence(16);
+        let mut m0 = Memory::new(&seq, LayoutStrategy::Contiguous);
+        init_with_specials(&mut m0, &seq);
+        let tape = ProgramTape::lower(&seq, &m0.layout);
+        let [stencil, copy] = &tape.nests[..] else {
+            panic!("jacobi is two nests");
+        };
+        let chain = |inner, outer, a, b, c, dst| RowOp::Chain {
+            inner,
+            outer,
+            a,
+            b,
+            c,
+            inner_right: false,
+            dst,
+        };
+        let row = Operand::Row;
+        assert_eq!(
+            stencil.stmts[0].row,
+            RowStmt::new(
+                vec![
+                    chain(BinOp::Add, BinOp::Add, row(1), row(2), row(3), 0),
+                    chain(
+                        BinOp::Add,
+                        BinOp::Mul,
+                        Operand::Temp(0),
+                        row(4),
+                        Operand::Const(0),
+                        1
+                    ),
+                ],
+                Operand::Temp(1)
+            )
+        );
+        assert_eq!(stencil.consts, [0.25]);
+        assert_eq!(copy.stmts[0].row, RowStmt::new(vec![], row(1)));
+        assert_eq!((tape.total_ops(), tape.fold_count()), (4, 0));
+        assert_runs_match_the_interpreter(&seq, &tape, &m0, "jacobi");
     }
 
     /// `2^e` for any `e` a double can hold, subnormal ones included.
@@ -1149,6 +1481,7 @@ mod tests {
         });
 
         let tape = lower_at(&seq, &m0.layout, CHUNK);
+        let consts = &tape.nests[0].consts;
         for (pair, &c) in tape.nests[0].stmts.chunks(2).zip(&divisors) {
             let (want_op, want_c) = if rewritten.iter().any(|r| r.to_bits() == c.to_bits()) {
                 (BinOp::Mul, 1.0 / c)
@@ -1163,6 +1496,7 @@ mod tests {
             else {
                 panic!("x / {c:e} lowered to {:?}", pair[0].row.ops());
             };
+            let by = consts[by as usize];
             assert_eq!((op, by.to_bits()), (want_op, want_c.to_bits()), "x / {c:e}");
             let [RowOp::Chain {
                 inner: BinOp::Add,
@@ -1174,6 +1508,7 @@ mod tests {
             else {
                 panic!("(x + y) / {c:e} lowered to {:?}", pair[1].row.ops());
             };
+            let by = consts[by as usize];
             assert_eq!(
                 (outer, by.to_bits()),
                 (want_op, want_c.to_bits()),
@@ -1215,7 +1550,7 @@ mod tests {
     }
 
     /// The two compilations of the row loops compute the same bits: every
-    /// nest of the chain table and of a 2-D sequence with Jacobi's and
+    /// nest of the chain and fold tables and of a 2-D sequence with Jacobi's and
     /// LL18's statement shapes, whole regions run once by the baseline
     /// body and once by what the host detects. (On a
     /// host without AVX2 both are the baseline body and this is vacuous.)
@@ -1227,6 +1562,7 @@ mod tests {
         let mut seqs = vec![stencils_2d()];
         for (inner, outer) in ARITH.iter().flat_map(|&i| ARITH.map(|o| (i, o))) {
             seqs.extend([false, true].map(|right| chain_table(inner, outer, right).0));
+            seqs.extend(ARITH.map(|mid| fold_table(inner, mid, outer).0));
         }
         for seq in &seqs {
             let mut m0 = Memory::new(seq, LayoutStrategy::Contiguous);

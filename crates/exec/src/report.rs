@@ -42,8 +42,9 @@ pub struct RunReport {
     pub lower_nanos: u64,
     /// Row ops and stores across the lowered tape (0 for interpreted).
     pub tape_ops: u64,
-    /// Two-operator chains among the tape's row ops: passes lowering
-    /// saved.
+    /// Row ops applying several operators in one pass over a chunk:
+    /// two-operator chains and three-operator folds
+    /// (`ProgramTape::chain_count`).
     pub tape_chains: u64,
     /// Statements whose last op stores the destination row itself at row
     /// width (all that have an op).
@@ -143,6 +144,14 @@ impl RunReport {
             return 0.0;
         }
         *busy.iter().max().unwrap() as f64 / mean
+    }
+
+    /// Passes over a chunk the tape makes per chunk of every nest: its row
+    /// ops, and a copy or fill for each statement that has none — the
+    /// stores a statement's last op makes itself are no pass of their
+    /// own.
+    pub fn tape_passes(&self) -> u64 {
+        self.tape_ops - self.tape_direct_stores
     }
 
     /// Total chunks executed by workers that did not own them (zero

@@ -34,9 +34,10 @@
 //!
 //! 1. every op is sp-ir's own `UnaryOp::apply`/`BinOp::apply`, once per
 //!    column — `a * b + c` stays two separately rounded operations, also
-//!    when one [`RowOp::Chain`] applies both — and constant folding uses
-//!    the same implementations. The one op that is not the source's own
-//!    is `x * (1 / c)` for `x / c` where `c` and `1 / c` are both normal
+//!    when one [`RowOp::Chain`] applies both, as `d - c * (a - b)` stays
+//!    three in one [`RowOp::Fold`] — and constant folding uses the same
+//!    implementations. The one op that is not the source's own is
+//!    `x * (1 / c)` for `x / c` where `c` and `1 / c` are both normal
 //!    powers of two: `1 / c` is then exact, so both expressions are the
 //!    correctly rounded value of the same real number and IEEE 754 gives
 //!    them the same bits for every `x` (zeros, subnormals, results that
@@ -123,8 +124,9 @@ pub enum Operand {
     /// The array row the nest's access pattern `j` addresses, read in
     /// place.
     Row(u32),
-    /// The same constant in every column.
-    Const(f64),
+    /// The nest's constant `k` (`NestTape::consts`), the same in every
+    /// column: at row width scratch row `k`, broadcast once per region.
+    Const(u32),
 }
 
 /// One instruction of a row program: a whole-row operation writing
@@ -173,15 +175,62 @@ pub enum RowOp {
         /// Temporary written.
         dst: u32,
     },
+    /// Three arithmetic operators in one pass: a [`RowOp::Chain`] and the
+    /// `Add` or `Sub` consuming its result, in one of two shapes that
+    /// `mid` tells apart:
+    ///
+    /// * `mid` is `Mul`: `dst = d outer (c * (a inner b))` — a scaled sum
+    ///   or difference accumulated into `d`, as in LL18's velocity terms;
+    /// * `mid` is `Add` or `Sub`: `dst = ((a inner b) mid c) outer d` — a
+    ///   running sum, as in LL18's flux numerators.
+    ///
+    /// `inner` and `outer` are `Add` or `Sub`. Each column is three
+    /// separately rounded operations applied in the source's order; the
+    /// operands of an `Add` or a `Mul` may stand in the other order than
+    /// the source wrote them, which changes no value (only which payload
+    /// survives where two different NaNs meet, which no backend promises).
+    Fold {
+        /// The operator applied first.
+        inner: BinOp,
+        /// The operator applied to the inner result and `c`.
+        mid: BinOp,
+        /// The operator applied last, between `d` and the rest.
+        outer: BinOp,
+        /// Left input of `inner`.
+        a: Operand,
+        /// Right input of `inner`.
+        b: Operand,
+        /// The other input of `mid`.
+        c: Operand,
+        /// The other input of `outer`.
+        d: Operand,
+        /// Temporary written.
+        dst: u32,
+    },
 }
 
 impl RowOp {
     /// The temporary written and the operands read.
-    pub(crate) fn parts(&self) -> (u32, [Option<Operand>; 3]) {
+    pub(crate) fn parts(&self) -> (u32, [Option<Operand>; 4]) {
         match *self {
-            RowOp::Unary { a, dst, .. } => (dst, [Some(a), None, None]),
-            RowOp::Binary { a, b, dst, .. } => (dst, [Some(a), Some(b), None]),
-            RowOp::Chain { a, b, c, dst, .. } => (dst, [Some(a), Some(b), Some(c)]),
+            RowOp::Unary { a, dst, .. } => (dst, [Some(a), None, None, None]),
+            RowOp::Binary { a, b, dst, .. } => (dst, [Some(a), Some(b), None, None]),
+            RowOp::Chain { a, b, c, dst, .. } => (dst, [Some(a), Some(b), Some(c), None]),
+            RowOp::Fold {
+                a, b, c, d, dst, ..
+            } => (dst, [Some(a), Some(b), Some(c), Some(d)]),
+        }
+    }
+
+    /// [`RowOp::parts`], to rewrite in place.
+    pub(crate) fn parts_mut(&mut self) -> (&mut u32, [Option<&mut Operand>; 4]) {
+        match self {
+            RowOp::Unary { a, dst, .. } => (dst, [Some(a), None, None, None]),
+            RowOp::Binary { a, b, dst, .. } => (dst, [Some(a), Some(b), None, None]),
+            RowOp::Chain { a, b, c, dst, .. } => (dst, [Some(a), Some(b), Some(c), None]),
+            RowOp::Fold {
+                a, b, c, d, dst, ..
+            } => (dst, [Some(a), Some(b), Some(c), Some(d)]),
         }
     }
 }
@@ -193,11 +242,29 @@ pub(crate) fn chains(op: BinOp) -> bool {
     matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
 }
 
+/// Whether `(inner, mid, outer)` is a [`RowOp::Fold`]'s operators: `Add`
+/// or `Sub` first and last, `Add`, `Sub` or `Mul` between — 12 triples.
+pub(crate) fn folds(inner: BinOp, mid: BinOp, outer: BinOp) -> bool {
+    let pm = |op| matches!(op, BinOp::Add | BinOp::Sub);
+    pm(inner) && (pm(mid) || mid == BinOp::Mul) && pm(outer)
+}
+
+/// One column of a [`RowOp::Fold`], in the shape `mid` picks. Both runner
+/// widths call it, the row loops with constant operators.
+#[inline(always)]
+fn fold_value(inner: BinOp, mid: BinOp, outer: BinOp, a: f64, b: f64, c: f64, d: f64) -> f64 {
+    let t = inner.apply(a, b);
+    match mid {
+        BinOp::Mul => outer.apply(d, BinOp::Mul.apply(c, t)),
+        _ => outer.apply(mid.apply(t, c), d),
+    }
+}
+
 /// One statement's RHS as a row program: a `Load` or `Const` leaf is an
 /// [`Operand`] and emits nothing (a row is read where it is consumed — no
 /// store intervenes within a statement), and the operators of the folded
-/// tree are [`RowOp`]s writing temporaries — one each, or one per two
-/// where lowering found a chain.
+/// tree are [`RowOp`]s writing temporaries — one each, or one per two or
+/// three where lowering found a chain or a fold.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowStmt {
     ops: Vec<RowOp>,
@@ -212,7 +279,8 @@ impl RowStmt {
     /// # Panics
     /// Panics if an op writes a temporary it also reads (the row runner
     /// hands each op's destination and sources to a slice loop as
-    /// non-overlapping rows), if a chain names `Min` or `Max`, or if
+    /// non-overlapping rows), if a chain names `Min` or `Max` or a fold
+    /// operators [`RowOp::Fold`] does not list, or if
     /// `result` is not what the last op wrote (at row width the last op
     /// writes the destination row itself and `result` is not consulted).
     pub fn new(ops: Vec<RowOp>, result: Operand) -> RowStmt {
@@ -228,11 +296,18 @@ impl RowStmt {
                 !srcs.contains(&Some(dst)),
                 "row op {op:?} writes a temporary it reads"
             );
-            if let RowOp::Chain { inner, outer, .. } = *op {
-                assert!(
+            match *op {
+                RowOp::Chain { inner, outer, .. } => assert!(
                     chains(inner) && chains(outer),
                     "row op {op:?} chains a non-arithmetic operator"
-                );
+                ),
+                RowOp::Fold {
+                    inner, mid, outer, ..
+                } => assert!(
+                    folds(inner, mid, outer),
+                    "row op {op:?} folds operators no fold loop has"
+                ),
+                _ => {}
             }
             for i in srcs.into_iter().flatten().chain([dst]) {
                 temps = temps.max(i as usize + 1);
@@ -259,7 +334,7 @@ impl RowStmt {
 
     /// Where the value to store is once the instructions ran: the last
     /// instruction's temporary, or — for a pure copy or fill, which has
-    /// no instructions — an array row or a constant.
+    /// no instructions — an array row or one of the nest's constants.
     pub fn result(&self) -> Operand {
         self.result
     }
@@ -333,13 +408,15 @@ pub struct NestTape {
     /// destination is read column by column through the one `&mut` slice
     /// that also writes it ([`Src::Dest`]), each column before it is
     /// written. Lowering keeps the destination out of a final chain's
-    /// inner operands (see [`crate::lower`]), so a chain meets it as `c`
-    /// only.
+    /// inner operands and out of all but a fold's last (see
+    /// [`crate::lower`]), so a chain meets it as `c` only and a fold as
+    /// `d`.
     pub(crate) row_width: usize,
-    /// The distinct constants the row ops name as operands, by bit
-    /// pattern. At row width each is broadcast into a scratch row once
-    /// per region, so every operand of a row loop is a row and the loops
-    /// are not multiplied by an operand-kind product.
+    /// The distinct constants the statements name ([`Operand::Const`]
+    /// indexes them), by bit pattern. At row width each is broadcast into
+    /// a scratch row once per region — constant `k` into row `k` — so
+    /// every operand of a row loop is a row and the loops are not
+    /// multiplied by an operand-kind product.
     pub(crate) consts: Vec<f64>,
 }
 
@@ -362,13 +439,6 @@ impl NestTape {
             body.iter().map(|op| op.parts().0 as usize + 1).max()
         };
         self.stmts.iter().filter_map(written).max().unwrap_or(0)
-    }
-
-    /// Scratch row holding constant `c` at row width: the constants come
-    /// first, the temporaries after them.
-    fn const_row(&self, c: f64) -> usize {
-        let k = self.consts.iter().position(|k| k.to_bits() == c.to_bits());
-        k.expect("lowering lists every constant operand in `consts`")
     }
 }
 
@@ -439,14 +509,21 @@ impl ProgramTape {
         self.nests.iter().map(|n| n.op_count()).sum()
     }
 
-    /// [`RowOp::Chain`]s across every nest: passes over a chunk that
-    /// lowering saved by running two operators in one.
+    /// Row ops across every nest that apply several operators in one
+    /// pass over a chunk: [`RowOp::Chain`]s and [`RowOp::Fold`]s.
     pub fn chain_count(&self) -> u64 {
-        let chains = |s: &StmtTape| {
-            let ops = s.row.ops.iter();
-            ops.filter(|op| matches!(op, RowOp::Chain { .. })).count() as u64
-        };
-        self.nests.iter().flat_map(|n| &n.stmts).map(chains).sum()
+        self.count_ops(|op| matches!(op, RowOp::Chain { .. } | RowOp::Fold { .. }))
+    }
+
+    /// Of [`ProgramTape::chain_count`], the three-operator
+    /// [`RowOp::Fold`]s.
+    pub fn fold_count(&self) -> u64 {
+        self.count_ops(|op| matches!(op, RowOp::Fold { .. }))
+    }
+
+    fn count_ops(&self, f: impl Fn(&RowOp) -> bool) -> u64 {
+        let stmts = self.nests.iter().flat_map(|n| &n.stmts);
+        stmts.flat_map(|s| &s.row.ops).filter(|op| f(op)).count() as u64
     }
 
     /// Statements whose last op writes the destination row itself at row
@@ -707,7 +784,7 @@ unsafe fn run_columns<S: AccessSink>(
                     // reproduces the layout's slot exactly.
                     unsafe { view.read_slot((pat.slot_base + var) as usize) }
                 }
-                Operand::Const(c) => c,
+                Operand::Const(k) => nest.consts[k as usize],
             };
             for op in &st.row.ops {
                 match *op {
@@ -730,6 +807,19 @@ unsafe fn run_columns<S: AccessSink>(
                         } else {
                             outer.apply(t, c)
                         };
+                    }
+                    RowOp::Fold {
+                        inner,
+                        mid,
+                        outer,
+                        a,
+                        b,
+                        c,
+                        d,
+                        dst,
+                    } => {
+                        let (a, b, c, d) = (val(a, regs), val(b, regs), val(c, regs), val(d, regs));
+                        regs[dst as usize] = fold_value(inner, mid, outer, a, b, c, d);
                     }
                 }
             }
@@ -875,7 +965,8 @@ impl<'a> ChunkRows<'a> {
         }
     }
 
-    /// Where scratch row `i` starts.
+    /// Where scratch row `i` starts: constant `i`, or past the constants a
+    /// temporary.
     #[inline(always)]
     fn scratch(&self, i: usize) -> *mut f64 {
         // SAFETY: constants and temporaries are rows below `consts.len() +
@@ -903,7 +994,7 @@ impl<'a> ChunkRows<'a> {
                 return Src::Dest
             }
             Operand::Row(j) => self.row(j),
-            Operand::Const(c) => self.scratch(self.nest.const_row(c)),
+            Operand::Const(k) => self.scratch(k as usize),
         };
         // SAFETY: `n` initialized elements (`row`, `scratch`) that nothing
         // writes while the slice lives: the op's destination is a
@@ -933,16 +1024,16 @@ unsafe fn chunk_body(nest: &NestTape, off: i64, n: usize, view: &MemView<'_>, te
     for st in &nest.stmts {
         let out = rows.row(st.store);
         let Some((last, body)) = st.row.ops.split_last() else {
-            // A copy or a fill: no op to write the row.
-            // SAFETY: `out` and a source row are `n` elements each; a
-            // source row may be `out` itself.
-            unsafe {
-                match st.row.result {
-                    Operand::Row(j) => std::ptr::copy(rows.row(j), out, n),
-                    Operand::Const(c) => std::slice::from_raw_parts_mut(out, n).fill(c),
-                    Operand::Temp(_) => unreachable!("a temporary is some op's result"),
-                }
-            }
+            // A copy or a fill: no op to write the row, which is copied
+            // from an array row or a constant's broadcast row.
+            let src = match st.row.result {
+                Operand::Row(j) => rows.row(j),
+                Operand::Const(k) => rows.scratch(k as usize),
+                Operand::Temp(_) => unreachable!("a temporary is some op's result"),
+            };
+            // SAFETY: `out` and `src` are `n` elements each; an array row
+            // may be `out` itself.
+            unsafe { std::ptr::copy(src, out, n) };
             continue;
         };
         for op in body {
@@ -986,6 +1077,24 @@ fn run_op(op: &RowOp, dst: &mut [f64], rows: &ChunkRows<'_>, dest: Option<i64>) 
                 panic!("row op {op:?} reads its destination through the inner operator");
             };
             chain_row(inner, outer, inner_right, dst, a, b, rows.src(c, dest));
+        }
+        RowOp::Fold {
+            inner,
+            mid,
+            outer,
+            a,
+            b,
+            c,
+            d,
+            ..
+        } => {
+            // Likewise only `d` may be the row being written.
+            let (Src::Row(a), Src::Row(b), Src::Row(c)) =
+                (rows.src(a, dest), rows.src(b, dest), rows.src(c, dest))
+            else {
+                panic!("row op {op:?} reads its destination before its last operator");
+            };
+            fold_row(inner, mid, outer, dst, a, b, c, rows.src(d, dest));
         }
     }
 }
@@ -1104,6 +1213,61 @@ fn chain_row(
         }),
         BinOp::Min | BinOp::Max => unreachable!("`RowStmt::new` admits arithmetic chains only"),
     }
+}
+
+/// [`fold_value`] over a chunk, as one loop per (operator triple, kind of
+/// `d`): 12 x 2 = 24 instances. One orientation per triple is enough:
+/// lowering folds a source `Add` or `Mul` with its operands either way
+/// round, and a `Sub` only where its operands stand as the shape has them.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn fold_row(
+    inner: BinOp,
+    mid: BinOp,
+    outer: BinOp,
+    dst: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    c: &[f64],
+    d: Src<'_>,
+) {
+    #[inline(always)]
+    fn go(
+        dst: &mut [f64],
+        a: &[f64],
+        b: &[f64],
+        c: &[f64],
+        d: Src<'_>,
+        f: impl Fn([f64; 4]) -> f64,
+    ) {
+        match d {
+            Src::Row(d) => {
+                for ((((o, &x), &y), &z), &w) in dst.iter_mut().zip(a).zip(b).zip(c).zip(d) {
+                    *o = f([x, y, z, w]);
+                }
+            }
+            Src::Dest => {
+                for (((o, &x), &y), &z) in dst.iter_mut().zip(a).zip(b).zip(c) {
+                    *o = f([x, y, z, *o]);
+                }
+            }
+        }
+    }
+    macro_rules! triples {
+        ($($i:ident $m:ident $o:ident),*) => {
+            match (inner, mid, outer) {
+                $((BinOp::$i, BinOp::$m, BinOp::$o) => go(dst, a, b, c, d, |[x, y, z, w]| {
+                    fold_value(BinOp::$i, BinOp::$m, BinOp::$o, x, y, z, w)
+                }),)*
+                _ => unreachable!("`RowStmt::new` admits the fold triples only"),
+            }
+        };
+    }
+    triples!(
+        Add Mul Add, Add Mul Sub, Sub Mul Add, Sub Mul Sub,
+        Add Add Add, Add Add Sub, Add Sub Add, Add Sub Sub,
+        Sub Add Add, Sub Add Sub, Sub Sub Add, Sub Sub Sub
+    )
 }
 
 #[inline]

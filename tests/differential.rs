@@ -42,7 +42,9 @@ impl Rng {
 /// `a[j]` (offsets in [-2, 2] per dimension) combined by a random mix of
 /// shapes: the four arithmetic operators with the running value on either
 /// side and constants on either side (what lowering folds into two-operator
-/// chains), and `abs` / `sqrt` / `min` / `max` nodes between them, which
+/// chains), sums and differences of a chain that lowering folds into
+/// three-operator folds — `e ± c * (p ± q)` and `((p ± q) ± c) ± e` —
+/// and `abs` / `sqrt` / `min` / `max` nodes between them, which
 /// end one chain and let the next begin. Divisors are constants or
 /// `|x| + 1`, so every value stays finite and `==` compares results. A
 /// nest then has a 50% chance of an in-place update — its destination read
@@ -66,7 +68,7 @@ fn build(seed: u64) -> LoopSequence {
         let offs: Vec<Vec<i64>> = (0..nreads)
             .map(|_| (0..depth).map(|_| r.below(5) as i64 - 2).collect())
             .collect();
-        let shapes: Vec<u64> = (1..nreads).map(|_| r.below(12)).collect();
+        let shapes: Vec<u64> = (1..nreads).map(|_| r.below(16)).collect();
         let in_place = r.below(4);
         let serial = r.below(4) == 0;
         b.nest(format!("L{j}"), bounds.clone(), |x| {
@@ -89,7 +91,13 @@ fn build(seed: u64) -> LoopSequence {
                     // Nodes no chain crosses.
                     9 => node(BinOp::Max, e * 0.5, ld) - 0.25,
                     10 => 1.5 - node(BinOp::Min, e, ld.clone()) * ld,
-                    _ => Expr::Unary(UnaryOp::Sqrt, Box::new(abs(e))) + ld,
+                    11 => Expr::Unary(UnaryOp::Sqrt, Box::new(abs(e))) + ld,
+                    // A chain and the sum or difference consuming it,
+                    // with the first read as a second row.
+                    12 => e - (ld - x.ld(src, &offs[0])) * 0.5,
+                    13 => 0.25 * (ld + x.ld(src, &offs[0])) + e,
+                    14 => e + (ld - x.ld(src, &offs[0]) + 0.75),
+                    _ => ld + x.ld(src, &offs[0]) - 0.5 - e,
                 };
             }
             let here = vec![0i64; depth];
@@ -219,6 +227,23 @@ proptest! {
             prop_assert_eq!(wi, wv, "simd proc {} misses (seed {})", p, seed);
         }
     }
+}
+
+/// The programs `backends_and_schedules_agree` draws — the same seeds,
+/// from its name — lower to folds: the fuzz runs the fold loops against
+/// the interpreter, not only the chains. The 24 programs read 11 folds
+/// when shapes 12–15 were added; the floor is about half of that.
+#[test]
+fn fuzzed_programs_lower_to_folds() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("backends_and_schedules_agree");
+    let folds: u64 = (0..24)
+        .map(|_| {
+            let seq = build(any::<u64>().new_value(&mut rng));
+            let layout = Memory::new(&seq, LayoutStrategy::Contiguous).layout;
+            ProgramTape::lower(&seq, &layout).fold_count()
+        })
+        .sum();
+    assert!(folds >= 6, "{folds} folds among the fuzzed programs");
 }
 
 proptest! {
