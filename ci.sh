@@ -27,6 +27,11 @@ cargo fmt --check \
 echo "==> lint wall: the whole workspace must be clippy-clean"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> docs: the workspace's API docs build without a warning"
+# A public doc linking to a private item, or a link that resolves to
+# nothing, renders as plain text; -D warnings keeps new ones out.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> benchmark package: builds and smoke-tests against the library API, unedited"
 # benchmark/ is its own workspace (own Cargo.lock and target dir) and
 # compiles against Executor, PooledExecutor, ScopedExecutor, RunConfig,
@@ -124,8 +129,8 @@ awk -v d="$dispatch_p2" 'BEGIN {
   if (d == "" || d + 0 <= 0 || d + 0 >= 300) { print "FAIL: dispatch_us.p2 \"" d "\" not in (0, 300) us"; exit 1 }
   print "dispatch_us.p2 = " d " us (< 300)"
 }'
-# Adaptive scheduling gate: the skewed-load sweep (same seed, all three
-# schedules, bit-for-bit verified inside the binary) must show stealing
+# Adaptive scheduling gate: the skewed-load sweep (same seed, static and
+# stealing, bit-for-bit verified inside the binary) must show stealing
 # strictly flattening the busy-time imbalance relative to static
 # blocking, with at least one steal actually happening. The schedule
 # differential gate itself runs in the fuzzing step above

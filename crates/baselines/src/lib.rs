@@ -1,6 +1,6 @@
 //! # sp-baselines — the alignment/replication comparator
 //!
-//! The techniques of Callahan [8] and Appelbe & Smith [2] that the
+//! The techniques of Callahan \[8\] and Appelbe & Smith \[2\] that the
 //! paper's Figure 26 compares shift-and-peel against: align iteration
 //! spaces so every inter-loop dependence becomes loop-independent, and
 //! resolve *alignment conflicts* (Figure 14) by replication — copying

@@ -1,5 +1,5 @@
 //! Runtime comparison on real host threads: spawn-per-timestep
-//! ([`ScopedExecutor`]) versus the persistent worker pool
+//! ([`ScopedExecutor`](sp_exec::ScopedExecutor)) versus the persistent worker pool
 //! ([`PooledExecutor`]) versus self-scheduling of the unfused program
 //! (the pool under `Schedule::Stealing` over four-iteration chunks),
 //! across timestep counts — plus the backend
@@ -523,11 +523,9 @@ fn main() {
                 .expect("schedule row")
         };
         let st = by(Schedule::Static).report.time_imbalance();
-        let guided = by(Schedule::Guided).report.time_imbalance();
         let stealing = by(Schedule::Stealing).report.time_imbalance();
         println!(
-            "skewed: time imbalance static={st:.2} guided={guided:.2} stealing={stealing:.2} \
-steals={}",
+            "skewed: time imbalance static={st:.2} stealing={stealing:.2} steals={}",
             by(Schedule::Stealing).report.total_steals()
         );
     }

@@ -83,9 +83,9 @@ pub struct Options {
     pub steps: usize,
     /// `--backend interp|compiled|simd` (default interp).
     pub backend: String,
-    /// `--schedule static|guided|stealing` (default static).
+    /// `--schedule static|stealing` (default static).
     pub schedule: String,
-    /// `--chunk N`: chunk rows for the adaptive schedules (default
+    /// `--chunk N`: chunk rows for the stealing schedule (default
     /// auto: four chunks per static block).
     pub chunk: Option<i64>,
     /// `--trace-out FILE`: run with per-worker event tracing enabled and
@@ -337,7 +337,7 @@ pub const USAGE: &str = "usage: spfc \
 <analyze|derive|fuse|explain|run|simulate|trace-check> <prog.loop|kernel|trace.json> \
 [--procs N] [--strip N] [--steps N] [--machine ksr2|convex] \
 [--executor scoped|pooled|sim] [--backend interp|compiled|simd] \
-[--schedule static|guided|stealing] [--chunk N] \
+[--schedule static|stealing] [--chunk N] \
 [--trace-out FILE] [--metrics-out FILE]\n\
        spfc list\n\
        spfc serve --jobs FILE [--cache-dir DIR] [--workers N] [--queue N] \
@@ -346,7 +346,7 @@ pub const USAGE: &str = "usage: spfc \
 [--trace-out FILE] [--metrics-out FILE] [--listen-metrics ADDR] [--addr-file FILE]\n\
        spfc submit --connect ADDR <prog.loop|kernel|drain|ping> \
 [--tenant NAME] [--procs N] [--strip N] [--steps N] \
-[--backend interp|compiled|simd] [--schedule static|guided|stealing] \
+[--backend interp|compiled|simd] [--schedule static|stealing] \
 [--deadline-ms N] [--window N] [--repeat N]\n\
        spfc cache <stats|clear> --cache-dir DIR\n\
        spfc bench check --baseline-dir DIR [--current-dir DIR] \
@@ -380,7 +380,8 @@ fn parse_backend(s: &str) -> Result<Backend, CliError> {
 fn parse_schedule(s: &str) -> Result<Schedule, CliError> {
     match Schedule::parse(s) {
         Some(sched) => Ok(sched),
-        None => usage(format!("unknown schedule {s} (static|guided|stealing)")),
+        None if s == "guided" => usage("the guided schedule is gone: use --schedule stealing"),
+        None => usage(format!("unknown schedule {s} (static|stealing)")),
     }
 }
 

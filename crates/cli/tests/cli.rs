@@ -103,8 +103,12 @@ fn run_supports_the_adaptive_schedules() {
         let e = run(&["run", path, "--schedule", "lottery"]).unwrap_err();
         assert_eq!(e.code, 2);
         assert!(e.message.contains("unknown schedule"), "{}", e.message);
-        let e = run(&["run", path, "--schedule", "guided", "--chunk", "0"]).unwrap_err();
+        let e = run(&["run", path, "--schedule", "stealing", "--chunk", "0"]).unwrap_err();
         assert!(e.message.contains("chunk"), "{}", e.message);
+        // The guided schedule is gone, with no alias: stealing replaces it.
+        let e = run(&["run", path, "--schedule", "guided"]).unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("--schedule stealing"), "{}", e.message);
         // Self-scheduling is a schedule now, not an executor.
         let e = run(&["run", path, "--executor", "dynamic"]).unwrap_err();
         assert_eq!(e.code, 2);

@@ -1,7 +1,7 @@
 //! Pass-level decision tracing: *why* the derivation and planning passes
 //! decided what they did.
 //!
-//! The numeric passes ([`crate::derive`], [`crate::plan`]) answer *what*
+//! The numeric passes (`derive`, [`crate::plan`]) answer *what*
 //! — shift/peel amounts, group boundaries. This module records the
 //! *reasoning* as structured [`ExplainEvent`]s: every dependence-chain
 //! edge visited by the Figure-8 traversal with its contribution, every

@@ -59,9 +59,9 @@ pub mod analysis {
 }
 
 /// Glob-import surface for the common planning workflow: build a
-/// [`Planner`](crate::pipeline::Planner), call
+/// [`Planner`], call
 /// [`plan`](crate::pipeline::Planner::plan), consume the
-/// [`Planned`](crate::pipeline::Planned) artifacts.
+/// [`Planned`] artifacts.
 ///
 /// ```
 /// use shift_peel_core::prelude::*;

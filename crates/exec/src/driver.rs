@@ -7,12 +7,12 @@
 //! (singleton) groups degenerate to plain blocked execution with a
 //! barrier — exactly the original program's synchronization structure.
 //!
-//! A plan is flattened once per run into a [`PhaseList`]; [`run_phase`]
-//! runs one worker's share of one phase and [`drive_worker`] walks a
+//! A plan is flattened once per run into a `PhaseList`; `run_phase`
+//! runs one worker's share of one phase and `drive_worker` walks a
 //! threaded worker through the list with a barrier after every phase.
 //! The runtimes differ only in who calls them: the pool (one dispatch,
 //! workers loop `steps x phases`), freshly spawned threads (the same
-//! loop over one step), or the simulator, which calls [`run_phase`] for
+//! loop over one step), or the simulator, which calls `run_phase` for
 //! processors `0..P` one after another on the caller's thread. Because
 //! the transformation removes every cross-processor dependence within a
 //! phase, any serialization of a phase is equivalent to its parallel

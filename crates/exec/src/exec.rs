@@ -6,7 +6,7 @@
 //! program). *How* it executes — spawned threads, the persistent worker
 //! pool, or deterministic simulation — is chosen by an
 //! [`Executor`](crate::executor::Executor) implementation driven by a
-//! [`RunConfig`](crate::executor::RunConfig).
+//! [`RunConfig`].
 
 use crate::executor::{simulate, RunConfig};
 use crate::interp::ExecCounters;

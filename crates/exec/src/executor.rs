@@ -154,17 +154,17 @@ impl RunConfig {
         }
     }
 
-    /// Chooses the scheduling discipline (static by default). The
-    /// adaptive schedules subdivide each static block into `Nt`-legal
-    /// chunks and let workers claim or steal them; results stay
-    /// bit-for-bit identical to static execution.
+    /// Chooses the scheduling discipline (static by default). Stealing
+    /// subdivides each static block into `Nt`-legal chunks and lets idle
+    /// workers steal them; results stay bit-for-bit identical to static
+    /// execution.
     pub fn schedule(mut self, s: Schedule) -> Self {
         self.schedule = s;
         self
     }
 
     /// Overrides the chunk size (outer-level iterations per chunk) the
-    /// adaptive schedules subdivide blocks into. Clamped to the
+    /// stealing schedule subdivides blocks into. Clamped to the
     /// Theorem-1 `Nt` floor; ignored by the static schedule. The
     /// `sp-machine` auto-tuner picks this from the cost model.
     pub fn chunk(mut self, c: i64) -> Self {
@@ -911,22 +911,24 @@ mod tests {
         let seq = jacobi(32);
         let base = RunConfig::fused([2, 2]).strip(4).steps(3);
         let want = snapshot_after(&mut SimExecutor, &base, &seq);
-        for sched in [Schedule::Guided, Schedule::Stealing] {
-            let cfg = base.clone().schedule(sched);
+        // Blocks of 15 rows: the finest legal chunks (1 clamps up to the
+        // Nt floor) and an uneven split, 8 + 7.
+        for chunk in [1, 6] {
+            let cfg = base.clone().schedule(Schedule::Stealing).chunk(chunk);
             assert_eq!(
                 snapshot_after(&mut SimExecutor, &cfg, &seq),
                 want,
-                "{sched:?} sim"
+                "chunk {chunk} sim"
             );
             assert_eq!(
                 snapshot_after(&mut ScopedExecutor, &cfg, &seq),
                 want,
-                "{sched:?} scoped"
+                "chunk {chunk} scoped"
             );
             assert_eq!(
                 snapshot_after(&mut PooledExecutor::new(4), &cfg, &seq),
                 want,
-                "{sched:?} pooled"
+                "chunk {chunk} pooled"
             );
         }
     }
@@ -938,8 +940,12 @@ mod tests {
         // simulator reports, per processor, at the same schedule.
         let seq = jacobi(32);
         let prog = Program::new(&seq, 2).unwrap();
-        for sched in [Schedule::Guided, Schedule::Stealing] {
-            let cfg = RunConfig::fused([2, 2]).strip(4).steps(2).schedule(sched);
+        let stealing = RunConfig::fused([2, 2])
+            .strip(4)
+            .steps(2)
+            .schedule(Schedule::Stealing);
+        for chunk in [1, 6] {
+            let cfg = stealing.clone().chunk(chunk);
             let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
             mem.init_deterministic(&seq, 7);
             let sim = SimExecutor.run(&prog, &mut mem, &cfg).unwrap();
@@ -953,11 +959,11 @@ mod tests {
             for p in 0..4 {
                 assert_eq!(
                     pooled.workers[p].counters, sim.workers[p].counters,
-                    "{sched:?} pooled proc {p}"
+                    "chunk {chunk} pooled proc {p}"
                 );
                 assert_eq!(
                     scoped.workers[p].counters, sim.workers[p].counters,
-                    "{sched:?} scoped proc {p}"
+                    "chunk {chunk} scoped proc {p}"
                 );
             }
         }
@@ -986,7 +992,7 @@ mod tests {
         let prog = Program::new(&seq, 2).unwrap();
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         mem.init_deterministic(&seq, 7);
-        let cfg = RunConfig::fused([4]).schedule(Schedule::Guided).chunk(0);
+        let cfg = RunConfig::fused([4]).schedule(Schedule::Stealing).chunk(0);
         let err = SimExecutor.run(&prog, &mut mem, &cfg).unwrap_err();
         assert!(matches!(err, ExecError::Config(_)), "{err:?}");
     }

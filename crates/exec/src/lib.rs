@@ -42,11 +42,12 @@
 //! shift-and-peel transformation's legality argument (paper Section 3.2)
 //! places peeled iterations at known block boundaries, so claiming
 //! iterations below the Theorem-1 `Nt` floor would be illegal for a
-//! fused plan. Every schedule in [`schedule`] therefore only assigns
+//! fused plan. Both schedules in [`schedule`] therefore only assign
 //! *whole legal blocks*: each static block is pre-split into chunks that
 //! respect `Nt`, and workers claim or steal chunks without ever changing
-//! what any chunk computes. [`Schedule::Static`] is the degenerate case —
-//! one chunk per block, and nobody steals; self-scheduling the *unfused*
+//! what any chunk computes. [`Schedule::Stealing`] is the one dynamic
+//! schedule; [`Schedule::Static`] is its degenerate case — one chunk per
+//! block, and nobody steals. Self-scheduling the *unfused*
 //! program (whose singleton groups have `Nt = 0`, so any chunk size is
 //! legal) is `RunConfig::blocked(grid).schedule(Schedule::Stealing)`.
 

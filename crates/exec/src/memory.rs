@@ -206,7 +206,7 @@ fn for_each_seed_run(
 }
 
 /// Which compilation of the seeding kernel fills a row: the loop is
-/// plain Rust compiled twice from [`seed_value`], scalar and with
+/// plain Rust compiled twice from `seed_value`, scalar and with
 /// AVX-512 enabled for hosts that report it.
 ///
 /// The two store the same bits. Every step of the per-element round is

@@ -28,7 +28,7 @@ pub struct RunReport {
     pub executor: String,
     /// Execution backend (`interp` or `compiled`).
     pub backend: String,
-    /// Scheduling discipline (`static`, `guided`, or `stealing`).
+    /// Scheduling discipline (`static` or `stealing`).
     pub schedule: String,
     /// Processors the plan executed on.
     pub procs: usize,

@@ -1,6 +1,5 @@
 //! Scheduling of legal blocks: the chunk decomposition and claim policy
-//! behind the static, guided self-scheduling and work-stealing
-//! schedules.
+//! behind the static and work-stealing schedules.
 //!
 //! Static blocked scheduling (the paper's Section 3.2 model) remains the
 //! legality unit: a chunk is a [`ProcBlock`] whose width satisfies the
@@ -10,8 +9,8 @@
 //! all chunks is exactly the static schedule on a finer processor grid —
 //! so *any* assignment of chunks to workers produces bit-for-bit
 //! identical memory results, and re-assigning whole chunks is the only
-//! freedom the adaptive schedules exercise. [`Schedule::Static`] is the
-//! degenerate decomposition: one chunk per block, which nobody steals.
+//! freedom stealing exercises. [`Schedule::Static`] is the degenerate
+//! decomposition: one chunk per block, which nobody steals.
 //!
 //! Determinism is split in two:
 //!
@@ -27,11 +26,9 @@
 //!   and trace spans.
 //!
 //! Steal behavior itself is made testable by [`simulate_stealing`]: a
-//! [`SimClock`]-driven discrete-event simulation of the same victim
-//! selection ([`VictimSelector`]) and claim policy (owners walk their
-//! chunk list front to back, thieves steal from the back) the runtime
-//! uses, with scripted per-chunk durations — a fixed seed reproduces an
-//! identical steal log in `cargo test`.
+//! [`SimClock`]-driven discrete-event simulation that steals through the
+//! runtime's own steal order, with scripted per-chunk durations — a
+//! fixed seed reproduces an identical steal log in `cargo test`.
 
 use crate::interp::ExecCounters;
 use shift_peel_core::analysis::{check_blocks, ProcBlock};
@@ -46,11 +43,6 @@ pub enum Schedule {
     /// model; the default).
     #[default]
     Static,
-    /// Guided self-scheduling: each static block is pre-split into
-    /// chunks of geometrically decreasing size (never below the `Nt`
-    /// floor) and workers claim chunks from a shared list, own chunks
-    /// first.
-    Guided,
     /// Work stealing: each static block is split into uniform chunks;
     /// every worker walks its own chunk list front to back and, when it
     /// runs dry, steals whole chunks from the back of seeded-randomly
@@ -59,12 +51,11 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// Short stable name (`static` / `guided` / `stealing`) used in
+    /// Short stable name (`static` / `stealing`) used in
     /// reports and CLI flags.
     pub fn name(&self) -> &'static str {
         match self {
             Schedule::Static => "static",
-            Schedule::Guided => "guided",
             Schedule::Stealing => "stealing",
         }
     }
@@ -73,15 +64,14 @@ impl Schedule {
     pub fn parse(s: &str) -> Option<Schedule> {
         match s {
             "static" => Some(Schedule::Static),
-            "guided" => Some(Schedule::Guided),
             "stealing" => Some(Schedule::Stealing),
             _ => None,
         }
     }
 
     /// Every schedule, in display order.
-    pub fn all() -> [Schedule; 3] {
-        [Schedule::Static, Schedule::Guided, Schedule::Stealing]
+    pub fn all() -> [Schedule; 2] {
+        [Schedule::Static, Schedule::Stealing]
     }
 }
 
@@ -91,8 +81,8 @@ pub const DEFAULT_STEAL_SEED: u64 = 0x005E_EDBA_5E0F_CAFE;
 
 /// Uniform chunks per owner when no explicit chunk size is configured
 /// (the `sp-machine` auto-tuner picks a better size from the cost
-/// model).
-const DEFAULT_CHUNKS_PER_OWNER: i64 = 4;
+/// model, capped so each owner still holds this many).
+pub const DEFAULT_CHUNKS_PER_OWNER: i64 = 4;
 
 /// SplitMix64: advances `state` and returns the next well-mixed value of
 /// the stream (the one generator behind victim selection and `sp-net`'s
@@ -132,28 +122,6 @@ impl VictimSelector {
     pub fn next_victim(&mut self) -> usize {
         (splitmix64(&mut self.state) % self.workers as u64) as usize
     }
-}
-
-fn ceil_div(a: i64, b: i64) -> i64 {
-    (a + b - 1) / b
-}
-
-/// Splits `trip` iterations into guided self-scheduling sizes: each
-/// chunk takes half the remaining work, never below `min`, and a tail
-/// that would fall below `min` is absorbed into the previous chunk.
-fn guided_sizes(trip: i64, min: i64) -> Vec<i64> {
-    debug_assert!(trip >= min && min >= 1);
-    let mut sizes = Vec::new();
-    let mut r = trip;
-    while r > 0 {
-        let mut take = ceil_div(r, 2).max(min).min(r);
-        if r - take < min {
-            take = r; // absorb a sub-Nt tail
-        }
-        sizes.push(take);
-        r -= take;
-    }
-    sizes
 }
 
 /// Splits `trip` iterations into uniform chunks of roughly `target`
@@ -196,6 +164,31 @@ fn split_block(block: &ProcBlock, sizes: &[i64], first_chunk_id: usize) -> Vec<P
         start = end + 1;
     }
     chunks
+}
+
+/// The one steal order, shared by the runtime and [`simulate_stealing`]:
+/// seeded victim draws (skipping the thief `p`), each victim's list from
+/// the back (the chunks its owner reaches last), then a low-to-high sweep
+/// as the livelock-free fallback. `claim(c)` takes chunk `c` if it is
+/// free: an atomic `try_steal` at run time, a flag in the simulation.
+fn steal_order(
+    p: usize,
+    by_owner: &[Vec<u32>],
+    selector: &mut VictimSelector,
+    mut claim: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    for _ in 0..by_owner.len() {
+        let v = selector.next_victim();
+        if v == p {
+            continue;
+        }
+        let mut back = by_owner[v].iter().rev().map(|&c| c as usize);
+        if let Some(c) = back.find(|&c| claim(c)) {
+            return Some(c);
+        }
+    }
+    let chunks = by_owner.iter().map(Vec::len).sum();
+    (0..chunks).find(|&c| claim(c))
 }
 
 /// One chunk's mutable state: the phase epoch it was last claimed in and
@@ -246,12 +239,9 @@ impl GroupChunks {
                 // Static blocking is the chunk list nobody steals from:
                 // one chunk per owner, the block itself.
                 Schedule::Static => vec![trip],
-                // A configured floor larger than this block's trip
-                // degrades to one whole-block chunk (still Nt-legal:
-                // static legality already guarantees trip >= Nt).
-                Schedule::Guided => guided_sizes(trip, chunk.unwrap_or(1).max(nt0).min(trip)),
                 Schedule::Stealing => {
-                    let target = chunk.unwrap_or(ceil_div(trip, DEFAULT_CHUNKS_PER_OWNER));
+                    let per_owner = DEFAULT_CHUNKS_PER_OWNER;
+                    let target = chunk.unwrap_or((trip + per_owner - 1) / per_owner);
                     uniform_sizes(trip, target.min(trip), nt0)
                 }
             };
@@ -282,28 +272,16 @@ impl GroupChunks {
         self.state[c].claim.load(Ordering::Acquire) < epoch && self.try_claim(c, epoch)
     }
 
-    /// One steal by worker `p` in phase `epoch`: seeded victim order,
-    /// taking from the back of the victim's list (the chunks its owner
-    /// reaches last), with a deterministic low-to-high sweep as the
-    /// livelock-free fallback. `None` proves the phase drained: every
-    /// chunk of the group carries `epoch`.
+    /// One steal by worker `p` in phase `epoch`, in [`steal_order`].
+    /// `None` proves the phase drained: every chunk of the group carries
+    /// `epoch`.
     pub(crate) fn steal(
         &self,
         p: usize,
         epoch: u64,
         selector: &mut VictimSelector,
     ) -> Option<usize> {
-        for _ in 0..self.by_owner.len() {
-            let v = selector.next_victim();
-            if v == p {
-                continue;
-            }
-            let mut back = self.by_owner[v].iter().rev().map(|&c| c as usize);
-            if let Some(c) = back.find(|&c| self.try_steal(c, epoch)) {
-                return Some(c);
-            }
-        }
-        (0..self.chunks.len()).find(|&c| self.try_steal(c, epoch))
+        steal_order(p, &self.by_owner, selector, |c| self.try_steal(c, epoch))
     }
 
     /// Adds the work one execution of chunk `c` performed to the chunk's
@@ -396,19 +374,18 @@ impl StealSimReport {
 }
 
 /// Runs one phase of the stealing scheduler under a [`SimClock`]:
-/// workers claim chunks exactly as the runtime does — own list front to
-/// back, then seeded victim selection stealing from the back, with the
-/// deterministic sweep fallback — but time is scripted per chunk, so a
-/// fixed seed reproduces an identical steal log on every run.
+/// workers claim chunks as the runtime does — own list front to back,
+/// then the runtime's own steal order — but time is scripted per chunk,
+/// so a fixed seed reproduces an identical steal log on every run.
 pub fn simulate_stealing(spec: &StealSimSpec) -> StealSimReport {
     assert!(spec.workers >= 1, "need at least one worker");
     assert_eq!(spec.costs.len(), spec.owners.len(), "one owner per chunk");
     let n = spec.costs.len();
-    let by_owner: Vec<Vec<usize>> = {
+    let by_owner: Vec<Vec<u32>> = {
         let mut lists = vec![Vec::new(); spec.workers];
         for (c, &o) in spec.owners.iter().enumerate() {
             assert!(o < spec.workers, "owner {o} out of range");
-            lists[o].push(c);
+            lists[o].push(c as u32);
         }
         lists
     };
@@ -416,7 +393,6 @@ pub fn simulate_stealing(spec: &StealSimSpec) -> StealSimReport {
         .map(|w| VictimSelector::new(spec.seed, w, spec.workers))
         .collect();
     let mut claimed = vec![false; n];
-    let mut own_pos = vec![0usize; spec.workers];
     let mut clock: Vec<SimClock> = vec![SimClock(0); spec.workers];
     let mut done = vec![false; spec.workers];
     let mut report = StealSimReport {
@@ -434,49 +410,21 @@ pub fn simulate_stealing(spec: &StealSimSpec) -> StealSimReport {
             .filter(|&w| !done[w])
             .min_by_key(|&w| (clock[w].0, w))
             .expect("chunks remain but every worker is done");
-        // Own list, front to back.
-        let mut next = None;
-        while let Some(&c) = by_owner[w].get(own_pos[w]) {
-            own_pos[w] += 1;
-            if !claimed[c] {
-                next = Some(c);
-                break;
-            }
-        }
-        if next.is_none() {
-            // Steal: seeded victim order, back of the victim's list.
-            for _ in 0..spec.workers {
-                let v = selectors[w].next_victim();
-                if v == w {
-                    continue;
-                }
-                if let Some(&c) = by_owner[v].iter().rev().find(|&&c| !claimed[c]) {
-                    report.steal_log.push(StealEvent {
-                        at: clock[w].0,
-                        thief: w,
-                        victim: v,
-                        chunk: c,
-                    });
-                    next = Some(c);
-                    break;
-                }
-            }
-        }
-        if next.is_none() {
-            // Deterministic sweep fallback, exactly like the runtime.
-            if let Some(c) = (0..n).find(|&c| !claimed[c]) {
-                report.steal_log.push(StealEvent {
-                    at: clock[w].0,
-                    thief: w,
-                    victim: spec.owners[c],
-                    chunk: c,
-                });
-                next = Some(c);
-            }
-        }
+        // Own list, front to back, then the runtime's steal order.
+        let mut claim = |c: usize| !std::mem::replace(&mut claimed[c], true);
+        let own = by_owner[w].iter().map(|&c| c as usize).find(|&c| claim(c));
+        let next = own.or_else(|| {
+            let c = steal_order(w, &by_owner, &mut selectors[w], claim)?;
+            report.steal_log.push(StealEvent {
+                at: clock[w].0,
+                thief: w,
+                victim: spec.owners[c],
+                chunk: c,
+            });
+            Some(c)
+        });
         match next {
             Some(c) => {
-                claimed[c] = true;
                 remaining -= 1;
                 report.executed[w].push(c);
                 report.busy[w] += spec.costs[c];
@@ -503,26 +451,6 @@ pub fn static_busy(spec: &StealSimSpec) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn guided_sizes_decrease_and_respect_floor() {
-        let sizes = guided_sizes(100, 4);
-        assert_eq!(sizes.iter().sum::<i64>(), 100);
-        assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
-        assert!(sizes.iter().all(|&s| s >= 4), "{sizes:?}");
-        assert!(sizes.len() > 2, "guided splits into several chunks");
-        // A sub-floor tail is absorbed, not emitted.
-        for trip in 4..200 {
-            for min in 1..=4 {
-                if trip < min {
-                    continue;
-                }
-                let sizes = guided_sizes(trip, min);
-                assert_eq!(sizes.iter().sum::<i64>(), trip);
-                assert!(sizes.iter().all(|&s| s >= min), "trip {trip} min {min}");
-            }
-        }
-    }
 
     #[test]
     fn uniform_sizes_balance_and_respect_floor() {
@@ -598,5 +526,9 @@ mod tests {
         let mut all: Vec<usize> = report.executed.concat();
         all.sort_unstable();
         assert_eq!(all, (0..7).collect::<Vec<_>>());
+        // The steal order, pinned: the first thief's draws miss worker 0
+        // and its sweep takes chunk 1; the next two take the back, 3 then 2.
+        let stolen: Vec<usize> = report.steal_log.iter().map(|e| e.chunk).collect();
+        assert_eq!(stolen, [1, 3, 2]);
     }
 }

@@ -17,7 +17,7 @@
 //!   plus pointer reads — no recursion, no subscript vectors, no
 //!   per-access layout walks;
 //! * **a row at a time** (`Backend::Simd`, nests with a non-zero
-//!   [`NestTape::row_width`]): each [`RowOp`] is one slice loop over a
+//!   `NestTape::row_width`): each [`RowOp`] is one slice loop over a
 //!   chunk of up to that many consecutive inner iterations — as many as
 //!   keep the chunk's rows, temporaries and constants in a 32 KiB L1
 //!   data cache — so dispatch is paid once per op per chunk, the loops
@@ -46,7 +46,7 @@
 //!    interpreter evaluates them (`a + b * c` reads `b` and `c` first),
 //!    which no value can see because nothing is stored before a
 //!    statement's last op; the sink is told each statement's
-//!    [`StmtTape::loads`], which *is* the interpreter's order, and only
+//!    `StmtTape::loads`, which *is* the interpreter's order, and only
 //!    when it declares by [`AccessSink::OBSERVES`] that it is looking;
 //! 3. running a chunk statement-major instead of iteration-major would
 //!    reorder the access stream too, so a row-wide chunk's accesses are
@@ -60,7 +60,7 @@ use crate::sink::AccessSink;
 use sp_ir::{AffineExpr, BinOp, IterSpace, LoopSequence, UnaryOp};
 
 /// Shortest non-zero store-to-reference distance the row width accepts
-/// (see [`NestTape::row_width`]), and the narrowest width the L1 budget
+/// (see `NestTape::row_width`), and the narrowest width the L1 budget
 /// cuts a chunk to. A nest carrying a dependence closer than this would
 /// run in rows too short to pay for their dispatch; it runs a column at
 /// a time.
@@ -538,13 +538,13 @@ impl ProgramTape {
         self.nests.iter().map(|n| n.pats.len()).sum()
     }
 
-    /// Nests with a non-zero [`NestTape::row_width`]; the rest run a
+    /// Nests with a non-zero `NestTape::row_width`; the rest run a
     /// column at a time under `Backend::Simd` too.
     pub fn lane_safe_nests(&self) -> usize {
         self.nests.iter().filter(|n| n.row_width > 0).count()
     }
 
-    /// The widest [`NestTape::row_width`] of any nest: the most
+    /// The widest `NestTape::row_width` of any nest: the most
     /// consecutive inner iterations `Backend::Simd` runs as one chunk; 0
     /// when every nest runs a column at a time.
     pub fn max_row_width(&self) -> usize {
@@ -568,7 +568,7 @@ pub enum Engine<'a> {
         /// The lowered program.
         tape: &'a ProgramTape,
         /// Whether row-safe nests run a chunk of up to their
-        /// [`NestTape::row_width`] inner iterations at a time
+        /// `NestTape::row_width` inner iterations at a time
         /// (`Backend::Simd`) or, like every other nest, a column at a
         /// time (`Backend::Compiled`).
         rows: bool,
@@ -632,12 +632,12 @@ impl Engine<'_> {
 /// level fastest, matching `IterSpace::for_each`), and a row runs at one
 /// of two widths over the same [`RowStmt`]s:
 ///
-/// * with `rows` set and a non-zero [`NestTape::row_width`], in chunks of
+/// * with `rows` set and a non-zero `NestTape::row_width`, in chunks of
 ///   at most that many consecutive iterations, a chunk statement by
 ///   statement and each [`RowOp`] as one slice loop over the whole chunk
-///   ([`run_chunk`]); why that order is legal is argued on
-///   [`NestTape::row_width`];
-/// * otherwise a column at a time ([`run_columns`]), iteration-major like
+///   (`run_chunk`); why that order is legal is argued on
+///   `NestTape::row_width`;
+/// * otherwise a column at a time (`run_columns`), iteration-major like
 ///   the interpreter, each pattern's offset advanced incrementally.
 ///
 /// Every column goes through the same separately rounded `f64`
@@ -856,7 +856,7 @@ fn replay_chunk<S: AccessSink>(nest: &NestTape, off: i64, n: usize, sink: &mut S
 }
 
 /// Which compilation of the row loops runs a chunk. The loops are plain
-/// Rust compiled twice from one body ([`chunk_body`]): as the build's
+/// Rust compiled twice from one body (`chunk_body`): as the build's
 /// target has them, and with AVX2 enabled for hosts that report it. Both
 /// apply the same separately rounded IEEE operation to every column —
 /// `fma` is deliberately not enabled, a contracted multiply-add rounds

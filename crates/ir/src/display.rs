@@ -13,7 +13,7 @@ use std::fmt::{self, Write};
 /// below appends to one sink through `fmt::Write` rather than building
 /// a `String` per subscript, reference, expression node and nest. A key
 /// passes a hasher as the sink ([`write_sequence`]) and the text is
-/// never assembled at all. Integers are written by [`write_int`] rather
+/// never assembled at all. Integers are written by `write_int` rather
 /// than through `write!`'s formatting machinery; only float literals
 /// take that path.
 pub fn render_sequence(seq: &LoopSequence) -> String {

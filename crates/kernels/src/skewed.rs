@@ -4,8 +4,8 @@
 //! Static blocking assigns the quarter-range nest's rows to whichever
 //! processors own the low blocks, so those workers carry roughly twice
 //! the per-step work of the rest — the skewed production traffic ROADMAP
-//! item 5 describes, in kernel form. The adaptive schedules
-//! ([`Schedule::Stealing`](sp_exec::Schedule)) exist to flatten exactly
+//! item 5 describes, in kernel form. The stealing schedule
+//! (`Schedule::Stealing` in `sp-exec`) exists to flatten exactly
 //! this profile; the scheduling bench and the CI gate run this kernel
 //! under `static` and `stealing` on the same seed and compare the
 //! reported busy-time imbalance.

@@ -11,9 +11,9 @@
 //! * [`sim`] — whole-program simulation ([`simulate`]);
 //! * [`experiment`] — the sweep harnesses behind the paper's figures
 //!   (speedup-vs-processors, misses-vs-padding, improvement-vs-size);
-//! * [`tune`] — chunk-size bounds for the adaptive schedules from the
+//! * [`tune`] — chunk-size bounds for the stealing schedule from the
 //!   cost model (`Nt` floor to cache-capacity) and the skewed-load sweep
-//!   harness that runs all three schedules on the real pool.
+//!   harness that runs both schedules on the real pool.
 
 pub mod config;
 pub mod experiment;

@@ -1,4 +1,4 @@
-//! Chunk sizing and the skewed-load harness for the adaptive schedules.
+//! Chunk sizing and the skewed-load harness for the stealing schedule.
 //!
 //! The cost model supplies the *static* part of a chunk choice — a chunk
 //! smaller than the Theorem-1 `Nt` is illegal (the peeled iterations of a
@@ -7,18 +7,19 @@
 //! ([`chunk_bounds`]). Which schedule wins between those bounds is a
 //! run-time property: a uniform load wants static blocking (no claim
 //! traffic at all), a skewed load wants stealing. [`skewed_sweep`] runs
-//! all three on the real worker pool and reports the imbalance and
+//! both on the real worker pool and reports the imbalance and
 //! barrier-wait counters the [`RunReport`] already carries.
 
 use crate::config::MachineConfig;
 use shift_peel_core::analysis::derive_levels;
 use sp_cache::LayoutStrategy;
+use sp_exec::schedule::DEFAULT_CHUNKS_PER_OWNER;
 use sp_exec::{
     ExecError, Executor, Memory, PooledExecutor, Program, RunConfig, RunReport, Schedule,
 };
 use sp_ir::LoopSequence;
 
-/// Legal chunk-size bounds for the adaptive schedules on one sequence.
+/// Legal chunk-size bounds for the stealing schedule on one sequence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkBounds {
     /// Theorem-1 lower bound: the fused group's `Nt` along the blocked
@@ -34,12 +35,11 @@ pub struct ChunkBounds {
 
 impl ChunkBounds {
     /// The tuner's chunk pick: the capacity bound clamped into the legal
-    /// range, additionally capped at a quarter block so every owner
-    /// holds several stealable chunks (matching the runtime's default
-    /// chunks-per-owner) — a single chunk per block could never shed
-    /// load.
+    /// range, additionally capped so every owner holds the runtime's
+    /// default [`DEFAULT_CHUNKS_PER_OWNER`] stealable chunks — a single
+    /// chunk per block could never shed load.
     pub fn pick(&self) -> i64 {
-        let steal_cap = (self.block_trip / 4).max(self.nt_floor);
+        let steal_cap = (self.block_trip / DEFAULT_CHUNKS_PER_OWNER).max(self.nt_floor);
         self.capacity.clamp(self.nt_floor, steal_cap)
     }
 }
@@ -90,7 +90,7 @@ pub struct SkewRow {
     pub report: RunReport,
 }
 
-/// Runs the fused plan under every schedule on the persistent pool with
+/// Runs the fused plan under both schedules on the persistent pool with
 /// identical deterministic inputs and the same steal seed, verifying
 /// the results are bit-for-bit identical, and returns one row per
 /// schedule. The caller compares `time_imbalance()` across rows — on a
@@ -183,9 +183,9 @@ mod tests {
     fn skewed_sweep_verifies_results_and_reports_all_schedules() {
         let seq = jacobi(48);
         let rows = skewed_sweep(&seq, &[2], 8, 3, 4, 7).unwrap();
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].report.schedule, "static");
-        assert_eq!(rows[2].report.schedule, "stealing");
+        assert_eq!(rows[1].report.schedule, "stealing");
         for r in &rows {
             assert!(r.report.time_imbalance() >= 0.0);
         }

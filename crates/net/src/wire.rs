@@ -403,9 +403,9 @@ fn encode_payload(e: &mut Enc, frame: &Frame) {
                 Backend::Compiled => 1,
                 Backend::Simd => 2,
             });
+            // Code 1 was the retired guided schedule; nothing encodes it.
             e.u8(match s.schedule {
                 Schedule::Static => 0,
-                Schedule::Guided => 1,
                 Schedule::Stealing => 2,
             });
             e.u64(s.steps);
@@ -571,10 +571,11 @@ fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, WireError> {
                 2 => Backend::Simd,
                 b => return Err(WireError::Malformed(format!("bad backend {b}"))),
             };
+            // A schedule never changes a result, so an older peer's
+            // guided job (code 1) runs as stealing and gets the same bits.
             let schedule = match d.u8()? {
                 0 => Schedule::Static,
-                1 => Schedule::Guided,
-                2 => Schedule::Stealing,
+                1 | 2 => Schedule::Stealing,
                 s => return Err(WireError::Malformed(format!("bad schedule {s}"))),
             };
             Frame::Submit(SubmitJob {
@@ -831,12 +832,9 @@ mod tests {
             .collect()
     }
 
-    /// One submission and one result, byte for byte as the build before
-    /// the table-driven CRC and the single-buffer encoder framed them: a
-    /// captured frame stays valid and `VERSION` stays 3.
-    #[test]
-    fn frames_are_pinned_to_the_bytes_of_protocol_version_3() {
-        let submit = Frame::Submit(SubmitJob {
+    /// The submission the version-3 pin frames.
+    fn pinned_submit() -> SubmitJob {
+        SubmitJob {
             request_id: 0x0102_0304_0506_0708,
             tenant: "bench".into(),
             name: "jacobi-34-p2".into(),
@@ -847,11 +845,19 @@ mod tests {
                 strip: 16,
             },
             backend: Backend::Simd,
-            schedule: Schedule::Guided,
+            schedule: Schedule::Stealing,
             steps: 2,
             seed: 0xDEAD_BEEF,
             deadline_nanos: 1_000_000,
-        });
+        }
+    }
+
+    /// One submission and one result, byte for byte as the build before
+    /// the table-driven CRC and the single-buffer encoder framed them: a
+    /// captured frame stays valid and `VERSION` stays 3.
+    #[test]
+    fn frames_are_pinned_to_the_bytes_of_protocol_version_3() {
+        let submit = Frame::Submit(pinned_submit());
         let result = Frame::Result(ResultFrame {
             request_id: 9,
             job: 77,
@@ -869,8 +875,8 @@ mod tests {
                 submit,
                 "53504643030001006800000008070605040302010500000062656e63680c0000006a61636f\
                  62692d33342d7032001500000070726f6772616d20700a617272617920615b385d0a020202\
-                 0000000300000010000000000000000102010200000000000000efbeadde0000000040420f\
-                 000000000088bde180",
+                 0000000300000010000000000000000102020200000000000000efbeadde0000000040420f\
+                 0000000000db0b0cb5",
             ),
             (
                 result,
@@ -883,6 +889,28 @@ mod tests {
             let bytes = unhex(hex);
             assert_eq!(encode_frame(&frame), bytes);
             assert_eq!(decode_frame(&bytes).unwrap(), frame);
+        }
+    }
+
+    /// The pinned submission as a build with the guided schedule framed
+    /// it: schedule code 1 decodes as stealing (a schedule never changes
+    /// a result), and no schedule encodes as 1.
+    #[test]
+    fn the_retired_guided_code_decodes_to_stealing() {
+        let guided = unhex(
+            "53504643030001006800000008070605040302010500000062656e63680c0000006a61636f\
+             62692d33342d7032001500000070726f6772616d20700a617272617920615b385d0a020202\
+             0000000300000010000000000000000102010200000000000000efbeadde0000000040420f\
+             000000000088bde180",
+        );
+        let decoded = decode_frame(&guided).unwrap();
+        assert_eq!(decoded, Frame::Submit(pinned_submit()));
+        // The schedule byte precedes steps, seed, deadline and the CRC.
+        let at = guided.len() - 4 - 3 * 8 - 1;
+        for schedule in Schedule::all() {
+            let mut job = pinned_submit();
+            job.schedule = schedule;
+            assert_ne!(encode_frame(&Frame::Submit(job))[at], 1, "{schedule:?}");
         }
     }
 

@@ -34,7 +34,7 @@ fn submit_strategy() -> impl Strategy<Value = SubmitJob> {
             1i64..=64,
         ),
         (
-            (0u8..=2, 0u8..=2),
+            (0u8..=2, 0u8..=1),
             (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         ),
     )
@@ -69,7 +69,6 @@ fn submit_strategy() -> impl Strategy<Value = SubmitJob> {
                 };
                 let schedule = match ssel {
                     0 => Schedule::Static,
-                    1 => Schedule::Guided,
                     _ => Schedule::Stealing,
                 };
                 SubmitJob {

@@ -249,7 +249,7 @@ impl ArtifactCache {
     /// then zeroes the in-memory counts. No-op without a stats directory.
     ///
     /// The read-modify-write runs under an advisory file lock
-    /// ([`StatsLock`]) and the rewrite lands via an atomic rename, so
+    /// (`StatsLock`) and the rewrite lands via an atomic rename, so
     /// concurrent flushers — other threads or other processes — cannot
     /// lose each other's counts. The in-memory deltas are zeroed only
     /// after the aggregate is durably on disk; on any failure (lock

@@ -44,7 +44,7 @@
 //! The one legality subtlety: the cache key includes the processor
 //! *count* but not the grid *shape*, so every lookup revalidates the
 //! cached plan against the request's grid with
-//! [`revalidate_plan`](shift_peel_core::revalidate_plan) (Theorem 1 of
+//! [`revalidate_plan`](shift_peel_core::analysis::revalidate_plan) (Theorem 1 of
 //! the paper: every processor's block must be at least `Nt` iterations
 //! deep in every fused dimension). A key match alone is never sufficient
 //! to serve a plan.

@@ -16,7 +16,7 @@
 //! | `grid=AxB`    | multi-dim grid (overrides `procs`)   | —            |
 //! | `plan=`       | `fused` / `blocked` / `serial`       | `fused`      |
 //! | `backend=`    | `compiled` / `interp` / `simd`       | `compiled`   |
-//! | `schedule=`   | `static` / `guided` / `stealing`     | `static`     |
+//! | `schedule=`   | `static` / `stealing`                | `static`     |
 //! | `steps=N`     | timesteps                            | `1`          |
 //! | `strip=N`     | strip size for fused plans           | whole block  |
 //! | `seed=N`      | init seed                            | `7`          |
@@ -100,8 +100,9 @@ pub fn parse_manifest(text: &str) -> Result<Vec<JobSpec>, ServeError> {
                         .ok_or_else(|| err(line_no, format!("unknown backend={v:?}")))?;
                 }
                 Some(("schedule", v)) => {
-                    schedule = Schedule::parse(v)
-                        .ok_or_else(|| err(line_no, format!("unknown schedule={v:?}")))?;
+                    schedule = Schedule::parse(v).ok_or_else(|| {
+                        err(line_no, format!("unknown schedule={v:?} (static|stealing)"))
+                    })?;
                 }
                 Some(("steps", v)) => steps = parse_num(line_no, "steps", v)?,
                 Some(("strip", v)) => strip = parse_num(line_no, "strip", v)?,
@@ -208,6 +209,7 @@ job j3 kernel=tomcatv plan=serial deadline_ms=5000 keep_output
             ("job j kernel=nosuch", "unknown kernel"),
             ("job j kernel=jacobi plan=banana", "unknown plan"),
             ("job j kernel=jacobi backend=gpu", "unknown backend"),
+            ("job j kernel=jacobi schedule=guided", "(static|stealing)"),
             ("job j kernel=jacobi bogus=1", "unknown option"),
             ("job j kernel=jacobi file=x.loop", "not both"),
             ("# only comments\n", "no jobs"),

@@ -158,7 +158,7 @@ pub struct JobSpec {
     pub plan: ExecPlan,
     /// Interpreter, or the lowered tape a column or a row at a time.
     pub backend: Backend,
-    /// Work-distribution discipline for parallel runs (static, guided,
+    /// Work-distribution discipline for parallel runs (static or
     /// stealing). Not part of the cache key: every schedule derives the
     /// same plan and produces bit-identical results.
     pub schedule: Schedule,

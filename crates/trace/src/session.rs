@@ -1,6 +1,6 @@
 //! Serve-session tracing: one Chrome trace for a whole batch of jobs.
 //!
-//! A single run's [`RunTrace`](crate::RunTrace) shows worker lanes for
+//! A single run's [`RunTrace`] shows worker lanes for
 //! that run only, on the run's own epoch. The serve tier executes many
 //! jobs back to back on one pool, and the question its observability
 //! must answer spans jobs: where did *this job's* latency go — queue

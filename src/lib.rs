@@ -14,8 +14,8 @@
 //! * [`exec`] — an interpreter and the static-blocked parallel runtimes
 //!   (spawn-per-step, persistent worker pool, sequential simulation)
 //!   behind one `Executor` trait, driven by a `RunConfig` and reporting
-//!   per-worker `RunReport` instrumentation; adaptive schedules (guided
-//!   and work-stealing over `Nt`-legal chunks) via `RunConfig::schedule`.
+//!   per-worker `RunReport` instrumentation; work stealing over
+//!   `Nt`-legal chunks via `RunConfig::schedule(Schedule::Stealing)`.
 //! * [`machine`] — simulated scalable shared-memory multiprocessors (KSR2
 //!   and Convex SPP-1000 presets) for the paper's speedup/miss experiments.
 //! * [`kernels`] — the paper's kernels and applications (LL18, calc,

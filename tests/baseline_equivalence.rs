@@ -65,11 +65,13 @@ fn assert_aligned_matches_reference(seq: &LoopSequence) {
         let plan = Arc::new(FusionPlan { method, ..plan });
         for procs in [1usize, 2, 3, 6] {
             for backend in [Backend::Interp, Backend::Simd] {
-                for schedule in [Schedule::Static, Schedule::Guided, Schedule::Stealing] {
-                    let cfg = RunConfig::fused([procs])
-                        .prederived(Arc::clone(&plan))
-                        .backend(backend)
-                        .schedule(schedule);
+                let stat = RunConfig::fused([procs])
+                    .prederived(Arc::clone(&plan))
+                    .backend(backend);
+                let stealing = stat.clone().schedule(Schedule::Stealing);
+                // Stealing at its default chunks and at the finest legal
+                // ones (1 clamps up to the Nt floor).
+                for cfg in [stat, stealing.clone(), stealing.chunk(1)] {
                     for runtime in [&mut SimExecutor as &mut dyn Executor, &mut pooled] {
                         let mut mem = Memory::new(&prog.seq, LayoutStrategy::Contiguous);
                         mem.init_deterministic(&prog.seq, 21);
@@ -80,9 +82,11 @@ fn assert_aligned_matches_reference(seq: &LoopSequence) {
                                 &mem.snapshot(&prog.seq, ArrayId(i as u32)),
                                 arr,
                                 "array {i} of {} at P={procs}: {} {method:?} {backend:?} \
-                                 {schedule:?}",
+                                 {:?} chunk {:?}",
                                 seq.name,
-                                runtime.name()
+                                runtime.name(),
+                                cfg.schedule_choice(),
+                                cfg.chunk_size()
                             );
                         }
                     }

@@ -249,8 +249,8 @@ fn fuzzed_programs_lower_to_folds() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Adaptive-schedule differential: the guided and stealing schedules
-    /// must be bit-for-bit equal to the static interpreter path over the
+    /// Adaptive-schedule differential: stealing at two chunk sizes must
+    /// be bit-for-bit equal to the static interpreter path over the
     /// same corpus — f64 results against the serial reference, per-proc
     /// work counters (attributed to chunk *owners*, so the racy threaded
     /// runtimes must report exactly what the deterministic simulator
@@ -265,27 +265,26 @@ proptest! {
         let steps = 2;
         let (_, want) = run_config(&seq, &prog, &RunConfig::serial().steps(steps), None);
         let mut pooled = PooledExecutor::new(procs);
-        for schedule in [Schedule::Guided, Schedule::Stealing] {
-            // Rotate the chunk override with the seed: the runtime
-            // default (four chunks per block), a fine chunk, a coarse
-            // one. `check_blocks` clamps nothing — illegal chunks would
-            // error, so every accepted size is Nt-legal by construction.
+        // The finest legal chunks (1 clamps up to the Nt floor) every
+        // time, and a chunk override rotated with the seed: the runtime
+        // default (four chunks per block), a fine chunk, a coarse one.
+        // `check_blocks` clamps nothing — illegal chunks would error, so
+        // every accepted size is Nt-legal by construction.
+        for chunk in [Some(1), [None, Some(2), Some(5)][(seed % 3) as usize]] {
             let mut cfg = RunConfig::fused([procs])
                 .strip(3)
                 .steps(steps)
-                .schedule(schedule)
+                .schedule(Schedule::Stealing)
                 .steal_seed(seed ^ 0xC0FFEE);
-            match seed % 3 {
-                0 => {}
-                1 => cfg = cfg.chunk(2),
-                _ => cfg = cfg.chunk(5),
+            if let Some(c) = chunk {
+                cfg = cfg.chunk(c);
             }
             let (ri, si) = run_config(&seq, &prog, &cfg, None);
             let ccfg = cfg.clone().backend(Backend::Compiled);
             let (rc, sc) = run_config(&seq, &prog, &ccfg, None);
             let vcfg = cfg.clone().backend(Backend::Simd);
             let (rv, sv) = run_config(&seq, &prog, &vcfg, None);
-            let name = schedule.name();
+            let name = Schedule::Stealing.name();
             prop_assert_eq!(&si, &want, "sim/interp {} diverged (seed {})", name, seed);
             prop_assert_eq!(&sc, &want, "sim/compiled {} diverged (seed {})", name, seed);
             prop_assert_eq!(&sv, &want, "sim/simd {} diverged (seed {})", name, seed);
@@ -407,7 +406,8 @@ fn peel_sweep(w: i64, trip: usize, depth: usize) -> LoopSequence {
 /// "one short chunk", "exactly one", "one and a column", "two and a
 /// tail"), as a 1-D nest (the chunked loop is the fused, blocked one)
 /// and a 2-D nest (chunks along rows, blocks and peels across them),
-/// under all three schedules.
+/// under the static schedule and stealing at its default chunks and at
+/// the finest legal ones (1 clamps up to the Nt floor).
 #[test]
 fn simd_peel_widths_and_ragged_trips_match_interp() {
     let long = peel_sweep(0, 1 << 16, 1);
@@ -426,12 +426,14 @@ fn simd_peel_widths_and_ragged_trips_match_interp() {
         let (_, want) = run_config(&seq, &prog, &RunConfig::serial().steps(3), None);
         for procs in [1usize, 2] {
             let mut pooled = PooledExecutor::new(procs);
-            for schedule in [Schedule::Static, Schedule::Guided, Schedule::Stealing] {
+            let stat = RunConfig::fused([procs]).steps(3);
+            let stealing = stat.clone().schedule(Schedule::Stealing);
+            for cfg in [stat, stealing.clone(), stealing.chunk(1)] {
                 let at = format!(
-                    "w={w} trip={trip} depth={depth} P={procs} {}",
-                    schedule.name()
+                    "w={w} trip={trip} depth={depth} P={procs} {} chunk {:?}",
+                    cfg.schedule_choice().name(),
+                    cfg.chunk_size()
                 );
-                let cfg = RunConfig::fused([procs]).steps(3).schedule(schedule);
                 let (ri, si) = run_config(&seq, &prog, &cfg, None);
                 let vcfg = cfg.clone().backend(Backend::Simd);
                 let (rv, sv) = run_config(&seq, &prog, &vcfg, None);

@@ -165,12 +165,12 @@ fn overhead_counters_match_method() {
 }
 
 /// Self-scheduling the *unfused* program is a claim policy, not a
-/// runtime: singleton groups have `Nt = 0`, so the adaptive schedules
-/// may carve blocks into chunks of any size — down to single outer
-/// iterations, up to "one chunk per block" — and every worker count,
-/// schedule, and chunk size must reproduce serial execution bit for
-/// bit on both threaded runtimes. The third nest is a serial
-/// recurrence, exercising the processor-0 phase between claimed ones.
+/// runtime: singleton groups have `Nt = 0`, so stealing may carve
+/// blocks into chunks of any size — down to single outer iterations, up
+/// to "one chunk per block" — and every worker count and chunk size
+/// must reproduce serial execution bit for bit on both threaded
+/// runtimes. The third nest is a serial recurrence, exercising the
+/// processor-0 phase between claimed ones.
 #[test]
 fn self_scheduled_unfused_program_matches_serial() {
     let n = 48usize;
@@ -200,20 +200,20 @@ fn self_scheduled_unfused_program_matches_serial() {
     let prog = Program::new(&seq, 1).unwrap();
     let mut pooled = PooledExecutor::new(6);
     for threads in [1usize, 3, 6] {
-        for schedule in [Schedule::Guided, Schedule::Stealing] {
-            for chunk in [1i64, 5, 100] {
-                let cfg = RunConfig::blocked([threads])
-                    .schedule(schedule)
-                    .chunk(chunk);
-                let executors: [&mut dyn Executor; 2] = [&mut pooled, &mut ScopedExecutor];
-                for ex in executors {
-                    let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
-                    mem.init_deterministic(&seq, 4);
-                    let report = ex.run(&prog, &mut mem, &cfg).unwrap();
-                    let what = format!("{} t={threads} {schedule:?} chunk={chunk}", ex.name());
-                    assert_eq!(mem.snapshot_all(&seq), want, "{what}");
-                    assert_eq!(report.total_iters(), 3 * 46 * 46, "{what}");
-                }
+        // Blocks of 46, 15-16 and 7-8 rows: single-row chunks, even and
+        // uneven splits, and one chunk per block.
+        for chunk in [1i64, 2, 5, 7, 23, 100] {
+            let cfg = RunConfig::blocked([threads])
+                .schedule(Schedule::Stealing)
+                .chunk(chunk);
+            let executors: [&mut dyn Executor; 2] = [&mut pooled, &mut ScopedExecutor];
+            for ex in executors {
+                let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+                mem.init_deterministic(&seq, 4);
+                let report = ex.run(&prog, &mut mem, &cfg).unwrap();
+                let what = format!("{} t={threads} chunk={chunk}", ex.name());
+                assert_eq!(mem.snapshot_all(&seq), want, "{what}");
+                assert_eq!(report.total_iters(), 3 * 46 * 46, "{what}");
             }
         }
     }

@@ -111,16 +111,17 @@ fn block_exactly_nt_runs_and_matches_serial() {
     }
 }
 
-/// The adaptive schedules at the boundary: blocks of exactly `Nt`
-/// cannot be subdivided (any sub-chunk would fall below Theorem 1's
-/// floor), so guided and stealing degrade to one whole-block chunk per
-/// worker. Every requested worker still ends up busy — work counters
-/// attribute to chunk *owners*, so even a stolen block counts toward
-/// the worker the static decomposition assigned it to — and results
-/// stay bit-for-bit equal to serial.
+/// Stealing at the boundary: blocks of exactly `Nt` cannot be
+/// subdivided (any sub-chunk would fall below Theorem 1's floor), so
+/// stealing degrades to one whole-block chunk per worker, whether the
+/// requested chunk is the floor itself or a non-divisor above it. Every
+/// requested worker still ends up busy — work counters attribute to
+/// chunk *owners*, so even a stolen block counts toward the worker the
+/// static decomposition assigned it to — and results stay bit-for-bit
+/// equal to serial.
 #[test]
 fn adaptive_schedules_keep_all_workers_busy_at_the_nt_boundary() {
-    for schedule in [Schedule::Guided, Schedule::Stealing] {
+    for chunk in [1, 3] {
         for (n, procs) in [(6usize, 2usize), (10, 4)] {
             let seq = chain(n); // trip = n - 2 = procs * Nt
             let prog = Program::new(&seq, 1).unwrap();
@@ -129,9 +130,9 @@ fn adaptive_schedules_keep_all_workers_busy_at_the_nt_boundary() {
             for _ in 0..2 {
                 prog.run(&mut want, &ExecPlan::Serial).unwrap();
             }
-            let cfg = fused(procs).schedule(schedule);
+            let cfg = fused(procs).schedule(Schedule::Stealing).chunk(chunk);
             for got in run_all(&seq, &cfg) {
-                let report = got.expect("block == Nt stays legal under adaptive schedules");
+                let report = got.expect("block == Nt stays legal under stealing");
                 assert_eq!(
                     report
                         .workers
@@ -139,7 +140,7 @@ fn adaptive_schedules_keep_all_workers_busy_at_the_nt_boundary() {
                         .filter(|w| w.counters.total_iters() > 0)
                         .count(),
                     procs,
-                    "{schedule:?} n={n}: every worker owns work at the boundary"
+                    "chunk {chunk} n={n}: every worker owns work at the boundary"
                 );
             }
             let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
@@ -148,7 +149,7 @@ fn adaptive_schedules_keep_all_workers_busy_at_the_nt_boundary() {
             assert_eq!(
                 mem.snapshot_all(&seq),
                 want.snapshot_all(&seq),
-                "{schedule:?} n={n}"
+                "chunk {chunk} n={n}"
             );
         }
     }

@@ -402,6 +402,25 @@ const RULES: &[Rule] = &[
         why: "regions run inside sp-exec's executor only: the comparator is a plan, not a caller",
         ..RULE
     },
+    Rule {
+        name: "one-dynamic-schedule",
+        any_of: &["Guided", "guided_sizes"],
+        pr: 38,
+        why: "guided self-scheduling won no workload against stealing: static is the chunk list \
+              nobody steals from, and stealing is the one dynamic schedule",
+        ..RULE
+    },
+    Rule {
+        name: "one-steal-order",
+        roots: &["crates/exec/src/schedule.rs"],
+        any_of: &[".iter().rev()"],
+        cut_tests: true,
+        expect: Exactly(1),
+        pr: 38,
+        why: "the runtime's steal and the scheduler simulation walk victims through one function, \
+              so the deterministic replay tests the code that runs",
+        ..RULE
+    },
 ];
 
 fn glob(pat: &str, name: &str) -> bool {
