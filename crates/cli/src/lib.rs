@@ -28,9 +28,8 @@ use sp_ir::{parse_sequence, LoopSequence};
 use sp_machine::{simulate, SimPlan, CONVEX_SPP1000, KSR2};
 use sp_net::{Client, ClientConfig, NetServer};
 use sp_serve::{
-    cache::{clear_disk, disk_stats},
-    parse_manifest, ArtifactCacheConfig, JobSpec, MetricsRender, MetricsServer, ServeError,
-    Service, ServiceConfig,
+    clear_disk, disk_stats, parse_manifest, ArtifactCacheConfig, JobSpec, LifetimeStats,
+    MetricsRender, MetricsServer, ServeError, Service, ServiceConfig,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -904,7 +903,7 @@ fn cache_command(opts: &Options) -> Result<String, CliError> {
     let mut out = String::new();
     match opts.path.as_str() {
         "stats" => {
-            let c = disk_stats(dir);
+            let LifetimeStats { cache: c, stages } = disk_stats(dir);
             let _ = writeln!(out, "cache dir: {}", dir.display());
             let _ = writeln!(
                 out,
@@ -917,7 +916,6 @@ fn cache_command(opts: &Options) -> Result<String, CliError> {
                 "analysis: {} hits, {} misses",
                 c.analysis_hits, c.analysis_misses,
             );
-            let stages = sp_serve::disk_stage_stats(dir);
             if !stages.is_empty() {
                 let _ = writeln!(
                     out,

@@ -124,17 +124,27 @@ impl VictimSelector {
     }
 }
 
-/// Splits `trip` iterations into uniform chunks of roughly `target`
-/// iterations, never below `min` (sizes differ by at most one, exactly
-/// like the static decomposition).
-fn uniform_sizes(trip: i64, target: i64, min: i64) -> Vec<i64> {
-    debug_assert!(trip >= min && min >= 1);
-    let target = target.clamp(min, trip);
-    // k <= trip/min guarantees every chunk holds at least `min`.
-    let k = (trip / target).clamp(1, trip / min);
+/// Splits `trip` iterations into `k` chunks whose sizes differ by at
+/// most one (exactly like the static decomposition).
+fn uniform_sizes(trip: i64, k: i64) -> Vec<i64> {
     let base = trip / k;
     let rem = trip % k;
     (0..k).map(|i| base + i64::from(i < rem)).collect()
+}
+
+/// The chunk sizes a block of `trip` iterations splits into under
+/// [`Schedule::Stealing`], none below the `nt` floor: chunks of about
+/// `chunk` iterations when one is configured, else
+/// [`DEFAULT_CHUNKS_PER_OWNER`] chunks — or as many as the floor allows.
+pub fn stealing_sizes(trip: i64, chunk: Option<i64>, nt: i64) -> Vec<i64> {
+    debug_assert!(trip >= nt && nt >= 1);
+    // At most trip/nt chunks, so that every chunk holds at least `nt`.
+    let most = (trip / nt).max(1);
+    let k = match chunk {
+        Some(c) => trip / c.clamp(nt, trip),
+        None => DEFAULT_CHUNKS_PER_OWNER,
+    };
+    uniform_sizes(trip, k.clamp(1, most))
 }
 
 /// Subdivides one static block along the outermost fused level into
@@ -239,11 +249,7 @@ impl GroupChunks {
                 // Static blocking is the chunk list nobody steals from:
                 // one chunk per owner, the block itself.
                 Schedule::Static => vec![trip],
-                Schedule::Stealing => {
-                    let per_owner = DEFAULT_CHUNKS_PER_OWNER;
-                    let target = chunk.unwrap_or((trip + per_owner - 1) / per_owner);
-                    uniform_sizes(trip, target.min(trip), nt0)
-                }
+                Schedule::Stealing => stealing_sizes(trip, chunk, nt0),
             };
             for c in split_block(block, &sizes, chunks.len()) {
                 by_owner[p].push(chunks.len() as u32);
@@ -453,11 +459,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_sizes_balance_and_respect_floor() {
+    fn stealing_sizes_balance_and_respect_floor() {
         for trip in 1..200i64 {
             for min in 1..=5i64.min(trip) {
-                for target in 1..=trip {
-                    let sizes = uniform_sizes(trip, target, min);
+                for chunk in (1..=trip).map(Some).chain([None]) {
+                    let sizes = stealing_sizes(trip, chunk, min);
                     assert_eq!(sizes.iter().sum::<i64>(), trip);
                     assert!(sizes.iter().all(|&s| s >= min));
                     let (mx, mn) = (sizes.iter().max().unwrap(), sizes.iter().min().unwrap());

@@ -167,6 +167,36 @@ mod tests {
         b.finish()
     }
 
+    /// The stealing default cuts `min(DEFAULT_CHUNKS_PER_OWNER, trip /
+    /// Nt)` chunks, and a chunk the tuner picks still leaves every owner
+    /// at least `DEFAULT_CHUNKS_PER_OWNER` whenever its block has room
+    /// for that many `Nt`-deep chunks.
+    #[test]
+    fn default_and_tuned_chunks_give_each_owner_its_share() {
+        use sp_exec::schedule::stealing_sizes;
+        for trip in 1..200i64 {
+            for nt in 1..=5i64.min(trip) {
+                let k = stealing_sizes(trip, None, nt).len() as i64;
+                assert_eq!(
+                    k,
+                    DEFAULT_CHUNKS_PER_OWNER.min(trip / nt),
+                    "{trip} rows, Nt {nt}"
+                );
+                for capacity in nt..=trip {
+                    let bounds = ChunkBounds {
+                        nt_floor: nt,
+                        capacity,
+                        block_trip: trip,
+                    };
+                    let k = stealing_sizes(trip, Some(bounds.pick()), nt).len() as i64;
+                    if trip >= DEFAULT_CHUNKS_PER_OWNER * nt {
+                        assert!(k >= DEFAULT_CHUNKS_PER_OWNER, "{bounds:?} cuts {k}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn bounds_respect_nt_floor_and_block_trip() {
         let seq = jacobi(64);

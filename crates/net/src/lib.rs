@@ -18,7 +18,9 @@
 //! * [`server`] — [`NetServer`]: the shared
 //!   [`SocketServer`](sp_serve::SocketServer) accept loop plus, per
 //!   connection, a reader thread (decode + submit) and a completion
-//!   pump that writes replies out-of-order as jobs finish. Programs
+//!   pump joined by one channel: each admitted job's result is sent
+//!   down it by [`Service::on_done`](sp_serve::Service::on_done), and
+//!   the pump writes replies out of order as they arrive. Programs
 //!   live in a bounded LRU registry as shared objects (a by-digest hit
 //!   is a reference, and a text whose bytes the registry holds is not
 //!   parsed again); a retried `request_id` is deduped against the job

@@ -3,19 +3,21 @@
 //!
 //! One acceptor thread (the shared [`SocketServer`] skeleton from
 //! sp-serve) plus **two** threads per connection: a reader and a
-//! completion pump. The reader decodes [`Frame::Submit`] requests,
-//! resolves the program (text, or digest of previously seen text), and
-//! feeds the service's fair-share queue via `submit_wire` — so the
-//! decode time lands in the job's `decode` stage span — then goes
-//! straight back to reading. The pump parks in
-//! [`Service::wait_any`](sp_serve::Service::wait_any) on the
-//! connection's in-flight window and writes each reply (tagged with the
-//! request's `request_id`) as its job finishes, out of order when jobs
-//! finish out of order, recording the `respond_wire` span. Both halves
-//! share the socket's write side behind one mutex, so pump replies and
-//! reader-side rejections never interleave bytes. Pipelining depth is
-//! the client's choice; a v1-style one-at-a-time client sees exactly
-//! the old in-order behavior.
+//! completion pump, joined by one channel. The reader decodes
+//! [`Frame::Submit`] requests, resolves the program (text, or digest of
+//! previously seen text), and feeds the service's fair-share queue via
+//! `submit_wire` — so the decode time lands in the job's `decode` stage
+//! span. It notes what the connection owes (the request's `request_id`,
+//! its job and tenant), asks [`Service::on_done`] to send the job's
+//! result down the channel, and goes straight back to reading. The pump
+//! blocks on the channel and writes each reply (tagged with its
+//! `request_id`) as its job finishes, out of order when jobs finish out
+//! of order, batching whatever else has already arrived into the same
+//! write and recording the `respond_wire` span. Both halves share the
+//! socket's write side behind one mutex, so pump replies and reader-side
+//! rejections never interleave bytes. The pump exits once the reader has
+//! closed and every owed reply is written. Pipelining depth is the
+//! client's choice; a one-at-a-time client sees its replies in order.
 //!
 //! Retried submissions: a client that resends a request (same tenant,
 //! same nonzero `request_id`) after a transport failure may race a job
@@ -58,12 +60,15 @@ use crate::wire::{
 use sp_exec::ExecPlan;
 use sp_ir::parse_sequence;
 use sp_serve::hash::Fnv1a64;
-use sp_serve::{fnv1a64, JobId, JobSpec, Service, SharedProgram, SocketServer, RESULT_RETENTION};
+use sp_serve::{
+    fnv1a64, Completion, JobId, JobSpec, Service, SharedProgram, SocketServer, RESULT_RETENTION,
+};
 use sp_trace::{JobStage, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -72,13 +77,6 @@ use std::time::Duration;
 /// stop flag. Short enough for prompt shutdown, long enough to be off
 /// the hot path.
 const POLL_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// How long the completion pump parks in `wait_any` before re-merging
-/// newly submitted requests into its watch set. Completions wake it
-/// immediately through the service condvar; the timeout only bounds the
-/// window where a job submitted *during* a park finishes before the
-/// pump watches it.
-const PUMP_REARM: Duration = Duration::from_millis(10);
 
 /// Bound on the retry-dedupe FIFO: how many recently submitted
 /// `(tenant, request_id)` keys the server remembers. Old entries fall
@@ -412,26 +410,17 @@ impl NetServer {
     }
 }
 
-/// One request the reader has handed to the pump: the correlation id to
-/// echo, the job to wait on, and the tenant for the reply frame.
-struct InFlight {
+/// A reply the connection owes: the correlation id to echo, the job
+/// whose result answers it, and the tenant for the reply frame.
+struct Owed {
     request_id: u64,
     job: JobId,
     tenant: String,
 }
 
-/// The reader→pump handoff for one connection.
-#[derive(Default)]
-struct PumpQueue {
-    pending: Vec<InFlight>,
-    /// Requests the pump has accepted but not yet replied to.
-    in_pump: usize,
-    closed: bool,
-}
-
 struct ConnShared {
-    queue: Mutex<PumpQueue>,
-    cv: Condvar,
+    /// What the reader has promised and the pump not yet written.
+    owed: Mutex<Vec<Owed>>,
     /// The socket's write side; pump replies and reader rejections
     /// serialize here.
     writer: Mutex<TcpStream>,
@@ -447,9 +436,26 @@ impl ConnShared {
         use std::io::Write as _;
         self.writer.lock().unwrap().write_all(bytes).is_ok()
     }
+
+    /// Notes that `job`'s result answers `request_id`, then has the
+    /// service send that result down `tx` to the pump.
+    fn owe(&self, service: &Service, tx: &Sender<Completion>, owed: Owed) {
+        let job = owed.job;
+        self.owed.lock().unwrap().push(owed);
+        service.on_done(job, tx.clone());
+    }
+
+    /// Takes the oldest request `job`'s result answers.
+    fn settle(&self, job: JobId) -> Owed {
+        let mut owed = self.owed.lock().unwrap();
+        let pos = owed.iter().position(|o| o.job == job);
+        owed.remove(pos.expect("every completion answers an owed request"))
+    }
 }
 
-/// One connection's request loop (the reader half).
+/// One connection: the reader runs here, the pump on its own thread.
+/// A `Drain` frame is confirmed only after the service is idle and the
+/// pump has written every reply this connection was owed.
 fn serve_conn(shared: &Arc<ServerShared>, stream: TcpStream, stop: &AtomicBool) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_TIMEOUT));
@@ -457,113 +463,109 @@ fn serve_conn(shared: &Arc<ServerShared>, stream: TcpStream, stop: &AtomicBool) 
         return;
     };
     let conn = Arc::new(ConnShared {
-        queue: Mutex::new(PumpQueue::default()),
-        cv: Condvar::new(),
+        owed: Mutex::new(Vec::new()),
         writer: Mutex::new(writer),
     });
+    let (tx, rx) = mpsc::channel();
     let pump = {
         let shared = Arc::clone(shared);
         let conn = Arc::clone(&conn);
         thread::Builder::new()
             .name("spfc-net-pump".into())
-            .spawn(move || pump_loop(&shared, &conn))
+            .spawn(move || pump_loop(&shared, &conn, &rx))
+    };
+    let Ok(pump) = pump else {
+        return;
     };
     // Buffer the read side: a pipelining client coalesces its burst
     // into one packet, so one syscall here can ingest many frames.
     let mut stream = std::io::BufReader::new(stream);
-    read_loop(shared, &mut stream, &conn, stop);
-    {
-        let mut q = conn.queue.lock().unwrap();
-        q.closed = true;
-        conn.cv.notify_all();
+    let drain = read_loop(shared, &mut stream, &conn, &tx, stop);
+    if drain {
+        // Every job is delivered when this returns, so every reply the
+        // connection is owed is in the channel.
+        shared.service.drain();
     }
-    if let Ok(handle) = pump {
-        let _ = handle.join();
+    drop(tx);
+    let _ = pump.join();
+    if drain {
+        {
+            let (flag, cv) = &*shared.drained;
+            *flag.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        let _ = conn.write(&Frame::Drain);
     }
 }
 
+/// Reads and admits requests until the peer closes, the server stops, or
+/// a frame cannot be served. True when the last frame was a `Drain`.
 fn read_loop(
     shared: &Arc<ServerShared>,
     stream: &mut impl Read,
-    conn: &Arc<ConnShared>,
+    conn: &ConnShared,
+    tx: &Sender<Completion>,
     stop: &AtomicBool,
-) {
+) -> bool {
     loop {
         // Phase 1: wait for a header, polling the stop flag between
         // timeouts. The decode span starts once the header is in.
         let mut raw = [0u8; HEADER_LEN];
         match read_polling(stream, &mut raw, stop, true) {
             PollRead::Done => {}
-            PollRead::Closed | PollRead::Stopping | PollRead::Err => return,
+            PollRead::Closed | PollRead::Stopping | PollRead::Err => return false,
         }
         let decode_start = shared.service.since_epoch();
         let header = match FrameHeader::parse(raw) {
             Ok(h) => h,
             Err(e) => {
                 // The stream is desynchronized; answer typed and close.
-                reject(conn, 0, "", &e);
-                return;
+                reject(conn, &e);
+                return false;
             }
         };
         let mut body = vec![0u8; header.payload_len as usize + 4];
         match read_polling(stream, &mut body, stop, false) {
             PollRead::Done => {}
-            PollRead::Closed | PollRead::Stopping | PollRead::Err => return,
+            PollRead::Closed | PollRead::Stopping | PollRead::Err => return false,
         }
         let frame = match header.decode_body(&body) {
             Ok(f) => f,
             Err(e) => {
-                reject(conn, 0, "", &e);
-                return;
+                reject(conn, &e);
+                return false;
             }
         };
         let decode_dur = shared.service.since_epoch() - decode_start;
         match frame {
             Frame::Ping => {
                 if !conn.write(&Frame::Ping) {
-                    return;
+                    return false;
                 }
             }
-            Frame::Drain => {
-                shared.service.drain();
-                // Let the pump flush every reply this connection is
-                // still owed before confirming the drain.
-                {
-                    let mut q = conn.queue.lock().unwrap();
-                    while q.pending.len() + q.in_pump > 0 {
-                        q = conn.cv.wait(q).unwrap();
-                    }
-                }
-                {
-                    let (flag, cv) = &*shared.drained;
-                    *flag.lock().unwrap() = true;
-                    cv.notify_all();
-                }
-                let _ = conn.write(&Frame::Drain);
-                return;
-            }
+            Frame::Drain => return true,
             Frame::Submit(submit) => {
-                if !handle_submit(shared, conn, submit, (decode_start, decode_dur)) {
-                    return;
+                if !handle_submit(shared, conn, tx, submit, (decode_start, decode_dur)) {
+                    return false;
                 }
             }
             // Server-to-client frames arriving at the server are a
             // protocol violation.
             Frame::Result(_) | Frame::Error(_) => {
                 let e = WireError::Malformed("unexpected server-side frame".into());
-                reject(conn, 0, "", &e);
-                return;
+                reject(conn, &e);
+                return false;
             }
         }
     }
 }
 
-/// Admits one submission and hands it to the pump. Returns false when
-/// the connection should close (write failure on an immediate
-/// rejection).
+/// Admits one submission and owes its reply. Returns false when the
+/// connection should close (write failure on an immediate rejection).
 fn handle_submit(
     shared: &ServerShared,
-    conn: &Arc<ConnShared>,
+    conn: &ConnShared,
+    tx: &Sender<Completion>,
     submit: SubmitJob,
     decode: (u64, u64),
 ) -> bool {
@@ -590,7 +592,12 @@ fn handle_submit(
             .unwrap()
             .lookup(&tenant, request_id, fingerprint);
         if let Some(job) = existing {
-            enqueue_reply(conn, request_id, job, tenant);
+            let owed = Owed {
+                request_id,
+                job,
+                tenant,
+            };
+            conn.owe(&shared.service, tx, owed);
             return true;
         }
     }
@@ -630,7 +637,12 @@ fn handle_submit(
             .unwrap()
             .record(&tenant, request_id, id, fingerprint);
     }
-    enqueue_reply(conn, request_id, id, tenant);
+    let owed = Owed {
+        request_id,
+        job: id,
+        tenant,
+    };
+    conn.owe(&shared.service, tx, owed);
     true
 }
 
@@ -642,16 +654,6 @@ fn registry_key(program: &ProgramRef) -> u64 {
         ProgramRef::Text(text) => fnv1a64(text.as_bytes()),
         ProgramRef::Digest(d) => *d,
     }
-}
-
-fn enqueue_reply(conn: &Arc<ConnShared>, request_id: u64, job: JobId, tenant: String) {
-    let mut q = conn.queue.lock().unwrap();
-    q.pending.push(InFlight {
-        request_id,
-        job,
-        tenant,
-    });
-    conn.cv.notify_all();
 }
 
 /// The identity of a request's *work*, streamed field by field into the
@@ -700,71 +702,25 @@ fn request_fingerprint(submit: &SubmitJob, program_key: u64) -> u64 {
     h.finish()
 }
 
-/// The completion pump: waits on the connection's in-flight window and
-/// writes replies as jobs finish, out of order. Exits once the reader
-/// has closed and every accepted request is answered.
-fn pump_loop(shared: &Arc<ServerShared>, conn: &Arc<ConnShared>) {
-    let mut inflight: Vec<InFlight> = Vec::new();
-    loop {
-        {
-            let mut q = conn.queue.lock().unwrap();
-            loop {
-                if !q.pending.is_empty() {
-                    let drained: Vec<InFlight> = q.pending.drain(..).collect();
-                    q.in_pump += drained.len();
-                    inflight.extend(drained);
-                    break;
-                }
-                if !inflight.is_empty() {
-                    break;
-                }
-                if q.closed {
-                    return;
-                }
-                q = conn.cv.wait(q).unwrap();
-            }
-        }
-        let ids: Vec<JobId> = inflight.iter().map(|f| f.job).collect();
-        // PUMP_REARM bounds how long a submission that arrived during
-        // this park waits to join the watch set; completions of watched
-        // jobs wake the wait immediately.
-        let Some(first) = shared.service.wait_any(&ids, PUMP_REARM) else {
-            continue;
-        };
-        // Sweep up every other completion that is already done — their
-        // replies coalesce into one socket write. Zero-timeout only:
-        // waiting here for stragglers would delay the replies that are
-        // ready, and the client refills its window from exactly those.
-        let mut ready = vec![first];
-        loop {
-            let rest: Vec<JobId> = inflight
-                .iter()
-                .map(|f| f.job)
-                .filter(|j| !ready.iter().any(|(d, _)| d == j))
-                .collect();
-            if rest.is_empty() {
-                break;
-            }
-            match shared.service.wait_any(&rest, Duration::ZERO) {
-                Some(more) => ready.push(more),
-                None => break,
-            }
-        }
+/// The completion pump: writes each reply as its job's result arrives,
+/// with every other result already waiting in the same write. Exits when
+/// the reader and every owed delivery have dropped their senders, or
+/// when the peer is gone.
+fn pump_loop(shared: &ServerShared, conn: &ConnShared, rx: &Receiver<Completion>) {
+    while let Ok(first) = rx.recv() {
         let t0 = shared.service.since_epoch();
         let mut batch = Vec::new();
         let mut replied = Vec::new();
-        for (done, result) in ready {
-            let pos = inflight
-                .iter()
-                .position(|f| f.job == done)
-                .expect("wait_any returns a watched id");
-            let f = inflight.remove(pos);
+        for (job, result) in std::iter::once(first).chain(rx.try_iter()) {
+            let Owed {
+                request_id, tenant, ..
+            } = conn.settle(job);
             let reply = match result {
                 Ok(res) => Frame::Result(ResultFrame {
-                    request_id: f.request_id,
+                    request_id,
                     job: res.id.0,
                     name: res.name,
-                    tenant: f.tenant,
+                    tenant,
                     cache: res.cache,
                     digest: res.digest,
                     queued_nanos: res.queued_nanos,
@@ -773,15 +729,15 @@ fn pump_loop(shared: &Arc<ServerShared>, conn: &Arc<ConnShared>) {
                     report_json: res.report.to_json(),
                 }),
                 Err(e) => Frame::Error(ErrorFrame {
-                    request_id: f.request_id,
+                    request_id,
                     code: e.code(),
-                    job: f.job.0,
-                    tenant: f.tenant,
+                    job: job.0,
+                    tenant,
                     message: e.to_string(),
                 }),
             };
             batch.extend_from_slice(&encode_frame(&reply));
-            replied.push(f.job);
+            replied.push(job);
         }
         // respond_wire: result encoding + the write back onto the socket.
         let ok = conn.write_bytes(&batch);
@@ -791,19 +747,9 @@ fn pump_loop(shared: &Arc<ServerShared>, conn: &Arc<ConnShared>) {
                 .service
                 .record_wire_stage(*job, JobStage::RespondWire, t0, dur);
         }
-        {
-            let mut q = conn.queue.lock().unwrap();
-            q.in_pump -= replied.len();
-            conn.cv.notify_all();
-        }
         if !ok {
-            // The peer is gone; drop the remaining window and let the
-            // reader notice EOF. Mark the dropped requests answered so
-            // a drain on this connection cannot hang.
-            let mut q = conn.queue.lock().unwrap();
-            q.in_pump -= inflight.len();
-            q.pending.clear();
-            conn.cv.notify_all();
+            // The peer is gone; later results have nowhere to go and
+            // the reader notices the close.
             return;
         }
     }
@@ -844,12 +790,12 @@ fn resolve_program(
     }
 }
 
-fn reject(conn: &Arc<ConnShared>, job: u64, tenant: &str, e: &WireError) {
+fn reject(conn: &ConnShared, e: &WireError) {
     let _ = conn.write(&Frame::Error(ErrorFrame {
         request_id: 0,
         code: CODE_MALFORMED,
-        job,
-        tenant: tenant.to_string(),
+        job: 0,
+        tenant: String::new(),
         message: e.to_string(),
     }));
 }

@@ -758,3 +758,94 @@ fn dedupe_follows_the_work_not_the_deadline() {
     assert_eq!(server.stats().dedupe_hits, 2);
     server.shutdown();
 }
+
+/// Two connections pipeline at once into one service: each gets back
+/// exactly the request ids it sent — nothing of the other's, nothing
+/// twice — with the digests of the same jobs run in-process. A `Drain`
+/// sent right behind a burst arrives after every reply of that burst.
+#[test]
+fn concurrent_pipelines_get_their_own_replies_and_drain_comes_last() {
+    const JOBS: u64 = 6;
+    let spec = |i: u64| {
+        JobSpec::new(
+            format!("conc-{i}"),
+            jacobi::sequence(if i.is_multiple_of(2) { 32 } else { 48 }),
+            fused(&[2]),
+        )
+        .steps(2)
+        .seed(i)
+    };
+    let local = Service::new(ServiceConfig::default().workers(2));
+    let want: Vec<u64> = (0..JOBS)
+        .map(|i| local.wait(local.submit(spec(i)).unwrap()).unwrap().digest)
+        .collect();
+
+    let server = start_server(ServiceConfig::default().workers(2).queue_capacity(64));
+    let submit = |tenant: &str, request_id: u64, i: u64| {
+        let s = spec(i);
+        Frame::Submit(SubmitJob {
+            request_id,
+            tenant: tenant.into(),
+            name: s.name.clone(),
+            program: ProgramRef::Text(s.seq.text().to_string()),
+            plan: s.plan.clone(),
+            backend: s.backend,
+            schedule: s.schedule,
+            steps: s.steps as u64,
+            seed: s.seed,
+            deadline_nanos: 0,
+        })
+    };
+    let streams: Vec<std::net::TcpStream> = (0..2)
+        .map(|_| std::net::TcpStream::connect(server.addr()).expect("connect"))
+        .collect();
+    std::thread::scope(|scope| {
+        for (c, stream) in streams.iter().enumerate() {
+            let (submit, want) = (&submit, &want);
+            scope.spawn(move || {
+                let mut stream = stream;
+                let tenant = format!("conn-{c}");
+                let base = 1000 * (c as u64 + 1);
+                for i in 0..JOBS {
+                    write_frame(&mut stream, &submit(&tenant, base + i, i)).unwrap();
+                }
+                let mut seen = Vec::new();
+                for _ in 0..JOBS {
+                    let Frame::Result(r) = read_frame(&mut stream).expect("a reply") else {
+                        panic!("expected a result");
+                    };
+                    assert_eq!(r.tenant, tenant);
+                    let i = r.request_id - base;
+                    assert!(i < JOBS, "{tenant} got request id {}", r.request_id);
+                    assert_eq!(r.digest, want[i as usize], "{tenant} job {i}");
+                    seen.push(r.request_id);
+                }
+                seen.sort_unstable();
+                assert_eq!(seen, (base..base + JOBS).collect::<Vec<_>>());
+            });
+        }
+    });
+
+    // A burst and a drain in one write: every reply, then the drain.
+    let mut stream = &streams[0];
+    let mut burst = Vec::new();
+    for i in 0..JOBS {
+        burst.extend(sp_net::encode_frame(&submit("conn-0", 5000 + i, i)));
+    }
+    burst.extend(sp_net::encode_frame(&Frame::Drain));
+    std::io::Write::write_all(&mut stream, &burst).unwrap();
+    let mut replies = 0;
+    loop {
+        match read_frame(&mut stream).expect("a frame") {
+            Frame::Result(r) => {
+                assert_eq!(r.digest, want[(r.request_id - 5000) as usize]);
+                replies += 1;
+            }
+            Frame::Drain => break,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(replies, JOBS, "the drain came after every reply");
+    server.wait_drained();
+    server.shutdown();
+}

@@ -23,9 +23,10 @@
 //! the held analysis instead of recomputing it.
 //!
 //! What does persist is the lifetime counters: with a stats directory
-//! ([`ArtifactCacheConfig::disk`]), [`ArtifactCache::flush_stats`] adds
-//! this instance's counts to `<dir>/stats`, so `spfc cache stats`
-//! aggregates across processes.
+//! ([`ArtifactCacheConfig::disk`]), the service adds this instance's
+//! counts to the lifetime stats file there when it is dropped
+//! ([`disk_stats`](crate::disk_stats)), so `spfc cache stats` aggregates
+//! across processes.
 
 use crate::hash::CacheKey;
 use shift_peel_core::analysis::revalidate_plan;
@@ -35,10 +36,8 @@ use sp_exec::ProgramTape;
 use sp_ir::LoopSequence;
 use sp_trace::MetricsRegistry;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One cached compilation: everything derivable from a [`CacheKey`]'s
 /// inputs.
@@ -54,8 +53,8 @@ pub struct Artifact {
     pub tape: Option<Arc<ProgramTape>>,
 }
 
-/// Lifetime counters, also persisted to `<dir>/stats` so `spfc cache
-/// stats` can aggregate across processes.
+/// Lifetime counters, also persisted to the stats directory so `spfc
+/// cache stats` can aggregate across processes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups served from the LRU.
@@ -81,7 +80,7 @@ impl CacheCounters {
         self.hits
     }
 
-    fn add(&mut self, o: &CacheCounters) {
+    pub(crate) fn add(&mut self, o: &CacheCounters) {
         self.hits += o.hits;
         self.misses += o.misses;
         self.inserts += o.inserts;
@@ -156,7 +155,7 @@ impl ArtifactCache {
     }
 
     /// This instance's lifetime counters (not including prior processes;
-    /// see [`disk_stats`]).
+    /// see [`disk_stats`](crate::disk_stats)).
     pub fn counters(&self) -> CacheCounters {
         self.counters
     }
@@ -244,39 +243,9 @@ impl ArtifactCache {
         self.analysis.len()
     }
 
-    /// Persists lifetime counters by *adding* this instance's counts to
-    /// `<dir>/stats` (so concurrent and successive processes aggregate),
-    /// then zeroes the in-memory counts. No-op without a stats directory.
-    ///
-    /// The read-modify-write runs under an advisory file lock
-    /// (`StatsLock`) and the rewrite lands via an atomic rename, so
-    /// concurrent flushers — other threads or other processes — cannot
-    /// lose each other's counts. The in-memory deltas are zeroed only
-    /// after the aggregate is durably on disk; on any failure (lock
-    /// timeout, full disk) they are kept and simply ride along into the
-    /// next flush.
-    pub fn flush_stats(&mut self) {
-        let Some(dir) = self.cfg.disk_dir.clone() else {
-            return;
-        };
-        self.flush_stats_to(&dir);
-    }
-
-    /// The stats directory, if this cache has one. The serve tier uses it
-    /// to co-locate its stage-latency stats with the cache counters.
+    /// The stats directory, if this cache has one.
     pub fn disk_dir(&self) -> Option<&Path> {
         self.cfg.disk_dir.as_deref()
-    }
-
-    fn flush_stats_to(&mut self, dir: &Path) {
-        let Some(_lock) = StatsLock::acquire(dir) else {
-            return;
-        };
-        let mut total = disk_stats(dir);
-        total.add(&self.counters);
-        if write_stats(dir, &total).is_ok() {
-            self.counters = CacheCounters::default();
-        }
     }
 
     /// Registers cache counters and occupancy on `reg` under
@@ -310,125 +279,6 @@ impl ArtifactCache {
     }
 }
 
-/// Advisory lock over `<dir>/stats`, held for the duration of one
-/// read-modify-write. `O_EXCL` creation of `<dir>/stats.lock` is the
-/// mutual exclusion (atomic on every platform and over NFS); dropping
-/// the guard removes the file. A lock older than [`StatsLock::STALE`]
-/// is presumed abandoned by a crashed process and stolen — stats
-/// flushes are microseconds, not seconds.
-pub(crate) struct StatsLock {
-    path: PathBuf,
-}
-
-impl StatsLock {
-    /// Age beyond which a held lock is treated as leaked.
-    const STALE: Duration = Duration::from_secs(2);
-    /// How long `acquire` spins before giving up.
-    const PATIENCE: Duration = Duration::from_millis(500);
-
-    pub(crate) fn acquire(dir: &Path) -> Option<StatsLock> {
-        let path = dir.join("stats.lock");
-        let deadline = Instant::now() + Self::PATIENCE;
-        loop {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(_) => return Some(StatsLock { path }),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|m| m.elapsed().ok())
-                        .is_some_and(|age| age > Self::STALE);
-                    if stale {
-                        // Best-effort steal; the retry re-races the
-                        // create, so two stealers cannot both win.
-                        let _ = fs::remove_file(&path);
-                    } else if Instant::now() >= deadline {
-                        return None;
-                    } else {
-                        std::thread::sleep(Duration::from_micros(500));
-                    }
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-}
-
-impl Drop for StatsLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// Aggregate counters previously [`flush_stats`](ArtifactCache::flush_stats)ed
-/// to `dir`. Zero if absent or unreadable.
-pub fn disk_stats(dir: &Path) -> CacheCounters {
-    let mut c = CacheCounters::default();
-    let Ok(text) = fs::read_to_string(dir.join("stats")) else {
-        return c;
-    };
-    let mut lines = text.lines();
-    if lines.next() != Some("spfc-cache-stats-v1") {
-        return CacheCounters::default();
-    }
-    for line in lines {
-        let Some((name, value)) = line.split_once(' ') else {
-            continue;
-        };
-        let Ok(v) = value.parse::<u64>() else {
-            continue;
-        };
-        match name {
-            "hits" => c.hits = v,
-            "misses" => c.misses = v,
-            "inserts" => c.inserts = v,
-            "evictions" => c.evictions = v,
-            "revalidation_rejects" => c.revalidation_rejects = v,
-            "analysis_hits" => c.analysis_hits = v,
-            "analysis_misses" => c.analysis_misses = v,
-            _ => {}
-        }
-    }
-    c
-}
-
-/// Writes the stats file atomically: a unique temp file in the same
-/// directory, then a rename over `<dir>/stats`, so a reader (or a
-/// crash) never observes a half-written file.
-fn write_stats(dir: &Path, c: &CacheCounters) -> std::io::Result<()> {
-    let tmp = dir.join(format!("stats.tmp.{}", std::process::id()));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        writeln!(f, "spfc-cache-stats-v1")?;
-        writeln!(f, "hits {}", c.hits)?;
-        writeln!(f, "misses {}", c.misses)?;
-        writeln!(f, "inserts {}", c.inserts)?;
-        writeln!(f, "evictions {}", c.evictions)?;
-        writeln!(f, "revalidation_rejects {}", c.revalidation_rejects)?;
-        writeln!(f, "analysis_hits {}", c.analysis_hits)?;
-        writeln!(f, "analysis_misses {}", c.analysis_misses)?;
-        f.sync_all()?;
-    }
-    let renamed = fs::rename(&tmp, dir.join("stats"));
-    if renamed.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    renamed
-}
-
-/// Deletes the lifetime stats under `dir`: the cache counters and the
-/// serve tier's stage-stats file, under the stats lock so no flush
-/// interleaves.
-pub fn clear_disk(dir: &Path) {
-    let _lock = StatsLock::acquire(dir);
-    let _ = fs::remove_file(dir.join("stats"));
-    let _ = fs::remove_file(dir.join("stage-stats"));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,70 +298,6 @@ mod tests {
             tape: None,
         };
         (seq, art)
-    }
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("sp-serve-cache-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    /// Two flushers racing on the same stats file must not lose counts:
-    /// the read-modify-write is serialized by the advisory lock, and the
-    /// final aggregate equals the sum of everything both sides counted.
-    #[test]
-    fn concurrent_flushes_lose_no_counts() {
-        let dir = tmpdir("race");
-        const ROUNDS: u64 = 40;
-        let spawn = |dir: PathBuf, hits: u64| {
-            std::thread::spawn(move || {
-                let mut c = ArtifactCache::new(ArtifactCacheConfig::memory(4).disk(&dir));
-                for _ in 0..ROUNDS {
-                    c.counters.hits += hits;
-                    c.counters.misses += 1;
-                    c.flush_stats();
-                    assert_eq!(
-                        c.counters(),
-                        CacheCounters::default(),
-                        "deltas zeroed only after a successful flush"
-                    );
-                }
-            })
-        };
-        let a = spawn(dir.clone(), 1);
-        let b = spawn(dir.clone(), 2);
-        a.join().unwrap();
-        b.join().unwrap();
-        let total = disk_stats(&dir);
-        assert_eq!(total.hits, ROUNDS * 3, "no flush overwrote another");
-        assert_eq!(total.misses, ROUNDS * 2);
-        assert!(!dir.join("stats.lock").exists(), "lock released");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A crashed process's leaked lock file must not wedge future
-    /// flushes forever: past the staleness horizon it is stolen.
-    #[test]
-    fn stale_lock_is_stolen() {
-        let dir = tmpdir("stale");
-        fs::write(dir.join("stats.lock"), "").unwrap();
-        // Backdate the lock past the staleness horizon (filetime is not
-        // available offline, so wait it out only if setting mtime via
-        // File::set_modified is unsupported).
-        let back = std::time::SystemTime::now() - (StatsLock::STALE + Duration::from_secs(1));
-        fs::File::options()
-            .write(true)
-            .open(dir.join("stats.lock"))
-            .unwrap()
-            .set_modified(back)
-            .unwrap();
-        let mut c = ArtifactCache::new(ArtifactCacheConfig::memory(4).disk(&dir));
-        c.counters.hits = 7;
-        c.flush_stats();
-        assert_eq!(disk_stats(&dir).hits, 7, "stale lock did not block");
-        assert_eq!(c.counters(), CacheCounters::default());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -551,18 +337,6 @@ mod tests {
         c.insert_analysis(2, Arc::clone(&deps));
         assert_eq!(c.analysis_len(), 2);
         assert!(c.lookup_analysis(akey).is_none(), "coldest evicted");
-        // Counters round-trip through the stats file.
-        let dir = tmpdir("analysis");
-        let mut cd = ArtifactCache::new(ArtifactCacheConfig::memory(2).disk(&dir));
-        cd.counters.analysis_hits = 3;
-        cd.counters.analysis_misses = 5;
-        cd.flush_stats();
-        let total = disk_stats(&dir);
-        assert_eq!((total.analysis_hits, total.analysis_misses), (3, 5));
-        // Clearing resets the lifetime stats.
-        clear_disk(&dir);
-        assert_eq!(disk_stats(&dir), CacheCounters::default());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

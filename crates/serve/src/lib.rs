@@ -24,13 +24,16 @@
 //! * [`service`] — the [`Service`]: a job queue in front of the shared
 //!   persistent worker pool, admitting many concurrent clients with
 //!   FIFO + per-client fair-share scheduling, bounded-queue backpressure
-//!   ([`ServeError::QueueFull`]), per-job deadlines, and graceful drain;
+//!   ([`ServeError::QueueFull`]), per-job deadlines, and graceful drain.
+//!   A job's result is delivered, not polled: [`Service::on_done`] sends
+//!   it down a channel once the job finishes, and [`Service::wait`] is
+//!   that plus a receive;
 //! * [`manifest`] — the line-oriented job-manifest format behind
 //!   `spfc serve --jobs <file>`;
 //! * [`obs`] — serve-tier observability: per-stage latency histograms
-//!   ([`StageStats`]) and outcome counters, persisted next to the cache
-//!   stats so `spfc cache stats` reports latency quantiles across
-//!   processes; the service additionally accumulates a
+//!   ([`StageStats`]) and outcome counters, and the one lifetime stats
+//!   file ([`LifetimeStats`]) they and the cache counters add up in, so
+//!   `spfc cache stats` reports both across processes; the service additionally accumulates a
 //!   [`SessionTrace`](sp_trace::SessionTrace) (one Chrome trace for the
 //!   whole session) when built with [`ServiceConfig::traced`];
 //! * [`listener`] — [`SocketServer`], the shared dependency-free TCP
@@ -63,9 +66,9 @@ pub use hash::{fnv1a64, CacheKey, CACHE_FORMAT_VERSION};
 pub use http::{MetricsRender, MetricsServer};
 pub use listener::{parse_request_line, read_http_head, ConnHandler, SocketServer};
 pub use manifest::parse_manifest;
-pub use obs::{disk_stage_stats, StageStats, TenantStats};
+pub use obs::{clear_disk, disk_stats, LifetimeStats, StageStats, TenantStats};
 pub use program::SharedProgram;
 pub use service::{
-    CacheOutcome, JobId, JobResult, JobSpec, ServeError, Service, ServiceConfig, TenantQuota,
-    RESULT_RETENTION,
+    CacheOutcome, Completion, JobId, JobResult, JobSpec, ServeError, Service, ServiceConfig,
+    TenantQuota, RESULT_RETENTION,
 };

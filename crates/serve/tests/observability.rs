@@ -12,8 +12,7 @@ use shift_peel_core::CodegenMethod;
 use sp_exec::{Backend, ExecPlan};
 use sp_kernels::{jacobi, ll18};
 use sp_serve::{
-    disk_stage_stats, ArtifactCacheConfig, JobSpec, MetricsServer, ServeError, Service,
-    ServiceConfig,
+    disk_stats, ArtifactCacheConfig, JobSpec, MetricsServer, ServeError, Service, ServiceConfig,
 };
 use sp_trace::{validate_chrome_trace, JobStage};
 use std::io::{Read, Write};
@@ -296,7 +295,7 @@ fn stage_stats_persist_across_services_sharing_a_cache_dir() {
         service.wait(id).unwrap();
         drop(service);
     }
-    let total = disk_stage_stats(&dir);
+    let total = disk_stats(&dir).stages;
     assert_eq!(total.ok, 2, "both lifetimes flushed");
     assert_eq!(total.stage(JobStage::Execute).unwrap().count(), 2);
     assert!(total.stage(JobStage::Execute).unwrap().sum() > 0);

@@ -421,6 +421,21 @@ const RULES: &[Rule] = &[
               so the deterministic replay tests the code that runs",
         ..RULE
     },
+    Rule {
+        name: "one-completion-path",
+        any_of: &["wait_any", "PUMP_REARM", "in_pump", "fn poll("],
+        why: "a job's result is delivered, not polled: Service::on_done sends it down a channel, \
+              and the wire pump blocks on that channel instead of keeping a second watch set",
+        ..RULE
+    },
+    Rule {
+        name: "one-lifetime-stats-file",
+        roots: &["crates"],
+        any_of: &["stage-stats"],
+        why: "the cache counters and the stage stats add up in one versioned <dir>/stats, \
+              written by one read-merge-write under one lock and read by one reader",
+        ..RULE
+    },
 ];
 
 fn glob(pat: &str, name: &str) -> bool {
