@@ -1,18 +1,9 @@
-//! Runtime comparison on real host threads: spawn-per-timestep
-//! ([`ScopedExecutor`](sp_exec::ScopedExecutor)) versus the persistent worker pool
-//! ([`PooledExecutor`]) versus self-scheduling of the unfused program
-//! (the pool under `Schedule::Stealing` over four-iteration chunks),
-//! across timestep counts — plus the backend
-//! ablation: the pooled run repeated with loop bodies lowered to
-//! row programs instead of walked as trees by the interpreter.
+//! Runtime comparison on real host threads: the fused program on one
+//! persistent worker pool ([`PooledExecutor`]) across timestep counts,
+//! under each backend — the interpreter, loop bodies lowered to row
+//! programs a column at a time, and the same programs a row at a time —
+//! and under the stealing schedule.
 //!
-//! The scoped runtime pays thread creation and barrier construction on
-//! *every* timestep; the pool pays it once per process, so its advantage
-//! grows with the number of timesteps. The `dynamic` column runs the
-//! unfused plan, whose singleton groups put no floor under the chunk
-//! size (a fused plan's chunks must respect the Theorem-1 `Nt` floor —
-//! paper Section 3.2), and shows what fine-grained self-scheduling
-//! costs against static blocks.
 //! The compiled backend must beat the interpreter on throughput while
 //! producing identical results and identical per-processor cache miss
 //! counts (verified here; the run panics on divergence). The `simd`
@@ -217,28 +208,17 @@ fn sweep(
     let mut rows = runtime_sweep(seq, grid, strip, steps).expect("runtime sweep");
     for _ in 1..reps {
         let again = runtime_sweep(seq, grid, strip, steps).expect("runtime sweep");
+        let keep_faster = |best: &mut RunReport, r: RunReport| {
+            if r.iters_per_sec() > best.iters_per_sec() {
+                *best = r;
+            }
+        };
         for (best, r) in rows.iter_mut().zip(again) {
-            if r.scoped.iters_per_sec() > best.scoped.iters_per_sec() {
-                best.scoped = r.scoped;
-            }
-            if r.pooled.iters_per_sec() > best.pooled.iters_per_sec() {
-                best.pooled = r.pooled;
-            }
-            if r.compiled.iters_per_sec() > best.compiled.iters_per_sec() {
-                best.compiled = r.compiled;
-            }
-            if r.simd.iters_per_sec() > best.simd.iters_per_sec() {
-                best.simd = r.simd;
-            }
-            if r.traced.iters_per_sec() > best.traced.iters_per_sec() {
-                best.traced = r.traced;
-            }
-            if r.stealing.iters_per_sec() > best.stealing.iters_per_sec() {
-                best.stealing = r.stealing;
-            }
-            if r.dynamic.iters_per_sec() > best.dynamic.iters_per_sec() {
-                best.dynamic = r.dynamic;
-            }
+            keep_faster(&mut best.pooled, r.pooled);
+            keep_faster(&mut best.compiled, r.compiled);
+            keep_faster(&mut best.simd, r.simd);
+            keep_faster(&mut best.traced, r.traced);
+            keep_faster(&mut best.stealing, r.stealing);
         }
     }
     // Per-processor cache miss parity between the backends: the compiled
@@ -251,14 +231,10 @@ fn sweep(
         "{name}: compiled backend changed per-processor miss counts: {parity:?}"
     );
     let mut t = Table::new(
-        format!(
-            "{name}: threaded runtimes, grid {grid:?} (iters/s; pool advantage grows with steps)"
-        ),
+        format!("{name}: one pool, grid {grid:?} (iters/s by backend and schedule)"),
         &[
             "steps",
-            "scoped it/s",
             "pooled it/s",
-            "pooled/scoped",
             "compiled it/s",
             "compiled/interp",
             "simd it/s",
@@ -266,7 +242,6 @@ fn sweep(
             "traced it/s",
             "traced/compiled",
             "stealing it/s",
-            "dynamic it/s",
             "pool imbalance",
             "pool max barrier us",
         ],
@@ -274,9 +249,7 @@ fn sweep(
     for r in &rows {
         t.row(vec![
             r.steps.to_string(),
-            format!("{:.0}", r.scoped.iters_per_sec()),
             format!("{:.0}", r.pooled.iters_per_sec()),
-            f2(r.pooled.iters_per_sec() / r.scoped.iters_per_sec()),
             format!("{:.0}", r.compiled.iters_per_sec()),
             f2(r.compiled.iters_per_sec() / r.pooled.iters_per_sec()),
             format!("{:.0}", r.simd.iters_per_sec()),
@@ -284,7 +257,6 @@ fn sweep(
             format!("{:.0}", r.traced.iters_per_sec()),
             f2(r.traced.iters_per_sec() / r.compiled.iters_per_sec()),
             format!("{:.0}", r.stealing.iters_per_sec()),
-            format!("{:.0}", r.dynamic.iters_per_sec()),
             f2(r.pooled.imbalance()),
             format!("{:.1}", r.pooled.max_barrier_wait_nanos() as f64 / 1e3),
         ]);
@@ -392,13 +364,11 @@ fn emit_json(
                 out.push(',');
             }
             let reports: Vec<(&str, &RunReport)> = vec![
-                ("scoped", &r.scoped),
                 ("pooled", &r.pooled),
                 ("compiled", &r.compiled),
                 ("simd", &r.simd),
                 ("traced", &r.traced),
                 ("stealing", &r.stealing),
-                ("dynamic", &r.dynamic),
             ];
             let _ = write!(out, "{{\"steps\":{},", r.steps);
             for (n, (label, rep)) in reports.iter().enumerate() {
@@ -447,8 +417,8 @@ fn main() {
     } else {
         vec![1, 10, 100, 200]
     };
-    // Small arrays: the runtimes differ in *per-step* overhead (thread
-    // spawns, barrier setup), which large per-step compute would drown.
+    // Small arrays: per-step overhead (barriers, claims, tracing) would
+    // drown in large per-step compute.
     let n = opts.size(64);
     // At least 2 workers so barrier waits and imbalance are exercised
     // even on single-core hosts (the barrier yields, so oversubscription
@@ -529,17 +499,11 @@ fn main() {
             by(Schedule::Stealing).report.total_steals()
         );
     }
-    // The acceptance checks: with enough timesteps the persistent pool
-    // should at least match the spawn-per-step runtime, and the compiled
-    // tapes should clearly beat the interpreter at identical results and
-    // identical per-processor miss counts.
+    // The acceptance checks: the compiled tapes should clearly beat the
+    // interpreter at identical results and identical per-processor miss
+    // counts.
     for k in &kernels {
         for r in k.rows.iter().filter(|r| r.steps >= 100) {
-            let ratio = r.pooled.iters_per_sec() / r.scoped.iters_per_sec();
-            println!(
-                "{}: pooled/scoped throughput at {} steps = {:.2}x",
-                k.name, r.steps, ratio
-            );
             println!(
                 "{}: compiled/interp throughput at {} steps = {:.2}x (miss parity: {})",
                 k.name,

@@ -22,7 +22,7 @@ use sp_cache::LayoutStrategy;
 use sp_dep::{analyze_sequence, describe_deps};
 use sp_exec::{
     register_pass_metrics, Backend, ExecPlan, Executor, Memory, PooledExecutor, Program, RunConfig,
-    Schedule, ScopedExecutor, SimExecutor,
+    Schedule, SimExecutor,
 };
 use sp_ir::{parse_sequence, LoopSequence};
 use sp_machine::{simulate, SimPlan, CONVEX_SPP1000, KSR2};
@@ -76,7 +76,7 @@ pub struct Options {
     pub strip: i64,
     /// `--machine ksr2|convex` (default convex).
     pub machine: String,
-    /// `--executor scoped|pooled|sim` (default scoped).
+    /// `--executor pooled|sim` (default pooled).
     pub executor: String,
     /// `--steps N` timesteps (default 1).
     pub steps: usize,
@@ -149,7 +149,7 @@ impl Options {
             procs: 4,
             strip: 16,
             machine: "convex".to_string(),
-            executor: "scoped".to_string(),
+            executor: "pooled".to_string(),
             steps: 1,
             backend: "interp".to_string(),
             schedule: "static".to_string(),
@@ -335,7 +335,7 @@ impl Options {
 pub const USAGE: &str = "usage: spfc \
 <analyze|derive|fuse|explain|run|simulate|trace-check> <prog.loop|kernel|trace.json> \
 [--procs N] [--strip N] [--steps N] [--machine ksr2|convex] \
-[--executor scoped|pooled|sim] [--backend interp|compiled|simd] \
+[--executor pooled|sim] [--backend interp|compiled|simd] \
 [--schedule static|stealing] [--chunk N] \
 [--trace-out FILE] [--metrics-out FILE]\n\
        spfc list\n\
@@ -1017,16 +1017,21 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
                 cfg = cfg.traced();
             }
             let mut executor: Box<dyn Executor> = match opts.executor.as_str() {
-                "scoped" => Box::new(ScopedExecutor),
                 "pooled" => Box::new(PooledExecutor::new(opts.procs)),
                 "sim" => Box::new(SimExecutor),
+                "scoped" => {
+                    return usage(
+                        "the scoped executor is gone: every threaded run is one pool \
+                         dispatch, use --executor pooled",
+                    )
+                }
                 "dynamic" => {
                     return usage(
                         "the dynamic executor is gone: self-scheduling is a schedule, \
-                         use --schedule stealing (with --chunk N) on scoped or pooled",
+                         use --schedule stealing (with --chunk N) on --executor pooled",
                     )
                 }
-                other => return usage(format!("unknown executor {other} (scoped|pooled|sim)")),
+                other => return usage(format!("unknown executor {other} (pooled|sim)")),
             };
             let mut ref_mem = Memory::seeded(&seq, LayoutStrategy::Contiguous, 42);
             for _ in 0..opts.steps {

@@ -81,6 +81,19 @@ fn run_verifies_fused_execution() {
     });
 }
 
+/// Every threaded run is one pool dispatch: the pool is the default,
+/// and the spawn-per-step name is refused with a pointer to it.
+#[test]
+fn run_defaults_to_the_pool_and_refuses_scoped() {
+    with_program(|path| {
+        let out = run(&["run", path, "--procs", "2", "--steps", "3"]).expect("default run");
+        assert!(out.starts_with("OK: pooled result matches serial"), "{out}");
+        let e = run(&["run", path, "--executor", "scoped"]).unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("--executor pooled"), "{}", e.message);
+    });
+}
+
 #[test]
 fn run_supports_the_adaptive_schedules() {
     with_program(|path| {

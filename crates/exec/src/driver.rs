@@ -11,9 +11,9 @@
 //! runs one worker's share of one phase and `drive_worker` walks a
 //! threaded worker through the list with a barrier after every phase.
 //! The runtimes differ only in who calls them: the pool (one dispatch,
-//! workers loop `steps x phases`), freshly spawned threads (the same
-//! loop over one step), or the simulator, which calls `run_phase` for
-//! processors `0..P` one after another on the caller's thread. Because
+//! workers loop `steps x phases`) or the simulator, which calls
+//! `run_phase` for processors `0..P` one after another on the caller's
+//! thread. Because
 //! the transformation removes every cross-processor dependence within a
 //! phase, any serialization of a phase is equivalent to its parallel
 //! execution — this is what makes deterministic trace-driven cache
@@ -33,7 +33,6 @@ use sp_dep::SequenceDeps;
 use sp_ir::{IterSpace, LoopSequence};
 use sp_trace::tracer::NO_INDEX;
 use sp_trace::{SpanKind, TraceConfig, WorkerTrace, WorkerTracer};
-use std::ops::Range;
 use std::time::Instant;
 
 /// Iterates the tiles of `block` over the first `fused_levels` dimensions
@@ -471,9 +470,9 @@ pub(crate) unsafe fn run_phase<S: AccessSink>(
     }
 }
 
-/// Walks threaded worker `p` through the phase list for the timesteps
-/// in `steps`, meeting the other workers at `barrier` after every phase,
-/// and closes its lane with a `Dispatch` span tagged `dispatch_step`.
+/// Walks threaded worker `p` through the phase list `steps` times,
+/// meeting the other workers at `barrier` after every phase, and closes
+/// its lane with one `Dispatch` span.
 ///
 /// # Safety
 /// All `ctx.nprocs` participants must call this with the same `ctx`,
@@ -482,8 +481,7 @@ pub(crate) unsafe fn drive_worker(
     ctx: &RunCtx<'_>,
     p: usize,
     barrier: &SenseBarrier,
-    steps: Range<usize>,
-    dispatch_step: u32,
+    steps: usize,
 ) -> WorkerOut {
     let mut sink = NullSink;
     let selector = (ctx.schedule != Schedule::Static)
@@ -491,7 +489,7 @@ pub(crate) unsafe fn drive_worker(
     let mut w = Worker::new(ctx, p, &mut sink, selector);
     let mut sense = false;
     let job_t0 = Instant::now();
-    for step in steps {
+    for step in 0..steps {
         for (idx, phase) in ctx.list.phases.iter().enumerate() {
             // SAFETY: every participant runs the same phase list in
             // lockstep through the barrier below.
@@ -500,7 +498,7 @@ pub(crate) unsafe fn drive_worker(
         }
     }
     if let Some(t) = &mut w.tracer {
-        t.record_until_now(SpanKind::Dispatch, job_t0, dispatch_step, NO_INDEX);
+        t.record_until_now(SpanKind::Dispatch, job_t0, NO_INDEX, NO_INDEX);
     }
     w.finish()
 }

@@ -3,8 +3,8 @@
 //! [`Program`] bundles a sequence with its dependence analysis; an
 //! [`ExecPlan`] names *what* to execute (the original serial program, the
 //! original blocked-parallel program, or the shift-and-peel fused
-//! program). *How* it executes — spawned threads, the persistent worker
-//! pool, or deterministic simulation — is chosen by an
+//! program). *How* it executes — on a worker pool, or in deterministic
+//! simulation — is chosen by an
 //! [`Executor`](crate::executor::Executor) implementation driven by a
 //! [`RunConfig`].
 

@@ -1,18 +1,16 @@
 //! The unified executor API.
 //!
-//! One trait, [`Executor`], three runtimes over one core
+//! One trait, [`Executor`], two runtimes over one core
 //! ([`crate::driver`]): every run is prepared the same way (validate,
 //! start tracing, lower, plan, flatten the plan into a phase list with
 //! its chunk decomposition) and reported the same way; the runtimes
 //! differ only in who calls the per-worker phase function and when.
 //!
-//! * [`ScopedExecutor`] — spawns a fresh set of OS threads for **every
-//!   timestep** (`std::thread::scope`). This is the seed runtime's
-//!   behavior, kept as the baseline the pool is measured against.
-//! * [`PooledExecutor`] — a persistent [`WorkerPool`]: its threads are
-//!   created once and park between runs, the calling thread is
-//!   processor 0, and a whole multi-timestep run is a single dispatch
-//!   with [`SenseBarrier`] phase synchronization.
+//! * The threaded runtime — a [`WorkerPool`] whose calling thread is
+//!   processor 0, where a whole multi-timestep run is a single dispatch
+//!   with [`SenseBarrier`] phase synchronization. [`PooledExecutor`]
+//!   keeps one pool across runs; [`ScopedExecutor`] builds one per run
+//!   and drops it after.
 //! * [`SimExecutor`] — the deterministic single-threaded simulation of
 //!   `P` processors; [`Program::run_with_sinks`] runs it with one access
 //!   sink per processor (a cache hierarchy, say).
@@ -92,7 +90,7 @@ impl Backend {
 ///
 /// ```ignore
 /// let cfg = RunConfig::fused([4]).strip(8).steps(100);
-/// let report = ScopedExecutor.run(&prog, &mut mem, &cfg)?;
+/// let report = PooledExecutor::new(4).run(&prog, &mut mem, &cfg)?;
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
@@ -562,17 +560,19 @@ impl<'c> Prepared<'c> {
         }
     }
 
-    /// The one report step: folds the per-worker outputs (several per
-    /// worker when threads were spawned per step) and the chunks'
-    /// owner-attributed work into per-processor totals.
-    fn report(self, name: &str, outs: impl IntoIterator<Item = (usize, WorkerOut)>) -> RunReport {
+    /// The one report step: folds each worker's output, processor by
+    /// processor, and the chunks' owner-attributed work into
+    /// per-processor totals.
+    fn report(self, name: &str, outs: impl ExactSizeIterator<Item = WorkerOut>) -> RunReport {
         let cfg = self.cfg;
-        let mut totals = vec![ExecCounters::default(); cfg.plan().procs()];
+        assert_eq!(outs.len(), cfg.plan().procs(), "one output per worker");
         let mut lanes = Vec::new();
-        for (p, (counters, lane)) in outs {
-            totals[p].merge(&counters);
-            lanes.extend(lane);
-        }
+        let mut totals: Vec<ExecCounters> = outs
+            .map(|(counters, lane)| {
+                lanes.extend(lane);
+                counters
+            })
+            .collect();
         if let Some((_, list)) = &self.parallel {
             list.merge_into(&mut totals);
         }
@@ -611,77 +611,37 @@ impl<'c> Prepared<'c> {
     }
 }
 
-/// Who provides the threads of a parallel run.
-enum Threads<'p> {
-    /// Fresh scoped threads for every timestep.
-    PerStep,
-    /// The persistent pool: one dispatch covers every timestep.
-    Pool(&'p mut WorkerPool),
-}
-
-/// The threaded runtimes: every worker runs [`drive_worker`] on its own
-/// thread, on whichever threads `threads` provides.
-fn run_threaded(
+/// The threaded runtime: every worker runs [`drive_worker`] on one of
+/// `pool`'s threads (the caller is processor 0), and one dispatch covers
+/// every timestep.
+fn run_pooled(
     name: &'static str,
-    threads: Threads<'_>,
+    pool: &mut WorkerPool,
     prog: &Program<'_>,
     mem: &mut Memory,
     cfg: &RunConfig,
 ) -> Result<RunReport, ExecError> {
     if matches!(cfg.plan(), ExecPlan::Serial) {
         // A serial plan has no parallel phases; run it inline rather
-        // than spawning or waking threads for nothing.
+        // than waking threads for nothing.
         return simulate(name, prog, mem, cfg, &mut [NullSink]);
     }
-    let capacity = match &threads {
-        Threads::PerStep => usize::MAX,
-        Threads::Pool(pool) => pool.size(),
-    };
-    let run = Prepared::new(prog, mem, cfg, capacity)?;
+    let run = Prepared::new(prog, mem, cfg, pool.size())?;
     let ctx = run.ctx(prog.seq(), mem);
     let (nprocs, steps) = (ctx.nprocs, cfg.step_count());
-    let mut outs: Vec<(usize, WorkerOut)> = Vec::new();
-    match threads {
-        Threads::Pool(pool) => {
-            let barrier = SenseBarrier::new(nprocs);
-            let slots: Vec<Mutex<WorkerOut>> = (0..nprocs).map(|_| Mutex::default()).collect();
-            // The calling thread is processor 0; surplus workers sleep on.
-            pool.run(nprocs, &|p: usize| {
-                // SAFETY: the `nprocs` participating processors share one
-                // context and barrier and cover the same steps.
-                let out = unsafe { drive_worker(&ctx, p, &barrier, 0..steps, NO_INDEX) };
-                // One write at job end keeps the hot path lock-free.
-                *slots[p].lock().expect("slot written once per worker") = out;
-            })?;
-            outs.extend(slots.into_iter().enumerate().map(|(p, s)| {
-                let out = s.into_inner().expect("slot written once per worker");
-                (p, out)
-            }));
-        }
-        Threads::PerStep => {
-            for step in 0..steps {
-                let barrier = SenseBarrier::new(nprocs);
-                std::thread::scope(|scope| {
-                    let (ctx, barrier) = (&ctx, &barrier);
-                    let handles: Vec<_> = (0..nprocs)
-                        .map(|p| {
-                            // SAFETY: as above, one step at a time; the
-                            // scope's join orders each step before the
-                            // next.
-                            scope.spawn(move || unsafe {
-                                drive_worker(ctx, p, barrier, step..step + 1, step as u32)
-                            })
-                        })
-                        .collect();
-                    for (p, h) in handles.into_iter().enumerate() {
-                        let out = h.join().map_err(|_| ExecError::WorkerPanic { proc: p })?;
-                        outs.push((p, out));
-                    }
-                    Ok::<(), ExecError>(())
-                })?;
-            }
-        }
-    }
+    let barrier = SenseBarrier::new(nprocs);
+    let slots: Vec<Mutex<WorkerOut>> = (0..nprocs).map(|_| Mutex::default()).collect();
+    // Surplus workers sleep on.
+    pool.run(nprocs, &|p: usize| {
+        // SAFETY: the `nprocs` participating processors share one
+        // context and barrier and cover the same steps.
+        let out = unsafe { drive_worker(&ctx, p, &barrier, steps) };
+        // One write at job end keeps the hot path lock-free.
+        *slots[p].lock().expect("slot written once per worker") = out;
+    })?;
+    let outs = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("slot written once per worker"));
     Ok(run.report(name, outs))
 }
 
@@ -689,9 +649,9 @@ fn run_threaded(
 /// another on the caller's thread, each reporting into its own sink —
 /// `for phase { for p in 0..P { run_phase(p) } }`, never stealing. Under
 /// an adaptive schedule the phase list holds the same chunk
-/// decomposition the threaded runtimes use and every chunk's work is
+/// decomposition the threaded runtime uses and every chunk's work is
 /// attributed to its *owner*, so the per-processor counters and access
-/// streams produced here are the reference the threaded runtimes must
+/// streams produced here are the reference the threaded runtime must
 /// reproduce exactly. Barrier waits are not recorded: nothing waits in
 /// a serialized simulation.
 pub(crate) fn simulate<S: AccessSink>(
@@ -744,12 +704,13 @@ pub(crate) fn simulate<S: AccessSink>(
         }
         workers.into_iter().map(Worker::finish).collect()
     };
-    Ok(run.report(name, outs.into_iter().enumerate()))
+    Ok(run.report(name, outs.into_iter()))
 }
 
-/// Spawn-per-timestep runtime: every timestep creates `P` scoped threads
-/// and a fresh barrier, exactly like the seed's `run_plan_threaded`. Its
-/// per-step thread-creation cost is what [`PooledExecutor`] removes.
+/// A one-run pool: every run builds a [`WorkerPool`] sized to its plan,
+/// dispatches once as [`PooledExecutor`] does, and drops the pool. Same
+/// results and work counters as the persistent pool; what it adds is
+/// the cost of creating and joining `P - 1` threads per run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScopedExecutor;
 
@@ -764,7 +725,8 @@ impl Executor for ScopedExecutor {
         mem: &mut Memory,
         cfg: &RunConfig,
     ) -> Result<RunReport, ExecError> {
-        run_threaded(self.name(), Threads::PerStep, prog, mem, cfg)
+        let mut pool = WorkerPool::new(cfg.plan().procs().max(1));
+        run_pooled(self.name(), &mut pool, prog, mem, cfg)
     }
 }
 
@@ -804,7 +766,7 @@ impl Executor for PooledExecutor {
         mem: &mut Memory,
         cfg: &RunConfig,
     ) -> Result<RunReport, ExecError> {
-        run_threaded(self.name(), Threads::Pool(&mut self.pool), prog, mem, cfg)
+        run_pooled(self.name(), &mut self.pool, prog, mem, cfg)
     }
 }
 
@@ -936,7 +898,7 @@ mod tests {
     #[test]
     fn adaptive_owner_counters_match_sim_reference() {
         // Work counters are attributed to chunk *owners*, so the racy
-        // threaded runtimes must report exactly what the deterministic
+        // threaded runtime must report exactly what the deterministic
         // simulator reports, per processor, at the same schedule.
         let seq = jacobi(32);
         let prog = Program::new(&seq, 2).unwrap();
@@ -965,6 +927,41 @@ mod tests {
                     scoped.workers[p].counters, sim.workers[p].counters,
                     "chunk {chunk} scoped proc {p}"
                 );
+            }
+        }
+    }
+
+    /// `ScopedExecutor` is a pool of one run: the same dispatch as the
+    /// persistent pool, hence the same bits, the same per-processor work
+    /// counters and barrier crossings, and one dispatch span per worker
+    /// however many steps the run covers.
+    #[test]
+    fn scoped_is_a_one_run_pool() {
+        let seq = jacobi(32);
+        let prog = Program::new(&seq, 2).unwrap();
+        let mut pooled = PooledExecutor::new(4);
+        let fused = RunConfig::fused([2, 2]).strip(4).steps(3);
+        for cfg in [
+            fused.clone(),
+            fused.clone().schedule(Schedule::Stealing).chunk(1),
+            fused.backend(Backend::Simd).traced(),
+        ] {
+            let run = |ex: &mut dyn Executor| {
+                let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+                mem.init_deterministic(&seq, 7);
+                let report = ex.run(&prog, &mut mem, &cfg).unwrap();
+                (report, mem.snapshot_all(&seq))
+            };
+            let (scoped, scoped_mem) = run(&mut ScopedExecutor);
+            let (pool, pool_mem) = run(&mut pooled);
+            assert_eq!(scoped.executor, "scoped");
+            assert_eq!(scoped_mem, pool_mem);
+            for (s, p) in scoped.workers.iter().zip(&pool.workers) {
+                // Work counters and barrier crossings alike.
+                assert_eq!(s.counters, p.counters, "proc {}", s.proc);
+            }
+            if let Some(trace) = &scoped.trace {
+                assert_eq!(trace.events_of(SpanKind::Dispatch).count(), 4);
             }
         }
     }
@@ -1172,7 +1169,7 @@ mod tests {
         assert!(r.cached);
         assert_eq!(r.lower_nanos, 0);
         assert_eq!(r.tape_ops, fresh.tape_ops);
-        // The threaded runtimes accept injected artifacts too.
+        // The threaded runtime accepts injected artifacts too.
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         mem.init_deterministic(&seq, 7);
         let cfg = base

@@ -184,29 +184,12 @@ pub unsafe fn exec_region<S: AccessSink>(
     });
 }
 
-/// Serial reference execution: every nest in program order over its full
-/// iteration space. This defines the semantics all transformed schedules
-/// must reproduce bit-for-bit.
-pub fn run_original<S: AccessSink>(
-    seq: &LoopSequence,
-    mem: &mut crate::memory::Memory,
-    sink: &mut S,
-) -> ExecCounters {
-    let mut counters = ExecCounters::default();
-    let view = MemView::new(mem);
-    for k in 0..seq.nests.len() {
-        let space = seq.nests[k].space();
-        // SAFETY: single-threaded execution; no concurrent access.
-        unsafe { exec_region(seq, &view, k, &space, sink, &mut counters) };
-    }
-    counters
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::memory::Memory;
     use crate::sink::{CountingSink, NullSink, RecordingSink};
+    use crate::tape::Engine;
     use sp_cache::LayoutStrategy;
     use sp_ir::{ArrayId, SeqBuilder};
 
@@ -227,7 +210,7 @@ mod tests {
         let seq = stencil();
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         mem.fill_with(&seq, ArrayId(0), |p| p[0] as f64);
-        let counters = run_original(&seq, &mut mem, &mut NullSink);
+        let counters = Engine::Interp.run_original(&seq, &mut mem, &mut NullSink);
         for i in 1..=6i64 {
             assert_eq!(mem.get(ArrayId(1), &[i]), (i + 1) as f64 + (i - 1) as f64);
         }
@@ -242,7 +225,7 @@ mod tests {
         let seq = stencil();
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         let mut sink = CountingSink::default();
-        let counters = run_original(&seq, &mut mem, &mut sink);
+        let counters = Engine::Interp.run_original(&seq, &mut mem, &mut sink);
         assert_eq!(sink.loads, counters.loads);
         assert_eq!(sink.stores, counters.stores);
     }
@@ -252,7 +235,7 @@ mod tests {
         let seq = stencil();
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         let mut sink = RecordingSink::default();
-        run_original(&seq, &mut mem, &mut sink);
+        Engine::Interp.run_original(&seq, &mut mem, &mut sink);
         // First iteration (i=1): loads a[2], a[0]; store c[1].
         assert_eq!(sink.trace[0], (2 * 8, false));
         assert_eq!(sink.trace[1], (0, false));

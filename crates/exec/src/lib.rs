@@ -26,10 +26,11 @@
 //!   [`ExecPlan`] (what to execute);
 //! * [`pass`] — the per-stage timing export of the core planner
 //!   ([`register_pass_metrics`]);
-//! * [`executor`] — the [`Executor`] trait with its three runtimes
-//!   ([`ScopedExecutor`], [`PooledExecutor`], [`SimExecutor`]) — thin
-//!   entry points that differ only in who provides the threads —
-//!   driven by a [`RunConfig`];
+//! * [`executor`] — the [`Executor`] trait and its entry points, which
+//!   differ only in who provides the threads: one [`WorkerPool`]
+//!   dispatch per threaded run ([`PooledExecutor`]; [`ScopedExecutor`]
+//!   builds its pool for the one run) or the [`SimExecutor`] — driven by
+//!   a [`RunConfig`];
 //! * [`report`] — per-run [`RunReport`] instrumentation (phase wall
 //!   times, barrier waits, imbalance), JSON-serializable, aggregating
 //!   into an `sp-trace` metrics registry via [`RunReport::metrics`];
@@ -68,7 +69,7 @@ pub mod tape;
 pub use digest::WordDigest;
 pub use exec::{ExecError, ExecPlan, Program};
 pub use executor::{Backend, Executor, PooledExecutor, RunConfig, ScopedExecutor, SimExecutor};
-pub use interp::{run_original, ExecCounters};
+pub use interp::ExecCounters;
 pub use memory::{MemView, Memory};
 pub use pass::register_pass_metrics;
 pub use pool::{SenseBarrier, WorkerPool};

@@ -618,7 +618,6 @@ fn lower_ref(r: &ArrayRef, layout: &MemoryLayout, depth: usize) -> AccessPat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::run_original;
     use crate::memory::Memory;
     use crate::sink::{NullSink, RecordingSink};
     use crate::tape::Engine;
@@ -724,7 +723,7 @@ mod tests {
             m1.init_deterministic(&seq, 11);
             let mut m2 = m1.clone();
             let mut s1 = RecordingSink::default();
-            let c1 = run_original(&seq, &mut m1, &mut s1);
+            let c1 = Engine::Interp.run_original(&seq, &mut m1, &mut s1);
             let tape = ProgramTape::lower(&seq, &m2.layout);
             let mut s2 = RecordingSink::default();
             let c2 = Engine::Tape {
@@ -840,7 +839,7 @@ mod tests {
             assert_eq!(stmt.row.ops(), [mul_add], "{what}");
             let mut mi = m0.clone();
             let mut si = RecordingSink::default();
-            let ci = run_original(&seq, &mut mi, &mut si);
+            let ci = Engine::Interp.run_original(&seq, &mut mi, &mut si);
             assert!(!si.trace.is_empty(), "{what}");
             for rows in [false, true] {
                 let what = format!("{what}, rows {rows}");
@@ -1212,7 +1211,7 @@ mod tests {
     ) {
         let mut mi = m0.clone();
         let mut si = RecordingSink::default();
-        let ci = run_original(seq, &mut mi, &mut si);
+        let ci = Engine::Interp.run_original(seq, &mut mi, &mut si);
         for rows in [false, true] {
             let mut mt = m0.clone();
             let mut st = RecordingSink::default();
@@ -1520,7 +1519,7 @@ mod tests {
 
         let mut mi = m0.clone();
         let mut si = RecordingSink::default();
-        let ci = run_original(&seq, &mut mi, &mut si);
+        let ci = Engine::Interp.run_original(&seq, &mut mi, &mut si);
         for rows in [false, true] {
             let mut mt = m0.clone();
             let mut st = RecordingSink::default();
@@ -1623,7 +1622,7 @@ mod tests {
             for nest in &tape.nests {
                 assert_eq!(nest.row_width, delta);
             }
-            let c1 = run_original(&seq, &mut m1, &mut NullSink);
+            let c1 = Engine::Interp.run_original(&seq, &mut m1, &mut NullSink);
             let c2 = Engine::Tape {
                 tape: &tape,
                 rows: true,
@@ -1758,7 +1757,7 @@ mod tests {
         m1.init_deterministic(&seq, 5);
         let mut m2 = m1.clone();
         let mut s1 = RecordingSink::default();
-        run_original(&seq, &mut m1, &mut s1);
+        Engine::Interp.run_original(&seq, &mut m1, &mut s1);
         let tape = ProgramTape::lower(&seq, &m2.layout);
         let mut s2 = RecordingSink::default();
         Engine::Tape {

@@ -1,11 +1,12 @@
-//! A persistent static-blocked worker pool.
+//! The worker pool: the one set of threads every threaded run executes
+//! on.
 //!
-//! The scoped runtime (`std::thread::scope`) pays thread creation and
-//! teardown on every run — a real cost when a timestepped application
-//! executes the same fused schedule hundreds of times. [`WorkerPool`]
-//! creates its threads **once**; between runs each is parked, and a run
-//! unparks exactly the ones it needs while the calling thread takes
-//! processor 0's share itself. Within a run, phases synchronize on a
+//! [`WorkerPool`] creates its threads **once**; between runs each is
+//! parked, and a run unparks exactly the ones it needs while the calling
+//! thread takes processor 0's share itself. A run is one dispatch however
+//! many timesteps it covers, so a timestepped application that executes
+//! the same fused schedule hundreds of times pays for thread creation
+//! only when it builds the pool. Within a run, phases synchronize on a
 //! [`SenseBarrier`] — a centralized sense-reversing barrier that is
 //! reusable across an unbounded number of waits without reinitialization,
 //! matching the paper's static-blocked execution model (Section 3.2)

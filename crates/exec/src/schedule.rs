@@ -17,7 +17,7 @@
 //! * **Result-affecting decisions** (the chunk decomposition itself) are
 //!   pure functions of the run configuration and the plan, so the
 //!   deterministic [`SimExecutor`](crate::executor::SimExecutor) and the
-//!   threaded runtimes agree on per-owner work counters exactly. Work
+//!   threaded runtime agree on per-owner work counters exactly. Work
 //!   counters are attributed to a chunk's *owner* (the static block it
 //!   was carved from), not the worker that happened to execute it.
 //! * **Timing-only decisions** (which worker steals which chunk, when a

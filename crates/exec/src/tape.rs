@@ -606,8 +606,9 @@ impl Engine<'_> {
     }
 
     /// Serial reference execution with this backend: every nest in
-    /// program order over its full space (the backend-parameterized
-    /// [`crate::interp::run_original`]).
+    /// program order over its full iteration space. Under
+    /// [`Engine::Interp`] this defines the semantics every transformed
+    /// schedule and every backend must reproduce bit for bit.
     pub fn run_original<S: AccessSink>(
         &self,
         seq: &LoopSequence,

@@ -12,7 +12,7 @@ use shift_peel_core::CodegenMethod;
 use sp_cache::{CacheConfig, CacheHierarchy, LayoutStrategy};
 use sp_exec::{
     Backend, CacheSink, ExecError, ExecPlan, Executor, Memory, PooledExecutor, Program, RunConfig,
-    RunReport, Schedule, ScopedExecutor,
+    RunReport, Schedule,
 };
 use sp_ir::LoopSequence;
 
@@ -258,18 +258,14 @@ pub fn padding_sweep(
 }
 
 /// One row of a real-thread runtime sweep: the same fused program run
-/// for `steps` timesteps under the spawn-per-step and persistent-pool
-/// runtimes (verified bit-for-bit identical), plus a self-scheduled run
-/// of the *unfused* blocked plan (its singleton groups have `Nt = 0`, so
-/// workers may claim chunks of any size; a fused plan's chunks must
-/// respect the Theorem-1 floor — paper Section 3.2).
+/// for `steps` timesteps on one persistent pool under every backend, with
+/// tracing and under the stealing schedule, each verified bit-for-bit
+/// identical to the interpreted static run.
 #[derive(Clone, Debug)]
 pub struct RuntimeRow {
     /// Timesteps in this row's runs.
     pub steps: usize,
-    /// Spawn-per-timestep run ([`ScopedExecutor`]).
-    pub scoped: RunReport,
-    /// Persistent worker-pool run ([`PooledExecutor`]).
+    /// Persistent worker-pool run ([`PooledExecutor`]), interpreted.
     pub pooled: RunReport,
     /// Pool run with the compiled tape backend ([`Backend::Compiled`]);
     /// same plan and pool as `pooled`, lowered bodies instead of the
@@ -289,17 +285,13 @@ pub struct RuntimeRow {
     /// the static runs; on these uniform kernels its cost over `pooled`
     /// is the price of claim traffic.
     pub stealing: RunReport,
-    /// Self-scheduled pool run of the unfused blocked program:
-    /// [`Schedule::Stealing`] over chunks of four outer iterations.
-    pub dynamic: RunReport,
 }
 
-/// Compares the threaded runtimes on real host threads: for each entry
-/// of `step_counts`, runs the fused plan under [`ScopedExecutor`] and
-/// [`PooledExecutor`] (one pool persists across the whole sweep — the
-/// effect being measured) and the unfused blocked plan self-scheduled on
-/// the same pool, returning their [`RunReport`]s. Errors if the pooled
-/// result diverges from the scoped result.
+/// Compares the backends, tracing and the stealing schedule on real host
+/// threads: for each entry of `step_counts`, runs the fused plan on one
+/// [`PooledExecutor`] that persists across the whole sweep, returning the
+/// [`RunReport`]s. Errors if any run's result diverges from the
+/// interpreted static run's.
 pub fn runtime_sweep(
     seq: &LoopSequence,
     grid: &[usize],
@@ -309,61 +301,35 @@ pub fn runtime_sweep(
     let prog = Program::new(seq, grid.len())?;
     let procs: usize = grid.iter().product();
     let mut pool = PooledExecutor::new(procs);
-    let run =
-        |ex: &mut dyn Executor, cfg: &RunConfig| -> Result<(RunReport, Vec<Vec<f64>>), ExecError> {
-            let mut mem = Memory::new(seq, LayoutStrategy::Contiguous);
-            mem.init_deterministic(seq, 42);
-            let report = ex.run(&prog, &mut mem, cfg)?;
-            Ok((report, mem.snapshot_all(seq)))
-        };
+    let mut run = |cfg: &RunConfig| -> Result<(RunReport, Vec<Vec<f64>>), ExecError> {
+        let mut mem = Memory::new(seq, LayoutStrategy::Contiguous);
+        mem.init_deterministic(seq, 42);
+        let report = pool.run(&prog, &mut mem, cfg)?;
+        Ok((report, mem.snapshot_all(seq)))
+    };
     let mut rows = Vec::with_capacity(step_counts.len());
     for &steps in step_counts {
         let fused = RunConfig::fused(grid.to_vec()).strip(strip).steps(steps);
-        let blocked = RunConfig::blocked(grid.to_vec()).steps(steps);
-        let (scoped, want) = run(&mut ScopedExecutor, &fused)?;
-        let (pooled, got) = run(&mut pool, &fused)?;
-        if got != want {
-            return Err(ExecError::Config(format!(
-                "pooled run diverged from scoped at {steps} steps"
-            )));
-        }
-        let (compiled, got) = run(&mut pool, &fused.clone().backend(Backend::Compiled))?;
-        if got != want {
-            return Err(ExecError::Config(format!(
-                "compiled backend diverged from interpreter at {steps} steps"
-            )));
-        }
-        let (simd, got) = run(&mut pool, &fused.clone().backend(Backend::Simd))?;
-        if got != want {
-            return Err(ExecError::Config(format!(
-                "simd backend diverged from interpreter at {steps} steps"
-            )));
-        }
-        let (traced, got) = run(
-            &mut pool,
-            &fused.clone().backend(Backend::Compiled).traced(),
-        )?;
-        if got != want {
-            return Err(ExecError::Config(format!(
-                "traced run diverged from untraced at {steps} steps"
-            )));
-        }
-        let (stealing, got) = run(&mut pool, &fused.clone().schedule(Schedule::Stealing))?;
-        if got != want {
-            return Err(ExecError::Config(format!(
-                "stealing schedule diverged from static at {steps} steps"
-            )));
-        }
-        let (dynamic, _) = run(&mut pool, &blocked.schedule(Schedule::Stealing).chunk(4))?;
+        let (pooled, want) = run(&fused)?;
+        let mut verified = |what: &str, cfg: RunConfig| -> Result<RunReport, ExecError> {
+            let (report, got) = run(&cfg)?;
+            if got != want {
+                return Err(ExecError::Config(format!(
+                    "{what} diverged from the interpreted static run at {steps} steps"
+                )));
+            }
+            Ok(report)
+        };
         rows.push(RuntimeRow {
             steps,
-            scoped,
+            compiled: verified("compiled backend", fused.clone().backend(Backend::Compiled))?,
+            simd: verified("simd backend", fused.clone().backend(Backend::Simd))?,
+            traced: verified(
+                "traced run",
+                fused.clone().backend(Backend::Compiled).traced(),
+            )?,
+            stealing: verified("stealing schedule", fused.schedule(Schedule::Stealing))?,
             pooled,
-            compiled,
-            simd,
-            traced,
-            stealing,
-            dynamic,
         });
     }
     Ok(rows)

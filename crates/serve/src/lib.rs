@@ -66,7 +66,9 @@ pub use hash::{fnv1a64, CacheKey, CACHE_FORMAT_VERSION};
 pub use http::{MetricsRender, MetricsServer};
 pub use listener::{parse_request_line, read_http_head, ConnHandler, SocketServer};
 pub use manifest::parse_manifest;
-pub use obs::{clear_disk, disk_stats, LifetimeStats, StageStats, TenantStats};
+pub use obs::{
+    clear_disk, disk_stats, LifetimeStats, StageStats, TenantStats, OTHER_TENANTS, TENANT_ROWS,
+};
 pub use program::SharedProgram;
 pub use service::{
     CacheOutcome, Completion, JobId, JobResult, JobSpec, ServeError, Service, ServiceConfig,

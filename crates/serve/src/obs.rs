@@ -24,7 +24,16 @@ use std::time::{Duration, Instant};
 /// Version header of the lifetime stats file.
 pub const STATS_VERSION: &str = "spfc-serve-stats-v2";
 
-/// Per-tenant job outcome counters (multi-tenant serve tier, ISSUE 9).
+/// Named tenant rows a [`StageStats`] keeps. Tenants are whatever names
+/// clients send; every name beyond the first this many is counted in one
+/// overflow row, [`OTHER_TENANTS`], so the rows, the `/metrics` series
+/// and the stats file stay bounded however many names were seen.
+pub const TENANT_ROWS: usize = 64;
+
+/// The name of the overflow row (see [`TENANT_ROWS`]).
+pub const OTHER_TENANTS: &str = "(other)";
+
+/// Per-tenant job outcome counters.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TenantStats {
     /// The tenant/client id.
@@ -51,7 +60,8 @@ pub struct StageStats {
     pub rejected: u64,
     /// Submissions rejected by per-tenant quotas.
     pub quota: u64,
-    /// Per-tenant outcome counters, in first-seen order.
+    /// Per-tenant outcome counters, in first-seen order: at most
+    /// [`TENANT_ROWS`] named rows and the [`OTHER_TENANTS`] row.
     pub tenants: Vec<TenantStats>,
 }
 
@@ -77,16 +87,27 @@ impl StageStats {
         self.stages.get(stage.index())
     }
 
-    /// The counters of `tenant`, created on first touch.
+    /// The counters of `tenant`, created on first touch while fewer than
+    /// [`TENANT_ROWS`] rows exist; after that a new name's counts go to
+    /// the [`OTHER_TENANTS`] row.
     pub fn tenant_mut(&mut self, tenant: &str) -> &mut TenantStats {
-        if let Some(i) = self.tenants.iter().position(|t| t.name == tenant) {
-            return &mut self.tenants[i];
-        }
-        self.tenants.push(TenantStats {
-            name: tenant.to_string(),
+        let row = |name: &str| TenantStats {
+            name: name.to_string(),
             ..TenantStats::default()
-        });
-        self.tenants.last_mut().unwrap()
+        };
+        let find = |rows: &[TenantStats], name: &str| rows.iter().position(|t| t.name == name);
+        let i = match find(&self.tenants, tenant) {
+            Some(i) => i,
+            None if self.tenants.len() < TENANT_ROWS => {
+                self.tenants.push(row(tenant));
+                self.tenants.len() - 1
+            }
+            None => find(&self.tenants, OTHER_TENANTS).unwrap_or_else(|| {
+                self.tenants.push(row(OTHER_TENANTS));
+                self.tenants.len() - 1
+            }),
+        };
+        &mut self.tenants[i]
     }
 
     /// The counters of `tenant`, if any job or rejection touched it.
@@ -210,7 +231,7 @@ pub fn disk_stats(dir: &Path) -> LifetimeStats {
             ["outcome", "rejected", v] => st.rejected = n(v),
             ["outcome", "quota", v] => st.quota = n(v),
             ["tenant", name, ok, deadline, quota] => {
-                let t = st.tenant_mut(name);
+                let t = st.tenant_mut(&name_of_token(name));
                 t.ok = n(ok);
                 t.deadline = n(deadline);
                 t.quota = n(quota);
@@ -270,8 +291,7 @@ fn write_stats(dir: &Path, s: &LifetimeStats) -> std::io::Result<()> {
         writeln!(f, "outcome rejected {}", st.rejected)?;
         writeln!(f, "outcome quota {}", st.quota)?;
         for t in &st.tenants {
-            // The line format is whitespace-split; keep names one token.
-            let name = t.name.replace(char::is_whitespace, "_");
+            let name = token_of_name(&t.name);
             writeln!(f, "tenant {} {} {} {}", name, t.ok, t.deadline, t.quota)?;
         }
         for stage in JobStage::all() {
@@ -294,6 +314,53 @@ fn write_stats(dir: &Path, s: &LifetimeStats) -> std::io::Result<()> {
         let _ = fs::remove_file(&tmp);
     }
     renamed
+}
+
+/// A tenant name as one token of the whitespace-split stats file: `%`,
+/// whitespace and control characters percent-escaped by their UTF-8
+/// bytes, and the empty name written as a lone `%`.
+fn token_of_name(name: &str) -> String {
+    if name.is_empty() {
+        return "%".to_string();
+    }
+    let mut out = String::with_capacity(name.len());
+    for c in name.chars() {
+        if c == '%' || c.is_whitespace() || c.is_control() {
+            for b in c.encode_utf8(&mut [0; 4]).bytes() {
+                out.push_str(&format!("%{b:02X}"));
+            }
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// The inverse of [`token_of_name`]. A `%` not followed by two hex
+/// digits stands for itself, so a name an older build wrote unescaped
+/// reads back as it was.
+fn name_of_token(token: &str) -> String {
+    if token == "%" {
+        return String::new();
+    }
+    let mut parts = token.split('%');
+    let mut out = Vec::from(parts.next().unwrap_or_default());
+    for part in parts {
+        match part
+            .get(..2)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+        {
+            Some(hex) => {
+                out.push(u8::from_str_radix(hex, 16).expect("two hex digits"));
+                out.extend_from_slice(&part.as_bytes()[2..]);
+            }
+            None => {
+                out.push(b'%');
+                out.extend_from_slice(part.as_bytes());
+            }
+        }
+    }
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 /// Deletes the lifetime stats under `dir`, under the stats lock so no
@@ -419,7 +486,7 @@ mod tests {
         assert_eq!(total.cache, counters(110));
         let st = &total.stages;
         assert_eq!((st.ok, st.deadline, st.rejected), (2, 1, 3));
-        assert_eq!(st.tenant("two_words").map(|t| t.ok), Some(2));
+        assert_eq!(st.tenant("two words").map(|t| t.ok), Some(2));
         let exec = st.stage(JobStage::Execute).unwrap();
         assert_eq!(exec.count(), 2);
         assert_eq!(exec.sum(), 120_000);
@@ -436,6 +503,29 @@ mod tests {
         assert!(!dir.join("old-stats").exists(), "older format cleared");
         assert!(dir.join("notes-stats").exists(), "foreign file kept");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every tenant name is one non-empty token of the stats file and
+    /// reads back as it was; a `%` an older build wrote unescaped stays.
+    #[test]
+    fn tenant_names_round_trip_as_one_token() {
+        for name in [
+            "",
+            "%",
+            "%41",
+            "two words",
+            "a\"}\nevil 1",
+            "tab\there",
+            "é ü",
+        ] {
+            let token = token_of_name(name);
+            assert!(
+                !token.is_empty() && !token.contains(char::is_whitespace),
+                "{token}"
+            );
+            assert_eq!(name_of_token(&token), name);
+        }
+        assert_eq!(name_of_token("50%off"), "50%off");
     }
 
     /// A directory written by a build with another stats format (the

@@ -471,7 +471,10 @@ struct State {
     /// Who is owed each pending or running job's result (see
     /// [`Service::on_done`]); [`State::deliver`] answers and drops them.
     watchers: Vec<(JobId, Sender<Completion>)>,
-    /// Jobs started per client — the fair-share balance.
+    /// Jobs started per client with a job pending or running — the
+    /// fair-share balance. A client's count is forgotten when its last
+    /// job finishes, so the map holds no more entries than the queue
+    /// holds jobs, plus one.
     served: HashMap<String, u64>,
     running: Option<JobId>,
     /// Tenant of the running job (for in-flight quota accounting).
@@ -881,7 +884,8 @@ impl Drop for Service {
 }
 
 /// Fair share: among pending jobs, pick the one whose client has been
-/// served least; FIFO breaks ties (and orders a single client's jobs).
+/// served least since it last had nothing in flight; FIFO breaks ties
+/// (and orders a single client's jobs).
 fn pick_next(st: &State) -> Option<usize> {
     st.pending
         .iter()
@@ -912,6 +916,9 @@ fn scheduler_loop(shared: &Shared, mut exec: impl Executor) {
         let mut st = shared.state.lock().unwrap();
         st.running = None;
         st.running_client = None;
+        if st.in_flight(&job.spec.client) == 0 {
+            st.served.remove(&job.spec.client);
+        }
         match res {
             Ok(mut r) => {
                 st.completed += 1;
@@ -1354,5 +1361,47 @@ mod tests {
             reg.counter_value("spfc_serve_jobs_completed_total"),
             Some(2)
         );
+    }
+
+    /// Per-tenant state is bounded by a constant, not by how many names
+    /// clients sent: a thousand jobs under distinct names leave no
+    /// fair-share entries behind, at most `TENANT_ROWS` named stats rows
+    /// plus the overflow row, two `/metrics` series a row, and a stats
+    /// file in which the empty tenant name survives the round trip.
+    #[test]
+    fn tenant_state_is_bounded_by_a_constant() {
+        use crate::obs::{disk_stats, OTHER_TENANTS, TENANT_ROWS};
+        const JOBS: usize = 1000;
+        let dir = std::env::temp_dir().join(format!("sp-serve-tenants-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let service = Service::new(
+            ServiceConfig::default()
+                .workers(1)
+                .cache(ArtifactCacheConfig::memory(4).disk(&dir)),
+        );
+        let seq = SharedProgram::from(jacobi::sequence(6));
+        let names = std::iter::once(String::new()).chain((1..JOBS).map(|i| format!("t {i}")));
+        for name in names {
+            let spec = JobSpec::new("tiny", seq.clone(), ExecPlan::Serial).client(name);
+            service.wait(service.submit(spec).unwrap()).unwrap();
+        }
+        assert!(service.shared.state.lock().unwrap().served.is_empty());
+        let rows = service.stage_stats().tenants;
+        assert_eq!(rows.len(), TENANT_ROWS + 1);
+        assert_eq!(rows.iter().map(|t| t.ok).sum::<u64>(), JOBS as u64);
+        let other = rows.iter().find(|t| t.name == OTHER_TENANTS).unwrap();
+        assert_eq!(other.ok, (JOBS - TENANT_ROWS) as u64);
+        let text = service.metrics().to_prometheus();
+        let series = text
+            .lines()
+            .filter(|l| l.starts_with("spfc_serve_tenant_"))
+            .count();
+        assert_eq!(series, 2 * (TENANT_ROWS + 1), "{text}");
+        drop(service);
+        let disk = disk_stats(&dir).stages;
+        assert_eq!(disk.tenants, rows, "every row, the empty name included");
+        assert_eq!(disk.tenant("").map(|t| t.ok), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -269,14 +269,13 @@ impl MetricsRegistry {
     }
 
     fn label_str_with(&self, extras: &[(&str, String)]) -> String {
-        let mut pairs: Vec<String> = self
+        let pairs: Vec<String> = self
             .labels
             .iter()
-            .map(|(k, v)| format!("{k}=\"{v}\"", v = v.replace('"', "'")))
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .chain(extras.iter().map(|(k, v)| (*k, v.as_str())))
+            .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
             .collect();
-        for (k, v) in extras {
-            pairs.push(format!("{k}=\"{v}\"", v = v.replace('"', "'")));
-        }
         if pairs.is_empty() {
             String::new()
         } else {
@@ -353,6 +352,15 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// `v` as the text exposition format quotes a label value: a backslash,
+/// a double quote and a line feed are escaped, so no value (a tenant name
+/// from the wire, say) can end its series early or start another line.
+fn escape_label_value(v: &str) -> String {
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 #[cfg(test)]
@@ -436,6 +444,29 @@ mod tests {
         );
         assert!(text.contains("spfc_barrier_wait_nanos_sum"), "{text}");
         assert!(text.contains("spfc_barrier_wait_nanos_count"), "{text}");
+    }
+
+    /// A label value is data, never syntax: a tenant name that closes its
+    /// quote and brace and starts a line of its own stays inside one
+    /// series, escaped as the exposition format requires.
+    #[test]
+    fn label_values_cannot_inject_series() {
+        let mut reg = MetricsRegistry::new(&[("service", "a\\b")]);
+        let tenant = "a\"}\nevil 1";
+        reg.labeled_counter(
+            "spfc_serve_tenant_jobs_total",
+            "Completed jobs by tenant",
+            ("tenant", tenant),
+            3,
+        );
+        let text = reg.to_prometheus();
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(
+            samples,
+            [r#"spfc_serve_tenant_jobs_total{service="a\\b",tenant="a\"}\nevil 1"} 3"#],
+            "{text}"
+        );
+        assert!(!text.lines().any(|l| l.starts_with("evil")), "{text}");
     }
 
     #[test]

@@ -236,21 +236,10 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Assembles a run trace, sorting lanes by processor id (controller
-    /// last) and merging lanes that share a processor id (the scoped
-    /// runtime records one ring per worker *per timestep*).
-    pub fn assemble(mut lanes: Vec<WorkerTrace>) -> RunTrace {
-        lanes.sort_by_key(|w| w.proc);
-        let mut workers: Vec<WorkerTrace> = Vec::with_capacity(lanes.len());
-        for lane in lanes {
-            match workers.last_mut() {
-                Some(prev) if prev.proc == lane.proc => {
-                    prev.events.extend(lane.events);
-                    prev.dropped += lane.dropped;
-                }
-                _ => workers.push(lane),
-            }
-        }
+    /// Assembles a run trace from one lane per worker, sorting the lanes
+    /// by processor id (controller last).
+    pub fn assemble(mut workers: Vec<WorkerTrace>) -> RunTrace {
+        workers.sort_by_key(|w| w.proc);
         RunTrace {
             workers,
             lower: None,
@@ -487,19 +476,16 @@ mod tests {
     }
 
     #[test]
-    fn assemble_sorts_and_merges_lanes() {
+    fn assemble_sorts_lanes_by_processor() {
         let epoch = Instant::now();
-        let mk = |proc: usize, step: u32| {
+        let mk = |proc: usize| {
             let mut t = WorkerTracer::new(TraceConfig::with_capacity(8), epoch);
-            t.record(SpanKind::Fused, epoch, 10, step, 0);
+            t.record(SpanKind::Fused, epoch, 10, 0, 0);
             t.finish(proc)
         };
-        // Scoped-runtime shape: one lane per worker per step.
-        let trace = RunTrace::assemble(vec![mk(1, 0), mk(0, 0), mk(1, 1), mk(0, 1)]);
-        assert_eq!(trace.workers.len(), 2);
-        assert_eq!(trace.workers[0].proc, 0);
-        assert_eq!(trace.workers[0].events.len(), 2);
-        assert_eq!(trace.workers[1].events[1].step, 1);
+        let trace = RunTrace::assemble(vec![mk(CONTROLLER_LANE), mk(1), mk(0)]);
+        let procs: Vec<usize> = trace.workers.iter().map(|w| w.proc).collect();
+        assert_eq!(procs, [0, 1, CONTROLLER_LANE]);
     }
 
     #[test]

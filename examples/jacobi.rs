@@ -28,16 +28,16 @@ fn main() {
     let prog = Program::new(&seq, 2).expect("analysis");
     let mut ref_mem = Memory::new(&seq, LayoutStrategy::Contiguous);
     ref_mem.init_deterministic(&seq, 7);
-    ScopedExecutor
-        .run(&prog, &mut ref_mem, &RunConfig::serial())
+    // A persistent pool sized for the largest grid serves every run —
+    // workers are created once and reused.
+    let mut pool = PooledExecutor::new(8);
+    pool.run(&prog, &mut ref_mem, &RunConfig::serial())
         .expect("serial");
     let want = ref_mem.snapshot_all(&seq);
 
     // Fused on processor grids, like Figure 16's JNPROCS x INPROCS
     // decomposition; the boundary prologue cases are handled by the
-    // schedule geometry. A persistent pool sized for the largest grid
-    // serves every run — workers are created once and reused.
-    let mut pool = PooledExecutor::new(8);
+    // schedule geometry.
     for grid in [vec![2usize, 2], vec![4, 2], vec![1, 8]] {
         let mut mem = Memory::new(&seq, LayoutStrategy::Contiguous);
         mem.init_deterministic(&seq, 7);

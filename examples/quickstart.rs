@@ -48,8 +48,8 @@ fn main() {
     let prog = Program::new(&seq, 1).expect("analysis");
     let mut ref_mem = Memory::new(&seq, LayoutStrategy::Contiguous);
     ref_mem.init_deterministic(&seq, 42);
-    ScopedExecutor
-        .run(&prog, &mut ref_mem, &RunConfig::serial())
+    let mut pool = PooledExecutor::new(8);
+    pool.run(&prog, &mut ref_mem, &RunConfig::serial())
         .expect("serial run");
     let want = ref_mem.snapshot_all(&seq);
 
@@ -59,9 +59,7 @@ fn main() {
         let cfg = RunConfig::fused([procs])
             .method(CodegenMethod::StripMined)
             .strip(32);
-        let report = ScopedExecutor
-            .run(&prog, &mut mem, &cfg)
-            .expect("fused run");
+        let report = pool.run(&prog, &mut mem, &cfg).expect("fused run");
         assert_eq!(
             mem.snapshot_all(&seq),
             want,

@@ -67,7 +67,9 @@ fn main() {
     let cfg = RunConfig::fused([4])
         .method(CodegenMethod::StripMined)
         .strip(16);
-    ScopedExecutor.run(&prog, &mut m2, &cfg).expect("fused");
+    PooledExecutor::new(4)
+        .run(&prog, &mut m2, &cfg)
+        .expect("fused");
 
     assert_eq!(
         m1.snapshot_all(&seq),

@@ -12,8 +12,8 @@
 //! * [`cache`] — trace-driven cache simulation, padding, and the cache
 //!   partitioning layout algorithm (the paper's second contribution).
 //! * [`exec`] — an interpreter and the static-blocked parallel runtimes
-//!   (spawn-per-step, persistent worker pool, sequential simulation)
-//!   behind one `Executor` trait, driven by a `RunConfig` and reporting
+//!   (one worker pool dispatch per run, sequential simulation) behind
+//!   one `Executor` trait, driven by a `RunConfig` and reporting
 //!   per-worker `RunReport` instrumentation; work stealing over
 //!   `Nt`-legal chunks via `RunConfig::schedule(Schedule::Stealing)`.
 //! * [`machine`] — simulated scalable shared-memory multiprocessors (KSR2
@@ -72,8 +72,8 @@ pub mod prelude {
     pub use sp_exec::{
         simulate_stealing, static_busy, Backend, ExecError, ExecPlan, Executor, Memory,
         MetricsRegistry, PooledExecutor, Program, RunConfig, RunReport, RunTrace, Schedule,
-        ScopedExecutor, SimExecutor, SpanKind, StealEvent, StealSimReport, StealSimSpec,
-        TraceConfig, WorkerReport, DEFAULT_STEAL_SEED,
+        SimExecutor, SpanKind, StealEvent, StealSimReport, StealSimSpec, TraceConfig, WorkerReport,
+        DEFAULT_STEAL_SEED,
     };
     pub use sp_ir::{ArrayDecl, ArrayId, Expr, LoopSequence, SeqBuilder};
     pub use sp_machine::{simulate, MachineConfig, SimPlan, SimResult};

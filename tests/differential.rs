@@ -15,6 +15,7 @@
 
 use proptest::prelude::*;
 use shift_peel::core::CodegenMethod;
+use shift_peel::exec::ScopedExecutor;
 use shift_peel::exec::{CacheSink, ProgramTape};
 use shift_peel::prelude::*;
 use sp_cache::{CacheConfig, CacheHierarchy, CacheStats};
@@ -255,7 +256,7 @@ proptest! {
     /// work counters (attributed to chunk *owners*, so the racy threaded
     /// runtimes must report exactly what the deterministic simulator
     /// reports at the same schedule), across all three backends, the
-    /// scoped and pooled runtimes, 1-4 processors, and per-proc cache
+    /// one-run and persistent pools, 1-4 processors, and per-proc cache
     /// miss parity through the simulator's chunked path.
     #[test]
     fn adaptive_schedules_agree(seed in any::<u64>()) {

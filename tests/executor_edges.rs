@@ -3,6 +3,7 @@
 //! error reporting.
 
 use shift_peel::core::CodegenMethod;
+use shift_peel::exec::ScopedExecutor;
 use shift_peel::prelude::*;
 
 fn tiny_chain(n: usize) -> LoopSequence {
@@ -192,12 +193,12 @@ fn self_scheduled_unfused_program_matches_serial() {
         x.assign(a, [0, 0], r);
     });
     let seq = b.finish();
+    let prog = Program::new(&seq, 1).unwrap();
     let mut want = Memory::new(&seq, LayoutStrategy::Contiguous);
     want.init_deterministic(&seq, 4);
-    shift_peel::exec::run_original(&seq, &mut want, &mut shift_peel::exec::NullSink);
+    prog.run(&mut want, &ExecPlan::Serial).unwrap();
     let want = want.snapshot_all(&seq);
 
-    let prog = Program::new(&seq, 1).unwrap();
     let mut pooled = PooledExecutor::new(6);
     for threads in [1usize, 3, 6] {
         // Blocks of 46, 15-16 and 7-8 rows: single-row chunks, even and

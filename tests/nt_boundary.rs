@@ -9,6 +9,7 @@
 //! [`ExecError::Legality`] — never a panic, and never a wrong answer.
 
 use shift_peel::core::CodegenMethod;
+use shift_peel::exec::ScopedExecutor;
 use shift_peel::prelude::*;
 
 /// Two-nest chain whose fusion needs shift/peel of 1 on each side:

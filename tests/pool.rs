@@ -1,13 +1,14 @@
-//! The persistent worker pool against the spawn-per-run runtime.
+//! The persistent worker pool against a pool built for one run.
 //!
 //! The pool reuses OS threads and a sense-reversing barrier across runs
 //! and timesteps; nothing about that reuse may be observable in results.
-//! These tests pin that down: bit-for-bit equivalence with the scoped
-//! runtime on the paper's kernels, correct multi-timestep reuse of one
+//! These tests pin that down: bit-for-bit equivalence with
+//! `ScopedExecutor`'s one-run pool on the paper's kernels, correct multi-timestep reuse of one
 //! pool instance, determinism across repeated pooled runs (including
 //! property-tested random programs), and surplus-worker handling.
 
 use proptest::prelude::*;
+use shift_peel::exec::ScopedExecutor;
 use shift_peel::kernels::{calc, jacobi, ll18};
 use shift_peel::prelude::*;
 

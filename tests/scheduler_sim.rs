@@ -12,6 +12,7 @@
 //! bit-for-bit equal to serial even when one worker is pathologically
 //! slow.
 
+use shift_peel::exec::ScopedExecutor;
 use shift_peel::prelude::*;
 
 /// A skewed scripted load: worker 0 owns four heavy chunks, the other

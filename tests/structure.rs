@@ -429,6 +429,34 @@ const RULES: &[Rule] = &[
         ..RULE
     },
     Rule {
+        name: "one-threaded-runtime",
+        roots: &["crates/exec/src"],
+        files: "*.rs",
+        any_of: &["thread::scope", "Threads::", "PerStep"],
+        cut_tests: true,
+        why: "every threaded run is one WorkerPool dispatch: spawning threads per timestep was \
+              1.2-4x slower than the pool and a second dispatch path through the driver",
+        ..RULE
+    },
+    Rule {
+        name: "one-threaded-runtime",
+        roots: &["crates/cli/src"],
+        any_of: &["ScopedExecutor", "\"scoped\" => Box"],
+        why: "`spfc run` runs on the pool: `--executor scoped` is refused with a pointer to \
+              `--executor pooled`",
+        ..RULE
+    },
+    Rule {
+        name: "one-serial-reference-runner",
+        roots: &["crates/exec/src"],
+        files: "*.rs",
+        any_of: &["pub fn run_original<"],
+        expect: Exactly(1),
+        why: "Engine::run_original is the serial reference on every backend: a second, \
+              interpreter-only copy beside it ran the same nests the same way",
+        ..RULE
+    },
+    Rule {
         name: "one-lifetime-stats-file",
         roots: &["crates"],
         any_of: &["stage-stats"],

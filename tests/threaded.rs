@@ -4,6 +4,7 @@
 //! mismatches here.
 
 use shift_peel::core::CodegenMethod;
+use shift_peel::exec::ScopedExecutor;
 use shift_peel::kernels::{calc, filter, jacobi, ll18};
 use shift_peel::prelude::*;
 
@@ -21,8 +22,8 @@ fn stress(seq: &LoopSequence, levels: usize, grid: Vec<usize>, reps: usize) {
     let cfg = RunConfig::fused(grid.clone())
         .method(CodegenMethod::StripMined)
         .strip(8);
-    // Exercise both threaded runtimes: fresh scoped threads every rep,
-    // and one persistent pool reused across all reps.
+    // Exercise a fresh pool every rep (`ScopedExecutor`) and one
+    // persistent pool reused across all reps.
     let mut pool = PooledExecutor::new(grid.iter().product());
     for rep in 0..reps {
         for ex in [&mut ScopedExecutor as &mut dyn Executor, &mut pool] {

@@ -7,6 +7,7 @@
 //! multi-step relaxations to a fixed point both ways.
 
 use shift_peel::core::CodegenMethod;
+use shift_peel::exec::ScopedExecutor;
 use shift_peel::kernels::{jacobi, ll18};
 use shift_peel::prelude::*;
 

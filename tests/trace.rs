@@ -7,6 +7,7 @@
 //! barrier-wait/imbalance metrics must respond to a synthetically
 //! skewed load.
 
+use shift_peel::exec::ScopedExecutor;
 use shift_peel::kernels::jacobi;
 use shift_peel::prelude::*;
 use shift_peel::trace::{validate_chrome_trace, CONTROLLER_LANE};
@@ -133,7 +134,7 @@ fn traced_pooled_run_covers_all_spans_workers_and_steps() {
 #[test]
 fn traced_scoped_dynamic_and_sim_runs_record_spans() {
     let seq = jacobi::sequence(32);
-    // Scoped: fused plan, per-step lanes merged by processor.
+    // Scoped: fused plan on a one-run pool, one lane per processor.
     let cfg = RunConfig::fused([2, 2]).strip(8).steps(2).traced();
     let (_, report) = run_with(&mut ScopedExecutor, &seq, 2, &cfg);
     let trace = report.trace.as_ref().unwrap();
