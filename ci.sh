@@ -76,7 +76,7 @@ grep -q '^spfc_barrier_wait_nanos_bucket' "$metrics_tmp"
 rm -f "$trace_tmp" "$metrics_tmp"
 cargo test --release -q -p sp-cli --test explain_golden
 # The same golden end to end through the binary: `spfc explain` plans
-# through `Planner` (four stage calls in a row), and the rendered trace
+# through `Planner` (two stage calls in a row), and the rendered trace
 # must stay byte-identical to the pinned file.
 explain_tmp="$(mktemp /tmp/spfc-explain.XXXXXX)"
 cargo run --release -p sp-cli -- explain ll18 > "$explain_tmp"
@@ -161,8 +161,8 @@ for run in 1 2; do
   cargo run --release -p sp-cli -- serve --jobs examples/jobs.manifest \
     --cache-dir "$serve_cache" | tee "$serve_out"
   grep -q '0 failed' "$serve_out"
-  # The manifest includes full-key misses over a shared sequence (backend
-  # and block-size variants of jacobi): the analysis tier must serve the
+  # The manifest includes a full-key miss over a shared sequence (jacobi
+  # blocked beside jacobi fused): the analysis tier must serve the
   # dependence analysis across them.
   grep -Eq 'analysis: [1-9][0-9]* hits' "$serve_out"
   line="$(grep -E '^cache: [0-9]+ hits, [0-9]+ misses' "$serve_out")"

@@ -63,6 +63,16 @@ fn usage<T>(message: impl Into<String>) -> Result<T, CliError> {
     })
 }
 
+/// The value of a count flag (`--procs`, `--strip`, ...): a number of at
+/// least 1, or a usage error naming the flag.
+fn count<T: std::str::FromStr + PartialOrd + From<u8>>(flag: &str, v: &str) -> Result<T, CliError> {
+    match v.parse() {
+        Ok(n) if n >= T::from(1) => Ok(n),
+        Ok(_) => usage(format!("{flag} must be >= 1")),
+        Err(_) => usage(format!("bad {flag}")),
+    }
+}
+
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -191,18 +201,8 @@ impl Options {
                 }
             };
             match flag.as_str() {
-                "--procs" => {
-                    opts.procs = take()?.parse().map_err(|_| CliError {
-                        message: "bad --procs".into(),
-                        code: 2,
-                    })?;
-                }
-                "--strip" => {
-                    opts.strip = take()?.parse().map_err(|_| CliError {
-                        message: "bad --strip".into(),
-                        code: 2,
-                    })?;
-                }
+                "--procs" => opts.procs = count(flag, take()?)?,
+                "--strip" => opts.strip = count(flag, take()?)?,
                 "--machine" => {
                     opts.machine = take()?.clone();
                 }
@@ -215,18 +215,8 @@ impl Options {
                 "--schedule" => {
                     opts.schedule = take()?.clone();
                 }
-                "--chunk" => {
-                    opts.chunk = Some(take()?.parse().map_err(|_| CliError {
-                        message: "bad --chunk".into(),
-                        code: 2,
-                    })?);
-                }
-                "--steps" => {
-                    opts.steps = take()?.parse().map_err(|_| CliError {
-                        message: "bad --steps".into(),
-                        code: 2,
-                    })?;
-                }
+                "--chunk" => opts.chunk = Some(count(flag, take()?)?),
+                "--steps" => opts.steps = count(flag, take()?)?,
                 "--trace-out" => {
                     opts.trace_out = Some(take()?.clone());
                 }
@@ -272,24 +262,8 @@ impl Options {
                         code: 2,
                     })?);
                 }
-                "--window" => {
-                    opts.window = take()?.parse().map_err(|_| CliError {
-                        message: "bad --window".into(),
-                        code: 2,
-                    })?;
-                    if opts.window == 0 {
-                        return usage("--window must be >= 1");
-                    }
-                }
-                "--repeat" => {
-                    opts.repeat = take()?.parse().map_err(|_| CliError {
-                        message: "bad --repeat".into(),
-                        code: 2,
-                    })?;
-                    if opts.repeat == 0 {
-                        return usage("--repeat must be >= 1");
-                    }
-                }
+                "--window" => opts.window = count(flag, take()?)?,
+                "--repeat" => opts.repeat = count(flag, take()?)?,
                 "--baseline-dir" => {
                     opts.baseline_dir = Some(take()?.clone());
                 }
@@ -907,9 +881,8 @@ fn cache_command(opts: &Options) -> Result<String, CliError> {
             let _ = writeln!(out, "cache dir: {}", dir.display());
             let _ = writeln!(
                 out,
-                "lifetime: {} hits, {} misses, {} inserts, {} evictions, \
-{} revalidation rejects",
-                c.hits, c.misses, c.inserts, c.evictions, c.revalidation_rejects,
+                "lifetime: {} hits, {} misses, {} inserts, {} evictions",
+                c.hits, c.misses, c.inserts, c.evictions,
             );
             let _ = writeln!(
                 out,
@@ -1131,6 +1104,13 @@ pub fn run_command(opts: &Options) -> Result<String, CliError> {
                 "convex" => CONVEX_SPP1000,
                 other => return usage(format!("unknown machine {other} (ksr2|convex)")),
             };
+            // The simulator models one cache hierarchy per processor.
+            if opts.procs > machine.max_procs {
+                return usage(format!(
+                    "--procs {} exceeds the {} processors of {}",
+                    opts.procs, machine.max_procs, machine.name
+                ));
+            }
             let layout = LayoutStrategy::CachePartition(machine.target());
             let base = simulate(
                 &seq,

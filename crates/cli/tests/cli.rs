@@ -117,7 +117,7 @@ fn run_supports_the_adaptive_schedules() {
         assert_eq!(e.code, 2);
         assert!(e.message.contains("unknown schedule"), "{}", e.message);
         let e = run(&["run", path, "--schedule", "stealing", "--chunk", "0"]).unwrap_err();
-        assert!(e.message.contains("chunk"), "{}", e.message);
+        assert_eq!((e.code, e.message.as_str()), (2, "--chunk must be >= 1"));
         // The guided schedule is gone, with no alias: stealing replaces it.
         let e = run(&["run", path, "--schedule", "guided"]).unwrap_err();
         assert_eq!(e.code, 2);
@@ -250,6 +250,50 @@ fn bad_inputs_are_reported() {
     // Missing args.
     let e = Options::parse(&[]).unwrap_err();
     assert_eq!(e.code, 2);
+}
+
+/// Counts below 1 are usage errors at parse time: `--procs 0` would
+/// otherwise reach the worker pool, which cannot be built without
+/// workers, before the run's own validation.
+#[test]
+fn zero_procs_is_a_usage_error() {
+    with_program(|path| {
+        let e = run(&["run", path, "--procs", "0"]).unwrap_err();
+        assert_eq!((e.code, e.message.as_str()), (2, "--procs must be >= 1"));
+    });
+}
+
+/// `fuse` would otherwise print a strip loop with a step of 0.
+#[test]
+fn zero_strip_is_a_usage_error() {
+    with_program(|path| {
+        for strip in ["0", "-3"] {
+            let e = run(&["fuse", path, "--strip", strip]).unwrap_err();
+            assert_eq!((e.code, e.message.as_str()), (2, "--strip must be >= 1"));
+        }
+    });
+}
+
+#[test]
+fn zero_steps_is_a_usage_error() {
+    with_program(|path| {
+        let e = run(&["run", path, "--steps", "0"]).unwrap_err();
+        assert_eq!((e.code, e.message.as_str()), (2, "--steps must be >= 1"));
+    });
+}
+
+/// The simulator builds one cache hierarchy per processor: a count above
+/// the machine's is refused before any is built, naming the machine's.
+#[test]
+fn simulate_refuses_more_procs_than_the_machine_has() {
+    with_program(|path| {
+        let e = run(&["simulate", path, "--machine", "convex", "--procs", "17"]).unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("16 processors"), "{}", e.message);
+        let out = run(&["simulate", path, "--machine", "convex", "--procs", "16"])
+            .expect("the machine's own count");
+        assert!(out.contains("@ 16 procs"), "{out}");
+    });
 }
 
 #[test]

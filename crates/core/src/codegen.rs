@@ -7,7 +7,6 @@
 //! (Section 4, last paragraph): *"the partition size directly determines
 //! the maximum strip-mining size for fusion"*.
 
-use crate::derive::Derivation;
 use sp_ir::LoopSequence;
 
 /// Strip-mining specification for a fused group.
@@ -56,45 +55,6 @@ pub(crate) fn bytes_per_outer_iter(seq: &LoopSequence, elem_bytes: usize) -> usi
         .map(|a| a.dims[1..].iter().product::<usize>() * elem_bytes)
         .max()
         .unwrap_or(elem_bytes)
-}
-
-/// Static operation-count summary of a fused group, used by the machine
-/// cost model to charge transformation overhead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GroupCost {
-    /// Total loop iterations executed in the fused phase.
-    pub fused_iters: u64,
-    /// Iterations executed in the peeled phase.
-    pub peeled_iters: u64,
-    /// Number of strips (inner-loop bound recomputations).
-    pub strips: u64,
-    /// Barriers executed (1 for the fused/peeled split).
-    pub barriers: u64,
-}
-
-/// Estimates the iteration breakdown of a fused group for one processor
-/// block of `block_iters` outer iterations, given the derivation.
-pub fn estimate_block_cost(
-    deriv: &Derivation,
-    nest_trips: &[u64],
-    block_iters: u64,
-    strip: StripSpec,
-) -> GroupCost {
-    let dim = &deriv.dims[0];
-    let mut fused = 0u64;
-    let mut peeled = 0u64;
-    for (k, &trip) in nest_trips.iter().enumerate() {
-        let extra = (dim.shifts[k] + dim.peels[k]) as u64;
-        let per_outer = trip / block_iters.max(1);
-        fused += trip;
-        peeled += extra * per_outer.max(1);
-    }
-    GroupCost {
-        fused_iters: fused,
-        peeled_iters: peeled,
-        strips: block_iters.div_ceil(strip.size as u64),
-        barriers: 1,
-    }
 }
 
 #[cfg(test)]

@@ -4,13 +4,15 @@
 //! Shift-and-peel applies to an *admissible parallel loop sequence* with
 //! uniform interloop dependences, executed on `P` processors with static
 //! blocked scheduling, provided every block has at least `Nt` iterations
-//! per fused dimension (Theorem 1). This module checks all of those
-//! conditions and reports precise failures.
+//! per fused dimension (Theorem 1). The planner checks the first
+//! conditions (it fuses only nests that are parallel in every fused level,
+//! and derivation refuses non-uniform distances). The block condition
+//! needs a grid, so [`check_blocks`] is made where one is known: the
+//! executor's phase list. This module holds that check and the typed
+//! failures of all of them.
 
-use crate::derive::{derive_levels, Derivation, DeriveError};
+use crate::derive::{Derivation, DeriveError};
 use crate::schedule::ProcBlock;
-use sp_dep::SequenceDeps;
-use sp_ir::LoopSequence;
 use std::fmt;
 
 /// A reason shift-and-peel cannot be applied (or cannot be applied with a
@@ -19,9 +21,6 @@ use std::fmt;
 pub enum LegalityError {
     /// Dependence analysis / derivation failed.
     Derive(DeriveError),
-    /// A nest is not parallel (`doall`) in a fused level; the paper's
-    /// model requires parallel loop sequences (Definition 1).
-    SerialNest { nest: usize, level: usize },
     /// A processor block has fewer iterations than the iteration count
     /// threshold `Nt` in some fused level (Theorem 1's
     /// `floor((u - l + 1)/P) >= Nt` condition).
@@ -55,9 +54,6 @@ impl fmt::Display for LegalityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LegalityError::Derive(e) => write!(f, "{e}"),
-            LegalityError::SerialNest { nest, level } => {
-                write!(f, "nest {nest} is serial in fused level {level}")
-            }
             LegalityError::BlockTooSmall {
                 level,
                 block_iters,
@@ -97,25 +93,6 @@ impl From<DeriveError> for LegalityError {
     }
 }
 
-/// Derives shift/peel amounts for the first `levels` dimensions and checks
-/// the sequence is an admissible parallel loop sequence with uniform
-/// dependences. Block-size legality is checked separately per processor
-/// count by [`check_blocks`].
-pub fn check_sequence(
-    seq: &LoopSequence,
-    deps: &SequenceDeps,
-    levels: usize,
-) -> Result<Derivation, LegalityError> {
-    for (k, info) in deps.nests.iter().enumerate() {
-        for (l, &par) in info.parallel.iter().take(levels).enumerate() {
-            if !par {
-                return Err(LegalityError::SerialNest { nest: k, level: l });
-            }
-        }
-    }
-    Ok(derive_levels(deps, seq.len(), levels)?)
-}
-
 /// Verifies Theorem 1's block-size condition for a concrete block
 /// decomposition: every block must span at least `Nt` iterations in every
 /// fused dimension.
@@ -147,95 +124,19 @@ pub fn max_procs(trip_count: i64, nt: i64) -> usize {
     }
 }
 
-/// One Theorem-1 obligation of a fusion plan: fused group `group` needs
-/// every processor block to span at least `nt` iterations in `level`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NtRequirement {
-    /// Index of the fused group in `plan.groups`.
-    pub group: usize,
-    /// Fused dimension the threshold applies to.
-    pub level: usize,
-    /// The iteration-count threshold `Nt` for that dimension.
-    pub nt: i64,
-}
-
-/// Collects the Theorem-1 thresholds of every *multi-member* group of
-/// `plan`. Singleton groups carry no shift/peel and impose no threshold.
-pub fn plan_nt_requirements(plan: &crate::plan::FusionPlan) -> Vec<NtRequirement> {
-    let mut reqs = Vec::new();
-    for (g, group) in plan.groups.iter().enumerate() {
-        if group.len() <= 1 {
-            continue;
-        }
-        for dim in &group.derivation.dims {
-            reqs.push(NtRequirement {
-                group: g,
-                level: dim.level,
-                nt: dim.nt(),
-            });
-        }
-    }
-    reqs
-}
-
-/// Re-checks that a (possibly cached) `plan` for `seq` is legal on the
-/// processor grid `grid` — Theorem 1's block-size condition per fused
-/// group and dimension, using the *smallest* block `decompose` would
-/// produce (`floor(trip / p)`).
-///
-/// This is the cache's revalidation rule: a content-addressed cache keys
-/// plans by processor *count*, not grid *shape*, so a plan derived and
-/// proven legal for a `[1, 4]` grid may be illegal on `[4, 1]` even
-/// though both use 4 processors. Callers must revalidate on every lookup
-/// before reusing a cached plan. Plans with no multi-member groups pass
-/// for any non-empty grid of matching dimensionality.
-pub fn revalidate_plan(
-    seq: &LoopSequence,
-    plan: &crate::plan::FusionPlan,
-    grid: &[usize],
-) -> Result<(), LegalityError> {
-    for group in plan.groups.iter().filter(|g| g.len() > 1) {
-        let members: Vec<usize> = group.members().collect();
-        let range = crate::schedule::global_fused_range(seq, &members, plan.levels)?;
-        if grid.len() != range.len() {
-            return Err(LegalityError::GridMismatch {
-                global_dims: range.len(),
-                grid_dims: grid.len(),
-            });
-        }
-        for dim in &group.derivation.dims {
-            let p = grid[dim.level];
-            if p == 0 {
-                return Err(LegalityError::EmptyGrid { level: dim.level });
-            }
-            let (lo, hi) = range[dim.level];
-            let trip = hi - lo + 1;
-            if trip < p as i64 {
-                return Err(LegalityError::TooManyProcs {
-                    level: dim.level,
-                    procs: p,
-                    trip,
-                });
-            }
-            let min_block = trip / p as i64;
-            let nt = dim.nt();
-            if min_block < nt {
-                return Err(LegalityError::BlockTooSmall {
-                    level: dim.level,
-                    block_iters: min_block,
-                    nt,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derive::derive_levels;
     use crate::schedule::decompose;
     use sp_ir::SeqBuilder;
+
+    /// The derivation of `swap_seq(n)`'s one fused level.
+    fn swap_derivation(n: usize) -> Derivation {
+        let seq = swap_seq(n);
+        let deps = sp_dep::analyze_sequence(&seq).unwrap();
+        derive_levels(&deps, seq.len(), 1).unwrap()
+    }
 
     fn swap_seq(n: usize) -> sp_ir::LoopSequence {
         let mut b = SeqBuilder::new("swap");
@@ -253,40 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn admissible_sequence_passes() {
-        let seq = swap_seq(64);
-        let deps = sp_dep::analyze_sequence(&seq).unwrap();
-        let deriv = check_sequence(&seq, &deps, 1).unwrap();
-        assert_eq!(deriv.dims[0].nt(), 2);
-    }
-
-    #[test]
-    fn serial_nest_rejected() {
-        let n = 32usize;
-        let mut b = SeqBuilder::new("serial");
-        let a = b.array("a", [n]);
-        let c = b.array("c", [n]);
-        b.nest("L1", [(1, n as i64 - 1)], |x| {
-            let r = x.ld(a, [-1]); // recurrence: serial
-            x.assign(a, [0], r);
-        });
-        b.nest("L2", [(1, n as i64 - 1)], |x| {
-            let r = x.ld(a, [0]);
-            x.assign(c, [0], r);
-        });
-        let seq = b.finish();
-        let deps = sp_dep::analyze_sequence(&seq).unwrap();
-        assert_eq!(
-            check_sequence(&seq, &deps, 1).unwrap_err(),
-            LegalityError::SerialNest { nest: 0, level: 0 }
-        );
+    fn swap_needs_two_iterations_a_block() {
+        assert_eq!(swap_derivation(64).dims[0].nt(), 2);
     }
 
     #[test]
     fn block_size_threshold_enforced() {
-        let seq = swap_seq(16); // 15 iterations, Nt = 2
-        let deps = sp_dep::analyze_sequence(&seq).unwrap();
-        let deriv = check_sequence(&seq, &deps, 1).unwrap();
+        let deriv = swap_derivation(16); // 15 iterations, Nt = 2
         let ok = decompose(&[(1, 15)], &[7]).unwrap(); // blocks of 2-3
         assert!(check_blocks(&deriv, &ok).is_ok());
         let bad = decompose(&[(1, 15)], &[8]).unwrap(); // smallest block has 1
@@ -309,9 +183,7 @@ mod tests {
     /// inequality without failing here.
     #[test]
     fn block_exactly_nt_is_legal() {
-        let seq = swap_seq(64);
-        let deps = sp_dep::analyze_sequence(&seq).unwrap();
-        let deriv = check_sequence(&seq, &deps, 1).unwrap();
+        let deriv = swap_derivation(64);
         let nt = deriv.dims[0].nt();
         assert_eq!(nt, 2);
         let p = 4usize;
@@ -342,9 +214,7 @@ mod tests {
     /// count passes exactly when `p <= floor(trip/nt) = max_procs`.
     #[test]
     fn clamp_rounding_agrees_with_legality_check() {
-        let seq = swap_seq(64);
-        let deps = sp_dep::analyze_sequence(&seq).unwrap();
-        let deriv = check_sequence(&seq, &deps, 1).unwrap();
+        let deriv = swap_derivation(64);
         let nt = deriv.dims[0].nt();
         for trip in nt..=4 * nt + 3 {
             for p in 1..=trip as usize {
@@ -364,41 +234,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn revalidation_applies_theorem_1_per_grid() {
-        use crate::plan::{fusion_plan, singleton_plan, CodegenMethod};
-        // swap_seq(64): fused range [1, 63] (trip 63), Nt = 2, so the
-        // smallest block floor(trip/p) >= 2 bounds p.
-        let seq = swap_seq(64);
-        let deps = sp_dep::analyze_sequence(&seq).unwrap();
-        let plan = fusion_plan(&seq, &deps, 1, CodegenMethod::StripMined, None).unwrap();
-        let reqs = plan_nt_requirements(&plan);
-        assert_eq!(reqs.len(), 1);
-        assert_eq!(reqs[0].nt, 2);
-        assert!(revalidate_plan(&seq, &plan, &[4]).is_ok());
-        // p=31 leaves a smallest block of floor(63/31) = 2 = Nt; p=32
-        // leaves floor(63/32) = 1 < Nt.
-        assert!(revalidate_plan(&seq, &plan, &[31]).is_ok());
-        assert!(matches!(
-            revalidate_plan(&seq, &plan, &[32]),
-            Err(LegalityError::BlockTooSmall { nt: 2, .. })
-        ));
-        assert_eq!(
-            revalidate_plan(&seq, &plan, &[0]),
-            Err(LegalityError::EmptyGrid { level: 0 })
-        );
-        assert_eq!(
-            revalidate_plan(&seq, &plan, &[4, 4]),
-            Err(LegalityError::GridMismatch {
-                global_dims: 1,
-                grid_dims: 2
-            })
-        );
-        // Unfused singleton plans impose no threshold at all.
-        let unfused = singleton_plan(&seq, &deps, 1).unwrap();
-        assert!(plan_nt_requirements(&unfused).is_empty());
-        assert!(revalidate_plan(&seq, &unfused, &[64]).is_ok());
     }
 }

@@ -11,13 +11,13 @@
 //!   [`PlanConfig`] describing how a plan is derived, the codegen method
 //!   choice (Figure 11), and the low-level planning entry points.
 //! * [`pipeline`] — how plans are derived: the [`Planner`] builder that
-//!   runs the four stages (dependence, plan, legality, cost) in a row,
-//!   the one planning entry point for the CLI and the serve tier.
+//!   runs the two stages (dependence, plan) in a row, the one planning
+//!   entry point for the CLI and the serve tier.
 //! * [`analysis`] — the individual analyses the stages are built from:
-//!   shift/peel derivation (Figure 8), legality and Theorem 1's
-//!   iteration count threshold, block-geometry scheduling (Figures 12
-//!   and 16), strip selection and cost estimation (Section 4),
-//!   profitability (Section 6), and array contraction.
+//!   shift/peel derivation (Figure 8), Theorem 1's block check on a
+//!   grid, block-geometry scheduling (Figures 12 and 16), strip
+//!   selection (Section 4), profitability (Section 6), and array
+//!   contraction.
 //! * [`explain`] — opt-in decision tracing: structured events recording
 //!   why each pass decided what it did (edge contributions, fusion
 //!   rejections, Theorem 1 threshold checks), rendered by `spfc explain`.
@@ -38,20 +38,17 @@ pub mod pipeline;
 pub mod plan;
 
 /// The individual analyses behind the planning stages: derivation,
-/// legality, block-geometry scheduling, codegen cost/strip selection,
-/// profitability, array contraction, and plan rendering.
+/// legality, block-geometry scheduling, strip selection, profitability,
+/// array contraction, and plan rendering.
 pub mod analysis {
-    pub use crate::codegen::{estimate_block_cost, GroupCost, StripSpec};
+    pub use crate::codegen::StripSpec;
     pub use crate::contract::{find_contractable, ContractionCandidate};
     pub use crate::derive::{
         derive_dim, derive_dim_observed, derive_levels, derive_shift_peel, Derivation, DeriveError,
         DimDerivation,
     };
     pub use crate::emit::render_plan;
-    pub use crate::legality::{
-        check_blocks, check_sequence, max_procs, plan_nt_requirements, revalidate_plan,
-        LegalityError, NtRequirement,
-    };
+    pub use crate::legality::{check_blocks, max_procs, LegalityError};
     pub use crate::profit::ProfitabilityModel;
     pub use crate::schedule::{
         decompose, global_fused_range, nest_regions, NestRegions, ProcBlock,
@@ -76,9 +73,7 @@ pub mod analysis {
 /// assert!(planned.plan.fused_group_count() > 0);
 /// ```
 pub mod prelude {
-    pub use crate::analysis::{
-        derive_shift_peel, Derivation, LegalityError, NtRequirement, ProfitabilityModel,
-    };
+    pub use crate::analysis::{derive_shift_peel, Derivation, LegalityError, ProfitabilityModel};
     pub use crate::explain::ExplainTrace;
     pub use crate::pipeline::{Planned, Planner};
     pub use crate::plan::{CodegenMethod, FusionPlan, PlanConfig};
@@ -88,8 +83,7 @@ pub mod prelude {
 // consumer needs. Anything more specialized lives under the grouped
 // modules above.
 pub use analysis::{
-    derive_shift_peel, Derivation, DeriveError, DimDerivation, LegalityError, NtRequirement,
-    ProfitabilityModel,
+    derive_shift_peel, Derivation, DeriveError, DimDerivation, LegalityError, ProfitabilityModel,
 };
 pub use explain::{ExplainEvent, ExplainTrace};
 pub use pipeline::{NullObserver, PassTiming, PassTimings, PlanObserver, Planned, Planner};

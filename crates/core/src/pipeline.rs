@@ -1,10 +1,11 @@
-//! Planning: the paper's derivation as four calls in a row.
+//! Planning: the paper's derivation as two calls in a row.
 //!
-//! Dependence distances feed Figure 8's shift/peel traversal, the plan
-//! feeds Theorem 1's iteration-count thresholds, and the plan again
-//! feeds Section 4's strip and cost estimates. No stage is optional and
-//! none can be reordered, so [`Planner::plan_with`] simply calls them in
-//! order, timing each into [`PassTimings`] under its [`pass`] name. A
+//! Dependence distances feed Figure 8's shift/peel traversal; the plan
+//! is a function of the program and the [`PlanConfig`] alone. Theorem
+//! 1's block-size condition needs a processor grid, so it is not checked
+//! here: the executor fits every group's blocks to `Nt` and checks them
+//! where the grid is known. [`Planner::plan_with`] calls the two stages
+//! in order, timing each into [`PassTimings`] under its [`pass`] name. A
 //! caller that already holds the dependence analysis (the serve tier's
 //! analysis cache) hands it in, and planning starts from the second
 //! stage.
@@ -16,26 +17,26 @@
 //! [`ExplainTrace`] observer receives the full event stream (pinned by
 //! the `spfc explain` golden).
 
-use crate::codegen::{estimate_block_cost, GroupCost, StripSpec};
 use crate::explain::{ExplainEvent, ExplainTrace};
-use crate::legality::{plan_nt_requirements, LegalityError, NtRequirement};
+use crate::legality::LegalityError;
 use crate::plan::{fusion_plan_observed, singleton_plan, CodegenMethod, FusionPlan, PlanConfig};
 use crate::profit::ProfitabilityModel;
-use crate::schedule::global_fused_range;
 use sp_dep::SequenceDeps;
 use sp_ir::LoopSequence;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Names of the four planning stages, as [`PassTimings`] records them.
+/// Names of the planning stages, as [`PassTimings`] records them.
 pub mod pass {
     /// Dependence analysis of the whole sequence (`sp-dep`).
     pub const DEPENDENCE: &str = "dependence";
     /// Greedy group growth + shift/peel derivation (the fusion plan).
     pub const PLAN: &str = "plan";
-    /// Theorem-1 iteration-count thresholds per fused group.
+    /// A retired stage: nothing records it, so its timing is absent.
+    /// Kept because `benchmark/`'s front-end workload names it.
     pub const LEGALITY: &str = "legality";
-    /// Per-group iteration/strip/barrier cost estimates.
+    /// A retired stage: nothing records it, so its timing is absent.
+    /// Kept because `benchmark/`'s front-end workload names it.
     pub const COST: &str = "cost";
 }
 
@@ -166,47 +167,9 @@ pub fn plan_stage(
     }
 }
 
-/// The cost stage: single-block iteration/strip/barrier estimates per
-/// multi-member group ([`GroupCost`]), sized by the profitability model's
-/// cache when one is supplied.
-fn cost_stage(
-    seq: &LoopSequence,
-    plan: &FusionPlan,
-    profit: Option<&ProfitabilityModel>,
-) -> Result<Vec<GroupCost>, LegalityError> {
-    let mut costs = Vec::new();
-    for g in plan.groups.iter().filter(|g| g.len() > 1) {
-        let members: Vec<usize> = g.members().collect();
-        let range = global_fused_range(seq, &members, plan.levels)?;
-        let (lo, hi) = range[0];
-        let block = (hi - lo + 1).max(1);
-        let nest_trips: Vec<u64> = members
-            .iter()
-            .map(|&k| {
-                seq.nests[k]
-                    .bounds
-                    .iter()
-                    .map(|b| b.count() as u64)
-                    .product()
-            })
-            .collect();
-        let strip = match profit {
-            Some(m) => m.strip(seq, g.derivation.max_shift(), block),
-            None => StripSpec::new(block),
-        };
-        costs.push(estimate_block_cost(
-            &g.derivation,
-            &nest_trips,
-            block as u64,
-            strip,
-        ));
-    }
-    Ok(costs)
-}
-
 /// The one planning entry point: a builder over [`PlanConfig`] (mirroring
-/// `sp-exec`'s `RunConfig` style) that runs the four stages and returns
-/// everything they derive at once.
+/// `sp-exec`'s `RunConfig` style) that runs the two stages and returns
+/// what they derive.
 ///
 /// ```
 /// # use shift_peel_core::pipeline::Planner;
@@ -234,10 +197,6 @@ pub struct Planned {
     pub deps: Arc<SequenceDeps>,
     /// The fusion plan.
     pub plan: Arc<FusionPlan>,
-    /// Theorem-1 thresholds per multi-member group.
-    pub nt: Arc<Vec<NtRequirement>>,
-    /// Per-group cost estimates (multi-member groups only).
-    pub costs: Arc<Vec<GroupCost>>,
     /// Per-stage wall time of this run.
     pub timings: PassTimings,
 }
@@ -306,17 +265,12 @@ impl Planner {
                     })?,
             ),
         };
-        let profit = self.profit.as_ref();
         let plan = Arc::new(timings.time(pass::PLAN, || {
-            plan_stage(seq, &deps, &self.config, profit, obs)
+            plan_stage(seq, &deps, &self.config, self.profit.as_ref(), obs)
         })?);
-        let nt = Arc::new(timings.time(pass::LEGALITY, || plan_nt_requirements(&plan)));
-        let costs = Arc::new(timings.time(pass::COST, || cost_stage(seq, &plan, profit))?);
         Ok(Planned {
             deps,
             plan,
-            nt,
-            costs,
             timings,
         })
     }
@@ -365,14 +319,9 @@ mod tests {
             crate::plan::fusion_plan(&seq, &deps, 1, CodegenMethod::StripMined, None).unwrap();
         let planned = Planner::fused(1).plan(&seq).unwrap();
         assert_eq!(*planned.plan, direct);
-        assert_eq!(*planned.nt, crate::legality::plan_nt_requirements(&direct));
-        assert_eq!(planned.costs.len(), 1);
-        // Every stage ran exactly once, in order.
+        // Both stages ran exactly once, in order.
         let names: Vec<_> = planned.timings.passes.iter().map(|t| t.pass).collect();
-        assert_eq!(
-            names,
-            vec![pass::DEPENDENCE, pass::PLAN, pass::LEGALITY, pass::COST]
-        );
+        assert_eq!(names, vec![pass::DEPENDENCE, pass::PLAN]);
     }
 
     #[test]
@@ -381,7 +330,6 @@ mod tests {
         let deps = sp_dep::analyze_sequence(&seq).unwrap();
         let planned = Planner::unfused(1).plan(&seq).unwrap();
         assert_eq!(*planned.plan, singleton_plan(&seq, &deps, 1).unwrap());
-        assert!(planned.nt.is_empty(), "singletons have no thresholds");
     }
 
     #[test]
@@ -399,8 +347,6 @@ mod tests {
         );
         let fresh = planner.plan(&seq).unwrap();
         assert_eq!(*planned.plan, *fresh.plan);
-        assert_eq!(*planned.nt, *fresh.nt);
-        assert_eq!(*planned.costs, *fresh.costs);
     }
 
     #[test]

@@ -222,9 +222,9 @@ impl RunConfig {
     /// Injects a fusion plan derived elsewhere (e.g. served from an
     /// artifact cache), skipping in-run derivation. The plan must match
     /// the program: executors reject plans that do not cover the
-    /// sequence or fuse a different number of levels. Callers reusing a
-    /// cached plan on a new processor grid must revalidate Theorem 1
-    /// first (`shift_peel_core::revalidate_plan`).
+    /// sequence or fuse a different number of levels. A plan runs on any
+    /// processor grid: the run checks Theorem 1 on its own grid, fitting
+    /// every fused group's blocks to `Nt`, as for a plan it derives.
     pub fn prederived(mut self, plan: Arc<FusionPlan>) -> Self {
         self.fusion = Some(plan);
         self

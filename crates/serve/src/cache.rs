@@ -1,26 +1,26 @@
 //! The content-addressed artifact cache.
 //!
 //! The cache lives in memory: a small LRU of full [`Artifact`]s —
-//! derived plan, dependence analysis, and (for the tape backends) the
-//! lowered tape. No plan outlives its process. Deriving one is a single
-//! linear pass over the dependence chain multigraph, microseconds for a
-//! suite program, which is cheaper than reading, checking and
-//! revalidating a stored copy; so a fresh process derives.
+//! derived plan, dependence analysis, and the lowered tape. No plan
+//! outlives its process. Deriving one is a single linear pass over the
+//! dependence chain multigraph, microseconds for a suite program, which
+//! is cheaper than reading and checking a stored copy; so a fresh
+//! process derives.
 //!
-//! Revalidation policy: a key match is necessary but not sufficient. The
-//! key hashes the processor *count*, not the grid *shape*, so every
-//! lookup re-checks Theorem 1 against the request's grid via
-//! [`revalidate_plan`]. A rejected entry stays cached — it is still
-//! valid for the grid it was derived under — and the lookup degrades to
-//! a miss.
+//! A key match serves the artifact: the plan is a function of the
+//! program and the [`PlanConfig`](shift_peel_core::PlanConfig) alone,
+//! and runs on any grid and backend. Theorem 1's block-size condition is
+//! the executor's to check, on the grid of the run in hand: it fits every
+//! fused group's blocks to `Nt` and checks them before anything runs.
 //!
 //! Alongside the artifact tier sits an *analysis* tier: dependence
 //! analyses keyed by the program's digest
 //! ([`SharedProgram::digest`](crate::SharedProgram::digest), the FNV-1a
 //! of its text, which every job already holds). The analysis reads
-//! nothing but the sequence, so a full-key miss caused by a block-size,
-//! grid, or backend change still hits here, and the planner starts from
-//! the held analysis instead of recomputing it.
+//! nothing but the sequence, so a full-key miss caused by a different
+//! planning configuration (fused versus blocked, say) still hits here,
+//! and the planner starts from the held analysis instead of recomputing
+//! it.
 //!
 //! What does persist is the lifetime counters: with a stats directory
 //! ([`ArtifactCacheConfig::disk`]), the service adds this instance's
@@ -29,11 +29,9 @@
 //! across processes.
 
 use crate::hash::CacheKey;
-use shift_peel_core::analysis::revalidate_plan;
 use shift_peel_core::FusionPlan;
 use sp_dep::SequenceDeps;
 use sp_exec::ProgramTape;
-use sp_ir::LoopSequence;
 use sp_trace::MetricsRegistry;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -49,8 +47,8 @@ pub struct Artifact {
     pub plan: Arc<FusionPlan>,
     /// The dependence analysis the plan was derived from.
     pub deps: Arc<SequenceDeps>,
-    /// The lowered tape (tape backends only).
-    pub tape: Option<Arc<ProgramTape>>,
+    /// The lowered tape, which both tape backends run.
+    pub tape: Arc<ProgramTape>,
 }
 
 /// Lifetime counters, also persisted to the stats directory so `spfc
@@ -65,8 +63,6 @@ pub struct CacheCounters {
     pub inserts: u64,
     /// LRU evictions.
     pub evictions: u64,
-    /// Key matches rejected by Theorem-1 grid revalidation.
-    pub revalidation_rejects: u64,
     /// Analysis-tier hits (dependence analysis reused across a full-key
     /// miss).
     pub analysis_hits: u64,
@@ -85,7 +81,6 @@ impl CacheCounters {
         self.misses += o.misses;
         self.inserts += o.inserts;
         self.evictions += o.evictions;
-        self.revalidation_rejects += o.revalidation_rejects;
         self.analysis_hits += o.analysis_hits;
         self.analysis_misses += o.analysis_misses;
     }
@@ -170,28 +165,17 @@ impl ArtifactCache {
         self.entries.is_empty()
     }
 
-    /// Looks up `key`, revalidating any match against `grid` (the
-    /// request's processor grid; empty for serial runs). Returns the
-    /// artifact, or `None` — the caller then compiles and should
-    /// [`insert`](ArtifactCache::insert) the result.
-    pub fn lookup(
-        &mut self,
-        key: CacheKey,
-        seq: &LoopSequence,
-        grid: &[usize],
-    ) -> Option<Artifact> {
-        if let Some(pos) = self.entries.iter().position(|a| a.key == key) {
-            if grid.is_empty() || revalidate_plan(seq, &self.entries[pos].plan, grid).is_ok() {
-                let art = self.entries.remove(pos);
-                self.entries.push(art.clone());
-                self.counters.hits += 1;
-                return Some(art);
-            }
-            // Still valid for the grid it was derived under: keep it.
-            self.counters.revalidation_rejects += 1;
-        }
-        self.counters.misses += 1;
-        None
+    /// Looks up `key`. Returns the artifact, or `None` — the caller then
+    /// compiles and should [`insert`](ArtifactCache::insert) the result.
+    pub fn lookup(&mut self, key: CacheKey) -> Option<Artifact> {
+        let Some(pos) = self.entries.iter().position(|a| a.key == key) else {
+            self.counters.misses += 1;
+            return None;
+        };
+        let art = self.entries.remove(pos);
+        self.entries.push(art.clone());
+        self.counters.hits += 1;
+        Some(art)
     }
 
     /// Inserts (or refreshes) an artifact: hottest LRU position, coldest
@@ -257,11 +241,6 @@ impl ArtifactCache {
         reg.counter("spfc_cache_inserts_total", "Artifacts inserted", c.inserts);
         reg.counter("spfc_cache_evictions_total", "LRU evictions", c.evictions);
         reg.counter(
-            "spfc_cache_revalidation_rejects_total",
-            "Key matches rejected by Theorem-1 grid revalidation",
-            c.revalidation_rejects,
-        );
-        reg.counter(
             "spfc_cache_analysis_hits_total",
             "Analysis-tier hits (dependence analysis reused)",
             c.analysis_hits,
@@ -283,42 +262,10 @@ impl ArtifactCache {
 mod tests {
     use super::*;
     use shift_peel_core::{PlanConfig, Planner};
+    use sp_cache::LayoutStrategy;
     use sp_dep::analyze_sequence;
-    use sp_exec::Backend;
+    use sp_exec::Memory;
     use sp_kernels::jacobi;
-
-    fn derived(n: usize) -> (LoopSequence, Artifact) {
-        let seq = jacobi::sequence(n);
-        let cfg = PlanConfig::fused(2);
-        let planned = Planner::new(cfg).plan(&seq).unwrap();
-        let art = Artifact {
-            key: CacheKey::compute(&seq, &cfg, Backend::Compiled, 4),
-            plan: planned.plan,
-            deps: planned.deps,
-            tape: None,
-        };
-        (seq, art)
-    }
-
-    #[test]
-    fn revalidation_rejects_keep_the_entry() {
-        let (seq, art) = derived(32);
-        let key = art.key;
-        let mut c = ArtifactCache::new(ArtifactCacheConfig::memory(4));
-        c.insert(art);
-        // jacobi(32): fused trips ~30 per level; 30 procs on one level
-        // leaves a 1-deep block < Nt, so Theorem 1 rejects.
-        assert!(
-            c.lookup(key, &seq, &[30, 1]).is_none(),
-            "Nt revalidation rejects"
-        );
-        assert_eq!(c.counters().revalidation_rejects, 1);
-        // The same key still serves a compatible grid afterwards.
-        assert!(
-            c.lookup(key, &seq, &[2, 2]).is_some(),
-            "entry survives the reject"
-        );
-    }
 
     #[test]
     fn analysis_tier_hits_survive_full_key_misses() {
@@ -341,27 +288,29 @@ mod tests {
 
     #[test]
     fn lru_evicts_coldest_first() {
-        let (seq, art) = derived(32);
+        let seq = jacobi::sequence(32);
+        let planned = Planner::new(PlanConfig::fused(2)).plan(&seq).unwrap();
+        let mem = Memory::new(&seq, LayoutStrategy::Contiguous);
+        let art = Artifact {
+            key: CacheKey(0),
+            plan: planned.plan,
+            deps: planned.deps,
+            tape: Arc::new(ProgramTape::lower(&seq, &mem.layout)),
+        };
         let mut c = ArtifactCache::new(ArtifactCacheConfig::memory(2));
         let keys: Vec<CacheKey> = (0..3).map(CacheKey).collect();
         for &key in &keys[..2] {
             c.insert(Artifact { key, ..art.clone() });
         }
         // Touch key 0 so key 1 becomes coldest.
-        assert!(c.lookup(keys[0], &seq, &[2, 2]).is_some());
+        assert!(c.lookup(keys[0]).is_some());
         c.insert(Artifact {
             key: keys[2],
             ..art
         });
         assert_eq!(c.counters().evictions, 1);
-        assert!(
-            c.lookup(keys[1], &seq, &[2, 2]).is_none(),
-            "coldest entry evicted"
-        );
-        assert!(
-            c.lookup(keys[0], &seq, &[2, 2]).is_some(),
-            "recently used entry kept"
-        );
+        assert!(c.lookup(keys[1]).is_none(), "coldest entry evicted");
+        assert!(c.lookup(keys[0]).is_some(), "recently used entry kept");
         assert_eq!(c.len(), 2);
     }
 }

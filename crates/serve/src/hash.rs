@@ -1,11 +1,14 @@
 //! Stable content hashing for compilation artifacts.
 //!
 //! A [`CacheKey`] names everything that determines a derived fusion plan
-//! and a lowered tape: the program itself (via its canonical rendering),
-//! the planning configuration, the execution backend, and the processor
-//! count. Anything that does *not* change the artifact — grid shape,
-//! strip size, initialization seed, step count, tracing — is deliberately
-//! excluded, so equivalent requests collide onto one cache entry.
+//! and a lowered tape: the program itself (via its canonical rendering)
+//! and the planning configuration. Anything that does *not* change the
+//! artifact — processor count and grid shape, backend, strip size,
+//! initialization seed, step count, tracing — is deliberately excluded,
+//! so equivalent requests collide onto one cache entry. A plan is
+//! derived from the program alone; Theorem 1's block-size condition is a
+//! property of a plan on a grid, and the executor checks it on every
+//! run's grid.
 //!
 //! Hashing the *rendered* program rather than the in-memory structure
 //! makes the key stable across parse/print round trips: a sequence read
@@ -13,7 +16,6 @@
 //! (property-tested in `tests/hash_proptest.rs`).
 
 use shift_peel_core::PlanConfig;
-use sp_exec::Backend;
 use sp_ir::display::render_sequence;
 use sp_ir::LoopSequence;
 use std::fmt;
@@ -21,7 +23,7 @@ use std::fmt;
 /// Version prefix folded into every key. Bump it whenever the canonical
 /// rendering, the plan derivation, or the tape format changes semantics,
 /// so no key names artifacts of two meanings.
-pub const CACHE_FORMAT_VERSION: &str = "spfc-cache-v1";
+pub const CACHE_FORMAT_VERSION: &str = "spfc-cache-v2";
 
 pub use shift_peel_core::pipeline::{fnv1a64, Fnv1a64};
 
@@ -30,59 +32,33 @@ pub use shift_peel_core::pipeline::{fnv1a64, Fnv1a64};
 pub struct CacheKey(pub u64);
 
 impl CacheKey {
-    /// The key for running `seq` under `cfg` on `procs` processors with
-    /// `backend`.
-    pub fn compute(
-        seq: &LoopSequence,
-        cfg: &PlanConfig,
-        backend: Backend,
-        procs: usize,
-    ) -> CacheKey {
-        Self::of_rendered(&render_sequence(seq), cfg, backend, procs)
+    /// The key for compiling `seq` under `cfg`.
+    pub fn compute(seq: &LoopSequence, cfg: &PlanConfig) -> CacheKey {
+        Self::of_rendered(&render_sequence(seq), cfg)
     }
 
     /// [`CacheKey::compute`] for a caller that already holds `program`,
     /// the sequence's [`render_sequence`] text: the canonical text is
     /// hashed piece by piece as it is formatted, never assembled.
-    pub fn of_rendered(
-        program: &str,
-        cfg: &PlanConfig,
-        backend: Backend,
-        procs: usize,
-    ) -> CacheKey {
+    pub fn of_rendered(program: &str, cfg: &PlanConfig) -> CacheKey {
         let mut h = Fnv1a64::new();
-        write_canonical(&mut h, program, cfg, backend, procs);
+        write_canonical(&mut h, program, cfg);
         CacheKey(h.finish())
     }
 
     /// The exact text hashed by [`CacheKey::compute`], exposed so tests
     /// and diagnostics can explain *why* two keys differ.
-    pub fn canonical_text(
-        seq: &LoopSequence,
-        cfg: &PlanConfig,
-        backend: Backend,
-        procs: usize,
-    ) -> String {
+    pub fn canonical_text(seq: &LoopSequence, cfg: &PlanConfig) -> String {
         let mut text = String::new();
-        write_canonical(&mut text, &render_sequence(seq), cfg, backend, procs);
+        write_canonical(&mut text, &render_sequence(seq), cfg);
         text
     }
 }
 
 /// The one definition of the keyed text, written to a `String` or
 /// straight into the hash (neither sink can fail).
-fn write_canonical(
-    out: &mut impl fmt::Write,
-    program: &str,
-    cfg: &PlanConfig,
-    backend: Backend,
-    procs: usize,
-) {
-    let _ = write!(
-        out,
-        "{CACHE_FORMAT_VERSION}\n{program}\nplan: {cfg}\nbackend: {}\nprocs: {procs}\n",
-        backend.name(),
-    );
+fn write_canonical(out: &mut impl fmt::Write, program: &str, cfg: &PlanConfig) {
+    let _ = write!(out, "{CACHE_FORMAT_VERSION}\n{program}\nplan: {cfg}\n");
 }
 
 impl fmt::Display for CacheKey {
@@ -94,7 +70,9 @@ impl fmt::Display for CacheKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JobSpec;
     use shift_peel_core::CodegenMethod;
+    use sp_exec::{Backend, ExecPlan};
     use sp_ir::parse_sequence;
     use sp_kernels::jacobi;
 
@@ -102,54 +80,60 @@ mod tests {
     fn key_is_stable_and_sensitive() {
         let seq = jacobi::sequence(32);
         let cfg = PlanConfig::fused(2);
-        let k = CacheKey::compute(&seq, &cfg, Backend::Compiled, 4);
+        let k = CacheKey::compute(&seq, &cfg);
         // Stable across recomputation and across a parse/print round trip.
-        assert_eq!(k, CacheKey::compute(&seq, &cfg, Backend::Compiled, 4));
+        assert_eq!(k, CacheKey::compute(&seq, &cfg));
         let reparsed = parse_sequence(&render_sequence(&seq)).expect("round trip");
-        assert_eq!(k, CacheKey::compute(&reparsed, &cfg, Backend::Compiled, 4));
+        assert_eq!(k, CacheKey::compute(&reparsed, &cfg));
         // Sensitive to every keyed input.
-        assert_ne!(k, CacheKey::compute(&seq, &cfg, Backend::Compiled, 8));
-        assert_ne!(k, CacheKey::compute(&seq, &cfg, Backend::Interp, 4));
-        // The SIMD backend keys its own artifact even though the tape it
-        // lowers is identical: backends must never alias in the cache.
-        let ks = CacheKey::compute(&seq, &cfg, Backend::Simd, 4);
-        assert_ne!(k, ks);
-        assert_ne!(ks, CacheKey::compute(&seq, &cfg, Backend::Interp, 4));
+        assert_ne!(k, CacheKey::compute(&seq, &PlanConfig::unfused(2)));
         assert_ne!(
             k,
-            CacheKey::compute(&seq, &PlanConfig::unfused(2), Backend::Compiled, 4)
+            CacheKey::compute(&seq, &PlanConfig::fused(2).method(CodegenMethod::Direct))
         );
         assert_ne!(
             k,
-            CacheKey::compute(
-                &seq,
-                &PlanConfig::fused(2).method(CodegenMethod::Direct),
-                Backend::Compiled,
-                4
-            )
-        );
-        assert_ne!(
-            k,
-            CacheKey::compute(&jacobi::sequence(33), &cfg, Backend::Compiled, 4),
+            CacheKey::compute(&jacobi::sequence(33), &cfg),
             "different program text must not alias"
         );
+        // Neither the grid nor the backend of a job is keyed: every grid
+        // and backend runs the one artifact of its text and config.
+        for (grid, backend) in [
+            (vec![1, 4], Backend::Interp),
+            (vec![4, 1], Backend::Compiled),
+            (vec![2, 2], Backend::Simd),
+        ] {
+            let plan = ExecPlan::Fused {
+                grid,
+                method: CodegenMethod::StripMined,
+                strip: 8,
+            };
+            let spec = JobSpec::new("jacobi", seq.clone(), plan).backend(backend);
+            assert_eq!(spec.cache_key(), k, "{backend:?}");
+        }
         // Display is fixed-width hex.
         assert_eq!(format!("{k}").len(), 16);
     }
 
-    /// The values the commit before the single-buffer renderer printed.
-    /// The rendered text, and with it every key, must not drift; and a key derived from text a caller already
-    /// holds is the key derived from the sequence.
+    /// The key of jacobi(32) fused over two levels. The rendered text,
+    /// and with it every key, must not drift; and a key derived from text
+    /// a caller already holds is the key derived from the sequence.
     #[test]
     fn keys_are_pinned_and_the_same_by_text() {
         let seq = jacobi::sequence(32);
         let text = render_sequence(&seq);
         let cfg = PlanConfig::fused(2);
-        let k = CacheKey::compute(&seq, &cfg, Backend::Compiled, 4);
-        assert_eq!(format!("{k}"), "fba94f95ab885cb6");
-        assert_eq!(k, CacheKey::of_rendered(&text, &cfg, Backend::Compiled, 4));
-        let hashed = CacheKey::canonical_text(&seq, &cfg, Backend::Compiled, 4);
+        let k = CacheKey::compute(&seq, &cfg);
+        assert_eq!(format!("{k}"), "6c208fcbccdc44bb");
+        assert_eq!(k, CacheKey::of_rendered(&text, &cfg));
+        let hashed = CacheKey::canonical_text(&seq, &cfg);
         assert_eq!(k.0, fnv1a64(hashed.as_bytes()));
+        // The plan configuration is the last keyed line: no processor
+        // count, no backend.
+        assert!(
+            hashed.ends_with("\nplan: levels=2 fuse=true method=strip-mined\n"),
+            "{hashed}"
+        );
     }
 
     #[test]

@@ -2,15 +2,13 @@
 //!
 //! The serving subsystem treats plan derivation and tape lowering as a
 //! *compilation* whose results are worth reusing: two requests that agree
-//! on the normalized program text, the planning configuration, the
-//! execution backend, and the processor count derive bit-identical
-//! artifacts, so the second request can skip derivation and lowering
-//! entirely.
+//! on the normalized program text and the planning configuration derive
+//! bit-identical artifacts, whatever their processor grids and backends,
+//! so the second request can skip derivation and lowering entirely.
 //!
 //! * [`hash`] — stable content hashing ([`CacheKey`]): FNV-1a over a
 //!   versioned canonical rendering of the sequence plus the
-//!   [`PlanConfig`](shift_peel_core::PlanConfig), backend, and processor
-//!   count;
+//!   [`PlanConfig`](shift_peel_core::PlanConfig);
 //! * [`cache`] — the [`ArtifactCache`]: an in-memory LRU over derived
 //!   [`FusionPlan`](shift_peel_core::FusionPlan)s, dependence analyses,
 //!   and lowered tapes. No plan is persisted: a fresh process derives
@@ -44,13 +42,11 @@
 //!   endpoint (`/metrics`, `/healthz`) behind
 //!   `spfc serve --listen-metrics ADDR`.
 //!
-//! The one legality subtlety: the cache key includes the processor
-//! *count* but not the grid *shape*, so every lookup revalidates the
-//! cached plan against the request's grid with
-//! [`revalidate_plan`](shift_peel_core::analysis::revalidate_plan) (Theorem 1 of
-//! the paper: every processor's block must be at least `Nt` iterations
-//! deep in every fused dimension). A key match alone is never sufficient
-//! to serve a plan.
+//! Legality needs no cache logic: a plan is derived from the program
+//! alone, and Theorem 1 of the paper (every processor's block must be at
+//! least `Nt` iterations deep in every fused dimension) is a property of
+//! a plan on a grid. The executor checks it on every run, after fitting
+//! each fused group's blocks to `Nt`, so a served plan runs on any grid.
 
 pub mod cache;
 pub mod hash;

@@ -223,7 +223,6 @@ pub fn disk_stats(dir: &Path) -> LifetimeStats {
             ["cache", "misses", v] => c.misses = n(v),
             ["cache", "inserts", v] => c.inserts = n(v),
             ["cache", "evictions", v] => c.evictions = n(v),
-            ["cache", "revalidation_rejects", v] => c.revalidation_rejects = n(v),
             ["cache", "analysis_hits", v] => c.analysis_hits = n(v),
             ["cache", "analysis_misses", v] => c.analysis_misses = n(v),
             ["outcome", "ok", v] => st.ok = n(v),
@@ -282,7 +281,6 @@ fn write_stats(dir: &Path, s: &LifetimeStats) -> std::io::Result<()> {
         writeln!(f, "cache misses {}", c.misses)?;
         writeln!(f, "cache inserts {}", c.inserts)?;
         writeln!(f, "cache evictions {}", c.evictions)?;
-        writeln!(f, "cache revalidation_rejects {}", c.revalidation_rejects)?;
         writeln!(f, "cache analysis_hits {}", c.analysis_hits)?;
         writeln!(f, "cache analysis_misses {}", c.analysis_misses)?;
         let st = &s.stages;
@@ -461,9 +459,8 @@ mod tests {
             misses: 2 * x,
             inserts: 3 * x,
             evictions: 4 * x,
-            revalidation_rejects: 5 * x,
-            analysis_hits: 6 * x,
-            analysis_misses: 7 * x,
+            analysis_hits: 5 * x,
+            analysis_misses: 6 * x,
         };
         let mut a = LifetimeStats {
             cache: counters(10),

@@ -5,7 +5,7 @@
 //! of client threads queue through [`Service::submit`] and complete in an
 //! order chosen by per-client fair share with FIFO tie-breaking. The
 //! scheduler consults the [`ArtifactCache`] before compiling anything:
-//! a hit injects the cached plan (and tape, for the compiled backend)
+//! a hit injects the cached plan (and, for the tape backends, the tape)
 //! into the run via `RunConfig::prederived`/`precompiled`, a miss
 //! compiles and inserts.
 //!
@@ -238,8 +238,8 @@ impl JobSpec {
         self
     }
 
-    /// The planning configuration this spec compiles under — the plan
-    /// half of its cache key.
+    /// The planning configuration this spec compiles under — with the
+    /// program text, all its cache key hashes.
     pub fn plan_config(&self) -> PlanConfig {
         match &self.plan {
             ExecPlan::Fused { method, .. } => PlanConfig::fused(self.levels).method(*method),
@@ -248,14 +248,10 @@ impl JobSpec {
     }
 
     /// The content address of this spec's compilation artifacts, hashed
-    /// from the text the program already holds.
+    /// from the text the program already holds. The grid and the backend
+    /// are not keyed: every grid and backend runs the same plan and tape.
     pub fn cache_key(&self) -> CacheKey {
-        CacheKey::of_rendered(
-            self.seq.text(),
-            &self.plan_config(),
-            self.backend,
-            self.plan.procs(),
-        )
+        CacheKey::of_rendered(self.seq.text(), &self.plan_config())
     }
 }
 
@@ -1036,17 +1032,13 @@ fn run_job_stages(
     // job's path renders the program.
     let key = spec.cache_key();
     let akey = spec.seq.digest();
-    let hit = shared
-        .cache
-        .lock()
-        .unwrap()
-        .lookup(key, &spec.seq, spec.plan.grid());
+    let hit = shared.cache.lock().unwrap().lookup(key);
     clock.close(spans, JobStage::CacheLookup);
 
     // Analysis and plan. A hit carries both. A miss plans from the
     // analysis tier's entry when it has one, so a dependence analysis
-    // computed under a different block size, grid, or backend is reused
-    // rather than redone.
+    // computed under another planning configuration is reused rather
+    // than redone.
     //
     // A hit records its skipped stages as zero-duration spans so every
     // job exports all eight stages and the histograms keep a truthful
@@ -1055,7 +1047,7 @@ fn run_job_stages(
         Some(art) => {
             clock.advance(spans, JobStage::Analysis, 0);
             clock.advance(spans, JobStage::Plan, 0);
-            (CacheOutcome::Memory, art.deps, art.plan, art.tape)
+            (CacheOutcome::Memory, art.deps, art.plan, Some(art.tape))
         }
         None => {
             let tier_hit = shared.cache.lock().unwrap().lookup_analysis(akey);
@@ -1084,7 +1076,7 @@ fn run_job_stages(
         .insert_analysis(akey, Arc::clone(&deps));
 
     // Lower: everything between the plan and a runnable configuration —
-    // program construction, memory init, and (tape backends) lowering.
+    // program construction, memory init, and (on a miss) lowering.
     let prog = Program::from_analysis(&spec.seq, Arc::clone(&deps), spec.levels)?;
 
     let mut mem = Memory::seeded(&spec.seq, LayoutStrategy::Contiguous, spec.seed);
@@ -1099,20 +1091,17 @@ fn run_job_stages(
     if shared.tracing {
         cfg = cfg.traced();
     }
-    // Tape backends (compiled, simd): a cached tape skips lowering
-    // entirely (`precompiled` → report says cached, lower_nanos 0);
-    // otherwise lower here so the tape can be inserted alongside the
-    // plan.
-    let mut lowered = None;
+    // A miss lowers the tape whatever the backend, so the artifact
+    // serves every backend. The tape backends (compiled, simd) run it: a
+    // cached tape skips lowering entirely (`precompiled` → report says
+    // cached, lower_nanos 0); a fresh one is charged to the run.
+    let tape = cached_tape.unwrap_or_else(|| Arc::new(ProgramTape::lower(&spec.seq, &mem.layout)));
     if spec.backend != Backend::Interp {
-        match cached_tape {
-            Some(t) => cfg = cfg.precompiled(t),
-            None => {
-                let tape = Arc::new(ProgramTape::lower(&spec.seq, &mem.layout));
-                lowered = Some(Arc::clone(&tape));
-                cfg = cfg.with_tape(tape);
-            }
-        }
+        let t = Arc::clone(&tape);
+        cfg = match outcome {
+            CacheOutcome::Memory => cfg.precompiled(t),
+            CacheOutcome::Miss => cfg.with_tape(t),
+        };
     }
     clock.close(spans, JobStage::Lower);
 
@@ -1140,7 +1129,7 @@ fn run_job_stages(
             key,
             plan,
             deps,
-            tape: lowered,
+            tape,
         });
     }
 

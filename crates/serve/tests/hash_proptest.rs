@@ -1,18 +1,19 @@
-//! Satellite 1: property tests of cache-key stability and sensitivity.
+//! Property tests of cache-key stability and sensitivity.
 //!
 //! Stability — a key must survive a render → parse → render round trip
 //! of the program, since the service hashes the canonical rendering
 //! precisely so that structurally equal programs (however they were
 //! built) share artifacts. Sensitivity — keys must differ whenever the
-//! plan configuration, backend, or processor count differs, or two
-//! distinct compilations would alias one cache entry.
+//! program text or the plan configuration differs, or two distinct
+//! compilations would alias one cache entry; and must not differ with
+//! the processor grid or the backend, which run the same artifact.
 
 use proptest::prelude::*;
 use shift_peel_core::{CodegenMethod, PlanConfig};
-use sp_exec::Backend;
+use sp_exec::{Backend, ExecPlan};
 use sp_ir::display::render_sequence;
 use sp_ir::{parse_sequence, LoopSequence, SeqBuilder};
-use sp_serve::CacheKey;
+use sp_serve::{CacheKey, JobSpec};
 
 /// A random 1-D loop chain with uniform dependences, the same shape the
 /// executor proptests use: loop `i` reads loop `i-1`'s array at random
@@ -64,53 +65,53 @@ proptest! {
     #[test]
     fn key_survives_parse_print_round_trips(
         chain in chain_strategy(),
-        procs in 1usize..=8,
         fuse in any::<bool>(),
         direct in any::<bool>(),
     ) {
         let seq = build(&chain);
         let method = if direct { CodegenMethod::Direct } else { CodegenMethod::StripMined };
         let cfg = if fuse { PlanConfig::fused(1) } else { PlanConfig::unfused(1) }.method(method);
-        let k = CacheKey::compute(&seq, &cfg, Backend::Compiled, procs);
+        let k = CacheKey::compute(&seq, &cfg);
 
         let text = render_sequence(&seq);
         let reparsed = parse_sequence(&text).expect("rendering parses back");
         prop_assert_eq!(reparsed.clone(), seq, "round trip is structural identity");
-        prop_assert_eq!(CacheKey::compute(&reparsed, &cfg, Backend::Compiled, procs), k);
+        prop_assert_eq!(CacheKey::compute(&reparsed, &cfg), k);
         // And a second round trip (print the reparsed form) is a fixpoint.
         let twice = parse_sequence(&render_sequence(&reparsed)).expect("second round trip");
-        prop_assert_eq!(CacheKey::compute(&twice, &cfg, Backend::Compiled, procs), k);
+        prop_assert_eq!(CacheKey::compute(&twice, &cfg), k);
     }
 
-    /// Any keyed input changing must change the key.
+    /// The program text and the plan configuration separate keys; the
+    /// processor count and the backend of a job do not.
     #[test]
-    fn key_separates_configs_backends_and_proc_counts(
+    fn key_separates_text_and_configs_but_not_procs_or_backends(
         chain in chain_strategy(),
         procs in 1usize..=8,
         other_procs in 9usize..=16,
     ) {
         let seq = build(&chain);
         let base = PlanConfig::fused(1);
-        let k = CacheKey::compute(&seq, &base, Backend::Compiled, procs);
+        let k = CacheKey::compute(&seq, &base);
+        let wider = build(&Chain { n: chain.n + 24, ..chain.clone() });
+        prop_assert_ne!(k, CacheKey::compute(&wider, &base), "program text is keyed");
         prop_assert_ne!(
             k,
-            CacheKey::compute(&seq, &base, Backend::Compiled, other_procs),
-            "processor count is keyed"
-        );
-        prop_assert_ne!(
-            k,
-            CacheKey::compute(&seq, &base, Backend::Interp, procs),
-            "backend is keyed"
-        );
-        prop_assert_ne!(
-            k,
-            CacheKey::compute(&seq, &PlanConfig::unfused(1), Backend::Compiled, procs),
+            CacheKey::compute(&seq, &PlanConfig::unfused(1)),
             "fuse/unfuse is keyed"
         );
         prop_assert_ne!(
             k,
-            CacheKey::compute(&seq, &base.method(CodegenMethod::Direct), Backend::Compiled, procs),
+            CacheKey::compute(&seq, &base.method(CodegenMethod::Direct)),
             "codegen method is keyed"
         );
+        let job = |p: usize, backend: Backend| {
+            let plan = ExecPlan::Fused { grid: vec![p], method: CodegenMethod::StripMined, strip: 8 };
+            JobSpec::new("chain", seq.clone(), plan).backend(backend).cache_key()
+        };
+        for backend in [Backend::Interp, Backend::Compiled, Backend::Simd] {
+            prop_assert_eq!(job(procs, backend), k, "backend is not keyed");
+            prop_assert_eq!(job(other_procs, backend), k, "processor count is not keyed");
+        }
     }
 }

@@ -107,16 +107,17 @@ fn padding_is_erratic_partitioning_is_not() {
     );
 }
 
-/// The planner's cost pass sizes strips the way the layout partitions:
-/// LL18's nine arrays share the 1 MB Convex cache, so a partition holds
-/// 1 MiB / 9 / 4 KiB = 28 rows of 512, less the shift of 2: 26 rows a
-/// strip, and 20 strips over the 512-row fused range.
+/// The partition-coupled strip: LL18's nine arrays share the 1 MB Convex
+/// cache, so a partition holds 1 MiB / 9 / 4 KiB = 28 rows of 512, less
+/// the shift of 2: 26 rows a strip.
 #[test]
 fn ll18_cost_strips_fill_one_of_nine_partitions() {
-    let planned = Planner::fused(1)
-        .profit(shift_peel::machine::CONVEX_SPP1000.profitability(1))
-        .plan(&ll18::sequence(512))
-        .expect("plan");
-    assert_eq!(planned.costs.len(), 1);
-    assert_eq!(planned.costs[0].strips, 20);
+    let seq = ll18::sequence(512);
+    let planned = Planner::fused(1).plan(&seq).expect("plan");
+    let max_shift = planned.plan.groups[0].derivation.max_shift();
+    assert_eq!(max_shift, 2);
+    let strip = shift_peel::machine::CONVEX_SPP1000
+        .profitability(1)
+        .strip(&seq, max_shift, 512);
+    assert_eq!(strip.size, 26);
 }

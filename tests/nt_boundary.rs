@@ -1,9 +1,9 @@
 //! Theorem-1 boundary pins: behaviour of the executors when a processor
 //! block has exactly `Nt` iterations, one fewer, and one more.
 //!
-//! The legality check (`check_blocks`, `revalidate_plan` in
-//! shift-peel-core) and the executors' grid clamp (`build_work` in
-//! sp-exec) must agree at the boundary: `block == Nt` is legal
+//! The legality check (`check_blocks` in shift-peel-core) and the
+//! executors' grid clamp (`PhaseList::build` in sp-exec) must agree at
+//! the boundary: `block == Nt` is legal
 //! (Theorem 1's `floor((u - l + 1)/P) >= Nt` is non-strict), `Nt - 1`
 //! is not. On the illegal side the run returns a typed
 //! [`ExecError::Legality`] — never a panic, and never a wrong answer.
@@ -186,24 +186,4 @@ fn block_above_nt_and_clamped_grids_run() {
         SimExecutor.run(&prog, &mut mem, &fused(procs)).unwrap();
         assert_eq!(mem.snapshot_all(&seq), want.snapshot_all(&seq), "P={procs}");
     }
-}
-
-/// The same boundary through the cache-revalidation path: a plan reused
-/// on a grid whose smallest block is exactly `Nt` passes, one processor
-/// more fails with the same typed error the legality check uses.
-#[test]
-fn revalidation_draws_the_same_line() {
-    use shift_peel::core::fusion_plan;
-    let seq = chain(8); // trip 6, Nt = 2
-    let deps = analyze_sequence(&seq).unwrap();
-    let plan = fusion_plan(&seq, &deps, 1, CodegenMethod::StripMined, None).unwrap();
-    assert!(shift_peel::core::analysis::revalidate_plan(&seq, &plan, &[3]).is_ok());
-    assert!(matches!(
-        shift_peel::core::analysis::revalidate_plan(&seq, &plan, &[4]),
-        Err(LegalityError::BlockTooSmall {
-            block_iters: 1,
-            nt: 2,
-            ..
-        })
-    ));
 }

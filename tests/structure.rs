@@ -276,8 +276,8 @@ const RULES: &[Rule] = &[
         cut_tests: true,
         expect: Exactly(1),
         pr: 27,
-        why: "ProfitabilityModel::strip is the partition-coupled strip for the cost pass, the \
-              sweeps, the chunk bound and the examples alike: one count of arrays sharing a cache",
+        why: "ProfitabilityModel::strip is the partition-coupled strip for the sweeps, the \
+              chunk bound and the examples alike: one count of arrays sharing a cache",
         ..RULE
     },
     Rule {
@@ -301,8 +301,9 @@ const RULES: &[Rule] = &[
             "with_pass",
         ],
         pr: 28,
-        why: "planning is four calls in a row: a content-keyed store cost more than the stages \
-              it cached, and a new stage is one more line in Planner::plan_with",
+        why: "planning is two calls in a row, dependence then plan: a content-keyed store cost \
+              more than the stages it cached, and a new stage is one more line in \
+              Planner::plan_with",
         ..RULE
     },
     Rule {
@@ -462,6 +463,24 @@ const RULES: &[Rule] = &[
         any_of: &["stage-stats"],
         why: "the cache counters and the stage stats add up in one versioned <dir>/stats, \
               written by one read-merge-write under one lock and read by one reader",
+        ..RULE
+    },
+    Rule {
+        name: "a-plan-is-checked-on-its-grid",
+        any_of: &[
+            "revalidate_plan",
+            "revalidation_rejects",
+            "plan_nt_requirements",
+            "NtRequirement",
+            "GroupCost",
+            "estimate_block_cost",
+            "fn cost_stage",
+            "fn check_sequence",
+        ],
+        why: "a plan is a function of the program and its PlanConfig, so the cache key holds \
+              nothing else and a hit needs no second look; Theorem 1 is checked where the grid \
+              is known, in PhaseList::build, and thresholds and costs nothing read are not \
+              computed",
         ..RULE
     },
 ];
